@@ -14,7 +14,9 @@
 // in the tree as the ground truth for the equivalence tests. Their ratio to
 // the fast entries documents the speedup and guards it against erosion.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -288,12 +290,47 @@ std::uint64_t run_fig13_fft2d(std::uint64_t iters, bool fast) {
   return elements;
 }
 
+// Journal and shard-journal files of the driver cases live in one fresh
+// mkdtemp directory under $TMPDIR (default /tmp), created on first use and
+// removed at exit: nothing lands in the working directory, and concurrent
+// runs never contend for the same journal's flock.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string templ =
+        std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+        "/psync_bench_driver.XXXXXX";
+    if (::mkdtemp(templ.data()) == nullptr) {
+      std::perror("bench_driver: mkdtemp");
+      std::exit(1);
+    }
+    path_ = templ;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+const std::string& scratch_dir() {
+  static const ScratchDir dir;
+  return dir.path();
+}
+
 // The checkpoint journal writes one fsync'd line per completed sweep point.
 // This pair times the same sweep with and without the journal so the
 // overhead of crash-safety stays visible — and gated — as a number.
-constexpr const char* kBenchJournalPath = "bench_journal.tmp.jsonl";
 
 std::uint64_t run_driver_sweep_fft2d(std::uint64_t iters, bool journal) {
+  const std::string journal_path =
+      journal ? scratch_dir() + "/journal.jsonl" : std::string();
   std::uint64_t points = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
     psync::driver::ExperimentSpec spec;
@@ -302,22 +339,22 @@ std::uint64_t run_driver_sweep_fft2d(std::uint64_t iters, bool journal) {
     spec.machine.matrix_rows = 256;
     spec.machine.matrix_cols = 256;
     spec.axes.push_back({"blocks", {1, 2, 4, 8}});
-    if (journal) spec.journal_path = kBenchJournalPath;
+    spec.journal_path = journal_path;
     const auto result = psync::driver::Session().run(spec);
     if (!result.campaign.all_ok()) std::abort();
     points += result.records.size();
-    if (journal) std::remove(kBenchJournalPath);
+    if (journal) std::remove(journal_path.c_str());
   }
   return points;
 }
 
-// The distributed leader adds fork/exec, heartbeat supervision, and a
-// final journal merge around the same sweep. With a single worker that
-// wrapper is pure overhead, so timing it against the in-process journaled
-// sweep isolates the cost of distribution itself.
-constexpr const char* kBenchDistBase = "bench_dist.tmp";
-
+// The distributed leader adds fork, heartbeat supervision, journal
+// shipping over loopback TCP, and a final journal merge around the same
+// sweep. With a single worker that wrapper is pure overhead, so timing it
+// against the in-process journaled sweep isolates the cost of distribution
+// itself.
 std::uint64_t run_driver_sweep_dist(std::uint64_t iters) {
+  const std::string base = scratch_dir() + "/dist";
   std::uint64_t points = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
     psync::driver::ExperimentSpec spec;
@@ -328,11 +365,11 @@ std::uint64_t run_driver_sweep_dist(std::uint64_t iters) {
     spec.axes.push_back({"blocks", {1, 2, 4, 8}});
     psync::dist::SupervisorOptions opts;
     opts.workers = 1;
-    opts.journal_base = kBenchDistBase;
+    opts.journal_base = base;
     const auto result = psync::dist::run_distributed(spec, opts);
     if (!result.campaign.all_ok()) std::abort();
     points += result.records.size();
-    std::remove(psync::dist::shard_journal_path(kBenchDistBase, 0).c_str());
+    std::remove(psync::dist::shard_journal_path(base, 0).c_str());
   }
   return points;
 }
@@ -542,10 +579,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Distributed-leader overhead gate: fork/exec, heartbeat supervision,
-  // and the final shard merge must stay cheap next to the sweep itself.
-  // Compared against the *journaled* in-process sweep — the worker also
-  // journals, so the difference is distribution alone. Same dual
+  // Distributed-leader overhead gate: fork, heartbeat supervision, journal
+  // shipping and the final shard merge must stay cheap next to the sweep
+  // itself. Compared against the *journaled* in-process sweep — the leader
+  // journals every shipped record too, so the difference is distribution
+  // alone. Same dual
   // threshold shape: >10% AND >10 ms/iter, so process-spawn jitter on
   // loaded CI hosts can't flake the gate.
   {

@@ -1,5 +1,5 @@
 // ChaosTransport: deterministic, seeded fault injection at frame
-// granularity for the socket transport.
+// granularity for the leader<->worker transport.
 //
 // The decorator sits on a worker link's *outbound* path: every frame the
 // link wants to transmit is offered to the injector, which may drop it,
@@ -7,7 +7,7 @@
 // a schedule, sever the connection entirely and refuse reconnects for a
 // window (a network partition). All decisions come from one psync::Rng
 // stream, so a given seed replays the identical fault sequence: the chaos
-// tests and the net-chaos-smoke CI job are reproducible, not flaky.
+// tests and the dist-smoke CI job are reproducible, not flaky.
 //
 // The correctness claim under test is end-to-end: journal records are
 // acked and retransmitted, the leader dedups, epochs fence zombies — so

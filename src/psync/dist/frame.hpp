@@ -1,4 +1,4 @@
-// Length-prefixed binary framing for the socket transport.
+// Length-prefixed binary framing for the leader<->worker transport.
 //
 // Wire format, little-endian:
 //
@@ -6,7 +6,7 @@
 //
 // Payloads are the *existing* text codecs — a heartbeat frame carries
 // exactly one heartbeat.hpp wire line, a journal frame carries exactly one
-// campaign.hpp journal line — so the socket transport adds delivery, not a
+// campaign.hpp journal line — so the transport adds delivery, not a
 // second serialization of campaign state. Control frames (hello, acks) use
 // the same space-separated text style.
 //

@@ -35,7 +35,7 @@ std::string heartbeat_line(const Heartbeat& hb) {
 
 bool parse_heartbeat_line(const std::string& line, Heartbeat* out) {
   // "hb <shard> <kind> <done> <inflight>" — strict: exactly five fields,
-  // single spaces, decimal numbers. Anything else is noise off the pipe.
+  // single spaces, decimal numbers. Anything else is noise.
   const char* p = line.c_str();
   if (line.size() < 3 || p[0] != 'h' || p[1] != 'b' || p[2] != ' ') {
     return false;
@@ -73,7 +73,7 @@ bool parse_heartbeat_line(const std::string& line, Heartbeat* out) {
   return true;
 }
 
-HeartbeatEmitter::HeartbeatEmitter(WorkerLink* link, std::size_t shard,
+HeartbeatEmitter::HeartbeatEmitter(SocketWorkerLink* link, std::size_t shard,
                                    double interval_ms)
     : link_(link), shard_(shard), interval_ms_(interval_ms) {
   if (link_ != nullptr && interval_ms_ > 0.0) {
@@ -128,9 +128,8 @@ void HeartbeatEmitter::emit_locked(Heartbeat::Kind kind) {
   hb.kind = kind;
   hb.points_done = done_;
   hb.inflight = inflight_;
-  // The link owns delivery and death: a pipe link fails (and cancels the
-  // worker) when the leader is gone, a socket link absorbs outages by
-  // reconnecting and only reports false once this epoch is fenced.
+  // The link owns delivery and death: it absorbs outages by reconnecting
+  // and only reports false once this epoch is fenced.
   if (!link_->send_heartbeat(hb)) link_dead_ = true;
 }
 

@@ -6,19 +6,16 @@
 //
 // where <kind> is p (periodic progress), s (point start), or d (point
 // done) and <inflight> is the global grid index of the point currently
-// executing, or "-" when none is. Over the pipe transport a line is
-// written with a single write(2) well under PIPE_BUF, so lines never
-// interleave even though the emitter's timer thread and the sweep thread
-// both write; over the socket transport the identical line rides as one
-// heartbeat frame's payload (transport.hpp) — same codec, new envelope.
+// executing, or "-" when none is. Each line rides as one heartbeat
+// frame's payload over the worker's socket link (transport.hpp).
 //
 // Liveness is "any traffic at all": the worker-side emitter runs a timer
 // thread that sends a progress line every interval even while one point
-// computes for a long time, so a silent channel means the *process* is
-// wedged (deadlocked, stopped, or looping outside the sim), not merely
-// busy — exactly the condition the leader answers with SIGKILL + restart.
-// (Socket mode adds a second failure class the leader tells apart: a
-// *disconnected* worker is partitioned, not wedged.)
+// computes for a long time, so a silent *connected* channel means the
+// process is wedged (deadlocked, stopped, or looping outside the sim),
+// not merely busy — exactly the condition the leader answers with
+// SIGKILL + restart. A silent *disconnected* worker is a different
+// failure class: partitioned, not wedged.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +30,7 @@
 
 namespace psync::dist {
 
-class WorkerLink;  // transport.hpp
+class SocketWorkerLink;  // transport.hpp
 
 struct Heartbeat {
   enum class Kind { kProgress, kPointStart, kPointDone };
@@ -50,25 +47,25 @@ struct Heartbeat {
 std::string heartbeat_line(const Heartbeat& hb);
 
 /// Parse one wire line; returns false (out untouched) on anything
-/// malformed — a torn or garbled pipe read is dropped, never trusted.
+/// malformed — a garbled payload is dropped, never trusted.
 bool parse_heartbeat_line(const std::string& line, Heartbeat* out);
 
 /// Worker-side emitter: implements the driver's PointObserver so the
 /// Runner announces point starts/completions, plus a timer thread that
 /// keeps beating while a single point runs long.
 ///
-/// The emitter writes through a WorkerLink (transport.hpp), which owns
-/// the channel's failure story: a pipe link cancels the worker when the
-/// leader's read end is gone, a socket link reconnects on its own and
-/// only goes dead when the leader fences this worker's epoch. Either way
-/// a dead link stops the timer — no point beating into the void. The
-/// timer tick doubles as the socket link's I/O pump, so acks drain and
+/// The emitter writes through the worker's SocketWorkerLink
+/// (transport.hpp), which owns the channel's failure story: it reconnects
+/// on its own and only goes dead when the leader fences this worker's
+/// epoch, which stops the timer — no point beating into the void. The
+/// timer tick doubles as the link's I/O pump, so acks drain and
 /// reconnects progress even while the sweep thread computes one long
 /// point. With a null link every write is a no-op (tests).
 class HeartbeatEmitter final : public driver::PointObserver {
  public:
   /// Does not own `link` (which may be nullptr: heartbeats disabled).
-  HeartbeatEmitter(WorkerLink* link, std::size_t shard, double interval_ms);
+  HeartbeatEmitter(SocketWorkerLink* link, std::size_t shard,
+                   double interval_ms);
   ~HeartbeatEmitter() override;
   HeartbeatEmitter(const HeartbeatEmitter&) = delete;
   HeartbeatEmitter& operator=(const HeartbeatEmitter&) = delete;
@@ -87,7 +84,7 @@ class HeartbeatEmitter final : public driver::PointObserver {
   /// Write one line; requires mu_ held.
   void emit_locked(Heartbeat::Kind kind);
 
-  WorkerLink* const link_;
+  SocketWorkerLink* const link_;
   const std::size_t shard_;
   const double interval_ms_;
 

@@ -1,6 +1,5 @@
 #include "psync/dist/supervisor.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -48,6 +47,13 @@ Clock::time_point after_ms(Clock::time_point t, double ms) {
                  std::chrono::duration<double, std::milli>(ms));
 }
 
+/// After a worker's connection reaches EOF the leader polls fast for this
+/// long, so an exiting worker is reaped as soon as waitpid can see it
+/// (fds close before the zombie becomes waitable). Bounded so a worker
+/// that dropped its connection but lives on — a partition — goes back to
+/// the normal cadence.
+constexpr double kExitReapWindowMs = 50.0;
+
 /// A connection that sent HELLO gets this long from accept() to do so
 /// before the leader drops it (a dialer that never identifies itself is
 /// noise, not a worker).
@@ -78,9 +84,9 @@ bool send_frame_fd(int fd, const Frame& frame) {
   return true;
 }
 
-/// Leader-side journal ownership for one socket-mode assignment: the
-/// writer holding the shard journal's flock, plus the per-index status
-/// map that makes retransmitted journal frames idempotent. Shared because
+/// Leader-side journal ownership for one assignment: the writer holding
+/// the shard journal's flock, plus the per-index status map that makes
+/// retransmitted journal frames idempotent. Shared because
 /// a steal re-partition hands chunk 0 the same journal file.
 struct LeaderJournal {
   JournalWriter writer;
@@ -95,7 +101,7 @@ struct Assignment {
   ShardRange range;
   std::string journal;
   std::size_t launches = 0;     // processes started for this assignment
-  std::shared_ptr<LeaderJournal> led;  // socket transport only
+  std::shared_ptr<LeaderJournal> led;  // opened on first launch
 };
 
 enum class SeatState {
@@ -111,10 +117,11 @@ struct Seat {
   SeatState state = SeatState::kIdle;
   Assignment asg;
   pid_t pid = -1;
-  int pipe_fd = -1;  // pipe transport: heartbeat read end
-  std::string rdbuf;
-  int conn_fd = -1;  // socket transport: attached worker connection
+  int conn_fd = -1;  // attached worker connection
   FrameDecoder decoder;
+  /// When the connection last reached EOF this launch; cleared by launch
+  /// and by a re-attach. Drives the fast reap tick, not liveness.
+  std::optional<Clock::time_point> conn_eof;
   std::uint64_t epoch = 0;     // lease epoch of the current launch
   bool connected_once = false; // a handshake landed this launch
   Clock::time_point last_beat{};
@@ -146,7 +153,6 @@ class Supervisor {
           "journals are the crash-safety mechanism, not an option)");
     }
     if (opts_.workers == 0) opts_.workers = 1;
-    socket_ = opts_.transport == TransportKind::kSocket;
     worker_spec_ = spec;
     worker_spec_.threads = std::max<std::size_t>(opts_.worker_threads, 1);
     worker_spec_.journal_path.clear();
@@ -161,10 +167,8 @@ class Supervisor {
   ~Supervisor() { teardown(); }
 
   driver::SweepResult run() {
-    if (socket_) {
-      listen_fd_ = tcp_listen(opts_.listen_host, opts_.listen_port,
-                              &listen_port_);
-    }
+    listen_fd_ = tcp_listen(opts_.listen_host, opts_.listen_port,
+                            &listen_port_);
     if (opts_.on_record) merger_.emplace(points_.size(), opts_.on_record);
     for (const auto& range : plan_shards(points_.size(), opts_.workers)) {
       Assignment asg;
@@ -188,9 +192,7 @@ class Supervisor {
       wait_for_events(now);
       reap();
       enforce_deadlines(Clock::now());
-      if (merger_ && !socket_) tail_journals();
     }
-    if (merger_ && !socket_) tail_journals();
     teardown();
     if (shutdown_) {
       throw CancelledError(
@@ -337,76 +339,55 @@ class Supervisor {
     cfg.quarantine.assign(quarantine_.begin(), quarantine_.end());
     cfg.heartbeat_ms = opts_.heartbeat_ms;
 
-    int fds[2] = {-1, -1};
-    if (socket_) {
-      // Leader-side journal ownership: open (resume) on the assignment's
-      // first launch and seed the dedup map from whatever a predecessor
-      // durably recorded.
-      if (!seat.asg.led) attach_leader_journal(seat.asg);
-      // A socket worker has no local journal to resume from, so the
-      // leader narrows its window past the durably-done prefix. Interior
-      // gaps (a steal overlap) re-run and land as agreeing duplicates.
-      while (cfg.range.begin < cfg.range.end &&
-             seat.asg.led->status.count(cfg.range.begin) != 0) {
-        ++cfg.range.begin;
-      }
-      if (cfg.range.begin >= cfg.range.end) {
-        // The previous worker recorded everything before dying — the
-        // assignment is already complete, nothing to launch.
-        seat.state = SeatState::kIdle;
-        seat.restart_backoff->reset();
-        return;
-      }
-      cfg.connect_host = opts_.advertise_host.empty() ? opts_.listen_host
-                                                      : opts_.advertise_host;
-      cfg.connect_port = listen_port_;
-      cfg.epoch = ledger_.issue(seat.asg.shard);
-    } else {
-      cfg.journal_path = seat.asg.journal;
-      if (::pipe(fds) != 0) {
-        throw SimulationError("distributed sweep: pipe(2) failed: " +
-                              std::string(std::strerror(errno)));
-      }
-      cfg.heartbeat_fd = fds[1];
+    // Leader-side journal ownership: open (resume) on the assignment's
+    // first launch and seed the dedup map from whatever a predecessor
+    // durably recorded.
+    if (!seat.asg.led) attach_leader_journal(seat.asg);
+    // A worker has no local journal to resume from, so the leader narrows
+    // its window past the durably-done prefix. Interior gaps (a steal
+    // overlap) re-run and land as agreeing duplicates.
+    while (cfg.range.begin < cfg.range.end &&
+           seat.asg.led->status.count(cfg.range.begin) != 0) {
+      ++cfg.range.begin;
     }
+    if (cfg.range.begin >= cfg.range.end) {
+      // The previous worker recorded everything before dying — the
+      // assignment is already complete, nothing to launch.
+      seat.state = SeatState::kIdle;
+      seat.restart_backoff->reset();
+      return;
+    }
+    cfg.connect_host = opts_.advertise_host.empty() ? opts_.listen_host
+                                                    : opts_.advertise_host;
+    cfg.connect_port = listen_port_;
+    cfg.epoch = ledger_.issue(seat.asg.shard);
     if (hook_) hook_(cfg);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
       const std::string err = std::strerror(errno);
-      if (fds[0] >= 0) ::close(fds[0]);
-      if (fds[1] >= 0) ::close(fds[1]);
-      if (socket_) ledger_.revoke(cfg.epoch);
+      ledger_.revoke(cfg.epoch);
       throw SimulationError("distributed sweep: fork(2) failed: " + err);
     }
     if (pid == 0) {
-      // Child: drop every leader-side fd — the listener, attached and
-      // pending connections, and other seats' pipe read ends (an
-      // inherited read end would keep a pipe from ever reporting EOF).
-      if (fds[0] >= 0) ::close(fds[0]);
-      if (listen_fd_ >= 0) ::close(listen_fd_);
+      // Child: drop every leader-side fd — the listener and the attached
+      // and pending connections.
+      ::close(listen_fd_);
       for (const auto& pc : pending_) {
         if (pc.fd >= 0) ::close(pc.fd);
       }
       for (const auto& other : seats_) {
-        if (other.pipe_fd >= 0) ::close(other.pipe_fd);
         if (other.conn_fd >= 0) ::close(other.conn_fd);
       }
       const int rc = body_ ? body_(worker_spec_, cfg)
                            : run_worker(worker_spec_, cfg);
       ::_exit(rc);
     }
-    if (!socket_) {
-      ::close(fds[1]);
-      const int fl = ::fcntl(fds[0], F_GETFL);
-      ::fcntl(fds[0], F_SETFL, fl | O_NONBLOCK);
-    }
 
     seat.pid = pid;
-    seat.pipe_fd = fds[0];
-    seat.rdbuf.clear();
     seat.conn_fd = -1;
     seat.decoder.reset();
+    seat.conn_eof.reset();
     seat.epoch = cfg.epoch;
     seat.connected_once = false;
     seat.state = SeatState::kRunning;
@@ -419,7 +400,7 @@ class Supervisor {
     ++seat.asg.launches;
   }
 
-  /// Open the leader's writer on a socket-mode assignment's journal and
+  /// Open the leader's writer on an assignment's journal and
   /// replay its existing records into the dedup map (and the streaming
   /// merger — a resumed file is history subscribers have not seen).
   void attach_leader_journal(Assignment& asg) {
@@ -436,30 +417,24 @@ class Supervisor {
   }
 
   void wait_for_events(Clock::time_point now) {
-    enum class Ref { kListen, kPending, kConn, kPipe };
+    enum class Ref { kListen, kPending, kConn };
     std::vector<pollfd> fds;
     std::vector<std::pair<Ref, std::size_t>> owner;
-    if (listen_fd_ >= 0) {
-      fds.push_back({listen_fd_, POLLIN, 0});
-      owner.emplace_back(Ref::kListen, 0);
-    }
+    fds.push_back({listen_fd_, POLLIN, 0});
+    owner.emplace_back(Ref::kListen, 0);
     for (std::size_t p = 0; p < pending_.size(); ++p) {
       fds.push_back({pending_[p].fd, POLLIN, 0});
       owner.emplace_back(Ref::kPending, p);
     }
     for (std::size_t s = 0; s < seats_.size(); ++s) {
-      if (seats_[s].pipe_fd >= 0) {
-        fds.push_back({seats_[s].pipe_fd, POLLIN, 0});
-        owner.emplace_back(Ref::kPipe, s);
-      }
       if (seats_[s].conn_fd >= 0) {
         fds.push_back({seats_[s].conn_fd, POLLIN, 0});
         owner.emplace_back(Ref::kConn, s);
       }
     }
     const int timeout = poll_timeout_ms(now);
-    const int n = ::poll(fds.empty() ? nullptr : fds.data(),
-                         static_cast<nfds_t>(fds.size()), timeout);
+    const int n =
+        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout);
     if (n <= 0) return;  // timeout or EINTR: deadlines handled by caller
     bool accepted = false;
     for (std::size_t i = 0; i < fds.size(); ++i) {
@@ -478,9 +453,6 @@ class Supervisor {
             drain_socket(seats_[owner[i].second]);
           }
           break;
-        case Ref::kPipe:
-          drain_pipe(seats_[owner[i].second]);
-          break;
       }
     }
     // Drop pending slots that attached (fd moved to a seat) or closed.
@@ -494,16 +466,11 @@ class Supervisor {
 
   void accept_connections() {
     for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        // EAGAIN drained the backlog; anything else (ECONNABORTED,
-        // EMFILE, ...) is transient from the leader's point of view — the
-        // worker retries with backoff, so just move on.
-        break;
-      }
-      const int fl = ::fcntl(fd, F_GETFL);
-      ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
+      // EAGAIN drained the backlog; anything else (ECONNABORTED, EMFILE,
+      // ...) is transient from the leader's point of view — the worker
+      // retries with backoff, so just move on.
+      const int fd = tcp_accept(listen_fd_);
+      if (fd < 0) break;
       PendingConn pc;
       pc.fd = fd;
       pc.deadline = after_ms(Clock::now(), kHelloGraceMs);
@@ -567,6 +534,7 @@ class Supervisor {
     }
     if (seat->conn_fd >= 0) ::close(seat->conn_fd);
     seat->conn_fd = pc.fd;
+    seat->conn_eof.reset();
     seat->decoder = std::move(pc.decoder);  // trailing frames come along
     pc.fd = -1;
     pc.decoder.reset();
@@ -589,19 +557,17 @@ class Supervisor {
   /// capped so child exits (reaped with WNOHANG) are noticed promptly
   /// even when no deadline is near.
   int poll_timeout_ms(Clock::time_point now) const {
-    double next = socket_ ? 50.0 : 250.0;
+    double next = 50.0;
     const double liveness = liveness_ms();
     for (const auto& pc : pending_) {
       next = std::min(next, ms_between(now, pc.deadline));
     }
     for (const auto& seat : seats_) {
-      if (!socket_ && seat.pid > 0 && seat.pipe_fd < 0) {
-        // Heartbeat EOF seen but the exit not yet reaped: the process is
-        // mid-_exit — fds close before the zombie becomes waitable — so
-        // there is nothing to poll. Tick fast until waitpid catches it
-        // instead of sleeping out a full deadline (a worker that closed
-        // its pipe but lives on stops beating and hits the liveness kill,
-        // so this fast path is bounded).
+      if (seat.pid > 0 && seat.conn_eof &&
+          ms_between(*seat.conn_eof, now) < kExitReapWindowMs) {
+        // Connection EOF seen but the exit not yet reaped: the process is
+        // most likely mid-_exit, with nothing left to poll. Tick fast
+        // until waitpid catches it instead of sleeping out the cap.
         return 2;
       }
       switch (seat.state) {
@@ -621,43 +587,12 @@ class Supervisor {
           break;
       }
     }
-    return std::max(socket_ ? 5 : 10, static_cast<int>(std::ceil(next)));
+    return std::max(5, static_cast<int>(std::ceil(next)));
   }
 
   double liveness_ms() const {
     if (opts_.heartbeat_ms <= 0.0) return 0.0;  // liveness disabled
     return opts_.heartbeat_ms * opts_.liveness_factor;
-  }
-
-  void drain_pipe(Seat& seat) {
-    char buf[4096];
-    bool got_bytes = false;
-    for (;;) {
-      const ssize_t n = ::read(seat.pipe_fd, buf, sizeof(buf));
-      if (n > 0) {
-        got_bytes = true;
-        seat.rdbuf.append(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF (or a read error): the write end is gone. The exit itself is
-      // observed via waitpid; here we only retire the fd.
-      ::close(seat.pipe_fd);
-      seat.pipe_fd = -1;
-      break;
-    }
-    // Any traffic at all proves the process is scheduling — that is the
-    // liveness signal. Parsed lines additionally update progress state.
-    if (got_bytes) seat.last_beat = Clock::now();
-    std::size_t nl = 0;
-    while ((nl = seat.rdbuf.find('\n')) != std::string::npos) {
-      const std::string line = seat.rdbuf.substr(0, nl);
-      seat.rdbuf.erase(0, nl + 1);
-      Heartbeat hb;
-      if (!parse_heartbeat_line(line, &hb)) continue;  // torn/garbled: drop
-      apply_heartbeat(seat, hb);
-    }
   }
 
   void drain_socket(Seat& seat) {
@@ -672,11 +607,12 @@ class Supervisor {
       }
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF or error: the connection dropped. Unlike a pipe EOF this is
-      // not evidence of death — the worker may be mid-reconnect behind a
-      // partition. Liveness (kConnectionLost) decides later.
+      // EOF or error: the connection dropped. Usually the worker is
+      // exiting, but it may be mid-reconnect behind a partition: liveness
+      // (kConnectionLost) decides later.
       ::close(seat.conn_fd);
       seat.conn_fd = -1;
+      seat.conn_eof = Clock::now();
       break;
     }
     if (got_bytes) seat.last_beat = Clock::now();
@@ -766,39 +702,6 @@ class Supervisor {
     }
   }
 
-  /// Pipe-mode streaming: tail every shard journal file for complete new
-  /// lines and feed them to the merger. Only runs when a streaming sink
-  /// is configured, so the plain pipe path pays nothing.
-  void tail_journals() {
-    for (const auto& path : journal_paths_) {
-      auto& tail = tails_[path];
-      const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-      if (fd < 0) continue;  // not created yet
-      if (tail.offset > 0) {
-        ::lseek(fd, static_cast<off_t>(tail.offset), SEEK_SET);
-      }
-      char buf[8192];
-      ssize_t n = 0;
-      while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-        tail.buf.append(buf, static_cast<std::size_t>(n));
-        tail.offset += static_cast<std::size_t>(n);
-      }
-      ::close(fd);
-      std::size_t nl = 0;
-      while ((nl = tail.buf.find('\n')) != std::string::npos) {
-        const std::string line = tail.buf.substr(0, nl);
-        tail.buf.erase(0, nl + 1);
-        driver::JournalEntry entry;
-        if (!driver::parse_journal_line(line, &entry)) continue;
-        if (entry.rec.index >= points_.size() ||
-            entry.seed != points_[entry.rec.index].seed) {
-          continue;  // the batch merge raises the typed error
-        }
-        merger_->offer(entry.rec);
-      }
-    }
-  }
-
   void reap() {
     // Wait on our own pids only: a host process (test binary, CLI) may have
     // children of its own, and waitpid(-1) would swallow their statuses.
@@ -844,7 +747,7 @@ class Supervisor {
         }
         continue;
       }
-      if (socket_ && seat.conn_fd < 0) {
+      if (seat.conn_fd < 0) {
         // Silent *and* disconnected: the worker is on the far side of a
         // partition (or its host died). Two reasons not to SIGKILL the
         // pid: it may be a launch wrapper whose real worker is remote,
@@ -894,13 +797,6 @@ class Supervisor {
   }
 
   void handle_exit(Seat& seat, int wstatus) {
-    if (seat.pipe_fd >= 0) {
-      drain_pipe(seat);  // salvage the final heartbeats
-      if (seat.pipe_fd >= 0) {
-        ::close(seat.pipe_fd);
-        seat.pipe_fd = -1;
-      }
-    }
     if (seat.conn_fd >= 0) {
       drain_socket(seat);  // salvage frames still in the socket buffer
       if (seat.conn_fd >= 0) {
@@ -1132,8 +1028,7 @@ class Supervisor {
   bool gave_up_ = false;
   bool shutdown_ = false;
 
-  // --- socket transport state ------------------------------------------
-  bool socket_ = false;
+  // --- transport state -------------------------------------------------
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   EpochLedger ledger_;
@@ -1145,11 +1040,6 @@ class Supervisor {
 
   // --- streaming merge -------------------------------------------------
   std::optional<StreamingMerger> merger_;
-  struct TailState {
-    std::size_t offset = 0;
-    std::string buf;
-  };
-  std::map<std::string, TailState> tails_;  // pipe-mode journal tailing
 };
 
 }  // namespace

@@ -4,11 +4,12 @@
 // Supervision model, in one paragraph: the grid is cut into contiguous
 // ranges (shard.hpp), each range is an *assignment* with its own
 // checkpoint journal, and `workers` process seats execute assignments.
-// Every worker heartbeats over its transport (heartbeat.hpp over an
-// inherited pipe, or framed over TCP — transport.hpp); silence longer
-// than the liveness timeout means the process is wedged and it is
-// SIGKILLed. A dead or wedged worker's assignment is relaunched in place
-// with decorrelated-jitter backoff, resuming its journal, so only the
+// Every worker dials the leader over TCP (transport.hpp; loopback with an
+// ephemeral port unless told otherwise) and heartbeats over that
+// connection (heartbeat.hpp); a connected worker silent longer than the
+// liveness timeout is wedged and gets SIGKILLed. A dead or wedged
+// worker's assignment is relaunched in place with decorrelated-jitter
+// backoff, past its journal's durably recorded prefix, so only the
 // points that were never durably recorded re-run. A point that kills its
 // worker K launches in a row is quarantined — recorded as
 // kQuarantined/worker_crash — instead of being allowed to crash-loop the
@@ -19,10 +20,9 @@
 // the run produced — including those left by SIGKILLed workers — is merged
 // (merge.hpp) into one grid-order SweepResult.
 //
-// The socket transport (TransportKind::kSocket) moves the journal to the
-// leader's side of the wire: workers stream each completed point's
-// journal line over TCP, the leader appends it to the local per-shard
-// journal (fsync before ack — journal remains truth), dedups
+// The journal lives on the leader's side of the wire: workers stream each
+// completed point's journal line over TCP, the leader appends it to the
+// local per-shard journal (fsync before ack — journal remains truth), dedups
 // retransmissions by grid index, and *fences* zombie workers by lease
 // epoch: every launch gets a fresh epoch, the epoch is revoked when the
 // leader moves on (relaunch after connection loss, steal reclaim, exit),
@@ -58,12 +58,7 @@ struct SupervisorOptions {
   /// Worker process seats (and initial shard count). 0 is treated as 1.
   std::size_t workers = 2;
 
-  /// Channel the leader drives its workers over. kPipe is PR 6 unchanged
-  /// (inherited heartbeat pipe, workers journal to the shared
-  /// filesystem); kSocket listens on TCP, workers dial back, and journal
-  /// records ship to the leader (transport.hpp).
-  TransportKind transport = TransportKind::kPipe;
-  /// Socket transport: where the leader listens (port 0 = ephemeral) and
+  /// Where the leader listens for its workers (port 0 = ephemeral) and
   /// the host workers are told to dial. advertise_host defaults to
   /// listen_host — set it when workers run on other machines and must
   /// dial a routable address rather than the bind address.
@@ -73,11 +68,10 @@ struct SupervisorOptions {
 
   /// Streaming merge sink: called with (index, record) in strictly
   /// ascending grid order as completed points become contiguous
-  /// (stream_merge.hpp), while later shards still compute. Socket mode
-  /// feeds it straight off the journal frames; pipe mode tails the shard
-  /// journal files (only when the sink is set, so the plain pipe path
-  /// stays zero-overhead). The final SweepResult still comes from the
-  /// end-of-run journal merge — this is a live view, not a second truth.
+  /// (stream_merge.hpp), while later shards still compute, fed straight
+  /// off the shipped journal frames. The final SweepResult still comes
+  /// from the end-of-run journal merge — this is a live view, not a
+  /// second truth.
   std::function<void(std::size_t, const driver::RunRecord&)> on_record;
 
   /// Worker heartbeat interval; liveness timeout is
@@ -131,7 +125,7 @@ struct SupervisorOptions {
 
 /// Runs in the forked child, never returns control flow to the leader:
 /// either executes the shard in-process (default: run_worker) or execs a
-/// fresh binary (psync_sim's `--worker-shard` / `--connect` modes, or a
+/// fresh binary (psync_sim's `--worker-shard --connect` mode, or a
 /// launch template that ships the worker to another host). Its return
 /// value becomes the child's exit code.
 using WorkerBody =

@@ -8,7 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -16,32 +18,6 @@
 #include "psync/common/check.hpp"
 
 namespace psync::dist {
-
-// --- PipeWorkerLink ----------------------------------------------------
-
-PipeWorkerLink::PipeWorkerLink(int fd, CancelToken* on_dead)
-    : fd_(fd), on_dead_(on_dead) {}
-
-bool PipeWorkerLink::send_heartbeat(const Heartbeat& hb) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return true;  // heartbeats disabled: never "dead"
-  if (broken_) return false;
-  std::string line = heartbeat_line(hb);
-  line.push_back('\n');
-  // One write(2) per line, far below PIPE_BUF: atomic against the other
-  // writer thread. EPIPE means the leader is gone — stop beating and ask
-  // the worker to wind down (SIGPIPE is ignored in worker processes).
-  ssize_t n = -1;
-  do {
-    n = ::write(fd_, line.data(), line.size());
-  } while (n < 0 && errno == EINTR);
-  if (n < 0) {
-    broken_ = true;
-    if (on_dead_ != nullptr) on_dead_->cancel();
-    return false;
-  }
-  return true;
-}
 
 // --- SocketWorkerLink --------------------------------------------------
 
@@ -120,19 +96,34 @@ std::size_t SocketWorkerLink::reconnects() const {
 }
 
 bool SocketWorkerLink::flush(double timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double, std::milli>(timeout_ms));
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double, std::milli>(timeout_ms));
   for (;;) {
+    int fd = -1;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (fenced_) return false;
       if (unacked_.empty()) return true;
       pump_locked(now_ms());
       if (unacked_.empty()) return true;
+      fd = fd_;
     }
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const double left_ms = std::chrono::duration<double, std::milli>(
+                               deadline - std::chrono::steady_clock::now())
+                               .count();
+    if (left_ms <= 0.0) break;
+    // Wake on the ack itself; the 5 ms cap keeps retransmits, reconnects
+    // and chaos releases on the pump's usual cadence. A disconnected link
+    // has nothing to poll and just waits out the slice.
+    const int wait_ms = static_cast<int>(std::min(5.0, std::ceil(left_ms)));
+    if (fd >= 0) {
+      pollfd pfd{fd, POLLIN, 0};
+      (void)::poll(&pfd, 1, wait_ms);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
+    }
   }
   std::lock_guard<std::mutex> lock(mu_);
   return unacked_.empty();
@@ -452,6 +443,18 @@ int tcp_connect(const std::string& host, std::uint16_t port) {
     fd = -1;
   }
   ::freeaddrinfo(res);
+  return fd;
+}
+
+int tcp_accept(int listen_fd) {
+  int fd = -1;
+  do {
+    fd = ::accept(listen_fd, nullptr, nullptr);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return -1;
+  const int fl = ::fcntl(fd, F_GETFL);
+  ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
+  set_nodelay(fd);
   return fd;
 }
 

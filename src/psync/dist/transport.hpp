@@ -1,22 +1,16 @@
-// The pluggable leader<->worker transport.
+// The leader<->worker transport: TCP carrying length-prefixed frames
+// (frame.hpp). It is the only channel between a sweep leader and its
+// workers, whether they run on the leader's host (loopback, ephemeral
+// port) or on other machines (--listen/--advertise):
 //
-// PR 6's supervisor spoke to workers over one inherited pipe per seat:
-// heartbeat lines flowed up, and the journal never traveled at all — the
-// worker wrote it to a shared filesystem. That is exactly right on one
-// host and exactly wrong across a network. This layer splits the channel
-// behind a small interface:
+//   SocketWorkerLink  the worker's end: heartbeat lines (heartbeat.hpp)
+//                     ride as heartbeat frames, and each completed
+//                     point's journal record is shipped to the leader,
+//                     which appends it to the local per-shard journal.
+//                     Journal-remains-truth, and the merge (merge.hpp)
+//                     stays crash-identical.
 //
-//   WorkerLink        what a worker writes to (heartbeats + journal)
-//   PipeWorkerLink    today's behavior, byte-compatible: heartbeat text
-//                     lines on the inherited fd, journal written locally
-//   SocketWorkerLink  TCP to the leader: length-prefixed frames
-//                     (frame.hpp) carrying the same heartbeat lines plus
-//                     a journal-shipping stream — each completed point's
-//                     journal record goes to the leader, which appends it
-//                     to the local per-shard journal. Journal-remains-
-//                     truth, and the PR 6 merge stays crash-identical.
-//
-// Socket-mode robustness lives here, worker-side:
+// Robustness lives here, worker-side:
 //
 //   * Reconnect with decorrelated-jitter backoff (backoff.hpp). A broken
 //     connection is not a death sentence — the worker keeps computing and
@@ -31,7 +25,7 @@
 //     link goes permanently dead, and it can never double-write a shard
 //     someone else now owns.
 //   * ChaosTransport (chaos.hpp) decorates the outbound frame path for
-//     deterministic fault injection in tests and the net-chaos smoke.
+//     deterministic fault injection in tests and the dist smoke.
 //
 // Leader-side state (who owns which epoch) is EpochLedger, kept here so
 // the fencing decision is a pure, unit-testable object instead of
@@ -53,58 +47,6 @@
 
 namespace psync::dist {
 
-/// Which channel a supervisor drives its workers over.
-enum class TransportKind {
-  kPipe,    // inherited pipe, local journals (PR 6, byte-compatible)
-  kSocket,  // TCP frames, journal shipped to the leader
-};
-
-/// What a worker process writes to. Implementations are thread-safe: the
-/// heartbeat timer thread and the sweep thread both call in.
-class WorkerLink {
- public:
-  virtual ~WorkerLink() = default;
-  /// Emit one heartbeat. Returns false once the link is permanently dead
-  /// (pipe: the leader's read end is gone; socket: this epoch was fenced)
-  /// — the worker should wind down.
-  virtual bool send_heartbeat(const Heartbeat& hb) = 0;
-  /// Ship one completed point's journal line (socket), or no-op (pipe:
-  /// the worker journals to the local filesystem itself).
-  virtual void send_journal(std::size_t index, const std::string& line) = 0;
-  /// Permanently dead because the leader refused this worker's epoch.
-  [[nodiscard]] virtual bool fenced() const { return false; }
-  /// Journal records shipped but not yet acked durable by the leader.
-  [[nodiscard]] virtual std::size_t unacked() const { return 0; }
-  /// Block until every queued journal record is acked or `timeout_ms`
-  /// passes (pumping I/O while waiting). True when the queue drained.
-  virtual bool flush(double timeout_ms) {
-    (void)timeout_ms;
-    return true;
-  }
-};
-
-/// PR 6's channel, unchanged on the wire: heartbeat text lines over the
-/// inherited pipe fd, one write(2) per line. A failed write (the leader
-/// died) cancels `on_dead` so the worker stops computing for nobody.
-class PipeWorkerLink final : public WorkerLink {
- public:
-  /// Does not own `fd`; fd < 0 makes every send a no-op (single-process
-  /// use, tests). `on_dead` may be nullptr.
-  PipeWorkerLink(int fd, CancelToken* on_dead);
-
-  bool send_heartbeat(const Heartbeat& hb) override;
-  void send_journal(std::size_t index, const std::string& line) override {
-    (void)index;
-    (void)line;  // journal-by-filesystem: the worker's JournalWriter owns it
-  }
-
- private:
-  const int fd_;
-  CancelToken* const on_dead_;
-  std::mutex mu_;
-  bool broken_ = false;
-};
-
 struct SocketLinkOptions {
   std::string host;
   std::uint16_t port = 0;
@@ -123,20 +65,33 @@ struct SocketLinkOptions {
   ChaosOptions chaos;
 };
 
-class SocketWorkerLink final : public WorkerLink {
+/// What a worker process writes to. Thread-safe: the heartbeat timer
+/// thread and the sweep thread both call in.
+class SocketWorkerLink {
  public:
   /// Attempts the first connection immediately (failures just schedule a
   /// retry). `on_fenced` (may be nullptr) is cancelled when the leader
   /// refuses this epoch — the worker must stop, its shard belongs to
   /// someone else now.
   SocketWorkerLink(const SocketLinkOptions& opts, CancelToken* on_fenced);
-  ~SocketWorkerLink() override;
+  ~SocketWorkerLink();
+  SocketWorkerLink(const SocketWorkerLink&) = delete;
+  SocketWorkerLink& operator=(const SocketWorkerLink&) = delete;
 
-  bool send_heartbeat(const Heartbeat& hb) override;
-  void send_journal(std::size_t index, const std::string& line) override;
-  [[nodiscard]] bool fenced() const override;
-  [[nodiscard]] std::size_t unacked() const override;
-  bool flush(double timeout_ms) override;
+  /// Emit one heartbeat. Returns false once the link is permanently dead
+  /// (this epoch was fenced) — the worker should wind down. Disconnected
+  /// is not dead: the reconnect loop keeps trying.
+  bool send_heartbeat(const Heartbeat& hb);
+  /// Queue one completed point's journal line and ship it.
+  void send_journal(std::size_t index, const std::string& line);
+  /// Permanently dead because the leader refused this worker's epoch.
+  [[nodiscard]] bool fenced() const;
+  /// Journal records shipped but not yet acked durable by the leader.
+  [[nodiscard]] std::size_t unacked() const;
+  /// Block until every queued journal record is acked or `timeout_ms`
+  /// passes, pumping I/O and waking as soon as an ack arrives. True when
+  /// the queue drained.
+  bool flush(double timeout_ms);
 
   [[nodiscard]] bool connected() const;
   /// Successful handshakes beyond the first (for tests and stderr).
@@ -205,8 +160,14 @@ class EpochLedger {
 int tcp_listen(const std::string& host, std::uint16_t port,
                std::uint16_t* actual_port);
 
-/// Blocking connect; returns the fd or -1 (errno holds the reason).
+/// Blocking connect with TCP_NODELAY; returns the fd or -1 (errno holds
+/// the reason).
 int tcp_connect(const std::string& host, std::uint16_t port);
+
+/// Accept one connection from a listen fd; the accepted fd is nonblocking
+/// with TCP_NODELAY (the leader's acks are small frames a Nagle delay
+/// would hold back). Returns -1 with errno set when nothing is pending.
+int tcp_accept(int listen_fd);
 
 /// Parse "host:port" or bare "port" (host defaults to 127.0.0.1).
 bool parse_host_port(const std::string& s, std::string* host,

@@ -26,9 +26,9 @@ namespace {
 // Process-wide shutdown token for worker processes. SIGTERM (the leader
 // reclaiming a straggler's range, or an operator) and SIGINT both request
 // a graceful wind-down: finish/abandon at the next cycle-batch boundary,
-// leave the journal tail durable, exit kWorkerExitCancelled. In socket
-// mode the link also cancels this token when the leader fences the
-// worker's epoch — same wind-down, exit kWorkerExitFenced.
+// flush what it finished to the leader, exit kWorkerExitCancelled. The
+// link also cancels this token when the leader fences the worker's
+// epoch — same wind-down, exit kWorkerExitFenced.
 CancelToken g_worker_cancel;
 
 void worker_signal_handler(int /*signo*/) { g_worker_cancel.cancel(); }
@@ -40,8 +40,8 @@ void install_worker_signals() {
   sa.sa_flags = 0;  // no SA_RESTART: interrupt blocking syscalls too
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
-  // A dead leader surfaces as EPIPE on the heartbeat write (handled by the
-  // link), never as a fatal SIGPIPE.
+  // A dropped connection surfaces as EPIPE on a send (the link reconnects),
+  // never as a fatal SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
 }
 
@@ -79,12 +79,11 @@ class FaultHookObserver final : public driver::PointObserver {
   const WorkerConfig& cfg_;
 };
 
-/// Socket mode: stream every completed point's journal line to the
-/// leader as the campaign produces events, then drain and flush. The
-/// event log is the bridge — Session::execute publishes each record
-/// after its (leader-side, in our case nonexistent) journal write, in
-/// completion order, so the shipped stream carries exactly the lines a
-/// local JournalWriter would have appended.
+/// Stream every completed point's journal line to the leader as the
+/// campaign produces events. The event log is the bridge —
+/// Session::execute publishes each record in completion order, so the
+/// shipped stream carries exactly the lines a local JournalWriter would
+/// have appended.
 void ship_journal_stream(driver::CampaignHandle& handle,
                          const std::vector<driver::RunPoint>& points,
                          SocketWorkerLink* link) {
@@ -125,76 +124,59 @@ void flush_unacked(SocketWorkerLink* link, double heartbeat_ms) {
 int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg) {
   install_worker_signals();
   g_worker_cancel.reset();
-  const bool socket_mode = !cfg.connect_host.empty();
+  if (cfg.connect_host.empty()) {
+    std::fprintf(stderr, "psync worker (shard %zu): no leader address\n",
+                 cfg.shard);
+    return kWorkerExitError;
+  }
 
-  std::unique_ptr<SocketWorkerLink> socket_link;
-  std::unique_ptr<PipeWorkerLink> pipe_link;
-  WorkerLink* link = nullptr;
+  std::unique_ptr<SocketWorkerLink> link;
   try {
-    if (socket_mode) {
-      SocketLinkOptions lopts;
-      lopts.host = cfg.connect_host;
-      lopts.port = cfg.connect_port;
-      lopts.shard = cfg.shard;
-      lopts.epoch = cfg.epoch;
-      // Jitter seed: decorrelate reconnect schedules across shards and
-      // generations so one partition's survivors don't stampede back in
-      // lockstep.
-      lopts.reconnect_seed =
-          0x9E3779B97F4A7C15ULL ^ (cfg.epoch * 0x2545F4914F6CDD1DULL + 1) ^
-          (static_cast<std::uint64_t>(cfg.shard) << 32);
-      lopts.chaos = cfg.chaos;
-      socket_link = std::make_unique<SocketWorkerLink>(lopts, &g_worker_cancel);
-      link = socket_link.get();
-    } else {
-      pipe_link =
-          std::make_unique<PipeWorkerLink>(cfg.heartbeat_fd, &g_worker_cancel);
-      link = pipe_link.get();
-    }
+    SocketLinkOptions lopts;
+    lopts.host = cfg.connect_host;
+    lopts.port = cfg.connect_port;
+    lopts.shard = cfg.shard;
+    lopts.epoch = cfg.epoch;
+    // Jitter seed: decorrelate reconnect schedules across shards and
+    // generations so one partition's survivors don't stampede back in
+    // lockstep.
+    lopts.reconnect_seed =
+        0x9E3779B97F4A7C15ULL ^ (cfg.epoch * 0x2545F4914F6CDD1DULL + 1) ^
+        (static_cast<std::uint64_t>(cfg.shard) << 32);
+    lopts.chaos = cfg.chaos;
+    link = std::make_unique<SocketWorkerLink>(lopts, &g_worker_cancel);
 
-    HeartbeatEmitter emitter(link, cfg.shard, cfg.heartbeat_ms);
+    HeartbeatEmitter emitter(link.get(), cfg.shard, cfg.heartbeat_ms);
     FaultHookObserver observer(&emitter, cfg);
 
     spec.shard_begin = cfg.range.begin;
     spec.shard_end = cfg.range.end;
-    if (socket_mode) {
-      // No local journal: the leader appends shipped records to the shard
-      // journal on its side of the wire. Restart resume happens by the
-      // leader narrowing cfg.range to the undone suffix.
-      spec.journal_path.clear();
-      spec.resume = false;
-    } else {
-      spec.journal_path = cfg.journal_path;
-      spec.resume = true;  // a fresh journal resumes trivially; a restarted
-                           // worker picks up where its predecessor died
-    }
+    // No local journal: the leader appends shipped records to the shard
+    // journal on its side of the wire. Restart resume happens by the
+    // leader narrowing cfg.range to the undone suffix.
+    spec.journal_path.clear();
+    spec.resume = false;
     spec.quarantine_indices = cfg.quarantine;
     spec.cancel = &g_worker_cancel;
     spec.observer = &observer;
 
     // Submit through the Session API and join: same executor as the
-    // serial path, but the validate/freeze phase runs before the shard
-    // journal is touched.
+    // serial path, with the validate/freeze phase up front.
     driver::Session session;
     driver::FrozenSpec frozen = driver::Session::freeze(spec);
     const std::vector<driver::RunPoint> points = frozen.points;
     auto handle = session.submit(std::move(frozen));
-    if (socket_mode) {
-      ship_journal_stream(handle, points, socket_link.get());
-    }
+    ship_journal_stream(handle, points, link.get());
     handle.wait();
     (void)handle.result();  // rethrows on failure/cancel
-    if (socket_mode) flush_unacked(socket_link.get(), cfg.heartbeat_ms);
+    flush_unacked(link.get(), cfg.heartbeat_ms);
     return kWorkerExitOk;
   } catch (const CancelledError&) {
-    if (link != nullptr && link->fenced()) return kWorkerExitFenced;
-    if (socket_link != nullptr) {
-      // A SIGTERMed straggler still owes the leader whatever it finished
-      // (a steal reclaim reads the journal to split the remainder).
-      flush_unacked(socket_link.get(), cfg.heartbeat_ms);
-      if (socket_link->fenced()) return kWorkerExitFenced;
-    }
-    return kWorkerExitCancelled;
+    if (link == nullptr) return kWorkerExitCancelled;
+    // A SIGTERMed straggler still owes the leader whatever it finished
+    // (a steal reclaim reads the journal to split the remainder).
+    flush_unacked(link.get(), cfg.heartbeat_ms);
+    return link->fenced() ? kWorkerExitFenced : kWorkerExitCancelled;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "psync worker (shard %zu): %s\n", cfg.shard,
                  e.what());

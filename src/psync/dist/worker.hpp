@@ -2,11 +2,12 @@
 // whether it got here by fork() (in-process launcher: tests, benches) or
 // by fork+exec of `psync_sim --worker-shard` (the CLI leader).
 //
-// A worker owns one contiguous window of the sweep grid and one shard
-// journal. It always opens the journal in resume mode, so a replacement
-// for a SIGKILLed worker re-runs only the points its predecessor did not
-// durably finish; flock ownership (common/journal) guarantees the
-// predecessor is actually gone.
+// A worker owns one contiguous window of the sweep grid and journals
+// nothing itself: it dials the leader (transport.hpp) and ships each
+// completed point's journal record, which the leader appends to the shard
+// journal it owns. A replacement for a SIGKILLed worker is launched with
+// its window narrowed past the durably recorded prefix, so only the
+// points its predecessor did not finish re-run.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,8 @@ namespace psync::dist {
 inline constexpr int kWorkerExitOk = 0;         // shard window complete
 inline constexpr int kWorkerExitError = 1;      // typed failure (see stderr)
 inline constexpr int kWorkerExitCancelled = 4;  // graceful SIGTERM/SIGINT
-/// Socket mode: the leader refused this worker's lease epoch (the shard
-/// was given away while this worker was partitioned). Not a crash — the
+/// The leader refused this worker's lease epoch (the shard was given
+/// away while this worker was partitioned). Not a crash — the
 /// zombie found out it is one and stood down; its seat moved on long ago.
 inline constexpr int kWorkerExitFenced = 5;
 /// _exit code of the crash-injection hook below; outside the documented
@@ -40,26 +41,21 @@ struct WorkerConfig {
   std::size_t generation = 0;
   /// Global grid window this worker executes.
   ShardRange range;
-  /// Shard journal (always opened keep_existing: resume semantics).
-  std::string journal_path;
   /// Grid indices the leader quarantined; recorded, not executed.
   std::vector<std::size_t> quarantine;
-  /// Heartbeat pipe write end (< 0 = no heartbeats) and interval.
-  int heartbeat_fd = -1;
+  /// Heartbeat interval (<= 0: no timer beats, only point start/done).
   double heartbeat_ms = 100.0;
 
-  // --- socket transport (transport.hpp) ---------------------------------
-  /// Leader address to dial; non-empty selects the socket transport. The
-  /// worker then journals nothing locally — it streams each completed
-  /// point's journal line to the leader (at-least-once, leader dedups)
-  /// and `journal_path` stays empty.
+  // --- link to the leader (transport.hpp) -------------------------------
+  /// Leader address to dial. The worker streams each completed point's
+  /// journal line to the leader (at-least-once, leader dedups).
   std::string connect_host;
   std::uint16_t connect_port = 0;
   /// Lease epoch the leader issued for exactly this launch; the HELLO
-  /// fencing identity. Meaningless in pipe mode.
+  /// fencing identity.
   std::uint64_t epoch = 0;
   /// Seeded frame-level fault injection on the worker's link (tests and
-  /// the net-chaos smoke); seed 0 = clean link.
+  /// the dist smoke); seed 0 = clean link.
   ChaosOptions chaos;
 
   // --- fault-injection hooks (tests and the dist fault smoke) -----------
@@ -73,16 +69,15 @@ struct WorkerConfig {
 
 /// Run one shard worker to completion in this process. Installs
 /// SIGTERM/SIGINT handlers (graceful cancel -> kWorkerExitCancelled) and
-/// ignores SIGPIPE (a broken heartbeat pipe cancels the run instead), so
+/// ignores SIGPIPE (a dropped connection is the link's to handle), so
 /// call it only from a process dedicated to being a worker — a forked
 /// child or a `psync_sim --worker-shard` invocation. Never throws.
 ///
-/// `spec` is the full-sweep spec; the shard window, journal, quarantine
-/// list, cancel token and heartbeat observer are overlaid from `cfg`.
-/// With `cfg.connect_host` set the worker dials the leader instead of
-/// journaling locally: completed points stream over the socket and the
-/// leader appends them to the shard journal (exit kWorkerExitFenced when
-/// the leader refuses this launch's epoch).
+/// `spec` is the full-sweep spec; the shard window, quarantine list,
+/// cancel token and heartbeat observer are overlaid from `cfg`. The
+/// worker dials `cfg.connect_host:connect_port`, streams completed points
+/// to the leader, and exits kWorkerExitFenced when the leader refuses
+/// this launch's epoch; an empty `connect_host` is kWorkerExitError.
 int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg);
 
 }  // namespace psync::dist

@@ -104,15 +104,15 @@ struct CampaignReport {
   /// even when workers died and were restarted along the way.
   std::uint64_t worker_restarts = 0;  // dead/wedged workers relaunched
   std::uint64_t worker_steals = 0;    // ranges re-partitioned off workers
-  /// Socket transport only: successful worker re-handshakes after a
-  /// dropped connection, and zombie reconnects refused by epoch fencing.
+  /// Successful worker re-handshakes after a dropped connection, and
+  /// zombie reconnects refused by epoch fencing.
   std::uint64_t worker_reconnects = 0;
   std::uint64_t worker_fenced = 0;
   /// One entry per supervised worker incident, in the point-failure
   /// taxonomy: kTimeout = heartbeat liveness expired (wedged, SIGKILLed),
   /// kInternalError = crashed/abnormal exit, kWorkerCrash = a point was
-  /// quarantined after K consecutive crashes, kConnectionLost = a socket
-  /// worker vanished (no reconnect within liveness; epoch fenced).
+  /// quarantined after K consecutive crashes, kConnectionLost = a worker
+  /// vanished (no reconnect within liveness; epoch fenced).
   std::vector<PointFailure> worker_failures;
 
   bool all_ok() const { return failed == 0 && quarantined == 0; }

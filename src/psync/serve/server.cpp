@@ -47,8 +47,6 @@ void Server::start() {
   if (opts_.dist_workers > 0) {
     dist::SupervisorOptions dopts;
     dopts.workers = opts_.dist_workers;
-    dopts.transport = opts_.dist_socket ? dist::TransportKind::kSocket
-                                        : dist::TransportKind::kPipe;
     // journal_base stays empty: the executor derives it per campaign from
     // the spec's (cache-directory) journal path, so shard journals land
     // next to the campaign's own journal and resume across restarts.

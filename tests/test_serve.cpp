@@ -333,9 +333,6 @@ TEST(SessionDist, SocketExecutorStreamsPartialResultsWhileRunning) {
                        std::to_string(::getpid());
   dopts.heartbeat_ms = 10.0;
   dopts.liveness_factor = 50.0;
-  dopts.transport = dist::TransportKind::kSocket;
-  dopts.listen_host = "127.0.0.1";
-  dopts.listen_port = 0;  // ephemeral
 
   Session::Options sopts;
   sopts.executor = dist::distributed_executor(dopts);
@@ -929,15 +926,14 @@ TEST(Daemon, ShutdownOpWakesWaiters) {
 }
 
 TEST(Daemon, DistSocketBackendMatchesTheRunnerAndStreamsSubscribe) {
-  // The daemon executing campaigns across TCP-socket worker processes is
-  // still byte-identical to the in-process Runner, and a subscriber sees
-  // the per-point stream the distributed merge feeds through the
-  // campaign's event channel.
+  // The daemon executing campaigns across worker processes (which ship
+  // their journal records over TCP) is still byte-identical to the
+  // in-process Runner, and a subscriber sees the per-point stream the
+  // distributed merge feeds through the campaign's event channel.
   ServerOptions opts;
   opts.socket_path = temp_path("dist_sock_" + std::to_string(::getpid()));
   std::remove(opts.socket_path.c_str());
   opts.dist_workers = 2;
-  opts.dist_socket = true;
   Server server(opts);
   server.start();
 

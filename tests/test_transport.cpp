@@ -1,12 +1,18 @@
-// The socket transport's building blocks (src/psync/dist): the length-
-// prefixed frame codec under short reads and garbage, the control-frame
-// payload codecs, the seeded ChaosTransport fault injector, decorrelated-
-// jitter backoff, the leader's epoch-fencing ledger, the streaming
-// grid-order merger, and the journal-directory durability helpers
+// The leader<->worker transport's building blocks (src/psync/dist): the
+// length-prefixed frame codec under short reads and garbage, the
+// control-frame payload codecs, the seeded ChaosTransport fault injector,
+// decorrelated-jitter backoff, the leader's epoch-fencing ledger, the TCP
+// socket options on both ends of a connection, the streaming grid-order
+// merger, and the journal-directory durability helpers
 // (fsync_parent_dir / durable_rename). Everything here is deterministic:
 // fixed seeds replay identical fault sequences.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -550,6 +556,39 @@ TEST(Epochs, IssueRevokeFence) {
   ledger.revoke(e1);  // double revoke is harmless
   EXPECT_EQ(ledger.active(), 2u);
   EXPECT_FALSE(ledger.valid(0));
+}
+
+// ---------------------------------------------------------------------------
+// TCP plumbing
+
+bool nodelay_set(int fd) {
+  int v = 0;
+  socklen_t len = sizeof(v);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len) == 0 && v != 0;
+}
+
+TEST(TcpPlumbing, BothEndsOfALeaderWorkerConnectionSetNoDelay) {
+  // The leader's acks are tiny frames; a Nagle delay on either end would
+  // hold them back behind the worker's next write.
+  std::uint16_t port = 0;
+  const int listen_fd = tcp_listen("127.0.0.1", 0, &port);
+  ASSERT_GE(listen_fd, 0);
+  ASSERT_NE(port, 0) << "ephemeral port comes back through actual_port";
+  const int worker_fd = tcp_connect("127.0.0.1", port);
+  ASSERT_GE(worker_fd, 0);
+  pollfd pfd{listen_fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 2000), 1);
+  const int leader_fd = tcp_accept(listen_fd);
+  ASSERT_GE(leader_fd, 0);
+  EXPECT_TRUE(nodelay_set(worker_fd)) << "tcp_connect end";
+  EXPECT_TRUE(nodelay_set(leader_fd)) << "tcp_accept end";
+  EXPECT_NE(::fcntl(leader_fd, F_GETFL) & O_NONBLOCK, 0)
+      << "the leader's poll loop must never block on one connection";
+  // Nothing else pending: a second accept reports it instead of blocking.
+  EXPECT_EQ(tcp_accept(listen_fd), -1);
+  ::close(leader_fd);
+  ::close(worker_fd);
+  ::close(listen_fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -75,20 +75,23 @@
 // restart-with-backoff of crashed or wedged workers, work stealing from
 // stragglers, and a final merge that renders byte-identical output to a
 // single-process run — see docs/robustness.md. Workers are launched as
-// `psync_sim --worker-shard A:B ...` re-invocations of this binary; the
-// worker flags are internal plumbing, not a user interface. --journal
-// doubles as the shard-journal base path (default: under /tmp).
+// `psync_sim --worker-shard A:B --connect HOST:PORT ...` re-invocations of
+// this binary; the worker flags are internal plumbing, not a user
+// interface. --journal doubles as the shard-journal base path (default:
+// under /tmp).
 //
-// Remote workers: --listen [HOST:]PORT (PORT 0 = ephemeral) switches the
-// leader to the TCP socket transport — workers dial back, heartbeats and
-// per-point journal records travel as length-prefixed frames, the leader
-// appends records to the local shard journals (fsync before ack) and
-// fences zombie workers by lease epoch. --advertise HOST is the address
-// workers are told to dial when it differs from the bind address (two-host
-// runs; see EXPERIMENTS.md). A worker launched by hand connects with
+// Workers always dial the leader over TCP: heartbeats and per-point
+// journal records travel as length-prefixed frames, the leader appends
+// records to the local shard journals (fsync before ack) and fences
+// zombie workers by lease epoch. Without --listen the leader binds
+// 127.0.0.1 on an ephemeral port. --listen [HOST:]PORT (PORT 0 =
+// ephemeral) picks the bind address for remote workers, and --advertise
+// HOST is the address workers are told to dial when it differs from the
+// bind address (two-host runs; see EXPERIMENTS.md). A worker launched by
+// hand connects with
 // `psync_sim --worker-shard A:B --connect HOST:PORT --worker-epoch E ...`.
 //
-// Network chaos (tests and the net-chaos CI smoke): --chaos-seed S arms a
+// Network chaos (tests and the dist CI smoke): --chaos-seed S arms a
 // deterministic frame-level fault injector on every worker's link
 // (per-shard derived seeds); --chaos-drop/--chaos-dup/--chaos-reorder/
 // --chaos-delay set per-frame probabilities, --chaos-delay-ms the hold
@@ -382,7 +385,7 @@ int main(int argc, char** argv) {
   std::string config_path;
   long workers = 0;            // > 0: distributed leader mode
   double heartbeat_ms = 100.0;
-  std::string listen_spec;     // --listen: leader socket transport
+  std::string listen_spec;     // --listen: leader bind address
   std::string advertise_host;  // --advertise: address workers dial
   // Frame-level fault injection on the worker links (leader forwards it to
   // every worker it launches; a worker applies it to its own link).
@@ -489,12 +492,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--worker-generation") {
       if (i + 1 >= argc) return usage();
       worker_cfg.generation = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--worker-journal") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.journal_path = argv[++i];
-    } else if (arg == "--heartbeat-fd") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.heartbeat_fd = static_cast<int>(std::atol(argv[++i]));
     } else if (arg == "--quarantine") {
       if (i + 1 >= argc) return usage();
       if (!parse_index_list(argv[++i], &worker_cfg.quarantine)) {
@@ -524,7 +521,7 @@ int main(int argc, char** argv) {
                  "(--resume PATH already appends new points to PATH)\n");
     return usage();
   }
-  // --listen/--advertise configure the leader's socket transport; without
+  // --listen/--advertise configure where the leader listens; without
   // --workers they would be silently ignored (and a bad HOST:PORT never
   // diagnosed). Make that loud too.
   if (!listen_spec.empty() && (workers <= 0 || worker_mode)) {
@@ -538,7 +535,8 @@ int main(int argc, char** argv) {
 
   // Worker mode: a shard worker launched by a leader's --workers run. The
   // spec is rebuilt from the same config + overrides the leader saw; shard
-  // window, journal and heartbeat plumbing come from the worker flags.
+  // window, leader address and heartbeat plumbing come from the worker
+  // flags.
   // run_worker installs its own signal handling and never throws.
   if (worker_mode) {
     try {
@@ -608,7 +606,6 @@ int main(int argc, char** argv) {
                               : "/tmp/psync-dist-" + std::to_string(::getpid());
       opts.cancel = &g_cancel;
       if (!listen_spec.empty()) {
-        opts.transport = dist::TransportKind::kSocket;
         if (!dist::parse_host_port(listen_spec, &opts.listen_host,
                                    &opts.listen_port)) {
           std::fprintf(stderr, "psync_sim: bad --listen '%s'\n",
@@ -635,21 +632,10 @@ int main(int argc, char** argv) {
             "--worker-id", std::to_string(wc.shard),
             "--worker-generation", std::to_string(wc.generation),
             "--heartbeat-ms", std::to_string(wc.heartbeat_ms),
-            "--threads", "1"};
-        if (!wc.connect_host.empty()) {
-          // Socket transport: dial the leader, ship records, no local
-          // journal or heartbeat pipe.
-          args.push_back("--connect");
-          args.push_back(wc.connect_host + ":" +
-                         std::to_string(wc.connect_port));
-          args.push_back("--worker-epoch");
-          args.push_back(std::to_string(wc.epoch));
-        } else {
-          args.push_back("--worker-journal");
-          args.push_back(wc.journal_path);
-          args.push_back("--heartbeat-fd");
-          args.push_back(std::to_string(wc.heartbeat_fd));
-        }
+            "--threads", "1",
+            "--connect",
+            wc.connect_host + ":" + std::to_string(wc.connect_port),
+            "--worker-epoch", std::to_string(wc.epoch)};
         if (wc.chaos.seed != 0) {
           const auto dbl = [](double v) {
             char buf[32];
