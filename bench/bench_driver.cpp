@@ -1,10 +1,10 @@
 // Wall-clock benchmark driver and perf-regression gate.
 //
 // Times the simulator hot paths (mesh drain, FFT kernels, reliability
-// framing, driver sweeps) and writes BENCH_psync.json. Unlike the
-// bench_table*/bench_fig* binaries — which check *simulated* results
-// against the paper — this binary measures *host* wall time, so CI can
-// catch performance regressions:
+// framing, SCA collectives, driver sweeps) and writes BENCH_psync.json.
+// Unlike the bench_table*/bench_fig* binaries — which check *simulated*
+// results against the paper — this binary measures *host* wall time, so CI
+// can catch performance regressions:
 //
 //   bench_driver --quick --json BENCH_psync.json
 //   bench_driver --quick --baseline BENCH_psync.json [--max-regress 25]
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "psync/common/rng.hpp"
+#include "psync/core/sca.hpp"
 #include "psync/dist/shard.hpp"
 #include "psync/dist/supervisor.hpp"
 #include "psync/driver/runner.hpp"
@@ -238,6 +239,50 @@ std::uint64_t run_reliability_channel(std::uint64_t iters) {
   return words;
 }
 
+// --- core / SCA ---------------------------------------------------------
+
+// The two collectives a 256x256 fft2d point runs on P=16 processors: the
+// transpose gather (each node drives 16 interleaved row strides) and the
+// Model II round-robin scatter (k=8 rounds of 512-slot blocks). Events are
+// waveguide slots.
+constexpr std::size_t kScaNodes = 16;
+
+std::uint64_t run_sca_gather_transpose(std::uint64_t iters) {
+  const psync::core::ScaEngine engine(
+      psync::core::straight_bus_topology(kScaNodes, 8.0));
+  const auto sched = psync::core::compile_gather_transpose(kScaNodes, 16, 256);
+  std::vector<std::vector<psync::core::Word>> data(kScaNodes);
+  psync::Rng rng(19);
+  for (auto& node : data) {
+    node.resize(16 * 256);
+    for (auto& w : node) w = rng.next_u64();
+  }
+  std::uint64_t slots = 0;
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    const auto g = engine.gather(sched, data);
+    if (!g.gap_free || !g.collisions.empty()) std::abort();
+    slots += g.stream.size();
+  }
+  return slots;
+}
+
+std::uint64_t run_sca_scatter_round_robin(std::uint64_t iters) {
+  const psync::core::ScaEngine engine(
+      psync::core::straight_bus_topology(kScaNodes, 8.0));
+  const auto sched =
+      psync::core::compile_scatter_round_robin(kScaNodes, 8, 256 * 256 / 128);
+  std::vector<psync::core::Word> burst(256 * 256);
+  psync::Rng rng(23);
+  for (auto& w : burst) w = rng.next_u64();
+  std::uint64_t slots = 0;
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    const auto sc = engine.scatter(sched, burst);
+    if (!sc.unclaimed_slots.empty()) std::abort();
+    slots += sc.deliveries.size();
+  }
+  return slots;
+}
+
 // --- driver sweeps ------------------------------------------------------
 
 std::uint64_t run_fig11_sweep(std::uint64_t iters) {
@@ -434,6 +479,12 @@ std::vector<BenchCase> make_cases() {
   cases.push_back({"reliability_channel",
                    "ProtectedChannel correct+retry, 64k words, BER 1e-6",
                    30, 5, run_reliability_channel});
+  cases.push_back({"sca_gather_transpose",
+                   "SCA transpose gather, P=16, 256x256 (16 strides/node)",
+                   40, 10, run_sca_gather_transpose});
+  cases.push_back({"sca_scatter_round_robin",
+                   "SCA^-1 Model II round-robin scatter, P=16, k=8, 64k slots",
+                   40, 10, run_sca_scatter_round_robin});
   cases.push_back({"fig11_sweep",
                    "driver k-sweep, 7 points (LLMORE closed form + models)",
                    40, 10, run_fig11_sweep});

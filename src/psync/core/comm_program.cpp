@@ -4,23 +4,31 @@
 #include <sstream>
 
 #include "psync/common/check.hpp"
+#include "psync/core/run_merge.hpp"
 
 namespace psync::core {
 
-std::vector<CpEntry> CpStride::expand() const {
-  PSYNC_CHECK(burst > 0);
-  PSYNC_CHECK(count > 0);
-  PSYNC_CHECK(first >= 0);
-  std::vector<CpEntry> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (Slot b = 0; b < count; ++b) {
-    out.push_back(CpEntry{first + b * stride, burst, action});
+namespace {
+
+// Appends the stride's bursts in schedule order: an ascending run, since
+// add() enforces stride >= burst whenever count > 1.
+void append_entries(const CpStride& s, std::vector<CpEntry>* out) {
+  PSYNC_CHECK(s.burst > 0);
+  PSYNC_CHECK(s.count > 0);
+  PSYNC_CHECK(s.first >= 0);
+  for (Slot b = 0; b < s.count; ++b) {
+    out->push_back(CpEntry{s.first + b * s.stride, s.burst, s.action});
   }
-  return out;
 }
 
-CommProgram::CommProgram(std::vector<CpStride> strides)
-    : strides_(std::move(strides)) {}
+}  // namespace
+
+std::vector<CpEntry> CpStride::expand() const {
+  std::vector<CpEntry> out;
+  out.reserve(count > 0 ? static_cast<std::size_t>(count) : 0);
+  append_entries(*this, &out);
+  return out;
+}
 
 void CommProgram::add(const CpStride& s) {
   if (s.burst <= 0 || s.count <= 0 || s.first < 0) {
@@ -34,13 +42,19 @@ void CommProgram::add(const CpStride& s) {
 }
 
 std::vector<CpEntry> CommProgram::entries() const {
+  std::size_t total = 0;
+  for (const auto& s : strides_) total += static_cast<std::size_t>(s.count);
   std::vector<CpEntry> out;
+  out.reserve(total);
+  std::vector<std::size_t> runs{0};
   for (const auto& s : strides_) {
-    auto e = s.expand();
-    out.insert(out.end(), e.begin(), e.end());
+    append_entries(s, &out);
+    runs.push_back(out.size());
   }
-  std::sort(out.begin(), out.end(),
-            [](const CpEntry& a, const CpEntry& b) { return a.begin < b.begin; });
+  merge_sorted_runs(out, std::move(runs),
+                    [](const CpEntry& a, const CpEntry& b) {
+                      return a.begin < b.begin;
+                    });
   for (std::size_t i = 1; i < out.size(); ++i) {
     if (out[i].begin < out[i - 1].end()) {
       throw SimulationError("CommProgram: entries overlap at slot " +

@@ -58,16 +58,18 @@ struct CpStride {
 class CommProgram {
  public:
   CommProgram() = default;
-  explicit CommProgram(std::vector<CpStride> strides);
 
+  /// Appends a stride; throws SimulationError on a non-positive burst or
+  /// count, a negative first slot, or a stride that overlaps itself. The
+  /// only way in, so every stored stride expands to an ascending run.
   void add(const CpStride& s);
 
   const std::vector<CpStride>& strides() const { return strides_; }
   bool empty() const { return strides_.empty(); }
 
-  /// All entries, expanded and sorted by begin slot. Throws SimulationError
-  /// if entries within this program overlap (a node cannot do two things in
-  /// one slot).
+  /// All entries, expanded and sorted by begin slot (the strides' ascending
+  /// runs merged). Throws SimulationError if entries within this program
+  /// overlap (a node cannot do two things in one slot).
   std::vector<CpEntry> entries() const;
 
   /// Total slots with the given action.

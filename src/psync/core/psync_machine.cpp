@@ -147,20 +147,24 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   const CpSchedule sched = compile_scatter_round_robin(
       P, static_cast<Slot>(k), static_cast<Slot>(B));
 
-  // Burst in slot order; slot s belongs to round j, processor i, offset q.
-  // Block contents stream in bit-reversed-strided order so each block's
-  // local sub-FFT can run on arrival (Model II, Fig. 10).
+  // Burst in slot order: round j, then processor i, then its rows r, then
+  // position pos within the row's block. Block contents stream in
+  // bit-reversed-strided order so each block's local sub-FFT can run on
+  // arrival (Model II, Fig. 10): column bitrev(j) + k * bitrev(pos).
+  std::vector<std::size_t> strided_col(bs);
+  for (std::size_t pos = 0; pos < bs; ++pos) {
+    strided_col[pos] = k * reverse_bits(pos, log2bs);
+  }
   std::vector<Word> burst(rows * cols);
-  for (std::size_t s = 0; s < burst.size(); ++s) {
-    const std::size_t j = s / (P * B);
-    const std::size_t rem = s % (P * B);
-    const std::size_t i = rem / B;
-    const std::size_t q = rem % B;
-    const std::size_t r = q / bs;
-    const std::size_t pos = q % bs;
-    const std::size_t orig_col =
-        reverse_bits(j, log2k) + k * reverse_bits(pos, log2bs);
-    burst[s] = image[(i * rpp + r) * cols + orig_col];
+  std::size_t s = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t col0 = reverse_bits(j, log2k);
+    for (std::size_t row = 0; row < rows; ++row) {  // row = i * rpp + r
+      const Word* src = image.data() + row * cols + col0;
+      for (std::size_t pos = 0; pos < bs; ++pos) {
+        burst[s++] = src[strided_col[pos]];
+      }
+    }
   }
 
   const ScatterResult sc = engine_.scatter(sched, burst);
@@ -176,26 +180,24 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   for (auto& proc : procs_) {
     proc.data().assign(rpp * cols, {0.0, 0.0});
   }
+  // Element e of a processor is round j = e / B, row r and position pos
+  // with e % B = r * bs + pos; B and bs are powers of two.
+  const std::size_t log2B = ilog2(B);
+  PassResult out;
+  out.delivery_end_ns = start_ns;
   for (const auto& d : sc.deliveries) {
     const auto i = static_cast<std::size_t>(d.node);
     const auto e = static_cast<std::size_t>(d.element);
-    const std::size_t j = e / B;
-    const std::size_t q = e % B;
-    const std::size_t r = q / bs;
-    const std::size_t pos = q % bs;
+    const std::size_t j = e >> log2B;
+    const std::size_t q = e & (B - 1);
+    const std::size_t r = q >> log2bs;
+    const std::size_t pos = q & (bs - 1);
     procs_[i].data()[r * cols + j * bs + pos] =
         unpack_sample(delivered[static_cast<std::size_t>(d.slot)]);
     const double at =
         start_ns + static_cast<double>(d.arrival_ps) * 1e-3 + tail_ns;
     block_done[i][j] = std::max(block_done[i][j], at);
-  }
-
-  PassResult out;
-  out.delivery_end_ns = start_ns;
-  for (const auto& d : sc.deliveries) {
-    out.delivery_end_ns =
-        std::max(out.delivery_end_ns,
-                 start_ns + static_cast<double>(d.arrival_ps) * 1e-3 + tail_ns);
+    out.delivery_end_ns = std::max(out.delivery_end_ns, at);
   }
 
   const fft::FftPlan& plan = fft::shared_plan(cols);

@@ -4,8 +4,25 @@
 #include <string>
 
 #include "psync/common/check.hpp"
+#include "psync/core/run_merge.hpp"
 
 namespace psync::core {
+namespace {
+
+// Per node: perceived_edge_ps(x_i, 0) + skew_error_ps[i]. The clock is
+// integer launch + s*T + flight(x) + detect, so node i perceives slot s at
+// exactly edge0[i] + s*T: the clock math leaves the slot loops.
+std::vector<TimePs> node_edge0_ps(const PscanTopology& topo,
+                                  const photonic::PhotonicClock& clock) {
+  std::vector<TimePs> edge0(topo.nodes());
+  for (std::size_t i = 0; i < topo.nodes(); ++i) {
+    const TimePs fault = topo.skew_error_ps.empty() ? 0 : topo.skew_error_ps[i];
+    edge0[i] = clock.perceived_edge_ps(topo.node_pos_um[i], 0) + fault;
+  }
+  return edge0;
+}
+
+}  // namespace
 
 void PscanTopology::validate() const {
   if (node_pos_um.empty()) {
@@ -78,12 +95,18 @@ GatherResult ScaEngine::gather(
   }
 
   const TimePs period = clock_.period_ps();
+  const TimePs terminus_flight = clock_.flight_ps(topo_.terminus_um);
   GatherResult out;
+  std::size_t words = 0;
+  for (const auto& d : node_data) words += d.size();
+  out.stream.reserve(words);
+  const std::vector<TimePs> edge0 = node_edge0_ps(topo_, clock_);
+  std::vector<std::size_t> runs{0};
 
   for (std::size_t i = 0; i < topo_.nodes(); ++i) {
-    const double x = topo_.node_pos_um[i];
-    const TimePs fault =
-        topo_.skew_error_ps.empty() ? 0 : topo_.skew_error_ps[i];
+    // Imprinted energy continues downstream to the terminus.
+    const TimePs to_terminus =
+        terminus_flight - clock_.flight_ps(topo_.node_pos_um[i]);
     std::size_t element = 0;
     for (const CpEntry& e : schedule.node_cps[i].entries()) {
       if (e.action != CpAction::kDrive) continue;
@@ -96,11 +119,8 @@ GatherResult ScaEngine::gather(
         rec.slot = s;
         rec.word = node_data[i][element];
         rec.source = static_cast<std::int32_t>(i);
-        rec.modulated_ps = clock_.perceived_edge_ps(x, s) + fault;
-        // Imprinted energy continues downstream to the terminus.
-        rec.arrival_ps =
-            rec.modulated_ps +
-            (clock_.flight_ps(topo_.terminus_um) - clock_.flight_ps(x));
+        rec.modulated_ps = edge0[i] + s * period;
+        rec.arrival_ps = rec.modulated_ps + to_terminus;
         out.stream.push_back(rec);
       }
     }
@@ -110,13 +130,18 @@ GatherResult ScaEngine::gather(
                             " words but CP drives " + std::to_string(element) +
                             " slots");
     }
+    runs.push_back(out.stream.size());
   }
 
-  std::sort(out.stream.begin(), out.stream.end(),
-            [](const SlotRecord& a, const SlotRecord& b) {
-              if (a.arrival_ps != b.arrival_ps) return a.arrival_ps < b.arrival_ps;
-              return a.slot < b.slot;
-            });
+  // Each node's records rise strictly in (arrival, slot); merging the
+  // node-major runs puts a double-driven slot's lower node first.
+  merge_sorted_runs(out.stream, std::move(runs),
+                    [](const SlotRecord& a, const SlotRecord& b) {
+                      if (a.arrival_ps != b.arrival_ps) {
+                        return a.arrival_ps < b.arrival_ps;
+                      }
+                      return a.slot < b.slot;
+                    });
 
   // Collision scan: each slot occupies [arrival, arrival + period) at the
   // terminus; overlap between records from different nodes is a collision.
@@ -192,6 +217,15 @@ ScatterResult ScaEngine::scatter(const CpSchedule& schedule,
     }
   }
 
+  // Every listened slot is now known to lie inside the burst.
+  out.deliveries.reserve(burst.size());
+  for (std::size_t i = 0; i < topo_.nodes(); ++i) {
+    out.received[i].reserve(static_cast<std::size_t>(
+        schedule.node_cps[i].slot_count(CpAction::kListen)));
+  }
+  const std::vector<TimePs> edge0 = node_edge0_ps(topo_, clock_);
+  const TimePs period = clock_.period_ps();
+
   std::vector<std::size_t> next_element(topo_.nodes(), 0);
   for (std::size_t s = 0; s < burst.size(); ++s) {
     const std::int32_t node = owner[s];
@@ -199,21 +233,16 @@ ScatterResult ScaEngine::scatter(const CpSchedule& schedule,
       out.unclaimed_slots.push_back(static_cast<Slot>(s));
       continue;
     }
+    const auto n = static_cast<std::size_t>(node);
     DeliveryRecord rec;
     rec.slot = static_cast<Slot>(s);
     rec.word = burst[s];
     rec.node = node;
-    rec.element = static_cast<std::int64_t>(next_element[node]++);
+    rec.element = static_cast<std::int64_t>(next_element[n]++);
     // The word passes the node's tap at its perceived slot time.
-    const TimePs fault = topo_.skew_error_ps.empty()
-                             ? 0
-                             : topo_.skew_error_ps[static_cast<std::size_t>(node)];
-    rec.arrival_ps = clock_.perceived_edge_ps(
-                         topo_.node_pos_um[static_cast<std::size_t>(node)],
-                         static_cast<Slot>(s)) +
-                     fault;
+    rec.arrival_ps = edge0[n] + rec.slot * period;
     out.deliveries.push_back(rec);
-    out.received[static_cast<std::size_t>(node)].push_back(burst[s]);
+    out.received[n].push_back(burst[s]);
   }
 
   if (strict && !out.unclaimed_slots.empty()) {
@@ -244,10 +273,17 @@ ScatterResult ScaEngine::scatter_multicast(const CpSchedule& schedule,
   ScatterResult out;
   out.received.resize(topo_.nodes());
   std::vector<std::uint8_t> claimed(burst.size(), 0);
+  const std::vector<TimePs> edge0 = node_edge0_ps(topo_, clock_);
+  const TimePs period = clock_.period_ps();
+  std::vector<std::size_t> runs{0};
 
   for (std::size_t i = 0; i < topo_.nodes(); ++i) {
-    const TimePs fault =
-        topo_.skew_error_ps.empty() ? 0 : topo_.skew_error_ps[i];
+    // A node latches each burst slot at most once (its entries never
+    // overlap), so the reservation is bounded by the burst.
+    out.received[i].reserve(std::min(
+        static_cast<std::size_t>(
+            schedule.node_cps[i].slot_count(CpAction::kListen)),
+        burst.size()));
     std::int64_t element = 0;
     for (const CpEntry& e : schedule.node_cps[i].entries()) {
       if (e.action != CpAction::kListen) continue;
@@ -261,12 +297,12 @@ ScatterResult ScaEngine::scatter_multicast(const CpSchedule& schedule,
         rec.word = burst[static_cast<std::size_t>(s)];
         rec.node = static_cast<std::int32_t>(i);
         rec.element = element;
-        rec.arrival_ps =
-            clock_.perceived_edge_ps(topo_.node_pos_um[i], s) + fault;
+        rec.arrival_ps = edge0[i] + s * period;
         out.deliveries.push_back(rec);
         out.received[i].push_back(rec.word);
       }
     }
+    runs.push_back(out.deliveries.size());
   }
   for (std::size_t s = 0; s < burst.size(); ++s) {
     if (!claimed[s]) out.unclaimed_slots.push_back(static_cast<Slot>(s));
@@ -276,11 +312,12 @@ ScatterResult ScaEngine::scatter_multicast(const CpSchedule& schedule,
                           std::to_string(out.unclaimed_slots.size()) +
                           " burst slots have no listener");
   }
-  std::sort(out.deliveries.begin(), out.deliveries.end(),
-            [](const DeliveryRecord& a, const DeliveryRecord& b) {
-              if (a.slot != b.slot) return a.slot < b.slot;
-              return a.node < b.node;
-            });
+  // Node-major runs, each ascending in slot: the merge orders by (slot,
+  // node) because equal slots keep their node order.
+  merge_sorted_runs(out.deliveries, std::move(runs),
+                    [](const DeliveryRecord& a, const DeliveryRecord& b) {
+                      return a.slot < b.slot;
+                    });
   if (!out.deliveries.empty()) {
     TimePs lo = out.deliveries.front().arrival_ps;
     TimePs hi = lo;

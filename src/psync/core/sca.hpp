@@ -16,6 +16,13 @@
 //    injected per-node timing faults;
 //  * optionally, the optical link budget for the farthest node is verified
 //    (Eq. 1-3) before any transaction is admitted.
+//
+// Stream order: a CP is a few strided descriptors, so each stride expands
+// to an ascending run of entries and each node emits its records already
+// ascending in (arrival, slot). The engine merges those runs (stable,
+// bottom-up) instead of sorting the whole stream: O(n log runs) per
+// collective. Records that tie on (arrival_ps, slot) can only come from a
+// double-driven slot — a collision — and keep node order, lower node first.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +77,8 @@ struct Collision {
 };
 
 struct GatherResult {
-  /// Terminus stream in arrival order.
+  /// Terminus stream in (arrival_ps, slot) order; on a double-driven slot
+  /// the lower node's record comes first.
   std::vector<SlotRecord> stream;
   std::vector<Collision> collisions;
   /// Arrivals are contiguous: consecutive leading edges exactly one slot
@@ -97,7 +105,7 @@ struct DeliveryRecord {
 };
 
 struct ScatterResult {
-  /// Every delivery, ordered by slot.
+  /// Every delivery, ordered by slot (multicast: by slot, then node).
   std::vector<DeliveryRecord> deliveries;
   /// received[i] = words latched by node i, in element order.
   std::vector<std::vector<Word>> received;

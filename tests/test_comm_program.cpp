@@ -104,6 +104,42 @@ TEST(CommProgram, InvalidFieldsRejectedOnAdd) {
                SimulationError);
 }
 
+TEST(CommProgram, NonPositiveBurstOrCountRejectedOnAdd) {
+  // add() is the only way a stride enters a program, so entries() never
+  // meets one that would fail its internal checks.
+  CommProgram cp;
+  EXPECT_THROW(cp.add(CpStride{0, -3, 4, 2, CpAction::kDrive}),
+               SimulationError);
+  EXPECT_THROW(cp.add(CpStride{0, 1, 4, -2, CpAction::kListen}),
+               SimulationError);
+  EXPECT_TRUE(cp.empty());
+}
+
+TEST(CommProgram, DecodeRejectsInvalidStrides) {
+  // Zero the 22-bit burst or count field of an encoded stride record
+  // (after the 16-bit record count: 2b action, 24b first, 22b burst, 24b
+  // stride, 22b count), or shrink the stride below the burst.
+  CommProgram cp;
+  cp.add(CpStride{5, 3, 17, 9, CpAction::kDrive});
+  constexpr std::size_t kBurstBit = 16 + 2 + 24;
+  constexpr std::size_t kStrideBit = kBurstBit + 22;
+  constexpr std::size_t kCountBit = kStrideBit + 24;
+  const auto clear_field = [&](std::size_t lo, std::size_t width) {
+    auto bytes = cp.encode();
+    for (std::size_t b = lo; b < lo + width; ++b) {
+      bytes[b / 8] &= static_cast<std::uint8_t>(~(1U << (b % 8)));
+    }
+    return bytes;
+  };
+  EXPECT_THROW((void)CommProgram::decode(clear_field(kBurstBit, 22)),
+               SimulationError);  // burst = 0
+  EXPECT_THROW((void)CommProgram::decode(clear_field(kCountBit, 22)),
+               SimulationError);  // count = 0
+  EXPECT_THROW((void)CommProgram::decode(clear_field(kStrideBit, 24)),
+               SimulationError);  // stride = 0 < burst, count 9
+  EXPECT_NO_THROW((void)CommProgram::decode(cp.encode()));
+}
+
 TEST(CommProgram, ToStringNamesActions) {
   CommProgram cp;
   cp.add(CpStride{0, 1, 2, 2, CpAction::kDrive});

@@ -1,0 +1,341 @@
+// Seeded equivalence fuzz: ScaEngine and CommProgram::entries() against the
+// per-slot, sort-based oracle in sca_reference.hpp. Every result field is
+// compared (stream/delivery records, collisions in order, unclaimed slots,
+// span, gap-free flag, utilization), and where one side throws the other
+// must throw the same SimulationError message.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
+#include <variant>
+#include <vector>
+
+#include "psync/common/check.hpp"
+#include "psync/common/rng.hpp"
+#include "psync/core/sca.hpp"
+#include "sca_reference.hpp"
+
+namespace psync::core {
+namespace {
+
+template <class F>
+auto outcome(F&& f) -> std::variant<decltype(f()), std::string> {
+  try {
+    return f();
+  } catch (const SimulationError& e) {
+    return std::string(e.what());
+  }
+}
+
+auto key(const SlotRecord& r) {
+  return std::make_tuple(r.slot, r.word, r.source, r.arrival_ps,
+                         r.modulated_ps);
+}
+auto key(const Collision& c) {
+  return std::make_tuple(c.node_a, c.node_b, c.slot_a, c.slot_b, c.overlap_ps);
+}
+auto key(const DeliveryRecord& d) {
+  return std::make_tuple(d.slot, d.word, d.node, d.element, d.arrival_ps);
+}
+auto key(const CpEntry& e) {
+  return std::make_tuple(e.begin, e.length, static_cast<int>(e.action));
+}
+template <class T>
+auto keys(const std::vector<T>& v) {
+  std::vector<decltype(key(v.front()))> out;
+  for (const auto& x : v) out.push_back(key(x));
+  return out;
+}
+
+void expect_same(const GatherResult& got, const GatherResult& want) {
+  EXPECT_EQ(keys(got.stream), keys(want.stream));
+  EXPECT_EQ(keys(got.collisions), keys(want.collisions));
+  EXPECT_EQ(got.gap_free, want.gap_free);
+  EXPECT_EQ(got.utilization, want.utilization);
+  EXPECT_EQ(got.span_ps, want.span_ps);
+  EXPECT_EQ(got.first_arrival_ps, want.first_arrival_ps);
+}
+
+void expect_same(const ScatterResult& got, const ScatterResult& want) {
+  EXPECT_EQ(keys(got.deliveries), keys(want.deliveries));
+  EXPECT_EQ(got.received, want.received);
+  EXPECT_EQ(got.unclaimed_slots, want.unclaimed_slots);
+  EXPECT_EQ(got.span_ps, want.span_ps);
+}
+
+void expect_same(const std::vector<CpEntry>& got,
+                 const std::vector<CpEntry>& want) {
+  EXPECT_EQ(keys(got), keys(want));
+}
+
+/// Both ran to completion with equal results, or both threw the same error.
+template <class R>
+void expect_same(const std::variant<R, std::string>& got,
+                 const std::variant<R, std::string>& want) {
+  ASSERT_EQ(got.index(), want.index())
+      << (got.index() == 1 ? "engine threw: " + std::get<1>(got)
+                           : "oracle threw: " + std::get<1>(want));
+  if (got.index() == 1) {
+    EXPECT_EQ(std::get<1>(got), std::get<1>(want));
+  } else {
+    expect_same(std::get<0>(got), std::get<0>(want));
+  }
+}
+
+// Random taps, clock and (sometimes) per-node skew faults. Faults within a
+// slot period give partial overlaps; equal faults on nodes that share a
+// slot give exact (arrival, slot) ties.
+PscanTopology random_topology(Rng& rng, std::size_t nodes) {
+  PscanTopology t;
+  const double freqs[] = {10.0, 12.5, 8.0, 4.0};
+  t.clock.frequency_ghz = GigaHertz(freqs[rng.next_below(4)]);
+  t.clock.group_velocity_cm_per_ns = 3.0 + 6.0 * rng.next_double();
+  t.clock.detect_latency_ps = rng.next_range(0, 60);
+  t.clock.launch_time_ps = rng.next_range(0, 5000);
+  double at = 2000.0 * rng.next_double();
+  t.head_um = at * rng.next_double();
+  t.node_pos_um.resize(nodes);
+  for (auto& x : t.node_pos_um) {
+    at += 1.0 + 8000.0 * rng.next_double();
+    x = at;
+  }
+  t.terminus_um = at + 5000.0 * rng.next_double();
+  const TimePs period = photonic::PhotonicClock(t.clock).period_ps();
+  switch (rng.next_below(4)) {
+    case 0:
+      break;  // no fault table
+    case 1:
+      t.skew_error_ps.assign(nodes, 0);
+      break;
+    case 2:
+      t.skew_error_ps.resize(nodes);
+      for (auto& f : t.skew_error_ps) {
+        f = rng.next_bool(0.4) ? rng.next_range(-period + 1, period - 1) : 0;
+      }
+      break;
+    default: {
+      const TimePs shared = rng.next_range(-period, period);
+      t.skew_error_ps.resize(nodes);
+      for (auto& f : t.skew_error_ps) f = rng.next_bool() ? shared : 0;
+      break;
+    }
+  }
+  return t;
+}
+
+// A node's program from random strides: overlaps within the program make
+// entries() throw; overlaps across nodes are collisions or double claims.
+CommProgram random_program(Rng& rng, Slot horizon, CpAction main_action) {
+  CommProgram cp;
+  const auto n = rng.next_range(0, 4);
+  for (std::int64_t k = 0; k < n; ++k) {
+    CpStride s;
+    s.first = rng.next_range(0, horizon);
+    s.burst = rng.next_range(1, 4);
+    s.count = rng.next_range(1, 6);
+    s.stride = s.count > 1 ? s.burst + rng.next_range(0, 10)
+                           : rng.next_range(0, 10);
+    s.action = rng.next_bool(0.8)
+                   ? main_action
+                   : static_cast<CpAction>(rng.next_below(3));
+    cp.add(s);
+  }
+  return cp;
+}
+
+CpSchedule random_schedule(Rng& rng, std::size_t nodes, CpAction action) {
+  CpSchedule s;
+  s.total_slots = rng.next_range(1, 80);
+  s.node_cps.resize(nodes);
+  for (auto& cp : s.node_cps) cp = random_program(rng, s.total_slots, action);
+  return s;
+}
+
+CpSchedule gather_schedule(Rng& rng, std::size_t nodes) {
+  switch (rng.next_below(5)) {
+    case 0:
+      return compile_gather_blocks(nodes, rng.next_range(1, 9));
+    case 1:
+      return compile_gather_interleaved(nodes, rng.next_range(1, 9));
+    case 2:
+      return compile_gather_round_robin(nodes, rng.next_range(1, 5),
+                                        rng.next_range(1, 5));
+    case 3:
+      return compile_gather_transpose(nodes, rng.next_range(1, 4),
+                                      rng.next_range(1, 9));
+    default:
+      return random_schedule(rng, nodes, CpAction::kDrive);
+  }
+}
+
+CpSchedule scatter_schedule(Rng& rng, std::size_t nodes) {
+  switch (rng.next_below(4)) {
+    case 0:
+      return compile_scatter_blocks(nodes, rng.next_range(1, 9));
+    case 1:
+      return compile_scatter_interleaved(nodes, rng.next_range(1, 9));
+    case 2:
+      return compile_scatter_round_robin(nodes, rng.next_range(1, 5),
+                                         rng.next_range(1, 5));
+    default:
+      return random_schedule(rng, nodes, CpAction::kListen);
+  }
+}
+
+// Data sized to each node's drive count, occasionally one word off so the
+// size checks fire too.
+std::vector<std::vector<Word>> random_data(Rng& rng, const CpSchedule& s) {
+  std::vector<std::vector<Word>> data(s.nodes());
+  for (std::size_t i = 0; i < s.nodes(); ++i) {
+    auto n = s.node_cps[i].slot_count(CpAction::kDrive);
+    if (rng.next_bool(0.1)) n += rng.next_bool() ? 1 : (n > 0 ? -1 : 0);
+    data[i].resize(static_cast<std::size_t>(n));
+    for (auto& w : data[i]) w = rng.next_u64();
+  }
+  return data;
+}
+
+std::vector<Word> random_burst(Rng& rng, const CpSchedule& s) {
+  Slot n = s.total_slots;
+  if (rng.next_bool(0.2)) n += rng.next_range(-3, 3);
+  std::vector<Word> burst(static_cast<std::size_t>(n < 0 ? 0 : n));
+  for (auto& w : burst) w = rng.next_u64();
+  return burst;
+}
+
+constexpr std::uint64_t kCases = 400;
+
+TEST(ScaEquivalence, GatherMatchesOracle) {
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto nodes = static_cast<std::size_t>(rng.next_range(1, 9));
+    const ScaEngine engine(random_topology(rng, nodes));
+    const CpSchedule sched = gather_schedule(rng, nodes);
+    const auto data = random_data(rng, sched);
+    for (const bool strict : {true, false}) {
+      expect_same(
+          outcome([&] { return engine.gather(sched, data, strict); }),
+          outcome([&] {
+            return sca_reference::gather(engine, sched, data, strict);
+          }));
+    }
+  }
+}
+
+TEST(ScaEquivalence, ScatterMatchesOracle) {
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7919);
+    const auto nodes = static_cast<std::size_t>(rng.next_range(1, 9));
+    const ScaEngine engine(random_topology(rng, nodes));
+    const CpSchedule sched = scatter_schedule(rng, nodes);
+    const auto burst = random_burst(rng, sched);
+    for (const bool strict : {true, false}) {
+      expect_same(
+          outcome([&] { return engine.scatter(sched, burst, strict); }),
+          outcome([&] {
+            return sca_reference::scatter(engine, sched, burst, strict);
+          }));
+    }
+  }
+}
+
+TEST(ScaEquivalence, MulticastMatchesOracle) {
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 104729);
+    const auto nodes = static_cast<std::size_t>(rng.next_range(1, 9));
+    const ScaEngine engine(random_topology(rng, nodes));
+    // Random listener sets overlap freely: the multicast case.
+    const CpSchedule sched = rng.next_bool(0.3)
+                                 ? scatter_schedule(rng, nodes)
+                                 : random_schedule(rng, nodes,
+                                                   CpAction::kListen);
+    const auto burst = random_burst(rng, sched);
+    for (const bool strict : {true, false}) {
+      expect_same(
+          outcome(
+              [&] { return engine.scatter_multicast(sched, burst, strict); }),
+          outcome([&] {
+            return sca_reference::scatter_multicast(engine, sched, burst,
+                                                    strict);
+          }));
+    }
+  }
+}
+
+TEST(ScaEquivalence, PaperScaleTransposeAndRoundRobinMatchOracle) {
+  // The machine's own collectives at the psync_sweep shape: the 256x256
+  // transpose gather and the Model II round-robin scatter at P=16, k=8.
+  const ScaEngine engine(straight_bus_topology(16, 4.0));
+  Rng rng(2013);
+  const CpSchedule tr = compile_gather_transpose(16, 16, 256);
+  const auto data = random_data(rng, tr);
+  expect_same(outcome([&] { return engine.gather(tr, data); }),
+              outcome([&] { return sca_reference::gather(engine, tr, data); }));
+  const CpSchedule rr = compile_scatter_round_robin(16, 8, 16 * 32);
+  std::vector<Word> burst(static_cast<std::size_t>(rr.total_slots));
+  for (auto& w : burst) w = rng.next_u64();
+  expect_same(
+      outcome([&] { return engine.scatter(rr, burst); }),
+      outcome([&] { return sca_reference::scatter(engine, rr, burst); }));
+}
+
+TEST(ScaEquivalence, EntriesMatchSortThenCheck) {
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 31337);
+    const CommProgram cp = random_program(
+        rng, rng.next_range(0, 100), static_cast<CpAction>(rng.next_below(3)));
+    expect_same(outcome([&] { return cp.entries(); }),
+                outcome([&] { return sca_reference::entries(cp); }));
+  }
+  // Interleaved strides (the transpose CP) merge into one ascending list.
+  const CpSchedule tr = compile_gather_transpose(4, 8, 32);
+  for (const auto& cp : tr.node_cps) {
+    expect_same(outcome([&] { return cp.entries(); }),
+                outcome([&] { return sca_reference::entries(cp); }));
+  }
+}
+
+TEST(ScaEquivalence, DoubleDrivenSlotReportsLowerNodeFirst) {
+  // Nodes 0 and 2 carry the same skew fault and both drive slot 1, so their
+  // records tie on (arrival_ps, slot). The stable merge keeps node order:
+  // node 0's record first, and the collision reads node_a=0, node_b=2.
+  PscanTopology topo = straight_bus_topology(3, 8.0);
+  topo.skew_error_ps = {7, 0, 7};
+  const ScaEngine engine(topo);
+  CpSchedule sched;
+  sched.total_slots = 4;
+  sched.node_cps.resize(3);
+  sched.node_cps[2].add(CpStride{1, 1, 1, 1, CpAction::kDrive});
+  sched.node_cps[1].add(CpStride{0, 1, 3, 2, CpAction::kDrive});
+  sched.node_cps[0].add(CpStride{1, 1, 1, 1, CpAction::kDrive});
+  const std::vector<std::vector<Word>> data{{10}, {20, 21}, {30}};
+
+  const GatherResult g = engine.gather(sched, data, /*strict=*/false);
+  ASSERT_EQ(g.stream.size(), 4u);
+  EXPECT_EQ(g.stream[1].source, 0);
+  EXPECT_EQ(g.stream[2].source, 2);
+  EXPECT_EQ(g.stream[1].arrival_ps, g.stream[2].arrival_ps);
+  ASSERT_EQ(g.collisions.size(), 1u);
+  EXPECT_EQ(g.collisions[0].node_a, 0);
+  EXPECT_EQ(g.collisions[0].node_b, 2);
+  EXPECT_EQ(g.collisions[0].slot_a, 1);
+  EXPECT_EQ(g.collisions[0].slot_b, 1);
+  EXPECT_EQ(g.collisions[0].overlap_ps, engine.clock().period_ps());
+  expect_same(g, sca_reference::gather(engine, sched, data, false));
+
+  try {
+    (void)engine.gather(sched, data);
+    FAIL() << "strict gather accepted a double-driven slot";
+  } catch (const SimulationError& e) {
+    EXPECT_NE(std::string(e.what()).find("between node 0 (slot 1) and node 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+}  // namespace
+}  // namespace psync::core
