@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "psync/common/check.hpp"
+#include "psync/fft/fft.hpp"
 #include "psync/fft/fft2d.hpp"
 
 namespace psync::core {
@@ -404,15 +405,7 @@ MeshRunReport MeshMachine::run_fft2d(
   if (verify) {
     std::vector<std::complex<double>> ref(input);
     fft::fft2d(ref, R, C, /*restore_layout=*/false);
-    const auto got = result();
-    PSYNC_CHECK(got.size() == ref.size());
-    double max_abs = 1e-30;
-    for (const auto& v : ref) max_abs = std::max(max_abs, std::abs(v));
-    double max_err = 0.0;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      max_err = std::max(max_err, std::abs(got[i] - ref[i]));
-    }
-    rep.max_error_vs_reference = max_err / max_abs;
+    rep.max_error_vs_reference = fft::normalized_max_error(result(), ref);
   }
   return rep;
 }

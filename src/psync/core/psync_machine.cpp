@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "psync/common/check.hpp"
+#include "psync/fft/fft.hpp"
 #include "psync/fft/fft2d.hpp"
 #include "psync/fft/four_step.hpp"
 #include "psync/fft/plan_cache.hpp"
@@ -106,13 +107,13 @@ double PsyncMachine::begin_run(std::vector<Phase>* phases) {
   return p_cal.end_ns;
 }
 
-std::vector<Word> PsyncMachine::transmit(
-    const std::vector<Word>& sent, const std::vector<Collision>* collisions,
-    bool gather_side, double* tail_ns) {
+void PsyncMachine::transmit(std::vector<Word>* words,
+                            const std::vector<Collision>* collisions,
+                            bool gather_side, double* tail_ns) {
   *tail_ns = 0.0;
   if (channel_ == nullptr) {
-    waveguide_words_ += sent.size();
-    return sent;
+    waveguide_words_ += words->size();
+    return;
   }
   std::vector<std::int64_t> flagged;
   if (collisions != nullptr) {
@@ -121,14 +122,14 @@ std::vector<Word> PsyncMachine::transmit(
       flagged.push_back(c.slot_b);
     }
   }
-  auto tx = channel_->transmit(sent, flagged.empty() ? nullptr : &flagged);
+  auto tx = channel_->transmit(*words, flagged.empty() ? nullptr : &flagged);
   waveguide_words_ += tx.wire_words;
   fault_report_.merge(tx.fault);
   retry_report_.merge(tx.retry);
   overhead_slots_ += tx.overhead_slots();
   *tail_ns = static_cast<double>(tx.overhead_slots()) * slot_period_ns();
   if (gather_side) head_.log_retry(tx.retry);
-  return std::move(tx.words);
+  *words = std::move(tx.words);
 }
 
 PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
@@ -167,37 +168,44 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
     }
   }
 
-  const ScatterResult sc = engine_.scatter(sched, burst);
   // The words cross the faulty PHY under the reliability policy; `tail_ns`
   // is the bus time the coding slots, replays and backoff appended. A
   // block is only usable once its framing (and any replay) resolved, so
   // the tail conservatively delays every block's ready time.
   double tail_ns = 0.0;
-  const std::vector<Word> delivered = transmit(burst, nullptr, false, &tail_ns);
+  transmit(&burst, nullptr, false, &tail_ns);
+  const ScatterWords sc = engine_.scatter_words(sched, burst);
 
-  std::vector<std::vector<double>> block_done(
-      P, std::vector<double>(k, start_ns));
-  for (auto& proc : procs_) {
-    proc.data().assign(rpp * cols, {0.0, 0.0});
-  }
-  // Element e of a processor is round j = e / B, row r and position pos
-  // with e % B = r * bs + pos; B and bs are powers of two.
-  const std::size_t log2B = ilog2(B);
+  // Processor i's listen entry j is round j: B words, row r's block-j
+  // positions for r = 0..rpp-1 in turn. The block is ready once its last
+  // slot latched, B - 1 periods after its first.
+  const TimePs last_slot_ps =
+      static_cast<TimePs>(B - 1) * engine_.clock().period_ps();
+  std::vector<std::vector<double>> block_done(P, std::vector<double>(k));
   PassResult out;
   out.delivery_end_ns = start_ns;
-  for (const auto& d : sc.deliveries) {
-    const auto i = static_cast<std::size_t>(d.node);
-    const auto e = static_cast<std::size_t>(d.element);
-    const std::size_t j = e >> log2B;
-    const std::size_t q = e & (B - 1);
-    const std::size_t r = q >> log2bs;
-    const std::size_t pos = q & (bs - 1);
-    procs_[i].data()[r * cols + j * bs + pos] =
-        unpack_sample(delivered[static_cast<std::size_t>(d.slot)]);
-    const double at =
-        start_ns + static_cast<double>(d.arrival_ps) * 1e-3 + tail_ns;
-    block_done[i][j] = std::max(block_done[i][j], at);
-    out.delivery_end_ns = std::max(out.delivery_end_ns, at);
+  for (std::size_t i = 0; i < P; ++i) {
+    PSYNC_CHECK(sc.latch_ps[i].size() == k && sc.received[i].size() == k * B);
+    // Every element lands in exactly one place, so no clearing first.
+    std::vector<std::complex<double>>& data = procs_[i].data();
+    data.resize(rpp * cols);
+    const Word* word = sc.received[i].data();
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t r = 0; r < rpp; ++r) {
+        std::complex<double>* dst = data.data() + r * cols + j * bs;
+        for (std::size_t pos = 0; pos < bs; ++pos) {
+          dst[pos] = unpack_sample(*word++);
+        }
+      }
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      const double at =
+          start_ns +
+          static_cast<double>(sc.latch_ps[i][j] + last_slot_ps) * 1e-3 +
+          tail_ns;
+      block_done[i][j] = std::max(start_ns, at);
+      out.delivery_end_ns = std::max(out.delivery_end_ns, at);
+    }
   }
 
   const fft::FftPlan& plan = fft::shared_plan(cols);
@@ -236,16 +244,14 @@ double PsyncMachine::gather_to_dram(
     const CpSchedule& sched, const std::vector<std::vector<Word>>& node_data,
     double start_ns, Phase& phase) {
   if (cancel_ != nullptr) cancel_->poll();
-  const GatherResult g = engine_.gather(sched, node_data);
+  GatherWords g = engine_.gather_words(sched, node_data);
   collisions_ += g.collisions.size();
   gap_free_ = gap_free_ && g.gap_free;
-  const auto words = g.words();
   // The head node decodes the landed stream; collision-flagged or CRC-bad
   // blocks are re-requested from the array, extending the phase.
   double tail_ns = 0.0;
-  const std::vector<Word> delivered =
-      transmit(words, &g.collisions, /*gather_side=*/true, &tail_ns);
-  const StreamReport rep = head_.writeback(delivered, 0, params_.sample_bits);
+  transmit(&g.words, &g.collisions, /*gather_side=*/true, &tail_ns);
+  const StreamReport rep = head_.writeback(g.words, 0, params_.sample_bits);
   const double span_ns = static_cast<double>(g.span_ps) * 1e-3 + tail_ns;
   const double dur = std::max(span_ns, rep.dram_ns);
   phase.start_ns = start_ns;
@@ -334,18 +340,6 @@ void finish_report(PsyncRunReport* report, const std::vector<Processor>& procs,
       total_ns > 0 ? busy / (static_cast<double>(processors) * total_ns) : 0.0;
 }
 
-double normalized_max_error(const std::vector<std::complex<double>>& got,
-                            const std::vector<std::complex<double>>& ref) {
-  PSYNC_CHECK(got.size() == ref.size());
-  double max_abs = 1e-30;
-  for (const auto& v : ref) max_abs = std::max(max_abs, std::abs(v));
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    max_err = std::max(max_err, std::abs(got[i] - ref[i]));
-  }
-  return max_err / max_abs;
-}
-
 }  // namespace
 
 void PsyncMachine::apply_energy(PsyncRunReport* report) const {
@@ -400,7 +394,7 @@ PsyncRunReport PsyncMachine::run_fft2d(
   if (verify) {
     std::vector<std::complex<double>> ref(input);
     fft::fft2d(ref, R, C, /*restore_layout=*/false);
-    report.max_error_vs_reference = normalized_max_error(result(), ref);
+    report.max_error_vs_reference = fft::normalized_max_error(result(), ref);
   }
   return report;
 }
@@ -457,7 +451,7 @@ PsyncRunReport PsyncMachine::run_fft1d(
     std::vector<std::complex<double>> ref(input);
     const fft::FftPlan& plan = fft::shared_plan(N);
     plan.forward(ref);
-    report.max_error_vs_reference = normalized_max_error(result_1d(), ref);
+    report.max_error_vs_reference = fft::normalized_max_error(result_1d(), ref);
   }
   return report;
 }

@@ -213,13 +213,14 @@ class PsyncMachine {
   /// returns the time the first collective may start (after training).
   double begin_run(std::vector<Phase>* phases);
 
-  /// Push a collective's word stream through the protected channel.
-  /// Returns the delivered words and sets `*tail_ns` to the bus time the
-  /// reliability layer appended (coding slots, replays, backoff). With no
-  /// channel the stream passes through untouched and `*tail_ns` is 0.
-  std::vector<Word> transmit(const std::vector<Word>& sent,
-                             const std::vector<Collision>* collisions,
-                             bool gather_side, double* tail_ns);
+  /// Push a collective's word stream through the protected channel,
+  /// replacing `*words` with the delivered words, and set `*tail_ns` to the
+  /// bus time the reliability layer appended (coding slots, replays,
+  /// backoff). With no channel the stream is left untouched and `*tail_ns`
+  /// is 0.
+  void transmit(std::vector<Word>* words,
+                const std::vector<Collision>* collisions, bool gather_side,
+                double* tail_ns);
 
   std::uint64_t collisions_ = 0;
   bool gap_free_ = true;

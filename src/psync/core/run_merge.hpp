@@ -1,8 +1,8 @@
 // Sorting by merging runs that are already in order.
 //
-// A CP's strides, a node's gather records and a node's deliveries are each
-// produced in ascending order; only their interleaving is unknown. Merging
-// those runs costs O(n log runs) instead of a global O(n log n) sort.
+// Each of a CP's strides expands to entries in ascending order; only their
+// interleaving is unknown. Merging those runs costs O(n log runs) instead
+// of a global O(n log n) sort.
 #pragma once
 
 #include <algorithm>

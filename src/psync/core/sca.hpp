@@ -17,12 +17,20 @@
 //  * optionally, the optical link budget for the farthest node is verified
 //    (Eq. 1-3) before any transaction is admitted.
 //
-// Stream order: a CP is a few strided descriptors, so each stride expands
-// to an ascending run of entries and each node emits its records already
-// ascending in (arrival, slot). The engine merges those runs (stable,
-// bottom-up) instead of sorting the whole stream: O(n log runs) per
-// collective. Records that tie on (arrival_ps, slot) can only come from a
-// double-driven slot — a collision — and keep node order, lower node first.
+// Stream order: node i's timing fault splits into whole slot periods w_i
+// and a remainder f_i in [0, T), so its slot s reaches the terminus at
+// slot_arrival_ps(s + w_i) + f_i. The engine places each word directly
+// from that: the bucket s + w_i is its arrival period, and inside one
+// bucket a fixed per-node rank (f_i, then the larger w_i, i.e. the smaller
+// slot, then the lower node) gives the rest of the (arrival, slot, node)
+// order. One counting pass over the buckets orders a whole gather in O(n).
+// When faults spread a stream over far more periods than it has words,
+// (bucket, rank) keys are sorted instead, so memory follows the word
+// count, never the skew. A scatter is placed the same way with one bucket
+// per burst slot. Records that tie on (arrival_ps, slot) can only come
+// from a double-driven slot, which is a collision, and the lower node's
+// comes first. gather_words() and scatter_words() run the same placement
+// without building per-slot records; the PsyncMachine calls those.
 #pragma once
 
 #include <cstdint>
@@ -76,10 +84,8 @@ struct Collision {
   TimePs overlap_ps = 0;
 };
 
-struct GatherResult {
-  /// Terminus stream in (arrival_ps, slot) order; on a double-driven slot
-  /// the lower node's record comes first.
-  std::vector<SlotRecord> stream;
+/// What every gather reports besides its payload.
+struct GatherSummary {
   std::vector<Collision> collisions;
   /// Arrivals are contiguous: consecutive leading edges exactly one slot
   /// period apart.
@@ -90,9 +96,20 @@ struct GatherResult {
   TimePs span_ps = 0;
   /// Time the receiver saw its first bit.
   TimePs first_arrival_ps = 0;
+};
+
+struct GatherResult : GatherSummary {
+  /// Terminus stream in (arrival_ps, slot) order; on a double-driven slot
+  /// the lower node's record comes first.
+  std::vector<SlotRecord> stream;
 
   /// Payload words in slot order (convenience view of `stream`).
   std::vector<Word> words() const;
+};
+
+/// A gather without per-slot records: the payload in stream order.
+struct GatherWords : GatherSummary {
+  std::vector<Word> words;
 };
 
 /// One word delivered to a node during a scatter.
@@ -104,14 +121,26 @@ struct DeliveryRecord {
   TimePs arrival_ps = 0;       // when the node's detector latched it
 };
 
-struct ScatterResult {
-  /// Every delivery, ordered by slot (multicast: by slot, then node).
-  std::vector<DeliveryRecord> deliveries;
+/// What every scatter reports besides its per-slot detail.
+struct ScatterSummary {
   /// received[i] = words latched by node i, in element order.
   std::vector<std::vector<Word>> received;
   /// Burst slots no node listened to (lost words).
   std::vector<Slot> unclaimed_slots;
   TimePs span_ps = 0;
+};
+
+struct ScatterResult : ScatterSummary {
+  /// Every delivery, ordered by slot (multicast: by slot, then node).
+  std::vector<DeliveryRecord> deliveries;
+};
+
+/// A scatter without per-slot records.
+struct ScatterWords : ScatterSummary {
+  /// latch_ps[i][e] = when node i latched the first slot of its e-th listen
+  /// entry (CommProgram::entries() order); the entry's slot k latches k
+  /// slot periods later.
+  std::vector<std::vector<TimePs>> latch_ps;
 };
 
 class ScaEngine {
@@ -128,11 +157,23 @@ class ScaEngine {
                       const std::vector<std::vector<Word>>& node_data,
                       bool strict = true) const;
 
+  /// The same gather without per-slot records: identical words, order,
+  /// collisions and summary, and the same errors.
+  GatherWords gather_words(const CpSchedule& schedule,
+                           const std::vector<std::vector<Word>>& node_data,
+                           bool strict = true) const;
+
   /// Run an SCA^-1 scatter: the head node drives `burst` (word for slot s at
   /// index s); node i latches the slots its CP listens on.
   ScatterResult scatter(const CpSchedule& schedule,
                         const std::vector<Word>& burst,
                         bool strict = true) const;
+
+  /// The same scatter without per-slot records: identical received words,
+  /// unclaimed slots, span and errors, plus one latch time per listen entry.
+  ScatterWords scatter_words(const CpSchedule& schedule,
+                             const std::vector<Word>& burst,
+                             bool strict = true) const;
 
   /// Multicast SCA^-1: listener sets MAY overlap — physically free on a
   /// photonic bus, since a slot's energy passes every downstream detector

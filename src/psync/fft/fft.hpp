@@ -131,7 +131,17 @@ class FftPlan {
 std::vector<Complex> naive_dft(std::span<const Complex> in);
 std::vector<Complex> naive_idft(std::span<const Complex> in);
 
-/// Max |a-b| over two sequences; validation helper.
+/// Max |a-b| over two sequences: bit-identical to folding std::abs(a[i] -
+/// b[i]) into std::max from 0, NaN moduli skipped, but std::abs (hypot)
+/// only runs near the top of a std::norm scan (see fft.cpp).
 double max_abs_diff(std::span<const Complex> a, std::span<const Complex> b);
+
+/// Max |a| over a sequence, same contract as max_abs_diff.
+double max_abs(std::span<const Complex> a);
+
+/// The machines' verify metric: max_abs_diff(got, ref) divided by
+/// max_abs(ref), the divisor floored at 1e-30.
+double normalized_max_error(std::span<const Complex> got,
+                            std::span<const Complex> ref);
 
 }  // namespace psync::fft

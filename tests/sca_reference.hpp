@@ -4,9 +4,9 @@
 // Every slot recomputes its clock edge and flight time through the
 // PhotonicClock, every node's records are emitted node-major, and the
 // stream/entry order comes from one global std::stable_sort — so equal keys
-// keep node (or stride) order, the tie rule the engine's run merges must
-// reproduce. Results must match ScaEngine field for field, error messages
-// included.
+// keep node (or stride) order, the tie rule the engine's placement (and
+// CommProgram's run merge) must reproduce. Results must match ScaEngine
+// field for field, error messages included.
 #pragma once
 
 #include <algorithm>

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include "psync/common/check.hpp"
@@ -198,6 +201,109 @@ TEST(Fft, NaiveIdftInvertsNaiveDft) {
   const auto freq = naive_dft(sig);
   const auto back = naive_idft(freq);
   EXPECT_LT(max_abs_diff(back, sig), 1e-10);
+}
+
+
+// The verify scan against the plain fold it replaces: std::abs of every
+// entry into std::max from 0, compared bit for bit.
+double plain_max_abs_diff(const std::vector<Complex>& a,
+                          const std::vector<Complex>& b) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    m = std::max(m, std::abs(a[i] - b[i]));
+  }
+  return m;
+}
+
+double plain_normalized_error(const std::vector<Complex>& got,
+                              const std::vector<Complex>& ref) {
+  double max_abs = 1e-30;
+  for (const auto& v : ref) max_abs = std::max(max_abs, std::abs(v));
+  return plain_max_abs_diff(got, ref) / max_abs;
+}
+
+void expect_scans_agree(const std::vector<Complex>& a,
+                        const std::vector<Complex>& b) {
+  const std::vector<Complex> zero(a.size());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(max_abs_diff(a, b)),
+            std::bit_cast<std::uint64_t>(plain_max_abs_diff(a, b)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(max_abs(a)),
+            std::bit_cast<std::uint64_t>(plain_max_abs_diff(a, zero)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(normalized_max_error(a, b)),
+            std::bit_cast<std::uint64_t>(plain_normalized_error(a, b)));
+}
+
+TEST(VerifyScan, MatchesPlainHypotScanOnAdversarialInputs) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<Complex>> cases = {
+      {},
+      {{0.0, 0.0}},
+      {{-0.0, -0.0}, {0.0, -0.0}, {-0.0, 0.0}},
+      // Exact ties: one modulus, different components and signs.
+      {{3, 4}, {4, 3}, {5, 0}, {0, -5}, {-3, -4}, {-4, 3}},
+      // Near ties: the squares and the hypots may order these differently.
+      {{1.0, 1e-8}, {std::nextafter(1.0, 2.0), 0.0},
+       {1.0, std::nextafter(1e-8, 1.0)}, {1e-8, 1.0}},
+      {{0.6, 0.8}, {0.8, 0.6}, {std::nextafter(0.6, 1.0), 0.8},
+       {1.0, 0.0}, {std::nextafter(1.0, 0.0), 0.0}},
+      // Pairs whose rounded squares order them against their hypots.
+      {{0.76012171866912515, 0.52962107361422617},
+       {0.76012171866912526, 0.52962107361422606}},
+      {{0.52517716362352473, 0.59620516472559237},
+       {0.52517716362352485, 0.59620516472559226}},
+      {{0.80460507380505819, 0.5909127013198423},
+       {0.8046050738050583, 0.59091270131984219}},
+      // Subnormal and underflowing squares.
+      {{kTiny, 0.0}, {0.0, kTiny}, {kTiny, kTiny}},
+      {{1e-310, 3e-310}, {-2e-310, 1e-309}, {4.9e-324, -1e-320}},
+      {{1e-160, 1e-160}, {-2e-160, 5e-161}, {1e-170, 0.0}},
+      // A top just above the smallest normal square, beside entries whose
+      // squares underflow.
+      {{1.5e-154, 0.0}, {1.49e-154, 2e-160}, {1e-160, 1.5e-154}},
+      {{std::sqrt(kMin), 0.0}, {0.0, std::sqrt(kMin)}, {1e-200, 0.0}},
+      // Squares near and past overflow (|z| ~ 1.34e154).
+      {{1e154, 1e154}, {1.3e154, 0.0}, {-1.2e154, 5e153}},
+      {{1.34e154, 0.0}, {1.35e154, 0.0}, {1e300, -1e300}, {1.0, 1.0}},
+      {{1e-300, 0.0}, {1e300, 0.0}},
+      // Infinities and NaNs: std::abs is inf if either part is inf, even
+      // beside a NaN, and NaN moduli drop out of the std::max fold.
+      {{kInf, 0.0}, {1.0, 2.0}},
+      {{1.0, 2.0}, {kNan, kInf}, {3.0, 4.0}},
+      {{kNan, 1.0}, {2.0, 2.0}},
+      {{kNan, kNan}, {-kInf, -kInf}},
+      {{kNan, 0.0}},
+      {{1.0, kNan}, {kNan, 1.0}, {0.5, 0.5}, {1e-320, 0.0}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const std::vector<Complex> zero(cases[c].size());
+    expect_scans_agree(cases[c], zero);
+    // The same moduli as differences of nonzero operands.
+    std::vector<Complex> shifted = cases[c];
+    std::vector<Complex> base(cases[c].size(), Complex{0.25, -0.5});
+    for (std::size_t i = 0; i < shifted.size(); ++i) shifted[i] += base[i];
+    expect_scans_agree(shifted, base);
+  }
+
+  // Random signals at every scale, with planted ties of the top modulus.
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const double scale =
+        std::ldexp(1.0, static_cast<int>(rng.next_below(2098)) - 1075);
+    const auto seed = static_cast<std::uint64_t>(trial);
+    std::vector<Complex> a = random_signal(1 + rng.next_below(64), 7 + seed);
+    for (auto& v : a) v *= scale;
+    if (rng.next_bool()) {
+      const Complex top = a[rng.next_below(a.size())];
+      a[rng.next_below(a.size())] = Complex(top.imag(), -top.real());
+    }
+    expect_scans_agree(a, std::vector<Complex>(a.size()));
+    expect_scans_agree(a, random_signal(a.size(), 9000 + seed));
+  }
 }
 
 }  // namespace

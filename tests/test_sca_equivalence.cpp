@@ -1,10 +1,12 @@
 // Seeded equivalence fuzz: ScaEngine and CommProgram::entries() against the
 // per-slot, sort-based oracle in sca_reference.hpp. Every result field is
 // compared (stream/delivery records, collisions in order, unclaimed slots,
-// span, gap-free flag, utilization), and where one side throws the other
-// must throw the same SimulationError message.
+// span, gap-free flag, utilization), for the record views and for the
+// record-free gather_words/scatter_words, and where one side throws the
+// other must throw the same SimulationError message.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <variant>
@@ -63,6 +65,55 @@ void expect_same(const ScatterResult& got, const ScatterResult& want) {
   EXPECT_EQ(got.span_ps, want.span_ps);
 }
 
+void expect_same(const GatherWords& got, const GatherWords& want) {
+  EXPECT_EQ(got.words, want.words);
+  EXPECT_EQ(keys(got.collisions), keys(want.collisions));
+  EXPECT_EQ(got.gap_free, want.gap_free);
+  EXPECT_EQ(got.utilization, want.utilization);
+  EXPECT_EQ(got.span_ps, want.span_ps);
+  EXPECT_EQ(got.first_arrival_ps, want.first_arrival_ps);
+}
+
+void expect_same(const ScatterWords& got, const ScatterWords& want) {
+  EXPECT_EQ(got.received, want.received);
+  EXPECT_EQ(got.latch_ps, want.latch_ps);
+  EXPECT_EQ(got.unclaimed_slots, want.unclaimed_slots);
+  EXPECT_EQ(got.span_ps, want.span_ps);
+}
+
+// The oracle's records reduced to what the record-free views report.
+GatherWords as_words(const GatherResult& g) {
+  GatherWords out;
+  static_cast<GatherSummary&>(out) = g;
+  out.words = g.words();
+  return out;
+}
+
+// Latch times come from the oracle's delivery of each listen entry's first
+// slot.
+ScatterWords as_words(const CpSchedule& sched, const ScatterResult& sc) {
+  ScatterWords out;
+  static_cast<ScatterSummary&>(out) = sc;
+  out.latch_ps.resize(sched.nodes());
+  for (std::size_t i = 0; i < sched.nodes(); ++i) {
+    for (const CpEntry& e : sca_reference::entries(sched.node_cps[i])) {
+      if (e.action != CpAction::kListen) continue;
+      const auto d = std::find_if(
+          sc.deliveries.begin(), sc.deliveries.end(),
+          [&](const DeliveryRecord& r) {
+            return r.node == static_cast<std::int32_t>(i) && r.slot == e.begin;
+          });
+      if (d == sc.deliveries.end()) {
+        ADD_FAILURE() << "oracle has no delivery for node " << i << " slot "
+                      << e.begin;
+        continue;
+      }
+      out.latch_ps[i].push_back(d->arrival_ps);
+    }
+  }
+  return out;
+}
+
 void expect_same(const std::vector<CpEntry>& got,
                  const std::vector<CpEntry>& want) {
   EXPECT_EQ(keys(got), keys(want));
@@ -84,7 +135,9 @@ void expect_same(const std::variant<R, std::string>& got,
 
 // Random taps, clock and (sometimes) per-node skew faults. Faults within a
 // slot period give partial overlaps; equal faults on nodes that share a
-// slot give exact (arrival, slot) ties.
+// slot give exact (arrival, slot) ties. Faults of several whole periods
+// make slots of different nodes tie on arrival alone, and faults of a
+// million periods put nodes far beyond the end of any stream here.
 PscanTopology random_topology(Rng& rng, std::size_t nodes) {
   PscanTopology t;
   const double freqs[] = {10.0, 12.5, 8.0, 4.0};
@@ -101,7 +154,7 @@ PscanTopology random_topology(Rng& rng, std::size_t nodes) {
   }
   t.terminus_um = at + 5000.0 * rng.next_double();
   const TimePs period = photonic::PhotonicClock(t.clock).period_ps();
-  switch (rng.next_below(4)) {
+  switch (rng.next_below(6)) {
     case 0:
       break;  // no fault table
     case 1:
@@ -113,10 +166,27 @@ PscanTopology random_topology(Rng& rng, std::size_t nodes) {
         f = rng.next_bool(0.4) ? rng.next_range(-period + 1, period - 1) : 0;
       }
       break;
-    default: {
+    case 3: {
       const TimePs shared = rng.next_range(-period, period);
       t.skew_error_ps.resize(nodes);
       for (auto& f : t.skew_error_ps) f = rng.next_bool() ? shared : 0;
+      break;
+    }
+    case 4: {
+      const TimePs shared = rng.next_range(0, period - 1);
+      t.skew_error_ps.resize(nodes);
+      for (auto& f : t.skew_error_ps) {
+        f = rng.next_range(-4, 4) * period + (rng.next_bool() ? shared : 0);
+      }
+      break;
+    }
+    default: {
+      const TimePs shared = rng.next_range(-period, period);
+      t.skew_error_ps.resize(nodes);
+      for (auto& f : t.skew_error_ps) {
+        f = rng.next_range(-2, 2) * 1'000'000 * period +
+            rng.next_range(-3, 3) * period + (rng.next_bool() ? shared : 0);
+      }
       break;
     }
   }
@@ -219,6 +289,11 @@ TEST(ScaEquivalence, GatherMatchesOracle) {
           outcome([&] {
             return sca_reference::gather(engine, sched, data, strict);
           }));
+      expect_same(
+          outcome([&] { return engine.gather_words(sched, data, strict); }),
+          outcome([&] {
+            return as_words(sca_reference::gather(engine, sched, data, strict));
+          }));
     }
   }
 }
@@ -236,6 +311,12 @@ TEST(ScaEquivalence, ScatterMatchesOracle) {
           outcome([&] { return engine.scatter(sched, burst, strict); }),
           outcome([&] {
             return sca_reference::scatter(engine, sched, burst, strict);
+          }));
+      expect_same(
+          outcome([&] { return engine.scatter_words(sched, burst, strict); }),
+          outcome([&] {
+            return as_words(
+                sched, sca_reference::scatter(engine, sched, burst, strict));
           }));
     }
   }
@@ -274,12 +355,60 @@ TEST(ScaEquivalence, PaperScaleTransposeAndRoundRobinMatchOracle) {
   const auto data = random_data(rng, tr);
   expect_same(outcome([&] { return engine.gather(tr, data); }),
               outcome([&] { return sca_reference::gather(engine, tr, data); }));
+  expect_same(outcome([&] { return engine.gather_words(tr, data); }),
+              outcome([&] {
+                return as_words(sca_reference::gather(engine, tr, data));
+              }));
   const CpSchedule rr = compile_scatter_round_robin(16, 8, 16 * 32);
   std::vector<Word> burst(static_cast<std::size_t>(rr.total_slots));
   for (auto& w : burst) w = rng.next_u64();
   expect_same(
       outcome([&] { return engine.scatter(rr, burst); }),
       outcome([&] { return sca_reference::scatter(engine, rr, burst); }));
+  expect_same(outcome([&] { return engine.scatter_words(rr, burst); }),
+              outcome([&] {
+                return as_words(rr, sca_reference::scatter(engine, rr, burst));
+              }));
+}
+
+TEST(ScaEquivalence, SkewsBeyondOnePeriodAndBeyondTheStreamMatchOracle) {
+  // Interleaved gathers, where every node's slots span the whole stream,
+  // under whole-period skews: a few periods (the stream still interleaves),
+  // and a million periods apart (the nodes' spans no longer overlap, and
+  // bucketing every period between them would dwarf the stream).
+  const std::size_t nodes = 8;
+  const CpSchedule sched = compile_gather_interleaved(nodes, 64);
+  Rng rng(77);
+  std::vector<std::vector<Word>> data(nodes, std::vector<Word>(64));
+  for (auto& node : data) {
+    for (auto& w : node) w = rng.next_u64();
+  }
+  PscanTopology topo = straight_bus_topology(nodes, 4.0);
+  const TimePs period = photonic::PhotonicClock(topo.clock).period_ps();
+  for (const TimePs scale : {TimePs{3}, TimePs{1'000'000}}) {
+    SCOPED_TRACE("scale " + std::to_string(scale));
+    topo.skew_error_ps.resize(nodes);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      // Alternate signs; nodes i and i + 4 sit 4 periods apart, so their
+      // interleaved slots (4 apart) tie on arrival and collide.
+      const auto k = static_cast<TimePs>(i % 4) * (i % 2 == 0 ? 1 : -1);
+      const auto pair = static_cast<TimePs>(i / 4) * 4;
+      topo.skew_error_ps[i] =
+          (k * scale + pair) * period + (i % 4 == 1 ? 3 : 0);
+    }
+    const ScaEngine engine(topo);
+    const GatherResult g = engine.gather(sched, data, /*strict=*/false);
+    EXPECT_EQ(g.stream.size(), nodes * 64);
+    EXPECT_FALSE(g.collisions.empty());
+    expect_same(
+        outcome([&] { return engine.gather(sched, data, false); }),
+        outcome([&] { return sca_reference::gather(engine, sched, data, false); }));
+    expect_same(outcome([&] { return engine.gather_words(sched, data, false); }),
+                outcome([&] {
+                  return as_words(
+                      sca_reference::gather(engine, sched, data, false));
+                }));
+  }
 }
 
 TEST(ScaEquivalence, EntriesMatchSortThenCheck) {
