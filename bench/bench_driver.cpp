@@ -9,10 +9,11 @@
 //   bench_driver --quick --json BENCH_psync.json
 //   bench_driver --quick --baseline BENCH_psync.json [--max-regress 25]
 //
-// The `*_naive` / `*_reference` entries time the pre-optimization paths
-// (idle-skip disabled, strided radix-2 kernel, per-word codec), which stay
-// in the tree as the ground truth for the equivalence tests. Their ratio to
-// the fast entries documents the speedup and guards it against erosion.
+// The `*_naive` entry times the mesh drain with idle-skip disabled; the
+// `*_reference` entries time the test oracles in tests/oracle/ (the AoS
+// mesh, the strided radix-2 FFT loop, the per-word codec), which are the
+// ground truth for the equivalence tests. Their ratio to the production
+// entries documents the speedup and guards it against erosion.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,9 @@
 #include <string>
 #include <vector>
 
+#include "oracle/codec.hpp"
+#include "oracle/fft_stages.hpp"
+#include "oracle/reference_mesh.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/core/psync_machine.hpp"
 #include "psync/core/sca.hpp"
@@ -118,13 +122,13 @@ std::uint64_t run_mesh_random_traffic(std::uint64_t iters) {
 }
 
 // Congested stepping at size, with optional hotspot traffic (half of all
-// packets target the center node) and optional reference datapath — the
-// `_reference` variants time the retained AoS implementation on identical
-// traffic, so the JSON documents the SoA speedup per pattern.
+// packets target the center node). Net is psync::mesh::Mesh or the AoS
+// oracle psync::oracle::ReferenceMesh — the `_reference` variants time the
+// oracle on identical traffic, so the JSON documents the SoA speedup per
+// pattern.
+template <class Net>
 std::uint64_t run_mesh_traffic(std::uint64_t iters, std::uint32_t dim,
-                               bool hotspot, bool reference) {
-  const bool saved = psync::mesh::reference_datapath();
-  psync::mesh::set_reference_datapath(reference);
+                               bool hotspot) {
   const std::uint32_t nodes = dim * dim;
   const int packets = static_cast<int>(nodes) * 31;  // ~2k at 8x8
   std::uint64_t cycles = 0;
@@ -132,7 +136,7 @@ std::uint64_t run_mesh_traffic(std::uint64_t iters, std::uint32_t dim,
     psync::mesh::MeshParams mp;
     mp.width = dim;
     mp.height = dim;
-    psync::mesh::Mesh net(mp);
+    Net net(mp);
     std::vector<psync::mesh::ConsumeSink> sinks(net.nodes());
     for (psync::mesh::NodeId n = 0; n < net.nodes(); ++n) {
       net.set_sink(n, &sinks[n]);
@@ -151,7 +155,6 @@ std::uint64_t run_mesh_traffic(std::uint64_t iters, std::uint32_t dim,
     net.run_until_drained(10'000'000);
     cycles += static_cast<std::uint64_t>(net.cycle());
   }
-  psync::mesh::set_reference_datapath(saved);
   return cycles;
 }
 
@@ -166,11 +169,12 @@ std::vector<psync::fft::Complex> fft_input(std::size_t n) {
   return x;
 }
 
-std::uint64_t run_fft_kernel(std::uint64_t iters, bool fast) {
-  const bool saved = psync::fft::fast_kernel();
-  psync::fft::set_fast_kernel(fast);
+// Fft is psync::fft::FftPlan or the strided radix-2 oracle
+// psync::oracle::StridedFft; both build their tables outside the timed loop.
+template <class Fft>
+std::uint64_t run_fft_kernel(std::uint64_t iters) {
   const std::size_t n = 4096;
-  psync::fft::FftPlan plan(n);
+  const Fft plan(n);
   const auto input = fft_input(n);
   auto data = input;
   std::uint64_t butterflies = 0;
@@ -179,7 +183,6 @@ std::uint64_t run_fft_kernel(std::uint64_t iters, bool fast) {
     const auto ops = plan.forward(data);
     butterflies += ops.butterflies;
   }
-  psync::fft::set_fast_kernel(saved);
   return butterflies;
 }
 
@@ -215,10 +218,8 @@ std::uint64_t run_reliability_codec(std::uint64_t iters, bool fast) {
         psync::reliability::encode_block(payload.data() + off, kBlock, &wire);
         psync::reliability::decode_block_into(wire.data(), kBlock, true, &dec);
       } else {
-        psync::reliability::encode_block_reference(payload.data() + off,
-                                                   kBlock, &wire);
-        dec = psync::reliability::decode_block_reference(wire.data(), kBlock,
-                                                         true);
+        psync::oracle::encode_block(payload.data() + off, kBlock, &wire);
+        dec = psync::oracle::decode_block(wire.data(), kBlock, true);
       }
       if (!dec.good()) std::abort();  // clean wire must decode
     }
@@ -342,9 +343,7 @@ std::uint64_t run_fig13_sweep(std::uint64_t iters) {
   return points;
 }
 
-std::uint64_t run_fig13_fft2d(std::uint64_t iters, bool fast) {
-  const bool saved = psync::fft::fast_kernel();
-  psync::fft::set_fast_kernel(fast);
+std::uint64_t run_fig13_fft2d(std::uint64_t iters) {
   std::uint64_t elements = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
     // The fig13 measurement point re-run as a full machine simulation: a
@@ -361,7 +360,6 @@ std::uint64_t run_fig13_fft2d(std::uint64_t iters, bool fast) {
     if (result.records.empty()) std::abort();
     elements += 128 * 128;
   }
-  psync::fft::set_fast_kernel(saved);
   return elements;
 }
 
@@ -470,31 +468,44 @@ std::vector<BenchCase> make_cases() {
   cases.push_back({"mesh_random_traffic_reference",
                    "same traffic on the retained AoS reference datapath",
                    2, 1,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 8, false, true); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::oracle::ReferenceMesh>(
+                         n, 8, false);
+                   }});
   cases.push_back({"mesh_random_traffic_16x16",
                    "16x16 mesh, ~8000 random packets (congested stepping)",
                    3, 2,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 16, false, false); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::mesh::Mesh>(n, 16, false);
+                   }});
   cases.push_back({"mesh_random_traffic_16x16_reference",
                    "same 16x16 traffic on the AoS reference datapath",
                    1, 1,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 16, false, true); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::oracle::ReferenceMesh>(
+                         n, 16, false);
+                   }});
   cases.push_back({"mesh_hotspot",
                    "8x8 mesh, half of all packets target the center node",
                    3, 3,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 8, true, false); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::mesh::Mesh>(n, 8, true);
+                   }});
   cases.push_back({"mesh_hotspot_reference",
                    "same hotspot traffic on the AoS reference datapath",
                    1, 1,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 8, true, true); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::oracle::ReferenceMesh>(
+                         n, 8, true);
+                   }});
   cases.push_back({"fft_kernel_4096",
                    "4096-point forward FFT, fused radix-4 kernel",
                    2000, 200,
-                   [](std::uint64_t n) { return run_fft_kernel(n, true); }});
+                   run_fft_kernel<psync::fft::FftPlan>});
   cases.push_back({"fft_kernel_4096_reference",
                    "4096-point forward FFT, strided radix-2 reference",
                    400, 50,
-                   [](std::uint64_t n) { return run_fft_kernel(n, false); }});
+                   run_fft_kernel<psync::oracle::StridedFft>});
   cases.push_back({"fft_four_step_64k",
                    "65536-point four-step FFT (shared twiddle table)",
                    20, 5, run_fft_four_step});
@@ -526,12 +537,7 @@ std::vector<BenchCase> make_cases() {
                    200, 50, run_fig13_sweep});
   cases.push_back({"fig13_fft2d",
                    "fig13 point as machine sim: 128x128 fft2d, P=16, k=4",
-                   10, 2,
-                   [](std::uint64_t n) { return run_fig13_fft2d(n, true); }});
-  cases.push_back({"fig13_fft2d_reference",
-                   "same machine sim on the strided radix-2 reference kernel",
-                   4, 1,
-                   [](std::uint64_t n) { return run_fig13_fft2d(n, false); }});
+                   10, 2, run_fig13_fft2d});
   cases.push_back({"driver_sweep_no_journal",
                    "4-point 256x256 fft2d sweep, no checkpoint journal",
                    30, 10,

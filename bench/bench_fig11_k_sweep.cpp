@@ -11,6 +11,7 @@
 #include "psync/common/csv.hpp"
 #include "psync/common/table.hpp"
 #include "psync/driver/runner.hpp"
+#include "psync/driver/session.hpp"
 #include "psync/mesh/mesh.hpp"
 
 namespace {
@@ -32,7 +33,7 @@ int run() {
   spec.workload = "fig11";
   spec.threads = 2;
   spec.axes.push_back({"k", {1, 2, 4, 8, 16, 32, 64}});
-  const auto result = driver::Runner::run(spec);
+  const auto result = driver::Session().run(spec);
 
   std::vector<Fig11Pt> pts;
   for (const auto& rec : result.records) {

@@ -11,6 +11,7 @@
 #include "psync/common/csv.hpp"
 #include "psync/common/table.hpp"
 #include "psync/driver/runner.hpp"
+#include "psync/driver/session.hpp"
 #include "psync/llmore/llmore.hpp"
 
 namespace {
@@ -37,7 +38,7 @@ int run() {
     if (spec.axes.empty()) spec.axes.push_back({"cores", {}});
     spec.axes.front().values.push_back(c);
   }
-  const auto result = driver::Runner::run(spec);
+  const auto result = driver::Session().run(spec);
 
   std::vector<Fig13Pt> pts;
   for (const auto& rec : result.records) {

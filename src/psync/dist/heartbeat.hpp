@@ -51,7 +51,7 @@ std::string heartbeat_line(const Heartbeat& hb);
 bool parse_heartbeat_line(const std::string& line, Heartbeat* out);
 
 /// Worker-side emitter: implements the driver's PointObserver so the
-/// Runner announces point starts/completions, plus a timer thread that
+/// Session announces point starts/completions, plus a timer thread that
 /// keeps beating while a single point runs long.
 ///
 /// The emitter writes through the worker's SocketWorkerLink

@@ -1,5 +1,5 @@
 // The campaign layer: what turns a sweep into a crash-safe experiment
-// campaign. Three pieces, all beneath Runner::run:
+// campaign. Three pieces, all beneath Session::run:
 //
 //   * PointGuard — per-point isolation. Runs one grid point, converts
 //     whatever it throws into a structured PointFailure (the FailureKind
@@ -118,7 +118,7 @@ struct CampaignReport {
   bool all_ok() const { return failed == 0 && quarantined == 0; }
 };
 
-/// Tally a record set (resumed is left at 0; Runner fills it in). The
+/// Tally a record set (resumed is left at 0; Session fills it in). The
 /// optional [begin, end) window restricts the tally to a shard's slice of
 /// the grid — records outside it (e.g. splice-tolerated entries from a
 /// re-partitioned journal) are not this worker's to report.

@@ -76,6 +76,20 @@ bool apply_knob(const std::string& knob, double value,
   return true;
 }
 
+void check_mesh_network(std::int64_t buffer_depth,
+                        std::int64_t virtual_channels) {
+  const auto check = [](const char* key, std::int64_t value,
+                        std::int64_t max) {
+    if (value < 1 || value > max) {
+      throw ConfigError(std::string("mesh.") + key + " must be in [1, " +
+                        std::to_string(max) + "]; got " +
+                        std::to_string(value));
+    }
+  };
+  check("buffer_depth", buffer_depth, 255);
+  check("virtual_channels", virtual_channels, 16);
+}
+
 std::vector<std::string> known_knobs() {
   return {"processors",     "blocks",        "k",
           "rows",           "cols",          "waveguide_gbps",
@@ -155,10 +169,11 @@ core::MeshMachineParams mesh_from_config(const IniConfig& cfg,
   m.mi.reorder_cycles_per_element =
       static_cast<std::uint32_t>(cfg.get_int("mesh", "t_p", 1));
   m.mi.overlap_stages = cfg.get_bool("mesh", "overlap_stages", false);
-  m.net.buffer_depth =
-      static_cast<std::uint32_t>(cfg.get_int("mesh", "buffer_depth", 2));
-  m.net.virtual_channels =
-      static_cast<std::uint32_t>(cfg.get_int("mesh", "virtual_channels", 1));
+  const auto depth = cfg.get_int("mesh", "buffer_depth", 2);
+  const auto vcs = cfg.get_int("mesh", "virtual_channels", 1);
+  check_mesh_network(depth, vcs);
+  m.net.buffer_depth = static_cast<std::uint32_t>(depth);
+  m.net.virtual_channels = static_cast<std::uint32_t>(vcs);
   m.mi.dram.row_switch_cycles = static_cast<std::uint64_t>(
       cfg.get_int("mesh", "dram_row_switch_cycles", 0));
   return m;

@@ -5,7 +5,7 @@
 //
 // This is the system's front door: tools/psync_sim parses an INI file into
 // a spec, the bench binaries build specs programmatically, and both hand
-// them to Runner::run. Before the driver existed each of those call sites
+// them to Session::run. Before the driver existed each of those call sites
 // grew its own serial loop; now an N-point sweep is one spec with
 // `threads = M`.
 #pragma once
@@ -41,7 +41,7 @@ struct SweepAxis {
 /// their retries — one bad point no longer aborts the campaign.
 struct GuardParams {
   /// Convert per-point exceptions into failure records instead of
-  /// propagating them out of Runner::run.
+  /// propagating them out of Session::run.
   bool isolate = true;
   /// Re-runs allowed for transient failures (timeout, internal_error);
   /// deterministic failures (config_invalid, sim_diverged,
@@ -117,7 +117,7 @@ struct ExperimentSpec {
   std::size_t shard_end = static_cast<std::size_t>(-1);
 
   /// Grid indices the leader has quarantined (K consecutive worker crashes
-  /// on the same point). Runner records them as kQuarantined/worker_crash
+  /// on the same point). Session records them as kQuarantined/worker_crash
   /// without executing them, and journals that verdict so a later resume
   /// or merge sees it.
   std::vector<std::size_t> quarantine_indices;
@@ -125,7 +125,7 @@ struct ExperimentSpec {
   /// Process-wide cooperative shutdown token (non-owning; may be set from
   /// a SIGTERM/SIGINT handler). Once cancelled: no new point starts, the
   /// in-flight points finish or abandon at their next cycle-batch
-  /// boundary, the journal tail is already durable, and Runner::run throws
+  /// boundary, the journal tail is already durable, and Session::run throws
   /// CancelledError instead of returning a partial result.
   const CancelToken* cancel = nullptr;
 
@@ -191,6 +191,12 @@ bool apply_knob(const std::string& knob, double value,
 
 /// Every knob name apply_knob accepts.
 std::vector<std::string> known_knobs();
+
+/// Throws ConfigError naming the key unless mesh.buffer_depth is in
+/// [1, 255] and mesh.virtual_channels in [1, 16], the ranges mesh::Mesh
+/// accepts (it packs FIFO occupancy and credits into bytes).
+void check_mesh_network(std::int64_t buffer_depth,
+                        std::int64_t virtual_channels);
 
 /// Build a spec from a psync_sim INI config (see tools/psync_sim.cpp for
 /// the format). Legacy kinds map onto the registry: `kind = sweep` becomes

@@ -6,29 +6,8 @@
 #include "psync/common/check.hpp"
 #include "psync/common/table.hpp"
 #include "psync/core/trace.hpp"
-#include "psync/driver/session.hpp"
-#include "psync/perf/stopwatch.hpp"
 
 namespace psync::driver {
-
-RunRecord Runner::run_point(const std::string& workload, const RunPoint& pt) {
-  const Workload& w = find_workload(workload);
-  perf::Stopwatch watch;
-  RunRecord rec = w.run(pt);
-  rec.wall_ns = watch.elapsed_ns();
-  rec.index = pt.index;
-  rec.workload = workload;
-  rec.knobs = pt.knobs;
-  return rec;
-}
-
-SweepResult Runner::run(const ExperimentSpec& spec) {
-  // The execution body lives in Session::execute (session.cpp) since the
-  // submission/execution split; this shim keeps the synchronous entry
-  // every pre-service call site was written against, exceptions included.
-  Session session;
-  return session.run(spec);
-}
 
 namespace {
 

@@ -1,6 +1,7 @@
-// Runner: the single entry point every experiment goes through.
+// Sweep results and their renderers. Every experiment runs through
+// Session::run (session.hpp):
 //
-//   ExperimentSpec  ->  Runner::run  ->  Workload registry dispatch
+//   ExperimentSpec  ->  Session::run  ->  Workload registry dispatch
 //                         |                    (one RunRecord per point)
 //                         +--> SweepEngine (thread pool, deterministic
 //                              seeding, order-preserving collection)
@@ -25,38 +26,6 @@ struct SweepResult {
   std::vector<RunRecord> records;
   /// Campaign accounting: ok/failed/quarantined/retried/resumed tallies.
   CampaignReport campaign;
-};
-
-class Runner {
- public:
-  /// Expand the spec's sweep grid and execute every point through the
-  /// workload registry on `spec.threads` pool threads. Deterministic: the
-  /// records come back in grid order and each point's seed depends only on
-  /// (spec.input_seed, index), so serial and parallel runs are
-  /// byte-identical once rendered.
-  ///
-  /// Campaign features (all opt-in via the spec):
-  ///   * spec.guard — each point runs under a PointGuard (isolation,
-  ///     watchdog, retry, quarantine; campaign.hpp);
-  ///   * spec.journal_path — every finished point is appended to a
-  ///     checkpoint journal as one fsync'd JSONL line;
-  ///   * spec.resume — points already in the journal are reconstituted
-  ///     instead of re-run (validated against this sweep's grid indices,
-  ///     seeds and workload; throws JournalCorruptError/JournalConflictError
-  ///     — both SimulationError — on a damaged or mismatched journal), and
-  ///     the rendered output is byte-identical to an uninterrupted run;
-  ///   * spec.shard_begin/shard_end — execute only that window of the grid
-  ///     (the distributed layer's shard contract; seeds stay global);
-  ///   * spec.quarantine_indices — record those points as quarantined
-  ///     (worker_crash) without executing them;
-  ///   * spec.cancel — cooperative shutdown: no new point starts after the
-  ///     token fires, in-flight points abandon at cycle-batch boundaries,
-  ///     and CancelledError is thrown instead of returning a short result;
-  ///   * spec.observer — per-point start/done callbacks (heartbeats).
-  static SweepResult run(const ExperimentSpec& spec);
-
-  /// Execute one already-expanded point.
-  static RunRecord run_point(const std::string& workload, const RunPoint& pt);
 };
 
 /// ASCII table over the sweep grid: knob columns then metric columns.

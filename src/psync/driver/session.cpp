@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "psync/common/journal.hpp"
+#include "psync/perf/stopwatch.hpp"
 
 namespace psync::driver {
 
@@ -34,6 +35,18 @@ Campaign::~Campaign() {
 }
 
 namespace {
+
+// Execute one already-expanded point through the workload registry.
+RunRecord run_point(const std::string& workload, const RunPoint& pt) {
+  const Workload& w = find_workload(workload);
+  perf::Stopwatch watch;
+  RunRecord rec = w.run(pt);
+  rec.wall_ns = watch.elapsed_ns();
+  rec.index = pt.index;
+  rec.workload = workload;
+  rec.knobs = pt.knobs;
+  return rec;
+}
 
 // Record one landed point: event for subscribers, progress tally, wakeup.
 // Callers must NOT hold c->mu.
@@ -140,6 +153,16 @@ std::vector<ConfigError> Session::validate(const ExperimentSpec& spec) {
   } catch (const SimulationError& e) {
     diags.emplace_back(e.what());
   }
+  // The mesh network ranges are checked on the spec and, when it passes,
+  // after every knob of the dry-run below (virtual_channels is a knob).
+  bool mesh_ok = true;
+  try {
+    check_mesh_network(spec.mesh.net.buffer_depth,
+                       spec.mesh.net.virtual_channels);
+  } catch (const ConfigError& e) {
+    diags.push_back(e);
+    mesh_ok = false;
+  }
   // Grid size mirrors SweepEngine::expand exactly (axes multiply; no axes
   // is one point) so the shard-window clamp below matches execution.
   std::size_t total = 1;
@@ -159,6 +182,10 @@ std::vector<ConfigError> Session::validate(const ExperimentSpec& spec) {
         if (!apply_knob(axis.knob, value, &machine, &mesh)) {
           diags.emplace_back("sweep: unknown knob '" + axis.knob + "'");
           break;
+        }
+        if (mesh_ok) {
+          check_mesh_network(mesh.net.buffer_depth,
+                             mesh.net.virtual_channels);
         }
       } catch (const SimulationError& e) {
         diags.emplace_back(e.what());
@@ -361,7 +388,7 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
     if (spec.observer != nullptr) spec.observer->on_point_start(i);
     RunRecord rec = guard.run(
         spec.workload, points[i],
-        [&](const RunPoint& pt) { return Runner::run_point(spec.workload, pt); },
+        [&](const RunPoint& pt) { return run_point(spec.workload, pt); },
         &c->token);
     if (cache != nullptr && rec.status == PointStatus::kOk) {
       // Only clean results are worth caching: a transient failure

@@ -1,11 +1,11 @@
 // Session: the submission/execution split of the driver API.
 //
-// Runner::run grew into a monolith: spec validation, grid expansion,
-// journal resume, and point execution all happened inside one blocking
-// call. The campaign service (src/psync/serve) needs those phases apart —
-// a daemon must validate and hash a spec *before* committing threads to
-// it, run many campaigns concurrently, and stream per-point progress to
-// subscribers while points are still executing. Hence:
+// A single blocking run call would tie spec validation, grid expansion,
+// journal resume, and point execution together. The campaign service
+// (src/psync/serve) needs those phases apart — a daemon must validate and
+// hash a spec *before* committing threads to it, run many campaigns
+// concurrently, and stream per-point progress to subscribers while points
+// are still executing. Hence:
 //
 //   validate(spec)  -> typed ConfigError diagnostics; const, no I/O
 //   freeze(spec)    -> FrozenSpec: expanded grid + canonical JSON + digest
@@ -14,10 +14,9 @@
 //                      thread; poll progress, stream events, cancel, join
 //   run(spec)       -> submit + join, the old synchronous shape
 //
-// Runner::run is now a thin shim over Session::run, so every existing
-// caller (psync_sim, benches, dist workers) and every new one (the serve
-// daemon) execute points through literally the same code path — which is
-// what keeps serial, sharded, and served campaigns byte-identical.
+// Every caller (psync_sim, benches, dist workers, the serve daemon)
+// executes points through literally the same code path — which is what
+// keeps serial, sharded, and served campaigns byte-identical.
 //
 // A Session may carry a PointCache: before executing a pending point, the
 // campaign asks the cache for a record with the point's content digest
@@ -229,15 +228,36 @@ class Session {
 
   /// Execution phase: run the frozen campaign on its own thread and
   /// return immediately. Journal/resume/shard/cancel semantics are
-  /// exactly Runner::run's (runner.hpp documents them); execution errors
-  /// surface through the handle, not here.
+  /// exactly run()'s (documented there); execution errors surface through
+  /// the handle, not here.
   CampaignHandle submit(FrozenSpec frozen);
   /// freeze() + submit(). Invalid specs throw here, synchronously.
   CampaignHandle submit(const ExperimentSpec& spec);
 
-  /// The synchronous path: submit + join. Equivalent to the old
-  /// Runner::run (which now forwards here), including every exception it
-  /// threw.
+  /// The synchronous path: submit + join. Expands the spec's sweep grid
+  /// and executes every point through the workload registry on
+  /// `spec.threads` pool threads. Deterministic: the records come back in
+  /// grid order and each point's seed depends only on (spec.input_seed,
+  /// index), so serial and parallel runs are byte-identical once rendered.
+  ///
+  /// Campaign features (all opt-in via the spec):
+  ///   * spec.guard — each point runs under a PointGuard (isolation,
+  ///     watchdog, retry, quarantine; campaign.hpp);
+  ///   * spec.journal_path — every finished point is appended to a
+  ///     checkpoint journal as one fsync'd JSONL line;
+  ///   * spec.resume — points already in the journal are reconstituted
+  ///     instead of re-run (validated against this sweep's grid indices,
+  ///     seeds and workload; throws JournalCorruptError/JournalConflictError
+  ///     — both SimulationError — on a damaged or mismatched journal), and
+  ///     the rendered output is byte-identical to an uninterrupted run;
+  ///   * spec.shard_begin/shard_end — execute only that window of the grid
+  ///     (the distributed layer's shard contract; seeds stay global);
+  ///   * spec.quarantine_indices — record those points as quarantined
+  ///     (worker_crash) without executing them;
+  ///   * spec.cancel — cooperative shutdown: no new point starts after the
+  ///     token fires, in-flight points abandon at cycle-batch boundaries,
+  ///     and CancelledError is thrown instead of returning a short result;
+  ///   * spec.observer — per-point start/done callbacks (heartbeats).
   SweepResult run(const ExperimentSpec& spec);
 
  private:

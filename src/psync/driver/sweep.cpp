@@ -44,7 +44,7 @@ std::vector<RunPoint> SweepEngine::expand(const ExperimentSpec& spec) {
       }
     }
     // Content digest over the post-knob state: the result cache's per-point
-    // key. Computed here so every execution path (Runner, Session, dist
+    // key. Computed here so every execution path (Session, dist
     // workers) sees the same digest for the same point.
     pt.digest = point_digest(spec.workload, pt);
     points.push_back(std::move(pt));

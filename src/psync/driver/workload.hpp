@@ -61,7 +61,7 @@ PointStatus point_status_from_string(const std::string& s);
 
 /// Per-point progress callback (declared in experiment.hpp so
 /// ExperimentSpec can hold one). Called from SweepEngine pool threads under
-/// the Runner's journal lock, so implementations see starts and
+/// the Session's journal lock, so implementations see starts and
 /// completions in a consistent order but must stay cheap and re-entrant.
 class PointObserver {
  public:
@@ -88,7 +88,7 @@ struct RunRecord {
   std::vector<std::pair<std::string, double>> knobs;
   std::vector<Metric> metrics;
 
-  /// Host wall time Runner::run_point spent on this point. Deliberately
+  /// Host wall time the Session spent running this point. Deliberately
   /// excluded from every serializer (tables, JSON, CSV): reports stay
   /// byte-identical run to run; `psync_sim --profile` is what surfaces it.
   double wall_ns = 0.0;

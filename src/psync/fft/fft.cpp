@@ -1,7 +1,6 @@
 #include "psync/fft/fft.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -20,29 +19,9 @@ std::size_t ilog2(std::size_t n) {
   return l;
 }
 
-std::atomic<bool> g_fast_kernel{true};
-
-// -1 = auto (use the vector bodies whenever the CPU supports them),
-// 0 = forced scalar, 1 = forced on (still gated on availability).
-std::atomic<int> g_vector_kernel{-1};
-
 }  // namespace
 
-void set_fast_kernel(bool on) {
-  g_fast_kernel.store(on, std::memory_order_relaxed);
-}
-
-bool fast_kernel() { return g_fast_kernel.load(std::memory_order_relaxed); }
-
-void set_vector_kernel(bool on) {
-  g_vector_kernel.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool vector_kernel() {
-  if (!detail::vector_kernel_available()) return false;
-  const int v = g_vector_kernel.load(std::memory_order_relaxed);
-  return v != 0;
-}
+bool vector_kernel() { return detail::vector_kernel_available(); }
 
 std::uint64_t block_phase_mults(std::size_t n, std::size_t k) {
   PSYNC_CHECK(is_pow2(n) && is_pow2(k) && k <= n);
@@ -73,14 +52,17 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     }
     rev_[i] = r;
   }
-  twiddle_.resize(std::max<std::size_t>(n / 2, 1));
-  for (std::size_t j = 0; j < twiddle_.size(); ++j) {
+  // twiddle[j] = exp(-2*pi*i*j/N), j < N/2. The test oracle
+  // (tests/oracle/fft_stages.cpp) builds its table with this exact
+  // expression, so both multiply by bit-identical factors.
+  std::vector<Complex> twiddle(std::max<std::size_t>(n / 2, 1));
+  for (std::size_t j = 0; j < twiddle.size(); ++j) {
     const double ang =
         -2.0 * std::numbers::pi * static_cast<double>(j) / static_cast<double>(n);
-    twiddle_[j] = Complex(std::cos(ang), std::sin(ang));
+    twiddle[j] = Complex(std::cos(ang), std::sin(ang));
   }
-  // Stage-major copy: stage s uses factors twiddle_[j * (n >> (s+1))] for
-  // j < 2^s; laying them out contiguously per stage turns the fast kernel's
+  // Stage-major layout: stage s uses factors twiddle[j * (n >> (s+1))] for
+  // j < 2^s; laying them out contiguously per stage turns the kernel's
   // twiddle loads into sequential reads.
   stage_off_.resize(log2n_ + 1);
   stage_tw_re_.resize(n_ > 1 ? n_ - 1 : 1);
@@ -91,8 +73,8 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     const std::size_t half = std::size_t{1} << s;
     const std::size_t stride = n_ >> (s + 1);
     for (std::size_t j = 0; j < half; ++j) {
-      stage_tw_re_[off + j] = twiddle_[j * stride].real();
-      stage_tw_im_[off + j] = twiddle_[j * stride].imag();
+      stage_tw_re_[off + j] = twiddle[j * stride].real();
+      stage_tw_im_[off + j] = twiddle[j * stride].imag();
     }
     off += half;
   }
@@ -107,69 +89,19 @@ void FftPlan::bit_reverse(std::span<Complex> data) const {
   }
 }
 
-OpCount FftPlan::run_stages(std::span<Complex> data, std::size_t first_stage,
-                            std::size_t last_stage, std::size_t block_offset,
-                            std::size_t block_size) const {
-  if (fast_kernel()) {
-    return run_stages_fast(data, first_stage, last_stage, block_offset,
-                           block_size);
-  }
-  return run_stages_reference(data, first_stage, last_stage, block_offset,
-                              block_size);
-}
-
-OpCount FftPlan::run_stages_reference(std::span<Complex> data,
-                                      std::size_t first_stage,
-                                      std::size_t last_stage,
-                                      std::size_t block_offset,
-                                      std::size_t block_size) const {
-  PSYNC_CHECK(data.size() == n_);
-  PSYNC_CHECK(first_stage <= last_stage && last_stage <= log2n_);
-  if (block_size == 0) {
-    block_offset = 0;
-    block_size = n_;
-  }
-  PSYNC_CHECK(block_offset + block_size <= n_);
-
-  OpCount ops;
-  for (std::size_t s = first_stage; s < last_stage; ++s) {
-    const std::size_t m = std::size_t{1} << (s + 1);
-    PSYNC_CHECK_MSG(m <= block_size,
-                    "butterfly span exceeds the block being computed");
-    const std::size_t half = m / 2;
-    const std::size_t stride = n_ / m;  // twiddle index stride
-    for (std::size_t start = block_offset; start < block_offset + block_size;
-         start += m) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const Complex w = twiddle_[j * stride];
-        const Complex t = w * data[start + half + j];
-        const Complex u = data[start + j];
-        data[start + j] = u + t;
-        data[start + half + j] = u - t;
-      }
-    }
-    const std::uint64_t bf = block_size / 2;
-    ops.butterflies += bf;
-    ops.real_mults += 4 * bf;  // one complex multiply
-    ops.real_adds += 6 * bf;   // complex multiply adds + two complex adds
-  }
-  return ops;
-}
-
-// Fast stage kernel. Two consecutive radix-2 stages are fused into one pass
+// Stage kernel. Two consecutive radix-2 stages are fused into one pass
 // over each 4*2^s-element group (a radix-4 decomposition that keeps radix-2
 // arithmetic): the stage-s butterflies of a group feed its stage-(s+1)
 // butterflies directly from registers, halving the number of passes over the
 // data. Complex multiplies are written out as the four real multiplies and
 // two adds that operator*(complex, complex) performs for finite values, on
 // factors copied bit-for-bit into the contiguous stage tables — so every
-// element sees the exact arithmetic sequence of run_stages_reference and the
-// results match to the bit.
-OpCount FftPlan::run_stages_fast(std::span<Complex> data,
-                                 std::size_t first_stage,
-                                 std::size_t last_stage,
-                                 std::size_t block_offset,
-                                 std::size_t block_size) const {
+// element sees the exact arithmetic sequence of the strided radix-2 loop
+// (the test oracle, tests/oracle/fft_stages.cpp) and the results match to
+// the bit.
+OpCount FftPlan::run_stages(std::span<Complex> data, std::size_t first_stage,
+                            std::size_t last_stage, std::size_t block_offset,
+                            std::size_t block_size) const {
   PSYNC_CHECK(data.size() == n_);
   PSYNC_CHECK(first_stage <= last_stage && last_stage <= log2n_);
   if (block_size == 0) {

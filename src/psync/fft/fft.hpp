@@ -42,24 +42,11 @@ std::uint64_t final_phase_mults(std::size_t n, std::size_t k);
 /// Expected multiplies for a full N-point FFT: 2N * log2(N).
 std::uint64_t full_fft_mults(std::size_t n);
 
-/// Select the FFT stage kernel globally (default: fast). The fast kernel is
-/// a two-stage-fused (radix-4 style) cache-blocked loop over contiguous
-/// per-stage twiddle tables; it performs the exact same real multiplies and
-/// adds as the reference radix-2 loop, in the same order per element, so
-/// results are bit-identical for finite data. The toggle exists so
-/// equivalence tests and benchmarks can pin either path.
-void set_fast_kernel(bool on);
-bool fast_kernel();
-
-/// Select the vectorized (AVX2 on x86, NEON on AArch64) butterfly bodies
-/// inside the fast kernel. Default: on whenever the CPU supports them; the
-/// PSYNC_FORCE_SCALAR environment variable pins the scalar loops regardless.
-/// The vector bodies perform the same real multiplies and adds per element
-/// as the scalar fast kernel (no FMA contraction), so results stay
-/// bit-identical across all three paths. vector_kernel() reports the
-/// *effective* state: false when the hardware or build cannot run the
-/// vector path, whatever was requested.
-void set_vector_kernel(bool on);
+/// True when run_stages uses the vectorized (AVX2 on x86, NEON on AArch64)
+/// butterfly bodies: the CPU supports them and the PSYNC_FORCE_SCALAR
+/// environment variable is unset. The vector bodies perform the same real
+/// multiplies and adds per element as the scalar loops (no FMA
+/// contraction), so results are bit-identical either way.
 bool vector_kernel();
 
 /// Precomputed plan for N-point transforms (N a power of two, N >= 1).
@@ -88,19 +75,15 @@ class FftPlan {
   /// Runs stages [first_stage, last_stage) on `data` (already bit-reversed).
   /// Stage s in [0, log2 N) has butterfly span 2^s. Exposed so machine
   /// simulators can interleave stage execution with delivery.
+  ///
+  /// The kernel fuses stage pairs (radix-4 style) and reads contiguous
+  /// per-stage twiddle tables; it performs the exact real multiplies and
+  /// adds of the strided radix-2 loop, in the same order per element, so
+  /// results are bit-identical to it for finite data. That loop is the test
+  /// oracle (tests/oracle/fft_stages.hpp).
   OpCount run_stages(std::span<Complex> data, std::size_t first_stage,
                      std::size_t last_stage, std::size_t block_offset = 0,
                      std::size_t block_size = 0) const;
-
-  /// The original strided radix-2 stage loop, kept as the ground truth the
-  /// fast kernel is tested against (and as the slow side of before/after
-  /// benchmark pairs). run_stages() dispatches here when fast_kernel() is
-  /// off.
-  OpCount run_stages_reference(std::span<Complex> data,
-                               std::size_t first_stage,
-                               std::size_t last_stage,
-                               std::size_t block_offset = 0,
-                               std::size_t block_size = 0) const;
 
   /// Bit-reversal permutation of `data` (size N).
   void bit_reverse(std::span<Complex> data) const;
@@ -109,19 +92,12 @@ class FftPlan {
   std::size_t bit_reversed_index(std::size_t i) const { return rev_[i]; }
 
  private:
-  OpCount run_stages_fast(std::span<Complex> data, std::size_t first_stage,
-                          std::size_t last_stage, std::size_t block_offset,
-                          std::size_t block_size) const;
-
   std::size_t n_;
   std::size_t log2n_;
   std::vector<std::size_t> rev_;
-  std::vector<Complex> twiddle_;  // twiddle_[j] = exp(-2*pi*i*j/N), j < N/2
-  // Stage-major twiddles for the fast kernel: stage s's 2^s factors start at
-  // stage_off_[s], stored as split real/imag arrays so the inner loops read
-  // contiguous doubles (SIMD-friendly) instead of striding through twiddle_.
-  // Values are copied verbatim from twiddle_, so both kernels multiply by
-  // bit-identical factors.
+  // Stage-major twiddles: stage s's factors exp(-2*pi*i*j/2^(s+1)), j < 2^s,
+  // start at stage_off_[s], stored as split real/imag arrays so the inner
+  // loops read contiguous doubles (SIMD-friendly).
   std::vector<std::size_t> stage_off_;
   std::vector<double> stage_tw_re_;
   std::vector<double> stage_tw_im_;

@@ -1,10 +1,11 @@
-// Vectorized bodies for the fast FFT stage kernel. Each ISA-specific
-// translation unit (fft_kernels_avx2.cpp, fft_kernels_neon.cpp) performs the
-// exact real multiplies and adds of the scalar loops in run_stages_fast, in
-// the same order per element, so the transforms stay bit-identical whichever
-// path runs. The wrappers below pick the ISA that matches the build target;
-// availability is still a *runtime* question (CPUID + PSYNC_FORCE_SCALAR),
-// answered by vector_kernel_available().
+// Vectorized bodies for the FFT stage kernel. Each ISA-specific
+// translation unit (fft_kernels_avx2.cpp, fft_kernels_neon.cpp) performs
+// the exact real multiplies and adds of the scalar loops in
+// FftPlan::run_stages, in the same order per element, so the transforms
+// stay bit-identical whichever path runs. The wrappers below pick the ISA
+// that matches the build target; availability is still a *runtime*
+// question (CPUID + PSYNC_FORCE_SCALAR), answered by
+// vector_kernel_available().
 //
 // `d` points at the interleaved re/im doubles of the whole row;
 // [begin, end) are complex-element indices covering whole butterfly groups.
@@ -62,7 +63,7 @@ inline void single_stage_vec(double* d, const double* w1r, const double* w1i,
 
 #else
 
-// No vector backend for this target; run_stages_fast never dispatches here.
+// No vector backend for this target; FftPlan::run_stages never calls these.
 inline bool vector_kernel_available() { return false; }
 inline void fused_pair_vec(double*, const double*, const double*,
                            const double*, const double*, std::size_t,

@@ -1,7 +1,6 @@
 #include "psync/mesh/mesh.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -19,8 +18,6 @@ bool ConsumeSink::accept(const Flit& flit, std::int64_t cycle) {
 }
 
 namespace {
-
-std::atomic<bool> g_reference_datapath{false};
 
 constexpr int opposite(int port) {
   switch (port) {
@@ -85,13 +82,6 @@ inline std::uint32_t lane_bits(std::uint64_t m) {
 
 }  // namespace
 
-void set_reference_datapath(bool on) {
-  g_reference_datapath.store(on, std::memory_order_relaxed);
-}
-bool reference_datapath() {
-  return g_reference_datapath.load(std::memory_order_relaxed);
-}
-
 Mesh::Mesh(MeshParams params) : params_(params) {
   if (params_.width == 0 || params_.height == 0) {
     throw SimulationError("Mesh: dimensions must be positive");
@@ -99,16 +89,13 @@ Mesh::Mesh(MeshParams params) : params_(params) {
   if (params_.buffer_depth == 0) {
     throw SimulationError("Mesh: buffer depth must be positive");
   }
+  // FIFO occupancy and credits are packed into bytes.
+  if (params_.buffer_depth > 255) {
+    throw SimulationError("Mesh: buffer depth must be at most 255");
+  }
   if (params_.virtual_channels == 0 || params_.virtual_channels > 16) {
     throw SimulationError("Mesh: virtual channels must be in [1, 16]");
   }
-  // The SoA layout packs FIFO occupancy and credits into bytes; depths that
-  // do not fit take the reference datapath (correct, just not vectorized).
-  if (reference_datapath() || params_.buffer_depth > 255) {
-    ref_ = std::make_unique<ReferenceMesh>(params_);
-    return;
-  }
-
   const std::uint32_t n = nodes();
   const std::uint32_t v = vcs();
   vc_total_ = static_cast<std::uint32_t>(kPorts) * v;
@@ -218,10 +205,6 @@ std::uint32_t Mesh::manhattan(NodeId a, NodeId b) const {
 }
 
 void Mesh::set_sink(NodeId node, Sink* sink) {
-  if (ref_) {
-    ref_->set_sink(node, sink);
-    return;
-  }
   PSYNC_CHECK(node < nodes());
   PSYNC_CHECK(sink != nullptr);
   sinks_[node] = sink;
@@ -568,10 +551,6 @@ void Mesh::enqueue_packet(PacketId id) {
 }
 
 void Mesh::inject(const PacketDesc& desc) {
-  if (ref_) {
-    ref_->inject(desc);
-    return;
-  }
   PSYNC_CHECK(desc.src < nodes());
   PSYNC_CHECK(desc.dst < nodes());
   PSYNC_CHECK_MSG(desc.words.empty() || desc.words.size() == desc.payload_flits,
@@ -960,10 +939,6 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
 __attribute__((flatten))
 #endif
 void Mesh::step() {
-  if (ref_) {
-    ref_->step();
-    return;
-  }
   // Explicitly attached sinks see the new cycle first so their per-cycle
   // budgets reset (default sinks are self-clocked).
   for (NodeId n : stepped_sinks_) sinks_[n]->step(cycle_);
@@ -1050,12 +1025,10 @@ void Mesh::step() {
 }
 
 bool Mesh::drained() const {
-  if (ref_) return ref_->drained();
   return in_flight_flits_ == 0 && releases_.empty() && queued_flits_ == 0;
 }
 
 bool Mesh::run_until_drained(std::int64_t max_cycles) {
-  if (ref_) return ref_->run_until_drained(max_cycles);
   // Latency records are appended inside the stepping loop; reserving from
   // the in-flight count here keeps reallocation out of the measurement.
   if (record_latencies_) {

@@ -12,7 +12,8 @@
 //     free turn model) that picks the less congested minimal direction.
 //
 // Datapath layout: this class is the structure-of-arrays rewrite of the
-// retained reference implementation (reference_mesh.hpp). Packet fields
+// original array-of-structs model, which lives beside the tests as
+// oracle::ReferenceMesh (tests/oracle/reference_mesh.hpp). Packet fields
 // (src/dst/flit count/payload base/payload words) live in flat parallel
 // arrays indexed by packet id, captured at inject() time; a ring slot then
 // holds a single packed word — packet id, sequence number, tail bit —
@@ -24,9 +25,9 @@
 // unaligned 64-bit load and SWAR byte masks instead of chasing 40-byte
 // Flit copies. Payload words move into an arena at inject() time, so
 // nothing vector-sized rides through the release queue.
-// Both datapaths are byte-identical by construction and by test
-// (test_mesh_soa); set_reference_datapath() routes new Mesh instances
-// through the reference stepping path for differential checks.
+// Both are byte-identical by construction and by test (test_mesh_soa).
+// Occupancy and credits are byte-wide, so the constructor rejects a
+// buffer_depth above 255.
 //
 // Ejection at a node goes to a Sink; memory interfaces (memory_interface.hpp)
 // and simple consumers implement this interface.
@@ -41,17 +42,8 @@
 #include "psync/common/stats.hpp"
 #include "psync/mesh/flit.hpp"
 #include "psync/mesh/mesh_types.hpp"
-#include "psync/mesh/reference_mesh.hpp"
 
 namespace psync::mesh {
-
-/// Process-wide toggle: when set, newly constructed Mesh objects delegate
-/// every call to the retained reference datapath (reference_mesh.hpp).
-/// Snapshotted at construction — flipping it does not affect live meshes.
-/// Exists for differential tests and the `*_reference` bench entries; results
-/// are byte-identical either way.
-void set_reference_datapath(bool on);
-bool reference_datapath();
 
 class Mesh {
  public:
@@ -59,7 +51,7 @@ class Mesh {
 
   const MeshParams& params() const { return params_; }
   std::uint32_t nodes() const { return params_.width * params_.height; }
-  std::int64_t cycle() const { return ref_ ? ref_->cycle() : cycle_; }
+  std::int64_t cycle() const { return cycle_; }
 
   NodeId node_at(std::uint32_t x, std::uint32_t y) const;
   std::uint32_t x_of(NodeId n) const { return n % params_.width; }
@@ -86,43 +78,23 @@ class Mesh {
   /// Skipped cycles are observationally idle — no counter, stat, or sink
   /// callback would have fired — so results are identical either way; the
   /// toggle exists so equivalence tests can force the naive loop.
-  void set_idle_skip(bool on) {
-    if (ref_) ref_->set_idle_skip(on);
-    idle_skip_ = on;
-  }
+  void set_idle_skip(bool on) { idle_skip_ = on; }
   bool idle_skip() const { return idle_skip_; }
 
   /// True when no flit is buffered anywhere and no injection is pending.
   bool drained() const;
 
-  const MeshActivity& activity() const {
-    return ref_ ? ref_->activity() : activity_;
-  }
+  const MeshActivity& activity() const { return activity_; }
   /// Packet latency (inject of head to eject of tail), in cycles.
-  const RunningStats& packet_latency() const {
-    return ref_ ? ref_->packet_latency() : packet_latency_;
-  }
+  const RunningStats& packet_latency() const { return packet_latency_; }
   /// Opt-in per-packet latency recording (for histograms); off by default
   /// to keep the big runs lean.
-  void record_latencies(bool on) {
-    if (ref_) ref_->record_latencies(on);
-    record_latencies_ = on;
-  }
-  const std::vector<double>& latencies() const {
-    return ref_ ? ref_->latencies() : latencies_;
-  }
+  void record_latencies(bool on) { record_latencies_ = on; }
+  const std::vector<double>& latencies() const { return latencies_; }
   /// Flits currently buffered in the network.
-  std::uint64_t in_flight_flits() const {
-    return ref_ ? ref_->in_flight_flits() : in_flight_flits_;
-  }
+  std::uint64_t in_flight_flits() const { return in_flight_flits_; }
   /// Packets injected but whose tail has not yet ejected.
-  std::uint64_t in_flight_packets() const {
-    return ref_ ? ref_->in_flight_packets() : in_flight_packets_;
-  }
-  /// True when this instance runs the retained reference datapath (set by
-  /// set_reference_datapath() at construction, or forced by parameters the
-  /// SoA layout does not encode, e.g. buffer_depth > 255).
-  bool using_reference_datapath() const { return ref_ != nullptr; }
+  std::uint64_t in_flight_packets() const { return in_flight_packets_; }
 
  private:
   // Port order: N, E, S, W, LOCAL-in (injection); outputs: N, E, S, W, EJECT.
@@ -212,9 +184,6 @@ class Mesh {
   void enqueue_packet(PacketId id);
 
   MeshParams params_;
-  // Delegation target when the reference datapath is selected; every public
-  // method forwards when non-null.
-  std::unique_ptr<ReferenceMesh> ref_;
 
   std::uint32_t vc_total_ = 0;  // kPorts * virtual_channels
   std::uint32_t stride_ = 0;    // lane stride per router (8 when packed)

@@ -1,7 +1,7 @@
 // Shared types for the wormhole-routed 2D mesh NoC: parameters, sinks, and
-// activity counters. Both datapaths (the SoA production path in mesh.hpp and
-// the retained reference path in reference_mesh.hpp) build on these, so they
-// live in their own header to keep the include graph acyclic.
+// activity counters. The production datapath (mesh.hpp) and the test oracle
+// (tests/oracle/reference_mesh.hpp) both build on these, so they live in
+// their own header to keep the include graph acyclic.
 #pragma once
 
 #include <cstdint>

@@ -1,17 +1,13 @@
 #include "psync/reliability/crc32.hpp"
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstring>
 
 #include "psync/reliability/reliability_kernels.hpp"
-#include "psync/reliability/vector_codec.hpp"
 
 namespace psync::reliability {
 namespace {
-
-std::atomic<bool> g_vector_codec{true};
 
 // Slice-by-8 CRC-32: eight 256-entry tables let the hot loop fold eight
 // message bytes per iteration with eight independent lookups instead of
@@ -47,18 +43,12 @@ inline std::uint32_t update_bytewise(std::uint32_t crc,
 
 }  // namespace
 
-void set_vector_codec(bool on) {
-  g_vector_codec.store(on, std::memory_order_relaxed);
-}
-
-bool vector_codec() { return g_vector_codec.load(std::memory_order_relaxed); }
-
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
   // Long buffers fold 64 bytes per round with carry-less multiplies when
   // the CPU has PCLMULQDQ; the remainder is identical to the table loops'.
-  if (len >= 64 && vector_codec() && detail::crc32_pclmul_available()) {
+  if (len >= 64 && detail::crc32_pclmul_available()) {
     std::size_t consumed = 0;
     crc = detail::crc32_fold_pclmul(crc, p, len, &consumed);
     p += consumed;
@@ -108,13 +98,6 @@ std::uint32_t crc32_words(const std::uint64_t* words, std::size_t count) {
     }
   }
   return crc32_finalize(crc);
-}
-
-/// Byte-at-a-time reference kept for identity tests and before/after
-/// benchmarks; produces the same value as crc32_update for every input.
-std::uint32_t crc32_update_reference(std::uint32_t crc, const void* data,
-                                     std::size_t len) {
-  return update_bytewise(crc, static_cast<const unsigned char*>(data), len);
 }
 
 }  // namespace psync::reliability

@@ -23,11 +23,6 @@ inline constexpr std::uint32_t kCrc32Init = 0xFFFFFFFFU;
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t len);
 
-/// The byte-at-a-time loop the slice-by-8 path is verified against
-/// (identity tests, before/after benchmarks).
-std::uint32_t crc32_update_reference(std::uint32_t crc, const void* data,
-                                     std::size_t len);
-
 inline std::uint32_t crc32_finalize(std::uint32_t crc) { return ~crc; }
 
 /// One-shot CRC of a byte buffer.

@@ -112,69 +112,4 @@ BlockDecode decode_block(const std::uint64_t* wire, std::size_t n,
   return out;
 }
 
-void encode_block_reference(const std::uint64_t* payload, std::size_t n,
-                            std::vector<std::uint64_t>* wire) {
-  PSYNC_CHECK(wire != nullptr && n > 0);
-  const std::size_t base = wire->size();
-  wire->insert(wire->end(), payload, payload + n);
-  // Byte-serialize each word little-endian through the reference CRC loop.
-  std::uint32_t crc = kCrc32Init;
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned char bytes[8];
-    for (int b = 0; b < 8; ++b) {
-      bytes[b] = static_cast<unsigned char>(payload[i] >> (8 * b));
-    }
-    crc = crc32_update_reference(crc, bytes, 8);
-  }
-  wire->push_back(static_cast<std::uint64_t>(crc32_finalize(crc)));
-
-  const std::size_t data_words = n + 1;
-  std::vector<std::uint64_t> checks(check_words_for(data_words), 0);
-  for (std::size_t i = 0; i < data_words; ++i) {
-    const std::uint8_t c = secded_encode((*wire)[base + i]);
-    checks[i / 8] |= static_cast<std::uint64_t>(c) << (8 * (i % 8));
-  }
-  wire->insert(wire->end(), checks.begin(), checks.end());
-}
-
-BlockDecode decode_block_reference(const std::uint64_t* wire, std::size_t n,
-                                   bool correct) {
-  PSYNC_CHECK(wire != nullptr && n > 0);
-  const std::size_t data_words = n + 1;
-  const std::uint64_t* checks = wire + data_words;
-
-  BlockDecode out;
-  out.payload.reserve(n);
-  std::uint64_t crc_word = 0;
-  for (std::size_t i = 0; i < data_words; ++i) {
-    const auto check = static_cast<std::uint8_t>(
-        (checks[i / 8] >> (8 * (i % 8))) & 0xFFU);
-    const SecdedResult dec = secded_decode(wire[i], check);
-    if (!dec.clean()) ++out.flagged_words;
-    // A repair only counts when it is actually applied; in detect-only
-    // decoding a correctable word is just a flagged word.
-    if (correct && dec.status == SecdedStatus::kCorrectedData) {
-      ++out.corrected_bits;
-    }
-    if (dec.double_error()) ++out.double_errors;
-    const std::uint64_t w = correct ? dec.data : wire[i];
-    if (i < n) {
-      out.payload.push_back(w);
-    } else {
-      crc_word = w;
-    }
-  }
-  std::uint32_t crc = kCrc32Init;
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned char bytes[8];
-    for (int b = 0; b < 8; ++b) {
-      bytes[b] = static_cast<unsigned char>(out.payload[i] >> (8 * b));
-    }
-    crc = crc32_update_reference(crc, bytes, 8);
-  }
-  out.crc_ok = crc32_finalize(crc) ==
-               static_cast<std::uint32_t>(crc_word & 0xFFFFFFFFU);
-  return out;
-}
-
 }  // namespace psync::reliability

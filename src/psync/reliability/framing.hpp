@@ -66,11 +66,4 @@ BlockDecode decode_block(const std::uint64_t* wire, std::size_t n,
 void decode_block_into(const std::uint64_t* wire, std::size_t n, bool correct,
                        BlockDecode* out);
 
-/// Original per-word encode/decode loops, kept as the ground truth the
-/// batched paths are tested against. Behavior is identical.
-void encode_block_reference(const std::uint64_t* payload, std::size_t n,
-                            std::vector<std::uint64_t>* wire);
-BlockDecode decode_block_reference(const std::uint64_t* wire, std::size_t n,
-                                   bool correct);
-
 }  // namespace psync::reliability

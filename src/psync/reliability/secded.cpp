@@ -4,7 +4,6 @@
 
 #include "psync/reliability/reliability_kernels.hpp"
 #include "psync/reliability/secded_tables.hpp"
-#include "psync/reliability/vector_codec.hpp"
 
 namespace psync::reliability {
 namespace {
@@ -39,7 +38,7 @@ std::uint8_t secded_encode(std::uint64_t data) {
 void secded_encode_words(const std::uint64_t* data, std::size_t count,
                          std::uint8_t* checks) {
   std::size_t i = 0;
-  if (vector_codec() && detail::secded_avx2_available()) {
+  if (detail::secded_avx2_available()) {
     for (; i + 4 <= count; i += 4) {
       detail::secded_encode4_avx2(data + i, checks + i);
     }
@@ -78,7 +77,7 @@ void secded_decode_words(const std::uint64_t* data, const std::uint8_t* checks,
   };
 
   std::size_t i = 0;
-  if (vector_codec() && detail::secded_avx2_available()) {
+  if (detail::secded_avx2_available()) {
     for (; i + 4 <= count; i += 4) {
       if (detail::secded_flagged4_avx2(data + i, checks + i) == 0) {
         out[i] = data[i];

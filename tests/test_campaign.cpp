@@ -16,6 +16,7 @@
 #include "psync/common/check.hpp"
 #include "psync/common/journal.hpp"
 #include "psync/driver/runner.hpp"
+#include "psync/driver/session.hpp"
 
 namespace psync::driver {
 namespace {
@@ -257,7 +258,7 @@ TEST(Resume, EveryJournalPrefixRendersIdenticalOutput) {
   const std::string journal = temp_path("resume.jsonl");
   auto spec = resume_spec(journal);
 
-  const auto full = Runner::run(spec);
+  const auto full = Session().run(spec);
   const std::string ref_json = sweep_json(full);
   const std::string ref_csv = sweep_csv(full);
   const auto lines = read_journal_lines(journal);
@@ -274,7 +275,7 @@ TEST(Resume, EveryJournalPrefixRendersIdenticalOutput) {
     }
     write_file(journal, content);
 
-    const auto resumed = Runner::run(truncated);
+    const auto resumed = Session().run(truncated);
     EXPECT_EQ(resumed.campaign.resumed, keep) << "keep=" << keep;
     EXPECT_EQ(sweep_json(resumed), ref_json) << "keep=" << keep;
     EXPECT_EQ(sweep_csv(resumed), ref_csv) << "keep=" << keep;
@@ -285,11 +286,11 @@ TEST(Resume, EveryJournalPrefixRendersIdenticalOutput) {
 TEST(Resume, CompletedJournalRunsNothing) {
   const std::string journal = temp_path("resume_done.jsonl");
   auto spec = resume_spec(journal);
-  const auto full = Runner::run(spec);
+  const auto full = Session().run(spec);
 
   auto again = spec;
   again.resume = true;
-  const auto resumed = Runner::run(again);
+  const auto resumed = Session().run(again);
   EXPECT_EQ(resumed.campaign.resumed, 4u);
   EXPECT_EQ(resumed.campaign.ok, 4u);
   // Resumed records carry raw report fragments, not live reports.
@@ -304,32 +305,32 @@ TEST(Resume, CompletedJournalRunsNothing) {
 TEST(Resume, MismatchedSeedIsRejected) {
   const std::string journal = temp_path("resume_seed.jsonl");
   auto spec = resume_spec(journal);
-  (void)Runner::run(spec);
+  (void)Session().run(spec);
 
   auto other = spec;
   other.resume = true;
   other.input_seed = spec.input_seed + 1;  // different campaign
-  EXPECT_THROW((void)Runner::run(other), SimulationError);
+  EXPECT_THROW((void)Session().run(other), SimulationError);
   std::remove(journal.c_str());
 }
 
 TEST(Resume, CorruptMiddleLineIsRejected) {
   const std::string journal = temp_path("resume_corrupt.jsonl");
   auto spec = resume_spec(journal);
-  (void)Runner::run(spec);
+  (void)Session().run(spec);
   auto lines = read_journal_lines(journal);
   ASSERT_GE(lines.size(), 2u);
   write_file(journal, "definitely not a record\n" + lines[1] + "\n");
 
   spec.resume = true;
-  EXPECT_THROW((void)Runner::run(spec), SimulationError);
+  EXPECT_THROW((void)Session().run(spec), SimulationError);
   std::remove(journal.c_str());
 }
 
 TEST(Resume, WithoutJournalPathThrows) {
   ExperimentSpec spec = resume_spec("");
   spec.resume = true;
-  EXPECT_THROW((void)Runner::run(spec), SimulationError);
+  EXPECT_THROW((void)Session().run(spec), SimulationError);
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +343,7 @@ TEST(PointGuard, ConfigInvalidPointIsIsolated) {
   spec.machine.matrix_cols = 32;
   // 12 does not divide 32: the machine constructor throws ConfigError.
   spec.axes.push_back({"processors", {8, 12, 16}});
-  const auto result = Runner::run(spec);
+  const auto result = Session().run(spec);
 
   ASSERT_EQ(result.records.size(), 3u);
   EXPECT_EQ(result.records[0].status, PointStatus::kOk);
@@ -373,7 +374,7 @@ TEST(PointGuard, IsolationOffPropagatesTheException) {
   spec.machine.matrix_cols = 32;
   spec.axes.push_back({"processors", {8, 12, 16}});
   spec.guard.isolate = false;
-  EXPECT_THROW((void)Runner::run(spec), ConfigError);
+  EXPECT_THROW((void)Session().run(spec), ConfigError);
 }
 
 TEST(PointGuard, OomEstimateGateRefusesOversizedPoints) {
@@ -383,7 +384,7 @@ TEST(PointGuard, OomEstimateGateRefusesOversizedPoints) {
   spec.machine.matrix_rows = 256;
   spec.machine.matrix_cols = 256;
   spec.guard.max_point_mb = 1;  // 256x256 complex working set is ~6 MiB
-  const auto result = Runner::run(spec);
+  const auto result = Session().run(spec);
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_EQ(result.records[0].status, PointStatus::kFailed);
   ASSERT_TRUE(result.records[0].failure.has_value());
@@ -426,7 +427,7 @@ TEST(PointGuard, WatchdogTimesOutRetriesAndQuarantines) {
   spec.guard.point_timeout_ms = 50.0;
   spec.guard.max_retries = 2;
   spec.guard.retry_backoff_ms = 1.0;
-  const auto result = Runner::run(spec);
+  const auto result = Session().run(spec);
 
   ASSERT_EQ(result.records.size(), 3u);
   EXPECT_EQ(result.records[0].status, PointStatus::kOk);
@@ -454,12 +455,12 @@ TEST(PointGuard, QuarantinedRecordSurvivesTheJournalRoundTrip) {
   spec.guard.point_timeout_ms = 20.0;
   spec.guard.max_retries = 0;
   spec.journal_path = journal;
-  const auto full = Runner::run(spec);
+  const auto full = Session().run(spec);
   EXPECT_EQ(full.campaign.quarantined, 1u);
 
   auto again = spec;
   again.resume = true;
-  const auto resumed = Runner::run(again);
+  const auto resumed = Session().run(again);
   EXPECT_EQ(resumed.campaign.resumed, 2u);
   EXPECT_EQ(resumed.campaign.quarantined, 1u);
   ASSERT_TRUE(resumed.records[0].failure.has_value());

@@ -1,6 +1,6 @@
 // Distributed sweeps (src/psync/dist): shard planning, the heartbeat wire
 // codec, flock journal ownership, the crash-identical journal merge, the
-// Runner's shard window, and full leader/worker supervision over the one
+// Session's shard window, and full leader/worker supervision over the one
 // leader<->worker transport (framed TCP, journal shipped to the leader) —
 // worker crash restart, wedge detection via heartbeat liveness,
 // crash-loop quarantine, work stealing, lossy links, partition fencing,
@@ -31,6 +31,7 @@
 #include "psync/dist/transport.hpp"
 #include "psync/dist/worker.hpp"
 #include "psync/driver/runner.hpp"
+#include "psync/driver/session.hpp"
 
 namespace psync::dist {
 namespace {
@@ -40,7 +41,7 @@ using driver::FailureKind;
 using driver::PointStatus;
 using driver::RunPoint;
 using driver::RunRecord;
-using driver::Runner;
+using driver::Session;
 using driver::SweepEngine;
 
 /// Unique per test-process journal base: a stale journal from an earlier
@@ -227,7 +228,7 @@ void write_journal_for(const ExperimentSpec& spec, const ShardRange& range,
   shard.shard_begin = range.begin;
   shard.shard_end = range.end;
   shard.journal_path = path;
-  (void)Runner::run(shard);
+  (void)Session().run(shard);
 }
 
 TEST(Merge, ReassemblesInterleavedShardsInGridOrder) {
@@ -327,13 +328,13 @@ TEST(Merge, MissingFilesAndPointsAreReportedNotInvented) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner shard window
+// Session shard window
 
 TEST(RunnerShard, WindowLimitsExecutionAndAccounting) {
   auto spec = make_spec(uniform(8, 0.0));
   spec.shard_begin = 2;
   spec.shard_end = 5;
-  const auto result = Runner::run(spec);
+  const auto result = Session().run(spec);
   ASSERT_EQ(result.records.size(), 8u);
   EXPECT_EQ(result.campaign.points, 3u);
   EXPECT_EQ(result.campaign.ok, 3u);
@@ -347,7 +348,7 @@ TEST(RunnerShard, InvertedWindowIsAConfigError) {
   auto spec = make_spec(uniform(4, 0.0));
   spec.shard_begin = 3;
   spec.shard_end = 1;
-  EXPECT_THROW(Runner::run(spec), ConfigError);
+  EXPECT_THROW(Session().run(spec), ConfigError);
 }
 
 TEST(RunnerShard, ResumeToleratesOutOfWindowEntries) {
@@ -357,13 +358,13 @@ TEST(RunnerShard, ResumeToleratesOutOfWindowEntries) {
   auto spec = make_spec(uniform(6, 0.0));
   const std::string journal = fresh_base("window.jsonl");
   spec.journal_path = journal;
-  (void)Runner::run(spec);  // full-grid journal: 6 entries
+  (void)Session().run(spec);  // full-grid journal: 6 entries
 
   auto windowed = spec;
   windowed.resume = true;
   windowed.shard_begin = 4;
   windowed.shard_end = 6;
-  const auto result = Runner::run(windowed);
+  const auto result = Session().run(windowed);
   EXPECT_EQ(result.campaign.resumed, 2u);  // only the in-window entries
   EXPECT_EQ(result.campaign.points, 2u);
   std::remove(journal.c_str());
@@ -382,7 +383,7 @@ bool has_incident(const driver::SweepResult& r, FailureKind kind) {
 
 TEST(Distributed, MatchesSerialRunByteForByte) {
   const auto spec = make_spec(uniform(12, 1.0));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("happy");
   const auto dist = run_distributed(spec, fast_opts(base, 3));
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
@@ -410,7 +411,7 @@ TEST(Distributed, AlreadyCancelledLeaderThrowsCancelled) {
 
 TEST(Distributed, CrashedWorkerIsRestartedAndOutputIsIdentical) {
   const auto spec = make_spec(uniform(12, 1.0));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("crash");
   // First launch of shard 1 dies mid-shard with a hard _exit (no unwind,
   // no flush beyond the records already shipped) — the SIGKILL shape.
@@ -433,7 +434,7 @@ TEST(Distributed, CrashedWorkerIsRestartedAndOutputIsIdentical) {
 
 TEST(Distributed, WedgedWorkerIsKilledByLivenessAndOutputIsIdentical) {
   const auto spec = make_spec(uniform(8, 1.0));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("wedge");
   auto opts = fast_opts(base, 2);
   opts.heartbeat_ms = 10.0;
@@ -480,7 +481,7 @@ TEST(Distributed, CrashLoopingPointIsQuarantinedNotFatal) {
   // Byte identity against the serial run handed the same verdict.
   auto quarantined = spec;
   quarantined.quarantine_indices = {4};
-  const auto serial = Runner::run(quarantined);
+  const auto serial = Session().run(quarantined);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
 }
@@ -492,7 +493,7 @@ TEST(Distributed, IdleWorkersStealFromStragglersAndOutputIsIdentical) {
   const auto slow = uniform(6, 40.0);
   tp.insert(tp.end(), slow.begin(), slow.end());
   const auto spec = make_spec(std::move(tp));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("steal");
   auto opts = fast_opts(base, 2);
   opts.term_grace_ms = 2000.0;
@@ -504,7 +505,7 @@ TEST(Distributed, IdleWorkersStealFromStragglersAndOutputIsIdentical) {
 
 TEST(Distributed, ChaosLossyLinksStillProduceIdenticalOutput) {
   const auto spec = make_spec(uniform(12, 2.0));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("chaos");
   auto opts = fast_opts(base, 3);
   // Every link drops, duplicates, reorders and delays frames. The
@@ -538,7 +539,7 @@ TEST(Distributed, PartitionedWorkerIsFencedOnReconnect) {
   for (std::size_t i = 0; i < 4; ++i) tp.push_back(2.0);   // shard 1
   for (std::size_t i = 0; i < 4; ++i) tp.push_back(150.0); // shard 2
   const auto spec = make_spec(std::move(tp));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("fence");
   auto opts = fast_opts(base, 3);
   opts.heartbeat_ms = 10.0;
@@ -568,7 +569,7 @@ TEST(Distributed, ReconnectingWorkerResumesWithoutDataLoss) {
   // keeps the seat, the worker reconnects with the SAME epoch, retransmits
   // its unacked tail, and nothing is lost or duplicated in the output.
   const auto spec = make_spec(uniform(10, 15.0));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("reconnect");
   auto opts = fast_opts(base, 2);
   opts.heartbeat_ms = 10.0;
@@ -592,7 +593,7 @@ TEST(Distributed, ReconnectingWorkerResumesWithoutDataLoss) {
 
 TEST(Distributed, StreamingMergeDeliversRecordsInGridOrder) {
   const auto spec = make_spec(uniform(10, 1.0));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("stream");
   auto opts = fast_opts(base, 3);
   std::vector<std::size_t> streamed;
@@ -626,7 +627,7 @@ SupervisorOptions advertised_opts(const std::string& base,
 
 TEST(DistributedSocket, MatchesSerialRunByteForByte) {
   const auto spec = make_spec(uniform(12, 1.0));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("sock_happy");
   std::vector<std::string> dialed;
   const LaunchHook hook = [&](WorkerConfig& cfg) {
@@ -645,7 +646,7 @@ TEST(DistributedSocket, MatchesSerialRunByteForByte) {
 
 TEST(DistributedSocket, CrashedWorkerIsRestartedAndOutputIsIdentical) {
   const auto spec = make_spec(uniform(12, 1.0));
-  const auto serial = Runner::run(spec);
+  const auto serial = Session().run(spec);
   const std::string base = fresh_base("sock_crash");
   auto opts = advertised_opts(base, 3);
   opts.steal = false;  // the restart path specifically

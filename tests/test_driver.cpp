@@ -9,7 +9,9 @@
 #include <thread>
 
 #include "psync/common/check.hpp"
+#include "psync/common/config.hpp"
 #include "psync/driver/runner.hpp"
+#include "psync/driver/session.hpp"
 #include "psync/fft/plan_cache.hpp"
 
 namespace psync::driver {
@@ -56,7 +58,7 @@ TEST(WorkloadRegistry, EveryKindDispatchesAndProducesMetrics) {
     auto spec = small_spec(kind);
     if (kind == "fig11") spec.axes.push_back({"k", {4}});
     if (kind == "fig13") spec.axes.push_back({"cores", {16}});
-    const auto result = Runner::run(spec);
+    const auto result = Session().run(spec);
     ASSERT_EQ(result.records.size(), 1u) << kind;
     const auto& rec = result.records.front();
     EXPECT_EQ(rec.workload, kind);
@@ -68,7 +70,7 @@ TEST(WorkloadRegistry, EveryKindDispatchesAndProducesMetrics) {
 }
 
 TEST(WorkloadRegistry, MetricLookupThrowsOnMissingName) {
-  const auto result = Runner::run(small_spec("transpose"));
+  const auto result = Session().run(small_spec("transpose"));
   const auto& rec = result.records.front();
   EXPECT_GT(metric(rec, "cycles"), 0.0);
   EXPECT_THROW((void)metric(rec, "no_such_metric"), SimulationError);
@@ -184,8 +186,8 @@ TEST(SweepEngine, ParallelSweepBitIdenticalToSerial) {
   serial.threads = 1;
   auto pooled = spec;
   pooled.threads = 4;
-  const auto a = Runner::run(serial);
-  const auto b = Runner::run(pooled);
+  const auto a = Session().run(serial);
+  const auto b = Session().run(pooled);
 
   EXPECT_EQ(sweep_table(a, "t"), sweep_table(b, "t"));
   EXPECT_EQ(sweep_json(a), sweep_json(b));
@@ -207,8 +209,8 @@ TEST(SweepEngine, ParallelReliabilitySweepBitIdenticalToSerial) {
   serial.threads = 1;
   auto pooled = spec;
   pooled.threads = 4;
-  const auto a = Runner::run(serial);
-  const auto b = Runner::run(pooled);
+  const auto a = Session().run(serial);
+  const auto b = Session().run(pooled);
 
   EXPECT_EQ(sweep_table(a, "t"), sweep_table(b, "t"));
   EXPECT_EQ(sweep_json(a), sweep_json(b));
@@ -217,10 +219,42 @@ TEST(SweepEngine, ParallelReliabilitySweepBitIdenticalToSerial) {
   EXPECT_LT(metric(a.records[0], "ber"), metric(a.records[2], "ber"));
 }
 
+// Regression: [mesh] buffer_depth = -1 used to pass validation, wrap to
+// 2^32-1 in the uint32 cast and run the point to its cycle cap. The mesh
+// network ranges (mesh::Mesh packs occupancy and credits into bytes) are now
+// checked when the config is read, naming the key.
+TEST(SpecFromConfig, MeshNetworkOutOfRangeIsAConfigErrorNamingTheKey) {
+  const auto parse = [](const std::string& mesh_line) {
+    return spec_from_config(IniConfig::parse(
+        "[experiment]\nkind = transpose\n[mesh]\n" + mesh_line + "\n"));
+  };
+  const auto expect_rejected = [&](const std::string& line,
+                                   const std::string& key) {
+    try {
+      (void)parse(line);
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* depth : {"-1", "0", "256", "300"}) {
+    expect_rejected(std::string("buffer_depth = ") + depth,
+                    "mesh.buffer_depth");
+  }
+  for (const char* vcs : {"0", "17"}) {
+    expect_rejected(std::string("virtual_channels = ") + vcs,
+                    "mesh.virtual_channels");
+  }
+  EXPECT_EQ(parse("buffer_depth = 1").mesh.net.buffer_depth, 1u);
+  EXPECT_EQ(parse("buffer_depth = 255").mesh.net.buffer_depth, 255u);
+  EXPECT_EQ(parse("virtual_channels = 16").mesh.net.virtual_channels, 16u);
+}
+
 TEST(Runner, SingleRunCarriesFullReport) {
   auto spec = small_spec("fft2d");
   spec.with_mesh = true;
-  const auto result = Runner::run(spec);
+  const auto result = Session().run(spec);
   const auto& rec = result.records.front();
   ASSERT_TRUE(rec.psync.has_value());
   ASSERT_TRUE(rec.mesh.has_value());

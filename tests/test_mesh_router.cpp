@@ -245,6 +245,12 @@ TEST(Mesh, InvalidConfigRejected) {
   MeshParams q;
   q.buffer_depth = 0;
   EXPECT_THROW(Mesh{q}, SimulationError);
+  // Occupancy and credits are byte-wide: depths above 255 are rejected
+  // rather than run on a different datapath.
+  q.buffer_depth = 256;
+  EXPECT_THROW(Mesh{q}, SimulationError);
+  q.buffer_depth = 255;
+  EXPECT_NO_THROW(Mesh{q});
 }
 
 TEST(Mesh, DeepBuffersReduceCompletionTimeUnderContention) {

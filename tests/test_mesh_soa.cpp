@@ -1,8 +1,9 @@
-// Differential equivalence of the SoA mesh datapath against the retained
-// AoS reference (reference_mesh.hpp): identical traffic is run through both
-// implementations and every observable — the per-flit ejection trace with
-// its cycle stamps, the final activity counters, the Welford latency
-// moments bit for bit, and the per-packet latency log — must match exactly.
+// Differential equivalence of the SoA mesh datapath (mesh::Mesh) against
+// the AoS test oracle (oracle::ReferenceMesh, tests/oracle/): identical
+// traffic is run through both implementations and every observable — the
+// per-flit ejection trace with its cycle stamps, the final activity
+// counters, the Welford latency moments bit for bit, and the per-packet
+// latency log — must match exactly.
 // Patterns cover uniform random, transpose permutation, and hotspot traffic
 // on 8x8 and 16x16 meshes, across seeds, both routing algorithms, and both
 // the packed (V=1) and generic (V=2) VC layouts.
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "oracle/reference_mesh.hpp"
 #include "psync/common/rng.hpp"
 
 namespace psync::mesh {
@@ -70,14 +72,14 @@ struct RunResult {
   std::vector<std::int64_t> flit_cycles;
 };
 
-RunResult run_one(bool reference, Pattern pattern, std::uint32_t dim,
-                  std::uint64_t seed, MeshParams mp) {
-  set_reference_datapath(reference);
+// Net is mesh::Mesh or oracle::ReferenceMesh; both expose the same
+// public surface.
+template <class Net>
+RunResult run_one(Pattern pattern, std::uint32_t dim, std::uint64_t seed,
+                  MeshParams mp) {
   mp.width = dim;
   mp.height = dim;
-  Mesh net(mp);
-  set_reference_datapath(false);
-  EXPECT_EQ(net.using_reference_datapath(), reference);
+  Net net(mp);
 
   std::vector<ConsumeSink> sinks(net.nodes());
   for (NodeId n = 0; n < net.nodes(); ++n) {
@@ -165,8 +167,9 @@ class MeshSoaIdentity : public ::testing::TestWithParam<Config> {};
 TEST_P(MeshSoaIdentity, MatchesReferenceAcrossSeeds) {
   const Config& cfg = GetParam();
   for (std::uint64_t seed : {11ull, 212ull, 3333ull}) {
-    const RunResult ref = run_one(true, cfg.pattern, cfg.dim, seed, cfg.mp);
-    const RunResult soa = run_one(false, cfg.pattern, cfg.dim, seed, cfg.mp);
+    const RunResult ref =
+        run_one<oracle::ReferenceMesh>(cfg.pattern, cfg.dim, seed, cfg.mp);
+    const RunResult soa = run_one<Mesh>(cfg.pattern, cfg.dim, seed, cfg.mp);
     expect_identical(ref, soa);
   }
 }
@@ -200,49 +203,52 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.name;
     });
 
+// Sparse traffic with the idle-skip fast-forward forced on or off.
+template <class Net>
+RunResult run_sparse(bool idle_skip) {
+  MeshParams mp;
+  mp.width = 8;
+  mp.height = 8;
+  Net net(mp);
+  net.set_idle_skip(idle_skip);
+  std::vector<ConsumeSink> sinks(net.nodes());
+  for (NodeId n = 0; n < net.nodes(); ++n) {
+    sinks[n].keep_log(true);
+    net.set_sink(n, &sinks[n]);
+  }
+  net.record_latencies(true);
+  Rng rng(99);
+  for (int i = 0; i < 40; ++i) {
+    PacketDesc d;
+    d.src = static_cast<NodeId>(rng.next_u64() % 64);
+    d.dst = static_cast<NodeId>(rng.next_u64() % 64);
+    d.payload_flits = 3;
+    d.release_cycle = static_cast<std::int64_t>(i) * 4096;
+    net.inject(d);
+  }
+  EXPECT_TRUE(net.run_until_drained(10'000'000));
+  RunResult r;
+  r.final_cycle = net.cycle();
+  r.activity = net.activity();
+  r.lat_count = net.packet_latency().count();
+  r.lat_mean_bits = std::bit_cast<std::uint64_t>(net.packet_latency().mean());
+  r.latencies = net.latencies();
+  for (const auto& s : sinks) {
+    r.flits.insert(r.flits.end(), s.log().begin(), s.log().end());
+    r.flit_cycles.insert(r.flit_cycles.end(), s.log_cycles().begin(),
+                         s.log_cycles().end());
+  }
+  return r;
+}
+
 // The idle-skip fast-forward must be observationally invisible on both
 // datapaths: sparse traffic with it forced off equals the skipped run.
 TEST(MeshSoaIdentity, IdleSkipIsObservationallyIdentical) {
-  for (bool reference : {false, true}) {
-    RunResult runs[2];
-    for (int skip = 0; skip < 2; ++skip) {
-      set_reference_datapath(reference);
-      MeshParams mp;
-      mp.width = 8;
-      mp.height = 8;
-      Mesh net(mp);
-      set_reference_datapath(false);
-      net.set_idle_skip(skip == 1);
-      std::vector<ConsumeSink> sinks(net.nodes());
-      for (NodeId n = 0; n < net.nodes(); ++n) {
-        sinks[n].keep_log(true);
-        net.set_sink(n, &sinks[n]);
-      }
-      net.record_latencies(true);
-      Rng rng(99);
-      for (int i = 0; i < 40; ++i) {
-        PacketDesc d;
-        d.src = static_cast<NodeId>(rng.next_u64() % 64);
-        d.dst = static_cast<NodeId>(rng.next_u64() % 64);
-        d.payload_flits = 3;
-        d.release_cycle = static_cast<std::int64_t>(i) * 4096;
-        net.inject(d);
-      }
-      ASSERT_TRUE(net.run_until_drained(10'000'000));
-      RunResult& r = runs[skip];
-      r.final_cycle = net.cycle();
-      r.activity = net.activity();
-      r.lat_count = net.packet_latency().count();
-      r.lat_mean_bits = std::bit_cast<std::uint64_t>(net.packet_latency().mean());
-      r.latencies = net.latencies();
-      for (const auto& s : sinks) {
-        r.flits.insert(r.flits.end(), s.log().begin(), s.log().end());
-        r.flit_cycles.insert(r.flit_cycles.end(), s.log_cycles().begin(),
-                             s.log_cycles().end());
-      }
-    }
-    expect_identical(runs[0], runs[1]);
-  }
+  const RunResult soa_naive = run_sparse<Mesh>(false);
+  expect_identical(soa_naive, run_sparse<Mesh>(true));
+  expect_identical(run_sparse<oracle::ReferenceMesh>(false),
+                   run_sparse<oracle::ReferenceMesh>(true));
+  expect_identical(soa_naive, run_sparse<oracle::ReferenceMesh>(true));
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "oracle/codec.hpp"
+#include "oracle/fft_stages.hpp"
 #include "psync/common/rng.hpp"
-#include "psync/driver/runner.hpp"
 #include "psync/fft/fft.hpp"
 #include "psync/mesh/mesh.hpp"
 #include "psync/reliability/crc32.hpp"
@@ -194,7 +196,12 @@ TEST(MeshIdleSkip, ReleaseAtOrBeforeCurrentCycleIdentical) {
   expect_skip_equivalent(mp, packets);
 }
 
-// --- fft: fused kernel vs strided reference ---------------------------
+// --- fft: fused kernel vs the strided radix-2 oracle ---------------------
+//
+// These compare whatever run_stages dispatches to in this process (AVX2 or
+// NEON bodies when the CPU has them, the scalar loops under
+// PSYNC_FORCE_SCALAR=1) with oracle::StridedFft; ctest runs them once each
+// way.
 
 std::vector<fft::Complex> random_signal(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -210,7 +217,6 @@ bool bit_identical(const std::vector<fft::Complex>& a,
 }
 
 TEST(FftFastKernel, ForwardBitIdenticalToReferenceAcrossSizes) {
-  ASSERT_TRUE(fft::fast_kernel()) << "fast kernel must be the default";
   for (std::size_t n = 2; n <= 4096; n *= 2) {
     const auto input = random_signal(n, 1000 + n);
     fft::FftPlan plan(n);
@@ -218,10 +224,8 @@ TEST(FftFastKernel, ForwardBitIdenticalToReferenceAcrossSizes) {
     auto fast = input;
     const auto fast_ops = plan.forward(fast);
 
-    fft::set_fast_kernel(false);
     auto ref = input;
-    const auto ref_ops = plan.forward(ref);
-    fft::set_fast_kernel(true);
+    const auto ref_ops = oracle::StridedFft(n).forward(ref);
 
     EXPECT_TRUE(bit_identical(fast, ref)) << "n=" << n;
     EXPECT_EQ(fast_ops.butterflies, ref_ops.butterflies) << "n=" << n;
@@ -238,10 +242,8 @@ TEST(FftFastKernel, InverseBitIdenticalToReference) {
     auto fast = input;
     plan.inverse(fast);
 
-    fft::set_fast_kernel(false);
     auto ref = input;
-    plan.inverse(ref);
-    fft::set_fast_kernel(true);
+    oracle::StridedFft(n).inverse(ref);
 
     EXPECT_TRUE(bit_identical(fast, ref)) << "n=" << n;
   }
@@ -251,33 +253,58 @@ TEST(FftFastKernel, BlockedForwardBitIdenticalToReference) {
   const std::size_t n = 1024;
   const auto input = random_signal(n, 31);
   fft::FftPlan plan(n);
+  const oracle::StridedFft strided(n);
   for (std::size_t k : {1u, 4u, 16u}) {
     auto fast = input;
     plan.forward_blocked(fast, k);
 
-    fft::set_fast_kernel(false);
     auto ref = input;
-    plan.forward_blocked(ref, k);
-    fft::set_fast_kernel(true);
+    strided.forward_blocked(ref, k);
 
     EXPECT_TRUE(bit_identical(fast, ref)) << "k=" << k;
   }
 }
 
-TEST(FftFastKernel, RunStagesReferenceMatchesToggledDispatch) {
-  // The public reference entry point is the same code the toggle selects.
-  const std::size_t n = 256;
-  const auto input = random_signal(n, 77);
-  fft::FftPlan plan(n);
+// Every stage window the machines can run: for each (first, last) pair,
+// once over the whole row and once per power-of-two block size that holds
+// the window's widest butterfly, with every block of the row in turn at
+// offsets j * block_size — the calls PsyncMachine's Model II issues through
+// Processor::fft_row_stages. Data and op counts must match bit for bit.
+TEST(FftFastKernel, RunStagesMatchesOracleOnEveryStageWindow) {
+  const auto same_ops = [](const fft::OpCount& a, const fft::OpCount& b) {
+    return a.butterflies == b.butterflies && a.real_mults == b.real_mults &&
+           a.real_adds == b.real_adds;
+  };
+  for (std::size_t n = 1; n <= 4096; n *= 2) {
+    const fft::FftPlan plan(n);
+    const oracle::StridedFft strided(n);
+    const std::size_t log2n = plan.log2n();
+    const auto input = random_signal(n, 5000 + n);
+    for (std::size_t last = 0; last <= log2n; ++last) {
+      for (std::size_t first = 0; first <= last; ++first) {
+        const std::string window = "n=" + std::to_string(n) + " stages [" +
+                                   std::to_string(first) + ", " +
+                                   std::to_string(last) + ")";
+        auto fast = input;
+        auto ref = input;
+        EXPECT_TRUE(same_ops(plan.run_stages(fast, first, last),
+                             oracle::run_stages(ref, first, last)))
+            << window;
+        ASSERT_TRUE(bit_identical(fast, ref)) << window;
 
-  auto via_toggle = input;
-  fft::set_fast_kernel(false);
-  plan.forward(via_toggle);
-  fft::set_fast_kernel(true);
-
-  auto fast = input;
-  plan.forward(fast);
-  EXPECT_TRUE(bit_identical(fast, via_toggle));
+        for (std::size_t bs = std::size_t{1} << last; bs <= n; bs *= 2) {
+          fast = input;
+          ref = input;
+          for (std::size_t off = 0; off < n; off += bs) {
+            ASSERT_TRUE(same_ops(plan.run_stages(fast, first, last, off, bs),
+                                 strided.run_stages(ref, first, last, off, bs)))
+                << window << " block " << bs << " @" << off;
+          }
+          ASSERT_TRUE(bit_identical(fast, ref)) << window << " block " << bs;
+        }
+      }
+    }
+  }
 }
 
 // --- reliability: batched codec vs per-word reference ------------------
@@ -292,7 +319,7 @@ TEST(ReliabilityBatch, Crc32SliceBy8MatchesBytewise) {
       const std::uint32_t fast =
           reliability::crc32_update(reliability::kCrc32Init, buf.data() + off,
                                     len);
-      const std::uint32_t ref = reliability::crc32_update_reference(
+      const std::uint32_t ref = oracle::crc32_update(
           reliability::kCrc32Init, buf.data() + off, len);
       ASSERT_EQ(fast, ref) << "len=" << len << " off=" << off;
     }
@@ -303,7 +330,7 @@ TEST(ReliabilityBatch, Crc32SliceBy8MatchesBytewise) {
   for (std::size_t off = 0; off < 4096; off += 123) {
     const std::size_t len = std::min<std::size_t>(123, 4096 - off);
     fast = reliability::crc32_update(fast, buf.data() + off, len);
-    ref = reliability::crc32_update_reference(ref, buf.data() + off, len);
+    ref = oracle::crc32_update(ref, buf.data() + off, len);
   }
   EXPECT_EQ(reliability::crc32_finalize(fast),
             reliability::crc32_finalize(ref));
@@ -342,17 +369,11 @@ TEST(ReliabilityBatch, SecdedWordBatchMatchesPerWord) {
     reliability::SecdedWordStats stats;
     reliability::secded_decode_words(rx.data(), rx_checks.data(), kCount,
                                      correct, batch_out.data(), &stats);
+    std::vector<std::uint64_t> ref_out(kCount);
     reliability::SecdedWordStats ref_stats;
-    for (std::size_t i = 0; i < kCount; ++i) {
-      const auto res = reliability::secded_decode(rx[i], rx_checks[i]);
-      const std::uint64_t want = correct ? res.data : rx[i];
-      ASSERT_EQ(batch_out[i], want) << "word " << i;
-      if (!res.clean()) ++ref_stats.flagged_words;
-      if (res.double_error()) ++ref_stats.double_errors;
-      if (correct && res.status == reliability::SecdedStatus::kCorrectedData) {
-        ++ref_stats.corrected_bits;
-      }
-    }
+    oracle::secded_decode_words(rx.data(), rx_checks.data(), kCount, correct,
+                                ref_out.data(), &ref_stats);
+    ASSERT_EQ(batch_out, ref_out);
     EXPECT_EQ(stats.flagged_words, ref_stats.flagged_words);
     EXPECT_EQ(stats.double_errors, ref_stats.double_errors);
     EXPECT_EQ(stats.corrected_bits, ref_stats.corrected_bits);
@@ -367,7 +388,7 @@ TEST(ReliabilityBatch, FramingMatchesReferenceCleanAndCorrupted) {
 
     std::vector<std::uint64_t> wire, wire_ref;
     reliability::encode_block(payload.data(), n, &wire);
-    reliability::encode_block_reference(payload.data(), n, &wire_ref);
+    oracle::encode_block(payload.data(), n, &wire_ref);
     ASSERT_EQ(wire, wire_ref) << "n=" << n;
 
     // Clean decode.
@@ -375,7 +396,7 @@ TEST(ReliabilityBatch, FramingMatchesReferenceCleanAndCorrupted) {
       for (bool correct : {true, false}) {
         const auto fast = reliability::decode_block(rx.data(), n, correct);
         const auto ref =
-            reliability::decode_block_reference(rx.data(), n, correct);
+            oracle::decode_block(rx.data(), n, correct);
         ASSERT_EQ(fast.payload, ref.payload);
         ASSERT_EQ(fast.corrected_bits, ref.corrected_bits);
         ASSERT_EQ(fast.double_errors, ref.double_errors);
@@ -456,29 +477,6 @@ TEST(ReliabilityBatch, CorruptWordsMatchesPerWordStream) {
       EXPECT_EQ(inplace, word_out) << "ber=" << ber;
     }
   }
-}
-
-// --- driver: reports byte-identical fast vs reference ------------------
-
-TEST(DriverEquivalence, SweepJsonByteIdenticalFastVsReferenceKernel) {
-  driver::ExperimentSpec spec;
-  spec.workload = "fft2d";
-  spec.machine.processors = 4;
-  spec.machine.matrix_rows = 16;
-  spec.machine.matrix_cols = 16;
-  spec.with_mesh = true;
-  spec.mesh.matrix_rows = 16;  // mesh baseline runs the same matrix
-  spec.mesh.matrix_cols = 16;
-  spec.mesh.elements_per_packet = 8;  // 16 elements/node must fill packets
-  spec.axes.push_back({"blocks", {1, 2, 4}});
-
-  const auto fast = driver::Runner::run(spec);
-  fft::set_fast_kernel(false);
-  const auto ref = driver::Runner::run(spec);
-  fft::set_fast_kernel(true);
-
-  EXPECT_EQ(driver::sweep_json(fast), driver::sweep_json(ref));
-  EXPECT_EQ(driver::sweep_csv(fast), driver::sweep_csv(ref));
 }
 
 }  // namespace

@@ -203,19 +203,42 @@ TEST(SessionValidate, ReportsTypedDiagnostics) {
   EXPECT_EQ(Session::validate(bad_guard).size(), 2u);
 }
 
+TEST(SessionValidate, MeshNetworkRangesAreCheckedOnSpecAndKnobs) {
+  const auto only_diag = [](const ExperimentSpec& spec) {
+    const auto diags = Session::validate(spec);
+    return diags.size() == 1u ? std::string(diags[0].what()) : std::string();
+  };
+  auto deep = small_spec();
+  deep.mesh.net.buffer_depth = 256;
+  EXPECT_NE(only_diag(deep).find("mesh.buffer_depth"), std::string::npos);
+  EXPECT_THROW(Session::freeze(deep), ConfigError);
+
+  auto wide = small_spec();
+  wide.mesh.net.virtual_channels = 17;
+  EXPECT_NE(only_diag(wide).find("mesh.virtual_channels"), std::string::npos);
+
+  auto swept = small_spec();
+  swept.axes.push_back({"virtual_channels", {1, 0}});
+  EXPECT_NE(only_diag(swept).find("mesh.virtual_channels"),
+            std::string::npos);
+}
+
 TEST(SessionValidate, FreezeThrowsTheFirstDiagnostic) {
   auto spec = small_spec();
   spec.axes.push_back({"warp_factor", {9}});
   EXPECT_THROW(Session::freeze(spec), ConfigError);
 }
 
+// The one-shot synchronous call every tool makes (a fresh Session's run)
+// renders the same bytes as a long-lived session's submit/wait/take.
 TEST(Session, RunMatchesRunnerByteForByte) {
   const auto spec = small_spec();
-  const SweepResult via_runner = driver::Runner::run(spec);
+  const SweepResult one_shot = Session().run(spec);
   Session session;
-  const SweepResult via_session = session.run(spec);
-  EXPECT_EQ(driver::sweep_json(via_session), driver::sweep_json(via_runner));
-  EXPECT_EQ(driver::sweep_csv(via_session), driver::sweep_csv(via_runner));
+  auto handle = session.submit(spec);
+  const SweepResult via_handle = handle.take();
+  EXPECT_EQ(driver::sweep_json(via_handle), driver::sweep_json(one_shot));
+  EXPECT_EQ(driver::sweep_csv(via_handle), driver::sweep_csv(one_shot));
 }
 
 TEST(Session, SubmitStreamsEventsAndProgress) {
@@ -325,7 +348,7 @@ TEST(SessionDist, SocketExecutorStreamsPartialResultsWhileRunning) {
   // socket, so "a partial result arrived before the last shard finished"
   // is observable without timing luck.
   const auto spec = stream_spec({10, 10, 10, 10, 10, 400});
-  const SweepResult serial = driver::Runner::run(spec);
+  const SweepResult serial = Session().run(spec);
 
   dist::SupervisorOptions dopts;
   dopts.workers = 2;
@@ -730,14 +753,14 @@ TEST(Daemon, SubmitThenResultsMatchesTheRunnerByteForByte) {
   ASSERT_TRUE(find_bool_field(results, "ok", &ok) && ok) << results;
   std::string body;
   ASSERT_TRUE(find_string_field(results, "body", &body));
-  EXPECT_EQ(body, driver::sweep_json(driver::Runner::run(small_spec())));
+  EXPECT_EQ(body, driver::sweep_json(Session().run(small_spec())));
 
   // CSV render of the same campaign, through the memoized entry.
   const std::string csv = client.round_trip(
       "{\"op\":\"results\",\"campaign\":" + json_string(id) +
       ",\"format\":\"csv\"}");
   ASSERT_TRUE(find_string_field(csv, "body", &body));
-  EXPECT_EQ(body, driver::sweep_csv(driver::Runner::run(small_spec())));
+  EXPECT_EQ(body, driver::sweep_csv(Session().run(small_spec())));
 }
 
 TEST(Daemon, DuplicateSubmissionAttachesToTheSameCampaign) {
@@ -807,7 +830,7 @@ TEST(Daemon, RestartServesTheResubmissionFromDisk) {
   EXPECT_EQ(completed, 4u);
   std::string body;
   ASSERT_TRUE(find_string_field(results, "body", &body));
-  EXPECT_EQ(body, driver::sweep_json(driver::Runner::run(small_spec())));
+  EXPECT_EQ(body, driver::sweep_json(Session().run(small_spec())));
   revived.stop();
 }
 
@@ -928,7 +951,7 @@ TEST(Daemon, ShutdownOpWakesWaiters) {
 TEST(Daemon, DistSocketBackendMatchesTheRunnerAndStreamsSubscribe) {
   // The daemon executing campaigns across worker processes (which ship
   // their journal records over TCP) is still byte-identical to the
-  // in-process Runner, and a subscriber sees the per-point stream the
+  // in-process Session::run, and a subscriber sees the per-point stream the
   // distributed merge feeds through the campaign's event channel.
   ServerOptions opts;
   opts.socket_path = temp_path("dist_sock_" + std::to_string(::getpid()));
@@ -966,13 +989,13 @@ TEST(Daemon, DistSocketBackendMatchesTheRunnerAndStreamsSubscribe) {
   ASSERT_TRUE(find_string_field(line, "state", &state));
   EXPECT_EQ(state, "done");
 
-  // results stays byte-identical to the in-process Runner.
+  // results stays byte-identical to the in-process Session::run.
   const std::string results = client.round_trip(
       "{\"op\":\"results\",\"campaign\":" + json_string(id) + "}");
   ASSERT_TRUE(find_bool_field(results, "ok", &ok) && ok) << results;
   std::string body;
   ASSERT_TRUE(find_string_field(results, "body", &body));
-  EXPECT_EQ(body, driver::sweep_json(driver::Runner::run(small_spec())));
+  EXPECT_EQ(body, driver::sweep_json(Session().run(small_spec())));
 
   server.stop();
 }

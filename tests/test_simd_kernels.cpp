@@ -1,46 +1,27 @@
-// Bit-identity of the runtime-dispatched vector kernels against their
-// scalar fallbacks: AVX2/NEON FFT butterflies vs the scalar fast kernel vs
-// the strided radix-2 reference; PCLMUL CRC-32 folding vs slice-by-8 vs the
-// byte-wise loop; AVX2 SECDED syndrome batches vs the scalar codec,
-// including every 1-bit and every 2-bit error position in the 72-bit
-// codeword. On hosts without the ISA (or under PSYNC_FORCE_SCALAR) the
-// vector request falls back to scalar and the comparisons still hold.
+// Bit-identity of the runtime-dispatched kernels against the test oracles
+// (tests/oracle/): FFT stages vs the strided radix-2 loop, CRC-32 vs the
+// byte-wise loop, batched SECDED vs per-word encode/decode, including every
+// 1-bit and every 2-bit error position in the 72-bit codeword. The
+// dispatched path is the vector one (AVX2/PCLMUL/NEON) on hosts that have
+// the ISA and the scalar one under PSYNC_FORCE_SCALAR=1; ctest runs this
+// suite once each way, so both arms are checked against the same oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "oracle/codec.hpp"
+#include "oracle/fft_stages.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/common/simd_dispatch.hpp"
 #include "psync/fft/fft.hpp"
 #include "psync/reliability/crc32.hpp"
 #include "psync/reliability/secded.hpp"
-#include "psync/reliability/vector_codec.hpp"
 
 namespace {
 
 using psync::Rng;
-
-// Save/restore the process-wide kernel toggles around each test.
-class SimdKernels : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_fast_ = psync::fft::fast_kernel();
-    saved_vec_ = psync::fft::vector_kernel();
-    saved_codec_ = psync::reliability::vector_codec();
-  }
-  void TearDown() override {
-    psync::fft::set_fast_kernel(saved_fast_);
-    psync::fft::set_vector_kernel(saved_vec_);
-    psync::reliability::set_vector_codec(saved_codec_);
-  }
-
- private:
-  bool saved_fast_ = true;
-  bool saved_vec_ = true;
-  bool saved_codec_ = true;
-};
 
 std::vector<psync::fft::Complex> random_signal(std::size_t n,
                                                std::uint64_t seed) {
@@ -59,58 +40,49 @@ bool bits_equal(const std::vector<psync::fft::Complex>& a,
                      a.size() * sizeof(psync::fft::Complex)) == 0;
 }
 
-TEST_F(SimdKernels, FftForwardBitIdenticalAcrossAllThreePaths) {
+TEST(SimdKernels, FftForwardBitIdenticalAcrossAllThreePaths) {
   for (std::size_t n : {1u, 2u, 4u, 8u, 16u, 64u, 512u, 4096u, 8192u}) {
     psync::fft::FftPlan plan(n);
+    const psync::oracle::StridedFft strided(n);
     for (std::uint64_t seed : {3u, 17u}) {
       const auto input = random_signal(n, seed);
-      auto ref = input, scalar = input, vec = input;
-      psync::fft::set_fast_kernel(false);
-      plan.forward(ref);
-      psync::fft::set_fast_kernel(true);
-      psync::fft::set_vector_kernel(false);
-      plan.forward(scalar);
-      psync::fft::set_vector_kernel(true);
-      plan.forward(vec);
-      EXPECT_TRUE(bits_equal(ref, scalar)) << "n=" << n << " seed=" << seed;
-      EXPECT_TRUE(bits_equal(ref, vec)) << "n=" << n << " seed=" << seed;
+      auto ref = input, got = input;
+      strided.forward(ref);
+      plan.forward(got);
+      EXPECT_TRUE(bits_equal(ref, got)) << "n=" << n << " seed=" << seed;
     }
   }
 }
 
-TEST_F(SimdKernels, FftInverseAndBlockedBitIdentical) {
+TEST(SimdKernels, FftInverseAndBlockedBitIdentical) {
   const std::size_t n = 2048;
   psync::fft::FftPlan plan(n);
   const auto input = random_signal(n, 23);
+  const psync::oracle::StridedFft strided(n);
   for (std::size_t k : {1u, 4u, 16u, 128u}) {
-    auto scalar = input, vec = input;
-    psync::fft::set_fast_kernel(true);
-    psync::fft::set_vector_kernel(false);
-    plan.forward_blocked(scalar, k);
-    plan.inverse(scalar);
-    psync::fft::set_vector_kernel(true);
-    plan.forward_blocked(vec, k);
-    plan.inverse(vec);
-    EXPECT_TRUE(bits_equal(scalar, vec)) << "k=" << k;
+    auto ref = input, got = input;
+    strided.forward_blocked(ref, k);
+    strided.inverse(ref);
+    plan.forward_blocked(got, k);
+    plan.inverse(got);
+    EXPECT_TRUE(bits_equal(ref, got)) << "k=" << k;
   }
 }
 
-TEST_F(SimdKernels, FftOpCountsUnchangedByVectorKernel) {
+TEST(SimdKernels, FftOpCountsUnchangedByVectorKernel) {
   const std::size_t n = 1024;
   psync::fft::FftPlan plan(n);
   const auto input = random_signal(n, 5);
   auto a = input, b = input;
-  psync::fft::set_fast_kernel(true);
-  psync::fft::set_vector_kernel(false);
-  const auto ops_scalar = plan.forward(a);
-  psync::fft::set_vector_kernel(true);
-  const auto ops_vec = plan.forward(b);
-  EXPECT_EQ(ops_scalar.butterflies, ops_vec.butterflies);
-  EXPECT_EQ(ops_scalar.real_mults, ops_vec.real_mults);
-  EXPECT_EQ(ops_scalar.real_adds, ops_vec.real_adds);
+  const auto ops_ref = psync::oracle::StridedFft(n).forward(a);
+  const auto ops_got = plan.forward(b);
+  EXPECT_EQ(ops_ref.butterflies, ops_got.butterflies);
+  EXPECT_EQ(ops_ref.real_mults, ops_got.real_mults);
+  EXPECT_EQ(ops_ref.real_adds, ops_got.real_adds);
+  EXPECT_EQ(ops_got.real_mults, psync::fft::full_fft_mults(n));
 }
 
-TEST_F(SimdKernels, Crc32FoldMatchesTablesAtEveryLengthAndAlignment) {
+TEST(SimdKernels, Crc32FoldMatchesTablesAtEveryLengthAndAlignment) {
   std::vector<unsigned char> buf(2048 + 7);
   Rng rng(31);
   for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
@@ -120,57 +92,41 @@ TEST_F(SimdKernels, Crc32FoldMatchesTablesAtEveryLengthAndAlignment) {
     for (std::size_t len = 0; len <= 260; ++len) lens.push_back(len);
     lens.insert(lens.end(), {511, 512, 513, 1024, 2000, 2048});
     for (std::size_t len : lens) {
-      psync::reliability::set_vector_codec(true);
-      const auto vec = psync::reliability::crc32_update(
+      const auto got = psync::reliability::crc32_update(
           psync::reliability::kCrc32Init, buf.data() + off, len);
-      psync::reliability::set_vector_codec(false);
-      const auto tab = psync::reliability::crc32_update(
+      const auto ref = psync::oracle::crc32_update(
           psync::reliability::kCrc32Init, buf.data() + off, len);
-      const auto ref = psync::reliability::crc32_update_reference(
-          psync::reliability::kCrc32Init, buf.data() + off, len);
-      ASSERT_EQ(vec, tab) << "len=" << len << " off=" << off;
-      ASSERT_EQ(vec, ref) << "len=" << len << " off=" << off;
+      ASSERT_EQ(got, ref) << "len=" << len << " off=" << off;
     }
   }
 }
 
-TEST_F(SimdKernels, Crc32RunningUpdatesCompose) {
-  // Split updates must equal one-shot updates on both paths.
+TEST(SimdKernels, Crc32RunningUpdatesCompose) {
+  // Split updates must equal one-shot updates.
   std::vector<unsigned char> buf(777);
   Rng rng(41);
   for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
-  for (bool vec : {true, false}) {
-    psync::reliability::set_vector_codec(vec);
-    const auto whole = psync::reliability::crc32_update(
-        psync::reliability::kCrc32Init, buf.data(), buf.size());
-    for (std::size_t cut : {1u, 63u, 64u, 65u, 300u, 776u}) {
-      auto crc = psync::reliability::crc32_update(
-          psync::reliability::kCrc32Init, buf.data(), cut);
-      crc = psync::reliability::crc32_update(crc, buf.data() + cut,
-                                             buf.size() - cut);
-      ASSERT_EQ(crc, whole) << "vec=" << vec << " cut=" << cut;
-    }
+  const auto whole = psync::reliability::crc32_update(
+      psync::reliability::kCrc32Init, buf.data(), buf.size());
+  for (std::size_t cut : {1u, 63u, 64u, 65u, 300u, 776u}) {
+    auto crc = psync::reliability::crc32_update(psync::reliability::kCrc32Init,
+                                                buf.data(), cut);
+    crc = psync::reliability::crc32_update(crc, buf.data() + cut,
+                                           buf.size() - cut);
+    ASSERT_EQ(crc, whole) << "cut=" << cut;
   }
 }
 
-TEST_F(SimdKernels, SecdedEncodeBatchesMatchScalar) {
+TEST(SimdKernels, SecdedEncodeBatchesMatchScalar) {
   // Counts around the 4-word vector groups, plus the scalar per-word API.
   Rng rng(53);
   for (std::size_t count : {1u, 3u, 4u, 5u, 8u, 63u, 256u, 1021u}) {
     std::vector<std::uint64_t> data(count);
     for (auto& d : data) d = rng.next_u64();
-    std::vector<std::uint8_t> vec_checks(count), scalar_checks(count);
-    psync::reliability::set_vector_codec(true);
-    psync::reliability::secded_encode_words(data.data(), count,
-                                            vec_checks.data());
-    psync::reliability::set_vector_codec(false);
-    psync::reliability::secded_encode_words(data.data(), count,
-                                            scalar_checks.data());
-    ASSERT_EQ(vec_checks, scalar_checks) << "count=" << count;
-    for (std::size_t i = 0; i < count; ++i) {
-      ASSERT_EQ(vec_checks[i], psync::reliability::secded_encode(data[i]))
-          << "word " << i;
-    }
+    std::vector<std::uint8_t> got(count), ref(count);
+    psync::reliability::secded_encode_words(data.data(), count, got.data());
+    psync::oracle::secded_encode_words(data.data(), count, ref.data());
+    ASSERT_EQ(got, ref) << "count=" << count;
   }
 }
 
@@ -187,23 +143,20 @@ void flip(std::uint64_t* data, std::uint8_t* check, int pos) {
 void expect_decode_words_identical(const std::vector<std::uint64_t>& data,
                                    const std::vector<std::uint8_t>& checks,
                                    bool correct) {
-  std::vector<std::uint64_t> out_vec(data.size()), out_scalar(data.size());
-  psync::reliability::SecdedWordStats sv, ss;
-  psync::reliability::set_vector_codec(true);
+  std::vector<std::uint64_t> out_got(data.size()), out_ref(data.size());
+  psync::reliability::SecdedWordStats sg, sr;
   psync::reliability::secded_decode_words(data.data(), checks.data(),
                                           data.size(), correct,
-                                          out_vec.data(), &sv);
-  psync::reliability::set_vector_codec(false);
-  psync::reliability::secded_decode_words(data.data(), checks.data(),
-                                          data.size(), correct,
-                                          out_scalar.data(), &ss);
-  ASSERT_EQ(out_vec, out_scalar);
-  ASSERT_EQ(sv.flagged_words, ss.flagged_words);
-  ASSERT_EQ(sv.corrected_bits, ss.corrected_bits);
-  ASSERT_EQ(sv.double_errors, ss.double_errors);
+                                          out_got.data(), &sg);
+  psync::oracle::secded_decode_words(data.data(), checks.data(), data.size(),
+                                     correct, out_ref.data(), &sr);
+  ASSERT_EQ(out_got, out_ref);
+  ASSERT_EQ(sg.flagged_words, sr.flagged_words);
+  ASSERT_EQ(sg.corrected_bits, sr.corrected_bits);
+  ASSERT_EQ(sg.double_errors, sr.double_errors);
 }
 
-TEST_F(SimdKernels, SecdedDecodeIdenticalForAllSingleBitErrors) {
+TEST(SimdKernels, SecdedDecodeIdenticalForAllSingleBitErrors) {
   Rng rng(67);
   const std::uint64_t words[] = {0ull, ~0ull, rng.next_u64(), rng.next_u64()};
   for (std::uint64_t word : words) {
@@ -227,7 +180,7 @@ TEST_F(SimdKernels, SecdedDecodeIdenticalForAllSingleBitErrors) {
   }
 }
 
-TEST_F(SimdKernels, SecdedDecodeIdenticalForAllDoubleBitErrors) {
+TEST(SimdKernels, SecdedDecodeIdenticalForAllDoubleBitErrors) {
   Rng rng(71);
   const std::uint64_t word = rng.next_u64();
   const std::uint8_t check = psync::reliability::secded_encode(word);
@@ -252,7 +205,7 @@ TEST_F(SimdKernels, SecdedDecodeIdenticalForAllDoubleBitErrors) {
   expect_decode_words_identical(data, checks, false);
 }
 
-TEST_F(SimdKernels, SecdedDecodeMixedCleanAndErroredBatches) {
+TEST(SimdKernels, SecdedDecodeMixedCleanAndErroredBatches) {
   Rng rng(83);
   const std::size_t count = 4099;  // exercises the tail after vector groups
   std::vector<std::uint64_t> data(count);
@@ -274,19 +227,16 @@ TEST_F(SimdKernels, SecdedDecodeMixedCleanAndErroredBatches) {
   expect_decode_words_identical(data, checks, false);
 }
 
-TEST_F(SimdKernels, ForceScalarEnvironmentIsRespectedByDetection) {
+TEST(SimdKernels, ForceScalarEnvironmentIsRespectedByDetection) {
   // The detection layer itself is cached at first query; this only checks
-  // coherence between the predicates and the dispatchers' effective state.
+  // coherence between the predicates and the FFT kernel's dispatch.
   if (psync::simd::force_scalar()) {
     EXPECT_FALSE(psync::simd::have_avx2());
     EXPECT_FALSE(psync::simd::have_pclmul());
-    psync::fft::set_vector_kernel(true);
+    EXPECT_FALSE(psync::simd::have_neon());
     EXPECT_FALSE(psync::fft::vector_kernel());
   } else if (psync::simd::have_avx2()) {
-    psync::fft::set_vector_kernel(true);
     EXPECT_TRUE(psync::fft::vector_kernel());
-    psync::fft::set_vector_kernel(false);
-    EXPECT_FALSE(psync::fft::vector_kernel());
   }
 }
 

@@ -701,8 +701,7 @@ int main(int argc, char** argv) {
     } else {
       spec.cancel = &g_cancel;
       // Session API: validate (pure, typed diagnostics — all of them, not
-      // just the first throw), then submit the frozen spec and join. Same
-      // bytes as the old Runner::run path.
+      // just the first throw), then submit the frozen spec and join.
       const auto errors = driver::Session::validate(spec);
       if (!errors.empty()) {
         for (const auto& err : errors) {
