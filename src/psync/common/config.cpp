@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -119,46 +123,44 @@ std::string IniConfig::get_string(const std::string& section,
   return get(section, key).value_or(fallback);
 }
 
-std::int64_t IniConfig::get_int(const std::string& section,
-                                const std::string& key,
-                                std::int64_t fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    std::size_t used = 0;
-    const std::int64_t out = std::stoll(*v, &used, 0);
-    if (used != v->size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
-    throw SimulationError("IniConfig: '" + section + "." + key +
-                          "' is not an integer: " + *v);
-  }
-}
-
-double IniConfig::get_double(const std::string& section,
-                             const std::string& key, double fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    std::size_t used = 0;
-    const double out = std::stod(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
-    throw SimulationError("IniConfig: '" + section + "." + key +
-                          "' is not a number: " + *v);
-  }
-}
-
 bool IniConfig::get_bool(const std::string& section, const std::string& key,
                          bool fallback) const {
   const auto v = get(section, key);
   if (!v) return fallback;
-  const std::string low = lower(*v);
+  const auto out = parse_bool(*v);
+  if (!out) {
+    throw ConfigError("IniConfig: '" + section + "." + key +
+                      "' is not a boolean: " + *v);
+  }
+  return *out;
+}
+
+// strtoll/strtod must consume the whole token and stay in range.
+std::optional<std::int64_t> parse_int(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 0);
+  if (text.empty() || end != text.data() + text.size() || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.data() + text.size() || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<bool> parse_bool(const std::string& text) {
+  const std::string low = lower(text);
   if (low == "true" || low == "yes" || low == "on" || low == "1") return true;
   if (low == "false" || low == "no" || low == "off" || low == "0") return false;
-  throw SimulationError("IniConfig: '" + section + "." + key +
-                        "' is not a boolean: " + *v);
+  return std::nullopt;
 }
 
 namespace {
@@ -193,53 +195,29 @@ std::string suggest(const std::string& name, const Range& candidates) {
   return best;
 }
 
-bool parses_as(ConfigSchema::Type type, const std::string& value) {
-  const auto is_int = [](const std::string& tok) {
-    try {
-      std::size_t used = 0;
-      (void)std::stoll(tok, &used, 0);
-      return used == tok.size();
-    } catch (const std::exception&) {
-      return false;
-    }
+// A value of a `type` key inside `range`; lists need at least one element
+// and check each.
+bool parses_as(ConfigSchema::Type type, ConfigRange range,
+               const std::string& value) {
+  using Type = ConfigSchema::Type;
+  if (type == Type::kString) return true;
+  if (type == Type::kBool) return parse_bool(value).has_value();
+  const bool integer = type == Type::kInt || type == Type::kIntList;
+  const auto number = [&](const std::string& tok) -> std::optional<double> {
+    if (!integer) return parse_double(tok);
+    const auto i = parse_int(tok);
+    if (!i) return std::nullopt;
+    return static_cast<double>(*i);
   };
-  const auto is_double = [](const std::string& tok) {
-    try {
-      std::size_t used = 0;
-      (void)std::stod(tok, &used);
-      return used == tok.size();
-    } catch (const std::exception&) {
-      return false;
-    }
-  };
-  switch (type) {
-    case ConfigSchema::Type::kString:
-      return true;
-    case ConfigSchema::Type::kInt:
-      return is_int(value);
-    case ConfigSchema::Type::kDouble:
-      return is_double(value);
-    case ConfigSchema::Type::kBool: {
-      const std::string low = lower(value);
-      return low == "true" || low == "yes" || low == "on" || low == "1" ||
-             low == "false" || low == "no" || low == "off" || low == "0";
-    }
-    case ConfigSchema::Type::kIntList:
-    case ConfigSchema::Type::kDoubleList: {
-      std::istringstream in(value);
-      std::string tok;
-      bool any = false;
-      while (in >> tok) {
-        any = true;
-        if (type == ConfigSchema::Type::kIntList ? !is_int(tok)
-                                                 : !is_double(tok)) {
-          return false;
-        }
-      }
-      return any;
-    }
+  std::istringstream in(value);
+  std::string tok;
+  std::size_t count = 0;
+  for (; in >> tok; ++count) {
+    const auto v = number(tok);
+    if (!v || !ConfigSchema::admits(type, range, *v)) return false;
   }
-  return false;
+  const bool list = type == Type::kIntList || type == Type::kDoubleList;
+  return list ? count > 0 : count == 1 && tok == value;
 }
 
 const char* type_name(ConfigSchema::Type type) {
@@ -252,6 +230,13 @@ const char* type_name(ConfigSchema::Type type) {
     case ConfigSchema::Type::kDoubleList: return "number list";
   }
   return "?";
+}
+
+// Bounds print as integers when integral ("2^63-1" for the int64 ceiling).
+std::string bound_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
+  return v >= 9.2e18 ? "2^63-1" : buf;
 }
 
 }  // namespace
@@ -273,9 +258,24 @@ ConfigSchema& ConfigSchema::section(const std::string& name) {
   return *this;
 }
 
+bool ConfigSchema::admits(Type type, ConfigRange range, double value) {
+  const bool integer = type == Type::kInt || type == Type::kIntList;
+  if (integer && value != std::floor(value)) return false;
+  return value >= range.lo && value <= range.hi;
+}
+
+std::string ConfigSchema::describe(Type type, ConfigRange range) {
+  std::string out = type_name(type);
+  if (std::isfinite(range.lo) || std::isfinite(range.hi)) {
+    out += " in [" + bound_text(range.lo) + ", " + bound_text(range.hi) + "]";
+  }
+  return out;
+}
+
 ConfigSchema& ConfigSchema::key(const std::string& section,
-                                const std::string& name, Type type) {
-  schema_[section][name] = type;
+                                const std::string& name, Type type,
+                                ConfigRange range) {
+  schema_[section][name] = Key{type, range};
   return *this;
 }
 
@@ -298,7 +298,7 @@ std::vector<ConfigDiagnostic> ConfigSchema::validate(
       continue;
     }
     std::vector<std::string> key_names;
-    for (const auto& [name, type] : sit->second) key_names.push_back(name);
+    for (const auto& [name, spec] : sit->second) key_names.push_back(name);
     for (const auto& key : cfg.keys(sec)) {
       const auto kit = sit->second.find(key);
       if (kit == sit->second.end()) {
@@ -314,12 +314,13 @@ std::vector<ConfigDiagnostic> ConfigSchema::validate(
         continue;
       }
       const auto value = cfg.get(sec, key);
-      if (value && !parses_as(kit->second, *value)) {
+      const Key& spec = kit->second;
+      if (value && !parses_as(spec.type, spec.range, *value)) {
         ConfigDiagnostic d;
         d.kind = ConfigDiagnostic::Kind::kBadValue;
         d.section = sec;
         d.key = key;
-        d.message = "expected " + std::string(type_name(kit->second)) +
+        d.message = "expected " + describe(spec.type, spec.range) +
                     ", got '" + *value + "'";
         out.push_back(std::move(d));
       }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,13 +31,9 @@ class IniConfig {
   std::optional<std::string> get(const std::string& section,
                                  const std::string& key) const;
 
-  /// Typed accessors; throw SimulationError on unparsable values.
+  /// Typed accessors; throw ConfigError on unparsable values.
   std::string get_string(const std::string& section, const std::string& key,
                          const std::string& fallback) const;
-  std::int64_t get_int(const std::string& section, const std::string& key,
-                       std::int64_t fallback) const;
-  double get_double(const std::string& section, const std::string& key,
-                    double fallback) const;
   bool get_bool(const std::string& section, const std::string& key,
                 bool fallback) const;
 
@@ -46,6 +43,13 @@ class IniConfig {
   std::vector<std::string> section_order_;
   std::map<std::string, std::vector<std::string>> key_order_;
 };
+
+/// Whole-token value parsers (typed keys read through these): nullopt
+/// unless all of `text` parses. Integers take a base prefix, as strtoll
+/// with base 0 does; booleans are true/yes/on/1 or false/no/off/0, any case.
+std::optional<std::int64_t> parse_int(const std::string& text);
+std::optional<double> parse_double(const std::string& text);
+std::optional<bool> parse_bool(const std::string& text);
 
 /// One problem found while validating a config against a ConfigSchema.
 struct ConfigDiagnostic {
@@ -58,27 +62,44 @@ struct ConfigDiagnostic {
   std::string to_string() const;
 };
 
+/// Inclusive bounds on a numeric config key (on every element, for lists).
+/// NaN is never inside; the default admits every other number.
+struct ConfigRange {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+};
+
 /// Declarative description of every section/key a tool understands, with
-/// value types, so typos stop silently falling back to defaults: validate()
-/// reports unknown sections, unknown keys (with a nearest-name suggestion)
-/// and type-mismatched values as a diagnostics list instead of throwing.
-/// Tools decide the severity (psync_sim warns by default, fails under
-/// --strict).
+/// value types and ranges, so typos stop silently falling back to defaults:
+/// validate() reports unknown sections, unknown keys (with a nearest-name
+/// suggestion) and mistyped or out-of-range values as a diagnostics list
+/// instead of throwing. Tools decide the severity (psync_sim warns by
+/// default, fails under --strict).
 class ConfigSchema {
  public:
   enum class Type { kString, kInt, kDouble, kBool, kIntList, kDoubleList };
 
+  /// True when `value` may be one value (list element) of a `type` key
+  /// bounded by `range`: inside it and, for integer types, integral.
+  static bool admits(Type type, ConfigRange range, double value);
+  /// What such a key accepts, e.g. "integer in [1, 16]" or "number".
+  static std::string describe(Type type, ConfigRange range);
+
   /// Declare a section with no keys yet (also implied by key()).
   ConfigSchema& section(const std::string& name);
-  /// Declare a key and its value type.
+  /// Declare a key, its value type and, for numeric types, its range.
   ConfigSchema& key(const std::string& section, const std::string& name,
-                    Type type);
+                    Type type, ConfigRange range = {});
 
   /// Every problem in `cfg`, in section/key insertion order.
   std::vector<ConfigDiagnostic> validate(const IniConfig& cfg) const;
 
  private:
-  std::map<std::string, std::map<std::string, Type>> schema_;
+  struct Key {
+    Type type;
+    ConfigRange range;
+  };
+  std::map<std::string, std::map<std::string, Key>> schema_;
 };
 
 }  // namespace psync

@@ -53,6 +53,15 @@ class ProcSink final : public mesh::Sink {
   bool used_ = false;
 };
 
+// A config can reach this: `words` (> 0) must split into whole packets.
+void check_packets(std::uint64_t words, std::uint64_t packet) {
+  if (words == 0 || packet == 0 || words % packet != 0) {
+    throw ConfigError("MeshMachine: " + std::to_string(words) +
+                      " words per node do not split into packets of " +
+                      std::to_string(packet));
+  }
+}
+
 }  // namespace
 
 MeshMachine::MeshMachine(MeshMachineParams params) : params_(params) {
@@ -65,6 +74,10 @@ MeshMachine::MeshMachine(MeshMachineParams params) : params_(params) {
   if (params_.memory_node >= p) {
     throw ConfigError("MeshMachine: memory node outside the grid");
   }
+  const std::uint64_t epp = params_.elements_per_packet;
+  // The fft2d flow moves each processor's row and column block in packets.
+  check_packets(params_.matrix_rows / p * params_.matrix_cols, epp);
+  check_packets(params_.matrix_cols / p * params_.matrix_rows, epp);
   params_.net.width = static_cast<std::uint32_t>(params_.grid);
   params_.net.height = static_cast<std::uint32_t>(params_.grid);
 }
@@ -77,7 +90,7 @@ TransposeRunReport MeshMachine::run_transpose_writeback(
   mesh::MemoryInterface mi(params_.mi, total);
   net.set_sink(params_.memory_node, &mi);
 
-  PSYNC_CHECK(elements_per_node % params_.elements_per_packet == 0);
+  check_packets(elements_per_node, params_.elements_per_packet);
   for (mesh::NodeId n = 0; n < net.nodes(); ++n) {
     for (std::uint32_t e = 0; e < elements_per_node;
          e += params_.elements_per_packet) {
@@ -118,7 +131,8 @@ TransposeRunReport MeshMachine::run_transpose_writeback_multiport(
   if (ports != 1 && ports != 2 && ports != 4) {
     throw SimulationError("multiport transpose: ports must be 1, 2 or 4");
   }
-  PSYNC_CHECK(elements_per_node % (params_.elements_per_packet * ports) == 0);
+  check_packets(elements_per_node,
+                std::uint64_t{params_.elements_per_packet} * ports);
 
   mesh::Mesh net(params_.net);
   const auto g = static_cast<std::uint32_t>(params_.grid);
@@ -225,7 +239,6 @@ MeshRunReport MeshMachine::run_fft2d(
       sinks[i].attach(&local[i]);
       net.set_sink(static_cast<mesh::NodeId>(i), &sinks[i]);
     }
-    PSYNC_CHECK(per_proc % epp == 0);
     for (std::size_t i = 0; i < P; ++i) {
       for (std::size_t e = 0; e < per_proc; e += epp) {
         mesh::PacketDesc d;
@@ -285,7 +298,6 @@ MeshRunReport MeshMachine::run_fft2d(
     net.set_sink(params_.memory_node, &mi);
 
     const double t0 = *std::min_element(ready_ns.begin(), ready_ns.end());
-    PSYNC_CHECK(per_proc % epp == 0);
     for (std::size_t i = 0; i < P; ++i) {
       const auto release = static_cast<std::int64_t>(
           std::ceil((ready_ns[i] - t0) / cycle_ns()));

@@ -26,169 +26,144 @@ namespace {
 
 // %.17g round-trips an IEEE-754 double bit-exactly, and formats a given bit
 // pattern identically everywhere — the same argument campaign.cpp's journal
-// codec relies on.
-void put(std::ostringstream& os, double v) {
+// codec relies on. `os << Num{v}` writes v that way.
+struct Num {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& os, Num n) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
+  std::snprintf(buf, sizeof(buf), "%.17g", n.v);
+  return os << buf;
 }
 
-void put_dram(std::ostringstream& os, const dram::DramParams& d) {
-  os << "{\"row_size_bits\":" << d.row_size_bits
-     << ",\"bus_width_bits\":" << d.bus_width_bits
-     << ",\"header_bits\":" << d.header_bits
-     << ",\"row_switch_cycles\":" << d.row_switch_cycles
-     << ",\"banks\":" << d.banks << '}';
+std::ostream& operator<<(std::ostream& os, const dram::DramParams& d) {
+  return os << "{\"row_size_bits\":" << d.row_size_bits
+            << ",\"bus_width_bits\":" << d.bus_width_bits
+            << ",\"header_bits\":" << d.header_bits
+            << ",\"row_switch_cycles\":" << d.row_switch_cycles
+            << ",\"banks\":" << d.banks << '}';
 }
 
-void put_exec(std::ostringstream& os, const core::ExecCostParams& e) {
-  os << "{\"fp_mult_ns\":";
-  put(os, e.fp_mult_ns);
-  os << ",\"mults_per_butterfly\":" << e.mults_per_butterfly
-     << ",\"fp_add_ns\":";
-  put(os, e.fp_add_ns);
-  os << ",\"fp_mult_pj\":";
-  put(os, e.fp_mult_pj);
-  os << ",\"fp_add_pj\":";
-  put(os, e.fp_add_pj);
-  os << '}';
+std::ostream& operator<<(std::ostream& os, const core::ExecCostParams& e) {
+  return os << "{\"fp_mult_ns\":" << Num{e.fp_mult_ns}
+            << ",\"mults_per_butterfly\":" << e.mults_per_butterfly
+            << ",\"fp_add_ns\":" << Num{e.fp_add_ns}
+            << ",\"fp_mult_pj\":" << Num{e.fp_mult_pj}
+            << ",\"fp_add_pj\":" << Num{e.fp_add_pj} << '}';
 }
 
-void put_photonics(std::ostringstream& os,
-                   const photonic::PhotonicEnergyParams& p) {
-  os << "{\"laser\":{\"launch_power_dbm\":";
-  put(os, p.laser.launch_power_dbm.value());
-  os << ",\"wall_plug_efficiency\":";
-  put(os, p.laser.wall_plug_efficiency);
-  os << ",\"coupler_loss_db\":";
-  put(os, p.laser.coupler_loss_db.value());
-  os << "},\"ring\":{\"through_loss_off_db\":";
-  put(os, p.ring.through_loss_off_db.value());
-  os << ",\"insertion_loss_on_db\":";
-  put(os, p.ring.insertion_loss_on_db.value());
-  os << ",\"extinction_ratio_db\":";
-  put(os, p.ring.extinction_ratio_db.value());
-  os << ",\"modulation_energy_fj_per_bit\":";
-  put(os, p.ring.modulation_energy_fj_per_bit.value());
-  os << ",\"thermal_tuning_uw\":";
-  put(os, p.ring.thermal_tuning_uw.value());
-  os << ",\"max_rate_gbps\":";
-  put(os, p.ring.max_rate_gbps.value());
-  os << "},\"detector\":{\"sensitivity_dbm\":";
-  put(os, p.detector.sensitivity_dbm.value());
-  os << ",\"receive_energy_fj_per_bit\":";
-  put(os, p.detector.receive_energy_fj_per_bit.value());
-  os << ",\"tap_loss_db\":";
-  put(os, p.detector.tap_loss_db.value());
-  os << "},\"waveguide\":{\"group_velocity_cm_per_ns\":";
-  put(os, p.waveguide.group_velocity_cm_per_ns);
-  os << ",\"loss_straight_db_per_cm\":";
-  put(os, p.waveguide.loss_straight_db_per_cm);
-  os << ",\"loss_curved_db_per_cm\":";
-  put(os, p.waveguide.loss_curved_db_per_cm);
-  os << ",\"loss_per_bend_db\":";
-  put(os, p.waveguide.loss_per_bend_db);
-  os << "},\"wdm\":{\"wavelength_count\":" << p.wdm.wavelength_count
-     << ",\"rate_gbps_per_wavelength\":";
-  put(os, p.wdm.rate_gbps_per_wavelength.value());
-  os << "},\"serdes_energy_fj_per_bit\":";
-  put(os, p.serdes_energy_fj_per_bit.value());
-  os << ",\"max_launch_dbm\":";
-  put(os, p.max_launch_dbm.value());
-  os << '}';
+std::ostream& operator<<(std::ostream& os,
+                         const photonic::PhotonicEnergyParams& p) {
+  return os << "{\"laser\":{\"launch_power_dbm\":"
+            << Num{p.laser.launch_power_dbm.value()}
+            << ",\"wall_plug_efficiency\":" << Num{p.laser.wall_plug_efficiency}
+            << ",\"coupler_loss_db\":" << Num{p.laser.coupler_loss_db.value()}
+            << "},\"ring\":{\"through_loss_off_db\":"
+            << Num{p.ring.through_loss_off_db.value()}
+            << ",\"insertion_loss_on_db\":"
+            << Num{p.ring.insertion_loss_on_db.value()}
+            << ",\"extinction_ratio_db\":"
+            << Num{p.ring.extinction_ratio_db.value()}
+            << ",\"modulation_energy_fj_per_bit\":"
+            << Num{p.ring.modulation_energy_fj_per_bit.value()}
+            << ",\"thermal_tuning_uw\":"
+            << Num{p.ring.thermal_tuning_uw.value()}
+            << ",\"max_rate_gbps\":" << Num{p.ring.max_rate_gbps.value()}
+            << "},\"detector\":{\"sensitivity_dbm\":"
+            << Num{p.detector.sensitivity_dbm.value()}
+            << ",\"receive_energy_fj_per_bit\":"
+            << Num{p.detector.receive_energy_fj_per_bit.value()}
+            << ",\"tap_loss_db\":" << Num{p.detector.tap_loss_db.value()}
+            << "},\"waveguide\":{\"group_velocity_cm_per_ns\":"
+            << Num{p.waveguide.group_velocity_cm_per_ns}
+            << ",\"loss_straight_db_per_cm\":"
+            << Num{p.waveguide.loss_straight_db_per_cm}
+            << ",\"loss_curved_db_per_cm\":"
+            << Num{p.waveguide.loss_curved_db_per_cm}
+            << ",\"loss_per_bend_db\":" << Num{p.waveguide.loss_per_bend_db}
+            << "},\"wdm\":{\"wavelength_count\":" << p.wdm.wavelength_count
+            << ",\"rate_gbps_per_wavelength\":"
+            << Num{p.wdm.rate_gbps_per_wavelength.value()}
+            << "},\"serdes_energy_fj_per_bit\":"
+            << Num{p.serdes_energy_fj_per_bit.value()}
+            << ",\"max_launch_dbm\":" << Num{p.max_launch_dbm.value()} << '}';
 }
 
-void put_fault(std::ostringstream& os, const core::FaultModel& f) {
+std::ostream& operator<<(std::ostream& os, const core::FaultModel& f) {
   os << "{\"dead_wavelengths\":[";
   for (std::size_t i = 0; i < f.dead_wavelengths.size(); ++i) {
     if (i > 0) os << ',';
     os << f.dead_wavelengths[i];
   }
-  os << "],\"random_ber\":";
-  put(os, f.random_ber);
-  os << ",\"seed\":" << f.seed << ",\"drift_ber_per_mword\":";
-  put(os, f.drift_ber_per_mword);
-  os << ",\"brownout_start_word\":" << f.brownout_start_word
-     << ",\"brownout_words\":" << f.brownout_words << ",\"brownout_ber\":";
-  put(os, f.brownout_ber);
-  os << '}';
+  os << "],\"random_ber\":" << Num{f.random_ber} << ",\"seed\":" << f.seed
+     << ",\"drift_ber_per_mword\":" << Num{f.drift_ber_per_mword}
+     << ",\"brownout_start_word\":" << f.brownout_start_word
+     << ",\"brownout_words\":" << f.brownout_words
+     << ",\"brownout_ber\":" << Num{f.brownout_ber} << '}';
+  return os;
 }
 
-void put_reliability(std::ostringstream& os,
-                     const reliability::ReliabilityParams& r) {
-  os << "{\"policy\":" << static_cast<int>(r.policy)
-     << ",\"block_words\":" << r.block_words
-     << ",\"max_retries\":" << r.max_retries
-     << ",\"retry_backoff_slots\":" << r.retry_backoff_slots
-     << ",\"spare_lanes\":" << r.spare_lanes
-     << ",\"training_words\":" << r.training_words << '}';
+std::ostream& operator<<(std::ostream& os,
+                         const reliability::ReliabilityParams& r) {
+  return os << "{\"policy\":" << static_cast<int>(r.policy)
+            << ",\"block_words\":" << r.block_words
+            << ",\"max_retries\":" << r.max_retries
+            << ",\"retry_backoff_slots\":" << r.retry_backoff_slots
+            << ",\"spare_lanes\":" << r.spare_lanes
+            << ",\"training_words\":" << r.training_words << '}';
 }
 
-void put_machine(std::ostringstream& os, const core::PsyncMachineParams& m) {
-  os << "{\"processors\":" << m.processors << ",\"rows\":" << m.matrix_rows
-     << ",\"cols\":" << m.matrix_cols << ",\"sample_bits\":" << m.sample_bits
-     << ",\"waveguide_gbps\":";
-  put(os, m.waveguide_gbps);
-  os << ",\"blocks\":" << m.delivery_blocks << ",\"bus_length_cm\":";
-  put(os, m.bus_length_cm);
-  os << ",\"exec\":";
-  put_exec(os, m.exec);
-  os << ",\"head\":{\"bus_ghz\":";
-  put(os, m.head.bus_ghz);
-  os << ",\"waveguide_gbps\":";
-  put(os, m.head.waveguide_gbps);
-  os << ",\"dram\":";
-  put_dram(os, m.head.dram);
-  os << "},\"photonics\":";
-  put_photonics(os, m.photonics);
-  os << ",\"fault\":";
-  put_fault(os, m.fault);
-  os << ",\"reliability\":";
-  put_reliability(os, m.reliability);
-  os << '}';
+std::ostream& operator<<(std::ostream& os,
+                         const core::PsyncMachineParams& m) {
+  return os << "{\"processors\":" << m.processors
+            << ",\"rows\":" << m.matrix_rows << ",\"cols\":" << m.matrix_cols
+            << ",\"sample_bits\":" << m.sample_bits
+            << ",\"waveguide_gbps\":" << Num{m.waveguide_gbps}
+            << ",\"blocks\":" << m.delivery_blocks
+            << ",\"bus_length_cm\":" << Num{m.bus_length_cm}
+            << ",\"exec\":" << m.exec
+            << ",\"head\":{\"bus_ghz\":" << Num{m.head.bus_ghz}
+            << ",\"waveguide_gbps\":" << Num{m.head.waveguide_gbps}
+            << ",\"dram\":" << m.head.dram << "},\"photonics\":" << m.photonics
+            << ",\"fault\":" << m.fault << ",\"reliability\":" << m.reliability
+            << '}';
 }
 
-void put_mesh(std::ostringstream& os, const core::MeshMachineParams& m) {
-  os << "{\"grid\":" << m.grid << ",\"rows\":" << m.matrix_rows
-     << ",\"cols\":" << m.matrix_cols << ",\"sample_bits\":" << m.sample_bits
-     << ",\"elements_per_packet\":" << m.elements_per_packet
-     << ",\"clock_ghz\":";
-  put(os, m.clock_ghz);
-  os << ",\"memory_node\":" << m.memory_node
-     << ",\"net\":{\"width\":" << m.net.width << ",\"height\":" << m.net.height
-     << ",\"buffer_depth\":" << m.net.buffer_depth
-     << ",\"route_delay\":" << m.net.route_delay
-     << ",\"algo\":" << static_cast<int>(m.net.algo)
-     << ",\"virtual_channels\":" << m.net.virtual_channels
-     << "},\"mi\":{\"reorder_cycles_per_element\":"
-     << m.mi.reorder_cycles_per_element
-     << ",\"element_bits\":" << m.mi.element_bits
-     << ",\"overlap_stages\":" << (m.mi.overlap_stages ? "true" : "false")
-     << ",\"dram\":";
-  put_dram(os, m.mi.dram);
-  os << "},\"exec\":";
-  put_exec(os, m.exec);
-  os << ",\"orion\":{\"die_mm\":";
-  put(os, m.orion.die_mm);
-  os << ",\"flit_bits\":";
-  put(os, m.orion.flit_bits);
-  os << ",\"router_stages\":";
-  put(os, m.orion.router_stages);
-  os << ",\"buffer_write_pj_per_bit\":";
-  put(os, m.orion.buffer_write_pj_per_bit);
-  os << ",\"buffer_read_pj_per_bit\":";
-  put(os, m.orion.buffer_read_pj_per_bit);
-  os << ",\"crossbar_pj_per_bit\":";
-  put(os, m.orion.crossbar_pj_per_bit);
-  os << ",\"arbiter_pj_per_flit\":";
-  put(os, m.orion.arbiter_pj_per_flit);
-  os << ",\"link_pj_per_bit_per_mm\":";
-  put(os, m.orion.link_pj_per_bit_per_mm);
-  os << ",\"pipeline_pj_per_bit_per_stage\":";
-  put(os, m.orion.pipeline_pj_per_bit_per_stage);
-  os << ",\"repeater_segment_mm\":";
-  put(os, m.orion.repeater_segment_mm);
-  os << "}}";
+std::ostream& operator<<(std::ostream& os, const core::MeshMachineParams& m) {
+  return os
+         << "{\"grid\":" << m.grid << ",\"rows\":" << m.matrix_rows
+         << ",\"cols\":" << m.matrix_cols
+         << ",\"sample_bits\":" << m.sample_bits
+         << ",\"elements_per_packet\":" << m.elements_per_packet
+         << ",\"clock_ghz\":" << Num{m.clock_ghz}
+         << ",\"memory_node\":" << m.memory_node
+         << ",\"net\":{\"width\":" << m.net.width
+         << ",\"height\":" << m.net.height
+         << ",\"buffer_depth\":" << m.net.buffer_depth
+         << ",\"route_delay\":" << m.net.route_delay
+         << ",\"algo\":" << static_cast<int>(m.net.algo)
+         << ",\"virtual_channels\":" << m.net.virtual_channels
+         << "},\"mi\":{\"reorder_cycles_per_element\":"
+         << m.mi.reorder_cycles_per_element
+         << ",\"element_bits\":" << m.mi.element_bits
+         << ",\"overlap_stages\":" << (m.mi.overlap_stages ? "true" : "false")
+         << ",\"dram\":" << m.mi.dram << "},\"exec\":" << m.exec
+         << ",\"orion\":{\"die_mm\":" << Num{m.orion.die_mm}
+         << ",\"flit_bits\":" << Num{m.orion.flit_bits}
+         << ",\"router_stages\":" << Num{m.orion.router_stages}
+         << ",\"buffer_write_pj_per_bit\":"
+         << Num{m.orion.buffer_write_pj_per_bit}
+         << ",\"buffer_read_pj_per_bit\":"
+         << Num{m.orion.buffer_read_pj_per_bit}
+         << ",\"crossbar_pj_per_bit\":" << Num{m.orion.crossbar_pj_per_bit}
+         << ",\"arbiter_pj_per_flit\":" << Num{m.orion.arbiter_pj_per_flit}
+         << ",\"link_pj_per_bit_per_mm\":"
+         << Num{m.orion.link_pj_per_bit_per_mm}
+         << ",\"pipeline_pj_per_bit_per_stage\":"
+         << Num{m.orion.pipeline_pj_per_bit_per_stage}
+         << ",\"repeater_segment_mm\":" << Num{m.orion.repeater_segment_mm}
+         << "}}";
 }
 
 // The shared core of both canonical forms: workload + parameter blocks +
@@ -203,10 +178,8 @@ void put_common(std::ostringstream& os, const std::string& workload,
      << workload << "\",\"seed\":" << seed << ",\"with_mesh\":"
      << (with_mesh ? "true" : "false") << ",\"verify\":"
      << (verify ? "true" : "false")
-     << ",\"transpose_elements\":" << transpose_elements << ",\"machine\":";
-  put_machine(os, machine);
-  os << ",\"mesh\":";
-  put_mesh(os, mesh);
+     << ",\"transpose_elements\":" << transpose_elements
+     << ",\"machine\":" << machine << ",\"mesh\":" << mesh;
 }
 
 }  // namespace
@@ -230,7 +203,7 @@ std::string ExperimentSpec::canonical_json() const {
     os << "[\"" << axes[a].knob << "\",[";
     for (std::size_t v = 0; v < axes[a].values.size(); ++v) {
       if (v > 0) os << ',';
-      put(os, axes[a].values[v]);
+      os << Num{axes[a].values[v]};
     }
     os << "]]";
   }
@@ -250,9 +223,8 @@ std::string point_canonical_json(const std::string& workload,
   os << ",\"knobs\":[";
   for (std::size_t k = 0; k < pt.knobs.size(); ++k) {
     if (k > 0) os << ',';
-    os << "[\"" << pt.knobs[k].first << "\",";
-    put(os, pt.knobs[k].second);
-    os << ']';
+    os << "[\"" << pt.knobs[k].first << "\"," << Num{pt.knobs[k].second}
+       << ']';
   }
   os << "]}";
   return os.str();

@@ -1,7 +1,8 @@
 #include "psync/driver/experiment.hpp"
 
-#include <cmath>
+#include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "psync/common/check.hpp"
 
@@ -9,97 +10,153 @@ namespace psync::driver {
 
 namespace {
 
-// Count-valued knobs arrive as doubles from the sweep parser. Casting a
-// negative value straight to an unsigned type is undefined behavior (and in
-// practice wraps to a huge count), and a fractional value would silently
-// truncate — the sweep would then report an axis value that was never
-// actually simulated. Reject both up front, naming the knob.
-template <typename UInt>
-UInt count_knob(const std::string& knob, double value) {
-  const double rounded = std::floor(value);
-  if (!(value >= 0.0) || rounded != value) {
-    throw ConfigError("knob '" + knob + "' must be a non-negative integer; " +
-                      "got " + std::to_string(value));
-  }
-  return static_cast<UInt>(value);
-}
+using enum ConfigSchema::Type;
+using Target = ConfigKey::Target;
 
-}  // namespace
+// Ini integers are int64: the largest value an integer key can carry.
+constexpr double kInt64Max = 9223372036854775807.0;
 
-bool apply_knob(const std::string& knob, double value,
-                core::PsyncMachineParams* machine,
-                core::MeshMachineParams* mesh) {
-  if (knob == "processors") {
-    machine->processors = count_knob<std::size_t>(knob, value);
-  } else if (knob == "blocks" || knob == "k") {
-    machine->delivery_blocks = count_knob<std::size_t>(knob, value);
-  } else if (knob == "rows") {
-    machine->matrix_rows = count_knob<std::size_t>(knob, value);
-    mesh->matrix_rows = machine->matrix_rows;
-  } else if (knob == "cols") {
-    machine->matrix_cols = count_knob<std::size_t>(knob, value);
-    mesh->matrix_cols = machine->matrix_cols;
-  } else if (knob == "waveguide_gbps") {
-    machine->waveguide_gbps = value;
-  } else if (knob == "bus_length_cm") {
-    machine->bus_length_cm = value;
-  } else if (knob == "margin_db") {
-    // Rebuild the fault model from optical margin; keep the configured
-    // dead lanes, injection seed and time-varying profile so only the
-    // base BER moves with the axis.
-    core::FaultModel fault =
-        core::FaultModel::from_margin_db(value, machine->fault.seed);
-    fault.dead_wavelengths = machine->fault.dead_wavelengths;
-    fault.drift_ber_per_mword = machine->fault.drift_ber_per_mword;
-    fault.brownout_start_word = machine->fault.brownout_start_word;
-    fault.brownout_words = machine->fault.brownout_words;
-    fault.brownout_ber = machine->fault.brownout_ber;
-    machine->fault = fault;
-  } else if (knob == "drift_ber_per_mword") {
-    machine->fault.drift_ber_per_mword = value;
-  } else if (knob == "brownout_ber") {
-    machine->fault.brownout_ber = value;
-  } else if (knob == "grid") {
-    mesh->grid = count_knob<std::size_t>(knob, value);
-  } else if (knob == "t_p") {
-    mesh->mi.reorder_cycles_per_element = count_knob<std::uint32_t>(knob, value);
-  } else if (knob == "elements_per_packet") {
-    mesh->elements_per_packet = count_knob<std::uint32_t>(knob, value);
-  } else if (knob == "virtual_channels") {
-    mesh->net.virtual_channels = count_knob<std::uint32_t>(knob, value);
-  } else if (knob == "cores") {
-    // Consumed by the fig13 workload straight from the knob list; nothing
-    // to write into the machine blocks.
+// An admitted value, parsed into the field's type.
+template <typename Field>
+void assign(Field& field, const std::string& text) {
+  if constexpr (std::is_same_v<Field, bool>) {
+    field = parse_bool(text).value();
+  } else if constexpr (std::is_same_v<Field, std::string>) {
+    field = text;
+  } else if constexpr (std::is_integral_v<Field>) {
+    field = static_cast<Field>(parse_int(text).value());
   } else {
-    return false;
+    field = parse_double(text).value();
   }
-  return true;
 }
 
-void check_mesh_network(std::int64_t buffer_depth,
-                        std::int64_t virtual_channels) {
-  const auto check = [](const char* key, std::int64_t value,
-                        std::int64_t max) {
-    if (value < 1 || value > max) {
-      throw ConfigError(std::string("mesh.") + key + " must be in [1, " +
-                        std::to_string(max) + "]; got " +
-                        std::to_string(value));
-    }
-  };
-  check("buffer_depth", buffer_depth, 255);
-  check("virtual_channels", virtual_channels, 16);
-}
+// Binds a row to one field reachable from a Target `t`: the setter parses
+// the text into it, the getter reads it back for range checks.
+#define PSYNC_FIELD(lvalue)                                             \
+  [](const Target& t, const std::string& v) { assign(t.lvalue, v); }, \
+      [](const Target& t) { return static_cast<double>(t.lvalue); }
+#define PSYNC_TEXT(lvalue) \
+  [](const Target& t, const std::string& v) { assign(t.lvalue, v); }, nullptr
+// rows and cols size the matrix of both machines.
+#define PSYNC_MATRIX(field)                                              \
+  [](const Target& t, const std::string& v) {                            \
+    assign(t.machine->field, v);                                         \
+    t.mesh->field = t.machine->field;                                    \
+  },                                                                     \
+      [](const Target& t) { return static_cast<double>(t.machine->field); }
 
-std::vector<std::string> known_knobs() {
-  return {"processors",     "blocks",        "k",
-          "rows",           "cols",          "waveguide_gbps",
-          "bus_length_cm",  "margin_db",     "drift_ber_per_mword",
-          "brownout_ber",   "grid",
-          "t_p",            "elements_per_packet", "virtual_channels",
-          "cores"};
-}
+// Rows are applied in this order; margin_db precedes random_ber so an
+// explicit random_ber wins.
+const std::vector<ConfigKey> kKeys = {
+    {"experiment", "kind", kString, {}, "fft2d", PSYNC_TEXT(spec->workload)},
+    {"experiment", "workload", kString, {}, "fft2d", nullptr, nullptr},
+    {"experiment", "json", kBool, {}, "false", nullptr, nullptr},
+    {"experiment", "csv", kBool, {}, "false", nullptr, nullptr},
+    {"experiment", "verify", kBool, {}, "true", PSYNC_FIELD(spec->verify)},
+    {"experiment", "strict", kBool, {}, "false", nullptr, nullptr},
+    {"experiment", "elements", kInt, {1, 65536}, "256",
+     PSYNC_FIELD(spec->transpose_elements)},
+    {"experiment", "input_seed", kInt, {0, kInt64Max}, "2026",
+     PSYNC_FIELD(spec->input_seed)},
+    {"experiment", "threads", kInt, {0, 1024}, "1",
+     [](const Target& t, const std::string& v) {
+       assign(t.spec->threads, v);
+       if (t.spec->threads == 0) t.spec->threads = 1;
+     },
+     [](const Target& t) { return static_cast<double>(t.spec->threads); }},
+    {"experiment", "vary", kString, {}, "processors", nullptr, nullptr},
+    {"experiment", "values", kDoubleList, {}, "", nullptr, nullptr},
+    {"experiment", "margins_db", kDoubleList, {}, "", nullptr, nullptr},
+    {"experiment", "journal", kString, {}, "", PSYNC_TEXT(spec->journal_path)},
+    {"guard", "isolate", kBool, {}, "true", PSYNC_FIELD(spec->guard.isolate)},
+    {"guard", "max_retries", kInt, {0, 100}, "1",
+     PSYNC_FIELD(spec->guard.max_retries)},
+    {"guard", "point_timeout_ms", kDouble, {0, 86400000}, "0",
+     PSYNC_FIELD(spec->guard.point_timeout_ms)},
+    {"guard", "retry_backoff_ms", kDouble, {0, 60000}, "5",
+     PSYNC_FIELD(spec->guard.retry_backoff_ms)},
+    {"guard", "max_point_mb", kInt, {0, 1048576}, "0",
+     PSYNC_FIELD(spec->guard.max_point_mb)},
+    {"machine", "processors", kInt, {1, 4096}, "16",
+     PSYNC_FIELD(machine->processors), true},
+    {"machine", "rows", kInt, {1, 65536}, "64", PSYNC_MATRIX(matrix_rows),
+     true},
+    {"machine", "cols", kInt, {1, 65536}, "64", PSYNC_MATRIX(matrix_cols),
+     true},
+    {"machine", "blocks", kInt, {1, 512}, "1",
+     PSYNC_FIELD(machine->delivery_blocks), true, kBlocksKnobAlias,
+     "fig11's 1024-point model needs two points per block"},
+    {"machine", "waveguide_gbps", kDouble, {1, 1000}, "320",
+     PSYNC_FIELD(machine->waveguide_gbps), true, nullptr,
+     "the integer-picosecond clock cannot hold faster bit periods"},
+    {"machine", "bus_length_cm", kDouble, {0.1, 100}, "8",
+     PSYNC_FIELD(machine->bus_length_cm), true},
+    {"machine", "dram_row_switch_cycles", kInt, {0, 100000}, "0",
+     PSYNC_FIELD(machine->head.dram.row_switch_cycles)},
+    {"mesh", "grid", kInt, {1, 64}, "4", PSYNC_FIELD(mesh->grid), true},
+    {"mesh", "t_p", kInt, {0, 1024}, "1",
+     PSYNC_FIELD(mesh->mi.reorder_cycles_per_element), true},
+    {"mesh", "elements_per_packet", kInt, {1, 1024}, "32",
+     PSYNC_FIELD(mesh->elements_per_packet), true},
+    {"mesh", "overlap_stages", kBool, {}, "false",
+     PSYNC_FIELD(mesh->mi.overlap_stages)},
+    {"mesh", "buffer_depth", kInt, {1, 255}, "2",
+     PSYNC_FIELD(mesh->net.buffer_depth), false, nullptr,
+     "the mesh packs FIFO occupancy into a byte"},
+    {"mesh", "virtual_channels", kInt, {1, 16}, "1",
+     PSYNC_FIELD(mesh->net.virtual_channels), true, nullptr,
+     "the mesh packs per-VC credits into bytes"},
+    {"mesh", "dram_row_switch_cycles", kInt, {0, 100000}, "0",
+     PSYNC_FIELD(mesh->mi.dram.row_switch_cycles)},
+    {"fault", "margin_db", kDouble, {-30, 30}, nullptr,
+     [](const Target& t, const std::string& v) {
+       // Only the base BER moves; lanes, seed and profile stay.
+       t.machine->fault.random_ber =
+           core::FaultModel::from_margin_db(parse_double(v).value()).random_ber;
+     },
+     nullptr, true, nullptr, "sets random_ber; the BER saturates outside"},
+    {"fault", "random_ber", kDouble, {0, 1}, nullptr,
+     PSYNC_FIELD(machine->fault.random_ber)},
+    {"fault", "seed", kInt, {0, kInt64Max}, "1",
+     PSYNC_FIELD(machine->fault.seed)},
+    {"fault", "dead_wavelengths", kIntList, {0, 63}, "",
+     [](const Target& t, const std::string& v) {
+       auto& lanes = t.machine->fault.dead_wavelengths;
+       lanes.clear();
+       std::istringstream in(v);
+       for (std::uint32_t lane = 0; in >> lane;) lanes.push_back(lane);
+     },
+     nullptr},
+    {"fault", "drift_ber_per_mword", kDouble, {0, 1}, "0",
+     PSYNC_FIELD(machine->fault.drift_ber_per_mword), true},
+    {"fault", "brownout_start_word", kInt, {0, kInt64Max}, "0",
+     PSYNC_FIELD(machine->fault.brownout_start_word)},
+    {"fault", "brownout_words", kInt, {0, kInt64Max}, "0",
+     PSYNC_FIELD(machine->fault.brownout_words)},
+    {"fault", "brownout_ber", kDouble, {0, 1}, "0",
+     PSYNC_FIELD(machine->fault.brownout_ber), true},
+    {"reliability", "policy", kString, {}, "off",
+     [](const Target& t, const std::string& v) {
+       t.machine->reliability.policy = reliability::policy_from_string(v);
+     },
+     nullptr},
+    {"reliability", "block_words", kInt, {1, 4096}, "64",
+     PSYNC_FIELD(machine->reliability.block_words)},
+    {"reliability", "max_retries", kInt, {0, 64}, "4",
+     PSYNC_FIELD(machine->reliability.max_retries)},
+    {"reliability", "backoff_slots", kInt, {0, 4096}, "8",
+     PSYNC_FIELD(machine->reliability.retry_backoff_slots)},
+    {"reliability", "spare_lanes", kInt, {0, 63}, "4",
+     PSYNC_FIELD(machine->reliability.spare_lanes)},
+    {"reliability", "training_words", kInt, {0, 4096}, "16",
+     PSYNC_FIELD(machine->reliability.training_words)},
+    // Knob only: the fig13 workload reads it from the point's knob list.
+    {"sweep", kCoresKnob, kInt, {1, 65536}, nullptr, nullptr, nullptr, true},
+};
 
-namespace {
+#undef PSYNC_FIELD
+#undef PSYNC_TEXT
+#undef PSYNC_MATRIX
 
 std::vector<double> parse_values(const std::string& list) {
   std::vector<double> out;
@@ -109,106 +166,70 @@ std::vector<double> parse_values(const std::string& list) {
   return out;
 }
 
-core::PsyncMachineParams machine_from_config(const IniConfig& cfg) {
-  core::PsyncMachineParams p;
-  p.processors =
-      static_cast<std::size_t>(cfg.get_int("machine", "processors", 16));
-  p.matrix_rows = static_cast<std::size_t>(cfg.get_int("machine", "rows", 64));
-  p.matrix_cols = static_cast<std::size_t>(cfg.get_int("machine", "cols", 64));
-  p.delivery_blocks =
-      static_cast<std::size_t>(cfg.get_int("machine", "blocks", 1));
-  p.waveguide_gbps = cfg.get_double("machine", "waveguide_gbps", 320.0);
-  p.bus_length_cm = cfg.get_double("machine", "bus_length_cm", 8.0);
-  p.head.dram.row_switch_cycles = static_cast<std::uint64_t>(
-      cfg.get_int("machine", "dram_row_switch_cycles", 0));
-
-  if (cfg.has_section("fault")) {
-    if (cfg.has("fault", "margin_db")) {
-      p.fault = core::FaultModel::from_margin_db(
-          cfg.get_double("fault", "margin_db", 0.0));
-    }
-    p.fault.random_ber = cfg.get_double("fault", "random_ber", p.fault.random_ber);
-    p.fault.seed = static_cast<std::uint64_t>(cfg.get_int("fault", "seed", 1));
-    std::istringstream lanes(cfg.get_string("fault", "dead_wavelengths", ""));
-    std::uint32_t lane = 0;
-    while (lanes >> lane) p.fault.dead_wavelengths.push_back(lane);
-    p.fault.drift_ber_per_mword =
-        cfg.get_double("fault", "drift_ber_per_mword", 0.0);
-    p.fault.brownout_start_word = static_cast<std::uint64_t>(
-        cfg.get_int("fault", "brownout_start_word", 0));
-    p.fault.brownout_words =
-        static_cast<std::uint64_t>(cfg.get_int("fault", "brownout_words", 0));
-    p.fault.brownout_ber = cfg.get_double("fault", "brownout_ber", 0.0);
-  }
-  if (cfg.has_section("reliability")) {
-    auto& r = p.reliability;
-    r.policy = reliability::policy_from_string(
-        cfg.get_string("reliability", "policy", "off"));
-    r.block_words =
-        static_cast<std::size_t>(cfg.get_int("reliability", "block_words", 64));
-    r.max_retries =
-        static_cast<std::size_t>(cfg.get_int("reliability", "max_retries", 4));
-    r.retry_backoff_slots = static_cast<std::size_t>(
-        cfg.get_int("reliability", "backoff_slots", 8));
-    r.spare_lanes =
-        static_cast<std::size_t>(cfg.get_int("reliability", "spare_lanes", 4));
-    r.training_words = static_cast<std::size_t>(
-        cfg.get_int("reliability", "training_words", 16));
-  }
-  return p;
-}
-
-core::MeshMachineParams mesh_from_config(const IniConfig& cfg,
-                                         const core::PsyncMachineParams& mp) {
-  core::MeshMachineParams m;
-  m.grid = static_cast<std::size_t>(cfg.get_int("mesh", "grid", 4));
-  m.matrix_rows = mp.matrix_rows;
-  m.matrix_cols = mp.matrix_cols;
-  m.elements_per_packet =
-      static_cast<std::uint32_t>(cfg.get_int("mesh", "elements_per_packet", 32));
-  m.mi.reorder_cycles_per_element =
-      static_cast<std::uint32_t>(cfg.get_int("mesh", "t_p", 1));
-  m.mi.overlap_stages = cfg.get_bool("mesh", "overlap_stages", false);
-  const auto depth = cfg.get_int("mesh", "buffer_depth", 2);
-  const auto vcs = cfg.get_int("mesh", "virtual_channels", 1);
-  check_mesh_network(depth, vcs);
-  m.net.buffer_depth = static_cast<std::uint32_t>(depth);
-  m.net.virtual_channels = static_cast<std::uint32_t>(vcs);
-  m.mi.dram.row_switch_cycles = static_cast<std::uint64_t>(
-      cfg.get_int("mesh", "dram_row_switch_cycles", 0));
-  return m;
-}
-
 }  // namespace
 
-ExperimentSpec spec_from_config(const IniConfig& cfg) {
-  ExperimentSpec spec;
-  spec.machine = machine_from_config(cfg);
-  spec.mesh = mesh_from_config(cfg, spec.machine);
-  spec.with_mesh = cfg.has_section("mesh");
-  spec.verify = cfg.get_bool("experiment", "verify", true);
-  spec.transpose_elements =
-      static_cast<std::uint32_t>(cfg.get_int("experiment", "elements", 256));
-  spec.input_seed =
-      static_cast<std::uint64_t>(cfg.get_int("experiment", "input_seed", 2026));
-  spec.threads =
-      static_cast<std::size_t>(cfg.get_int("experiment", "threads", 1));
-  if (spec.threads == 0) spec.threads = 1;
-  spec.journal_path = cfg.get_string("experiment", "journal", "");
+const std::vector<ConfigKey>& config_keys() { return kKeys; }
 
-  if (cfg.has_section("guard")) {
-    auto& g = spec.guard;
-    g.isolate = cfg.get_bool("guard", "isolate", g.isolate);
-    g.max_retries =
-        static_cast<std::size_t>(cfg.get_int("guard", "max_retries", 1));
-    g.point_timeout_ms = cfg.get_double("guard", "point_timeout_ms", 0.0);
-    g.retry_backoff_ms = cfg.get_double("guard", "retry_backoff_ms", 5.0);
-    g.max_point_mb =
-        static_cast<std::size_t>(cfg.get_int("guard", "max_point_mb", 0));
+const ConfigKey* find_knob(const std::string& knob) {
+  for (const auto& key : kKeys) {
+    if ((key.knob && knob == key.name) ||
+        (key.alias != nullptr && knob == key.alias)) {
+      return &key;
+    }
   }
+  return nullptr;
+}
 
-  const std::string kind = cfg.get_string("experiment", "kind", "fft2d");
-  if (kind == "sweep") {
+std::string value_error(const ConfigKey& key, double value) {
+  if (ConfigSchema::admits(key.type, key.range, value)) return {};
+  std::ostringstream os;
+  os << key.section << '.' << key.name << ": expected "
+     << ConfigSchema::describe(key.type, key.range) << ", got " << value;
+  return os.str();
+}
+
+bool apply_knob(const std::string& knob, double value,
+                core::PsyncMachineParams* machine,
+                core::MeshMachineParams* mesh) {
+  const ConfigKey* key = find_knob(knob);
+  if (key == nullptr) return false;
+  if (const auto error = value_error(*key, value); !error.empty()) {
+    throw ConfigError(error);
+  }
+  if (key->set != nullptr) {
+    char text[32];  // %.17g round-trips the admitted double exactly
+    std::snprintf(text, sizeof(text), "%.17g", value);
+    key->set({machine, mesh, nullptr}, text);
+  }
+  return true;
+}
+
+std::vector<std::string> known_knobs() {
+  std::vector<std::string> out;
+  for (const auto& key : kKeys) {
+    if (key.knob) out.emplace_back(key.name);
+    if (key.alias != nullptr) out.emplace_back(key.alias);
+  }
+  return out;
+}
+
+ExperimentSpec spec_from_config(const IniConfig& cfg) {
+  static const ConfigSchema schema = sim_config_schema();
+  for (const auto& d : schema.validate(cfg)) {
+    if (d.kind == ConfigDiagnostic::Kind::kBadValue) {
+      throw ConfigError(d.to_string());
+    }
+  }
+  ExperimentSpec spec;
+  const Target target{&spec.machine, &spec.mesh, &spec};
+  for (const auto& key : kKeys) {
+    const auto text = cfg.get(key.section, key.name);
+    if (key.set == nullptr || (!text && key.fallback == nullptr)) continue;
+    key.set(target, text ? *text : key.fallback);
+  }
+  spec.with_mesh = cfg.has_section("mesh");
+
+  if (spec.workload == "sweep") {
     // Legacy single-knob sweep of the 2D FFT machine.
     spec.workload = cfg.get_string("experiment", "workload", "fft2d");
     spec.verify = cfg.get_bool("experiment", "verify", false);
@@ -217,82 +238,34 @@ ExperimentSpec spec_from_config(const IniConfig& cfg) {
     const auto values =
         parse_values(cfg.get_string("experiment", "values", ""));
     if (!values.empty()) spec.axes.push_back({vary, values});
-  } else if (kind == "reliability_sweep") {
+  } else if (spec.workload == "reliability_sweep") {
     spec.workload = "reliability";
     const auto margins =
         parse_values(cfg.get_string("experiment", "margins_db", ""));
     if (margins.empty()) {
-      throw SimulationError("reliability_sweep: missing 'margins_db' list");
+      throw ConfigError("reliability_sweep: missing 'margins_db' list");
     }
     spec.axes.push_back({"margin_db", margins});
-  } else {
-    spec.workload = kind;
   }
 
   // Multi-knob grid: every key in [sweep] is an axis, in file order.
-  if (cfg.has_section("sweep")) {
-    for (const auto& knob : cfg.keys("sweep")) {
-      const auto values = parse_values(cfg.get_string("sweep", knob, ""));
-      if (values.empty()) {
-        throw SimulationError("sweep axis '" + knob + "' has no values");
-      }
-      spec.axes.push_back({knob, values});
+  for (const auto& knob : cfg.keys("sweep")) {
+    const auto values = parse_values(cfg.get_string("sweep", knob, ""));
+    if (values.empty()) {
+      throw ConfigError("sweep axis '" + knob + "' has no values");
     }
+    spec.axes.push_back({knob, values});
   }
   return spec;
 }
 
 ConfigSchema sim_config_schema() {
-  using Type = ConfigSchema::Type;
   ConfigSchema s;
-  s.key("experiment", "kind", Type::kString)
-      .key("experiment", "workload", Type::kString)
-      .key("experiment", "json", Type::kBool)
-      .key("experiment", "csv", Type::kBool)
-      .key("experiment", "verify", Type::kBool)
-      .key("experiment", "strict", Type::kBool)
-      .key("experiment", "elements", Type::kInt)
-      .key("experiment", "input_seed", Type::kInt)
-      .key("experiment", "threads", Type::kInt)
-      .key("experiment", "vary", Type::kString)
-      .key("experiment", "values", Type::kDoubleList)
-      .key("experiment", "margins_db", Type::kDoubleList)
-      .key("experiment", "journal", Type::kString);
-  s.key("guard", "isolate", Type::kBool)
-      .key("guard", "max_retries", Type::kInt)
-      .key("guard", "point_timeout_ms", Type::kDouble)
-      .key("guard", "retry_backoff_ms", Type::kDouble)
-      .key("guard", "max_point_mb", Type::kInt);
-  s.key("machine", "processors", Type::kInt)
-      .key("machine", "rows", Type::kInt)
-      .key("machine", "cols", Type::kInt)
-      .key("machine", "blocks", Type::kInt)
-      .key("machine", "waveguide_gbps", Type::kDouble)
-      .key("machine", "bus_length_cm", Type::kDouble)
-      .key("machine", "dram_row_switch_cycles", Type::kInt);
-  s.key("mesh", "grid", Type::kInt)
-      .key("mesh", "t_p", Type::kInt)
-      .key("mesh", "elements_per_packet", Type::kInt)
-      .key("mesh", "overlap_stages", Type::kBool)
-      .key("mesh", "buffer_depth", Type::kInt)
-      .key("mesh", "virtual_channels", Type::kInt)
-      .key("mesh", "dram_row_switch_cycles", Type::kInt);
-  s.key("fault", "margin_db", Type::kDouble)
-      .key("fault", "random_ber", Type::kDouble)
-      .key("fault", "seed", Type::kInt)
-      .key("fault", "dead_wavelengths", Type::kIntList)
-      .key("fault", "drift_ber_per_mword", Type::kDouble)
-      .key("fault", "brownout_start_word", Type::kInt)
-      .key("fault", "brownout_words", Type::kInt)
-      .key("fault", "brownout_ber", Type::kDouble);
-  s.key("reliability", "policy", Type::kString)
-      .key("reliability", "block_words", Type::kInt)
-      .key("reliability", "max_retries", Type::kInt)
-      .key("reliability", "backoff_slots", Type::kInt)
-      .key("reliability", "spare_lanes", Type::kInt)
-      .key("reliability", "training_words", Type::kInt);
-  for (const auto& knob : known_knobs()) {
-    s.key("sweep", knob, Type::kDoubleList);
+  for (const auto& key : kKeys) {
+    s.key(key.section, key.name, key.type, key.range);
+    for (const char* knob : {key.knob ? key.name : nullptr, key.alias}) {
+      if (knob != nullptr) s.key("sweep", knob, kDoubleList, key.range);
+    }
   }
   return s;
 }

@@ -178,13 +178,52 @@ std::uint64_t point_digest(const std::string& workload, const RunPoint& pt);
 /// FNV-1a over raw bytes — the one hash both digests reduce through.
 std::uint64_t fnv1a64(const std::string& bytes);
 
-/// Apply one sweep knob to the parameter blocks. Returns false for an
-/// unknown knob name. Knobs: processors, blocks, rows, cols,
-/// waveguide_gbps, bus_length_cm, margin_db (rebuilds machine.fault from
-/// optical margin, preserving configured dead lanes, seed and the
-/// time-varying profile), drift_ber_per_mword, brownout_ber, grid, t_p,
-/// elements_per_packet, virtual_channels, k, cores (the last two are
-/// aliases used by the fig11/fig13 analysis workloads: k = blocks).
+/// One psync_sim config key (and, when `knob` is set, the [sweep] knob of
+/// the same name). The table of these rows, config_keys(), is the only
+/// place a key is declared: spec_from_config, apply_knob, known_knobs,
+/// sim_config_schema, Session::validate and docs/configuration.md derive
+/// from it. Adding a key means adding a row (and a canonical.cpp field when
+/// it changes results).
+struct ConfigKey {
+  /// The parameter blocks (all a knob may touch) and their spec.
+  struct Target {
+    core::PsyncMachineParams* machine;
+    core::MeshMachineParams* mesh;
+    ExperimentSpec* spec;  // nullptr when applying a knob
+  };
+
+  const char* section;
+  const char* name;
+  ConfigSchema::Type type;
+  ConfigRange range;  // inclusive; also bounds the knob's values
+  /// Ini text used when the key is absent; nullptr keeps the spec's value.
+  const char* fallback;
+  /// Writes an admitted value given as ini text (knob values too);
+  /// nullptr for keys psync_sim or the legacy kind mapping read.
+  void (*set)(const Target&, const std::string&);
+  /// Reads the field back for Session::validate; nullptr if not numeric.
+  double (*get)(const Target&);
+  bool knob = false;            // also a [sweep] knob named `name`
+  const char* alias = nullptr;  // a second knob name
+  const char* note = nullptr;   // why the range stops where it does
+};
+
+/// Every psync_sim key, in the order spec_from_config applies them.
+const std::vector<ConfigKey>& config_keys();
+
+/// Knobs the fig11/fig13 analysis workloads read straight from a point's
+/// knob list.
+inline constexpr const char* kBlocksKnobAlias = "k";
+inline constexpr const char* kCoresKnob = "cores";
+
+/// The row a sweep knob name (or alias) belongs to; nullptr if unknown.
+const ConfigKey* find_knob(const std::string& knob);
+
+/// Why `key` does not admit `value` ("mesh.t_p: expected ..."), or empty.
+std::string value_error(const ConfigKey& key, double value);
+
+/// Apply one sweep knob to the parameter blocks: throws ConfigError for a
+/// value outside the knob's row, returns false for an unknown knob name.
 bool apply_knob(const std::string& knob, double value,
                 core::PsyncMachineParams* machine,
                 core::MeshMachineParams* mesh);
@@ -192,15 +231,10 @@ bool apply_knob(const std::string& knob, double value,
 /// Every knob name apply_knob accepts.
 std::vector<std::string> known_knobs();
 
-/// Throws ConfigError naming the key unless mesh.buffer_depth is in
-/// [1, 255] and mesh.virtual_channels in [1, 16], the ranges mesh::Mesh
-/// accepts (it packs FIFO occupancy and credits into bytes).
-void check_mesh_network(std::int64_t buffer_depth,
-                        std::int64_t virtual_channels);
-
-/// Build a spec from a psync_sim INI config (see tools/psync_sim.cpp for
-/// the format). Legacy kinds map onto the registry: `kind = sweep` becomes
-/// the fft2d workload with a [experiment] vary/values axis, and
+/// Build a spec from a psync_sim INI config (keys: docs/configuration.md).
+/// Throws ConfigError naming the key for a mistyped or out-of-range value.
+/// Legacy kinds map onto the registry: `kind = sweep` becomes the fft2d
+/// workload with a [experiment] vary/values axis, and
 /// `kind = reliability_sweep` becomes the reliability workload with a
 /// margin_db axis from margins_db. A [sweep] section declares multi-knob
 /// grids: every `knob = v0 v1 ...` line is one axis.

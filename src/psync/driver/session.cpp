@@ -153,15 +153,12 @@ std::vector<ConfigError> Session::validate(const ExperimentSpec& spec) {
   } catch (const SimulationError& e) {
     diags.emplace_back(e.what());
   }
-  // The mesh network ranges are checked on the spec and, when it passes,
-  // after every knob of the dry-run below (virtual_channels is a knob).
-  bool mesh_ok = true;
-  try {
-    check_mesh_network(spec.mesh.net.buffer_depth,
-                       spec.mesh.net.virtual_channels);
-  } catch (const ConfigError& e) {
-    diags.push_back(e);
-    mesh_ok = false;
+  // Every numeric field of the key table, read through a scratch copy.
+  ExperimentSpec fields = spec;
+  const ConfigKey::Target target{&fields.machine, &fields.mesh, &fields};
+  for (const auto& key : config_keys()) {
+    const auto error = key.get ? value_error(key, key.get(target)) : "";
+    if (!error.empty()) diags.emplace_back(error);
   }
   // Grid size mirrors SweepEngine::expand exactly (axes multiply; no axes
   // is one point) so the shard-window clamp below matches execution.
@@ -172,23 +169,17 @@ std::vector<ConfigError> Session::validate(const ExperimentSpec& spec) {
       continue;
     }
     total *= axis.values.size();
-    // Dry-run every knob/value pair on scratch parameter blocks: catches
-    // unknown knobs and rejected values (negative or fractional counts)
-    // without expanding the full grid — O(sum of axis lengths), no I/O.
+    // Dry-run every knob value against its row: unknown knobs and values
+    // the row does not admit, without expanding the grid.
+    const ConfigKey* key = find_knob(axis.knob);
+    if (key == nullptr) {
+      diags.emplace_back("sweep: unknown knob '" + axis.knob + "'");
+      continue;
+    }
     for (const double value : axis.values) {
-      core::PsyncMachineParams machine = spec.machine;
-      core::MeshMachineParams mesh = spec.mesh;
-      try {
-        if (!apply_knob(axis.knob, value, &machine, &mesh)) {
-          diags.emplace_back("sweep: unknown knob '" + axis.knob + "'");
-          break;
-        }
-        if (mesh_ok) {
-          check_mesh_network(mesh.net.buffer_depth,
-                             mesh.net.virtual_channels);
-        }
-      } catch (const SimulationError& e) {
-        diags.emplace_back(e.what());
+      const auto error = value_error(*key, value);
+      if (!error.empty()) {
+        diags.emplace_back(error);
         break;
       }
     }
@@ -202,12 +193,6 @@ std::vector<ConfigError> Session::validate(const ExperimentSpec& spec) {
   }
   if (spec.resume && spec.journal_path.empty()) {
     diags.emplace_back("resume requested without a journal path");
-  }
-  if (spec.guard.point_timeout_ms < 0.0) {
-    diags.emplace_back("guard.point_timeout_ms is negative");
-  }
-  if (spec.guard.retry_backoff_ms < 0.0) {
-    diags.emplace_back("guard.retry_backoff_ms is negative");
   }
   return diags;
 }

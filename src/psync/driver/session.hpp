@@ -214,11 +214,11 @@ class Session {
   explicit Session(Options opts) : opts_(opts) {}
 
   /// Every problem with the spec, as typed diagnostics: unknown workload,
-  /// empty or invalid sweep axes (dry-run of each knob/value pair),
-  /// inverted shard window, resume without a journal, negative guard
-  /// timings. Const and I/O-free — safe to call on untrusted submissions
-  /// before committing any resource to them. An empty vector means
-  /// freeze() will accept the spec.
+  /// a field outside its config_keys() row, empty or invalid sweep axes
+  /// (every knob value against its row), inverted shard window, resume
+  /// without a journal. Const and I/O-free — safe to call on untrusted
+  /// submissions before committing any resource to them. An empty vector
+  /// means freeze() will accept the spec.
   static std::vector<ConfigError> validate(const ExperimentSpec& spec);
 
   /// Construction phase: validate, expand the grid, compute the canonical

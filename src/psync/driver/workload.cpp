@@ -290,7 +290,7 @@ class Fig11Workload final : public Workload {
   RunRecord run(const RunPoint& pt) const override {
     RunRecord rec;
     const auto k =
-        static_cast<std::uint64_t>(knob_value(pt, "k", 1.0));
+        static_cast<std::uint64_t>(knob_value(pt, kBlocksKnobAlias, 1.0));
     const analysis::FftWorkload w;
     const analysis::MeshDeliveryParams mesh;
     rec.metrics.push_back(
@@ -308,7 +308,7 @@ class Fig13Workload final : public Workload {
   RunRecord run(const RunPoint& pt) const override {
     RunRecord rec;
     const auto cores =
-        static_cast<std::uint64_t>(knob_value(pt, "cores", 4.0));
+        static_cast<std::uint64_t>(knob_value(pt, kCoresKnob, 4.0));
     const llmore::LlmoreParams p;
     const auto point = llmore::simulate_point(p, cores);
     rec.metrics.push_back({"gflops_mesh", point.gflops_mesh, 2});

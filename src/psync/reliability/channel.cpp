@@ -23,7 +23,7 @@ ReliabilityPolicy policy_from_string(const std::string& s) {
   if (s == "correct" || s == "correct+retry" || s == "retry") {
     return ReliabilityPolicy::kCorrectRetry;
   }
-  throw SimulationError("unknown reliability policy: " + s);
+  throw ConfigError("unknown reliability policy: " + s);
 }
 
 void ReliabilityParams::validate() const {

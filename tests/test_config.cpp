@@ -31,15 +31,16 @@ TEST(IniConfig, ParsesSectionsAndKeys) {
 TEST(IniConfig, TypedAccessors) {
   const auto cfg = IniConfig::parse(kSample);
   EXPECT_EQ(cfg.get_string("experiment", "kind", "?"), "fft2d");
-  EXPECT_EQ(cfg.get_int("machine", "processors", 0), 16);
-  EXPECT_EQ(cfg.get_int("machine", "hex", 0), 32);  // base 0 parsing
-  EXPECT_DOUBLE_EQ(cfg.get_double("machine", "waveguide_gbps", 0.0), 320.5);
+  EXPECT_EQ(parse_int(*cfg.get("machine", "processors")), 16);
+  EXPECT_EQ(parse_int(*cfg.get("machine", "hex")), 32);  // base 0 parsing
+  EXPECT_DOUBLE_EQ(*parse_double(*cfg.get("machine", "waveguide_gbps")),
+                   320.5);
   EXPECT_TRUE(cfg.get_bool("machine", "verify", false));
 }
 
 TEST(IniConfig, FallbacksWhenMissing) {
   const auto cfg = IniConfig::parse(kSample);
-  EXPECT_EQ(cfg.get_int("machine", "nope", 42), 42);
+  EXPECT_TRUE(cfg.get_bool("machine", "nope", true));
   EXPECT_EQ(cfg.get_string("nosection", "k", "dflt"), "dflt");
   EXPECT_FALSE(cfg.get("nosection", "k").has_value());
 }
@@ -63,8 +64,8 @@ TEST(IniConfig, MalformedInputsRejectedWithLineNumbers) {
 
 TEST(IniConfig, TypeErrorsAreLoud) {
   const auto cfg = IniConfig::parse("[s]\nn = 12abc\nf = x.y\nb = maybe\n");
-  EXPECT_THROW((void)cfg.get_int("s", "n", 0), SimulationError);
-  EXPECT_THROW((void)cfg.get_double("s", "f", 0.0), SimulationError);
+  EXPECT_FALSE(parse_int(*cfg.get("s", "n")).has_value());
+  EXPECT_FALSE(parse_double(*cfg.get("s", "f")).has_value());
   EXPECT_THROW((void)cfg.get_bool("s", "b", false), SimulationError);
 }
 

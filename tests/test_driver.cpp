@@ -122,7 +122,7 @@ TEST(SweepEngine, ApplyKnobRejectsUnknownNames) {
   core::PsyncMachineParams m;
   core::MeshMachineParams mm;
   for (const auto& knob : known_knobs()) {
-    EXPECT_TRUE(apply_knob(knob, 2.0, &m, &mm)) << knob;
+    EXPECT_TRUE(apply_knob(knob, 1.0, &m, &mm)) << knob;
   }
   EXPECT_FALSE(apply_knob("warp_factor", 9.0, &m, &mm));
 }

@@ -4,14 +4,11 @@
 // end to end over a real Unix-domain socket.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -27,6 +24,7 @@
 #include "psync/serve/cache.hpp"
 #include "psync/serve/protocol.hpp"
 #include "psync/serve/server.hpp"
+#include "serve_client.hpp"
 
 namespace psync::serve {
 namespace {
@@ -38,10 +36,6 @@ using driver::PointStatus;
 using driver::RunRecord;
 using driver::Session;
 using driver::SweepResult;
-
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "psync_serve_" + name;
-}
 
 Session::Options cache_opts(driver::PointCache* cache) {
   Session::Options opts;
@@ -648,91 +642,6 @@ TEST(Protocol, ErrorFrameShape) {
 // ---------------------------------------------------------------------------
 // The daemon, end to end over a real socket
 
-/// Minimal blocking line client for the tests.
-class Client {
- public:
-  explicit Client(const std::string& socket_path) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    PSYNC_CHECK(fd_ >= 0);
-    sockaddr_un addr = {};
-    addr.sun_family = AF_UNIX;
-    PSYNC_CHECK(socket_path.size() < sizeof(addr.sun_path));
-    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-
-  [[nodiscard]] bool connected() const { return connected_; }
-
-  bool send_line(const std::string& line) {
-    const std::string framed = line + "\n";
-    std::size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t n = ::send(fd_, framed.data() + off, framed.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  bool read_line(std::string* line) {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        line->assign(buf_, 0, nl);
-        buf_.erase(0, nl + 1);
-        return true;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  /// send + one-line response.
-  std::string round_trip(const std::string& line) {
-    EXPECT_TRUE(send_line(line));
-    std::string response;
-    EXPECT_TRUE(read_line(&response));
-    return response;
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buf_;
-};
-
-std::string submit_frame(const std::string& ini) {
-  return "{\"op\":\"submit\",\"config\":" + json_string(ini) + "}";
-}
-
-struct DaemonFixture {
-  explicit DaemonFixture(const std::string& tag, bool with_cache = true) {
-    ServerOptions opts;
-    opts.socket_path = temp_path(tag + ".sock");
-    if (with_cache) opts.cache_dir = temp_path(tag + ".cache");
-    std::remove(opts.socket_path.c_str());
-    server = std::make_unique<Server>(opts);
-    server->start();
-    socket_path = opts.socket_path;
-    cache_dir = opts.cache_dir;
-  }
-  ~DaemonFixture() {
-    if (server) server->stop();
-  }
-  std::unique_ptr<Server> server;
-  std::string socket_path;
-  std::string cache_dir;
-};
-
 TEST(Daemon, SubmitThenResultsMatchesTheRunnerByteForByte) {
   DaemonFixture daemon("roundtrip");
   Client client(daemon.socket_path);
@@ -891,6 +800,36 @@ TEST(Daemon, MalformedFramesGetTypedErrorsAndTheConnectionSurvives) {
   ASSERT_TRUE(find_bool_field(client.round_trip(submit_frame(kSmallIni)), "ok",
                               &ok));
   EXPECT_TRUE(ok);
+}
+
+// Regression: a submission whose mesh.elements_per_packet is 0 used to
+// reach a `% elements_per_packet` in the mesh machine and kill the daemon
+// (SIGFPE) with every campaign it was running.
+TEST(Daemon, ZeroElementsPerPacketIsAnInvalidSpecAndTheDaemonKeepsServing) {
+  DaemonFixture daemon("zero_epp", /*with_cache=*/false);
+  Client client(daemon.socket_path);
+  ASSERT_TRUE(client.connected());
+
+  const std::string bad = client.round_trip(submit_frame(
+      "[experiment]\nkind = transpose\nelements = 256\n"
+      "[machine]\nrows = 64\ncols = 256\n"
+      "[mesh]\ngrid = 8\nt_p = 4\nelements_per_packet = 0\n"));
+  std::string code;
+  std::string message;
+  ASSERT_TRUE(find_string_field(bad, "error", &code)) << bad;
+  EXPECT_EQ(code, "invalid_spec");
+  ASSERT_TRUE(find_string_field(bad, "message", &message)) << bad;
+  EXPECT_NE(message.find("mesh.elements_per_packet"), std::string::npos)
+      << message;
+
+  // The same daemon still runs a valid campaign to completion.
+  const std::string good = client.round_trip(submit_frame(kSmallIni));
+  std::string id;
+  ASSERT_TRUE(find_string_field(good, "campaign", &id)) << good;
+  const std::string results = await_results(client, id);
+  std::string body;
+  ASSERT_TRUE(find_string_field(results, "body", &body)) << results;
+  EXPECT_EQ(body, driver::sweep_json(Session().run(small_spec())));
 }
 
 TEST(Daemon, CancelOpStopsARunningCampaign) {

@@ -3,55 +3,18 @@
 // An INI file describes one ExperimentSpec (workload kind + machine params
 // + sweep axes); the driver expands the sweep grid and executes it on a
 // thread pool (`threads` under [experiment], or --threads). Results are
-// identical regardless of thread count. Supported workload kinds:
-//
-//   [experiment]
-//   kind = fft2d | fft1d | transpose | pipeline | mesh | sweep |
-//          reliability_sweep          # legacy sweep spellings
-//   threads = 8        # sweep pool size (results identical to threads = 1)
-//   json = true        # dump via the unified run-report schema (v2)
-//   csv = true         # ... or as CSV
-//
-//   [machine]          # P-sync side
-//   processors = 16
-//   rows = 64          # matrix rows (or four-step R for fft1d)
-//   cols = 64
-//   blocks = 4         # Model II delivery blocks
-//   waveguide_gbps = 320
-//
-//   [mesh]             # mesh side (fft2d/transpose/mesh)
-//   grid = 4
-//   t_p = 1
-//   elements_per_packet = 32
-//   virtual_channels = 1
-//
-//   [fault]            # optical fault injection (optional)
-//   dead_wavelengths = 5 17    # stuck-at-0 lanes
-//   random_ber = 1e-9          # or: margin_db = -1.5 (BER from Q model)
-//   seed = 1
-//   drift_ber_per_mword = 1e-4 # thermal-drift BER ramp (additive / Mword)
-//   brownout_start_word = 4096 # power-sag window on the stream-word axis
-//   brownout_words = 4096
-//   brownout_ber = 1e-4
-//
-//   [reliability]      # error handling above the PHY (optional)
-//   policy = correct   # off | detect | correct
-//
-//   [guard]            # per-point isolation policy (optional)
-//   isolate = true     # exceptions become structured point failures
-//   max_retries = 1    # retries for transient failures (timeout/internal)
-//   point_timeout_ms = 0       # cooperative watchdog deadline per attempt
-//   retry_backoff_ms = 5
-//   max_point_mb = 0   # refuse points estimated over this working set
-//
-//   [sweep]            # multi-knob grid: each line is one axis (cartesian)
-//   processors = 8 16 32 64
-//   blocks = 1 2 4 8
+// identical regardless of thread count. `kind` under [experiment] names
+// the workload (fft2d | fft1d | transpose | pipeline | mesh | reliability
+// | degradation_sweep | fig11 | fig13, plus the legacy spellings sweep and
+// reliability_sweep); [machine], [mesh], [fault], [reliability] and
+// [guard] set parameters; every line of a [sweep] section is one axis of a
+// cartesian grid. docs/configuration.md lists every key with its type,
+// range, default and whether it is a sweep knob.
 //
 // Configs are validated against the full key schema: unknown sections or
-// keys and type-mismatched values are reported (with did-you-mean
-// suggestions) as warnings, or as hard errors under --strict /
-// `strict = true`.
+// keys are reported (with did-you-mean suggestions) as warnings, or as
+// hard errors under --strict / `strict = true`. A mistyped or out-of-range
+// value is always an error naming the key (exit 1; exit 2 under --strict).
 //
 // Usage:
 //   psync_sim [--strict] [--threads N] [--json | --csv] [--profile]
