@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "oracle/codec.hpp"
 #include "oracle/fft_stages.hpp"
 #include "oracle/reference_mesh.hpp"
@@ -64,6 +66,18 @@ struct BenchCase {
 // slow host phases hit both alike.
 constexpr const char* kPlainSweep = "driver_sweep_no_journal";
 constexpr const char* kJournalSweep = "driver_sweep_journal";
+
+// Minor-fault gate bounds, per iteration. A machine point on a warm
+// Scratch faults nothing (0.1-0.4 measured, from the harness itself). A
+// 4-point sweep builds a new campaign thread and Scratch per Session::run;
+// that Scratch faults on its first point (~1.06k pages) or not at all,
+// depending on whether glibc hands the thread the previous run's arena:
+// 570-623 per iteration measured (glibc 2.36, 4 KiB pages), ~3.5k before
+// points reused a Scratch. The bound is one first point with some margin,
+// so it holds whichever arena a thread gets; a 1 MiB buffer reallocated
+// per point would add ~770.
+constexpr double kFaultBoundPoint = 1.0;
+constexpr double kFaultBoundSweep = 1200.0;
 
 // --- mesh ---------------------------------------------------------------
 
@@ -261,17 +275,17 @@ std::uint64_t run_sca_gather_transpose(std::uint64_t iters) {
   const psync::core::ScaEngine engine(
       psync::core::straight_bus_topology(kScaNodes, 8.0));
   const auto sched = psync::core::compile_gather_transpose(kScaNodes, 16, 256);
-  std::vector<std::vector<psync::core::Word>> data(kScaNodes);
+  psync::core::NodeWords data;
+  data.resize_equal(kScaNodes, 16 * 256);
   psync::Rng rng(19);
-  for (auto& node : data) {
-    node.resize(16 * 256);
-    for (auto& w : node) w = rng.next_u64();
-  }
+  for (auto& w : data.words) w = rng.next_u64();
+  std::vector<psync::core::Word> words;
+  psync::core::ScaWork work;
   std::uint64_t slots = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
-    const auto g = engine.gather_words(sched, data);
+    const auto g = engine.gather_words(sched, data, &words, &work);
     if (!g.gap_free || !g.collisions.empty()) std::abort();
-    slots += g.words.size();
+    slots += words.size();
   }
   return slots;
 }
@@ -284,32 +298,38 @@ std::uint64_t run_sca_scatter_round_robin(std::uint64_t iters) {
   std::vector<psync::core::Word> burst(256 * 256);
   psync::Rng rng(23);
   for (auto& w : burst) w = rng.next_u64();
+  psync::core::NodeWords received;
+  psync::core::ScaWork work;
   std::uint64_t slots = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
-    const auto sc = engine.scatter_words(sched, burst);
+    const auto sc = engine.scatter_words(sched, burst, &received, &work);
     if (!sc.unclaimed_slots.empty()) std::abort();
-    for (const auto& node : sc.received) slots += node.size();
+    slots += received.words.size();
   }
   return slots;
 }
 
 // One psync_sweep point on the machine alone, no driver around it: a
 // 256x256 fft2d on P=16 processors with Model II (k=4) delivery, verified
-// against the monolithic reference. Events are matrix elements.
+// against the monolithic reference. Events are matrix elements. Every
+// iteration builds a fresh machine on one Scratch that lives for the whole
+// run, input included, as a sweep worker's does; after the warmup it
+// faults no page.
 std::uint64_t run_psync_fft2d_point(std::uint64_t iters) {
+  static psync::core::Scratch scratch;
   psync::core::PsyncMachineParams params;
   params.processors = 16;
   params.matrix_rows = 256;
   params.matrix_cols = 256;
   params.delivery_blocks = 4;
-  const auto input = psync::driver::random_input(256 * 256, 2026);
+  psync::driver::random_input(256 * 256, 2026, &scratch.input);
   std::uint64_t elements = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
-    psync::core::PsyncMachine machine(params);
+    psync::core::PsyncMachine machine(params, scratch);
     // float32 transport: the result sits near single precision.
-    const auto rep = machine.run_fft2d(input, /*verify=*/true);
+    const auto rep = machine.run_fft2d(scratch.input, /*verify=*/true);
     if (!(rep.max_error_vs_reference < 1e-4)) std::abort();
-    elements += input.size();
+    elements += scratch.input.size();
   }
   return elements;
 }
@@ -552,13 +572,21 @@ std::vector<BenchCase> make_cases() {
   return cases;
 }
 
+// Minor page faults of the whole process so far, every thread included.
+std::uint64_t minor_faults_now() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
+
 // Times a group of cases — one, or an interleaved pair — in up to 10 chunks
 // each, the group's chunks taking turns (and swapping who goes first every
 // chunk, so drift within a turn favours neither). Each entry keeps its
 // fastest chunk's per-iteration time: min-of-N is robust against scheduler
 // noise on shared machines, while chunking keeps per-case setup (plans,
 // inputs) amortized. Every chunk's per-iteration time is kept in
-// `chunk_ms`, by case name, for the paired gates.
+// `chunk_ms`, by case name, for the paired gates. Minor faults are counted
+// over the same timed chunks.
 void time_group(const std::vector<const BenchCase*>& group, bool quick,
                 BenchReport* report,
                 std::map<std::string, std::vector<double>>* chunk_ms) {
@@ -578,16 +606,19 @@ void time_group(const std::vector<const BenchCase*>& group, bool quick,
       const std::uint64_t chunks = std::min<std::uint64_t>(e.iters, 10);
       if (ch >= chunks) continue;
       const std::uint64_t n = e.iters / chunks + (ch < e.iters % chunks ? 1 : 0);
+      const std::uint64_t faults0 = minor_faults_now();
       Stopwatch watch;
       e.events += group[g]->body(n);
       const double ms = watch.elapsed_ms();
+      e.minor_faults += static_cast<double>(minor_faults_now() - faults0);
       e.wall_ms += ms;
       const double per = ms / static_cast<double>(n);
       if (e.min_iter_ms == 0.0 || per < e.min_iter_ms) e.min_iter_ms = per;
       (*chunk_ms)[e.name].push_back(per);
     }
   }
-  for (const BenchEntry& e : entries) {
+  for (BenchEntry& e : entries) {
+    e.minor_faults /= static_cast<double>(e.iters);
     report->entries.push_back(e);
     std::printf("%-32s %10llu %8.1f %14.3f  %s\n", e.name.c_str(),
                 static_cast<unsigned long long>(e.iters), e.wall_ms,
@@ -732,6 +763,27 @@ int main(int argc, char** argv) {
       if (delta > 10.0 && pct > 10.0) {
         std::printf(
             "FAIL: distributed leader costs more than 10%% of sweep time\n");
+        return 1;
+      }
+    }
+  }
+
+  // Allocation-free steady state: a machine point on a reused Scratch
+  // faults no page, and a sweep faults only while its campaign thread's
+  // Scratch grows on the first point. The counts repeat run to run, so the
+  // bounds are absolute and tight.
+  {
+    const std::pair<const char*, double> bounds[] = {
+        {"psync_fft2d_point", kFaultBoundPoint},
+        {kPlainSweep, kFaultBoundSweep},
+    };
+    for (const auto& [name, bound] : bounds) {
+      const BenchEntry* e = report.find(name);
+      if (e == nullptr) continue;
+      std::printf("%s minor faults: %.1f per iteration (bound %.0f)\n", name,
+                  e->minor_faults, bound);
+      if (e->minor_faults > bound) {
+        std::printf("FAIL: %s faults more pages than its bound\n", name);
         return 1;
       }
     }

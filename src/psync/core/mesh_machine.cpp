@@ -210,6 +210,7 @@ MeshRunReport MeshMachine::run_fft2d(
   for (std::size_t i = 0; i < P; ++i) {
     procs.emplace_back(static_cast<std::uint32_t>(i), params_.exec);
   }
+  std::vector<std::vector<std::complex<double>>> mem(P);  // local memories
 
   // Activity accumulated across the per-phase network instances, for the
   // ORION energy accounting.
@@ -271,9 +272,9 @@ MeshRunReport MeshMachine::run_fft2d(
       done_ns[i] = start_ns +
                    static_cast<double>(sinks[i].last_arrival() + 1) * cycle_ns();
       last = std::max(last, done_ns[i]);
-      procs[i].data().resize(per_proc);
+      mem[i].resize(per_proc);
       for (std::size_t e = 0; e < per_proc; ++e) {
-        procs[i].data()[e] = unpack_sample(local[i][e]);
+        mem[i][e] = unpack_sample(local[i][e]);
       }
     }
     phase.start_ns = start_ns;
@@ -309,7 +310,7 @@ MeshRunReport MeshMachine::run_fft2d(
         d.payload_base = static_cast<std::uint64_t>(i) * per_proc + e;
         d.words.resize(epp);
         for (std::uint32_t w = 0; w < epp; ++w) {
-          d.words[w] = pack_sample(procs[i].data()[e + w]);
+          d.words[w] = pack_sample(mem[i][e + w]);
         }
         d.release_cycle = release;
         net.inject(d);
@@ -342,7 +343,7 @@ MeshRunReport MeshMachine::run_fft2d(
     double first = deliver1_done[0];
     double last = 0.0;
     for (std::size_t i = 0; i < P; ++i) {
-      const double ns = procs[i].fft_rows(rpp, C);
+      const double ns = procs[i].fft_rows(mem[i], rpp, C);
       fft1_done[i] = deliver1_done[i] + ns;
       first = std::min(first, deliver1_done[i]);
       last = std::max(last, fft1_done[i]);
@@ -373,7 +374,7 @@ MeshRunReport MeshMachine::run_fft2d(
     double first = deliver2_done[0];
     double last = 0.0;
     for (std::size_t i = 0; i < P; ++i) {
-      const double ns = procs[i].fft_rows(cpp, R);
+      const double ns = procs[i].fft_rows(mem[i], cpp, R);
       fft2_done[i] = deliver2_done[i] + ns;
       first = std::min(first, deliver2_done[i]);
       last = std::max(last, fft2_done[i]);

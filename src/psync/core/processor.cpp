@@ -26,13 +26,13 @@ std::complex<double> unpack_sample(Word w) {
 Processor::Processor(std::uint32_t id, ExecCostParams exec)
     : id_(id), exec_(exec) {}
 
-double Processor::fft_rows(std::size_t rows, std::size_t cols) {
-  PSYNC_CHECK(data_.size() >= rows * cols);
+double Processor::fft_rows(std::span<fft::Complex> mem, std::size_t rows,
+                           std::size_t cols) {
+  PSYNC_CHECK(mem.size() >= rows * cols);
   const fft::FftPlan& plan = fft::shared_plan(cols);
   fft::OpCount total;
   for (std::size_t r = 0; r < rows; ++r) {
-    total += plan.forward(
-        std::span<fft::Complex>(data_).subspan(r * cols, cols));
+    total += plan.forward(mem.subspan(r * cols, cols));
   }
   ops_ += total;
   const double ns = exec_.compute_ns(total);
@@ -40,17 +40,18 @@ double Processor::fft_rows(std::size_t rows, std::size_t cols) {
   return ns;
 }
 
-double Processor::apply_four_step_twiddles(std::size_t rows, std::size_t cols,
+double Processor::apply_four_step_twiddles(std::span<fft::Complex> mem,
+                                           std::size_t rows, std::size_t cols,
                                            std::size_t global_row0,
                                            std::size_t total_rows) {
-  PSYNC_CHECK(data_.size() >= rows * cols);
+  PSYNC_CHECK(mem.size() >= rows * cols);
   const std::size_t n = total_rows * cols;
   // Index the shared root table directly: (global_row0 + r) * q < n for all
   // in-range rows, and one fetch per call avoids the cache lock per element.
   const auto& roots = fft::shared_roots(n);
   fft::OpCount ops;
   for (std::size_t r = 0; r < rows; ++r) {
-    fft::Complex* row = data_.data() + r * cols;
+    fft::Complex* row = mem.data() + r * cols;
     const std::size_t gr = global_row0 + r;
     for (std::size_t q = 0; q < cols; ++q) {
       const fft::Complex w = roots[gr * q];
@@ -68,14 +69,15 @@ double Processor::apply_four_step_twiddles(std::size_t rows, std::size_t cols,
   return ns;
 }
 
-double Processor::fft_row_stages(const fft::FftPlan& plan, std::size_t row,
+double Processor::fft_row_stages(std::span<fft::Complex> mem,
+                                 const fft::FftPlan& plan, std::size_t row,
                                  std::size_t cols, std::size_t first_stage,
                                  std::size_t last_stage,
                                  std::size_t block_offset,
                                  std::size_t block_size, bool prepare) {
   PSYNC_CHECK(plan.size() == cols);
-  PSYNC_CHECK(data_.size() >= (row + 1) * cols);
-  auto span = std::span<fft::Complex>(data_).subspan(row * cols, cols);
+  PSYNC_CHECK(mem.size() >= (row + 1) * cols);
+  auto span = mem.subspan(row * cols, cols);
   if (prepare) plan.bit_reverse(span);
   const fft::OpCount ops =
       plan.run_stages(span, first_stage, last_stage, block_offset, block_size);

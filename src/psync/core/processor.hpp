@@ -1,6 +1,8 @@
-// A P-sync processing element (paper Fig. 7): local data memory, an
-// execution unit with a deterministic cost model, computation and
-// communication instruction memories, and the waveguide interface state.
+// A P-sync processing element (paper Fig. 7): an execution unit with a
+// deterministic cost model, computation and communication instruction
+// memories, and the waveguide interface state. Its local data memory
+// belongs to the machine that runs it, which hands it to every compute
+// call (PsyncMachine keeps all processors' memories in one buffer).
 //
 // The execution-unit cost model matches the paper's accounting (Section
 // V-B-1): a floating-point multiply costs `fp_mult_ns`, one FFT butterfly
@@ -9,6 +11,7 @@
 
 #include <complex>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "psync/common/units.hpp"
@@ -52,7 +55,7 @@ struct ExecCostParams {
 Word pack_sample(std::complex<double> v);
 std::complex<double> unpack_sample(Word w);
 
-/// Local state of one processing element during a machine run.
+/// Execution state of one processing element during a machine run.
 class Processor {
  public:
   Processor(std::uint32_t id, ExecCostParams exec);
@@ -60,33 +63,32 @@ class Processor {
   std::uint32_t id() const { return id_; }
   const ExecCostParams& exec() const { return exec_; }
 
-  /// Local data memory (complex samples, one or more matrix rows).
-  std::vector<std::complex<double>>& data() { return data_; }
-  const std::vector<std::complex<double>>& data() const { return data_; }
-
   /// Load the communication program for the next collective.
   void load_comm_program(CommProgram cp) { cp_ = std::move(cp); }
   const CommProgram& comm_program() const { return cp_; }
 
   /// Run an in-place FFT over each of `rows` rows of length `cols` held in
-  /// data memory. Returns elapsed compute time (ns) under the cost model
-  /// and accumulates op counters.
-  double fft_rows(std::size_t rows, std::size_t cols);
+  /// `mem`. Returns elapsed compute time (ns) under the cost model and
+  /// accumulates op counters.
+  double fft_rows(std::span<fft::Complex> mem, std::size_t rows,
+                  std::size_t cols);
 
   /// Run only stages [first, last) of a row FFT (for Model II interleaving),
   /// optionally restricted to one delivery block (`block_offset`/
   /// `block_size`, 0 = whole row); `prepare` bit-reverses the row first
   /// (unnecessary when the SCA^-1 delivered the row pre-permuted).
   /// Returns elapsed ns.
-  double fft_row_stages(const fft::FftPlan& plan, std::size_t row,
-                        std::size_t cols, std::size_t first_stage,
-                        std::size_t last_stage, std::size_t block_offset = 0,
+  double fft_row_stages(std::span<fft::Complex> mem, const fft::FftPlan& plan,
+                        std::size_t row, std::size_t cols,
+                        std::size_t first_stage, std::size_t last_stage,
+                        std::size_t block_offset = 0,
                         std::size_t block_size = 0, bool prepare = false);
 
   /// Apply the four-step twiddle scaling W_N^{r*q} to `rows` local rows of
   /// length `cols`, where the node's first row is global row `global_row0`
   /// of an N = total_rows*cols point transform. Returns elapsed ns.
-  double apply_four_step_twiddles(std::size_t rows, std::size_t cols,
+  double apply_four_step_twiddles(std::span<fft::Complex> mem,
+                                  std::size_t rows, std::size_t cols,
                                   std::size_t global_row0,
                                   std::size_t total_rows);
 
@@ -96,7 +98,6 @@ class Processor {
  private:
   std::uint32_t id_;
   ExecCostParams exec_;
-  std::vector<std::complex<double>> data_;
   CommProgram cp_;
   fft::OpCount ops_;
   double busy_ns_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "psync/common/check.hpp"
 #include "psync/fft/fft.hpp"
@@ -28,6 +29,17 @@ std::size_t reverse_bits(std::size_t v, std::size_t bits) {
   return r;
 }
 
+// fft::normalized_max_error(result(), ref) without materializing result():
+// the same scan over the image's words, unpacked on the fly.
+double image_error(const std::vector<Word>& image,
+                   std::span<const std::complex<double>> ref) {
+  PSYNC_CHECK(image.size() == ref.size());
+  const double diff = fft::max_modulus(image.size(), [&](std::size_t i) {
+    return unpack_sample(image[i]) - ref[i];
+  });
+  return diff / std::max(1e-30, fft::max_abs(ref));
+}
+
 photonic::ClockParams clock_of(const PsyncMachineParams& p) {
   photonic::ClockParams c;
   // One slot carries one sample word across the WDM group.
@@ -45,8 +57,14 @@ const Phase& PsyncRunReport::phase(const std::string& name) const {
   throw SimulationError("PsyncRunReport: no phase named " + name);
 }
 
+// Binds scratch_ to own_ before own_ is built; nothing reads it until the
+// delegated constructor's body, by which time own_ exists.
 PsyncMachine::PsyncMachine(PsyncMachineParams params)
-    : params_(params),
+    : PsyncMachine(std::move(params), own_) {}
+
+PsyncMachine::PsyncMachine(PsyncMachineParams params, Scratch& scratch)
+    : scratch_(&scratch),
+      params_(params),
       topo_(straight_bus_topology(params.processors, params.bus_length_cm,
                                   clock_of(params))),
       engine_(topo_),
@@ -69,6 +87,15 @@ PsyncMachine::PsyncMachine(PsyncMachineParams params)
   for (std::size_t i = 0; i < p.processors; ++i) {
     procs_.emplace_back(static_cast<std::uint32_t>(i), p.exec);
   }
+  head_.image().swap(scratch_->image);
+}
+
+PsyncMachine::~PsyncMachine() { head_.image().swap(scratch_->image); }
+
+std::span<std::complex<double>> PsyncMachine::local_mem(std::size_t i) const {
+  PSYNC_CHECK(i < params_.processors);
+  const std::size_t per = scratch_->proc.size() / params_.processors;
+  return std::span(scratch_->proc).subspan(i * per, per);
 }
 
 double PsyncMachine::slot_period_ns() const {
@@ -87,6 +114,8 @@ double PsyncMachine::begin_run(std::vector<Phase>* phases) {
   for (auto& proc : procs_) {
     proc = Processor(proc.id(), params_.exec);
   }
+  // Every pass rewrites all of it.
+  scratch_->proc.resize(params_.matrix_rows * params_.matrix_cols);
 
   channel_.reset();
   const bool want_channel =
@@ -122,13 +151,15 @@ void PsyncMachine::transmit(std::vector<Word>* words,
       flagged.push_back(c.slot_b);
     }
   }
-  auto tx = channel_->transmit(*words, flagged.empty() ? nullptr : &flagged);
+  auto tx = channel_->transmit(*words, flagged.empty() ? nullptr : &flagged,
+                               std::move(scratch_->delivered));
   waveguide_words_ += tx.wire_words;
   fault_report_.merge(tx.fault);
   retry_report_.merge(tx.retry);
   overhead_slots_ += tx.overhead_slots();
   *tail_ns = static_cast<double>(tx.overhead_slots()) * slot_period_ns();
   if (gather_side) head_.log_retry(tx.retry);
+  scratch_->delivered = std::move(*words);
   *words = std::move(tx.words);
 }
 
@@ -156,7 +187,9 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   for (std::size_t pos = 0; pos < bs; ++pos) {
     strided_col[pos] = k * reverse_bits(pos, log2bs);
   }
-  std::vector<Word> burst(rows * cols);
+  Scratch& scr = *scratch_;
+  std::vector<Word>& burst = scr.stream;
+  burst.resize(rows * cols);
   std::size_t s = 0;
   for (std::size_t j = 0; j < k; ++j) {
     const std::size_t col0 = reverse_bits(j, log2k);
@@ -174,7 +207,9 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   // the tail conservatively delays every block's ready time.
   double tail_ns = 0.0;
   transmit(&burst, nullptr, false, &tail_ns);
-  const ScatterWords sc = engine_.scatter_words(sched, burst);
+  NodeWords& received = scr.node;
+  const ScatterWords sc =
+      engine_.scatter_words(sched, burst, &received, &scr.sca);
 
   // Processor i's listen entry j is round j: B words, row r's block-j
   // positions for r = 0..rpp-1 in turn. The block is ready once its last
@@ -185,11 +220,12 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   PassResult out;
   out.delivery_end_ns = start_ns;
   for (std::size_t i = 0; i < P; ++i) {
-    PSYNC_CHECK(sc.latch_ps[i].size() == k && sc.received[i].size() == k * B);
+    PSYNC_CHECK(sc.latch_ps[i].size() == k &&
+                received.node(i).size() == k * B);
     // Every element lands in exactly one place, so no clearing first.
-    std::vector<std::complex<double>>& data = procs_[i].data();
-    data.resize(rpp * cols);
-    const Word* word = sc.received[i].data();
+    const std::span<std::complex<double>> data = local_mem(i);
+    PSYNC_CHECK(data.size() == rpp * cols);
+    const Word* word = received.node(i).data();
     for (std::size_t j = 0; j < k; ++j) {
       for (std::size_t r = 0; r < rpp; ++r) {
         std::complex<double>* dst = data.data() + r * cols + j * bs;
@@ -214,19 +250,20 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   for (std::size_t i = 0; i < P; ++i) {
     // Cycle-batch boundary: one poll per processor's compute pass.
     if (cancel_ != nullptr) cancel_->poll();
+    const std::span<std::complex<double>> mem = local_mem(i);
     double cursor = start_ns;
     for (std::size_t j = 0; j < k; ++j) {
       cursor = std::max(cursor, block_done[i][j]);
       for (std::size_t r = 0; r < rpp; ++r) {
         const double ns =
-            procs_[i].fft_row_stages(plan, r, cols, 0, log2bs, j * bs, bs);
+            procs_[i].fft_row_stages(mem, plan, r, cols, 0, log2bs, j * bs, bs);
         cursor += ns;
         out.busy_ns += ns;
       }
     }
     for (std::size_t r = 0; r < rpp; ++r) {
       const double ns =
-          procs_[i].fft_row_stages(plan, r, cols, log2bs, log2bs + log2k);
+          procs_[i].fft_row_stages(mem, plan, r, cols, log2bs, log2bs + log2k);
       cursor += ns;
       out.busy_ns += ns;
     }
@@ -240,18 +277,19 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   return out;
 }
 
-double PsyncMachine::gather_to_dram(
-    const CpSchedule& sched, const std::vector<std::vector<Word>>& node_data,
-    double start_ns, Phase& phase) {
+double PsyncMachine::gather_to_dram(const CpSchedule& sched, double start_ns,
+                                    Phase& phase) {
   if (cancel_ != nullptr) cancel_->poll();
-  GatherWords g = engine_.gather_words(sched, node_data);
+  Scratch& s = *scratch_;
+  const GatherSummary g =
+      engine_.gather_words(sched, s.node, &s.stream, &s.sca);
   collisions_ += g.collisions.size();
   gap_free_ = gap_free_ && g.gap_free;
   // The head node decodes the landed stream; collision-flagged or CRC-bad
   // blocks are re-requested from the array, extending the phase.
   double tail_ns = 0.0;
-  transmit(&g.words, &g.collisions, /*gather_side=*/true, &tail_ns);
-  const StreamReport rep = head_.writeback(g.words, 0, params_.sample_bits);
+  transmit(&s.stream, &g.collisions, /*gather_side=*/true, &tail_ns);
+  const StreamReport rep = head_.writeback(s.stream, 0, params_.sample_bits);
   const double span_ns = static_cast<double>(g.span_ps) * 1e-3 + tail_ns;
   const double dur = std::max(span_ns, rep.dram_ns);
   phase.start_ns = start_ns;
@@ -273,17 +311,18 @@ double PsyncMachine::reorg_and_second_pass(std::size_t rows, std::size_t cols,
   {
     const CpSchedule sched = compile_gather_transpose(
         P, static_cast<Slot>(rpp), static_cast<Slot>(cols));
-    std::vector<std::vector<Word>> node_data(P);
+    NodeWords& node_data = scratch_->node;
+    node_data.resize_equal(P, rpp * cols);
     for (std::size_t i = 0; i < P; ++i) {
-      node_data[i].resize(rpp * cols);
+      const std::complex<double>* mem = local_mem(i).data();
+      Word* out = node_data.node(i).data();
       for (std::size_t c = 0; c < cols; ++c) {
         for (std::size_t r = 0; r < rpp; ++r) {
-          node_data[i][c * rpp + r] =
-              pack_sample(procs_[i].data()[r * cols + c]);
+          out[c * rpp + r] = pack_sample(mem[r * cols + c]);
         }
       }
     }
-    gather_to_dram(sched, node_data, pass1_end, p_tr);
+    gather_to_dram(sched, pass1_end, p_tr);
   }
 
   // ---- Second pass: the image is now (cols x rows) row-major ----
@@ -298,14 +337,14 @@ double PsyncMachine::reorg_and_second_pass(std::size_t rows, std::size_t cols,
   {
     const CpSchedule sched =
         compile_gather_blocks(P, static_cast<Slot>(cpp * rows));
-    std::vector<std::vector<Word>> node_data(P);
+    NodeWords& node_data = scratch_->node;
+    node_data.resize_equal(P, cpp * rows);
     for (std::size_t i = 0; i < P; ++i) {
-      node_data[i].resize(cpp * rows);
-      for (std::size_t e = 0; e < cpp * rows; ++e) {
-        node_data[i][e] = pack_sample(procs_[i].data()[e]);
-      }
+      const std::complex<double>* mem = local_mem(i).data();
+      Word* out = node_data.node(i).data();
+      for (std::size_t e = 0; e < cpp * rows; ++e) out[e] = pack_sample(mem[e]);
     }
-    gather_to_dram(sched, node_data, pass2.compute_end_ns, p_wb);
+    gather_to_dram(sched, pass2.compute_end_ns, p_wb);
   }
 
   phases.push_back(p_tr);
@@ -392,9 +431,11 @@ PsyncRunReport PsyncMachine::run_fft2d(
   apply_reliability(&report);
 
   if (verify) {
-    std::vector<std::complex<double>> ref(input);
-    fft::fft2d(ref, R, C, /*restore_layout=*/false);
-    report.max_error_vs_reference = fft::normalized_max_error(result(), ref);
+    // The processors' memories are dead after the final writeback.
+    std::vector<std::complex<double>>& ref = scratch_->proc;
+    ref.assign(input.begin(), input.end());
+    fft::fft2d(ref, R, C, /*restore_layout=*/false, &scratch_->fft);
+    report.max_error_vs_reference = image_error(head_.image(), ref);
   }
   return report;
 }
@@ -411,16 +452,15 @@ PsyncRunReport PsyncMachine::run_fft1d(
   const double t0 = begin_run(&report.phases);
 
   // DRAM holds x in natural order; the head node's CP streams the strided
-  // four-step view M[r][c] = x[c*R + r]. Build that view as the pass-1
-  // image (the strided access is the head node's job, not the processors').
-  head_.image().resize(N);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    head_.image()[i] = pack_sample(input[i]);
-  }
-  std::vector<Word> view(N);
+  // four-step view M[r][c] = x[c*R + r] (the strided access is the head
+  // node's job, not the processors'). Nothing reads the natural-order
+  // image before the transpose gather lands over it, so the image holds
+  // the view directly.
+  std::vector<Word>& view = head_.image();
+  view.resize(N);
   for (std::size_t r = 0; r < R; ++r) {
     for (std::size_t c = 0; c < C; ++c) {
-      view[r * C + c] = head_.image()[c * R + r];
+      view[r * C + c] = pack_sample(input[c * R + r]);
     }
   }
 
@@ -436,7 +476,8 @@ PsyncRunReport PsyncMachine::run_fft1d(
   double tw_max = 0.0;
   for (std::size_t i = 0; i < P; ++i) {
     tw_max = std::max(
-        tw_max, procs_[i].apply_four_step_twiddles(rpp, C, i * rpp, R));
+        tw_max,
+        procs_[i].apply_four_step_twiddles(local_mem(i), rpp, C, i * rpp, R));
   }
   p_tw.end_ns = p_tw.start_ns + tw_max;
   report.phases.push_back(p_tw);
@@ -448,7 +489,9 @@ PsyncRunReport PsyncMachine::run_fft1d(
   apply_reliability(&report);
 
   if (verify) {
-    std::vector<std::complex<double>> ref(input);
+    // The processors' memories are dead after the final writeback.
+    std::vector<std::complex<double>>& ref = scratch_->proc;
+    ref.assign(input.begin(), input.end());
     const fft::FftPlan& plan = fft::shared_plan(N);
     plan.forward(ref);
     report.max_error_vs_reference = fft::normalized_max_error(result_1d(), ref);

@@ -23,6 +23,7 @@
 #include <complex>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "psync/core/head_node.hpp"
 #include "psync/core/processor.hpp"
 #include "psync/core/sca.hpp"
+#include "psync/core/scratch.hpp"
 #include "psync/photonic/energy.hpp"
 #include "psync/reliability/channel.hpp"
 
@@ -111,7 +113,19 @@ struct PsyncRunReport {
 
 class PsyncMachine {
  public:
+  /// A machine that runs out of a Scratch of its own.
   explicit PsyncMachine(PsyncMachineParams params);
+  /// A machine that runs out of `scratch` (see core/scratch.hpp for the
+  /// ownership rule): it takes the head image when built and returns it
+  /// when destroyed. `scratch` must outlive it. For the run to allocate
+  /// nothing, build a scratch's next machine only after the previous one is
+  /// gone.
+  PsyncMachine(PsyncMachineParams params, Scratch& scratch);
+  ~PsyncMachine();
+
+  // scratch_ may point at own_.
+  PsyncMachine(const PsyncMachine&) = delete;
+  PsyncMachine& operator=(const PsyncMachine&) = delete;
 
   const PsyncMachineParams& params() const { return params_; }
   const PscanTopology& topology() const { return topo_; }
@@ -159,7 +173,7 @@ class PsyncMachine {
   /// transposed layout).
   std::vector<std::complex<double>> result() const;
 
-  /// Per-processor state after a run (for inspection/tests).
+  /// Per-processor counters after a run (for inspection/tests).
   const std::vector<Processor>& processors() const { return procs_; }
   const HeadNode& head() const { return head_; }
 
@@ -178,6 +192,8 @@ class PsyncMachine {
   };
 
   double slot_period_ns() const;
+  /// Processor i's local memory, in the scratch.
+  std::span<std::complex<double>> local_mem(std::size_t i) const;
   std::size_t rows_per_proc() const {
     return params_.matrix_rows / params_.processors;
   }
@@ -188,11 +204,11 @@ class PsyncMachine {
                               double start_ns, Phase& scatter_phase,
                               Phase& fft_phase);
 
-  /// SCA gather into DRAM; updates collision/gap accounting; returns the
-  /// phase end time (waveguide- or DRAM-bound).
-  double gather_to_dram(const CpSchedule& sched,
-                        const std::vector<std::vector<Word>>& node_data,
-                        double start_ns, Phase& phase);
+  /// SCA gather of the scratch's node words into DRAM; updates
+  /// collision/gap accounting; returns the phase end time (waveguide- or
+  /// DRAM-bound).
+  double gather_to_dram(const CpSchedule& sched, double start_ns,
+                        Phase& phase);
 
   /// Transpose SCA + second scatter/FFT pass + final block writeback — the
   /// shared tail of the 2D and four-step-1D flows. `pass1_end` is when the
@@ -214,8 +230,9 @@ class PsyncMachine {
   double begin_run(std::vector<Phase>* phases);
 
   /// Push a collective's word stream through the protected channel,
-  /// replacing `*words` with the delivered words, and set `*tail_ns` to the
-  /// bus time the reliability layer appended (coding slots, replays,
+  /// replacing `*words` with the delivered words (the payload's storage
+  /// becomes the scratch's next delivered buffer), and set `*tail_ns` to
+  /// the bus time the reliability layer appended (coding slots, replays,
   /// backoff). With no channel the stream is left untouched and `*tail_ns`
   /// is 0.
   void transmit(std::vector<Word>* words,
@@ -230,6 +247,9 @@ class PsyncMachine {
   std::uint64_t overhead_slots_ = 0;
   std::unique_ptr<reliability::ProtectedChannel> channel_;
   const CancelToken* cancel_ = nullptr;
+
+  Scratch own_;
+  Scratch* scratch_;  // own_ or the borrowed one
 
   PsyncMachineParams params_;
   PscanTopology topo_;

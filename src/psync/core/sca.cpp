@@ -1,12 +1,16 @@
 #include "psync/core/sca.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "psync/common/check.hpp"
 
 namespace psync::core {
 namespace {
+
+// Node i's gather words, whichever container holds them.
+using NodeSpans = std::vector<std::span<const Word>>;
 
 // Per node: perceived_edge_ps(x_i, 0) + skew_error_ps[i]. The clock is
 // integer launch + s*T + flight(x) + detect, so node i perceives slot s at
@@ -49,7 +53,7 @@ void for_each_drive_slot(const CommProgram& cp, F&& f) {
 // them: node i's overlapping entries, then its word count. Throws the
 // first failure; returns if there is none.
 void check_gather_inputs(const CpSchedule& schedule,
-                         const std::vector<std::vector<Word>>& node_data,
+                         const NodeSpans& node_data,
                          bool strict) {
   for (std::size_t i = 0; i < schedule.nodes(); ++i) {
     Slot driven = 0;
@@ -75,7 +79,7 @@ void check_gather_inputs(const CpSchedule& schedule,
 // overlapping itself (a node twice in one bucket).
 std::size_t checked_gather_words(
     const PscanTopology& topo, const CpSchedule& schedule,
-    const std::vector<std::vector<Word>>& node_data, bool strict) {
+    const NodeSpans& node_data, bool strict) {
   if (schedule.nodes() != topo.nodes()) {
     throw SimulationError("gather: schedule/topology node count mismatch");
   }
@@ -105,8 +109,7 @@ std::size_t checked_gather_words(
 // A drive-only program drives one slot twice: report its overlap as the
 // entry-by-entry checks do.
 [[noreturn]] void throw_self_overlap(
-    const CpSchedule& schedule, const std::vector<std::vector<Word>>& node_data,
-    bool strict) {
+    const CpSchedule& schedule, const NodeSpans& node_data, bool strict) {
   check_gather_inputs(schedule, node_data, strict);
   throw SimulationError("gather: node drives the same slot twice");
 }
@@ -122,7 +125,7 @@ std::size_t checked_gather_words(
 // The placement core of every gather view. Calls
 // visit(pos, word, node, slot, modulated_ps, arrival_ps) for each driven
 // word in stream order, pos = 0, 1, ..., and returns the collisions and
-// summary.
+// summary. The buckets live in `*work`.
 //
 // Node i's slot s arrives at slot_arrival_ps(0) + (s + whole_i)*T + frac_i,
 // so two consecutive words overlap at the terminus exactly when they share
@@ -133,8 +136,8 @@ template <class Visit>
 GatherSummary gather_core(const PscanTopology& topo,
                           const photonic::PhotonicClock& clock,
                           const CpSchedule& schedule,
-                          const std::vector<std::vector<Word>>& node_data,
-                          bool strict, Visit&& visit) {
+                          const NodeSpans& node_data,
+                          bool strict, ScaWork* work, Visit&& visit) {
   const std::size_t nodes = topo.nodes();
   const std::size_t words =
       checked_gather_words(topo, schedule, node_data, strict);
@@ -196,8 +199,10 @@ GatherSummary gather_core(const PscanTopology& topo,
       any = true;
     }
   }
-  std::vector<std::uint32_t> node_at(words);
-  std::vector<std::uint32_t> end;
+  std::vector<std::uint32_t>& node_at = work->order;
+  std::vector<std::uint32_t>& end = work->counts;
+  node_at.resize(words);
+  end.clear();
   std::vector<Slot> period_of;  // sparse buckets only
   if (static_cast<std::uint64_t>(hi - lo) < 2 * words + 64) {
     // Counting placement: end[b + 1] = words in bucket b, so after the
@@ -299,27 +304,22 @@ GatherSummary gather_core(const PscanTopology& topo,
   return out;
 }
 
-// Every node's listen entries, checked against the burst (and, for a
-// unicast, against each other) in node, entry, slot order, plus the
-// listener count of every burst slot. Fills the summary every scatter view
-// shares: received words, unclaimed slots, span.
-struct Listeners {
-  std::vector<std::vector<CpEntry>> entries;  // per node, kListen only
-  std::vector<std::uint32_t> count;           // per burst slot
-};
-
-Listeners scatter_core(const PscanTopology& topo,
-                       const photonic::PhotonicClock& clock,
-                       const CpSchedule& schedule,
-                       const std::vector<Word>& burst, bool strict,
-                       bool multicast, ScatterSummary* out) {
+// Every node's listen entries (kListen only), checked against the burst
+// (and, for a unicast, against each other) in node, entry, slot order.
+// Leaves the listener count of every burst slot in work->counts, and fills
+// what every scatter view shares: received words, unclaimed slots, span.
+std::vector<std::vector<CpEntry>> scatter_core(
+    const PscanTopology& topo, const photonic::PhotonicClock& clock,
+    const CpSchedule& schedule, const std::vector<Word>& burst, bool strict,
+    bool multicast, NodeWords* received, ScatterSummary* out,
+    ScaWork* work) {
   const std::string who = multicast ? "scatter_multicast" : "scatter";
   if (schedule.nodes() != topo.nodes()) {
     throw SimulationError(who + ": schedule/topology node count mismatch");
   }
-  Listeners ls;
-  ls.entries.resize(topo.nodes());
-  ls.count.assign(burst.size(), 0);
+  std::vector<std::vector<CpEntry>> entries(topo.nodes());
+  std::vector<std::uint32_t>& count = work->counts;
+  count.assign(burst.size(), 0);
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     for (const CpEntry& e : schedule.node_cps[i].entries()) {
       if (e.action != CpAction::kListen) continue;
@@ -329,11 +329,11 @@ Listeners scatter_core(const PscanTopology& topo,
                                     ? "scatter_multicast: CP beyond the burst"
                                     : "scatter: CP listens beyond the burst");
         }
-        auto& c = ls.count[static_cast<std::size_t>(s)];
+        auto& c = count[static_cast<std::size_t>(s)];
         if (!multicast && c != 0) {
           // The earlier listener: entries never overlap within a node.
           std::size_t o = 0;
-          while (std::none_of(ls.entries[o].begin(), ls.entries[o].end(),
+          while (std::none_of(entries[o].begin(), entries[o].end(),
                               [&](const CpEntry& x) {
                                 return x.begin <= s && s < x.end();
                               })) {
@@ -345,12 +345,12 @@ Listeners scatter_core(const PscanTopology& topo,
         }
         ++c;
       }
-      ls.entries[i].push_back(e);
+      entries[i].push_back(e);
     }
   }
 
   for (std::size_t s = 0; s < burst.size(); ++s) {
-    if (ls.count[s] == 0) out->unclaimed_slots.push_back(static_cast<Slot>(s));
+    if (count[s] == 0) out->unclaimed_slots.push_back(static_cast<Slot>(s));
   }
   if (strict && !out->unclaimed_slots.empty()) {
     throw SimulationError(who + ": " +
@@ -361,17 +361,20 @@ Listeners scatter_core(const PscanTopology& topo,
   // Node i latches slot s as it passes its tap: edge0[i] + s*T.
   const std::vector<TimePs> edge0 = node_edge0_ps(topo, clock);
   const TimePs period = clock.period_ps();
-  out->received.resize(topo.nodes());
+  received->offset.resize(topo.nodes() + 1);
+  for (std::size_t i = 0; i < topo.nodes(); ++i) {
+    std::size_t n = 0;
+    for (const CpEntry& e : entries[i]) n += static_cast<std::size_t>(e.length);
+    received->offset[i + 1] = received->offset[i] + n;
+  }
+  received->words.resize(received->offset.back());
   bool any = false;
   TimePs lo = 0;
   TimePs hi = 0;
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
-    std::size_t n = 0;
-    for (const CpEntry& e : ls.entries[i]) n += static_cast<std::size_t>(e.length);
-    out->received[i].reserve(n);
-    for (const CpEntry& e : ls.entries[i]) {
-      out->received[i].insert(out->received[i].end(),
-                              burst.begin() + e.begin, burst.begin() + e.end());
+    Word* got = received->node(i).data();
+    for (const CpEntry& e : entries[i]) {
+      got = std::copy(burst.begin() + e.begin, burst.begin() + e.end(), got);
       const TimePs first = edge0[i] + e.begin * period;
       const TimePs last = edge0[i] + (e.end() - 1) * period;
       lo = any ? std::min(lo, first) : first;
@@ -380,7 +383,7 @@ Listeners scatter_core(const PscanTopology& topo,
     }
   }
   if (any) out->span_ps = (hi - lo) + period;
-  return ls;
+  return entries;
 }
 
 // Per-slot delivery records in (slot, node) order: each node's words go to
@@ -391,10 +394,17 @@ ScatterResult scatter_records(const PscanTopology& topo,
                               const std::vector<Word>& burst, bool strict,
                               bool multicast) {
   ScatterResult out;
-  Listeners ls =
-      scatter_core(topo, clock, schedule, burst, strict, multicast, &out);
+  ScaWork work;
+  NodeWords received;
+  const std::vector<std::vector<CpEntry>> entries = scatter_core(
+      topo, clock, schedule, burst, strict, multicast, &received, &out, &work);
+  for (std::size_t i = 0; i < received.nodes(); ++i) {
+    out.received.emplace_back(received.node(i).begin(),
+                              received.node(i).end());
+  }
+  std::vector<std::uint32_t>& count = work.counts;
   std::uint32_t total = 0;
-  for (auto& c : ls.count) {
+  for (auto& c : count) {
     const std::uint32_t n = c;
     c = total;
     total += n;
@@ -404,10 +414,10 @@ ScatterResult scatter_records(const PscanTopology& topo,
   const TimePs period = clock.period_ps();
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     std::int64_t element = 0;
-    for (const CpEntry& e : ls.entries[i]) {
+    for (const CpEntry& e : entries[i]) {
       for (Slot s = e.begin; s < e.end(); ++s, ++element) {
         const auto at = static_cast<std::size_t>(s);
-        out.deliveries[ls.count[at]++] =
+        out.deliveries[count[at]++] =
             DeliveryRecord{s, burst[at], static_cast<std::int32_t>(i), element,
                            edge0[i] + s * period};
       }
@@ -440,6 +450,12 @@ void PscanTopology::validate() const {
   if (!skew_error_ps.empty() && skew_error_ps.size() != node_pos_um.size()) {
     throw SimulationError("PscanTopology: skew_error size mismatch");
   }
+}
+
+void NodeWords::resize_equal(std::size_t nodes, std::size_t per_node) {
+  words.resize(nodes * per_node);
+  offset.resize(nodes + 1);
+  for (std::size_t i = 0; i <= nodes; ++i) offset[i] = i * per_node;
 }
 
 std::vector<Word> GatherResult::words() const {
@@ -485,8 +501,10 @@ GatherResult ScaEngine::gather(
   std::size_t words = 0;
   for (const auto& d : node_data) words += d.size();
   out.stream.reserve(words);
+  ScaWork work;
+  const NodeSpans spans(node_data.begin(), node_data.end());
   static_cast<GatherSummary&>(out) = gather_core(
-      topo_, clock_, schedule, node_data, strict,
+      topo_, clock_, schedule, spans, strict, &work,
       [&](std::size_t, Word word, std::uint32_t node, Slot slot,
           TimePs modulated, TimePs arrival) {
         out.stream.push_back(SlotRecord{
@@ -495,16 +513,16 @@ GatherResult ScaEngine::gather(
   return out;
 }
 
-GatherWords ScaEngine::gather_words(
-    const CpSchedule& schedule, const std::vector<std::vector<Word>>& node_data,
-    bool strict) const {
-  GatherWords out;
-  std::size_t words = 0;
-  for (const auto& d : node_data) words += d.size();
-  out.words.resize(words);
-  Word* dst = out.words.data();
-  static_cast<GatherSummary&>(out) = gather_core(
-      topo_, clock_, schedule, node_data, strict,
+GatherSummary ScaEngine::gather_words(const CpSchedule& schedule,
+                                      const NodeWords& node_data,
+                                      std::vector<Word>* words, ScaWork* work,
+                                      bool strict) const {
+  NodeSpans spans(node_data.nodes());
+  for (std::size_t i = 0; i < spans.size(); ++i) spans[i] = node_data.node(i);
+  words->resize(node_data.offset.back());
+  Word* dst = words->data();
+  GatherSummary out = gather_core(
+      topo_, clock_, schedule, spans, strict, work,
       [dst](std::size_t pos, Word word, std::uint32_t, Slot, TimePs, TimePs) {
         dst[pos] = word;
       });
@@ -513,7 +531,7 @@ GatherWords ScaEngine::gather_words(
   for (const auto& cp : schedule.node_cps) {
     driven += static_cast<std::size_t>(cp.slot_count(CpAction::kDrive));
   }
-  out.words.resize(driven);
+  words->resize(driven);
   return out;
 }
 
@@ -526,15 +544,17 @@ ScatterResult ScaEngine::scatter(const CpSchedule& schedule,
 
 ScatterWords ScaEngine::scatter_words(const CpSchedule& schedule,
                                       const std::vector<Word>& burst,
+                                      NodeWords* received, ScaWork* work,
                                       bool strict) const {
   ScatterWords out;
-  const Listeners ls = scatter_core(topo_, clock_, schedule, burst, strict,
-                                    /*multicast=*/false, &out);
+  const std::vector<std::vector<CpEntry>> entries =
+      scatter_core(topo_, clock_, schedule, burst, strict,
+                   /*multicast=*/false, received, &out, work);
   const std::vector<TimePs> edge0 = node_edge0_ps(topo_, clock_);
   out.latch_ps.resize(topo_.nodes());
   for (std::size_t i = 0; i < topo_.nodes(); ++i) {
-    out.latch_ps[i].reserve(ls.entries[i].size());
-    for (const CpEntry& e : ls.entries[i]) {
+    out.latch_ps[i].reserve(entries[i].size());
+    for (const CpEntry& e : entries[i]) {
       out.latch_ps[i].push_back(edge0[i] + e.begin * clock_.period_ps());
     }
   }

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "psync/common/units.hpp"
@@ -107,11 +108,6 @@ struct GatherResult : GatherSummary {
   std::vector<Word> words() const;
 };
 
-/// A gather without per-slot records: the payload in stream order.
-struct GatherWords : GatherSummary {
-  std::vector<Word> words;
-};
-
 /// One word delivered to a node during a scatter.
 struct DeliveryRecord {
   Slot slot = 0;
@@ -121,26 +117,54 @@ struct DeliveryRecord {
   TimePs arrival_ps = 0;       // when the node's detector latched it
 };
 
-/// What every scatter reports besides its per-slot detail.
+/// What every scatter reports besides the words it delivered.
 struct ScatterSummary {
-  /// received[i] = words latched by node i, in element order.
-  std::vector<std::vector<Word>> received;
   /// Burst slots no node listened to (lost words).
   std::vector<Slot> unclaimed_slots;
   TimePs span_ps = 0;
 };
 
 struct ScatterResult : ScatterSummary {
+  /// received[i] = words latched by node i, in element order.
+  std::vector<std::vector<Word>> received;
   /// Every delivery, ordered by slot (multicast: by slot, then node).
   std::vector<DeliveryRecord> deliveries;
 };
 
-/// A scatter without per-slot records.
+/// Per-node word arrays in one buffer: node i's words are
+/// words[offset[i], offset[i + 1]). Reusing one object reuses its capacity
+/// whatever the node count.
+struct NodeWords {
+  std::vector<Word> words;
+  std::vector<std::size_t> offset{0};  // nodes() + 1 entries
+
+  std::size_t nodes() const { return offset.size() - 1; }
+  std::span<Word> node(std::size_t i) {
+    return {words.data() + offset[i], offset[i + 1] - offset[i]};
+  }
+  std::span<const Word> node(std::size_t i) const {
+    return {words.data() + offset[i], offset[i + 1] - offset[i]};
+  }
+  /// `nodes` nodes of `per_node` words each; the words are unspecified.
+  void resize_equal(std::size_t nodes, std::size_t per_node);
+};
+
+/// A scatter without per-slot records; the received words go to caller
+/// storage.
 struct ScatterWords : ScatterSummary {
   /// latch_ps[i][e] = when node i latched the first slot of its e-th listen
   /// entry (CommProgram::entries() order); the entry's slot k latches k
   /// slot periods later.
   std::vector<std::vector<TimePs>> latch_ps;
+};
+
+/// Counting-placement storage of the record-free collectives. Handing the
+/// same object to successive calls reuses its capacity; its contents mean
+/// nothing between calls.
+struct ScaWork {
+  std::vector<std::uint32_t> order;   // gather: node driving each position
+  std::vector<std::uint32_t> counts;  // gather: bucket ends;
+                                      // scatter: listeners per burst slot
 };
 
 class ScaEngine {
@@ -157,11 +181,15 @@ class ScaEngine {
                       const std::vector<std::vector<Word>>& node_data,
                       bool strict = true) const;
 
-  /// The same gather without per-slot records: identical words, order,
-  /// collisions and summary, and the same errors.
-  GatherWords gather_words(const CpSchedule& schedule,
-                           const std::vector<std::vector<Word>>& node_data,
-                           bool strict = true) const;
+  /// The same gather without per-slot records, driving
+  /// `node_data.node(i)` from node i: identical collisions, summary and
+  /// errors; the payload words, in stream order, replace the contents of
+  /// `*words` (its capacity is reused). `*work` holds the placement
+  /// buckets.
+  GatherSummary gather_words(const CpSchedule& schedule,
+                             const NodeWords& node_data,
+                             std::vector<Word>* words, ScaWork* work,
+                             bool strict = true) const;
 
   /// Run an SCA^-1 scatter: the head node drives `burst` (word for slot s at
   /// index s); node i latches the slots its CP listens on.
@@ -169,10 +197,14 @@ class ScaEngine {
                         const std::vector<Word>& burst,
                         bool strict = true) const;
 
-  /// The same scatter without per-slot records: identical received words,
-  /// unclaimed slots, span and errors, plus one latch time per listen entry.
+  /// The same scatter without per-slot records: identical unclaimed slots,
+  /// span and errors, plus one latch time per listen entry. The received
+  /// words replace the contents of `*received` (node i's are
+  /// received->node(i); capacity reused). `*work` holds the listener
+  /// counts.
   ScatterWords scatter_words(const CpSchedule& schedule,
                              const std::vector<Word>& burst,
+                             NodeWords* received, ScaWork* work,
                              bool strict = true) const;
 
   /// Multicast SCA^-1: listener sets MAY overlap — physically free on a

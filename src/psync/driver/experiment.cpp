@@ -204,6 +204,10 @@ bool apply_knob(const std::string& knob, double value,
   return true;
 }
 
+ConfigError empty_axis_error(const std::string& knob) {
+  return ConfigError("sweep axis '" + knob + "' has no values");
+}
+
 std::vector<std::string> known_knobs() {
   std::vector<std::string> out;
   for (const auto& key : kKeys) {
@@ -252,7 +256,7 @@ ExperimentSpec spec_from_config(const IniConfig& cfg) {
   for (const auto& knob : cfg.keys("sweep")) {
     const auto values = parse_values(cfg.get_string("sweep", knob, ""));
     if (values.empty()) {
-      throw ConfigError("sweep axis '" + knob + "' has no values");
+      throw empty_axis_error(knob);
     }
     spec.axes.push_back({knob, values});
   }

@@ -231,6 +231,9 @@ bool apply_knob(const std::string& knob, double value,
 /// Every knob name apply_knob accepts.
 std::vector<std::string> known_knobs();
 
+/// The ConfigError for a sweep axis with no values, naming the axis.
+ConfigError empty_axis_error(const std::string& knob);
+
 /// Build a spec from a psync_sim INI config (keys: docs/configuration.md).
 /// Throws ConfigError naming the key for a mistyped or out-of-range value.
 /// Legacy kinds map onto the registry: `kind = sweep` becomes the fft2d

@@ -36,11 +36,13 @@ Campaign::~Campaign() {
 
 namespace {
 
-// Execute one already-expanded point through the workload registry.
-RunRecord run_point(const std::string& workload, const RunPoint& pt) {
+// Execute one already-expanded point through the workload registry, out of
+// the calling worker's scratch.
+RunRecord run_point(const std::string& workload, const RunPoint& pt,
+                    core::Scratch& scratch) {
   const Workload& w = find_workload(workload);
   perf::Stopwatch watch;
-  RunRecord rec = w.run(pt);
+  RunRecord rec = w.run(pt, scratch);
   rec.wall_ns = watch.elapsed_ns();
   rec.index = pt.index;
   rec.workload = workload;
@@ -165,7 +167,7 @@ std::vector<ConfigError> Session::validate(const ExperimentSpec& spec) {
   std::size_t total = 1;
   for (const auto& axis : spec.axes) {
     if (axis.values.empty()) {
-      diags.emplace_back("sweep axis '" + axis.knob + "' has no values");
+      diags.push_back(empty_axis_error(axis.knob));
       continue;
     }
     total *= axis.values.size();
@@ -364,7 +366,7 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
 
   const PointGuard guard(spec.guard);
   SweepEngine engine(spec.threads);
-  engine.map(pending, [&](const std::size_t i) {
+  engine.map(pending, [&](const std::size_t i, core::Scratch& scratch) {
     // Shutdown check: once the campaign token fires (handle.cancel(), the
     // spec's parent token, or both), unstarted points stay unstarted (and
     // unrecorded) — completion is tracked via done[] so the run is
@@ -373,7 +375,9 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
     if (spec.observer != nullptr) spec.observer->on_point_start(i);
     RunRecord rec = guard.run(
         spec.workload, points[i],
-        [&](const RunPoint& pt) { return run_point(spec.workload, pt); },
+        [&](const RunPoint& pt) {
+          return run_point(spec.workload, pt, scratch);
+        },
         &c->token);
     if (cache != nullptr && rec.status == PointStatus::kOk) {
       // Only clean results are worth caching: a transient failure

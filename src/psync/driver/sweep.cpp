@@ -17,7 +17,9 @@ std::uint64_t SweepEngine::point_seed(std::uint64_t base, std::size_t index) {
 std::vector<RunPoint> SweepEngine::expand(const ExperimentSpec& spec) {
   std::size_t total = 1;
   for (const auto& axis : spec.axes) {
-    PSYNC_CHECK(!axis.values.empty());
+    if (axis.values.empty()) {
+      throw empty_axis_error(axis.knob);
+    }
     total *= axis.values.size();
   }
 
@@ -53,11 +55,13 @@ std::vector<RunPoint> SweepEngine::expand(const ExperimentSpec& spec) {
 }
 
 void SweepEngine::run_indexed(
-    std::size_t n, const std::function<void(std::size_t)>& body) const {
+    std::size_t n,
+    const std::function<void(std::size_t, core::Scratch&)>& body) const {
   if (n == 0) return;
   const std::size_t workers = std::min(threads_ == 0 ? 1 : threads_, n);
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
+    core::Scratch scratch;
+    for (std::size_t i = 0; i < n; ++i) body(i, scratch);
     return;
   }
   std::atomic<std::size_t> next{0};
@@ -65,10 +69,11 @@ void SweepEngine::run_indexed(
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&] {
+      core::Scratch scratch;
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) return;
-        body(i);
+        body(i, scratch);
       }
     });
   }

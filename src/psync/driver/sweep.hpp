@@ -15,8 +15,10 @@
 #include <exception>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "psync/core/scratch.hpp"
 #include "psync/driver/experiment.hpp"
 
 namespace psync::driver {
@@ -35,22 +37,25 @@ class SweepEngine {
 
   /// Row-major cartesian expansion of the spec's axes into run points with
   /// knobs applied and seeds assigned. A spec with no axes yields one
-  /// point. Throws SimulationError on an unknown knob name.
+  /// point. Throws ConfigError naming an axis with no values, and
+  /// SimulationError on an unknown knob name.
   static std::vector<RunPoint> expand(const ExperimentSpec& spec);
 
-  /// Apply `fn` to every element of `items` on the pool; the result vector
-  /// is in input order. `fn` must be thread-safe. If any invocation
-  /// throws, the first exception (by item index) is rethrown after all
-  /// workers drain.
+  /// Apply `fn(item, scratch)` to every element of `items` on the pool;
+  /// the result vector is in input order. `scratch` is the calling
+  /// worker's own core::Scratch, reused across the items it runs. `fn`
+  /// must be thread-safe. If any invocation throws, the first exception
+  /// (by item index) is rethrown after all workers drain.
   template <typename T, typename Fn>
   auto map(const std::vector<T>& items, Fn&& fn) const
-      -> std::vector<decltype(fn(items.front()))> {
-    using R = decltype(fn(items.front()));
+      -> std::vector<decltype(fn(items.front(),
+                                 std::declval<core::Scratch&>()))> {
+    using R = decltype(fn(items.front(), std::declval<core::Scratch&>()));
     std::vector<R> results(items.size());
     std::vector<std::exception_ptr> errors(items.size());
-    run_indexed(items.size(), [&](std::size_t i) {
+    run_indexed(items.size(), [&](std::size_t i, core::Scratch& scratch) {
       try {
-        results[i] = fn(items[i]);
+        results[i] = fn(items[i], scratch);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -62,9 +67,11 @@ class SweepEngine {
   }
 
  private:
-  /// Run body(0..n-1) across the pool; blocks until every index is done.
-  void run_indexed(std::size_t n,
-                   const std::function<void(std::size_t)>& body) const;
+  /// Run body(i, scratch) for i in 0..n-1 across the pool, each worker
+  /// passing a Scratch of its own; blocks until every index is done.
+  void run_indexed(
+      std::size_t n,
+      const std::function<void(std::size_t, core::Scratch&)>& body) const;
 
   std::size_t threads_;
 };

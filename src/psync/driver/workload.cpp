@@ -12,13 +12,19 @@
 
 namespace psync::driver {
 
-std::vector<std::complex<double>> random_input(std::size_t n,
-                                               std::uint64_t seed) {
+void random_input(std::size_t n, std::uint64_t seed,
+                  std::vector<std::complex<double>>* out) {
   Rng rng(seed);
-  std::vector<std::complex<double>> v(n);
-  for (auto& x : v) {
+  out->resize(n);
+  for (auto& x : *out) {
     x = {rng.next_double() * 2.0 - 1.0, rng.next_double() * 2.0 - 1.0};
   }
+}
+
+std::vector<std::complex<double>> random_input(std::size_t n,
+                                               std::uint64_t seed) {
+  std::vector<std::complex<double>> v;
+  random_input(n, seed, &v);
   return v;
 }
 
@@ -80,6 +86,27 @@ double knob_value(const RunPoint& pt, const std::string& name,
   return fallback;
 }
 
+// The P-sync machine's input for `pt`, in the scratch.
+const std::vector<std::complex<double>>& machine_input(const RunPoint& pt,
+                                                       core::Scratch& scratch) {
+  random_input(pt.machine.matrix_rows * pt.machine.matrix_cols, pt.seed,
+               &scratch.input);
+  return scratch.input;
+}
+
+// The fault-free baseline of pt's machine. Its machine is gone before the
+// caller builds the next one on `scratch`.
+core::PsyncRunReport clean_baseline(
+    const RunPoint& pt, const std::vector<std::complex<double>>& input,
+    core::Scratch& scratch) {
+  auto clean = pt.machine;
+  clean.fault = core::FaultModel{};
+  clean.reliability.policy = reliability::ReliabilityPolicy::kOff;
+  core::PsyncMachine refm(clean, scratch);
+  refm.set_cancel(pt.cancel);
+  return refm.run_fft2d(input, false);
+}
+
 void add_psync_metrics(RunRecord* rec, const core::PsyncRunReport& rep,
                        bool verify) {
   rec->metrics.push_back({"total_us", rep.total_ns * 1e-3, 2});
@@ -96,11 +123,10 @@ void add_psync_metrics(RunRecord* rec, const core::PsyncRunReport& rep,
 class Fft2dWorkload final : public Workload {
  public:
   std::string name() const override { return "fft2d"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch& scratch) const override {
     RunRecord rec;
-    const auto input = random_input(
-        pt.machine.matrix_rows * pt.machine.matrix_cols, pt.seed);
-    core::PsyncMachine m(pt.machine);
+    const auto& input = machine_input(pt, scratch);
+    core::PsyncMachine m(pt.machine, scratch);
     m.set_cancel(pt.cancel);
     rec.psync = m.run_fft2d(input, pt.verify);
     add_psync_metrics(&rec, *rec.psync, pt.verify);
@@ -126,11 +152,10 @@ class Fft2dWorkload final : public Workload {
 class Fft1dWorkload final : public Workload {
  public:
   std::string name() const override { return "fft1d"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch& scratch) const override {
     RunRecord rec;
-    const auto input = random_input(
-        pt.machine.matrix_rows * pt.machine.matrix_cols, pt.seed);
-    core::PsyncMachine m(pt.machine);
+    const auto& input = machine_input(pt, scratch);
+    core::PsyncMachine m(pt.machine, scratch);
     m.set_cancel(pt.cancel);
     rec.psync = m.run_fft1d(input, pt.verify);
     add_psync_metrics(&rec, *rec.psync, pt.verify);
@@ -141,7 +166,7 @@ class Fft1dWorkload final : public Workload {
 class TransposeWorkload final : public Workload {
  public:
   std::string name() const override { return "transpose"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch&) const override {
     RunRecord rec;
     core::MeshMachine m(pt.mesh);
     m.set_cancel(pt.cancel);
@@ -159,11 +184,10 @@ class TransposeWorkload final : public Workload {
 class PipelineWorkload final : public Workload {
  public:
   std::string name() const override { return "pipeline"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch& scratch) const override {
     RunRecord rec;
-    const auto input = random_input(
-        pt.machine.matrix_rows * pt.machine.matrix_cols, pt.seed);
-    core::PsyncMachine m(pt.machine);
+    const auto& input = machine_input(pt, scratch);
+    core::PsyncMachine m(pt.machine, scratch);
     m.set_cancel(pt.cancel);
     rec.psync = m.run_fft2d(input, false);
     rec.pipeline = core::PsyncMachine::pipeline_estimate(*rec.psync);
@@ -179,10 +203,11 @@ class PipelineWorkload final : public Workload {
 class MeshWorkload final : public Workload {
  public:
   std::string name() const override { return "mesh"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch& scratch) const override {
     RunRecord rec;
-    const auto input =
-        random_input(pt.mesh.matrix_rows * pt.mesh.matrix_cols, pt.seed);
+    random_input(pt.mesh.matrix_rows * pt.mesh.matrix_cols, pt.seed,
+                 &scratch.input);
+    const auto& input = scratch.input;
     core::MeshMachine m(pt.mesh);
     m.set_cancel(pt.cancel);
     rec.mesh = m.run_fft2d(input, pt.verify);
@@ -204,19 +229,12 @@ class MeshWorkload final : public Workload {
 class ReliabilityWorkload final : public Workload {
  public:
   std::string name() const override { return "reliability"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch& scratch) const override {
     RunRecord rec;
-    const auto input = random_input(
-        pt.machine.matrix_rows * pt.machine.matrix_cols, pt.seed);
+    const auto& input = machine_input(pt, scratch);
+    const core::PsyncRunReport ref = clean_baseline(pt, input, scratch);
 
-    auto clean = pt.machine;
-    clean.fault = core::FaultModel{};
-    clean.reliability.policy = reliability::ReliabilityPolicy::kOff;
-    core::PsyncMachine refm(clean);
-    refm.set_cancel(pt.cancel);
-    const auto ref = refm.run_fft2d(input, false);
-
-    core::PsyncMachine m(pt.machine);
+    core::PsyncMachine m(pt.machine, scratch);
     m.set_cancel(pt.cancel);
     rec.psync = m.run_fft2d(input);
     const auto& rep = *rec.psync;
@@ -247,19 +265,12 @@ class ReliabilityWorkload final : public Workload {
 class DegradationSweepWorkload final : public Workload {
  public:
   std::string name() const override { return "degradation_sweep"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch& scratch) const override {
     RunRecord rec;
-    const auto input = random_input(
-        pt.machine.matrix_rows * pt.machine.matrix_cols, pt.seed);
+    const auto& input = machine_input(pt, scratch);
+    const core::PsyncRunReport ref = clean_baseline(pt, input, scratch);
 
-    auto clean = pt.machine;
-    clean.fault = core::FaultModel{};
-    clean.reliability.policy = reliability::ReliabilityPolicy::kOff;
-    core::PsyncMachine refm(clean);
-    refm.set_cancel(pt.cancel);
-    const auto ref = refm.run_fft2d(input, false);
-
-    core::PsyncMachine m(pt.machine);
+    core::PsyncMachine m(pt.machine, scratch);
     m.set_cancel(pt.cancel);
     rec.psync = m.run_fft2d(input);
     const auto& rep = *rec.psync;
@@ -287,7 +298,7 @@ class DegradationSweepWorkload final : public Workload {
 class Fig11Workload final : public Workload {
  public:
   std::string name() const override { return "fig11"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch&) const override {
     RunRecord rec;
     const auto k =
         static_cast<std::uint64_t>(knob_value(pt, kBlocksKnobAlias, 1.0));
@@ -305,7 +316,7 @@ class Fig11Workload final : public Workload {
 class Fig13Workload final : public Workload {
  public:
   std::string name() const override { return "fig13"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch&) const override {
     RunRecord rec;
     const auto cores =
         static_cast<std::uint64_t>(knob_value(pt, kCoresKnob, 4.0));

@@ -3,8 +3,8 @@
 // + deterministic seed) into a RunRecord (ordered scalar metrics for sweep
 // tables/CSV, plus the full machine report when one ran). Workloads must be
 // const and thread-safe: the SweepEngine calls run() concurrently from the
-// pool, so all mutable state lives in locals or in the machines a run
-// constructs for itself.
+// pool, so all mutable state lives in locals, in the machines a run
+// constructs for itself, or in the calling thread's core::Scratch.
 //
 // Built-ins: fft2d, fft1d, transpose, pipeline, mesh, reliability (machine
 // workloads), and fig11 / fig13 (closed-form/LLMORE analysis points the
@@ -18,6 +18,7 @@
 
 #include "psync/core/mesh_machine.hpp"
 #include "psync/core/psync_machine.hpp"
+#include "psync/core/scratch.hpp"
 #include "psync/driver/experiment.hpp"
 
 namespace psync::driver {
@@ -121,7 +122,9 @@ class Workload {
  public:
   virtual ~Workload() = default;
   virtual std::string name() const = 0;
-  virtual RunRecord run(const RunPoint& pt) const = 0;
+  /// Run one point. `scratch` belongs to the calling thread (see
+  /// core/scratch.hpp): the point's input and machines run out of it.
+  virtual RunRecord run(const RunPoint& pt, core::Scratch& scratch) const = 0;
 };
 
 /// Register (or replace) a workload under its name(). Thread-safe.
@@ -135,7 +138,12 @@ const Workload& find_workload(const std::string& name);
 std::vector<std::string> workload_names();
 
 /// Deterministic input matrix shared by the machine workloads: `n` complex
-/// samples in [-1,1)^2 from the point's seed.
+/// samples in [-1,1)^2 from the point's seed, replacing the contents of
+/// `*out` (its capacity is reused).
+void random_input(std::size_t n, std::uint64_t seed,
+                  std::vector<std::complex<double>>* out);
+
+/// The same matrix in a vector of its own.
 std::vector<std::complex<double>> random_input(std::size_t n,
                                                std::uint64_t seed);
 

@@ -288,45 +288,6 @@ std::vector<Complex> naive_idft(std::span<const Complex> in) {
   return out;
 }
 
-namespace {
-
-// max over i < n of std::abs(z(i)), folded into std::max from 0 so NaN
-// moduli drop out. std::abs is hypot, far dearer than a multiply-add, so
-// the scan first finds the top of re^2 + im^2 and then runs hypot only on
-// entries within a relative 1e-12 of it. Both roundings are a few ulps, so
-// the entry holding the true max always makes that cut. The squares lose
-// that accuracy when the top is zero or subnormal, or infinite (|z| above
-// ~1.3e154), and a NaN square (a NaN part) may hide an infinite modulus;
-// then every entry takes hypot.
-template <class Z>
-double max_modulus(std::size_t n, Z z) {
-  const auto square = [](Complex v) {
-    return v.real() * v.real() + v.imag() * v.imag();
-  };
-  double top = 0.0;
-  bool nan = false;
-  for (std::size_t i = 0; i < n && !nan; ++i) {
-    const double sq = square(z(i));
-    if (sq > top) {
-      top = sq;
-    } else {
-      nan = std::isnan(sq);
-    }
-  }
-  const bool cut_ok =
-      !nan && top >= std::numeric_limits<double>::min() &&
-      top <= std::numeric_limits<double>::max();
-  const double cut = top * (1.0 - 1e-12);
-  double m = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Complex v = z(i);
-    if (!cut_ok || square(v) >= cut) m = std::max(m, std::abs(v));
-  }
-  return m;
-}
-
-}  // namespace
-
 double max_abs_diff(std::span<const Complex> a, std::span<const Complex> b) {
   PSYNC_CHECK(a.size() == b.size());
   return max_modulus(a.size(), [&](std::size_t i) { return a[i] - b[i]; });

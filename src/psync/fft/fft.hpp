@@ -10,8 +10,11 @@
 // exposed so the analysis library can be cross-checked against real code.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -107,9 +110,43 @@ class FftPlan {
 std::vector<Complex> naive_dft(std::span<const Complex> in);
 std::vector<Complex> naive_idft(std::span<const Complex> in);
 
+/// max over i < n of std::abs(z(i)), folded into std::max from 0 so NaN
+/// moduli drop out. std::abs is hypot, far dearer than a multiply-add, so
+/// the scan first finds the top of re^2 + im^2 and then runs hypot only on
+/// entries within a relative 1e-12 of it. Both roundings are a few ulps, so
+/// the entry holding the true max always makes that cut. The squares lose
+/// that accuracy when the top is zero or subnormal, or infinite (|z| above
+/// ~1.3e154), and a NaN square (a NaN part) may hide an infinite modulus;
+/// then every entry takes hypot. `z` may compute its values on the fly.
+template <class Z>
+double max_modulus(std::size_t n, Z z) {
+  const auto square = [](Complex v) {
+    return v.real() * v.real() + v.imag() * v.imag();
+  };
+  double top = 0.0;
+  bool nan = false;
+  for (std::size_t i = 0; i < n && !nan; ++i) {
+    const double sq = square(z(i));
+    if (sq > top) {
+      top = sq;
+    } else {
+      nan = std::isnan(sq);
+    }
+  }
+  const bool cut_ok =
+      !nan && top >= std::numeric_limits<double>::min() &&
+      top <= std::numeric_limits<double>::max();
+  const double cut = top * (1.0 - 1e-12);
+  double m = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Complex v = z(i);
+    if (!cut_ok || square(v) >= cut) m = std::max(m, std::abs(v));
+  }
+  return m;
+}
+
 /// Max |a-b| over two sequences: bit-identical to folding std::abs(a[i] -
-/// b[i]) into std::max from 0, NaN moduli skipped, but std::abs (hypot)
-/// only runs near the top of a std::norm scan (see fft.cpp).
+/// b[i]) into std::max from 0, NaN moduli skipped (max_modulus).
 double max_abs_diff(std::span<const Complex> a, std::span<const Complex> b);
 
 /// Max |a| over a sequence, same contract as max_abs_diff.

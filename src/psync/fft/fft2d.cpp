@@ -10,7 +10,7 @@
 namespace psync::fft {
 
 Fft2dOps fft2d(std::span<Complex> data, std::size_t rows, std::size_t cols,
-               bool restore_layout) {
+               bool restore_layout, std::vector<Complex>* scratch) {
   PSYNC_CHECK(data.size() == rows * cols);
   Fft2dOps ops;
 
@@ -19,21 +19,35 @@ Fft2dOps fft2d(std::span<Complex> data, std::size_t rows, std::size_t cols,
     ops.row_pass += row_plan.forward(data.subspan(r * cols, cols));
   }
 
-  std::vector<Complex> scratch(data.size());
-  transpose(data, scratch, rows, cols);  // scratch is cols x rows
+  // The column pass runs on the cols x rows transpose.
+  std::span<Complex> t = data;
+  if (rows == cols) {
+    transpose_square_inplace(data, rows);
+  } else {
+    scratch->resize(data.size());
+    t = *scratch;
+    transpose(data, t, rows, cols);
+  }
 
   const FftPlan& col_plan = shared_plan(rows);
   for (std::size_t c = 0; c < cols; ++c) {
-    ops.col_pass += col_plan.forward(
-        std::span<Complex>(scratch).subspan(c * rows, rows));
+    ops.col_pass += col_plan.forward(t.subspan(c * rows, rows));
   }
 
-  if (restore_layout) {
-    transpose(scratch, data, cols, rows);
+  if (rows == cols) {
+    if (restore_layout) transpose_square_inplace(data, rows);
+  } else if (restore_layout) {
+    transpose(t, data, cols, rows);
   } else {
-    std::copy(scratch.begin(), scratch.end(), data.begin());
+    std::copy(t.begin(), t.end(), data.begin());
   }
   return ops;
+}
+
+Fft2dOps fft2d(std::span<Complex> data, std::size_t rows, std::size_t cols,
+               bool restore_layout) {
+  std::vector<Complex> scratch;
+  return fft2d(data, rows, cols, restore_layout, &scratch);
 }
 
 std::vector<Complex> naive_dft2d(std::span<const Complex> in,

@@ -25,7 +25,13 @@ struct Fft2dOps {
 /// row-transpose-row method. When `restore_layout` is true a final
 /// transpose returns the result to natural (row-major, untransposed)
 /// orientation; when false the result is left transposed (cols x rows),
-/// which is how the distributed flow leaves it in DRAM.
+/// which is how the distributed flow leaves it in DRAM. A square matrix
+/// transposes in place; a non-square one transposes through `*scratch`
+/// (resized, capacity reused).
+Fft2dOps fft2d(std::span<Complex> data, std::size_t rows, std::size_t cols,
+               bool restore_layout, std::vector<Complex>* scratch);
+
+/// The same with a transpose buffer of its own.
 Fft2dOps fft2d(std::span<Complex> data, std::size_t rows, std::size_t cols,
                bool restore_layout = true);
 

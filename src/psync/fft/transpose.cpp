@@ -20,9 +20,18 @@ void transpose(std::span<const Complex> in, std::span<Complex> out,
 
 void transpose_square_inplace(std::span<Complex> m, std::size_t n) {
   PSYNC_CHECK(m.size() == n * n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = r + 1; c < n; ++c) {
-      std::swap(m[r * n + c], m[c * n + r]);
+  // Tile (rb, cb) swaps with tile (cb, rb), so both sides of a swap stay
+  // within a few cache lines.
+  constexpr std::size_t kTile = 16;
+  for (std::size_t rb = 0; rb < n; rb += kTile) {
+    const std::size_t rend = std::min(rb + kTile, n);
+    for (std::size_t cb = rb; cb < n; cb += kTile) {
+      const std::size_t cend = std::min(cb + kTile, n);
+      for (std::size_t r = rb; r < rend; ++r) {
+        for (std::size_t c = std::max(cb, r + 1); c < cend; ++c) {
+          std::swap(m[r * n + c], m[c * n + r]);
+        }
+      }
     }
   }
 }

@@ -160,6 +160,8 @@ BenchEntry parse_entry(Cursor& cur) {
         e.iters = static_cast<std::uint64_t>(cur.parse_number());
       } else if (key == "events") {
         e.events = static_cast<std::uint64_t>(cur.parse_number());
+      } else if (key == "minor_faults") {
+        e.minor_faults = cur.parse_number();
       } else if (key == "note") {
         e.note = cur.parse_string();
       } else {
@@ -203,6 +205,7 @@ std::string bench_report_json(const BenchReport& report) {
       out += ", \"events\": " + std::to_string(e.events);
       out += ", \"events_per_sec\": " + fmt_double(e.events_per_sec());
     }
+    out += ", \"minor_faults\": " + fmt_double(e.minor_faults);
     if (!e.note.empty()) {
       out += ", \"note\": ";
       append_escaped(&out, e.note);

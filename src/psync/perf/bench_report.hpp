@@ -24,6 +24,9 @@ struct BenchEntry {
   std::uint64_t iters = 1;     // timed repetitions
   std::uint64_t events = 0;    // domain events across all iterations
   std::string note;            // what the benchmark exercises
+  /// Minor page faults per iteration: the process's ru_minflt delta over
+  /// the timed iterations, divided by `iters`.
+  double minor_faults = 0.0;
 
   double per_iter_ms() const {
     return iters > 0 ? wall_ms / static_cast<double>(iters) : wall_ms;

@@ -105,9 +105,12 @@ void ProtectedChannel::calibrate() {
 
 ProtectedChannel::Transmission ProtectedChannel::transmit(
     const std::vector<std::uint64_t>& payload,
-    const std::vector<std::int64_t>* corrupted_slots) {
+    const std::vector<std::int64_t>* corrupted_slots,
+    std::vector<std::uint64_t> storage) {
   Transmission tx;
   tx.payload_slots = payload.size();
+  tx.words = std::move(storage);
+  tx.words.clear();
   tx.words.reserve(payload.size());
 
   if (params_.policy == ReliabilityPolicy::kOff) {

@@ -130,11 +130,14 @@ class ProtectedChannel {
   /// Push `payload` through the faulty link under the configured policy.
   /// `corrupted_slots` (optional) lists payload slot indices the caller's
   /// collision checker flagged; blocks containing them are re-driven even
-  /// if the coding checks pass. Discarding the result discards the
-  /// delivered words *and* the retry/energy accounting, so it is flagged.
-  [[nodiscard]] Transmission transmit(const std::vector<std::uint64_t>& payload,
-                        const std::vector<std::int64_t>* corrupted_slots =
-                            nullptr);
+  /// if the coding checks pass. `storage` becomes the result's `words`
+  /// (contents replaced, capacity reused). Discarding the result discards
+  /// the delivered words *and* the retry/energy accounting, so it is
+  /// flagged.
+  [[nodiscard]] Transmission transmit(
+      const std::vector<std::uint64_t>& payload,
+      const std::vector<std::int64_t>* corrupted_slots = nullptr,
+      std::vector<std::uint64_t> storage = {});
 
  private:
   void calibrate();

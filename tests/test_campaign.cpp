@@ -399,7 +399,7 @@ TEST(PointGuard, OomEstimateGateRefusesOversizedPoints) {
 class HangWorkload final : public Workload {
  public:
   std::string name() const override { return "hang_test"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch&) const override {
     double hang = 0.0;
     for (const auto& [knob, value] : pt.knobs) {
       if (knob == "t_p") hang = value;

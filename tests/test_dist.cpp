@@ -64,7 +64,7 @@ void write_file(const std::string& path, const std::string& content) {
 class DistTestWorkload final : public driver::Workload {
  public:
   std::string name() const override { return "dist_test"; }
-  RunRecord run(const RunPoint& pt) const override {
+  RunRecord run(const RunPoint& pt, core::Scratch&) const override {
     double tp = 0.0;
     for (const auto& [knob, value] : pt.knobs) {
       if (knob == "t_p") tp = value;

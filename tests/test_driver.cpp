@@ -118,6 +118,21 @@ TEST(SweepEngine, UnknownKnobThrows) {
   EXPECT_THROW((void)SweepEngine::expand(spec), SimulationError);
 }
 
+// A caller that skips Session::validate still gets a typed error, not an
+// abort, for an axis with no values.
+TEST(SweepEngine, EmptyAxisIsAConfigErrorNamingTheAxis) {
+  auto spec = small_spec("fft2d");
+  spec.axes.push_back({"processors", {4}});
+  spec.axes.push_back({"blocks", {}});
+  try {
+    (void)SweepEngine::expand(spec);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'blocks'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SweepEngine, ApplyKnobRejectsUnknownNames) {
   core::PsyncMachineParams m;
   core::MeshMachineParams mm;
@@ -151,7 +166,7 @@ TEST(SweepEngine, MapUsesThePoolAndPreservesOrder) {
   std::vector<int> items(64);
   for (int i = 0; i < 64; ++i) items[i] = i;
   std::atomic<int> calls{0};
-  const auto out = engine.map(items, [&](int v) {
+  const auto out = engine.map(items, [&](int v, core::Scratch&) {
     calls.fetch_add(1);
     return v * v;
   });
@@ -163,7 +178,7 @@ TEST(SweepEngine, MapRethrowsFirstExceptionByIndex) {
   SweepEngine engine(4);
   std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7};
   try {
-    (void)engine.map(items, [](int v) {
+    (void)engine.map(items, [](int v, core::Scratch&) {
       if (v == 3 || v == 6) throw SimulationError("boom " + std::to_string(v));
       return v;
     });

@@ -39,11 +39,14 @@ TEST(Transpose, DoubleTransposeIsIdentity) {
 }
 
 TEST(Transpose, SquareInPlaceMatchesOutOfPlace) {
-  auto m = random_matrix(16, 16, 2);
-  std::vector<Complex> expect(m.size());
-  transpose(m, expect, 16, 16);
-  transpose_square_inplace(m, 16);
-  EXPECT_EQ(max_abs_diff(m, expect), 0.0);
+  // One tile, several, and a ragged last tile.
+  for (std::size_t n : {16, 64, 37}) {
+    auto m = random_matrix(n, n, 2);
+    std::vector<Complex> expect(m.size());
+    transpose(m, expect, n, n);
+    transpose_square_inplace(m, n);
+    EXPECT_EQ(max_abs_diff(m, expect), 0.0) << n;
+  }
 }
 
 TEST(Transpose, BlockedMatchesNaive) {

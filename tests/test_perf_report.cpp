@@ -15,6 +15,7 @@ BenchReport sample_report() {
   r.entries.push_back(
       {"mesh_drain", 120.0, 1.1, 100, 2'000'000, "idle-skip \"drain\""});
   r.entries.push_back({"fft_kernel", 50.0, 0.0, 10, 0, ""});
+  r.entries.front().minor_faults = 12.5;
   return r;
 }
 
@@ -32,6 +33,7 @@ TEST(BenchReport, JsonRoundTripPreservesEntries) {
     EXPECT_NEAR(back.entries[i].min_iter_ms, r.entries[i].min_iter_ms, 1e-6);
     EXPECT_EQ(back.entries[i].iters, r.entries[i].iters);
     EXPECT_EQ(back.entries[i].events, r.entries[i].events);
+    EXPECT_EQ(back.entries[i].minor_faults, r.entries[i].minor_faults);
     EXPECT_EQ(back.entries[i].note, r.entries[i].note);  // escaped quotes
   }
   // Re-serializing the parsed report reproduces the exact bytes.

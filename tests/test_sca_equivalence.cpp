@@ -65,6 +65,51 @@ void expect_same(const ScatterResult& got, const ScatterResult& want) {
   EXPECT_EQ(got.span_ps, want.span_ps);
 }
 
+// What the record-free views report: the summary plus the words they
+// write to caller storage.
+struct GatherWords : GatherSummary {
+  std::vector<Word> words;
+};
+struct ScatterOut : ScatterWords {
+  std::vector<std::vector<Word>> received;
+};
+
+// The record-free views on output storage every call reuses, so whatever
+// an earlier case left there (a longer stream, more nodes, a throw midway)
+// must not show in a later result.
+GatherWords gather_words(const ScaEngine& engine, const CpSchedule& sched,
+                         const std::vector<std::vector<Word>>& data,
+                         bool strict = true) {
+  static NodeWords nodes;
+  static std::vector<Word> words;
+  static ScaWork work;
+  nodes.words.clear();
+  nodes.offset.assign(1, 0);
+  for (const auto& d : data) {
+    nodes.words.insert(nodes.words.end(), d.begin(), d.end());
+    nodes.offset.push_back(nodes.words.size());
+  }
+  GatherWords out;
+  static_cast<GatherSummary&>(out) =
+      engine.gather_words(sched, nodes, &words, &work, strict);
+  out.words = words;
+  return out;
+}
+
+ScatterOut scatter_words(const ScaEngine& engine, const CpSchedule& sched,
+                         const std::vector<Word>& burst, bool strict = true) {
+  static NodeWords received;
+  static ScaWork work;
+  ScatterOut out;
+  static_cast<ScatterWords&>(out) =
+      engine.scatter_words(sched, burst, &received, &work, strict);
+  for (std::size_t i = 0; i < received.nodes(); ++i) {
+    out.received.emplace_back(received.node(i).begin(),
+                              received.node(i).end());
+  }
+  return out;
+}
+
 void expect_same(const GatherWords& got, const GatherWords& want) {
   EXPECT_EQ(got.words, want.words);
   EXPECT_EQ(keys(got.collisions), keys(want.collisions));
@@ -74,7 +119,7 @@ void expect_same(const GatherWords& got, const GatherWords& want) {
   EXPECT_EQ(got.first_arrival_ps, want.first_arrival_ps);
 }
 
-void expect_same(const ScatterWords& got, const ScatterWords& want) {
+void expect_same(const ScatterOut& got, const ScatterOut& want) {
   EXPECT_EQ(got.received, want.received);
   EXPECT_EQ(got.latch_ps, want.latch_ps);
   EXPECT_EQ(got.unclaimed_slots, want.unclaimed_slots);
@@ -91,9 +136,10 @@ GatherWords as_words(const GatherResult& g) {
 
 // Latch times come from the oracle's delivery of each listen entry's first
 // slot.
-ScatterWords as_words(const CpSchedule& sched, const ScatterResult& sc) {
-  ScatterWords out;
+ScatterOut as_words(const CpSchedule& sched, const ScatterResult& sc) {
+  ScatterOut out;
   static_cast<ScatterSummary&>(out) = sc;
+  out.received = sc.received;
   out.latch_ps.resize(sched.nodes());
   for (std::size_t i = 0; i < sched.nodes(); ++i) {
     for (const CpEntry& e : sca_reference::entries(sched.node_cps[i])) {
@@ -290,7 +336,7 @@ TEST(ScaEquivalence, GatherMatchesOracle) {
             return sca_reference::gather(engine, sched, data, strict);
           }));
       expect_same(
-          outcome([&] { return engine.gather_words(sched, data, strict); }),
+          outcome([&] { return gather_words(engine, sched, data, strict); }),
           outcome([&] {
             return as_words(sca_reference::gather(engine, sched, data, strict));
           }));
@@ -313,7 +359,7 @@ TEST(ScaEquivalence, ScatterMatchesOracle) {
             return sca_reference::scatter(engine, sched, burst, strict);
           }));
       expect_same(
-          outcome([&] { return engine.scatter_words(sched, burst, strict); }),
+          outcome([&] { return scatter_words(engine, sched, burst, strict); }),
           outcome([&] {
             return as_words(
                 sched, sca_reference::scatter(engine, sched, burst, strict));
@@ -355,7 +401,7 @@ TEST(ScaEquivalence, PaperScaleTransposeAndRoundRobinMatchOracle) {
   const auto data = random_data(rng, tr);
   expect_same(outcome([&] { return engine.gather(tr, data); }),
               outcome([&] { return sca_reference::gather(engine, tr, data); }));
-  expect_same(outcome([&] { return engine.gather_words(tr, data); }),
+  expect_same(outcome([&] { return gather_words(engine, tr, data); }),
               outcome([&] {
                 return as_words(sca_reference::gather(engine, tr, data));
               }));
@@ -365,7 +411,7 @@ TEST(ScaEquivalence, PaperScaleTransposeAndRoundRobinMatchOracle) {
   expect_same(
       outcome([&] { return engine.scatter(rr, burst); }),
       outcome([&] { return sca_reference::scatter(engine, rr, burst); }));
-  expect_same(outcome([&] { return engine.scatter_words(rr, burst); }),
+  expect_same(outcome([&] { return scatter_words(engine, rr, burst); }),
               outcome([&] {
                 return as_words(rr, sca_reference::scatter(engine, rr, burst));
               }));
@@ -403,7 +449,7 @@ TEST(ScaEquivalence, SkewsBeyondOnePeriodAndBeyondTheStreamMatchOracle) {
     expect_same(
         outcome([&] { return engine.gather(sched, data, false); }),
         outcome([&] { return sca_reference::gather(engine, sched, data, false); }));
-    expect_same(outcome([&] { return engine.gather_words(sched, data, false); }),
+    expect_same(outcome([&] { return gather_words(engine, sched, data, false); }),
                 outcome([&] {
                   return as_words(
                       sca_reference::gather(engine, sched, data, false));

@@ -267,7 +267,7 @@ TEST(Session, SubmitStreamsEventsAndProgress) {
 class ServeSpinWorkload final : public driver::Workload {
  public:
   std::string name() const override { return "serve_spin"; }
-  RunRecord run(const driver::RunPoint& pt) const override {
+  RunRecord run(const driver::RunPoint& pt, core::Scratch&) const override {
     double spin = 0.0;
     for (const auto& [knob, value] : pt.knobs) {
       if (knob == "t_p") spin = value;
@@ -310,7 +310,7 @@ TEST(Session, CancelFinishesTheCampaignAsCancelled) {
 class ServeStreamWorkload final : public driver::Workload {
  public:
   std::string name() const override { return "serve_stream"; }
-  RunRecord run(const driver::RunPoint& pt) const override {
+  RunRecord run(const driver::RunPoint& pt, core::Scratch&) const override {
     double tp = 0.0;
     for (const auto& [knob, value] : pt.knobs) {
       if (knob == "t_p") tp = value;
