@@ -4,6 +4,7 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "psync/lintpass/lexer.hpp"
@@ -96,43 +97,54 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-}  // namespace
+/// One file's findings not yet matched against its suppressions, so the
+/// cross-file pass can add to them first.
+struct Pending {
+  std::vector<Finding> raw;
+  std::vector<Suppression> sups;
+};
 
-void lint_file(const std::string& rel_path, const std::string& content,
+/// Lex `content` into `ctx` and run the per-file rules. False when the
+/// policy skips the file or it does not lex (a "lex-error" finding is
+/// then reported).
+bool scan_file(const std::string& rel_path, const std::string& content,
                const Policy& policy, const LayerGraph& layers,
-               Report* report) {
-  if (!policy.scanned(rel_path)) return;
+               Report* report, FileContext* ctx, Pending* out) {
+  if (!policy.scanned(rel_path)) return false;
   ++report->files_scanned;
 
-  FileContext ctx;
-  ctx.rel_path = rel_path;
-  ctx.is_header = Policy::is_header(rel_path);
+  ctx->rel_path = rel_path;
+  ctx->is_header = Policy::is_header(rel_path);
   try {
-    ctx.tokens = lex(content);
+    ctx->tokens = lex(content);
   } catch (const LexError& e) {
     ++report->parse_failures;
     report->findings.push_back(Finding{rel_path, e.line(), "lex-error",
                                        e.what(),
                                        "fix the unterminated construct"});
-    return;
+    return false;
   }
 
-  std::vector<Finding> raw;
-  run_rules(ctx, policy, layers, &raw);
-
-  std::vector<Suppression> sups;
-  for (const Token& t : ctx.tokens) {
+  run_rules(*ctx, policy, layers, &out->raw);
+  for (const Token& t : ctx->tokens) {
     if (t.kind != TokKind::kComment) continue;
     Suppression s;
-    if (parse_suppression(rel_path, t, &s, &raw) && !s.rule.empty()) {
-      sups.push_back(std::move(s));
+    if (parse_suppression(rel_path, t, &s, &out->raw) && !s.rule.empty()) {
+      out->sups.push_back(std::move(s));
     }
   }
+  return true;
+}
 
-  for (Finding& f : raw) {
+/// Match a file's findings against its suppressions and report both. A
+/// line-0 finding concerns the whole file, so an allow() of its rule
+/// anywhere in the file silences it.
+void settle(const std::string& rel_path, Pending& pending, Report* report) {
+  for (Finding& f : pending.raw) {
     Suppression* hit = nullptr;
-    for (Suppression& s : sups) {
-      if (s.rule == f.rule && (f.line == s.line || f.line == s.line + 1)) {
+    for (Suppression& s : pending.sups) {
+      if (s.rule == f.rule &&
+          (f.line == 0 || f.line == s.line || f.line == s.line + 1)) {
         hit = &s;
         break;
       }
@@ -143,7 +155,7 @@ void lint_file(const std::string& rel_path, const std::string& content,
       report->findings.push_back(std::move(f));
     }
   }
-  for (Suppression& s : sups) {
+  for (Suppression& s : pending.sups) {
     if (s.uses == 0) {
       report->findings.push_back(
           Finding{rel_path, s.line, "lint-unused-suppression",
@@ -152,6 +164,44 @@ void lint_file(const std::string& rel_path, const std::string& content,
     } else {
       report->suppressions.push_back(std::move(s));
     }
+  }
+}
+
+}  // namespace
+
+void lint_file(const std::string& rel_path, const std::string& content,
+               const Policy& policy, const LayerGraph& layers,
+               Report* report) {
+  FileContext ctx;
+  Pending pending;
+  if (scan_file(rel_path, content, policy, layers, report, &ctx, &pending)) {
+    settle(rel_path, pending, report);
+  }
+}
+
+void lint_tree(const std::vector<SourceFile>& files, const Policy& policy,
+               const LayerGraph& layers, Report* report) {
+  std::vector<FileContext> contexts;
+  std::vector<Pending> pending;
+  std::map<std::string, std::size_t> index;
+  for (const SourceFile& f : files) {
+    FileContext ctx;
+    Pending p;
+    if (scan_file(f.rel_path, f.content, policy, layers, report, &ctx, &p)) {
+      index[f.rel_path] = contexts.size();
+      contexts.push_back(std::move(ctx));
+      pending.push_back(std::move(p));
+    }
+  }
+
+  std::vector<Finding> tree;
+  run_tree_rules(contexts, policy, &tree);
+  for (Finding& f : tree) {
+    std::vector<Finding>& raw = pending[index.at(f.file)].raw;
+    raw.insert(raw.begin(), std::move(f));  // line 0 sorts first
+  }
+  for (std::size_t i = 0; i < contexts.size(); ++i) {
+    settle(contexts[i].rel_path, pending[i], report);
   }
 }
 
@@ -191,6 +241,7 @@ Report run_lint(const std::string& repo_root,
                 const std::vector<std::string>& abs_files,
                 const Policy& policy, const LayerGraph& layers) {
   Report report;
+  std::vector<SourceFile> files;
   const std::string prefix = repo_root + "/";
   for (const auto& path : abs_files) {
     if (path.rfind(prefix, 0) != 0) continue;
@@ -204,8 +255,9 @@ Report run_lint(const std::string& repo_root,
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    lint_file(rel, buf.str(), policy, layers, &report);
+    files.push_back(SourceFile{rel, buf.str()});
   }
+  lint_tree(files, policy, layers, &report);
   return report;
 }
 

@@ -70,6 +70,10 @@ bool Policy::layering_scope(const std::string& rel_path) const {
   return starts_with(rel_path, "src/psync/");
 }
 
+bool Policy::reach_root(const std::string& rel_path) const {
+  return starts_with(rel_path, "tools/") || starts_with(rel_path, "bench/");
+}
+
 bool Policy::is_header(const std::string& rel_path) {
   return rel_path.size() >= 4 &&
          rel_path.compare(rel_path.size() - 4, 4, ".hpp") == 0;

@@ -41,6 +41,11 @@ struct Policy {
   /// Layering rules apply to the library only.
   [[nodiscard]] bool layering_scope(const std::string& rel_path) const;
 
+  /// dead-module roots: the TUs under tools/ and bench/ are the entry
+  /// points every library header must be reachable from. Tests, examples
+  /// and the test oracles never are.
+  [[nodiscard]] bool reach_root(const std::string& rel_path) const;
+
   [[nodiscard]] static bool is_header(const std::string& rel_path);
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <map>
+#include <set>
 
 namespace psync::lintpass {
 namespace {
@@ -44,6 +46,10 @@ const std::vector<RuleInfo> kCatalog = {
      "assert() with a side effect on a journal/fsync path",
      "hoist the expression out of the assert; NDEBUG strips it and the "
      "durability path silently changes"},
+    {"dead-module",
+     "src/psync header that no tools/ or bench/ translation unit reaches",
+     "wire it into a production path or delete it with its tests; an "
+     "audited allow(dead-module) anywhere in the header keeps it"},
     {"lint-bad-suppression",
      "psync-lint suppression without a reason",
      "write // psync-lint: allow(<rule>): <why this is safe>"},
@@ -238,21 +244,28 @@ void check_unordered(const FileContext& ctx, const CodeView& code,
 
 // ------------------------------------------------------------- layering
 
+/// The target of a quoted #include directive; "" for any other token,
+/// directive or <system> include.
+std::string quoted_include(const Token& t) {
+  if (t.kind != TokKind::kDirective) return "";
+  const std::string& body = t.text;
+  const std::size_t p = body.find_first_not_of(" \t");
+  if (p == std::string::npos || body.compare(p, 7, "include") != 0) {
+    return "";
+  }
+  const std::size_t open = body.find('"', p);
+  if (open == std::string::npos) return "";
+  const std::size_t close = body.find('"', open + 1);
+  if (close == std::string::npos) return "";
+  return body.substr(open + 1, close - open - 1);
+}
+
 void check_layering(const FileContext& ctx, const LayerGraph& layers,
                     std::vector<Finding>* out) {
   const std::string from = module_of(ctx.rel_path);
   for (const Token& t : ctx.tokens) {
-    if (t.kind != TokKind::kDirective) continue;
-    std::string body = t.text;
-    std::size_t p = body.find_first_not_of(" \t");
-    if (p == std::string::npos || body.compare(p, 7, "include") != 0) {
-      continue;
-    }
-    const std::size_t open = body.find('"', p);
-    if (open == std::string::npos) continue;  // <system> include
-    const std::size_t close = body.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    const std::string target = body.substr(open + 1, close - open - 1);
+    const std::string target = quoted_include(t);
+    if (target.empty()) continue;
     if (target.rfind("psync/", 0) != 0) {
       emit(ctx, "layer-relative-include", t.line,
            "quoted include \"" + target + "\" bypasses the layer check",
@@ -328,6 +341,99 @@ void check_assert_side_effect(const FileContext& ctx, const CodeView& code,
   }
 }
 
+// ---------------------------------------------------------- dead-module
+
+// Per-ISA variants implement their base header: fft_kernels_avx2.cpp
+// carries part of fft_kernels.hpp.
+constexpr std::array<const char*, 3> kIsaSuffixes = {"_avx2", "_pclmul",
+                                                     "_neon"};
+
+/// The header a library TU implements: same stem, ISA suffix stripped.
+std::string implemented_header(const std::string& tu) {
+  std::string stem = tu.substr(0, tu.rfind('.'));
+  for (const char* suffix : kIsaSuffixes) {
+    const std::string sfx = suffix;
+    if (stem.size() > sfx.size() &&
+        stem.compare(stem.size() - sfx.size(), sfx.size(), sfx) == 0) {
+      stem.resize(stem.size() - sfx.size());
+      break;
+    }
+  }
+  return stem + ".hpp";
+}
+
+void check_dead_modules(const std::vector<FileContext>& files,
+                        const Policy& policy, std::vector<Finding>* out) {
+  // file -> the repo-relative files its "psync/..." includes name
+  std::map<std::string, std::vector<std::string>> includes;
+  for (const FileContext& f : files) {
+    auto& targets = includes[f.rel_path];
+    for (const Token& t : f.tokens) {
+      const std::string target = quoted_include(t);
+      if (target.rfind("psync/", 0) == 0) targets.push_back("src/" + target);
+    }
+  }
+  // header -> its implementing TUs; library TUs that implement none
+  std::map<std::string, std::vector<std::string>> impls;
+  std::vector<std::string> headerless;
+  for (const auto& [rel, targets] : includes) {
+    if (!policy.layering_scope(rel) || Policy::is_header(rel)) continue;
+    const std::string header = implemented_header(rel);
+    if (includes.count(header) != 0) {
+      impls[header].push_back(rel);
+    } else {
+      headerless.push_back(rel);
+    }
+  }
+
+  std::set<std::string> reached;
+  std::vector<std::string> work;
+  const auto reach = [&](const std::string& rel) {
+    if (includes.count(rel) != 0 && reached.insert(rel).second) {
+      work.push_back(rel);
+    }
+  };
+  for (const auto& [rel, targets] : includes) {
+    if (policy.reach_root(rel)) reach(rel);
+  }
+  bool grew = true;
+  while (grew) {
+    while (!work.empty()) {
+      const std::string rel = work.back();
+      work.pop_back();
+      for (const std::string& t : includes.at(rel)) reach(t);
+      const auto it = impls.find(rel);
+      if (it == impls.end()) continue;
+      for (const std::string& tu : it->second) reach(tu);
+    }
+    // A TU with no header of its own (driver/canonical.cpp) is reached
+    // once it includes a reached header of its own module.
+    grew = false;
+    for (const std::string& tu : headerless) {
+      if (reached.count(tu) != 0) continue;
+      const std::string module = module_of(tu);
+      for (const std::string& t : includes.at(tu)) {
+        if (reached.count(t) != 0 && module_of(t) == module) {
+          reach(tu);
+          grew = true;
+          break;
+        }
+      }
+    }
+  }
+
+  for (const auto& [rel, targets] : includes) {
+    if (!policy.layering_scope(rel) || !Policy::is_header(rel) ||
+        reached.count(rel) != 0) {
+      continue;
+    }
+    out->push_back(Finding{rel, 0, "dead-module",
+                           "no tools/ or bench/ translation unit reaches "
+                           "this header",
+                           info("dead-module").hint});
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& rule_catalog() { return kCatalog; }
@@ -361,6 +467,11 @@ void run_rules(const FileContext& ctx, const Policy& policy,
                    [](const Finding& a, const Finding& b) {
                      return a.line < b.line;
                    });
+}
+
+void run_tree_rules(const std::vector<FileContext>& files,
+                    const Policy& policy, std::vector<Finding>* out) {
+  check_dead_modules(files, policy, out);
 }
 
 }  // namespace psync::lintpass

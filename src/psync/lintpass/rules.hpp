@@ -1,7 +1,8 @@
 // The psync_lint rule registry.
 //
-// Three families, all motivated by the repo's byte-identity guarantees
-// (parallel==serial sweeps, kill/resume, crash-identical dist merges):
+// Three per-file families, all motivated by the repo's byte-identity
+// guarantees (parallel==serial sweeps, kill/resume, crash-identical dist
+// merges), plus one cross-file rule:
 //
 //   determinism  det-wall-clock, det-rand, det-pointer-format,
 //                det-unordered — ambient time, ambient randomness,
@@ -15,6 +16,8 @@
 //                hyg-assert-side-effect — include guards, header
 //                namespace leaks, and NDEBUG-vanishing side effects on
 //                durability paths.
+//   reachability dead-module — every src/psync header must be reached
+//                from a tools/ or bench/ TU through "psync/..." includes.
 //
 // Rules see the token stream (never raw text), so string literals and
 // comments cannot fire them.
@@ -56,5 +59,10 @@ bool known_rule(const std::string& id);
 /// so tests can see raw rule behavior).
 void run_rules(const FileContext& ctx, const Policy& policy,
                const LayerGraph& layers, std::vector<Finding>* out);
+
+/// Run the cross-file rules (dead-module) over the whole scanned tree.
+/// Their findings concern a file as a whole and carry line 0.
+void run_tree_rules(const std::vector<FileContext>& files,
+                    const Policy& policy, std::vector<Finding>* out);
 
 }  // namespace psync::lintpass

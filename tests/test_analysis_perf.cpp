@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "psync/analysis/mesh_model.hpp"
+
 namespace psync::analysis {
 namespace {
 
@@ -116,6 +118,24 @@ TEST(PerfModel, MoreBlocksNeverHurtWhenBalanced) {
     EXPECT_GT(eta, prev);
     prev = eta;
   }
+}
+
+// The pipelined-source delivery model (our Eq. 21 refinement) tracks the
+// cycle-level mesh at the configuration the fig11 bench uses.
+TEST(MeshModelPipelined, RefinementBetweenIdealAndEq21) {
+  for (double f : {4.0, 16.0, 64.0, 256.0}) {
+    const double eq21 = analysis::mesh_delivery_cycles(16, f, 1.0);
+    const double pipe = analysis::mesh_delivery_cycles_pipelined(16, f, 1.0);
+    const double ideal = 16.0 * f;
+    EXPECT_GE(pipe, ideal);
+    EXPECT_LE(pipe, eq21);
+    EXPECT_GT(analysis::mesh_delivery_efficiency_pipelined(16, f, 1.0),
+              analysis::mesh_delivery_efficiency(16, f, 1.0) - 1e-12);
+  }
+  // At small packets the refinement is dramatically tighter: F=4, P=16:
+  // Eq. 21 charges 16*4 + 16*4 = 128; pipelined charges 16*5 + 4 = 84.
+  EXPECT_DOUBLE_EQ(analysis::mesh_delivery_cycles(16, 4, 1.0), 128.0);
+  EXPECT_DOUBLE_EQ(analysis::mesh_delivery_cycles_pipelined(16, 4, 1.0), 84.0);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "psync/common/rng.hpp"
-#include "psync/core/permutation.hpp"
 #include "psync/core/sca.hpp"
 #include "psync/mesh/mesh.hpp"
 #include "psync/mesh/traffic.hpp"
@@ -21,9 +20,9 @@ namespace {
 class ScaFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Random slot ownership (any partition of the schedule among nodes) is a
-// valid collective: compile via the generic permutation compiler, run the
-// gather, and the receiver must see a gap-free stream realizing exactly
-// that ownership.
+// valid collective: give each node one single-slot drive stride per owned
+// slot, run the gather, and the receiver must see a gap-free stream
+// realizing exactly that ownership.
 TEST_P(ScaFuzz, RandomPartitionGathersGapFree) {
   Rng rng(GetParam());
   const std::size_t nodes = 2 + rng.next_below(7);
@@ -42,16 +41,15 @@ TEST_P(ScaFuzz, RandomPartitionGathersGapFree) {
     slots_of[owner[s]].push_back(static_cast<core::Slot>(s));
   }
 
-  core::CollectiveSpec spec;
-  spec.nodes = nodes;
-  spec.total_slots = total;
-  spec.elements_of = [&](std::size_t i) {
-    return static_cast<core::Slot>(slots_of[i].size());
-  };
-  spec.slot_of = [&](std::size_t i, core::Slot j) {
-    return slots_of[i][static_cast<std::size_t>(j)];
-  };
-  const auto sched = core::compile_collective(spec, core::CpAction::kDrive);
+  core::CpSchedule sched;
+  sched.total_slots = total;
+  sched.node_cps.resize(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    for (const core::Slot slot : slots_of[i]) {
+      sched.node_cps[i].add(
+          core::CpStride{slot, 1, 1, 1, core::CpAction::kDrive});
+    }
+  }
 
   // Random (strictly increasing) node placement on a random-length bus.
   core::PscanTopology topo;

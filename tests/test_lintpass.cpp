@@ -3,12 +3,14 @@
 // suppression machinery, the string/comment false-positive guarantee,
 // the layer-DAG freeze (including the acceptance-criteria synthetic
 // dist/ -> serve/ include), the lexer's literal handling, and the
-// compile_commands.json reader.
+// compile_commands.json reader. The cross-file dead-module rule is tested
+// on mini in-memory trees instead of fixtures.
 //
 // Fixtures are linted under *pretend* repo-relative paths so the policy
 // tables (allowlists, order-sensitive modules) can be exercised without
 // touching real tree files.
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -238,6 +240,145 @@ TEST(LintLayering, FrozenDagMatchesTheRealIncludeGraph) {
     EXPECT_NE(f.rule.rfind("layer-", 0), 0u)
         << f.file << ":" << f.line << " " << f.message;
   }
+}
+
+// ---------------------------------------------------------- dead-module
+
+/// Lint a mini in-memory tree as one unit, so the cross-file pass runs.
+lp::Report lint_mini_tree(const std::vector<lp::SourceFile>& files) {
+  lp::Report report;
+  lp::lint_tree(files, lp::Policy{}, real_layers(), &report);
+  return report;
+}
+
+std::vector<std::string> dead_headers(const lp::Report& r) {
+  std::vector<std::string> out;
+  for (const auto& f : r.findings) {
+    if (f.rule == "dead-module") out.push_back(f.file);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(LintDeadModule, HeaderReachedFromToolsIsClean) {
+  const auto r = lint_mini_tree({
+      {"tools/sim.cpp", "#include \"psync/core/sca.hpp\"\n"},
+      {"src/psync/core/sca.hpp",
+       "#pragma once\n#include \"psync/common/rng.hpp\"\n"},
+      {"src/psync/core/sca.cpp", "#include \"psync/core/run_merge.hpp\"\n"},
+      {"src/psync/core/run_merge.hpp", "#pragma once\n"},
+      {"src/psync/common/rng.hpp", "#pragma once\n"},
+      {"src/psync/fft/fft_kernels.hpp", "#pragma once\n"},
+      {"src/psync/fft/fft_kernels_avx2.cpp",
+       "#include \"psync/fft/simd_only.hpp\"\n"},
+      {"src/psync/fft/simd_only.hpp", "#pragma once\n"},
+      {"bench/fig.cpp", "#include \"psync/fft/fft_kernels.hpp\"\n"},
+  });
+  // run_merge.hpp is live through sca.hpp's TU, simd_only.hpp through
+  // the AVX2 variant of fft_kernels.hpp.
+  EXPECT_TRUE(r.findings.empty()) << lp::render_text(r);
+}
+
+TEST(LintDeadModule, HeaderUsedOnlyByTestsAndExamplesFires) {
+  const auto r = lint_mini_tree({
+      {"tools/sim.cpp", "#include \"psync/core/sca.hpp\"\n"},
+      {"src/psync/core/sca.hpp", "#pragma once\n"},
+      {"src/psync/core/arbiter.hpp", "#pragma once\n"},
+      {"src/psync/core/arbiter.cpp", "#include \"psync/core/arbiter.hpp\"\n"},
+      {"tests/test_arbiter.cpp", "#include \"psync/core/arbiter.hpp\"\n"},
+      {"examples/demo.cpp", "#include \"psync/core/arbiter.hpp\"\n"},
+      {"tests/oracle/ref.hpp",
+       "#pragma once\n#include \"psync/core/arbiter.hpp\"\n"},
+  });
+  EXPECT_EQ(dead_headers(r),
+            std::vector<std::string>{"src/psync/core/arbiter.hpp"});
+  ASSERT_EQ(r.findings.size(), 1u) << lp::render_text(r);
+  EXPECT_EQ(r.findings[0].line, 0);
+}
+
+TEST(LintDeadModule, DeadHeadersIncludingEachOtherBothFire) {
+  const auto r = lint_mini_tree({
+      {"tools/sim.cpp", "#include \"psync/core/sca.hpp\"\n"},
+      {"src/psync/core/sca.hpp", "#pragma once\n"},
+      {"src/psync/core/kernel_vm.hpp",
+       "#pragma once\n#include \"psync/core/cp_chain.hpp\"\n"},
+      {"src/psync/core/cp_chain.hpp",
+       "#pragma once\n#include \"psync/core/kernel_vm.hpp\"\n"},
+      {"src/psync/core/cp_chain.cpp",
+       "#include \"psync/core/cp_chain.hpp\"\n"
+       "#include \"psync/core/sca.hpp\"\n"},
+      {"tests/test_vm.cpp", "#include \"psync/core/kernel_vm.hpp\"\n"},
+  });
+  EXPECT_EQ(dead_headers(r),
+            (std::vector<std::string>{"src/psync/core/cp_chain.hpp",
+                                      "src/psync/core/kernel_vm.hpp"}));
+}
+
+TEST(LintDeadModule, HeaderlessTuKeepsItsIncludesLive) {
+  // driver/canonical.cpp implements no header of its own; it is reached
+  // because it includes driver/session.hpp, so its other include is live.
+  const std::vector<lp::SourceFile> tree = {
+      {"tools/sim.cpp", "#include \"psync/driver/session.hpp\"\n"},
+      {"src/psync/driver/session.hpp", "#pragma once\n"},
+      {"src/psync/driver/canonical.cpp",
+       "#include \"psync/driver/session.hpp\"\n"
+       "#include \"psync/common/csv.hpp\"\n"},
+      {"src/psync/common/csv.hpp", "#pragma once\n"},
+  };
+  EXPECT_TRUE(lint_mini_tree(tree).findings.empty());
+
+  // Through another module's header the TU stays unreached.
+  auto foreign = tree;
+  foreign[0] = {"tools/sim.cpp", "#include \"psync/common/rng.hpp\"\n"};
+  foreign.push_back({"src/psync/common/rng.hpp", "#pragma once\n"});
+  foreign[2].content = "#include \"psync/common/rng.hpp\"\n"
+                       "#include \"psync/common/csv.hpp\"\n";
+  EXPECT_EQ(dead_headers(lint_mini_tree(foreign)),
+            (std::vector<std::string>{"src/psync/common/csv.hpp",
+                                      "src/psync/driver/session.hpp"}));
+}
+
+TEST(LintDeadModule, AuditedAllowSilencesAndIsCounted) {
+  const auto r = lint_mini_tree({
+      {"tools/sim.cpp", "int main() {}\n"},
+      {"src/psync/core/extension.hpp",
+       "// An extension kept for a parked consumer.\n"
+       "#pragma once\n"
+       "// psync-lint: allow(dead-module): parked, wired by the next item\n"
+       "namespace psync {}\n"},
+  });
+  EXPECT_TRUE(r.findings.empty()) << lp::render_text(r);
+  ASSERT_EQ(r.suppressions.size(), 1u);
+  EXPECT_EQ(r.suppressions[0].rule, "dead-module");
+  EXPECT_EQ(r.suppressions[0].uses, 1);
+}
+
+TEST(LintDeadModule, UnusedAllowIsAFinding) {
+  const auto r = lint_mini_tree({
+      {"tools/sim.cpp", "#include \"psync/core/sca.hpp\"\n"},
+      {"src/psync/core/sca.hpp",
+       "#pragma once\n"
+       "// psync-lint: allow(dead-module): stale, sca is reached\n"},
+  });
+  EXPECT_EQ(count_rule(r, "lint-unused-suppression"), 1);
+  EXPECT_EQ(count_rule(r, "dead-module"), 0);
+  EXPECT_TRUE(r.suppressions.empty());
+}
+
+TEST(LintDeadModule, RealTreeHasNoDeadHeader) {
+  // The same guarantee the psync-lint CI job enforces over the compile
+  // database, here over every file under the scanned roots.
+  const std::string root = PSYNC_SOURCE_ROOT;
+  std::vector<std::string> tus;
+  for (const char* dir : {"src", "tools", "bench"}) {
+    for (const auto& e : std::filesystem::recursive_directory_iterator(
+             std::filesystem::path(root) / dir)) {
+      if (e.path().extension() == ".cpp") tus.push_back(e.path().string());
+    }
+  }
+  const lp::Report r = lp::run_lint(root, lp::discover_files(root, tus),
+                                    lp::Policy{}, real_layers());
+  EXPECT_TRUE(dead_headers(r).empty()) << lp::render_text(r);
 }
 
 // -------------------------------------------------------------- hygiene

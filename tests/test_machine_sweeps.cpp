@@ -1,7 +1,6 @@
 // Parameterized correctness sweeps across machine configurations: every
 // (processors, matrix, delivery-blocks) combination must produce a
-// numerically correct transform with clean SCA accounting; every segmented
-// topology must preserve the gap-free invariant.
+// numerically correct transform with clean SCA accounting.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -9,7 +8,6 @@
 #include "psync/common/rng.hpp"
 #include "psync/core/mesh_machine.hpp"
 #include "psync/core/psync_machine.hpp"
-#include "psync/core/segmented.hpp"
 
 namespace psync::core {
 namespace {
@@ -100,41 +98,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MeshCfg{2, 8, 8, 4, 1}, MeshCfg{2, 16, 16, 8, 2},
                       MeshCfg{2, 32, 8, 2, 1}, MeshCfg{4, 16, 32, 8, 1},
                       MeshCfg{4, 32, 32, 16, 4}, MeshCfg{4, 64, 16, 4, 2}));
-
-// ---- Segmented bus fuzz ----
-
-class SegmentedFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SegmentedFuzz, RandomChainsStayGapFree) {
-  Rng rng(GetParam());
-  const std::size_t nodes = 3 + rng.next_below(12);
-  const std::size_t spans = 1 + rng.next_below(5);
-  const double span_cm = 2.0 + rng.next_double() * 20.0;
-  auto topo = segmented_bus_topology(nodes, spans, span_cm);
-  topo.repeater_latency_ps = static_cast<TimePs>(rng.next_below(2000));
-
-  SegmentedScaEngine engine(topo);
-  const Slot elems = static_cast<Slot>(2 + rng.next_below(30));
-  const auto sched = compile_gather_interleaved(nodes, elems);
-  std::vector<std::vector<Word>> data(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    for (Slot j = 0; j < elems; ++j) {
-      data[i].push_back((static_cast<Word>(i) << 32) | static_cast<Word>(j));
-    }
-  }
-  const auto g = engine.gather(sched, data);
-  ASSERT_TRUE(g.gap_free);
-  ASSERT_TRUE(g.collisions.empty());
-  EXPECT_DOUBLE_EQ(g.utilization, 1.0);
-  // Word order is the interleave, regardless of spans/latency.
-  const auto words = g.words();
-  for (std::size_t s = 0; s < words.size(); ++s) {
-    EXPECT_EQ(words[s] >> 32, s % nodes);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SegmentedFuzz,
-                         ::testing::Values(11, 22, 33, 44, 55, 66));
 
 }  // namespace
 }  // namespace psync::core

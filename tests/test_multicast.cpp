@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "psync/common/check.hpp"
-#include "psync/core/cp_chain.hpp"
-#include "psync/core/kernel_vm.hpp"
 #include "psync/core/sca.hpp"
 
 namespace psync::core {
@@ -88,38 +86,6 @@ TEST(Multicast, UnclaimedSlotsStillStrict) {
                SimulationError);
   const auto r = engine.scatter_multicast(sched, iota_burst(4), false);
   EXPECT_EQ(r.unclaimed_slots.size(), 2u);
-}
-
-TEST(Multicast, BroadcastBootImageIsNTimesSmaller) {
-  const std::size_t nodes = 16;
-  BootSegment shared;
-  shared.programs.push_back(
-      compile_gather_blocks(nodes, 4).node_cps[0]);  // a CP template
-  shared.data = pack_kernel_words(compile_fft_kernel(64));
-
-  const BootImage bcast = build_broadcast_boot_image(shared, nodes);
-  const BootImage unicast =
-      build_boot_image(std::vector<BootSegment>(nodes, shared));
-  EXPECT_EQ(unicast.burst.size(), nodes * bcast.burst.size());
-
-  // And the broadcast actually delivers: every node decodes the same
-  // kernel, bit-identical.
-  ScaEngine engine(straight_bus_topology(nodes, 8.0));
-  const auto r = engine.scatter_multicast(bcast.schedule, bcast.burst);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    const DecodedSegment dec = decode_boot_words(r.received[i], 1);
-    std::size_t off = 0;
-    const KernelProgram kp = unpack_kernel_words(dec.data, off);
-    EXPECT_EQ(kp.code.size(), compile_fft_kernel(64).code.size());
-  }
-}
-
-TEST(Multicast, BroadcastRejectsEmpty) {
-  EXPECT_THROW((void)build_broadcast_boot_image(BootSegment{}, 4),
-               SimulationError);
-  BootSegment s;
-  s.data = {1};
-  EXPECT_THROW((void)build_broadcast_boot_image(s, 0), SimulationError);
 }
 
 }  // namespace

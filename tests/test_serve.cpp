@@ -11,11 +11,13 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "psync/common/journal.hpp"
+#include "psync/common/rng.hpp"
 #include "psync/dist/supervisor.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
@@ -591,6 +593,192 @@ TEST(Protocol, TruncationFuzzNeverAcceptsAPrefix) {
     EXPECT_NE(parse_request(corrupt, &req), FrameError::kNone) << corrupt;
   }
 }
+
+// Seeded mutation fuzz over every valid request line this file sends.
+// Whatever the bytes, parse_request ends in kNone or a typed FrameError:
+// never a throw, a signal or a PSYNC_CHECK abort.
+
+struct ValidLine {
+  std::string line;
+  Request want;
+};
+
+Request request(Op op, const std::string& config = "",
+                std::uint64_t threads = 0) {
+  Request r;
+  r.op = op;
+  r.config = config;
+  r.threads = threads;
+  return r;
+}
+
+Request campaign_request(Op op, std::uint64_t campaign,
+                         const std::string& format = "json", bool wait = true,
+                         std::uint64_t threads = 0) {
+  Request r = request(op, "", threads);
+  r.campaign = campaign;
+  r.has_campaign = true;
+  r.format = format;
+  r.wait = wait;
+  return r;
+}
+
+std::vector<ValidLine> valid_lines() {
+  return {
+      {R"({"op":"submit","config":"[experiment]","threads":8})",
+       request(Op::kSubmit, "[experiment]", 8)},
+      {R"({"op":"status","campaign":"00000000000000ff"})",
+       campaign_request(Op::kStatus, 0xff)},
+      {R"({"op":"results","campaign":"00000000000000ff","format":"csv",)"
+       R"("wait":false})",
+       campaign_request(Op::kResults, 0xff, "csv", false)},
+      {R"({"op":"results","campaign":"00000000000000ff","format":"csv",)"
+       R"("wait":true,"threads":3})",
+       campaign_request(Op::kResults, 0xff, "csv", true, 3)},
+      {R"({"op":"results","campaign":"00000000000000ff"})",
+       campaign_request(Op::kResults, 0xff)},
+      {R"({"op":"subscribe","campaign":"00000000000000ff"})",
+       campaign_request(Op::kSubscribe, 0xff)},
+      {R"({"op":"cancel","campaign":"00000000000000ff"})",
+       campaign_request(Op::kCancel, 0xff)},
+      {R"({"op":"status","campaign":"0000000000000000"})",
+       campaign_request(Op::kStatus, 0)},
+      {R"({"op":"shutdown"})", request(Op::kShutdown)},
+      {R"({"op":"submit","config":"kind = ???"})",
+       request(Op::kSubmit, "kind = ???")},
+      {submit_frame(kSmallIni), request(Op::kSubmit, kSmallIni)},
+  };
+}
+
+void expect_same_request(const Request& got, const Request& want,
+                         const std::string& line) {
+  EXPECT_EQ(got.op, want.op) << line;
+  EXPECT_EQ(got.config, want.config) << line;
+  EXPECT_EQ(got.campaign, want.campaign) << line;
+  EXPECT_EQ(got.has_campaign, want.has_campaign) << line;
+  EXPECT_EQ(got.format, want.format) << line;
+  EXPECT_EQ(got.wait, want.wait) << line;
+  EXPECT_EQ(got.threads, want.threads) << line;
+}
+
+/// Parse `line` and check the outcome is typed; an accepted frame must
+/// still satisfy its op's required fields.
+void expect_typed_outcome(const std::string& line) {
+  const std::string shown = json_string(line);  // NULs and controls escaped
+  Request req;
+  FrameError err = FrameError::kNone;
+  EXPECT_NO_THROW(err = parse_request(line, &req)) << shown;
+  EXPECT_STRNE(to_string(err), "?") << shown;
+  if (err != FrameError::kNone) return;
+  switch (req.op) {
+    case Op::kSubmit:
+      EXPECT_FALSE(req.config.empty()) << shown;
+      break;
+    case Op::kResults:
+      EXPECT_TRUE(req.format == "json" || req.format == "csv") << shown;
+      [[fallthrough]];
+    case Op::kStatus:
+    case Op::kSubscribe:
+    case Op::kCancel:
+      EXPECT_TRUE(req.has_campaign) << shown;
+      break;
+    case Op::kShutdown:
+      break;
+  }
+}
+
+// Bytes that change a frame's structure, NUL included.
+constexpr char kStructural[] = {'"', '{', '}', '[', ']', '\\', ':', ',', '\0'};
+// 20-digit numbers: one past UINT64_MAX and the largest 20-digit value.
+constexpr const char* kHugeNumbers[] = {"18446744073709551616",
+                                        "99999999999999999999"};
+
+std::string nested(char open, char close, int depth) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += open == '{' ? "{\"a\":" : "[";
+  out += "1";
+  out.append(static_cast<std::size_t>(depth), close);
+  return out;
+}
+
+std::string mutate(Rng& rng, std::string s) {
+  const std::uint64_t edits = 1 + rng.next_below(3);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const auto at = static_cast<std::size_t>(rng.next_below(s.size() + 1));
+    switch (rng.next_below(6)) {
+      case 0:  // bit flip
+        if (at < s.size()) {
+          s[at] = static_cast<char>(s[at] ^ (1 << rng.next_below(8)));
+        }
+        break;
+      case 1:  // structural byte
+        s.insert(at, 1, kStructural[rng.next_below(sizeof(kStructural))]);
+        break;
+      case 2:  // dropped byte
+        if (at < s.size()) s.erase(at, 1);
+        break;
+      case 3:  // 64-deep nesting
+        s.insert(at, rng.next_bool() ? nested('{', '}', 64)
+                                     : nested('[', ']', 64));
+        break;
+      case 4:  // 20-digit number
+        s.insert(at, kHugeNumbers[rng.next_below(2)]);
+        break;
+      default:  // truncation
+        s.resize(at);
+        break;
+    }
+  }
+  return s;
+}
+
+class ProtocolFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ProtocolFuzz, EveryMutantEndsInATypedOutcome) {
+  Rng rng(GetParam());
+  for (const ValidLine& v : valid_lines()) {
+    // The unmutated line still parses to the same request.
+    Request req;
+    ASSERT_EQ(parse_request(v.line, &req), FrameError::kNone) << v.line;
+    expect_same_request(req, v.want, v.line);
+
+    // Truncation at every length: typed, and never accepted.
+    for (std::size_t len = 0; len < v.line.size(); ++len) {
+      const std::string prefix = v.line.substr(0, len);
+      expect_typed_outcome(prefix);
+      EXPECT_NE(parse_request(prefix, &req), FrameError::kNone) << prefix;
+    }
+
+    // Each field dropped in turn (no valid line has a comma in a string).
+    std::vector<std::string> fields;
+    std::stringstream body(v.line.substr(1, v.line.size() - 2));
+    for (std::string f; std::getline(body, f, ',');) fields.push_back(f);
+    for (std::size_t drop = 0; drop < fields.size(); ++drop) {
+      std::string frame = "{";
+      for (std::size_t i = 0; i < fields.size(); ++i) {
+        if (i == drop) continue;
+        frame += (frame.size() > 1 ? "," : "") + fields[i];
+      }
+      expect_typed_outcome(frame + "}");
+    }
+
+    // Structured extremes spliced in as a value and as the whole frame.
+    const std::string open = v.line.substr(0, v.line.size() - 1);
+    for (const char* huge : kHugeNumbers) {
+      expect_typed_outcome(open + ",\"threads\":" + huge + "}");
+      expect_typed_outcome(open + ",\"threads\":-" + huge + "}");
+    }
+    expect_typed_outcome(open + ",\"config\":" + nested('{', '}', 64) + "}");
+    expect_typed_outcome(open + ",\"op\":" + nested('[', ']', 64) + "}");
+    expect_typed_outcome(std::string(64, '{') + v.line +
+                         std::string(64, '}'));
+
+    for (int i = 0; i < 200; ++i) expect_typed_outcome(mutate(rng, v.line));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 TEST(Protocol, CampaignIdRoundTrips) {
   for (const std::uint64_t digest :

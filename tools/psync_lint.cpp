@@ -5,8 +5,9 @@
 // determinism (no wall clock, no ambient randomness, no pointer
 // formatting, no hash-ordered containers on serialization paths),
 // layering (the include graph must stay inside tools/lint_layers.txt),
-// and hygiene (#pragma once, header using-directives, assert side
-// effects on durability paths). See docs/static_analysis.md for the rule
+// hygiene (#pragma once, header using-directives, assert side effects on
+// durability paths), and reachability (every src/psync header is reached
+// from a tools/ or bench/ TU). See docs/static_analysis.md for the rule
 // catalog and the suppression audit policy.
 #include <cstdio>
 #include <filesystem>
@@ -32,8 +33,8 @@ constexpr int kExitParseFailure = 3;
 void print_usage(std::ostream& out) {
   out << "usage: psync_lint [options] <build-dir | compile_commands.json>\n"
          "\n"
-         "Static determinism/layering/hygiene analysis over every\n"
-         "first-party translation unit and header.\n"
+         "Static determinism/layering/hygiene/reachability analysis over\n"
+         "every first-party translation unit and header.\n"
          "\n"
          "options:\n"
          "  --json          machine-readable report on stdout\n"
