@@ -1,10 +1,10 @@
 // Wall-clock benchmark driver and perf-regression gate.
 //
 // Times the simulator hot paths (mesh drain, FFT kernels, reliability
-// framing, SCA collectives, driver sweeps) and writes BENCH_psync.json.
-// Unlike the bench_table*/bench_fig* binaries — which check *simulated*
-// results against the paper — this binary measures *host* wall time, so CI
-// can catch performance regressions:
+// framing, SCA collectives and CP compilation, DRAM row streaming, driver
+// sweeps) and writes BENCH_psync.json. The paper's *simulated* results are
+// checked by the gtest suite (ctest); this binary measures *host* wall
+// time, so CI can catch performance regressions:
 //
 //   bench_driver --quick --json BENCH_psync.json
 //   bench_driver --quick --baseline BENCH_psync.json [--max-regress 25]
@@ -32,6 +32,7 @@
 #include "oracle/fft_stages.hpp"
 #include "oracle/reference_mesh.hpp"
 #include "psync/common/rng.hpp"
+#include "psync/core/cp_compile.hpp"
 #include "psync/core/psync_machine.hpp"
 #include "psync/core/sca.hpp"
 #include "psync/dist/shard.hpp"
@@ -39,6 +40,7 @@
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
 #include "psync/driver/workload.hpp"
+#include "psync/dram/controller.hpp"
 #include "psync/fft/fft.hpp"
 #include "psync/fft/four_step.hpp"
 #include "psync/mesh/mesh.hpp"
@@ -62,10 +64,11 @@ struct BenchCase {
   std::function<std::uint64_t(std::uint64_t iters)> body;
 };
 
-// The journal gate's two cases. They are timed chunk by chunk in turn, so
-// slow host phases hit both alike.
+// The journal and dist-leader gates' three cases. They are timed chunk by
+// chunk in turn, in equal chunk counts, so slow host phases hit all alike.
 constexpr const char* kPlainSweep = "driver_sweep_no_journal";
 constexpr const char* kJournalSweep = "driver_sweep_journal";
+constexpr const char* kDistSweep = "driver_sweep_dist_1worker";
 
 // Minor-fault gate bounds, per iteration. A machine point on a warm
 // Scratch faults nothing (0.1-0.4 measured, from the harness itself). A
@@ -307,6 +310,36 @@ std::uint64_t run_sca_scatter_round_robin(std::uint64_t iters) {
     slots += received.words.size();
   }
   return slots;
+}
+
+// Compiling the paper-scale transpose gather: one strided communication
+// program per node for 1024 nodes x 1024-sample rows. Events are compiled
+// programs.
+std::uint64_t run_cp_compile_transpose(std::uint64_t iters) {
+  std::uint64_t programs = 0;
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    const auto sched = psync::core::compile_gather_transpose(1024, 1, 1024);
+    if (sched.total_slots != 1024ULL * 1024) std::abort();
+    programs += sched.nodes();
+  }
+  return programs;
+}
+
+// --- dram ---------------------------------------------------------------
+
+// The paper-scale transpose writeback on the memory controller: 32768
+// full-row transactions (Eq. 23) streamed from row 0 with the default
+// DRAM parameters. Events are rows.
+std::uint64_t run_dram_stream_rows(std::uint64_t iters) {
+  const psync::dram::DramParams params;
+  std::uint64_t rows = 0;
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    psync::dram::MemoryController mc(params);
+    const auto rep = mc.stream_rows(0, 32768);
+    if (rep.transactions != 32768) std::abort();
+    rows += rep.transactions;
+  }
+  return rows;
 }
 
 // One psync_sweep point on the machine alone, no driver around it: a
@@ -558,17 +591,23 @@ std::vector<BenchCase> make_cases() {
   cases.push_back({"fig13_fft2d",
                    "fig13 point as machine sim: 128x128 fft2d, P=16, k=4",
                    10, 2, run_fig13_fft2d});
-  cases.push_back({"driver_sweep_no_journal",
+  cases.push_back({kPlainSweep,
                    "4-point 256x256 fft2d sweep, no checkpoint journal",
                    30, 10,
                    [](std::uint64_t n) { return run_driver_sweep_fft2d(n, false); }});
-  cases.push_back({"driver_sweep_journal",
+  cases.push_back({kJournalSweep,
                    "same sweep with a per-point fsync'd checkpoint journal",
                    30, 10,
                    [](std::uint64_t n) { return run_driver_sweep_fft2d(n, true); }});
-  cases.push_back({"driver_sweep_dist_1worker",
+  cases.push_back({kDistSweep,
                    "same sweep through the distributed leader (1 worker)",
-                   6, 2, run_driver_sweep_dist});
+                   30, 10, run_driver_sweep_dist});
+  cases.push_back({"dram_stream_rows",
+                   "memory controller: 32768 full-row transactions, row 0 on",
+                   200, 50, run_dram_stream_rows});
+  cases.push_back({"cp_compile_transpose",
+                   "compile the transpose gather CPs, 1024 nodes x 1024",
+                   200, 50, run_cp_compile_transpose});
   return cases;
 }
 
@@ -625,6 +664,39 @@ void time_group(const std::vector<const BenchCase*>& group, bool quick,
                 e.per_iter_ms(),
                 psync::perf::format_rate(e.events_per_sec(), "ev").c_str());
   }
+}
+
+// Paired overhead gate: `extra` against `base`, timed interleaved in the
+// same group. Reads the median of the chunk-by-chunk per-iteration
+// differences, relative to `base`'s fastest iteration. Returns false when
+// the overhead exceeds both `max_ms` and `max_pct`; true when it does not,
+// or when the pair was not run (filtered out).
+bool paired_overhead_gate(
+    const char* label, const char* base, const char* extra, double max_ms,
+    double max_pct, const BenchReport& report,
+    const std::map<std::string, std::vector<double>>& chunk_ms) {
+  const BenchEntry* b = report.find(base);
+  const auto a_it = chunk_ms.find(base);
+  const auto x_it = chunk_ms.find(extra);
+  if (b == nullptr || b->min_iter_ms <= 0.0 || a_it == chunk_ms.end() ||
+      x_it == chunk_ms.end() || a_it->second.size() != x_it->second.size()) {
+    return true;
+  }
+  std::vector<double> diff(a_it->second.size());
+  for (std::size_t i = 0; i < diff.size(); ++i) {
+    diff[i] = x_it->second[i] - a_it->second[i];
+  }
+  std::sort(diff.begin(), diff.end());
+  const std::size_t mid = diff.size() / 2;
+  const double delta = diff.size() % 2 != 0
+                           ? diff[mid]
+                           : 0.5 * (diff[mid - 1] + diff[mid]);
+  const double pct = 100.0 * delta / b->min_iter_ms;
+  std::printf(
+      "\n%s overhead: %+.3f ms/iter median of %zu paired chunks on %.3f "
+      "ms/iter (%+.1f%%)\n",
+      label, delta, diff.size(), b->min_iter_ms, pct);
+  return !(delta > max_ms && pct > max_pct);
 }
 
 int usage(const char* argv0) {
@@ -698,7 +770,8 @@ int main(int argc, char** argv) {
     if (!selected(c.name) || chunk_ms.count(c.name) != 0) continue;
     std::vector<const BenchCase*> group{&c};
     for (const auto& partner : cases) {
-      if (c.name == kPlainSweep && partner.name == kJournalSweep &&
+      if (c.name == kPlainSweep &&
+          (partner.name == kJournalSweep || partner.name == kDistSweep) &&
           selected(partner.name)) {
         group.push_back(&partner);
       }
@@ -713,59 +786,24 @@ int main(int argc, char** argv) {
   // only when the journaled sweep is both >5% slower AND >5 ms/iter slower
   // than the plain one — the absolute floor keeps millisecond-level fsync
   // jitter from flaking CI.
-  {
-    const BenchEntry* plain = nullptr;
-    for (const auto& e : report.entries) {
-      if (e.name == kPlainSweep) plain = &e;
-    }
-    const auto& a = chunk_ms[kPlainSweep];
-    const auto& b = chunk_ms[kJournalSweep];
-    if (plain != nullptr && !b.empty() && a.size() == b.size() &&
-        plain->min_iter_ms > 0.0) {
-      std::vector<double> diff(a.size());
-      for (std::size_t i = 0; i < a.size(); ++i) diff[i] = b[i] - a[i];
-      std::sort(diff.begin(), diff.end());
-      const std::size_t mid = diff.size() / 2;
-      const double delta = diff.size() % 2 != 0
-                               ? diff[mid]
-                               : 0.5 * (diff[mid - 1] + diff[mid]);
-      const double pct = 100.0 * delta / plain->min_iter_ms;
-      std::printf(
-          "\njournal overhead: %+.3f ms/iter median of %zu paired chunks on "
-          "%.3f ms/iter (%+.1f%%)\n",
-          delta, diff.size(), plain->min_iter_ms, pct);
-      if (delta > 5.0 && pct > 5.0) {
-        std::printf("FAIL: checkpoint journal costs more than 5%% of sweep time\n");
-        return 1;
-      }
-    }
+  if (!paired_overhead_gate("journal", kPlainSweep, kJournalSweep, 5.0, 5.0,
+                            report, chunk_ms)) {
+    std::printf("FAIL: checkpoint journal costs more than 5%% of sweep time\n");
+    return 1;
   }
 
   // Distributed-leader overhead gate: fork, heartbeat supervision, journal
   // shipping and the final shard merge must stay cheap next to the sweep
   // itself. Compared against the *journaled* in-process sweep — the leader
   // journals every shipped record too, so the difference is distribution
-  // alone. Same dual
-  // threshold shape: >10% AND >10 ms/iter, so process-spawn jitter on
-  // loaded CI hosts can't flake the gate.
-  {
-    const BenchEntry* inproc = nullptr;
-    const BenchEntry* dist = nullptr;
-    for (const auto& e : report.entries) {
-      if (e.name == "driver_sweep_journal") inproc = &e;
-      if (e.name == "driver_sweep_dist_1worker") dist = &e;
-    }
-    if (inproc != nullptr && dist != nullptr && inproc->min_iter_ms > 0.0) {
-      const double delta = dist->min_iter_ms - inproc->min_iter_ms;
-      const double pct = 100.0 * delta / inproc->min_iter_ms;
-      std::printf("dist overhead: %+.3f ms/iter on %.3f ms/iter (%+.1f%%)\n",
-                  delta, inproc->min_iter_ms, pct);
-      if (delta > 10.0 && pct > 10.0) {
-        std::printf(
-            "FAIL: distributed leader costs more than 10%% of sweep time\n");
-        return 1;
-      }
-    }
+  // alone. Timed in the same interleaved group and gated on the same
+  // paired median, with the dual threshold >10% AND >10 ms/iter so
+  // process-spawn jitter on loaded CI hosts can't flake the gate.
+  if (!paired_overhead_gate("dist", kJournalSweep, kDistSweep, 10.0, 10.0,
+                            report, chunk_ms)) {
+    std::printf(
+        "FAIL: distributed leader costs more than 10%% of sweep time\n");
+    return 1;
   }
 
   // Allocation-free steady state: a machine point on a reused Scratch

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "psync/analysis/transpose_model.hpp"
 #include "psync/common/table.hpp"
 #include "psync/core/mesh_machine.hpp"
 #include "psync/core/sca.hpp"

@@ -47,7 +47,7 @@ double mesh_delivery_cycles(double processors, double flits_per_packet,
 ///
 /// Eq. 21 is the conservative bound (their TLM source apparently serialized
 /// header traversal); this is the throughput-limited behaviour of a real
-/// wormhole injection port. See bench_fig11_k_sweep's cycle-level check.
+/// wormhole injection port; test_integration.cpp's Fig11 cycle-level test.
 double mesh_delivery_cycles_pipelined(double processors,
                                       double flits_per_packet,
                                       double t_r_cycles);

@@ -1,5 +1,5 @@
-// ASCII table formatting for the benchmark harnesses. Every bench binary in
-// bench/ prints the paper's table/figure rows through this printer so the
+// ASCII table formatting for human-readable reports: psync_sim's sweep
+// tables and the examples print their rows through this printer so the
 // output is diffable against EXPERIMENTS.md.
 #pragma once
 

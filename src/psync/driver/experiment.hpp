@@ -4,7 +4,7 @@
 // axes that the SweepEngine expands into a grid of independent run points.
 //
 // This is the system's front door: tools/psync_sim parses an INI file into
-// a spec, the bench binaries build specs programmatically, and both hand
+// a spec, bench_driver and the tests build specs in code, and all hand
 // them to Session::run. Before the driver existed each of those call sites
 // grew its own serial loop; now an N-point sweep is one spec with
 // `threads = M`.

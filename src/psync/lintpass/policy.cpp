@@ -28,10 +28,9 @@ constexpr std::array<const char*, 7> kClockAllow = {
     "src/psync/serve/",            // client socket timeouts
 };
 
-constexpr std::array<const char*, 7> kOrderSensitive = {
+constexpr std::array<const char*, 6> kOrderSensitive = {
     "src/psync/driver/canonical",  // canonical JSON: byte-exact digests
     "src/psync/core/trace",        // event traces compared byte-for-byte
-    "src/psync/common/csv",        // CSV emission order is the contract
     "src/psync/common/journal",    // journal replay order is the contract
     "src/psync/dist/merge",        // crash-identical merge
     "src/psync/dist/stream_merge", // crash-identical streaming merge

@@ -121,7 +121,7 @@ TEST(PerfModel, MoreBlocksNeverHurtWhenBalanced) {
 }
 
 // The pipelined-source delivery model (our Eq. 21 refinement) tracks the
-// cycle-level mesh at the configuration the fig11 bench uses.
+// cycle-level mesh at the configuration of the Fig11 cycle-level test.
 TEST(MeshModelPipelined, RefinementBetweenIdealAndEq21) {
   for (double f : {4.0, 16.0, 64.0, 256.0}) {
     const double eq21 = analysis::mesh_delivery_cycles(16, f, 1.0);

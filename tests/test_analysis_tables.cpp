@@ -2,9 +2,9 @@
 // numbers: Table I, Table II, Table III and the Fig. 11 crossover.
 #include <gtest/gtest.h>
 
+#include "oracle/transpose_model.hpp"
 #include "psync/analysis/fft_model.hpp"
 #include "psync/analysis/mesh_model.hpp"
-#include "psync/analysis/transpose_model.hpp"
 
 namespace psync::analysis {
 namespace {
@@ -98,6 +98,8 @@ TEST(Fig11, PsyncMonotoneMeshPeaksAndCrosses) {
   for (std::size_t i = 1; i < pts.size(); ++i) {
     EXPECT_GT(pts[i].psync, pts[i - 1].psync);
   }
+  // ... and approaches ideal: above 99% at k = 64.
+  EXPECT_GT(pts[6].psync, 0.99);
   // The mesh rises then falls; at k=64 the gap is ~2x.
   EXPECT_GT(pts[3].mesh, pts[0].mesh);
   EXPECT_LT(pts[6].mesh, pts[3].mesh);

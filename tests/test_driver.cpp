@@ -8,11 +8,14 @@
 #include <set>
 #include <thread>
 
+#include "psync/analysis/fft_model.hpp"
+#include "psync/analysis/mesh_model.hpp"
 #include "psync/common/check.hpp"
 #include "psync/common/config.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
 #include "psync/fft/plan_cache.hpp"
+#include "psync/llmore/llmore.hpp"
 
 namespace psync::driver {
 namespace {
@@ -66,6 +69,53 @@ TEST(WorkloadRegistry, EveryKindDispatchesAndProducesMetrics) {
     for (const auto& m : rec.metrics) {
       EXPECT_TRUE(std::isfinite(m.value)) << kind << "." << m.name;
     }
+  }
+}
+
+// The paper-figure workloads through the full driver path (grid expansion,
+// two pool threads, records in grid order) return exactly the closed forms
+// the Fig11.*, Table1.*, Table2.* and Llmore.Fig13*/Fig14* tests check.
+TEST(WorkloadRegistry, Fig11SweepOnTwoThreadsEqualsTable1And2Rows) {
+  ExperimentSpec spec;
+  spec.workload = "fig11";
+  spec.threads = 2;
+  spec.axes.push_back({"k", {1, 2, 4, 8, 16, 32, 64}});
+  const auto result = Session().run(spec);
+  ASSERT_EQ(result.records.size(), 7u);
+  const analysis::FftWorkload w;
+  const analysis::MeshDeliveryParams mesh;
+  std::uint64_t k = 1;
+  for (const auto& rec : result.records) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    ASSERT_EQ(rec.knobs.size(), 1u);
+    EXPECT_EQ(rec.knobs.front().second, static_cast<double>(k));
+    EXPECT_EQ(metric(rec, "psync_eta"), analysis::table1_row(w, k).efficiency);
+    EXPECT_EQ(metric(rec, "mesh_eta"),
+              analysis::table2_row(w, k, mesh).compute_efficiency);
+    k *= 2;
+  }
+}
+
+TEST(WorkloadRegistry, Fig13SweepOnTwoThreadsEqualsLlmoreSimulatePoint) {
+  ExperimentSpec spec;
+  spec.workload = "fig13";
+  spec.threads = 2;
+  spec.axes.push_back({"cores", {4, 16, 64, 256, 1024, 4096}});
+  const auto result = Session().run(spec);
+  ASSERT_EQ(result.records.size(), 6u);
+  const llmore::LlmoreParams p;
+  std::uint64_t cores = 4;
+  for (const auto& rec : result.records) {
+    SCOPED_TRACE(std::to_string(cores) + " cores");
+    ASSERT_EQ(rec.knobs.size(), 1u);
+    EXPECT_EQ(rec.knobs.front().second, static_cast<double>(cores));
+    const auto pt = llmore::simulate_point(p, cores);
+    EXPECT_EQ(metric(rec, "gflops_mesh"), pt.gflops_mesh);
+    EXPECT_EQ(metric(rec, "gflops_psync"), pt.gflops_psync);
+    EXPECT_EQ(metric(rec, "gflops_ideal"), pt.gflops_ideal);
+    EXPECT_EQ(metric(rec, "reorg_frac_mesh"), pt.reorg_frac_mesh);
+    EXPECT_EQ(metric(rec, "reorg_frac_psync"), pt.reorg_frac_psync);
+    cores *= 4;
   }
 }
 

@@ -5,10 +5,10 @@
 #include <map>
 #include <numeric>
 
+#include "oracle/traffic.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/core/sca.hpp"
 #include "psync/mesh/mesh.hpp"
-#include "psync/mesh/traffic.hpp"
 #include "psync/reliability/channel.hpp"
 #include "psync/reliability/secded.hpp"
 

@@ -66,30 +66,47 @@ TEST(MachineEnergy, MeshReportsActivityBasedEnergy) {
 TEST(MachineEnergy, PsyncTransportCheaperThanMeshAtSameWorkload) {
   // The Fig. 5 result carried through to the full application: the same 2D
   // FFT moves the same words, but the mesh pays per-hop buffer/crossbar/
-  // link energy while the PSCAN pays a near-flat per-bit cost.
-  const auto input = random_matrix(32 * 32, 5);
+  // link energy while the PSCAN pays a near-flat per-bit cost. Run at
+  // 32x32 (8-element packets, Model I) and at 64x64 (32-element packets,
+  // k = 4), both on 16 processors; at 64x64 P-sync must also win on total
+  // energy and on end-to-end time.
+  const struct {
+    std::size_t dim;
+    std::uint32_t elements_per_packet;
+    std::size_t blocks;
+    std::uint64_t seed;
+  } cases[] = {{32, 8, 1, 5}, {64, 32, 4, 11}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::to_string(c.dim) + "x" + std::to_string(c.dim));
+    const auto input = random_matrix(c.dim * c.dim, c.seed);
 
-  PsyncMachineParams pp;
-  pp.processors = 16;
-  pp.matrix_rows = 32;
-  pp.matrix_cols = 32;
-  pp.head.dram.row_switch_cycles = 0;
-  PsyncMachine psm(pp);
-  const auto pr = psm.run_fft2d(input, false);
+    PsyncMachineParams pp;
+    pp.processors = 16;
+    pp.matrix_rows = c.dim;
+    pp.matrix_cols = c.dim;
+    pp.delivery_blocks = c.blocks;
+    pp.head.dram.row_switch_cycles = 0;
+    PsyncMachine psm(pp);
+    const auto pr = psm.run_fft2d(input, false);
 
-  MeshMachineParams mp;
-  mp.grid = 4;
-  mp.matrix_rows = 32;
-  mp.matrix_cols = 32;
-  mp.elements_per_packet = 8;
-  mp.mi.dram.row_switch_cycles = 0;
-  MeshMachine msm(mp);
-  const auto mr = msm.run_fft2d(input, false);
+    MeshMachineParams mp;
+    mp.grid = 4;
+    mp.matrix_rows = c.dim;
+    mp.matrix_cols = c.dim;
+    mp.elements_per_packet = c.elements_per_packet;
+    mp.mi.dram.row_switch_cycles = 0;
+    MeshMachine msm(mp);
+    const auto mr = msm.run_fft2d(input, false);
 
-  EXPECT_GT(mr.comm_energy_pj, 2.0 * pr.comm_energy_pj);
-  // Compute energy is identical work on identical execution units.
-  EXPECT_NEAR(mr.compute_energy_pj, pr.compute_energy_pj,
-              pr.compute_energy_pj * 0.01);
+    EXPECT_GT(mr.comm_energy_pj, 2.0 * pr.comm_energy_pj);
+    // Compute energy is identical work on identical execution units.
+    EXPECT_NEAR(mr.compute_energy_pj, pr.compute_energy_pj,
+                pr.compute_energy_pj * 0.01);
+    if (c.dim == 64) {
+      EXPECT_GT(mr.total_energy_pj(), pr.total_energy_pj());
+      EXPECT_LT(pr.total_ns, mr.total_ns);
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "psync/mesh/traffic.hpp"
+#include "oracle/traffic.hpp"
 
 namespace psync::mesh {
 namespace {

@@ -5,6 +5,7 @@
 #include "psync/common/check.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/core/psync_machine.hpp"
+#include "transpose_writeback_params.hpp"
 
 namespace psync::core {
 namespace {
@@ -67,6 +68,16 @@ TEST(MeshMachine, TransposeSlowerWithHigherReorderPenalty) {
   // t_p=4 adds ~3 extra cycles per element at the serialized interface.
   const double delta = r4.cycles_per_element - r1.cycles_per_element;
   EXPECT_NEAR(delta, 3.0, 0.5);
+
+  // At 16x16 the reorder penalty dominates once large: t_p = 8 costs more
+  // than 2.5x the t_p = 1 writeback.
+  auto a1 = transpose_writeback_params(16);
+  auto a8 = transpose_writeback_params(16);
+  a8.mi.reorder_cycles_per_element = 8;
+  MeshMachine ma1(a1), ma8(a8);
+  const auto c1 = ma1.run_transpose_writeback(256).completion_cycle;
+  const auto c8 = ma8.run_transpose_writeback(256).completion_cycle;
+  EXPECT_GT(static_cast<double>(c8), 2.5 * static_cast<double>(c1));
 }
 
 TEST(MeshMachine, StageModelMatchesSteadyState) {
@@ -80,6 +91,16 @@ TEST(MeshMachine, StageModelMatchesSteadyState) {
   // drain effects.
   EXPECT_GT(rep.cycles_per_element, 2.9);
   EXPECT_LT(rep.cycles_per_element, 3.7);
+
+  // Each packet pays its header and per-packet stages, so at 16x16 the
+  // writeback in 4-element packets takes longer than in 64-element ones.
+  auto small_pkts = transpose_writeback_params(16);
+  small_pkts.elements_per_packet = 4;
+  auto big_pkts = transpose_writeback_params(16);
+  big_pkts.elements_per_packet = 64;
+  MeshMachine ms(small_pkts), mb(big_pkts);
+  EXPECT_GT(ms.run_transpose_writeback(256).completion_cycle,
+            mb.run_transpose_writeback(256).completion_cycle);
 }
 
 TEST(MeshMachine, MeshReorgCostsMoreThanPsyncSca) {

@@ -4,8 +4,10 @@
 
 #include <map>
 
+#include "oracle/traffic.hpp"
 #include "psync/common/check.hpp"
-#include "psync/mesh/traffic.hpp"
+#include "psync/core/mesh_machine.hpp"
+#include "transpose_writeback_params.hpp"
 
 namespace psync::mesh {
 namespace {
@@ -89,6 +91,21 @@ TEST(MemoryInterface, OverlappedStagesApproachPortBound) {
                      (3.0 * elements);
   // Port-bound: ~33/32 cycles per element.
   EXPECT_LT(cpe, 1.4);
+
+  // The Table III writeback on a 16x16 mesh at t_p = 4: serialized stages
+  // explain most of the 6x case, since overlapping them recovers more
+  // than half of the completion time.
+  std::int64_t cycles[2] = {0, 0};
+  for (const bool overlap : {false, true}) {
+    auto mp = core::transpose_writeback_params(16);
+    mp.mi.reorder_cycles_per_element = 4;
+    mp.mi.overlap_stages = overlap;
+    core::MeshMachine machine(mp);
+    cycles[overlap ? 1 : 0] =
+        machine.run_transpose_writeback(256).completion_cycle;
+  }
+  EXPECT_GT(static_cast<double>(cycles[0]),
+            2.0 * static_cast<double>(cycles[1]));
 }
 
 TEST(MemoryInterface, CollectorSeesEveryElementWithCorrectTag) {

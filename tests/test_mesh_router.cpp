@@ -5,9 +5,11 @@
 #include <map>
 #include <set>
 
+#include "oracle/traffic.hpp"
 #include "psync/common/check.hpp"
 #include "psync/common/rng.hpp"
-#include "psync/mesh/traffic.hpp"
+#include "psync/core/mesh_machine.hpp"
+#include "transpose_writeback_params.hpp"
 
 namespace psync::mesh {
 namespace {
@@ -19,6 +21,16 @@ MeshParams small(std::uint32_t dim = 4) {
   p.buffer_depth = 2;
   p.route_delay = 1;
   return p;
+}
+
+// Completion cycle of the 16x16 Table III ablation writeback (256 elements
+// per node) over router configuration `net`; the machine sets the mesh
+// dimensions from its grid.
+std::int64_t machine_writeback_cycles(const MeshParams& net) {
+  auto mp = core::transpose_writeback_params(16);
+  mp.net = net;
+  core::MeshMachine machine(mp);
+  return machine.run_transpose_writeback(256).completion_cycle;
 }
 
 TEST(Mesh, GeometryHelpers) {
@@ -61,6 +73,25 @@ TEST(Mesh, LatencyLowerBoundHopsPlusRouting) {
   EXPECT_GE(m.packet_latency().mean(), expected_min);
   // And in an empty network it should be close to the bound.
   EXPECT_LE(m.packet_latency().mean(), expected_min + 6.0);
+
+  // Table II's Eq. 21 overhead on the paper's 16x16 mesh: a lone packet of
+  // F flits corner to corner (H = 30 hops) takes F + (H+1)(1+t_r) cycles,
+  // to within 4, with t_r = 1 charged once per traversed router.
+  for (std::uint32_t flits : {16u, 64u, 256u}) {
+    MeshParams p;
+    p.width = 16;
+    p.height = 16;
+    Mesh net(p);
+    PacketDesc lone;
+    lone.src = net.node_at(0, 0);
+    lone.dst = net.node_at(15, 15);
+    lone.payload_flits = flits;
+    net.inject(lone);
+    ASSERT_TRUE(net.run_until_drained(100000));
+    ASSERT_EQ(net.manhattan(lone.src, lone.dst), 30u);
+    EXPECT_NEAR(net.packet_latency().mean(), flits + 31.0 * 2.0, 4.0)
+        << "F = " << flits;
+  }
 }
 
 TEST(Mesh, ZeroRouteDelayIsFaster) {
@@ -222,6 +253,16 @@ TEST(Mesh, AdaptiveNoWorseThanXYOnHotspot) {
     ASSERT_TRUE(m.run_until_drained(100000));
     EXPECT_EQ(m.activity().ejected_packets, traffic.size());
   }
+
+  // Nor does it materially help the port-bound 16x16 transpose writeback:
+  // west-first adaptive stays within 10% of XY.
+  MeshParams adaptive;
+  adaptive.algo = RouteAlgo::kWestFirstAdaptive;
+  const double rel =
+      static_cast<double>(machine_writeback_cycles(adaptive)) /
+      static_cast<double>(machine_writeback_cycles(MeshParams{}));
+  EXPECT_GT(rel, 0.9);
+  EXPECT_LT(rel, 1.1);
 }
 
 TEST(Mesh, ThroughputSaturatesAtOneFlitPerCycleAtSink) {
@@ -267,6 +308,14 @@ TEST(Mesh, DeepBuffersReduceCompletionTimeUnderContention) {
     (cfg == &shallow ? cycles_shallow : cycles_deep) = m.cycle();
   }
   EXPECT_LE(cycles_deep, cycles_shallow);
+
+  // Deeper buffers never hurt the saturated 16x16 transpose writeback
+  // either: 16-flit buffers finish no later than the paper's 2-flit ones.
+  MeshParams paper;
+  paper.buffer_depth = 2;
+  MeshParams deep16;
+  deep16.buffer_depth = 16;
+  EXPECT_LE(machine_writeback_cycles(deep16), machine_writeback_cycles(paper));
 }
 
 }  // namespace

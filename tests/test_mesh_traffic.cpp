@@ -1,4 +1,4 @@
-#include "psync/mesh/traffic.hpp"
+#include "oracle/traffic.hpp"
 
 #include <gtest/gtest.h>
 

@@ -30,6 +30,14 @@ PsyncMachineParams small_params(std::size_t procs, std::size_t rows,
   return p;
 }
 
+// The P-sync ablation configuration: 16 processors, a 64x512 matrix of
+// constant samples, Model I delivery.
+PsyncMachineParams ablation_params() { return small_params(16, 64, 512); }
+
+std::vector<std::complex<double>> ablation_input() {
+  return std::vector<std::complex<double>>(64 * 512, {1.0, -0.5});
+}
+
 TEST(PsyncMachine, FullFlowNumericallyCorrectModelI) {
   PsyncMachine m(small_params(8, 32, 64));
   const auto input = random_matrix(32 * 64, 1);
@@ -65,6 +73,22 @@ TEST(PsyncMachine, ModelIIOverlapImprovesEfficiency) {
   const auto r8 = m8.run_fft2d(input);
   EXPECT_GT(r8.compute_efficiency, r1.compute_efficiency);
   EXPECT_LT(r8.total_ns, r1.total_ns);
+
+  // The same on the 64x512 ablation matrix, with every k of the sweep
+  // verified correct and gap-free.
+  double eff1 = 0.0;
+  double eff8 = 0.0;
+  for (const std::size_t k : {1, 2, 4, 8, 16}) {
+    auto p = ablation_params();
+    p.delivery_blocks = k;
+    PsyncMachine m(p);
+    const auto rep = m.run_fft2d(ablation_input());
+    EXPECT_LT(rep.max_error_vs_reference, 1e-4) << "k = " << k;
+    EXPECT_TRUE(rep.sca_gap_free) << "k = " << k;
+    if (k == 1) eff1 = rep.compute_efficiency;
+    if (k == 8) eff8 = rep.compute_efficiency;
+  }
+  EXPECT_GT(eff8, eff1);
 }
 
 TEST(PsyncMachine, PhasesOrderedAndAccounted) {
@@ -104,6 +128,16 @@ TEST(PsyncMachine, EfficiencyMatchesModelIPrediction) {
   const double window = ff.end_ns - sc.start_ns;
   const double eta_meas = t_c / window;
   EXPECT_NEAR(eta_meas, eta_pred, 0.02);
+
+  // Bandwidth balance (Eq. 19/20): on the ablation machine a 640 Gb/s
+  // waveguide delivers faster than an 80 Gb/s one, so efficiency rises.
+  auto slow = ablation_params();
+  slow.waveguide_gbps = 80.0;
+  auto fast = ablation_params();
+  fast.waveguide_gbps = 640.0;
+  PsyncMachine ms(slow), mf(fast);
+  EXPECT_GT(mf.run_fft2d(ablation_input(), false).compute_efficiency,
+            ms.run_fft2d(ablation_input(), false).compute_efficiency);
 }
 
 TEST(PsyncMachine, TransposePhaseMatchesEq23Eq24Timing) {
@@ -115,6 +149,33 @@ TEST(PsyncMachine, TransposePhaseMatchesEq23Eq24Timing) {
   const auto& tr = rep.phase("sca_transpose");
   // 64*64 samples * 64 bits / 2048 = 128 rows * 33 cycles * 0.2 ns.
   EXPECT_NEAR(tr.duration_ns(), 128 * 33 * 0.2, 1.0);
+
+  // t_t / S_r shrinks with the row size: on the ablation machine 8192-bit
+  // DRAM rows finish the transpose sooner than 512-bit rows.
+  auto small_rows = ablation_params();
+  small_rows.head.dram.row_size_bits = 512;
+  auto big_rows = ablation_params();
+  big_rows.head.dram.row_size_bits = 8192;
+  PsyncMachine msr(small_rows), mbr(big_rows);
+  EXPECT_LT(mbr.run_fft2d(ablation_input(), false)
+                .phase("sca_transpose")
+                .duration_ns(),
+            msr.run_fft2d(ablation_input(), false)
+                .phase("sca_transpose")
+                .duration_ns());
+}
+
+TEST(PsyncMachine, BusLengthIsPipelineFillNotRate) {
+  // Distance independence: a 64x longer waveguide (0.5 -> 32 cm) adds only
+  // flight time per collective, under 1% of the total.
+  auto near = ablation_params();
+  near.bus_length_cm = 0.5;
+  auto far = ablation_params();
+  far.bus_length_cm = 32.0;
+  PsyncMachine mn(near), mf(far);
+  const double t_near = mn.run_fft2d(ablation_input(), false).total_ns;
+  const double t_far = mf.run_fft2d(ablation_input(), false).total_ns;
+  EXPECT_LT((t_far - t_near) / t_near, 0.01);
 }
 
 TEST(PsyncMachine, ResultLayoutIsTransposed) {
