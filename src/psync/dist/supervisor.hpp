@@ -124,10 +124,10 @@ struct SupervisorOptions {
 };
 
 /// Runs in the forked child, never returns control flow to the leader:
-/// either executes the shard in-process (default: run_worker) or execs a
-/// fresh binary (psync_sim's `--worker-shard --connect` mode, or a
-/// launch template that ships the worker to another host). Its return
-/// value becomes the child's exit code.
+/// executes the shard in this process. Empty means run_worker, and no
+/// caller passes another body (psync_sim's local workers fork on the
+/// leader's spec too; a worker on another host is started by hand). Its
+/// return value becomes the child's exit code.
 using WorkerBody =
     std::function<int(const driver::ExperimentSpec&, const WorkerConfig&)>;
 

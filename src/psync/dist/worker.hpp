@@ -1,6 +1,6 @@
 // Shard-worker execution: the body every distributed worker process runs,
-// whether it got here by fork() (in-process launcher: tests, benches) or
-// by fork+exec of `psync_sim --worker-shard` (the CLI leader).
+// whether a leader forked it (psync_sim --workers, serve, tests, benches)
+// or it was started by hand as `psync_sim --worker-shard` on another host.
 //
 // A worker owns one contiguous window of the sweep grid and journals
 // nothing itself: it dials the leader (transport.hpp) and ships each

@@ -22,6 +22,8 @@
 //             [--retries N] [--workers N] [--heartbeat-ms X]
 //             [--listen [HOST:]PORT [--advertise HOST]] [chaos flags]
 //             <config.ini>
+//   psync_sim --worker-shard A:B --connect HOST:PORT --worker-epoch E
+//             --worker-id N [--heartbeat-ms X] [chaos flags] <config.ini>
 //   psync_sim --demo          # print a sample config and exit
 //   psync_sim --list          # list registered workload kinds
 //
@@ -37,11 +39,10 @@
 // journals, heartbeat liveness (--heartbeat-ms, default 100), automatic
 // restart-with-backoff of crashed or wedged workers, work stealing from
 // stragglers, and a final merge that renders byte-identical output to a
-// single-process run — see docs/robustness.md. Workers are launched as
-// `psync_sim --worker-shard A:B --connect HOST:PORT ...` re-invocations of
-// this binary; the worker flags are internal plumbing, not a user
-// interface. --journal doubles as the shard-journal base path (default:
-// under /tmp).
+// single-process run — see docs/robustness.md. Local workers are forked
+// children that run the leader's own validated spec, so no worker re-reads
+// a config that may have changed on disk. --journal doubles as the
+// shard-journal base path (default: under /tmp).
 //
 // Workers always dial the leader over TCP: heartbeats and per-point
 // journal records travel as length-prefixed frames, the leader appends
@@ -50,9 +51,10 @@
 // 127.0.0.1 on an ephemeral port. --listen [HOST:]PORT (PORT 0 =
 // ephemeral) picks the bind address for remote workers, and --advertise
 // HOST is the address workers are told to dial when it differs from the
-// bind address (two-host runs; see EXPERIMENTS.md). A worker launched by
-// hand connects with
-// `psync_sim --worker-shard A:B --connect HOST:PORT --worker-epoch E ...`.
+// bind address (two-host runs; see EXPERIMENTS.md). A worker started by
+// hand builds its spec from the same config and flags and connects with
+// `psync_sim --worker-shard A:B --connect HOST:PORT --worker-epoch E
+// --worker-id N <config.ini>`; N names the shard whose lease E it holds.
 //
 // Network chaos (tests and the dist CI smoke): --chaos-seed S arms a
 // deterministic frame-level fault injector on every worker's link
@@ -78,11 +80,11 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "psync/common/config.hpp"
@@ -242,6 +244,10 @@ int usage() {
                "                  --chaos-partition-after N "
                "--chaos-partition-ms X [--chaos-partition-repeat]]\n"
                "                 <config.ini>\n"
+               "       psync_sim --worker-shard A:B --connect HOST:PORT "
+               "--worker-epoch E --worker-id N\n"
+               "                 [--heartbeat-ms X] [chaos flags] "
+               "<config.ini>\n"
                "       psync_sim --demo | --list\n");
   return 2;
 }
@@ -262,38 +268,100 @@ void install_signal_handlers() {
   ::sigaction(SIGINT, &sa, nullptr);
 }
 
-/// "A:B" -> [A, B). Returns false on anything malformed.
+/// Everything the command line sets. build_spec reads the config path and
+/// the spec overrides; the rest picks the mode and the output.
+struct Options {
+  bool strict = false;
+  bool json = false;
+  bool csv = false;
+  bool profile = false;
+  std::string config_path;
+  // Spec overrides, applied over the config before Session::validate.
+  std::optional<std::uint64_t> threads;
+  std::optional<std::uint64_t> retries;
+  std::optional<double> timeout_ms;
+  std::string journal_path;
+  bool resume = false;
+  // Distributed leader (workers > 0).
+  std::size_t workers = 0;
+  double heartbeat_ms = 100.0;
+  std::string listen_spec;     // --listen: leader bind address
+  std::string advertise_host;  // --advertise: address workers dial
+  // Frame-level fault injection on the worker links: the leader derives
+  // one seed per shard, a worker started by hand applies it as given.
+  dist::ChaosOptions chaos;
+  // A worker started by hand (--worker-shard / --connect).
+  bool worker_mode = false;
+  dist::WorkerConfig worker;
+};
+
+/// A count flag's value: decimal digits only — no sign, space, base prefix
+/// or leading zero — read by the config's own integer parser.
+std::optional<std::uint64_t> parse_count(const std::string& text) {
+  if (text.find_first_not_of("0123456789") != std::string::npos ||
+      (text.size() > 1 && text.front() == '0')) {
+    return std::nullopt;
+  }
+  const auto v = parse_int(text);
+  if (!v) return std::nullopt;
+  return static_cast<std::uint64_t>(*v);
+}
+
+/// "A:B" -> [A, B), both counts. Returns false on anything malformed.
 bool parse_shard_range(const std::string& arg, dist::ShardRange* out) {
   const std::size_t colon = arg.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= arg.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long a = std::strtoull(arg.c_str(), &end, 10);
-  if (end != arg.c_str() + colon) return false;
-  const char* bp = arg.c_str() + colon + 1;
-  const unsigned long long b = std::strtoull(bp, &end, 10);
-  if (*end != '\0') return false;
-  out->begin = static_cast<std::size_t>(a);
-  out->end = static_cast<std::size_t>(b);
+  if (colon == std::string::npos) return false;
+  const auto begin = parse_count(arg.substr(0, colon));
+  const auto end = parse_count(arg.substr(colon + 1));
+  if (!begin || !end) return false;
+  out->begin = *begin;
+  out->end = *end;
   return true;
 }
 
-/// "3,7,12" -> {3, 7, 12}. Empty string -> empty list.
-bool parse_index_list(const std::string& arg, std::vector<std::size_t>* out) {
-  std::size_t at = 0;
-  while (at < arg.size()) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(arg.c_str() + at, &end, 10);
-    if (end == arg.c_str() + at) return false;
-    out->push_back(static_cast<std::size_t>(v));
-    at = static_cast<std::size_t>(end - arg.c_str());
-    if (at < arg.size()) {
-      if (arg[at] != ',') return false;
-      ++at;
-    }
+/// The one front end of every mode (serial, leader, worker started by
+/// hand): load the config, check it against the key schema (strict mode),
+/// spec_from_config, the CLI overrides, Session::validate. Each problem is
+/// printed once, and a bad value always as an error. Returns the exit code
+/// to stop with, or 0 with `*spec` ready to run.
+int build_spec(Options& opt, driver::ExperimentSpec* spec) {
+  const IniConfig cfg = IniConfig::load(opt.config_path);
+
+  // Schema validation: typos stop silently meaning "use the default".
+  const auto diags = driver::sim_config_schema().validate(cfg);
+  opt.strict = opt.strict || cfg.get_bool("experiment", "strict", false);
+  bool any_fatal = false;
+  for (const auto& d : diags) {
+    const bool fatal =
+        opt.strict || d.kind == ConfigDiagnostic::Kind::kBadValue;
+    any_fatal = any_fatal || fatal;
+    std::fprintf(stderr, "psync_sim: %s: %s\n", fatal ? "error" : "warning",
+                 d.to_string().c_str());
   }
-  return true;
+  if (opt.strict && any_fatal) {
+    std::fprintf(stderr, "psync_sim: %zu config problem(s) (--strict)\n",
+                 diags.size());
+    return 2;
+  }
+  if (any_fatal) return 1;  // a bad value is fatal in every mode
+
+  *spec = driver::spec_from_config(cfg);
+  opt.json = opt.json || cfg.get_bool("experiment", "json", false);
+  opt.csv = opt.csv || cfg.get_bool("experiment", "csv", false);
+
+  if (opt.threads) spec->threads = *opt.threads;
+  if (opt.retries) spec->guard.max_retries = *opt.retries;
+  if (opt.timeout_ms) spec->guard.point_timeout_ms = *opt.timeout_ms;
+  if (!opt.journal_path.empty()) spec->journal_path = opt.journal_path;
+  spec->resume = spec->resume || opt.resume;
+
+  // Typed diagnostics, all of them (not just the first throw): an override
+  // out of its key's range is reported like the same value in the config.
+  const auto errors = driver::Session::validate(*spec);
+  for (const auto& err : errors) {
+    std::fprintf(stderr, "psync_sim: error: %s\n", err.what());
+  }
+  return errors.empty() ? 0 : 1;
 }
 
 /// --profile: wall-clock breakdown of the tool's own phases plus the
@@ -334,31 +402,24 @@ void print_profile(const perf::PhaseProfiler& prof,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool strict = false;
-  bool json = false;
-  bool csv = false;
-  bool profile = false;
-  long threads_override = -1;
-  std::string journal_path;
-  bool resume = false;
+  Options opt;
   bool saw_journal = false;
   bool saw_resume = false;
-  double timeout_ms = -1.0;
-  long retries_override = -1;
-  std::string config_path;
-  long workers = 0;            // > 0: distributed leader mode
-  double heartbeat_ms = 100.0;
-  std::string listen_spec;     // --listen: leader bind address
-  std::string advertise_host;  // --advertise: address workers dial
-  // Frame-level fault injection on the worker links (leader forwards it to
-  // every worker it launches; a worker applies it to its own link).
-  dist::ChaosOptions chaos;
-  // Internal worker-mode plumbing (leader-launched re-invocations).
-  bool worker_mode = false;
-  dist::WorkerConfig worker_cfg;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Numeric flag values parse whole-token into *out; false (a usage
+    // error) when the value is missing or malformed.
+    const auto read_count = [&](auto* out) {
+      const auto v = i + 1 < argc ? parse_count(argv[++i]) : std::nullopt;
+      if (v) *out = static_cast<std::remove_reference_t<decltype(*out)>>(*v);
+      return v.has_value();
+    };
+    const auto read_number = [&](auto* out) {
+      const auto v = i + 1 < argc ? parse_double(argv[++i]) : std::nullopt;
+      if (v) *out = *v;
+      return v.has_value();
+    };
     if (arg == "--demo") {
       std::printf("%s", kDemo);
       return 0;
@@ -370,111 +431,81 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--strict") {
-      strict = true;
+      opt.strict = true;
     } else if (arg == "--json") {
-      json = true;
+      opt.json = true;
     } else if (arg == "--csv") {
-      csv = true;
+      opt.csv = true;
     } else if (arg == "--profile") {
-      profile = true;
+      opt.profile = true;
     } else if (arg == "--threads") {
-      if (i + 1 >= argc) return usage();
-      threads_override = std::atol(argv[++i]);
+      if (!read_count(&opt.threads)) return usage();
     } else if (arg == "--journal") {
       if (i + 1 >= argc) return usage();
-      journal_path = argv[++i];
+      opt.journal_path = argv[++i];
       saw_journal = true;
     } else if (arg == "--resume") {
       if (i + 1 >= argc) return usage();
-      journal_path = argv[++i];
-      resume = true;
+      opt.journal_path = argv[++i];
+      opt.resume = true;
       saw_resume = true;
     } else if (arg == "--timeout-ms") {
-      if (i + 1 >= argc) return usage();
-      timeout_ms = std::atof(argv[++i]);
+      if (!read_number(&opt.timeout_ms)) return usage();
     } else if (arg == "--retries") {
-      if (i + 1 >= argc) return usage();
-      retries_override = std::atol(argv[++i]);
+      if (!read_count(&opt.retries)) return usage();
     } else if (arg == "--workers") {
-      if (i + 1 >= argc) return usage();
-      workers = std::atol(argv[++i]);
-      if (workers <= 0) return usage();
+      if (!read_count(&opt.workers) || opt.workers == 0) return usage();
     } else if (arg == "--heartbeat-ms") {
-      if (i + 1 >= argc) return usage();
-      heartbeat_ms = std::atof(argv[++i]);
+      if (!read_number(&opt.heartbeat_ms)) return usage();
     } else if (arg == "--listen") {
       if (i + 1 >= argc) return usage();
-      listen_spec = argv[++i];
+      opt.listen_spec = argv[++i];
     } else if (arg == "--advertise") {
       if (i + 1 >= argc) return usage();
-      advertise_host = argv[++i];
+      opt.advertise_host = argv[++i];
     } else if (arg == "--chaos-seed") {
-      if (i + 1 >= argc) return usage();
-      chaos.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!read_count(&opt.chaos.seed)) return usage();
     } else if (arg == "--chaos-drop") {
-      if (i + 1 >= argc) return usage();
-      chaos.drop = std::atof(argv[++i]);
+      if (!read_number(&opt.chaos.drop)) return usage();
     } else if (arg == "--chaos-dup") {
-      if (i + 1 >= argc) return usage();
-      chaos.duplicate = std::atof(argv[++i]);
+      if (!read_number(&opt.chaos.duplicate)) return usage();
     } else if (arg == "--chaos-reorder") {
-      if (i + 1 >= argc) return usage();
-      chaos.reorder = std::atof(argv[++i]);
+      if (!read_number(&opt.chaos.reorder)) return usage();
     } else if (arg == "--chaos-delay") {
-      if (i + 1 >= argc) return usage();
-      chaos.delay = std::atof(argv[++i]);
+      if (!read_number(&opt.chaos.delay)) return usage();
     } else if (arg == "--chaos-delay-ms") {
-      if (i + 1 >= argc) return usage();
-      chaos.delay_ms = std::atof(argv[++i]);
+      if (!read_number(&opt.chaos.delay_ms)) return usage();
     } else if (arg == "--chaos-partition-after") {
-      if (i + 1 >= argc) return usage();
-      chaos.partition_after =
-          static_cast<std::size_t>(std::atol(argv[++i]));
+      if (!read_count(&opt.chaos.partition_after)) return usage();
     } else if (arg == "--chaos-partition-ms") {
-      if (i + 1 >= argc) return usage();
-      chaos.partition_ms = std::atof(argv[++i]);
+      if (!read_number(&opt.chaos.partition_ms)) return usage();
     } else if (arg == "--chaos-partition-repeat") {
-      chaos.partition_repeat = true;
-    } else if (arg == "--connect") {  // worker mode: dial the leader
-      if (i + 1 >= argc) return usage();
-      worker_mode = true;
-      if (!dist::parse_host_port(argv[++i], &worker_cfg.connect_host,
-                                 &worker_cfg.connect_port)) {
+      opt.chaos.partition_repeat = true;
+    } else if (arg == "--connect") {  // worker started by hand
+      if (i + 1 >= argc ||
+          !dist::parse_host_port(argv[++i], &opt.worker.connect_host,
+                                 &opt.worker.connect_port)) {
         return usage();
       }
-    } else if (arg == "--worker-epoch") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.epoch = std::strtoull(argv[++i], nullptr, 10);
+      opt.worker_mode = true;
     } else if (arg == "--worker-shard") {
-      if (i + 1 >= argc) return usage();
-      worker_mode = true;
-      if (!parse_shard_range(argv[++i], &worker_cfg.range)) return usage();
-    } else if (arg == "--worker-id") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.shard = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--worker-generation") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.generation = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--quarantine") {
-      if (i + 1 >= argc) return usage();
-      if (!parse_index_list(argv[++i], &worker_cfg.quarantine)) {
+      if (i + 1 >= argc || !parse_shard_range(argv[++i], &opt.worker.range)) {
         return usage();
       }
-    } else if (arg == "--crash-on-index") {  // fault injection (tests/smoke)
-      if (i + 1 >= argc) return usage();
-      worker_cfg.crash_on_index = std::atol(argv[++i]);
-    } else if (arg == "--stall-on-index") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.stall_on_index = std::atol(argv[++i]);
+      opt.worker_mode = true;
+    } else if (arg == "--worker-epoch") {
+      if (!read_count(&opt.worker.epoch)) return usage();
+    } else if (arg == "--worker-id") {
+      if (!read_count(&opt.worker.shard)) return usage();
     } else if (!arg.empty() && arg.front() == '-') {
       return usage();
-    } else if (config_path.empty()) {
-      config_path = arg;
+    } else if (opt.config_path.empty()) {
+      opt.config_path = arg;
     } else {
       return usage();
     }
   }
-  if (config_path.empty()) return usage();
+  if (opt.config_path.empty()) return usage();
   // --journal and --resume are documented as alternatives: --resume PATH
   // already appends newly finished points to PATH. Passing both used to
   // silently keep whichever came last; make the conflict loud instead.
@@ -487,38 +518,13 @@ int main(int argc, char** argv) {
   // --listen/--advertise configure where the leader listens; without
   // --workers they would be silently ignored (and a bad HOST:PORT never
   // diagnosed). Make that loud too.
-  if (!listen_spec.empty() && (workers <= 0 || worker_mode)) {
+  if (!opt.listen_spec.empty() && (opt.workers == 0 || opt.worker_mode)) {
     std::fprintf(stderr, "psync_sim: --listen requires --workers N\n");
     return usage();
   }
-  if (!advertise_host.empty() && listen_spec.empty()) {
+  if (!opt.advertise_host.empty() && opt.listen_spec.empty()) {
     std::fprintf(stderr, "psync_sim: --advertise requires --listen\n");
     return usage();
-  }
-
-  // Worker mode: a shard worker launched by a leader's --workers run. The
-  // spec is rebuilt from the same config + overrides the leader saw; shard
-  // window, leader address and heartbeat plumbing come from the worker
-  // flags.
-  // run_worker installs its own signal handling and never throws.
-  if (worker_mode) {
-    try {
-      const IniConfig cfg = IniConfig::load(config_path);
-      auto spec = driver::spec_from_config(cfg);
-      if (threads_override > 0) {
-        spec.threads = static_cast<std::size_t>(threads_override);
-      }
-      if (timeout_ms >= 0.0) spec.guard.point_timeout_ms = timeout_ms;
-      if (retries_override >= 0) {
-        spec.guard.max_retries = static_cast<std::size_t>(retries_override);
-      }
-      worker_cfg.heartbeat_ms = heartbeat_ms;
-      worker_cfg.chaos = chaos;
-      return dist::run_worker(spec, worker_cfg);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "psync_sim (worker): %s\n", e.what());
-      return 1;
-    }
   }
 
   install_signal_handlers();
@@ -526,152 +532,54 @@ int main(int argc, char** argv) {
   try {
     perf::PhaseProfiler prof;
     prof.begin("parse + validate config");
-    const IniConfig cfg = IniConfig::load(config_path);
-
-    // Schema validation: typos stop silently meaning "use the default".
-    const auto diags = driver::sim_config_schema().validate(cfg);
-    strict = strict || cfg.get_bool("experiment", "strict", false);
-    for (const auto& d : diags) {
-      std::fprintf(stderr, "psync_sim: %s: %s\n",
-                   strict ? "error" : "warning", d.to_string().c_str());
-    }
-    if (strict && !diags.empty()) {
-      std::fprintf(stderr, "psync_sim: %zu config problem(s) (--strict)\n",
-                   diags.size());
-      return 2;
-    }
-
-    auto spec = driver::spec_from_config(cfg);
-    if (threads_override > 0) {
-      spec.threads = static_cast<std::size_t>(threads_override);
-    }
-    if (!journal_path.empty()) spec.journal_path = journal_path;
-    spec.resume = spec.resume || resume;
-    if (timeout_ms >= 0.0) spec.guard.point_timeout_ms = timeout_ms;
-    if (retries_override >= 0) {
-      spec.guard.max_retries = static_cast<std::size_t>(retries_override);
-    }
-    json = json || cfg.get_bool("experiment", "json", false);
-    csv = csv || cfg.get_bool("experiment", "csv", false);
+    driver::ExperimentSpec spec;
+    if (const int rc = build_spec(opt, &spec); rc != 0) return rc;
     prof.end();
+
+    // A worker started by hand for a leader's --workers run (the two-host
+    // recipe). run_worker overlays the shard window, installs its own
+    // signal handling and never throws.
+    if (opt.worker_mode) {
+      opt.worker.heartbeat_ms = opt.heartbeat_ms;
+      opt.worker.chaos = opt.chaos;
+      return dist::run_worker(spec, opt.worker);
+    }
 
     prof.begin("run sweep");
     driver::SweepResult result;
-    if (workers > 0) {
-      // Distributed leader: shard the grid across worker processes that
-      // re-invoke this binary in --worker-shard mode. The merged result
-      // renders through exactly the same paths as a serial run.
-      dist::SupervisorOptions opts;
-      opts.workers = static_cast<std::size_t>(workers);
-      opts.heartbeat_ms = heartbeat_ms;
-      opts.journal_base = !spec.journal_path.empty()
-                              ? spec.journal_path
-                              : "/tmp/psync-dist-" + std::to_string(::getpid());
-      opts.cancel = &g_cancel;
-      if (!listen_spec.empty()) {
-        if (!dist::parse_host_port(listen_spec, &opts.listen_host,
-                                   &opts.listen_port)) {
+    if (opt.workers > 0) {
+      // Distributed leader: shard the grid across forked worker processes
+      // that run this very spec. The merged result renders through exactly
+      // the same paths as a serial run.
+      dist::SupervisorOptions sup;
+      sup.workers = opt.workers;
+      sup.heartbeat_ms = opt.heartbeat_ms;
+      sup.journal_base = !spec.journal_path.empty()
+                             ? spec.journal_path
+                             : "/tmp/psync-dist-" + std::to_string(::getpid());
+      sup.cancel = &g_cancel;
+      if (!opt.listen_spec.empty()) {
+        if (!dist::parse_host_port(opt.listen_spec, &sup.listen_host,
+                                   &sup.listen_port)) {
           std::fprintf(stderr, "psync_sim: bad --listen '%s'\n",
-                       listen_spec.c_str());
+                       opt.listen_spec.c_str());
           return usage();
         }
-        opts.advertise_host = advertise_host;
+        sup.advertise_host = opt.advertise_host;
       }
       // Per-shard chaos seeds: derived, not shared, so the shards' fault
       // sequences decorrelate while a fixed --chaos-seed still replays the
       // identical run.
       const dist::LaunchHook hook = [&](dist::WorkerConfig& wc) {
-        if (chaos.seed == 0) return;
-        wc.chaos = chaos;
-        wc.chaos.seed = chaos.seed ^ (0x9E3779B97F4A7C15ULL * (wc.shard + 1));
+        if (opt.chaos.seed == 0) return;
+        wc.chaos = opt.chaos;
+        wc.chaos.seed =
+            opt.chaos.seed ^ (0x9E3779B97F4A7C15ULL * (wc.shard + 1));
         if (wc.chaos.seed == 0) wc.chaos.seed = 1;  // 0 would disarm it
       };
-      const dist::WorkerBody body = [&](const driver::ExperimentSpec&,
-                                        const dist::WorkerConfig& wc) -> int {
-        std::vector<std::string> args = {
-            "psync_sim",
-            "--worker-shard",
-            std::to_string(wc.range.begin) + ":" + std::to_string(wc.range.end),
-            "--worker-id", std::to_string(wc.shard),
-            "--worker-generation", std::to_string(wc.generation),
-            "--heartbeat-ms", std::to_string(wc.heartbeat_ms),
-            "--threads", "1",
-            "--connect",
-            wc.connect_host + ":" + std::to_string(wc.connect_port),
-            "--worker-epoch", std::to_string(wc.epoch)};
-        if (wc.chaos.seed != 0) {
-          const auto dbl = [](double v) {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            return std::string(buf);
-          };
-          args.push_back("--chaos-seed");
-          args.push_back(std::to_string(wc.chaos.seed));
-          args.push_back("--chaos-drop");
-          args.push_back(dbl(wc.chaos.drop));
-          args.push_back("--chaos-dup");
-          args.push_back(dbl(wc.chaos.duplicate));
-          args.push_back("--chaos-reorder");
-          args.push_back(dbl(wc.chaos.reorder));
-          args.push_back("--chaos-delay");
-          args.push_back(dbl(wc.chaos.delay));
-          args.push_back("--chaos-delay-ms");
-          args.push_back(dbl(wc.chaos.delay_ms));
-          args.push_back("--chaos-partition-after");
-          args.push_back(std::to_string(wc.chaos.partition_after));
-          args.push_back("--chaos-partition-ms");
-          args.push_back(dbl(wc.chaos.partition_ms));
-          if (wc.chaos.partition_repeat) {
-            args.push_back("--chaos-partition-repeat");
-          }
-        }
-        if (!wc.quarantine.empty()) {
-          std::string list;
-          for (const std::size_t idx : wc.quarantine) {
-            if (!list.empty()) list += ',';
-            list += std::to_string(idx);
-          }
-          args.push_back("--quarantine");
-          args.push_back(list);
-        }
-        if (wc.crash_on_index >= 0) {
-          args.push_back("--crash-on-index");
-          args.push_back(std::to_string(wc.crash_on_index));
-        }
-        if (wc.stall_on_index >= 0) {
-          args.push_back("--stall-on-index");
-          args.push_back(std::to_string(wc.stall_on_index));
-        }
-        if (timeout_ms >= 0.0) {
-          args.push_back("--timeout-ms");
-          args.push_back(std::to_string(timeout_ms));
-        }
-        if (retries_override >= 0) {
-          args.push_back("--retries");
-          args.push_back(std::to_string(retries_override));
-        }
-        args.push_back(config_path);
-        std::vector<char*> argv_exec;
-        argv_exec.reserve(args.size() + 1);
-        for (auto& a : args) argv_exec.push_back(a.data());
-        argv_exec.push_back(nullptr);
-        ::execv("/proc/self/exe", argv_exec.data());
-        std::fprintf(stderr, "psync_sim: execv failed: %s\n",
-                     std::strerror(errno));
-        return 127;
-      };
-      result = dist::run_distributed(spec, opts, body, hook);
+      result = dist::run_distributed(spec, sup, {}, hook);
     } else {
       spec.cancel = &g_cancel;
-      // Session API: validate (pure, typed diagnostics — all of them, not
-      // just the first throw), then submit the frozen spec and join.
-      const auto errors = driver::Session::validate(spec);
-      if (!errors.empty()) {
-        for (const auto& err : errors) {
-          std::fprintf(stderr, "psync_sim: error: %s\n", err.what());
-        }
-        return 1;
-      }
       driver::Session session;
       auto handle = session.submit(spec);
       handle.wait();
@@ -680,9 +588,9 @@ int main(int argc, char** argv) {
     prof.end(result.records.size(), "points");
 
     prof.begin("render output");
-    if (json) {
+    if (opt.json) {
       std::printf("%s\n", driver::sweep_json(result).c_str());
-    } else if (csv) {
+    } else if (opt.csv) {
       std::printf("%s", driver::sweep_csv(result).c_str());
     } else if (!spec.axes.empty()) {
       std::printf("%s", driver::sweep_table(result, sweep_title(spec)).c_str());
@@ -691,7 +599,7 @@ int main(int argc, char** argv) {
     }
     prof.end();
 
-    if (profile) print_profile(prof, result);
+    if (opt.profile) print_profile(prof, result);
 
     // Campaign accounting: surfaced whenever journaling/resume is active
     // or some point did not finish clean (stderr, so piped --json/--csv
@@ -715,7 +623,7 @@ int main(int argc, char** argv) {
     }
     // Distributed supervision accounting (never serialized: the JSON/CSV
     // stay byte-identical to a single-process run).
-    if (workers > 0 &&
+    if (opt.workers > 0 &&
         (camp.worker_restarts > 0 || camp.worker_steals > 0 ||
          camp.worker_reconnects > 0 || camp.worker_fenced > 0 ||
          !camp.worker_failures.empty())) {
@@ -734,7 +642,7 @@ int main(int argc, char** argv) {
       }
     }
     if (camp.ok == 0 && camp.points > 0) return 1;  // nothing succeeded
-    if (strict && !camp.all_ok()) return 3;
+    if (opt.strict && !camp.all_ok()) return 3;
     return 0;
   } catch (const CancelledError& e) {
     std::fprintf(stderr,
