@@ -156,6 +156,30 @@ std::optional<double> parse_double(const std::string& text) {
   return v;
 }
 
+std::optional<std::uint64_t> parse_decimal(std::string_view text) {
+  if (text.empty() || (text.size() > 1 && text.front() == '0')) {
+    return std::nullopt;
+  }
+  std::uint64_t v = 0;
+  for (const char ch : text) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;
+    }
+    v = v * 10 + digit;
+  }
+  return v;
+}
+
+std::optional<std::uint64_t> take_decimal(const char** p, const char* end) {
+  const char* q = *p;
+  while (q < end && *q >= '0' && *q <= '9') ++q;
+  const auto v = parse_decimal({*p, static_cast<std::size_t>(q - *p)});
+  if (v) *p = q;
+  return v;
+}
+
 std::optional<bool> parse_bool(const std::string& text) {
   const std::string low = lower(text);
   if (low == "true" || low == "yes" || low == "on" || low == "1") return true;

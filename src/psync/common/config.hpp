@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace psync {
@@ -50,6 +51,17 @@ class IniConfig {
 std::optional<std::int64_t> parse_int(const std::string& text);
 std::optional<double> parse_double(const std::string& text);
 std::optional<bool> parse_bool(const std::string& text);
+
+/// Strict unsigned decimal, the one integer rule of every count, index,
+/// seed and digest the tools and wire formats read: ASCII digits only (no
+/// sign, space or base prefix, no leading zero but "0" itself), the full
+/// u64 range, nullopt on anything else or past 2^64-1.
+std::optional<std::uint64_t> parse_decimal(std::string_view text);
+
+/// parse_decimal over the digit run at `*p` (stopping at `end` or the
+/// first non-digit), advancing `*p` past it on success — for the
+/// cursor-style line parsers, which check what follows themselves.
+std::optional<std::uint64_t> take_decimal(const char** p, const char* end);
 
 /// One problem found while validating a config against a ConfigSchema.
 struct ConfigDiagnostic {

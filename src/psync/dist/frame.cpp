@@ -1,8 +1,8 @@
 #include "psync/dist/frame.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
+#include <string_view>
+
+#include "psync/common/config.hpp"
 
 namespace psync::dist {
 
@@ -66,15 +66,13 @@ void FrameDecoder::reset() {
 
 namespace {
 
-/// Parse one decimal field at *p; advances *p past it. Returns false on
-/// no digits or overflow.
-bool parse_u64(const char** p, std::uint64_t* out) {
-  char* endp = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(*p, &endp, 10);
-  if (endp == *p || errno != 0) return false;
-  *p = endp;
-  *out = v;
+/// Consume `lit` at *p; false (nothing consumed) when the bytes differ.
+bool take_literal(const char** p, const char* end, std::string_view lit) {
+  if (static_cast<std::size_t>(end - *p) < lit.size() ||
+      std::string_view(*p, lit.size()) != lit) {
+    return false;
+  }
+  *p += lit.size();
   return true;
 }
 
@@ -86,17 +84,15 @@ std::string hello_payload(const HelloClaim& claim) {
 }
 
 bool parse_hello_payload(const std::string& payload, HelloClaim* out) {
-  const char* p = payload.c_str();
-  if (std::strncmp(p, "shard ", 6) != 0) return false;
-  p += 6;
-  std::uint64_t shard = 0;
-  if (!parse_u64(&p, &shard)) return false;
-  if (std::strncmp(p, " epoch ", 7) != 0) return false;
-  p += 7;
-  std::uint64_t epoch = 0;
-  if (!parse_u64(&p, &epoch) || *p != '\0') return false;
-  out->shard = static_cast<std::size_t>(shard);
-  out->epoch = epoch;
+  const char* p = payload.data();
+  const char* end = p + payload.size();
+  if (!take_literal(&p, end, "shard ")) return false;
+  const auto shard = take_decimal(&p, end);
+  if (!shard || !take_literal(&p, end, " epoch ")) return false;
+  const auto epoch = take_decimal(&p, end);
+  if (!epoch || p != end) return false;
+  out->shard = static_cast<std::size_t>(*shard);
+  out->epoch = *epoch;
   return true;
 }
 
@@ -106,11 +102,12 @@ std::string journal_payload(std::size_t index, const std::string& line) {
 
 bool parse_journal_payload(const std::string& payload, std::size_t* index,
                            std::string* line) {
-  const char* p = payload.c_str();
-  std::uint64_t idx = 0;
-  if (!parse_u64(&p, &idx) || *p != ' ') return false;
-  *index = static_cast<std::size_t>(idx);
-  line->assign(p + 1);
+  const char* p = payload.data();
+  const char* end = p + payload.size();
+  const auto idx = take_decimal(&p, end);
+  if (!idx || !take_literal(&p, end, " ")) return false;
+  *index = static_cast<std::size_t>(*idx);
+  line->assign(p, end);
   return true;
 }
 
@@ -120,10 +117,9 @@ std::string journal_ack_payload(std::size_t index) {
 
 bool parse_journal_ack_payload(const std::string& payload,
                                std::size_t* index) {
-  const char* p = payload.c_str();
-  std::uint64_t idx = 0;
-  if (!parse_u64(&p, &idx) || *p != '\0') return false;
-  *index = static_cast<std::size_t>(idx);
+  const auto idx = parse_decimal(payload);
+  if (!idx) return false;
+  *index = static_cast<std::size_t>(*idx);
   return true;
 }
 

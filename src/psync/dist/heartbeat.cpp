@@ -1,9 +1,10 @@
 #include "psync/dist/heartbeat.hpp"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
+#include <limits>
+#include <string_view>
 
+#include "psync/common/config.hpp"
 #include "psync/dist/transport.hpp"
 
 namespace psync::dist {
@@ -35,40 +36,38 @@ std::string heartbeat_line(const Heartbeat& hb) {
 
 bool parse_heartbeat_line(const std::string& line, Heartbeat* out) {
   // "hb <shard> <kind> <done> <inflight>" — strict: exactly five fields,
-  // single spaces, decimal numbers. Anything else is noise.
-  const char* p = line.c_str();
-  if (line.size() < 3 || p[0] != 'h' || p[1] != 'b' || p[2] != ' ') {
-    return false;
-  }
+  // single spaces, strict decimals (inflight "-" when idle). Anything else
+  // is noise.
+  const char* p = line.data();
+  const char* end = p + line.size();
+  const auto space = [&] { return p < end && *p++ == ' '; };
+  if (line.rfind("hb ", 0) != 0) return false;
   p += 3;
   Heartbeat hb;
-  char* endp = nullptr;
-  errno = 0;
-  const unsigned long long shard = std::strtoull(p, &endp, 10);
-  if (endp == p || errno != 0 || *endp != ' ') return false;
-  hb.shard = static_cast<std::size_t>(shard);
-  p = endp + 1;
-  switch (*p) {
+  const auto shard = take_decimal(&p, end);
+  if (!shard || !space() || p == end) return false;
+  switch (*p++) {
     case 'p': hb.kind = Heartbeat::Kind::kProgress; break;
     case 's': hb.kind = Heartbeat::Kind::kPointStart; break;
     case 'd': hb.kind = Heartbeat::Kind::kPointDone; break;
     default: return false;
   }
-  if (p[1] != ' ') return false;
-  p += 2;
-  errno = 0;
-  const unsigned long long done = std::strtoull(p, &endp, 10);
-  if (endp == p || errno != 0 || *endp != ' ') return false;
-  hb.points_done = done;
-  p = endp + 1;
-  if (p[0] == '-' && p[1] == '\0') {
+  if (!space()) return false;
+  const auto done = take_decimal(&p, end);
+  if (!done || !space()) return false;
+  if (std::string_view(p, static_cast<std::size_t>(end - p)) == "-") {
     hb.inflight = -1;
   } else {
-    errno = 0;
-    const unsigned long long inflight = std::strtoull(p, &endp, 10);
-    if (endp == p || errno != 0 || *endp != '\0') return false;
-    hb.inflight = static_cast<std::int64_t>(inflight);
+    const auto inflight = parse_decimal({p, static_cast<std::size_t>(end - p)});
+    if (!inflight ||
+        *inflight > static_cast<std::uint64_t>(
+                        std::numeric_limits<std::int64_t>::max())) {
+      return false;
+    }
+    hb.inflight = static_cast<std::int64_t>(*inflight);
   }
+  hb.shard = static_cast<std::size_t>(*shard);
+  hb.points_done = *done;
   *out = hb;
   return true;
 }

@@ -1,69 +1,68 @@
 #include "psync/dist/merge.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "psync/common/check.hpp"
-#include "psync/common/journal.hpp"
 
 namespace psync::dist {
+
+JournalMerger::JournalMerger(std::size_t grid, Emit emit)
+    : emit_(std::move(emit)) {
+  merged_.records.resize(grid);
+  merged_.present.assign(grid, 0);
+}
+
+bool JournalMerger::offer(driver::RunRecord rec) {
+  const std::size_t idx = rec.index;
+  if (idx >= merged_.records.size()) {
+    throw JournalConflictError(
+        "journal merge: record index " + std::to_string(idx) +
+        " outside the sweep grid of " +
+        std::to_string(merged_.records.size()) + " point(s)");
+  }
+  if (merged_.present[idx] != 0) {
+    const driver::PointStatus first = merged_.records[idx].status;
+    if (rec.status != first) {
+      throw JournalConflictError(
+          "journal merge: point " + std::to_string(idx) +
+          " recorded twice with conflicting status ('" +
+          driver::to_string(first) + "' first, then '" +
+          driver::to_string(rec.status) + "')");
+    }
+    ++merged_.duplicates;
+    return false;
+  }
+  merged_.records[idx] = std::move(rec);
+  merged_.present[idx] = 1;
+  ++arrived_;
+  // The contiguous prefix grows only when the gap at next_ closes; emit
+  // every record it unblocked.
+  while (next_ < merged_.present.size() && merged_.present[next_] != 0) {
+    if (emit_) emit_(next_, merged_.records[next_]);
+    ++next_;
+  }
+  return true;
+}
+
+MergedJournal JournalMerger::take() && {
+  for (std::size_t i = 0; i < merged_.present.size(); ++i) {
+    if (merged_.present[i] == 0) merged_.missing.push_back(i);
+  }
+  return std::move(merged_);
+}
 
 MergedJournal merge_journals(const std::vector<driver::RunPoint>& points,
                              const std::string& workload,
                              std::vector<std::string> paths) {
-  // Sorted paths make "first record wins" a deterministic rule rather than
-  // an accident of supervisor scheduling.
   std::sort(paths.begin(), paths.end());
-
-  MergedJournal merged;
-  merged.records.resize(points.size());
-  merged.present.assign(points.size(), 0);
-
+  JournalMerger merger(points.size());
   for (const auto& path : paths) {
-    for (const auto& line : read_journal_lines(path)) {
-      driver::JournalEntry entry;
-      if (!driver::parse_journal_line(line, &entry)) {
-        throw JournalCorruptError("journal merge: corrupt line in '" + path +
-                                  "'");
-      }
-      const std::size_t idx = entry.rec.index;
-      if (idx >= points.size()) {
-        throw JournalConflictError(
-            "journal merge: '" + path + "' records point " +
-            std::to_string(idx) + " outside this sweep's grid of " +
-            std::to_string(points.size()) + " point(s)");
-      }
-      if (entry.seed != points[idx].seed || entry.rec.workload != workload) {
-        throw JournalConflictError(
-            "journal merge: '" + path + "' point " + std::to_string(idx) +
-            " does not match this sweep (seed/workload differ); refusing to "
-            "mix campaigns");
-      }
-      if (merged.present[idx] != 0) {
-        // Legitimate duplicate: a straggler finished a point after its
-        // remaining range was stolen, so the thief's journal re-records it.
-        // Both are re-derivations of the same deterministic point, so their
-        // verdicts must agree; wall-clock and retry counts may differ and
-        // are not output-bearing.
-        if (entry.rec.status != merged.records[idx].status) {
-          throw JournalConflictError(
-              "journal merge: point " + std::to_string(idx) +
-              " recorded with conflicting status ('" +
-              driver::to_string(entry.rec.status) + "' in '" + path +
-              "' vs '" + driver::to_string(merged.records[idx].status) +
-              "' seen earlier)");
-        }
-        ++merged.duplicates;
-        continue;
-      }
-      merged.records[idx] = std::move(entry.rec);
-      merged.present[idx] = 1;
+    for (auto& entry : driver::read_sweep_journal(path, points, workload)) {
+      merger.offer(std::move(entry.rec));
     }
   }
-
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (merged.present[i] == 0) merged.missing.push_back(i);
-  }
-  return merged;
+  return std::move(merger).take();
 }
 
 }  // namespace psync::dist

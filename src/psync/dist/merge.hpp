@@ -14,10 +14,13 @@
 // died at any instruction. Torn tails were already dropped by
 // read_journal_lines; everything else must either parse cleanly or raise a
 // typed error (JournalCorruptError / JournalConflictError) — never UB,
-// never a silently dropped point.
+// never a silently dropped point. Whether a record belongs to this sweep
+// at all is driver::admit_journal_entry's call, made before a record
+// reaches the merger.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,20 +37,63 @@ struct MergedJournal {
   std::vector<char> present;
   /// Grid indices no journal covered, ascending.
   std::vector<std::size_t> missing;
-  /// Lines dropped as agreeing duplicates (a point journaled by both a
-  /// straggler and the thief that took over its range).
+  /// Records dropped as agreeing duplicates (a point journaled by both a
+  /// straggler and the thief that took over its range, or a retransmitted
+  /// journal frame).
   std::size_t duplicates = 0;
 };
 
+/// The one dedup policy over a sweep grid, for the end-of-run merge and
+/// the leader's live view alike: records arrive in any order; the first
+/// record per index wins; a later duplicate that agrees on status is
+/// counted (the records are re-derivations of the same deterministic
+/// point — wall-clock and retry counts may differ and are not
+/// output-bearing); a disagreeing duplicate is a JournalConflictError —
+/// better a loud failure than silently picking one of two contradictory
+/// results. As records become contiguous from index 0 the merger hands
+/// them, in strictly ascending index order, to an optional sink: served
+/// campaigns see partial tables grow front-to-back while late shards still
+/// compute.
+class JournalMerger {
+ public:
+  using Emit = std::function<void(std::size_t, const driver::RunRecord&)>;
+
+  /// `grid` is the full sweep size; `emit` may be empty (no live view).
+  explicit JournalMerger(std::size_t grid, Emit emit = {});
+
+  /// Offer one admitted record. Returns true when it was the first for
+  /// its index. Throws JournalConflictError on a status-disagreeing
+  /// duplicate, and on an index past the grid (a bounds guard; membership
+  /// itself is admit_journal_entry's).
+  bool offer(driver::RunRecord rec);
+
+  /// Indices [0, emitted()) have been delivered to the sink.
+  [[nodiscard]] std::size_t emitted() const { return next_; }
+  /// First records seen so far (emitted + held).
+  [[nodiscard]] std::size_t arrived() const { return arrived_; }
+  /// Records waiting on a lower-index gap.
+  [[nodiscard]] std::size_t held() const { return arrived_ - next_; }
+  /// Agreeing duplicates tolerated.
+  [[nodiscard]] std::size_t duplicates() const { return merged_.duplicates; }
+
+  /// The merged set, with `missing` filled in; the merger is spent.
+  MergedJournal take() &&;
+
+ private:
+  Emit emit_;
+  MergedJournal merged_;
+  std::size_t next_ = 0;
+  std::size_t arrived_ = 0;
+};
+
 /// Merge the journals at `paths` against the expanded grid `points` of a
-/// `workload` sweep. Paths are read in sorted order and the first record
-/// seen for an index wins; later duplicates must agree on status (the
-/// records are re-derivations of the same deterministic point) and are
-/// counted, a disagreement is a JournalConflictError. Other typed errors:
-/// JournalCorruptError for an unparseable non-tail line, and
-/// JournalConflictError for an out-of-grid index, a seed mismatch, or a
-/// workload mismatch — signs the file belongs to a different campaign.
-/// Missing files read as empty (a worker may die before its first append).
+/// `workload` sweep: the paths in sorted order (so "first record wins" is
+/// a deterministic rule rather than an accident of supervisor scheduling),
+/// each line read and admitted by driver::read_sweep_journal, replayed
+/// through one JournalMerger. Typed errors: JournalCorruptError for an
+/// unparseable non-tail line, JournalConflictError for a record of
+/// another sweep or a disagreeing duplicate. Missing files read as empty
+/// (a worker may die before its first append).
 MergedJournal merge_journals(const std::vector<driver::RunPoint>& points,
                              const std::string& workload,
                              std::vector<std::string> paths);

@@ -27,7 +27,6 @@
 #include "psync/dist/frame.hpp"
 #include "psync/dist/heartbeat.hpp"
 #include "psync/dist/merge.hpp"
-#include "psync/dist/stream_merge.hpp"
 #include "psync/dist/transport.hpp"
 #include "psync/driver/campaign.hpp"
 #include "psync/driver/sweep.hpp"
@@ -85,12 +84,14 @@ bool send_frame_fd(int fd, const Frame& frame) {
 }
 
 /// Leader-side journal ownership for one assignment: the writer holding
-/// the shard journal's flock, plus the per-index status map that makes
-/// retransmitted journal frames idempotent. Shared because
-/// a steal re-partition hands chunk 0 the same journal file.
+/// the shard journal's flock, plus the grid indices the file holds — which
+/// make retransmitted journal frames append-once, and tell a relaunch or a
+/// steal what is left. Every line of the file was either read in at attach
+/// or appended through here. Shared because a steal re-partition hands
+/// chunk 0 the same journal file.
 struct LeaderJournal {
   JournalWriter writer;
-  std::map<std::size_t, driver::PointStatus> status;
+  std::set<std::size_t> recorded;
 };
 
 /// One unit of schedulable work: a contiguous grid range bound to its own
@@ -145,8 +146,8 @@ struct PendingConn {
 class Supervisor {
  public:
   Supervisor(const driver::ExperimentSpec& spec, const SupervisorOptions& opts,
-             const WorkerBody& body, const LaunchHook& hook)
-      : spec_(spec), opts_(opts), body_(body), hook_(hook) {
+             const LaunchHook& hook)
+      : spec_(spec), opts_(opts), hook_(hook) {
     if (opts_.journal_base.empty()) {
       throw ConfigError(
           "distributed sweep requires a journal base path (the shard "
@@ -169,7 +170,7 @@ class Supervisor {
   driver::SweepResult run() {
     listen_fd_ = tcp_listen(opts_.listen_host, opts_.listen_port,
                             &listen_port_);
-    if (opts_.on_record) merger_.emplace(points_.size(), opts_.on_record);
+    merger_.emplace(points_.size(), opts_.on_record);
     for (const auto& range : plan_shards(points_.size(), opts_.workers)) {
       Assignment asg;
       asg.shard = next_shard_id_++;
@@ -227,9 +228,12 @@ class Supervisor {
         ::close(seat.conn_fd);
         seat.conn_fd = -1;
       }
+      if (seat.pid > 0) orphans_.push_back(seat.pid);
+      seat.pid = -1;
     }
     // Orphans are partitioned workers the loop deliberately left alive so
-    // fencing could turn them away. The run is over: nobody will answer
+    // fencing could turn them away, plus — when an exception ended the
+    // loop — workers still running. The run is over: nobody will answer
     // their reconnects, so end them.
     for (const pid_t pid : orphans_) {
       ::kill(pid, SIGKILL);
@@ -347,7 +351,7 @@ class Supervisor {
     // its window past the durably-done prefix. Interior gaps (a steal
     // overlap) re-run and land as agreeing duplicates.
     while (cfg.range.begin < cfg.range.end &&
-           seat.asg.led->status.count(cfg.range.begin) != 0) {
+           seat.asg.led->recorded.count(cfg.range.begin) != 0) {
       ++cfg.range.begin;
     }
     if (cfg.range.begin >= cfg.range.end) {
@@ -379,9 +383,7 @@ class Supervisor {
       for (const auto& other : seats_) {
         if (other.conn_fd >= 0) ::close(other.conn_fd);
       }
-      const int rc = body_ ? body_(worker_spec_, cfg)
-                           : run_worker(worker_spec_, cfg);
-      ::_exit(rc);
+      ::_exit(run_worker(worker_spec_, cfg));
     }
 
     seat.pid = pid;
@@ -400,18 +402,17 @@ class Supervisor {
     ++seat.asg.launches;
   }
 
-  /// Open the leader's writer on an assignment's journal and
-  /// replay its existing records into the dedup map (and the streaming
-  /// merger — a resumed file is history subscribers have not seen).
+  /// Open the leader's writer on an assignment's journal and replay its
+  /// existing records, each admitted against this sweep, into the
+  /// recorded set and the merger (a resumed file is history subscribers
+  /// have not seen). A journal left by another sweep fails the run here,
+  /// with a JournalConflictError, before any point of it is trusted.
   void attach_leader_journal(Assignment& asg) {
     asg.led = std::make_shared<LeaderJournal>();
-    for (const auto& line : read_journal_lines(asg.journal)) {
-      driver::JournalEntry entry;
-      // Unparseable lines read as undone here and re-run; the final merge
-      // still applies the strict typed checks to every line.
-      if (!driver::parse_journal_line(line, &entry)) continue;
-      asg.led->status.emplace(entry.rec.index, entry.rec.status);
-      if (merger_) merger_->offer(entry.rec);
+    for (auto& entry :
+         driver::read_sweep_journal(asg.journal, points_, spec_.workload)) {
+      asg.led->recorded.insert(entry.rec.index);
+      merger_->offer(std::move(entry.rec));
     }
     asg.led->writer.open(asg.journal, /*keep_existing=*/true);
   }
@@ -659,43 +660,28 @@ class Supervisor {
                         : seat.inflight;
   }
 
-  /// One shipped journal record: append-once (fsync before the ack, so an
-  /// acked record is durable), dedup retransmissions by grid index, and
-  /// feed the streaming merger. A status-disagreeing duplicate or a
-  /// record that contradicts the grid is a JournalConflictError — the
-  /// same trust model as the batch merge.
+  /// One shipped journal record: admitted against this sweep, appended
+  /// once per journal file (fsync before the ack, so an acked record is
+  /// durable), then offered to the merger — which counts a retransmission
+  /// or steal overlap and throws JournalConflictError on a disagreeing
+  /// one, the same policy as the end-of-run merge.
   void handle_journal_frame(Seat& seat, const std::string& payload) {
     std::size_t index = 0;
     std::string line;
-    if (!parse_journal_payload(payload, &index, &line)) return;  // garbled
     driver::JournalEntry entry;
-    if (!driver::parse_journal_line(line, &entry) ||
+    if (!parse_journal_payload(payload, &index, &line) ||
+        !driver::parse_journal_line(line, &entry) ||
         entry.rec.index != index) {
-      return;  // no ack: the worker retransmits (or dies trying)
+      return;  // garbled, no ack: the worker retransmits (or dies trying)
     }
-    if (index >= points_.size() || entry.seed != points_[index].seed) {
-      throw JournalConflictError(
-          "shard " + std::to_string(seat.asg.shard) +
-          " shipped a record that does not match this sweep (point " +
-          std::to_string(index) + "); refusing to mix campaigns");
-    }
+    driver::admit_journal_entry(entry, points_, spec_.workload,
+                                seat.asg.journal);
     PSYNC_CHECK(seat.asg.led != nullptr);
     LeaderJournal& led = *seat.asg.led;
-    const auto it = led.status.find(index);
-    if (it != led.status.end()) {
-      if (it->second != entry.rec.status) {
-        throw JournalConflictError(
-            "point " + std::to_string(index) +
-            " shipped twice with disagreeing status (" +
-            std::string(driver::to_string(it->second)) + " vs " +
-            driver::to_string(entry.rec.status) + ")");
-      }
-      ++shipped_duplicates_;  // idempotent retransmission: ack again
-    } else {
+    if (led.recorded.insert(index).second) {
       led.writer.append(line);  // durable before the ack goes out
-      led.status.emplace(index, entry.rec.status);
-      if (merger_) merger_->offer(entry.rec);
     }
+    merger_->offer(std::move(entry.rec));
     if (seat.conn_fd >= 0) {
       (void)send_frame_fd(seat.conn_fd, Frame{FrameKind::kJournalAck,
                                               journal_ack_payload(index)});
@@ -914,21 +900,11 @@ class Supervisor {
   }
 
   /// Grid indices in the assignment's window with no journaled record,
-  /// ascending. Unparseable lines are skipped here (their points read as
-  /// undone and re-run); the final merge still applies the strict typed
-  /// checks to every line.
-  std::vector<std::size_t> undone_in(const Assignment& asg) const {
-    std::vector<char> done(asg.range.size(), 0);
-    for (const auto& line : read_journal_lines(asg.journal)) {
-      driver::JournalEntry entry;
-      if (!driver::parse_journal_line(line, &entry)) continue;
-      if (asg.range.contains(entry.rec.index)) {
-        done[entry.rec.index - asg.range.begin] = 1;
-      }
-    }
+  /// ascending.
+  static std::vector<std::size_t> undone_in(const Assignment& asg) {
     std::vector<std::size_t> undone;
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      if (done[i] == 0) undone.push_back(asg.range.begin + i);
+    for (std::size_t i = asg.range.begin; i < asg.range.end; ++i) {
+      if (asg.led->recorded.count(i) == 0) undone.push_back(i);
     }
     return undone;
   }
@@ -1011,7 +987,6 @@ class Supervisor {
   driver::ExperimentSpec spec_;         // as given (result.spec)
   driver::ExperimentSpec worker_spec_;  // scrubbed copy workers overlay
   SupervisorOptions opts_;
-  const WorkerBody& body_;
   const LaunchHook& hook_;
 
   std::vector<driver::RunPoint> points_;
@@ -1036,19 +1011,17 @@ class Supervisor {
   std::vector<pid_t> orphans_;  // partitioned pids awaiting self-exit
   std::uint64_t reconnects_ = 0;
   std::uint64_t fenced_ = 0;
-  std::uint64_t shipped_duplicates_ = 0;
 
-  // --- streaming merge -------------------------------------------------
-  std::optional<StreamingMerger> merger_;
+  // --- live merge: the dedup policy, and the streaming view -------------
+  std::optional<JournalMerger> merger_;
 };
 
 }  // namespace
 
 driver::SweepResult run_distributed(const driver::ExperimentSpec& spec,
                                     const SupervisorOptions& opts,
-                                    const WorkerBody& body,
                                     const LaunchHook& hook) {
-  Supervisor supervisor(spec, opts, body, hook);
+  Supervisor supervisor(spec, opts, hook);
   return supervisor.run();
 }
 

@@ -68,8 +68,8 @@ struct SupervisorOptions {
 
   /// Streaming merge sink: called with (index, record) in strictly
   /// ascending grid order as completed points become contiguous
-  /// (stream_merge.hpp), while later shards still compute, fed straight
-  /// off the shipped journal frames. The final SweepResult still comes
+  /// (JournalMerger, merge.hpp), while later shards still compute, fed
+  /// straight off the shipped journal frames. The final SweepResult still comes
   /// from the end-of-run journal merge — this is a live view, not a
   /// second truth.
   std::function<void(std::size_t, const driver::RunRecord&)> on_record;
@@ -123,26 +123,19 @@ struct SupervisorOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Runs in the forked child, never returns control flow to the leader:
-/// executes the shard in this process. Empty means run_worker, and no
-/// caller passes another body (psync_sim's local workers fork on the
-/// leader's spec too; a worker on another host is started by hand). Its
-/// return value becomes the child's exit code.
-using WorkerBody =
-    std::function<int(const driver::ExperimentSpec&, const WorkerConfig&)>;
-
 /// Leader-side hook applied to each WorkerConfig just before fork — how
 /// tests and the fault smokes inject crash_on_index / stall_on_index /
 /// chaos options for specific shards and generations. May be empty.
 using LaunchHook = std::function<void(WorkerConfig&)>;
 
-/// Execute `spec`'s sweep across worker processes and merge the shard
-/// journals into one grid-order SweepResult. Throws ConfigError for a
-/// missing journal_base, CancelledError on leader shutdown, and the merge
-/// layer's typed errors if the journals are corrupt or mismatched.
+/// Execute `spec`'s sweep across worker processes — each a forked child
+/// running run_worker on the leader's spec — and merge the shard journals
+/// into one grid-order SweepResult. Throws ConfigError for a missing
+/// journal_base, CancelledError on leader shutdown, and the merge layer's
+/// typed errors if a journal is corrupt or belongs to another sweep
+/// (including a stale journal already at the base when the run starts).
 driver::SweepResult run_distributed(const driver::ExperimentSpec& spec,
                                     const SupervisorOptions& opts,
-                                    const WorkerBody& body = {},
                                     const LaunchHook& hook = {});
 
 /// Adapt run_distributed into a driver::CampaignExecutor, so a Session —

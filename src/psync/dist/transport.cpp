@@ -11,11 +11,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "psync/common/check.hpp"
+#include "psync/common/config.hpp"
 
 namespace psync::dist {
 
@@ -470,13 +470,9 @@ bool parse_host_port(const std::string& s, std::string* host,
     port_str = s.substr(colon + 1);
   }
   if (host->empty() || port_str.empty()) return false;
-  char* endp = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(port_str.c_str(), &endp, 10);
-  if (endp == port_str.c_str() || *endp != '\0' || errno != 0 || v > 65535) {
-    return false;
-  }
-  *port = static_cast<std::uint16_t>(v);
+  const auto v = parse_decimal(port_str);
+  if (!v || *v > 65535) return false;
+  *port = static_cast<std::uint16_t>(*v);
   return true;
 }
 

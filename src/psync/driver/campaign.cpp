@@ -8,6 +8,8 @@
 #include <thread>
 
 #include "psync/common/check.hpp"
+#include "psync/common/config.hpp"
+#include "psync/common/journal.hpp"
 #include "psync/core/trace.hpp"
 
 namespace psync::driver {
@@ -258,13 +260,9 @@ bool parse_double(Cursor* c, double* out) {
 
 bool parse_u64(Cursor* c, std::uint64_t* out) {
   skip_ws(c);
-  if (c->p >= c->end || *c->p < '0' || *c->p > '9') return false;
-  char* endp = nullptr;
-  const unsigned long long v = std::strtoull(c->p, &endp, 10);
-  if (endp == c->p || endp > c->end) return false;
-  c->p = endp;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
+  const auto v = take_decimal(&c->p, c->end);
+  if (v) *out = *v;
+  return v.has_value();
 }
 
 // Capture one JSON value verbatim (balanced braces/brackets, string-aware);
@@ -509,6 +507,43 @@ bool parse_journal_line(const std::string& line, JournalEntry* out) {
   }
   *out = std::move(entry);
   return true;
+}
+
+void admit_journal_entry(const JournalEntry& entry,
+                         const std::vector<RunPoint>& points,
+                         const std::string& workload,
+                         const std::string& source) {
+  const std::size_t idx = entry.rec.index;
+  const char* differs = nullptr;
+  if (idx >= points.size()) {
+    differs = "index outside the grid";
+  } else if (entry.seed != points[idx].seed) {
+    differs = "seed";
+  } else if (entry.rec.workload != workload) {
+    differs = "workload";
+  } else if (entry.point_digest != 0 &&
+             entry.point_digest != points[idx].digest) {
+    differs = "point digest";
+  }
+  if (differs == nullptr) return;
+  throw JournalConflictError(
+      "journal '" + source + "' point " + std::to_string(idx) +
+      " does not match this sweep of " + std::to_string(points.size()) +
+      " point(s) (" + differs + " differs); refusing to mix campaigns");
+}
+
+std::vector<JournalEntry> read_sweep_journal(
+    const std::string& path, const std::vector<RunPoint>& points,
+    const std::string& workload) {
+  std::vector<JournalEntry> entries;
+  for (const auto& line : read_journal_lines(path)) {
+    JournalEntry& entry = entries.emplace_back();
+    if (!parse_journal_line(line, &entry)) {
+      throw JournalCorruptError("corrupt journal line in '" + path + "'");
+    }
+    admit_journal_entry(entry, points, workload, path);
+  }
+  return entries;
 }
 
 }  // namespace psync::driver

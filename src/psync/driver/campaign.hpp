@@ -152,6 +152,27 @@ std::string journal_line(const RunRecord& rec, std::uint64_t seed,
 /// safe to drop.
 bool parse_journal_line(const std::string& line, JournalEntry* out);
 
+/// The one sweep-membership rule for a journaled record: throws
+/// JournalConflictError unless the record's index lies inside `points`,
+/// its seed is that point's seed, its workload is `workload` and — when
+/// the line carries one — its point digest is that point's digest. Two
+/// grids of one workload and base seed share point seeds, so the digest
+/// is what tells their journals apart. `source` names the journal (or
+/// shard) in the message. Serial --resume, the shard merge and every
+/// leader-side journal reader admit records through this function.
+void admit_journal_entry(const JournalEntry& entry,
+                         const std::vector<RunPoint>& points,
+                         const std::string& workload,
+                         const std::string& source);
+
+/// Every record of the journal at `path`, in file order, each admitted by
+/// admit_journal_entry. A torn final line is dropped (read_journal_lines);
+/// any other unparseable line is a JournalCorruptError. A missing file
+/// reads as empty.
+std::vector<JournalEntry> read_sweep_journal(
+    const std::string& path, const std::vector<RunPoint>& points,
+    const std::string& workload);
+
 /// Minimal JSON string escaping (backslash, quote, control chars).
 std::string json_escape(const std::string& s);
 

@@ -272,34 +272,19 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   PSYNC_CHECK(begin <= end);
 
   // Resume: reconstitute journaled points into their grid slots. Every
-  // entry must match this sweep (grid bounds, point seed, workload, and —
-  // when the line carries one — the point's content digest) or the journal
-  // belongs to a different campaign: fail loudly rather than mix results.
-  // Entries *outside* the shard window are still validated and spliced (a
+  // entry must belong to this sweep (admit_journal_entry: grid bounds,
+  // point seed, workload, point digest) or the journal belongs to a
+  // different campaign: fail loudly rather than mix results. Entries
+  // *outside* the shard window are still validated and spliced (a
   // replacement worker may inherit a journal whose range was since
   // re-partitioned), they just don't count toward this run's campaign.
-  // read_journal_lines already dropped a torn final line (kill -9
-  // mid-append); a malformed line elsewhere means the file is not ours.
   std::vector<char> done(points.size(), 0);
   std::size_t resumed = 0;
   if (spec.resume) {
     PSYNC_CHECK(!spec.journal_path.empty());  // rejected by freeze()
-    for (const auto& line : read_journal_lines(spec.journal_path)) {
-      JournalEntry entry;
-      if (!parse_journal_line(line, &entry)) {
-        throw JournalCorruptError("corrupt checkpoint journal line in '" +
-                                  spec.journal_path + "'");
-      }
+    for (auto& entry :
+         read_sweep_journal(spec.journal_path, points, spec.workload)) {
       const std::size_t idx = entry.rec.index;
-      if (idx >= points.size() || entry.seed != points[idx].seed ||
-          entry.rec.workload != spec.workload ||
-          (entry.point_digest != 0 &&
-           entry.point_digest != points[idx].digest)) {
-        throw JournalConflictError(
-            "checkpoint journal '" + spec.journal_path +
-            "' does not match this sweep (point " + std::to_string(idx) +
-            "); refusing to mix campaigns");
-      }
       const bool fresh = done[idx] == 0 && idx >= begin && idx < end;
       if (fresh) {
         ++resumed;

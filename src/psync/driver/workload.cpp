@@ -300,8 +300,7 @@ class Fig11Workload final : public Workload {
   std::string name() const override { return "fig11"; }
   RunRecord run(const RunPoint& pt, core::Scratch&) const override {
     RunRecord rec;
-    const auto k =
-        static_cast<std::uint64_t>(knob_value(pt, kBlocksKnobAlias, 1.0));
+    const std::uint64_t k = pt.machine.delivery_blocks;
     const analysis::FftWorkload w;
     const analysis::MeshDeliveryParams mesh;
     rec.metrics.push_back(

@@ -1,8 +1,8 @@
 #include "psync/serve/protocol.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "psync/common/config.hpp"
 #include "psync/driver/campaign.hpp"
 
 namespace psync::serve {
@@ -121,13 +121,9 @@ bool parse_string(Cursor* c, std::string* out) {
 
 bool parse_u64(Cursor* c, std::uint64_t* out) {
   skip_ws(c);
-  if (c->p >= c->end || *c->p < '0' || *c->p > '9') return false;
-  char* endp = nullptr;
-  const unsigned long long v = std::strtoull(c->p, &endp, 10);
-  if (endp == c->p || endp > c->end) return false;
-  c->p = endp;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
+  const auto v = take_decimal(&c->p, c->end);
+  if (v) *out = *v;
+  return v.has_value();
 }
 
 bool parse_bool(Cursor* c, bool* out) {

@@ -69,6 +69,30 @@ TEST(IniConfig, TypeErrorsAreLoud) {
   EXPECT_THROW((void)cfg.get_bool("s", "b", false), SimulationError);
 }
 
+TEST(ParseDecimal, DigitsOnlyOverTheFullU64Range) {
+  EXPECT_EQ(parse_decimal("0"), 0u);
+  EXPECT_EQ(parse_decimal("42"), 42u);
+  EXPECT_EQ(parse_decimal("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad :
+       {"", "18446744073709551616", "99999999999999999999", "-1", "+1", " 1",
+        "1 ", "0x10", "007", "1e3", "1.0", "\xd9\xa1"}) {
+    EXPECT_FALSE(parse_decimal(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseDecimal, TakeStopsAtTheDigitRunAndLeavesTheCursorOnFailure) {
+  const std::string text = "123 rest";
+  const char* p = text.data();
+  EXPECT_EQ(take_decimal(&p, text.data() + text.size()), 123u);
+  EXPECT_EQ(std::string(p), " rest");
+  EXPECT_FALSE(take_decimal(&p, text.data() + text.size()).has_value());
+  EXPECT_EQ(std::string(p), " rest");
+  const std::string bounded = "4567";
+  p = bounded.data();
+  EXPECT_EQ(take_decimal(&p, bounded.data() + 2), 45u);  // `end` is a wall
+}
+
 TEST(IniConfig, LoadMissingFileThrows) {
   EXPECT_THROW((void)IniConfig::load("/no/such/file.ini"), SimulationError);
 }

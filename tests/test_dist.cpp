@@ -11,6 +11,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -305,6 +306,23 @@ TEST(Merge, OutOfGridAndMismatchedCampaignsAreTypedErrors) {
   std::remove(path.c_str());
 }
 
+// Two grids of one workload and base seed share every point seed, so only
+// the point digest tells a journal of the other grid apart.
+TEST(Merge, SameSeedsAndWorkloadButAnotherGridsDigestIsAConflict) {
+  const auto other = make_spec(uniform(4, 0.0));
+  const auto spec = make_spec(uniform(4, 1.0));
+  const auto points = SweepEngine::expand(spec);
+  const auto other_points = SweepEngine::expand(other);
+  ASSERT_EQ(points[0].seed, other_points[0].seed);
+  ASSERT_NE(points[0].digest, other_points[0].digest);
+  const std::string path = shard_journal_path(fresh_base("otherdigest"), 0);
+  write_journal_for(other, {0, 2}, path);
+  EXPECT_NO_THROW(merge_journals(other_points, "dist_test", {path}));
+  EXPECT_THROW(merge_journals(points, "dist_test", {path}),
+               JournalConflictError);
+  std::remove(path.c_str());
+}
+
 TEST(Merge, CorruptLineIsATypedError) {
   const auto spec = make_spec(uniform(2, 0.0));
   const auto points = SweepEngine::expand(spec);
@@ -400,6 +418,23 @@ TEST(Distributed, MissingJournalBaseIsAConfigError) {
   EXPECT_THROW(run_distributed(spec, opts), ConfigError);
 }
 
+// A journal base left by another grid's run: the leader must refuse the
+// stale shard journal (not merge its records as this sweep's points), and
+// must not leave the worker it already forked behind.
+TEST(Distributed, StaleShardJournalOfAnotherGridIsAConflict) {
+  const auto other = make_spec(uniform(4, 0.0));
+  const auto spec = make_spec(uniform(4, 1.0));
+  const std::string base = fresh_base("stale");
+  const std::string stale = shard_journal_path(base, 1);
+  write_journal_for(other, {2, 4}, stale);  // shard 1's range of 2 workers
+  EXPECT_THROW(run_distributed(spec, fast_opts(base, 2)),
+               JournalConflictError);
+  int wstatus = 0;
+  EXPECT_EQ(::waitpid(-1, &wstatus, WNOHANG), -1) << "a worker outlived it";
+  std::remove(stale.c_str());
+  std::remove(shard_journal_path(base, 0).c_str());
+}
+
 TEST(Distributed, AlreadyCancelledLeaderThrowsCancelled) {
   const auto spec = make_spec(uniform(4, 0.0));
   CancelToken cancel;
@@ -425,7 +460,7 @@ TEST(Distributed, CrashedWorkerIsRestartedAndOutputIsIdentical) {
   // they would reclaim the dying shard as a steal, and this test is about
   // the restart path specifically (stealing has its own test).
   opts.steal = false;
-  const auto dist = run_distributed(spec, opts, {}, hook);
+  const auto dist = run_distributed(spec, opts, hook);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
   EXPECT_GE(dist.campaign.worker_restarts, 1u);
@@ -451,7 +486,7 @@ TEST(Distributed, WedgedWorkerIsKilledByLivenessAndOutputIsIdentical) {
       cfg.stall_on_index = static_cast<std::int64_t>(cfg.range.begin + 1);
     }
   };
-  const auto dist = run_distributed(spec, opts, {}, hook);
+  const auto dist = run_distributed(spec, opts, hook);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
   EXPECT_GE(dist.campaign.worker_restarts, 1u);
@@ -470,7 +505,7 @@ TEST(Distributed, CrashLoopingPointIsQuarantinedNotFatal) {
   const LaunchHook hook = [](WorkerConfig& cfg) {
     if (cfg.range.contains(4)) cfg.crash_on_index = 4;
   };
-  const auto dist = run_distributed(spec, opts, {}, hook);
+  const auto dist = run_distributed(spec, opts, hook);
   ASSERT_EQ(dist.records.size(), 9u);
   EXPECT_EQ(dist.records[4].status, PointStatus::kQuarantined);
   ASSERT_TRUE(dist.records[4].failure.has_value());
@@ -519,7 +554,7 @@ TEST(Distributed, ChaosLossyLinksStillProduceIdenticalOutput) {
     cfg.chaos.delay = 0.1;
     cfg.chaos.delay_ms = 10.0;
   };
-  const auto dist = run_distributed(spec, opts, {}, hook);
+  const auto dist = run_distributed(spec, opts, hook);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
   EXPECT_EQ(dist.campaign.failed, 0u);
@@ -552,7 +587,7 @@ TEST(Distributed, PartitionedWorkerIsFencedOnReconnect) {
       cfg.chaos.partition_ms = 250.0;  // heals while the sweep still runs
     }
   };
-  const auto dist = run_distributed(spec, opts, {}, hook);
+  const auto dist = run_distributed(spec, opts, hook);
   // Identity is the non-negotiable part: the zombie's late writes were
   // fenced out, the replacement's journal is the only truth for shard 0.
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
@@ -582,7 +617,7 @@ TEST(Distributed, ReconnectingWorkerResumesWithoutDataLoss) {
       cfg.chaos.partition_ms = 60.0;  // heals well inside liveness
     }
   };
-  const auto dist = run_distributed(spec, opts, {}, hook);
+  const auto dist = run_distributed(spec, opts, hook);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
   EXPECT_EQ(dist.campaign.worker_fenced, 0u)
@@ -633,7 +668,7 @@ TEST(DistributedSocket, MatchesSerialRunByteForByte) {
   const LaunchHook hook = [&](WorkerConfig& cfg) {
     dialed.push_back(cfg.connect_host);
   };
-  const auto dist = run_distributed(spec, advertised_opts(base, 3), {}, hook);
+  const auto dist = run_distributed(spec, advertised_opts(base, 3), hook);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
   EXPECT_EQ(dist.campaign.worker_restarts, 0u);
@@ -657,7 +692,7 @@ TEST(DistributedSocket, CrashedWorkerIsRestartedAndOutputIsIdentical) {
       cfg.crash_on_index = static_cast<std::int64_t>(cfg.range.begin + 1);
     }
   };
-  const auto dist = run_distributed(spec, opts, {}, hook);
+  const auto dist = run_distributed(spec, opts, hook);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
   EXPECT_GE(dist.campaign.worker_restarts, 1u);

@@ -96,6 +96,25 @@ TEST(WorkloadRegistry, Fig11SweepOnTwoThreadsEqualsTable1And2Rows) {
   }
 }
 
+// `blocks` is the key and `k` its alias: a [sweep] over either sets the
+// same machine field, so fig11 must print the same efficiencies for both.
+TEST(WorkloadRegistry, Fig11HonoursTheBlocksKnobAsItsKAlias) {
+  for (const std::string knob : {"blocks", "k"}) {
+    SCOPED_TRACE(knob);
+    const auto result = Session().run(driver::spec_from_config(
+        IniConfig::parse("[experiment]\nkind = fig11\n[sweep]\n" + knob +
+                         " = 1 8 64\n")));
+    std::vector<std::string> printed;
+    for (const auto& rec : result.records) {
+      char buf[16];
+      std::snprintf(buf, sizeof(buf), "%.4f", metric(rec, "psync_eta"));
+      printed.emplace_back(buf);
+    }
+    EXPECT_EQ(printed,
+              (std::vector<std::string>{"0.5000", "0.9195", "0.9938"}));
+  }
+}
+
 TEST(WorkloadRegistry, Fig13SweepOnTwoThreadsEqualsLlmoreSimulatePoint) {
   ExperimentSpec spec;
   spec.workload = "fig13";

@@ -18,6 +18,8 @@
 
 #include "psync/common/journal.hpp"
 #include "psync/common/rng.hpp"
+#include "psync/dist/frame.hpp"
+#include "psync/dist/heartbeat.hpp"
 #include "psync/dist/supervisor.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
@@ -775,6 +777,84 @@ TEST_P(ProtocolFuzz, EveryMutantEndsInATypedOutcome) {
 
     for (int i = 0; i < 200; ++i) expect_typed_outcome(mutate(rng, v.line));
   }
+}
+
+/// A dist control payload's outcome: each parser either rejects `s` or
+/// reads a value that renders back to exactly `s` — no sign, space,
+/// leading zero or overflow slips through as some other number — and a
+/// shipped journal line ends in a record this sweep admits, a
+/// JournalConflictError, or a parse failure.
+void expect_dist_payload_outcome(const std::string& s,
+                                 const std::vector<driver::RunPoint>& grid) {
+  const std::string shown = json_string(s);
+  dist::HelloClaim claim;
+  if (dist::parse_hello_payload(s, &claim)) {
+    EXPECT_EQ(dist::hello_payload(claim), s) << shown;
+  }
+  dist::Heartbeat hb;
+  if (dist::parse_heartbeat_line(s, &hb)) {
+    EXPECT_EQ(dist::heartbeat_line(hb), s) << shown;
+  }
+  std::size_t index = 0;
+  if (dist::parse_journal_ack_payload(s, &index)) {
+    EXPECT_EQ(dist::journal_ack_payload(index), s) << shown;
+  }
+  std::string line;
+  if (!dist::parse_journal_payload(s, &index, &line)) return;
+  EXPECT_EQ(dist::journal_payload(index, line), s) << shown;
+  driver::JournalEntry entry;
+  if (!driver::parse_journal_line(line, &entry)) return;
+  try {
+    driver::admit_journal_entry(entry, grid, "fuzz_wl", "fuzz");
+    EXPECT_LT(entry.rec.index, grid.size()) << shown;
+  } catch (const JournalConflictError&) {
+  }
+}
+
+// The leader's side of the wire through the same seeded mutator: HELLO
+// claims, heartbeat lines, journal frames and their acks.
+TEST_P(ProtocolFuzz, EveryDistPayloadMutantEndsInATypedOutcome) {
+  Rng rng(GetParam());
+  std::vector<driver::RunPoint> grid(4);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    grid[i].index = i;
+    grid[i].seed = 100 + i;
+    grid[i].digest = 1000 + i;
+  }
+  driver::RunRecord rec;
+  rec.index = 2;
+  rec.workload = "fuzz_wl";
+  rec.metrics.push_back({"val", 0.25, 4});
+  dist::Heartbeat busy;
+  busy.shard = 1;
+  busy.kind = dist::Heartbeat::Kind::kPointStart;
+  busy.points_done = 7;
+  busy.inflight = 9;
+  const std::vector<std::string> valid = {
+      dist::hello_payload({3, 18446744073709551615ULL}),
+      dist::heartbeat_line(busy),
+      dist::heartbeat_line(dist::Heartbeat{}),
+      dist::journal_payload(2, driver::journal_line(rec, 102, 1002)),
+      dist::journal_ack_payload(12),
+  };
+  for (const std::string& v : valid) {
+    expect_dist_payload_outcome(v, grid);
+    for (std::size_t len = 0; len < v.size(); ++len) {
+      expect_dist_payload_outcome(v.substr(0, len), grid);
+    }
+    for (int i = 0; i < 200; ++i) {
+      expect_dist_payload_outcome(mutate(rng, v), grid);
+    }
+  }
+  dist::HelloClaim claim;
+  EXPECT_FALSE(dist::parse_hello_payload("shard -1 epoch 5", &claim));
+  EXPECT_FALSE(
+      dist::parse_hello_payload("shard 18446744073709551616 epoch 5", &claim));
+  EXPECT_FALSE(dist::parse_hello_payload(
+      std::string("shard 1 epoch 5\0junk", 20), &claim));
+  dist::Heartbeat hb;
+  EXPECT_FALSE(dist::parse_heartbeat_line("hb 1 p +0 -", &hb));
+  EXPECT_FALSE(dist::parse_heartbeat_line("hb 1 p 0 9223372036854775808", &hb));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz,

@@ -26,7 +26,7 @@
 #include "psync/dist/backoff.hpp"
 #include "psync/dist/chaos.hpp"
 #include "psync/dist/frame.hpp"
-#include "psync/dist/stream_merge.hpp"
+#include "psync/dist/merge.hpp"
 #include "psync/dist/transport.hpp"
 
 namespace psync::dist {
@@ -592,7 +592,7 @@ TEST(TcpPlumbing, BothEndsOfALeaderWorkerConnectionSetNoDelay) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamingMerger
+// JournalMerger as the live view: the contiguous prefix, in grid order
 
 driver::RunRecord rec_for(std::size_t index,
                           driver::PointStatus status =
@@ -606,7 +606,7 @@ driver::RunRecord rec_for(std::size_t index,
 
 TEST(StreamMerge, EmitsTheContiguousPrefixInGridOrder) {
   std::vector<std::size_t> emitted;
-  StreamingMerger merger(6, [&](std::size_t i, const driver::RunRecord&) {
+  JournalMerger merger(6, [&](std::size_t i, const driver::RunRecord&) {
     emitted.push_back(i);
   });
   EXPECT_TRUE(merger.offer(rec_for(2)));  // held: gap at 0..1
@@ -626,10 +626,9 @@ TEST(StreamMerge, EmitsTheContiguousPrefixInGridOrder) {
 
 TEST(StreamMerge, AgreeingDuplicatesAreCountedNotReEmitted) {
   std::size_t emits = 0;
-  StreamingMerger merger(3,
-                         [&](std::size_t, const driver::RunRecord&) {
-                           ++emits;
-                         });
+  JournalMerger merger(3, [&](std::size_t, const driver::RunRecord&) {
+    ++emits;
+  });
   EXPECT_TRUE(merger.offer(rec_for(0)));
   EXPECT_FALSE(merger.offer(rec_for(0)));  // retransmitted frame
   EXPECT_TRUE(merger.offer(rec_for(1)));
@@ -639,13 +638,13 @@ TEST(StreamMerge, AgreeingDuplicatesAreCountedNotReEmitted) {
 }
 
 TEST(StreamMerge, DisagreeingDuplicateAndOutOfGridAreTypedErrors) {
-  StreamingMerger merger(3, {});
+  JournalMerger merger(3);
   EXPECT_TRUE(merger.offer(rec_for(1)));  // still held (gap at 0)
   EXPECT_THROW(merger.offer(rec_for(1, driver::PointStatus::kFailed)),
                JournalConflictError);
   EXPECT_TRUE(merger.offer(rec_for(0)));  // 0 then the held 1 emit
-  // Post-emit disagreement must still be caught (the record is gone from
-  // the held map but its status is remembered).
+  // Post-emit disagreement must still be caught: the emitted record's
+  // status is still what a later duplicate is checked against.
   EXPECT_THROW(merger.offer(rec_for(0, driver::PointStatus::kFailed)),
                JournalConflictError);
   EXPECT_THROW(merger.offer(rec_for(3)), JournalConflictError);

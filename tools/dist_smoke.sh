@@ -7,7 +7,8 @@
 #   clean  --workers 3 over the default loopback transport, one worker
 #          process SIGKILL'd at a randomized delay — the leader must see
 #          the death, relaunch the shard past its journal's durable prefix
-#          and finish;
+#          and finish. The phase fails unless at least one of its rounds
+#          really killed a worker;
 #   chaos  the same kill on top of a seeded fault injector mangling every
 #          post-handshake frame (drops, duplicates, reordering, delay, one
 #          hard partition per shard), with the leader bound via --listen —
@@ -15,7 +16,8 @@
 # Each phase runs several JSON rounds (varying kill timing and chaos
 # seed, so faults land on different shards at different progress points)
 # and one CSV round. Every merged output must be byte-identical to the
-# reference.
+# reference. Kill delays are a random share of the timed serial JSON run,
+# so they land inside the sweep on a fast host as on a slow one.
 #
 # Usage: tools/dist_smoke.sh <psync_sim-binary> <config.ini> [workdir]
 # Set RANDOM_SEED to replay a run's kill delays and chaos seeds. Exits
@@ -30,8 +32,11 @@ WORK=${3:-dist-smoke-work}
 mkdir -p "$WORK"
 
 echo "dist-smoke: serial reference run"
+start_ns=$(date +%s%N)
 "$SIM" --json "$CONFIG" > "$WORK/ref.json" || exit 1
+REF_MS=$((($(date +%s%N) - start_ns) / 1000000))
 "$SIM" --csv "$CONFIG" > "$WORK/ref.csv" || exit 1
+echo "dist-smoke: serial reference took ${REF_MS} ms"
 
 if [ -n "${RANDOM_SEED:-}" ]; then
   RANDOM=$RANDOM_SEED
@@ -42,6 +47,7 @@ CHAOS_FLAGS="--listen 127.0.0.1:0 --chaos-drop 0.10 --chaos-dup 0.10 \
   --chaos-partition-after 20 --chaos-partition-ms 80"
 
 fail=0
+clean_kills=0
 
 # run_round PHASE NAME FORMAT KILL EXTRA_FLAGS...
 # Runs one distributed leader rendering FORMAT (json|csv), optionally
@@ -55,13 +61,16 @@ run_round() {
     > "$base.$fmt" 2> "$base.stderr" &
   local leader=$!
   if [ "$kill_one" = 1 ]; then
-    # Randomized kill delay in [0.05s, 0.45s) — somewhere inside the sweep.
+    # Randomized kill delay in [0.15, 0.55) of the serial run's time —
+    # somewhere inside the sweep, which three workers finish sooner.
     local delay victim
-    delay=$(awk -v r="$RANDOM" 'BEGIN { printf "%.2f", 0.05 + (r % 40) / 100 }')
+    delay=$(awk -v r="$RANDOM" -v ms="$REF_MS" \
+      'BEGIN { printf "%.3f", ms * (0.15 + (r % 40) / 100) / 1000 }')
     sleep "$delay"
     victim=$(pgrep -P "$leader" | head -n 1 || true)
     if [ -n "$victim" ] && kill -9 "$victim" 2> /dev/null; then
       echo "dist-smoke: $phase $name: SIGKILL'd worker $victim at ${delay}s"
+      [ "$phase" = clean ] && clean_kills=$((clean_kills + 1))
     else
       echo "dist-smoke: $phase $name: no worker alive at ${delay}s (ok)"
     fi
@@ -84,6 +93,10 @@ for round in 1 2 3; do
   run_round clean "$round" json 1
 done
 run_round clean csv csv 0
+if [ "$clean_kills" -eq 0 ]; then
+  echo "dist-smoke: clean phase FAILED: no round SIGKILLed a worker"
+  fail=1
+fi
 
 for round in 1 2 3; do
   seed=$((1000 + RANDOM))

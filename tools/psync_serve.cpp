@@ -23,6 +23,7 @@
 #include <string>
 #include <thread>
 
+#include "psync/common/config.hpp"
 #include "psync/serve/server.hpp"
 
 namespace {
@@ -47,9 +48,9 @@ int main(int argc, char** argv) {
       opts.cache_dir = argv[++i];
     } else if (arg == "--threads") {
       if (i + 1 >= argc) return usage();
-      const long n = std::atol(argv[++i]);
-      if (n < 0) return usage();
-      opts.threads = static_cast<std::size_t>(n);
+      const auto n = psync::parse_decimal(argv[++i]);
+      if (!n) return usage();
+      opts.threads = static_cast<std::size_t>(*n);
     } else {
       return usage();
     }

@@ -42,7 +42,8 @@
 // single-process run — see docs/robustness.md. Local workers are forked
 // children that run the leader's own validated spec, so no worker re-reads
 // a config that may have changed on disk. --journal doubles as the
-// shard-journal base path (default: under /tmp).
+// shard-journal base path (default: a fresh mkdtemp directory under /tmp,
+// removed after the merge).
 //
 // Workers always dial the leader over TCP: heartbeats and per-point
 // journal records travel as length-prefixed frames, the leader appends
@@ -78,10 +79,13 @@
 // render, plus per-sweep-point cost) to stderr; simulation results are
 // unaffected.
 #include <signal.h>
-#include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -295,24 +299,13 @@ struct Options {
   dist::WorkerConfig worker;
 };
 
-/// A count flag's value: decimal digits only — no sign, space, base prefix
-/// or leading zero — read by the config's own integer parser.
-std::optional<std::uint64_t> parse_count(const std::string& text) {
-  if (text.find_first_not_of("0123456789") != std::string::npos ||
-      (text.size() > 1 && text.front() == '0')) {
-    return std::nullopt;
-  }
-  const auto v = parse_int(text);
-  if (!v) return std::nullopt;
-  return static_cast<std::uint64_t>(*v);
-}
-
-/// "A:B" -> [A, B), both counts. Returns false on anything malformed.
+/// "A:B" -> [A, B), both strict decimals (parse_decimal). Returns false
+/// on anything malformed.
 bool parse_shard_range(const std::string& arg, dist::ShardRange* out) {
   const std::size_t colon = arg.find(':');
   if (colon == std::string::npos) return false;
-  const auto begin = parse_count(arg.substr(0, colon));
-  const auto end = parse_count(arg.substr(colon + 1));
+  const auto begin = parse_decimal(arg.substr(0, colon));
+  const auto end = parse_decimal(arg.substr(colon + 1));
   if (!begin || !end) return false;
   out->begin = *begin;
   out->end = *end;
@@ -409,9 +402,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     // Numeric flag values parse whole-token into *out; false (a usage
-    // error) when the value is missing or malformed.
+    // error) when the value is missing or malformed. Counts are strict
+    // decimals (parse_decimal).
     const auto read_count = [&](auto* out) {
-      const auto v = i + 1 < argc ? parse_count(argv[++i]) : std::nullopt;
+      const auto v = i + 1 < argc ? parse_decimal(argv[++i]) : std::nullopt;
       if (v) *out = static_cast<std::remove_reference_t<decltype(*out)>>(*v);
       return v.has_value();
     };
@@ -554,9 +548,22 @@ int main(int argc, char** argv) {
       dist::SupervisorOptions sup;
       sup.workers = opt.workers;
       sup.heartbeat_ms = opt.heartbeat_ms;
-      sup.journal_base = !spec.journal_path.empty()
-                             ? spec.journal_path
-                             : "/tmp/psync-dist-" + std::to_string(::getpid());
+      // Without --journal the shard journals go to a fresh directory of
+      // this run's own, removed once the merge is done: a base named after
+      // the pid would attach a stranger's journals when the pid recurs.
+      std::string scratch_dir;
+      if (!spec.journal_path.empty()) {
+        sup.journal_base = spec.journal_path;
+      } else {
+        char dir[] = "/tmp/psync-dist-XXXXXX";
+        if (::mkdtemp(dir) == nullptr) {
+          throw SimulationError(
+              std::string("cannot create a shard-journal directory: ") +
+              std::strerror(errno));
+        }
+        scratch_dir = dir;
+        sup.journal_base = scratch_dir + "/sweep";
+      }
       sup.cancel = &g_cancel;
       if (!opt.listen_spec.empty()) {
         if (!dist::parse_host_port(opt.listen_spec, &sup.listen_host,
@@ -577,7 +584,8 @@ int main(int argc, char** argv) {
             opt.chaos.seed ^ (0x9E3779B97F4A7C15ULL * (wc.shard + 1));
         if (wc.chaos.seed == 0) wc.chaos.seed = 1;  // 0 would disarm it
       };
-      result = dist::run_distributed(spec, sup, {}, hook);
+      result = dist::run_distributed(spec, sup, hook);
+      if (!scratch_dir.empty()) std::filesystem::remove_all(scratch_dir);
     } else {
       spec.cancel = &g_cancel;
       driver::Session session;

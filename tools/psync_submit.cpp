@@ -30,6 +30,7 @@
 #include <sstream>
 #include <string>
 
+#include "psync/common/config.hpp"
 #include "psync/serve/protocol.hpp"
 
 namespace {
@@ -124,7 +125,7 @@ int main(int argc, char** argv) {
   bool json = false;
   bool csv = false;
   bool subscribe = false;
-  long threads = 0;
+  std::uint64_t threads = 0;
   Mode mode = Mode::kSubmit;
 
   for (int i = 1; i < argc; ++i) {
@@ -140,8 +141,9 @@ int main(int argc, char** argv) {
       subscribe = true;
     } else if (arg == "--threads") {
       if (i + 1 >= argc) return usage();
-      threads = std::atol(argv[++i]);
-      if (threads <= 0) return usage();
+      const auto n = psync::parse_decimal(argv[++i]);
+      if (!n || *n == 0) return usage();
+      threads = *n;
     } else if (arg == "--status") {
       mode = Mode::kStatus;
     } else if (arg == "--cancel") {
