@@ -7,8 +7,7 @@
 
 namespace psync::dist {
 
-JournalMerger::JournalMerger(std::size_t grid, Emit emit)
-    : emit_(std::move(emit)) {
+JournalMerger::JournalMerger(std::size_t grid) {
   merged_.records.resize(grid);
   merged_.present.assign(grid, 0);
 }
@@ -35,13 +34,6 @@ bool JournalMerger::offer(driver::RunRecord rec) {
   }
   merged_.records[idx] = std::move(rec);
   merged_.present[idx] = 1;
-  ++arrived_;
-  // The contiguous prefix grows only when the gap at next_ closes; emit
-  // every record it unblocked.
-  while (next_ < merged_.present.size() && merged_.present[next_] != 0) {
-    if (emit_) emit_(next_, merged_.records[next_]);
-    ++next_;
-  }
   return true;
 }
 

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,22 +43,17 @@ struct MergedJournal {
 };
 
 /// The one dedup policy over a sweep grid, for the end-of-run merge and
-/// the leader's live view alike: records arrive in any order; the first
+/// the leader's live check alike: records arrive in any order; the first
 /// record per index wins; a later duplicate that agrees on status is
 /// counted (the records are re-derivations of the same deterministic
 /// point — wall-clock and retry counts may differ and are not
 /// output-bearing); a disagreeing duplicate is a JournalConflictError —
 /// better a loud failure than silently picking one of two contradictory
-/// results. As records become contiguous from index 0 the merger hands
-/// them, in strictly ascending index order, to an optional sink: served
-/// campaigns see partial tables grow front-to-back while late shards still
-/// compute.
+/// results.
 class JournalMerger {
  public:
-  using Emit = std::function<void(std::size_t, const driver::RunRecord&)>;
-
-  /// `grid` is the full sweep size; `emit` may be empty (no live view).
-  explicit JournalMerger(std::size_t grid, Emit emit = {});
+  /// `grid` is the full sweep size.
+  explicit JournalMerger(std::size_t grid);
 
   /// Offer one admitted record. Returns true when it was the first for
   /// its index. Throws JournalConflictError on a status-disagreeing
@@ -67,12 +61,6 @@ class JournalMerger {
   /// itself is admit_journal_entry's).
   bool offer(driver::RunRecord rec);
 
-  /// Indices [0, emitted()) have been delivered to the sink.
-  [[nodiscard]] std::size_t emitted() const { return next_; }
-  /// First records seen so far (emitted + held).
-  [[nodiscard]] std::size_t arrived() const { return arrived_; }
-  /// Records waiting on a lower-index gap.
-  [[nodiscard]] std::size_t held() const { return arrived_ - next_; }
   /// Agreeing duplicates tolerated.
   [[nodiscard]] std::size_t duplicates() const { return merged_.duplicates; }
 
@@ -80,10 +68,7 @@ class JournalMerger {
   MergedJournal take() &&;
 
  private:
-  Emit emit_;
   MergedJournal merged_;
-  std::size_t next_ = 0;
-  std::size_t arrived_ = 0;
 };
 
 /// Merge the journals at `paths` against the expanded grid `points` of a

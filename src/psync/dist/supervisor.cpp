@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -21,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "psync/common/cancel.hpp"
 #include "psync/common/check.hpp"
 #include "psync/common/journal.hpp"
 #include "psync/dist/backoff.hpp"
@@ -57,6 +57,20 @@ constexpr double kExitReapWindowMs = 50.0;
 /// before the leader drops it (a dialer that never identifies itself is
 /// noise, not a worker).
 constexpr double kHelloGraceMs = 2000.0;
+
+/// Launches an assignment gets after its first before it is abandoned and
+/// its unfinished points are reported as kFailed/worker_crash.
+constexpr std::size_t kMaxRestarts = 5;
+
+/// Seed of the restart jitter, mixed with the seat index so seats never
+/// share a schedule. Fixed, so runs are reproducible.
+constexpr std::uint64_t kBackoffSeed = 0x9E3779B97F4A7C15ULL;
+
+/// SweepEngine threads inside each worker. Must stay 1: ascending
+/// single-thread execution keeps a shard's unfinished remainder a
+/// contiguous suffix and makes the heartbeat's in-flight index exact,
+/// which remaining_estimate() and stealing rely on.
+constexpr std::size_t kWorkerThreads = 1;
 
 /// Best-effort frame write on a (possibly nonblocking) connection fd.
 /// Small control frames normally land in the socket buffer whole; a full
@@ -147,7 +161,11 @@ class Supervisor {
  public:
   Supervisor(const driver::ExperimentSpec& spec, const SupervisorOptions& opts,
              const LaunchHook& hook)
-      : spec_(spec), opts_(opts), hook_(hook) {
+      : spec_(spec),
+        opts_(opts),
+        hook_(hook),
+        points_(driver::SweepEngine::expand(spec)),
+        merger_(points_.size()) {
     if (opts_.journal_base.empty()) {
       throw ConfigError(
           "distributed sweep requires a journal base path (the shard "
@@ -155,14 +173,13 @@ class Supervisor {
     }
     if (opts_.workers == 0) opts_.workers = 1;
     worker_spec_ = spec;
-    worker_spec_.threads = std::max<std::size_t>(opts_.worker_threads, 1);
+    worker_spec_.threads = kWorkerThreads;
     worker_spec_.journal_path.clear();
     worker_spec_.cancel = nullptr;     // workers install their own token
     worker_spec_.observer = nullptr;   // workers attach their own emitter
     worker_spec_.quarantine_indices.clear();
     worker_spec_.shard_begin = 0;
     worker_spec_.shard_end = static_cast<std::size_t>(-1);
-    points_ = driver::SweepEngine::expand(spec);
   }
 
   ~Supervisor() { teardown(); }
@@ -170,7 +187,6 @@ class Supervisor {
   driver::SweepResult run() {
     listen_fd_ = tcp_listen(opts_.listen_host, opts_.listen_port,
                             &listen_port_);
-    merger_.emplace(points_.size(), opts_.on_record);
     for (const auto& range : plan_shards(points_.size(), opts_.workers)) {
       Assignment asg;
       asg.shard = next_shard_id_++;
@@ -183,7 +199,7 @@ class Supervisor {
     for (std::size_t s = 0; s < seats_.size(); ++s) {
       seats_[s].restart_backoff.emplace(
           opts_.restart_backoff_ms, opts_.restart_backoff_max_ms,
-          opts_.backoff_seed + 0x9E3779B97F4A7C15ULL * (s + 1));
+          kBackoffSeed + 0x9E3779B97F4A7C15ULL * (s + 1));
     }
 
     while (work_remains()) {
@@ -247,9 +263,7 @@ class Supervisor {
 
   void check_cancel(Clock::time_point now) {
     if (shutdown_) return;
-    const CancelToken* token =
-        opts_.cancel != nullptr ? opts_.cancel : spec_.cancel;
-    if (token == nullptr || !token->cancelled()) return;
+    if (spec_.cancel == nullptr || !spec_.cancel->cancelled()) return;
     shutdown_ = true;
     queue_.clear();
     for (auto& seat : seats_) {
@@ -404,15 +418,16 @@ class Supervisor {
 
   /// Open the leader's writer on an assignment's journal and replay its
   /// existing records, each admitted against this sweep, into the
-  /// recorded set and the merger (a resumed file is history subscribers
-  /// have not seen). A journal left by another sweep fails the run here,
-  /// with a JournalConflictError, before any point of it is trusted.
+  /// recorded set and the merger (so a shipped record that disagrees with
+  /// one already on disk is a conflict). A journal left by another sweep
+  /// fails the run here, with a JournalConflictError, before any point of
+  /// it is trusted.
   void attach_leader_journal(Assignment& asg) {
     asg.led = std::make_shared<LeaderJournal>();
     for (auto& entry :
          driver::read_sweep_journal(asg.journal, points_, spec_.workload)) {
       asg.led->recorded.insert(entry.rec.index);
-      merger_->offer(std::move(entry.rec));
+      merger_.offer(std::move(entry.rec));
     }
     asg.led->writer.open(asg.journal, /*keep_existing=*/true);
   }
@@ -681,7 +696,7 @@ class Supervisor {
     if (led.recorded.insert(index).second) {
       led.writer.append(line);  // durable before the ack goes out
     }
-    merger_->offer(std::move(entry.rec));
+    merger_.offer(std::move(entry.rec));
     if (seat.conn_fd >= 0) {
       (void)send_frame_fd(seat.conn_fd, Frame{FrameKind::kJournalAck,
                                               journal_ack_payload(index)});
@@ -844,9 +859,9 @@ class Supervisor {
   }
 
   /// Relaunch policy shared by crash exits and connection loss: give up
-  /// after max_restarts, otherwise back off with decorrelated jitter.
+  /// after kMaxRestarts, otherwise back off with decorrelated jitter.
   void schedule_relaunch(Seat& seat) {
-    if (seat.asg.launches > opts_.max_restarts) {
+    if (seat.asg.launches > kMaxRestarts) {
       record_incident(
           driver::FailureKind::kWorkerCrash,
           "shard " + std::to_string(seat.asg.shard) + " abandoned after " +
@@ -1012,8 +1027,8 @@ class Supervisor {
   std::uint64_t reconnects_ = 0;
   std::uint64_t fenced_ = 0;
 
-  // --- live merge: the dedup policy, and the streaming view -------------
-  std::optional<JournalMerger> merger_;
+  // --- live merge: the dedup and conflict policy, applied as records land
+  JournalMerger merger_;
 };
 
 }  // namespace
@@ -1023,43 +1038,6 @@ driver::SweepResult run_distributed(const driver::ExperimentSpec& spec,
                                     const LaunchHook& hook) {
   Supervisor supervisor(spec, opts, hook);
   return supervisor.run();
-}
-
-driver::CampaignExecutor distributed_executor(SupervisorOptions opts) {
-  return [opts](const driver::FrozenSpec& frozen,
-                driver::CampaignFeed& feed) -> driver::SweepResult {
-    SupervisorOptions run_opts = opts;
-    if (run_opts.journal_base.empty()) {
-      if (!frozen.spec.journal_path.empty()) {
-        run_opts.journal_base = frozen.spec.journal_path + ".dist";
-      } else {
-        char hex[32];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      static_cast<unsigned long long>(frozen.digest));
-        run_opts.journal_base = "/tmp/psync-dist-" + std::string(hex);
-      }
-    }
-    run_opts.cancel = feed.token();
-    std::vector<char> streamed(frozen.points.size(), 0);
-    const auto chained = run_opts.on_record;
-    run_opts.on_record = [&feed, &streamed, &chained](
-                             std::size_t index,
-                             const driver::RunRecord& rec) {
-      if (index < streamed.size()) streamed[index] = 1;
-      feed.emit(index, rec);
-      if (chained) chained(index, rec);
-    };
-    driver::SweepResult result = run_distributed(frozen.spec, run_opts);
-    // Back-fill: records the stream never carried (e.g. the synthesized
-    // failures of an abandoned shard) so subscribers see every point
-    // exactly once.
-    for (std::size_t i = 0; i < result.records.size(); ++i) {
-      if (i >= streamed.size() || streamed[i] == 0) {
-        feed.emit(i, result.records[i]);
-      }
-    }
-    return result;
-  };
 }
 
 }  // namespace psync::dist

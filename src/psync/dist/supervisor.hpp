@@ -46,11 +46,9 @@
 #include <functional>
 #include <string>
 
-#include "psync/common/cancel.hpp"
 #include "psync/dist/transport.hpp"
 #include "psync/dist/worker.hpp"
 #include "psync/driver/runner.hpp"
-#include "psync/driver/session.hpp"
 
 namespace psync::dist {
 
@@ -66,14 +64,6 @@ struct SupervisorOptions {
   std::uint16_t listen_port = 0;
   std::string advertise_host;
 
-  /// Streaming merge sink: called with (index, record) in strictly
-  /// ascending grid order as completed points become contiguous
-  /// (JournalMerger, merge.hpp), while later shards still compute, fed
-  /// straight off the shipped journal frames. The final SweepResult still comes
-  /// from the end-of-run journal merge — this is a live view, not a
-  /// second truth.
-  std::function<void(std::size_t, const driver::RunRecord&)> on_record;
-
   /// Worker heartbeat interval; liveness timeout is
   /// heartbeat_ms * liveness_factor (a worker is presumed wedged — and
   /// SIGKILLed — after that much silence). The factor leaves room for
@@ -85,15 +75,12 @@ struct SupervisorOptions {
   /// Restart policy per assignment: relaunch n waits a decorrelated-
   /// jitter draw (backoff.hpp) from [restart_backoff_ms,
   /// min(restart_backoff_max_ms, 3 * previous wait)] — first relaunch
-  /// waits exactly restart_backoff_ms. After max_restarts an assignment
-  /// is abandoned and its unfinished points are reported as
-  /// kFailed/worker_crash instead of looping forever.
+  /// waits exactly restart_backoff_ms. After a fixed restart budget
+  /// (kMaxRestarts in supervisor.cpp) an assignment is abandoned and its
+  /// unfinished points are reported as kFailed/worker_crash instead of
+  /// looping forever.
   double restart_backoff_ms = 50.0;
   double restart_backoff_max_ms = 2000.0;
-  std::size_t max_restarts = 5;
-  /// Seed of the restart jitter (mixed with the seat index so seats never
-  /// share a schedule). Fixed default keeps runs reproducible.
-  std::uint64_t backoff_seed = 0x9E3779B97F4A7C15ULL;
 
   /// Quarantine a grid point after this many consecutive worker crashes
   /// with that point in flight (the crash analogue of PointGuard's retry
@@ -111,43 +98,25 @@ struct SupervisorOptions {
   /// Shard journals are "<journal_base>.shard<i>[.steal<k>].jsonl"
   /// (shard.hpp). Required — the journals *are* the crash-safety story.
   std::string journal_base;
-
-  /// SweepEngine threads inside each worker (default 1: ascending-order
-  /// execution keeps a shard's unfinished remainder a contiguous suffix,
-  /// which is what makes stealing cheap).
-  std::size_t worker_threads = 1;
-
-  /// Leader-side graceful shutdown (SIGTERM/SIGINT handler token):
-  /// once cancelled the leader SIGTERMs every worker, waits for the grace
-  /// period, reaps, and throws CancelledError — all journal tails durable.
-  const CancelToken* cancel = nullptr;
 };
 
-/// Leader-side hook applied to each WorkerConfig just before fork — how
-/// tests and the fault smokes inject crash_on_index / stall_on_index /
-/// chaos options for specific shards and generations. May be empty.
+/// Leader-side hook applied to each WorkerConfig just before fork. psync_sim
+/// uses it to give each shard its own chaos seed; tests also inject
+/// crash_on_index / stall_on_index for specific shards and generations.
+/// May be empty.
 using LaunchHook = std::function<void(WorkerConfig&)>;
 
 /// Execute `spec`'s sweep across worker processes — each a forked child
 /// running run_worker on the leader's spec — and merge the shard journals
-/// into one grid-order SweepResult. Throws ConfigError for a missing
-/// journal_base, CancelledError on leader shutdown, and the merge layer's
-/// typed errors if a journal is corrupt or belongs to another sweep
-/// (including a stale journal already at the base when the run starts).
+/// into one grid-order SweepResult. The leader polls `spec.cancel`
+/// (psync_sim points it at its SIGTERM/SIGINT token): once it fires, the
+/// leader SIGTERMs every worker, waits out the grace period, reaps, and
+/// throws CancelledError with every journal tail durable. Throws
+/// ConfigError for a missing journal_base, and the merge layer's typed
+/// errors if a journal is corrupt or belongs to another sweep (including
+/// a stale journal already at the base when the run starts).
 driver::SweepResult run_distributed(const driver::ExperimentSpec& spec,
                                     const SupervisorOptions& opts,
                                     const LaunchHook& hook = {});
-
-/// Adapt run_distributed into a driver::CampaignExecutor, so a Session —
-/// and therefore the serve daemon — executes submitted campaigns across
-/// worker processes instead of an in-process thread pool. Per campaign:
-/// `opts.journal_base` defaults to "<spec.journal_path>.dist" (or a
-/// digest-named path under /tmp when the spec has no journal), the
-/// campaign's cancel token becomes the leader shutdown token, and the
-/// streaming merge feeds each contiguous record to the campaign's event
-/// stream while the sweep still runs — subscribers see partial results
-/// live. Records the stream never carried (abandoned-shard back-fill)
-/// are emitted after the merge, so every point is published exactly once.
-driver::CampaignExecutor distributed_executor(SupervisorOptions opts);
 
 }  // namespace psync::dist

@@ -160,8 +160,8 @@ int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg) {
     spec.cancel = &g_worker_cancel;
     spec.observer = &observer;
 
-    // Submit through the Session API and join: same executor as the
-    // serial path, with the validate/freeze phase up front.
+    // Submit through the Session API and join: the serial run's execution
+    // path, with the validate/freeze phase up front.
     driver::Session session;
     driver::FrozenSpec frozen = driver::Session::freeze(spec);
     const std::vector<driver::RunPoint> points = frozen.points;

@@ -54,11 +54,12 @@ struct WorkerConfig {
   /// Lease epoch the leader issued for exactly this launch; the HELLO
   /// fencing identity.
   std::uint64_t epoch = 0;
-  /// Seeded frame-level fault injection on the worker's link (tests and
-  /// the dist smoke); seed 0 = clean link.
+  /// Seeded frame-level fault injection on the worker's link (psync_sim's
+  /// --chaos-* flags, as the dist smoke runs them, and tests); seed 0 =
+  /// clean link.
   ChaosOptions chaos;
 
-  // --- fault-injection hooks (tests and the dist fault smoke) -----------
+  // --- fault-injection hooks (tests only; no flag sets them) -------------
   /// _exit(kWorkerExitInjectedCrash) when this grid index starts (< 0 off).
   std::int64_t crash_on_index = -1;
   /// Silence heartbeats and hang forever when this grid index starts

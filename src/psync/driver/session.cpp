@@ -72,16 +72,6 @@ void note_point(Campaign* c, std::size_t index, const RunRecord& rec,
 
 }  // namespace
 
-void CampaignFeed::emit(std::size_t index, const RunRecord& rec) {
-  PSYNC_CHECK(c_ != nullptr);
-  note_point(c_, index, rec, CampaignEvent::Source::kRun);
-}
-
-const CancelToken* CampaignFeed::token() const {
-  PSYNC_CHECK(c_ != nullptr);
-  return &c_->token;
-}
-
 CampaignState CampaignHandle::state() const {
   PSYNC_CHECK(c_ != nullptr);
   std::lock_guard<std::mutex> lock(c_->mu);
@@ -223,19 +213,9 @@ CampaignHandle Session::submit(FrozenSpec frozen) {
   }
   PointCache* cache = opts_.cache;
   Campaign* raw = c.get();
-  raw->thread = std::thread([frozen = std::move(frozen), cache,
-                             executor = opts_.executor, raw] {
+  raw->thread = std::thread([frozen = std::move(frozen), cache, raw] {
     try {
-      if (executor) {
-        CampaignFeed feed(raw);
-        SweepResult result = executor(frozen, feed);
-        std::lock_guard<std::mutex> lock(raw->mu);
-        raw->result = std::move(result);
-        raw->state = CampaignState::kDone;
-        raw->cv.notify_all();
-      } else {
-        execute(frozen, cache, raw);
-      }
+      execute(frozen, cache, raw);
     } catch (...) {
       std::lock_guard<std::mutex> lock(raw->mu);
       raw->error = std::current_exception();

@@ -169,45 +169,12 @@ class CampaignHandle {
   std::shared_ptr<Campaign> c_;
 };
 
-/// The campaign-side surface a pluggable executor publishes through:
-/// per-point events for subscribers plus the campaign's cancel token.
-/// Valid only for the duration of the executor call that received it.
-class CampaignFeed {
- public:
-  /// Publish one landed point (event + progress tally + subscriber
-  /// wakeup). Call with ascending or arbitrary indices — events stream in
-  /// call order. Thread-safe.
-  void emit(std::size_t index, const RunRecord& rec);
-  /// The campaign-local cancel token (parented to the spec's token):
-  /// executors must poll it — or hand it to their own machinery — so
-  /// handle.cancel() reaches them.
-  [[nodiscard]] const CancelToken* token() const;
-
- private:
-  friend class Session;
-  explicit CampaignFeed(Campaign* c) : c_(c) {}
-  Campaign* c_;
-};
-
-/// A pluggable execution backend for submitted campaigns. The default is
-/// Session::execute (in-process thread pool); dist::distributed_executor
-/// runs the frozen sweep across worker processes instead. Contract:
-/// return the finished SweepResult (byte-identical to what the default
-/// path would render), throw CancelledError when feed.token() fired, and
-/// emit() each completed point exactly once for subscribers.
-using CampaignExecutor =
-    std::function<SweepResult(const FrozenSpec&, CampaignFeed&)>;
-
 class Session {
  public:
   struct Options {
     /// Optional per-point result cache (non-owning; must outlive every
     /// campaign submitted through this session).
     PointCache* cache = nullptr;
-    /// Optional execution backend; empty runs the built-in in-process
-    /// path. The cache is not consulted when an executor is set — the
-    /// backend owns its own resume/dedup story (e.g. shard journals).
-    CampaignExecutor executor;
   };
 
   Session() = default;

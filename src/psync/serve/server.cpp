@@ -11,8 +11,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "psync/dist/supervisor.hpp"
-
 namespace psync::serve {
 
 Server::Server(ServerOptions opts) : opts_(std::move(opts)) {}
@@ -44,14 +42,6 @@ void Server::start() {
   if (!opts_.cache_dir.empty()) cache_.open(opts_.cache_dir);
   driver::Session::Options sopts;
   sopts.cache = &cache_;
-  if (opts_.dist_workers > 0) {
-    dist::SupervisorOptions dopts;
-    dopts.workers = opts_.dist_workers;
-    // journal_base stays empty: the executor derives it per campaign from
-    // the spec's (cache-directory) journal path, so shard journals land
-    // next to the campaign's own journal and resume across restarts.
-    sopts.executor = dist::distributed_executor(dopts);
-  }
   session_ = driver::Session(sopts);
 
   sockaddr_un addr{};

@@ -53,15 +53,6 @@ struct ServerOptions {
   /// Reject request lines longer than this (a defense against a client
   /// streaming garbage into the daemon's memory).
   std::size_t max_line_bytes = 1 << 20;
-  /// Execute each submitted campaign across this many worker *processes*
-  /// via the distributed supervisor (dist::distributed_executor) instead
-  /// of the in-process thread pool; 0 keeps the in-process path. Workers
-  /// dial the supervisor over loopback TCP and ship their journal records
-  /// to it (journal shipping + epoch fencing, dist/transport.hpp). Shard
-  /// journals (under "<cache journal>.dist.*") own resume in this mode —
-  /// the PointCache is not consulted — and the streaming merge feeds
-  /// subscribe frames while shards still compute.
-  std::size_t dist_workers = 0;
 };
 
 class Server {

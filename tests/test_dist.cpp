@@ -3,9 +3,9 @@
 // Session's shard window, and full leader/worker supervision over the one
 // leader<->worker transport (framed TCP, journal shipped to the leader) —
 // worker crash restart, wedge detection via heartbeat liveness,
-// crash-loop quarantine, work stealing, lossy links, partition fencing,
-// same-epoch reconnect and grid-order streaming — all asserted against
-// the tentpole invariant: the merged output is byte-identical to a
+// crash-loop quarantine, the restart budget, work stealing, lossy links,
+// partition fencing and same-epoch reconnect — all asserted against the
+// tentpole invariant: the merged output is byte-identical to a
 // single-process run.
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "psync/common/cancel.hpp"
 #include "psync/common/check.hpp"
 #include "psync/common/journal.hpp"
 #include "psync/dist/heartbeat.hpp"
@@ -31,6 +32,7 @@
 #include "psync/dist/supervisor.hpp"
 #include "psync/dist/transport.hpp"
 #include "psync/dist/worker.hpp"
+#include "psync/driver/campaign.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
 
@@ -436,12 +438,12 @@ TEST(Distributed, StaleShardJournalOfAnotherGridIsAConflict) {
 }
 
 TEST(Distributed, AlreadyCancelledLeaderThrowsCancelled) {
-  const auto spec = make_spec(uniform(4, 0.0));
+  auto spec = make_spec(uniform(4, 0.0));
   CancelToken cancel;
   cancel.cancel();
-  auto opts = fast_opts(fresh_base("precancel"), 2);
-  opts.cancel = &cancel;
-  EXPECT_THROW(run_distributed(spec, opts), CancelledError);
+  spec.cancel = &cancel;
+  EXPECT_THROW(run_distributed(spec, fast_opts(fresh_base("precancel"), 2)),
+               CancelledError);
 }
 
 TEST(Distributed, CrashedWorkerIsRestartedAndOutputIsIdentical) {
@@ -519,6 +521,62 @@ TEST(Distributed, CrashLoopingPointIsQuarantinedNotFatal) {
   const auto serial = Session().run(quarantined);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
+}
+
+TEST(Distributed, ShardAbandonedAfterRestartBudgetReportsItsPointsFailed) {
+  const auto spec = make_spec(uniform(6, 0.0));
+  const auto serial = Session().run(spec);
+  const std::string base = fresh_base("abandon");
+  auto opts = fast_opts(base, 2);
+  opts.crash_quarantine_after = 1000;  // crash forever, never quarantine
+  opts.steal = false;  // a steal would hand shard 0's range to a new chunk
+  // Every launch of shard 0 ([0, 3) of 2 workers) dies on its first point.
+  std::size_t shard0_launches = 0;
+  const LaunchHook hook = [&](WorkerConfig& cfg) {
+    if (cfg.shard != 0) return;
+    ++shard0_launches;
+    cfg.crash_on_index = static_cast<std::int64_t>(cfg.range.begin);
+  };
+  const auto dist = run_distributed(spec, opts, hook);
+
+  // The budget: one launch plus five restarts, then the shard is given up.
+  EXPECT_EQ(shard0_launches, 6u);
+  EXPECT_EQ(dist.campaign.worker_restarts, 5u);
+  bool abandoned = false;
+  for (const auto& incident : dist.campaign.worker_failures) {
+    if (incident.kind == FailureKind::kWorkerCrash &&
+        incident.message.find("shard 0 abandoned after 5 restart(s)") !=
+            std::string::npos) {
+      abandoned = true;
+    }
+  }
+  EXPECT_TRUE(abandoned) << "the abandonment incident is missing";
+
+  ASSERT_EQ(dist.records.size(), 6u);
+  EXPECT_EQ(dist.campaign.failed, 3u);
+  EXPECT_EQ(dist.campaign.ok, 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(dist.records[i].status, PointStatus::kFailed) << i;
+    ASSERT_TRUE(dist.records[i].failure.has_value()) << i;
+    EXPECT_EQ(dist.records[i].failure->kind, FailureKind::kWorkerCrash);
+    EXPECT_EQ(dist.records[i].failure->message,
+              "shard abandoned after exhausting worker restarts");
+  }
+  // Shard 1 ran undisturbed: rendered with shard 0's points failed the
+  // same way, the serial run matches byte for byte.
+  auto expected = serial;
+  for (std::size_t i = 0; i < 3; ++i) {
+    RunRecord rec;
+    rec.index = i;
+    rec.workload = spec.workload;
+    rec.knobs = serial.records[i].knobs;
+    rec.status = PointStatus::kFailed;
+    rec.failure = dist.records[i].failure;
+    expected.records[i] = std::move(rec);
+  }
+  expected.campaign = driver::summarize_campaign(expected.records);
+  EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(expected));
+  EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(expected));
 }
 
 TEST(Distributed, IdleWorkersStealFromStragglersAndOutputIsIdentical) {
@@ -624,26 +682,6 @@ TEST(Distributed, ReconnectingWorkerResumesWithoutDataLoss) {
       << "same-epoch reconnect inside the liveness window is welcome";
   EXPECT_GE(dist.campaign.worker_reconnects, 1u);
   EXPECT_EQ(dist.campaign.worker_restarts, 0u);
-}
-
-TEST(Distributed, StreamingMergeDeliversRecordsInGridOrder) {
-  const auto spec = make_spec(uniform(10, 1.0));
-  const auto serial = Session().run(spec);
-  const std::string base = fresh_base("stream");
-  auto opts = fast_opts(base, 3);
-  std::vector<std::size_t> streamed;
-  opts.on_record = [&](std::size_t index, const RunRecord& rec) {
-    streamed.push_back(index);
-    EXPECT_EQ(rec.index, index);
-  };
-  const auto dist = run_distributed(spec, opts);
-  EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
-  EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
-  // Every point streamed, exactly once, in strictly ascending grid order.
-  ASSERT_EQ(streamed.size(), 10u);
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i], i);
-  }
 }
 
 // ---------------------------------------------------------------------------

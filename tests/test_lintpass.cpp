@@ -195,6 +195,19 @@ TEST(LintLayering, SyntheticDistToServeIncludeIsRejected) {
   EXPECT_NE(r.findings[0].message.find("'dist' must not include 'serve'"),
             std::string::npos)
       << r.findings[0].message;
+  // The daemon runs every campaign in-process, so serve -> dist is not an
+  // edge of the DAG either.
+  lp::Report daemon;
+  lp::lint_file("src/psync/serve/fixture.cpp",
+                "#include \"psync/dist/supervisor.hpp\"\n"
+                "int use_dist();\n",
+                lp::Policy{}, real_layers(), &daemon);
+  ASSERT_EQ(count_rule(daemon, "layer-violation"), 1)
+      << lp::render_text(daemon);
+  EXPECT_NE(
+      daemon.findings[0].message.find("'serve' must not include 'dist'"),
+      std::string::npos)
+      << daemon.findings[0].message;
 }
 
 TEST(LintLayering, AllowedEdgesPass) {

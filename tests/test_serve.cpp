@@ -20,7 +20,6 @@
 #include "psync/common/rng.hpp"
 #include "psync/dist/frame.hpp"
 #include "psync/dist/heartbeat.hpp"
-#include "psync/dist/supervisor.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
 #include "psync/driver/sweep.hpp"
@@ -303,96 +302,6 @@ TEST(Session, CancelFinishesTheCampaignAsCancelled) {
   handle.wait();
   EXPECT_EQ(handle.state(), CampaignState::kCancelled);
   EXPECT_THROW(handle.result(), CancelledError);
-}
-
-// ---------------------------------------------------------------------------
-// Distributed executor: the streaming merge feeds subscribers live
-
-/// Deterministic record keyed on the point seed; sleeps the t_p knob (in
-/// milliseconds) so a slow tail point keeps the campaign running long
-/// after the first records have streamed in.
-class ServeStreamWorkload final : public driver::Workload {
- public:
-  std::string name() const override { return "serve_stream"; }
-  RunRecord run(const driver::RunPoint& pt, core::Scratch&) const override {
-    double tp = 0.0;
-    for (const auto& [knob, value] : pt.knobs) {
-      if (knob == "t_p") tp = value;
-    }
-    if (tp > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<long>(tp)));
-    }
-    RunRecord rec;
-    rec.metrics.push_back(
-        {"val", static_cast<double>(pt.seed % 1000003ULL) / 997.0, -1});
-    return rec;
-  }
-};
-
-ExperimentSpec stream_spec(std::vector<double> tp_values) {
-  driver::register_workload(std::make_unique<ServeStreamWorkload>());
-  ExperimentSpec spec;
-  spec.workload = "serve_stream";
-  spec.axes.push_back({"t_p", std::move(tp_values)});
-  spec.threads = 1;
-  spec.guard.max_retries = 0;
-  return spec;
-}
-
-TEST(SessionDist, SocketExecutorStreamsPartialResultsWhileRunning) {
-  // Five quick points and one slow straggler: the straggler pins the
-  // campaign in kRunning while the quick points' records ship over the
-  // socket, so "a partial result arrived before the last shard finished"
-  // is observable without timing luck.
-  const auto spec = stream_spec({10, 10, 10, 10, 10, 400});
-  const SweepResult serial = Session().run(spec);
-
-  dist::SupervisorOptions dopts;
-  dopts.workers = 2;
-  dopts.journal_base = testing::TempDir() + "psync_serve_stream_" +
-                       std::to_string(::getpid());
-  dopts.heartbeat_ms = 10.0;
-  dopts.liveness_factor = 50.0;
-
-  Session::Options sopts;
-  sopts.executor = dist::distributed_executor(dopts);
-  Session session(sopts);
-  auto handle = session.submit(spec);
-
-  bool partial_while_running = false;
-  std::size_t streamed_while_running = 0;
-  std::size_t cursor = 0;
-  std::vector<CampaignEvent> events;
-  while (handle.state() == CampaignState::kRunning) {
-    cursor = handle.events_since(cursor, 25.0, &events);
-    // Checking state *after* the read: these events were published while
-    // the campaign still ran, which is the whole point of the stream.
-    if (!events.empty() && handle.state() == CampaignState::kRunning) {
-      partial_while_running = true;
-      streamed_while_running += events.size();
-    }
-  }
-  handle.wait();
-  EXPECT_EQ(handle.state(), CampaignState::kDone);
-  EXPECT_TRUE(partial_while_running)
-      << "no partial result surfaced before the campaign finished";
-  EXPECT_GE(streamed_while_running, 1u);
-
-  // A late subscriber replaying from cursor 0 sees every point exactly
-  // once, in grid order (the streaming merge emits the contiguous
-  // prefix, so call order == grid order here).
-  events.clear();
-  EXPECT_EQ(handle.events_since(0, 0.0, &events), 6u);
-  ASSERT_EQ(events.size(), 6u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].index, i);
-    EXPECT_EQ(events[i].status, PointStatus::kOk);
-  }
-
-  // And the merged table is byte-identical to the serial run.
-  EXPECT_EQ(driver::sweep_json(handle.result()), driver::sweep_json(serial));
-  EXPECT_EQ(driver::sweep_csv(handle.result()), driver::sweep_csv(serial));
 }
 
 // ---------------------------------------------------------------------------
@@ -1153,58 +1062,6 @@ TEST(Daemon, ShutdownOpWakesWaiters) {
   EXPECT_TRUE(shutdown);
   waiter.join();  // wait_for_shutdown must return without stop()
   daemon.server->stop();
-}
-
-TEST(Daemon, DistSocketBackendMatchesTheRunnerAndStreamsSubscribe) {
-  // The daemon executing campaigns across worker processes (which ship
-  // their journal records over TCP) is still byte-identical to the
-  // in-process Session::run, and a subscriber sees the per-point stream the
-  // distributed merge feeds through the campaign's event channel.
-  ServerOptions opts;
-  opts.socket_path = temp_path("dist_sock_" + std::to_string(::getpid()));
-  std::remove(opts.socket_path.c_str());
-  opts.dist_workers = 2;
-  Server server(opts);
-  server.start();
-
-  Client client(opts.socket_path);
-  ASSERT_TRUE(client.connected());
-  const std::string response = client.round_trip(submit_frame(kSmallIni));
-  bool ok = false;
-  ASSERT_TRUE(find_bool_field(response, "ok", &ok)) << response;
-  ASSERT_TRUE(ok) << response;
-  std::string id;
-  ASSERT_TRUE(find_string_field(response, "campaign", &id));
-
-  // Subscribe streams one point frame per record, then one done frame.
-  Client sub(opts.socket_path);
-  ASSERT_TRUE(sub.connected());
-  ASSERT_TRUE(sub.send_line(
-      "{\"op\":\"subscribe\",\"campaign\":" + json_string(id) + "}"));
-  std::size_t points = 0;
-  std::string line;
-  for (;;) {
-    ASSERT_TRUE(sub.read_line(&line));
-    std::string event;
-    ASSERT_TRUE(find_string_field(line, "event", &event)) << line;
-    if (event == "done") break;
-    EXPECT_EQ(event, "point") << line;
-    ++points;
-  }
-  EXPECT_EQ(points, 4u);
-  std::string state;
-  ASSERT_TRUE(find_string_field(line, "state", &state));
-  EXPECT_EQ(state, "done");
-
-  // results stays byte-identical to the in-process Session::run.
-  const std::string results = client.round_trip(
-      "{\"op\":\"results\",\"campaign\":" + json_string(id) + "}");
-  ASSERT_TRUE(find_bool_field(results, "ok", &ok) && ok) << results;
-  std::string body;
-  ASSERT_TRUE(find_string_field(results, "body", &body));
-  EXPECT_EQ(body, driver::sweep_json(Session().run(small_spec())));
-
-  server.stop();
 }
 
 }  // namespace

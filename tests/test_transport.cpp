@@ -2,8 +2,8 @@
 // length-prefixed frame codec under short reads and garbage, the
 // control-frame payload codecs, the seeded ChaosTransport fault injector,
 // decorrelated-jitter backoff, the leader's epoch-fencing ledger, the TCP
-// socket options on both ends of a connection, the streaming grid-order
-// merger, and the journal-directory durability helpers
+// socket options on both ends of a connection, the leader's live
+// JournalMerger check, and the journal-directory durability helpers
 // (fsync_parent_dir / durable_rename). Everything here is deterministic:
 // fixed seeds replay identical fault sequences.
 #include <gtest/gtest.h>
@@ -592,7 +592,8 @@ TEST(TcpPlumbing, BothEndsOfALeaderWorkerConnectionSetNoDelay) {
 }
 
 // ---------------------------------------------------------------------------
-// JournalMerger as the live view: the contiguous prefix, in grid order
+// JournalMerger as the leader's live check: each shipped record is offered
+// as it lands, and the dedup and conflict policy applies at once
 
 driver::RunRecord rec_for(std::size_t index,
                           driver::PointStatus status =
@@ -604,47 +605,23 @@ driver::RunRecord rec_for(std::size_t index,
   return rec;
 }
 
-TEST(StreamMerge, EmitsTheContiguousPrefixInGridOrder) {
-  std::vector<std::size_t> emitted;
-  JournalMerger merger(6, [&](std::size_t i, const driver::RunRecord&) {
-    emitted.push_back(i);
-  });
-  EXPECT_TRUE(merger.offer(rec_for(2)));  // held: gap at 0..1
-  EXPECT_TRUE(merger.offer(rec_for(0)));  // emits 0
-  EXPECT_EQ(emitted, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(merger.held(), 1u);
-  EXPECT_TRUE(merger.offer(rec_for(1)));  // unblocks 1 and the held 2
-  EXPECT_EQ(emitted, (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(merger.emitted(), 3u);
-  EXPECT_EQ(merger.held(), 0u);
-  EXPECT_TRUE(merger.offer(rec_for(5)));
-  EXPECT_TRUE(merger.offer(rec_for(4)));
-  EXPECT_TRUE(merger.offer(rec_for(3)));
-  EXPECT_EQ(emitted, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(merger.arrived(), 6u);
-}
-
 TEST(StreamMerge, AgreeingDuplicatesAreCountedNotReEmitted) {
-  std::size_t emits = 0;
-  JournalMerger merger(3, [&](std::size_t, const driver::RunRecord&) {
-    ++emits;
-  });
+  JournalMerger merger(3);
   EXPECT_TRUE(merger.offer(rec_for(0)));
   EXPECT_FALSE(merger.offer(rec_for(0)));  // retransmitted frame
   EXPECT_TRUE(merger.offer(rec_for(1)));
   EXPECT_FALSE(merger.offer(rec_for(1)));
-  EXPECT_EQ(emits, 2u);
   EXPECT_EQ(merger.duplicates(), 2u);
 }
 
 TEST(StreamMerge, DisagreeingDuplicateAndOutOfGridAreTypedErrors) {
   JournalMerger merger(3);
-  EXPECT_TRUE(merger.offer(rec_for(1)));  // still held (gap at 0)
+  EXPECT_TRUE(merger.offer(rec_for(1)));  // first, ahead of index 0
   EXPECT_THROW(merger.offer(rec_for(1, driver::PointStatus::kFailed)),
                JournalConflictError);
-  EXPECT_TRUE(merger.offer(rec_for(0)));  // 0 then the held 1 emit
-  // Post-emit disagreement must still be caught: the emitted record's
-  // status is still what a later duplicate is checked against.
+  EXPECT_TRUE(merger.offer(rec_for(0)));
+  // A disagreement is caught whenever it lands: the first record's status
+  // is what every later duplicate is checked against.
   EXPECT_THROW(merger.offer(rec_for(0, driver::PointStatus::kFailed)),
                JournalConflictError);
   EXPECT_THROW(merger.offer(rec_for(3)), JournalConflictError);

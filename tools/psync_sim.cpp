@@ -540,6 +540,9 @@ int main(int argc, char** argv) {
     }
 
     prof.begin("run sweep");
+    // One cancel channel for both paths: the SIGTERM/SIGINT handler token
+    // stops the serial pool and the distributed leader alike.
+    spec.cancel = &g_cancel;
     driver::SweepResult result;
     if (opt.workers > 0) {
       // Distributed leader: shard the grid across forked worker processes
@@ -564,7 +567,6 @@ int main(int argc, char** argv) {
         scratch_dir = dir;
         sup.journal_base = scratch_dir + "/sweep";
       }
-      sup.cancel = &g_cancel;
       if (!opt.listen_spec.empty()) {
         if (!dist::parse_host_port(opt.listen_spec, &sup.listen_host,
                                    &sup.listen_port)) {
@@ -587,7 +589,6 @@ int main(int argc, char** argv) {
       result = dist::run_distributed(spec, sup, hook);
       if (!scratch_dir.empty()) std::filesystem::remove_all(scratch_dir);
     } else {
-      spec.cancel = &g_cancel;
       driver::Session session;
       auto handle = session.submit(spec);
       handle.wait();
