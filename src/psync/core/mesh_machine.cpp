@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "psync/common/check.hpp"
 #include "psync/fft/fft.hpp"
@@ -62,7 +63,25 @@ void check_packets(std::uint64_t words, std::uint64_t packet) {
   }
 }
 
+// Shared by every instantiation of the stepping loop, so the message is
+// built in one place.
+[[noreturn]] void throw_cycle_cap(const char* phase) {
+  throw DivergenceError(std::string(phase) + ": exceeded cycle cap");
+}
+
 }  // namespace
+
+template <class Done>
+void MeshMachine::step_until(mesh::Mesh& net, Done done,
+                             const char* phase) const {
+  std::uint64_t steps = 0;
+  while (!done()) {
+    if ((++steps & 0xFFF) == 0 && cancel_ != nullptr) cancel_->poll();
+    net.fast_forward(kMaxPhaseCycles);
+    net.step();
+    if (net.cycle() > kMaxPhaseCycles) throw_cycle_cap(phase);
+  }
+}
 
 MeshMachine::MeshMachine(MeshMachineParams params) : params_(params) {
   if (params_.grid == 0) throw ConfigError("MeshMachine: zero grid");
@@ -103,14 +122,7 @@ TransposeRunReport MeshMachine::run_transpose_writeback(
     }
   }
 
-  std::uint64_t steps = 0;
-  while (!mi.done()) {
-    poll_cancel(&steps);
-    net.step();
-    if (net.cycle() > kMaxPhaseCycles) {
-      throw DivergenceError("run_transpose_writeback: exceeded cycle cap");
-    }
-  }
+  step_until(net, [&] { return mi.done(); }, "run_transpose_writeback");
 
   TransposeRunReport rep;
   rep.completion_cycle = mi.completion_cycle();
@@ -170,14 +182,7 @@ TransposeRunReport MeshMachine::run_transpose_writeback_multiport(
     }
     return true;
   };
-  std::uint64_t steps = 0;
-  while (!all_done()) {
-    poll_cancel(&steps);
-    net.step();
-    if (net.cycle() > kMaxPhaseCycles) {
-      throw DivergenceError("multiport transpose: exceeded cycle cap");
-    }
-  }
+  step_until(net, all_done, "multiport transpose");
 
   TransposeRunReport rep;
   for (const auto& mi : mis) {
@@ -258,14 +263,7 @@ MeshRunReport MeshMachine::run_fft2d(
       }
       return true;
     };
-    std::uint64_t steps = 0;
-    while (!all_done()) {
-      poll_cancel(&steps);
-      net.step();
-      if (net.cycle() > kMaxPhaseCycles) {
-        throw DivergenceError("MeshMachine delivery: exceeded cycle cap");
-      }
-    }
+    step_until(net, all_done, "MeshMachine delivery");
     std::vector<double> done_ns(P);
     double last = start_ns;
     for (std::size_t i = 0; i < P; ++i) {
@@ -316,14 +314,7 @@ MeshRunReport MeshMachine::run_fft2d(
         net.inject(d);
       }
     }
-    std::uint64_t steps = 0;
-    while (!mi.done()) {
-      poll_cancel(&steps);
-      net.step();
-      if (net.cycle() > kMaxPhaseCycles) {
-        throw DivergenceError("MeshMachine writeback: exceeded cycle cap");
-      }
-    }
+    step_until(net, [&] { return mi.done(); }, "MeshMachine writeback");
     phase.start_ns = t0;
     phase.end_ns = t0 + static_cast<double>(mi.completion_cycle()) * cycle_ns();
     accumulate(net.activity());

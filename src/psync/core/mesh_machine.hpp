@@ -101,18 +101,19 @@ class MeshMachine {
   std::vector<std::complex<double>> result() const;
 
   /// Cooperative cancellation: every network stepping loop polls `token`
-  /// once per cycle batch (4096 steps) and aborts with CancelledError when
-  /// it has expired (the driver's per-point watchdog). nullptr disarms.
+  /// once per 4096 steps and aborts with CancelledError when it has expired
+  /// (the driver's per-point watchdog). nullptr disarms.
   void set_cancel(const CancelToken* token) { cancel_ = token; }
 
  private:
   double cycle_ns() const { return 1.0 / params_.clock_ghz; }
 
-  /// One cycle-batch boundary inside a stepping loop: bump the caller's
-  /// step counter and poll the cancel token every 4096 steps.
-  void poll_cancel(std::uint64_t* steps) const {
-    if ((++*steps & 0xFFF) == 0 && cancel_ != nullptr) cancel_->poll();
-  }
+  /// The one network stepping loop: until `done()`, poll the cancel token
+  /// every 4096 steps, fast-forward over cycles on which no router can act,
+  /// step, and throw DivergenceError("<phase>: exceeded cycle cap") once the
+  /// network passes the phase cycle cap.
+  template <class Done>
+  void step_until(mesh::Mesh& net, Done done, const char* phase) const;
 
   MeshMachineParams params_;
   std::vector<Word> image_;

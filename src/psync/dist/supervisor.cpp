@@ -421,12 +421,15 @@ class Supervisor {
   /// recorded set and the merger (so a shipped record that disagrees with
   /// one already on disk is a conflict). A journal left by another sweep
   /// fails the run here, with a JournalConflictError, before any point of
-  /// it is trusted.
+  /// it is trusted. Each journal is attached once (a repartition's chunk 0
+  /// shares its predecessor's), so every index read here was journaled by
+  /// an earlier run: it counts as resumed.
   void attach_leader_journal(Assignment& asg) {
     asg.led = std::make_shared<LeaderJournal>();
     for (auto& entry :
          driver::read_sweep_journal(asg.journal, points_, spec_.workload)) {
       asg.led->recorded.insert(entry.rec.index);
+      resumed_.insert(entry.rec.index);
       merger_.offer(std::move(entry.rec));
     }
     asg.led->writer.open(asg.journal, /*keep_existing=*/true);
@@ -991,6 +994,7 @@ class Supervisor {
     result.spec = spec_;
     result.records = std::move(merged.records);
     result.campaign = driver::summarize_campaign(result.records);
+    result.campaign.resumed = resumed_.size();
     result.campaign.worker_restarts = restarts_;
     result.campaign.worker_steals = steals_;
     result.campaign.worker_reconnects = reconnects_;
@@ -1012,6 +1016,7 @@ class Supervisor {
   std::map<std::size_t, std::size_t> steal_counter_;  // per original shard
   std::map<std::size_t, std::size_t> crash_streak_;   // per grid index
   std::set<std::size_t> quarantine_;
+  std::set<std::size_t> resumed_;  // indices found in journals at attach
   std::vector<driver::PointFailure> incidents_;
   std::uint64_t restarts_ = 0;
   std::uint64_t steals_ = 0;

@@ -47,6 +47,10 @@ class MemoryInterface final : public Sink {
   void set_collector(Collector c) { collector_ = std::move(c); }
 
   bool accept(const Flit& flit, std::int64_t cycle) override;
+  /// A refused flit waits out the reorder and DRAM stall.
+  std::int64_t next_ready(std::int64_t cycle) const override {
+    return cycle + 1 > busy_until_ ? cycle + 1 : busy_until_;
+  }
   void step(std::int64_t cycle) override;
 
   /// All expected elements received, reordered and written to DRAM.

@@ -80,21 +80,25 @@ inline std::uint32_t lane_bits(std::uint64_t m) {
   return static_cast<std::uint32_t>((m * 0x0002040810204081ull) >> 56);
 }
 
+[[noreturn]] void throw_bad_params(const char* what) {
+  throw SimulationError(std::string("Mesh: ") + what);
+}
+
 }  // namespace
 
 Mesh::Mesh(MeshParams params) : params_(params) {
   if (params_.width == 0 || params_.height == 0) {
-    throw SimulationError("Mesh: dimensions must be positive");
+    throw_bad_params("dimensions must be positive");
   }
   if (params_.buffer_depth == 0) {
-    throw SimulationError("Mesh: buffer depth must be positive");
+    throw_bad_params("buffer depth must be positive");
   }
   // FIFO occupancy and credits are packed into bytes.
   if (params_.buffer_depth > 255) {
-    throw SimulationError("Mesh: buffer depth must be at most 255");
+    throw_bad_params("buffer depth must be at most 255");
   }
   if (params_.virtual_channels == 0 || params_.virtual_channels > 16) {
-    throw SimulationError("Mesh: virtual channels must be in [1, 16]");
+    throw_bad_params("virtual channels must be in [1, 16]");
   }
   const std::uint32_t n = nodes();
   const std::uint32_t v = vcs();
@@ -171,7 +175,9 @@ Mesh::Mesh(MeshParams params) : params_(params) {
   q_tail_.assign(static_cast<std::size_t>(n) * v, kNil);
   q_cursor_.assign(static_cast<std::size_t>(n) * v, 0);
 
-  active_stamp_.assign(n, 0);
+  cur_active_.assign((n + 63) / 64, 0);
+  next_active_.assign((n + 63) / 64, 0);
+  waking_.reserve(n);
   sinks_.resize(n, nullptr);
   default_sinks_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -187,10 +193,6 @@ Mesh::Mesh(MeshParams params) : params_(params) {
   // Worst case per cycle: four hops and five credit returns per router.
   staged_.reserve(static_cast<std::size_t>(n) * 4);
   credit_returns_.reserve(static_cast<std::size_t>(n) * kPorts);
-  // +1 slot: activate()'s speculative store lands one past the cursor even
-  // when every node is already stamped.
-  cur_active_.resize(n + 1);
-  next_active_.resize(n + 1);
 }
 
 NodeId Mesh::node_at(std::uint32_t x, std::uint32_t y) const {
@@ -521,15 +523,31 @@ bool Mesh::serve_injection(NodeId n) {
   return false;
 }
 
-void Mesh::activate(NodeId n) {
-  // Branchless dedupe: the store is speculative (the list has a spare
-  // slot), the cursor advances only on a fresh stamp. This runs ~20 times
-  // a cycle with a data-dependent hit rate, so a compare-and-branch here
-  // is a steady source of mispredicts.
-  const std::uint64_t tag = active_epoch_ + 1;
-  next_active_[next_active_size_] = n;
-  next_active_size_ += active_stamp_[n] != tag;
-  active_stamp_[n] = tag;
+void Mesh::sleep_until_ready(NodeId n) {
+  const std::int64_t t = sinks_[n]->next_ready(cycle_);
+  if (t <= cycle_ + 1) {
+    activate(n);
+    return;
+  }
+  // A router woken early by other traffic may be refused again and add a
+  // second entry; either wake only re-offers the flit.
+  waking_.push_back(Wake{t, n});
+  if (t < next_wake_due_) next_wake_due_ = t;
+}
+
+void Mesh::wake_due() {
+  std::int64_t next = kNever;
+  std::size_t kept = 0;
+  for (const Wake& w : waking_) {
+    if (w.cycle <= cycle_) {
+      activate(w.node);
+    } else {
+      next = std::min(next, w.cycle);
+      waking_[kept++] = w;
+    }
+  }
+  waking_.resize(kept);
+  next_wake_due_ = next;
 }
 
 void Mesh::enqueue_packet(PacketId id) {
@@ -635,7 +653,7 @@ void Mesh::update_routing_generic(NodeId n) {
   }
 }
 
-bool Mesh::serve_outputs_generic(NodeId n) {
+bool Mesh::serve_outputs_generic(NodeId n, bool* eject_refused) {
   bool progress = false;
   const std::uint32_t base = n * stride_;
   const std::uint32_t v = vcs();
@@ -667,7 +685,10 @@ bool Mesh::serve_outputs_generic(NodeId n) {
     const auto i = static_cast<std::uint32_t>(chosen);
     const bool served =
         o == kPortLocal ? eject_flit(n, i) : (hop_flit(n, i, o), true);
-    if (!served) continue;
+    if (!served) {
+      *eject_refused = true;
+      continue;
+    }
     progress = true;
     const std::uint32_t next_rr = i + 1;
     rr_next_[static_cast<std::size_t>(n) * kPorts +
@@ -679,7 +700,8 @@ bool Mesh::serve_outputs_generic(NodeId n) {
 
 void Mesh::step_router_generic(NodeId n) {
   update_routing_generic(n);
-  bool progress = serve_outputs_generic(n);
+  bool eject_refused = false;
+  bool progress = serve_outputs_generic(n, &eject_refused);
   progress |= serve_injection(n);
 
   // Sources with pending injections stay active only while some local
@@ -699,17 +721,17 @@ void Mesh::step_router_generic(NodeId n) {
     const std::uint32_t base = n * stride_;
     for (std::uint32_t i = 0; i < vc_total_ && !keep; ++i) {
       if (vc_routing_[base + i]) keep = true;  // countdown ticks every cycle
-      // (A head waiting for a busy out-VC needs no polling: the VC frees
-      // when the holder's tail pops at THIS router, which is progress and
-      // keeps the router active for the next cycle's allocation.)
-      // Eject-blocked inputs must retry the sink every cycle.
-      if (vc_count_[base + i] > 0 &&
-          vc_route_[base + i] == static_cast<std::int8_t>(kPortLocal)) {
-        keep = true;
-      }
     }
   }
-  if (keep) activate(n);
+  // (A head waiting for a busy out-VC needs no polling: the VC frees when
+  // the holder's tail pops at THIS router, which is progress, or the
+  // holder's next flit arrives, which wakes it.) A refused ejection
+  // retries when the sink can take a flit.
+  if (keep) {
+    activate(n);
+  } else if (eject_refused) {
+    sleep_until_ready(n);
+  }
 }
 
 std::uint32_t Mesh::step_router_packed(NodeId n) {
@@ -719,7 +741,11 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
   // directly — one occupancy byte and one credit byte — without the mask
   // scan below. The actions taken are exactly what the full scan would
   // choose (a single-lane `ready`, idle route/alloc/inject phases), so
-  // observable behavior is identical.
+  // observable behavior is identical. A served worm stays scheduled only
+  // while its lane holds a flit (and, past a non-tail hop, a credit);
+  // otherwise an arrival into the emptied lane or the credit's 0 -> 1
+  // return wakes it. No other lane holds a flit and nothing is queued
+  // while the hint stands, so nothing else needs the router.
   const std::uint32_t hint = serve_hint_[n];
   if (hint != kNoHint8) {
     const std::uint32_t i = hint & 7u;
@@ -728,23 +754,23 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
     if (vc_count_[g] == 0) {
       return 0;  // nothing buffered: the next arrival wakes
     }
+    const std::uint64_t w = a_slot_[slot_base(g) + vc_head_[g]];
     if (o == static_cast<std::uint32_t>(kPortLocal)) {
-      const std::uint64_t w = a_slot_[slot_base(g) + vc_head_[g]];
-      if (eject_flit_packed(n, i, w)) {
-        if (slot_tail(w)) serve_hint_[n] = kNoHint8;
-        activate(n);
-        return 1;
+      if (!eject_flit_packed(n, i, w)) {
+        sleep_until_ready(n);
+        return 0;
       }
-      activate(n);  // eject-blocked: retry the sink next cycle
-      return 0;
+      if (slot_tail(w)) serve_hint_[n] = kNoHint8;
+      if (vc_count_[g] != 0) activate(n);
+      return 1;
     }
     if (credits_[n * 8u + o] > 0) {
-      const std::uint64_t w = a_slot_[slot_base(g) + vc_head_[g]];
       hop_flit_packed(n, i, o, w);
       if (slot_tail(w)) serve_hint_[n] = kNoHint8;
-      activate(n);
+      if (vc_count_[g] != 0 && (slot_tail(w) || credits_[n * 8u + o] != 0)) {
+        activate(n);
+      }
     }
-    // No credit: the credit return re-activates this router.
     return 0;
   }
 
@@ -833,6 +859,8 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
   bool progress = false;
   std::uint8_t new_hint = kNoHint8;
   std::uint32_t ejected = 0;
+  // Every ready lane is served this visit; with no progress, a ready eject
+  // lane is one the sink refused.
   const std::uint64_t ready = occ & ~rt_none & ~ov_none;
   if (ready) {
     if ((ready & (ready - 1)) == 0) {
@@ -923,12 +951,16 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
   // Nothing progressed, so cnt/rt stayed as computed above: the keep-awake
   // conditions reduce to register tests. (need == 0 after the routing phase
   // implies no countdown is pending: a counting VC re-enters `need` every
-  // cycle until its route resolves.)
+  // cycle until its route resolves.) A lane waiting for the eject lock
+  // needs no polling: the holder is the refused lane or an empty one, whose
+  // next arrival wakes the router.
   bool keep = q_head_[n] != kNil && ((cnt >> 32) & 0xFF) < depth;
   if (!keep) keep = any_routing;  // a t_r countdown must tick every cycle
-  // Eject-blocked inputs must retry the sink every cycle.
-  if (!keep) keep = (occ & bytes_eq(rt, 4)) != 0;
-  if (keep) activate(n);
+  if (keep) {
+    activate(n);
+  } else if ((ready & bytes_eq(rt, 4)) != 0) {
+    sleep_until_ready(n);  // retry when the sink can take a flit
+  }
   return 0;
 }
 
@@ -949,22 +981,31 @@ void Mesh::step() {
   if (cycle_ >= next_release_due_) {
     release_buf_.clear();
     releases_.pop_due(cycle_, &release_buf_);
-    next_release_due_ = releases_.empty()
-                            ? std::numeric_limits<std::int64_t>::max()
-                            : releases_.next_key(cycle_ + 1);
+    next_release_due_ =
+        releases_.empty() ? kNever : releases_.next_key(cycle_ + 1);
     for (const Release& rel : release_buf_) {
       enqueue_packet(rel.id);
       activate(pr_src_[rel.id]);
     }
   }
+  if (cycle_ >= next_wake_due_) wake_due();
 
-  // Process the active set; the epoch bump retires every stamp at once.
+  // Visit the scheduled routers in ascending id. Each word is cleared as it
+  // is consumed, so after the swap next_active_ starts the cycle empty.
   std::swap(cur_active_, next_active_);
-  cur_active_size_ = next_active_size_;
-  next_active_size_ = 0;
-  ++active_epoch_;
-
-  const NodeId* const act = cur_active_.data();
+  const auto for_each_active = [this](auto&& visit) {
+    std::uint64_t* const act = cur_active_.data();
+    const std::size_t words = cur_active_.size();
+    for (std::size_t k = 0; k < words; ++k) {
+      std::uint64_t m = act[k];
+      act[k] = 0;
+      while (m != 0) {
+        visit(static_cast<NodeId>(k * 64 + static_cast<std::size_t>(
+                                               std::countr_zero(m))));
+        m &= m - 1;
+      }
+    }
+  };
   if (packed_) {
     // The per-hop and per-eject activity counters batch into one flush
     // here: each hop stages exactly one arrival (one buffer read, one
@@ -973,50 +1014,63 @@ void Mesh::step() {
     // of the serve loops matters because the loops' byte stores alias
     // everything, forcing reloads around every counter bump.
     std::uint32_t ejects = 0;
-    for (std::uint32_t k = 0; k < cur_active_size_; ++k) {
-      ejects += step_router_packed(act[k]);
-    }
+    for_each_active([&](NodeId n) { ejects += step_router_packed(n); });
     const std::uint64_t hops = staged_.size();
     activity_.buffer_reads += hops + ejects;
     activity_.crossbar_traversals += hops;
     activity_.link_traversals += hops;
     activity_.ejected_flits += ejects;
   } else {
-    for (std::uint32_t k = 0; k < cur_active_size_; ++k) {
-      step_router_generic(act[k]);
-    }
+    for_each_active([&](NodeId n) { step_router_generic(n); });
   }
 
-  // Commit link traversals; arrivals wake the receiving router. The flit
-  // fields are already in place (hop_flit), so the commit is just the
-  // occupancy increment that makes them visible.
+  // Commit link traversals. The flit fields are already in place
+  // (hop_flit), so the commit is just the occupancy increment that makes
+  // them visible. On V == 1 an arrival wakes its router only when it lands
+  // in an empty lane (a flit behind another changes nothing the router can
+  // do next cycle), and not in a streaming worm whose output has no credit
+  // (the credit's return wakes it). The generic path wakes on every one.
   activity_.buffer_writes += staged_.size();
   {
     const Staged* const sp = staged_.data();
     const std::size_t sn = staged_.size();
     for (std::size_t k = 0; k < sn; ++k) {
-      PSYNC_DCHECK(vc_count_[sp[k].g] < params_.buffer_depth);
-      cnt_add(sp[k].g, 1);
+      const std::uint32_t g = sp[k].g;
+      const NodeId node = sp[k].node;
+      PSYNC_DCHECK(vc_count_[g] < params_.buffer_depth);
+      if (!packed_) {
+        cnt_add(g, 1);
+        activate(node);
+        continue;
+      }
+      const bool was_empty = vc_count_[g] == 0;
+      cnt_add(g, 1);
       // An arrival on a different lane ends the receiver's streaming-worm
-      // state (kNoHint8 maps to itself, so no-hint stays no-hint).
-      const std::uint8_t hv = serve_hint_[sp[k].node];
-      serve_hint_[sp[k].node] =
-          (hv & 7u) == (sp[k].g & 7u) ? hv : kNoHint8;
-      activate(sp[k].node);
+      // state (kNoHint8's lane bits, 7, match no lane).
+      const std::uint32_t hv = serve_hint_[node];
+      const bool in_worm = (hv & 7u) == (g & 7u);
+      if (!in_worm) serve_hint_[node] = kNoHint8;
+      const std::uint32_t o = hv >> 3;
+      const bool starved = in_worm &&
+                           o != static_cast<std::uint32_t>(kPortLocal) &&
+                           credits_[node * 8u + o] == 0;
+      if (was_empty && !starved) activate(node);
     }
   }
   staged_.clear();
 
-  // Credit returns wake the upstream router (targets resolved at push).
+  // Credit returns (targets resolved at push). On V == 1 a return wakes
+  // the upstream router only on 0 -> 1: with a credit left it hopped this
+  // cycle if it could, which keeps it scheduled.
   {
     std::uint8_t* const cred = credits_.data();
     const std::uint64_t* const cp = credit_returns_.data();
     const std::size_t cn = credit_returns_.size();
     for (std::size_t k = 0; k < cn; ++k) {
       const std::uint64_t w = cp[k];
-      ++cred[w >> 32];
+      const bool was_zero = cred[w >> 32]++ == 0;
       PSYNC_DCHECK(cred[w >> 32] <= params_.buffer_depth);
-      activate(static_cast<NodeId>(w));
+      if (was_zero || !packed_) activate(static_cast<NodeId>(w));
     }
   }
   credit_returns_.clear();
@@ -1028,6 +1082,20 @@ bool Mesh::drained() const {
   return in_flight_flits_ == 0 && releases_.empty() && queued_flits_ == 0;
 }
 
+bool Mesh::fast_forward(std::int64_t limit) {
+  if (!idle_skip_ || limit <= cycle_) return false;
+  for (const std::uint64_t w : next_active_) {
+    if (w != 0) return false;
+  }
+  // No router is scheduled, so until the next timed wake or release every
+  // step() would be a no-op: flits sit behind credits that only a visit
+  // can return, and sinks are not offered anything.
+  const std::int64_t next = std::min(next_wake_due_, next_release_due_);
+  if (next == kNever || next <= cycle_) return false;
+  cycle_ = std::min(next, limit);
+  return true;
+}
+
 bool Mesh::run_until_drained(std::int64_t max_cycles) {
   // Latency records are appended inside the stepping loop; reserving from
   // the in-flight count here keeps reallocation out of the measurement.
@@ -1037,18 +1105,7 @@ bool Mesh::run_until_drained(std::int64_t max_cycles) {
   const std::size_t packets_before = packet_inject_cycle_.size();
   const std::int64_t limit = cycle_ + max_cycles;
   while (!drained() && cycle_ < limit) {
-    // Idle fast-forward: with no flit buffered, nothing queued for
-    // injection, and no router scheduled to wake, the network state cannot
-    // change until the next release fires — every intervening step() would
-    // be a no-op (sinks are quiescent when nothing is in flight). Jump
-    // straight to that cycle.
-    if (idle_skip_ && in_flight_flits_ == 0 && queued_flits_ == 0 &&
-        next_active_size_ == 0 && !releases_.empty()) {
-      if (next_release_due_ > cycle_) {
-        cycle_ = next_release_due_ < limit ? next_release_due_ : limit;
-        continue;
-      }
-    }
+    if (fast_forward(limit)) continue;
     step();
   }
   PSYNC_CHECK_MSG(packet_inject_cycle_.size() == packets_before,

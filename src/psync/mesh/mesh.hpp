@@ -29,6 +29,19 @@
 // Occupancy and credits are byte-wide, so the constructor rejects a
 // buffer_depth above 255.
 //
+// Scheduling: a router is visited only on cycles it can act, and the
+// routers of a cycle are visited in ascending node id. Visit order shows
+// only in the order ejections are recorded (latencies(), the Welford
+// stats, sink logs), never in cycle timing, so a fixed order keeps both
+// datapaths comparable with an oracle that visits every router. A router
+// is scheduled for the next cycle when it made progress, has a t_r
+// countdown running, or has an injection with room; on V == 1 the wakes
+// from outside are exact: an arrival wakes it only when it lands in an
+// empty lane (and not in a streaming worm that has no credit), a credit
+// return only when the credit goes 0 -> 1. A router whose sink refused a
+// flit sleeps until the sink's next_ready() cycle. When no router is
+// scheduled, fast_forward() jumps to the next timed wake or release.
+//
 // Ejection at a node goes to a Sink; memory interfaces (memory_interface.hpp)
 // and simple consumers implement this interface.
 #pragma once
@@ -72,12 +85,18 @@ class Mesh {
   /// elapse. Returns true when drained.
   bool run_until_drained(std::int64_t max_cycles);
 
-  /// Idle-cycle fast-forward (on by default): when nothing is buffered,
-  /// queued, or active, run_until_drained() jumps `cycle_` straight to the
-  /// next scheduled release instead of stepping empty cycles one at a time.
-  /// Skipped cycles are observationally idle — no counter, stat, or sink
-  /// callback would have fired — so results are identical either way; the
-  /// toggle exists so equivalence tests can force the naive loop.
+  /// Event fast-forward: when no router is scheduled for the coming cycle,
+  /// move cycle() to the earliest timed wake or release (at most `limit`)
+  /// and return true. Returns false, leaving the cycle alone, when a router
+  /// is scheduled, nothing is pending, or idle skip is off. Every skipped
+  /// cycle is one on which step() would change nothing but the cycle count;
+  /// stepped sinks see the gap (see Sink).
+  bool fast_forward(std::int64_t limit);
+
+  /// Idle skip (on by default): lets fast_forward(), and with it
+  /// run_until_drained(), jump over cycles on which no router can act.
+  /// Results are identical either way; the toggle exists so equivalence
+  /// tests can force the naive loop.
   void set_idle_skip(bool on) { idle_skip_ = on; }
   bool idle_skip() const { return idle_skip_; }
 
@@ -111,6 +130,8 @@ class Mesh {
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;  // packet-list end
   static constexpr std::uint8_t kNoHint8 = 0xFF;      // serve_hint_ empty
   static constexpr std::uint32_t kNoWords = 0xFFFFFFFFu;
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();  // no release / wake pending
 
   /// Release-queue entry: just the packet id. Every other field of the
   /// original PacketDesc (including its payload vector) was captured into
@@ -170,7 +191,7 @@ class Mesh {
   std::uint32_t step_router_packed(NodeId n);
   void step_router_generic(NodeId n);
   void update_routing_generic(NodeId n);
-  bool serve_outputs_generic(NodeId n);
+  bool serve_outputs_generic(NodeId n, bool* eject_refused);
   bool eject_flit(NodeId n, std::uint32_t i);
   void hop_flit(NodeId n, std::uint32_t i, int o);
   // V == 1 specializations used by step_router_packed(): out-VC is always
@@ -180,7 +201,12 @@ class Mesh {
   void hop_flit_packed(NodeId n, std::uint32_t i, std::uint32_t o,
                        std::uint64_t word);
   bool serve_injection(NodeId n);
-  void activate(NodeId n);
+  void activate(NodeId n) {
+    next_active_[n >> 6] |= std::uint64_t{1} << (n & 63u);
+  }
+  // A router whose sink refused a flit sleeps until the sink can take one.
+  void sleep_until_ready(NodeId n);
+  void wake_due();
   void enqueue_packet(PacketId id);
 
   MeshParams params_;
@@ -259,24 +285,28 @@ class Mesh {
 
   CalendarQueue<Release> releases_;
   std::vector<Release> release_buf_;  // scratch for pop_due, reused
-  // Smallest key in releases_ (INT64_MAX when empty), so the per-cycle path
+  // Smallest key in releases_ (kNever when empty), so the per-cycle path
   // touches the calendar queue only on cycles with a due release.
-  std::int64_t next_release_due_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t next_release_due_ = kNever;
   std::vector<Staged> staged_;
   // Credit returns, resolved at push: cr_upcred_ entry + (vc << 32).
   std::vector<std::uint64_t> credit_returns_;
 
-  // Activity-gated simulation: only routers in the active set are stepped.
-  // A router is in next_active_ iff its stamp equals active_epoch_ + 1; the
-  // epoch bump at each step() retires the whole set without a clear loop.
-  // The lists are sized nodes()+1 up front and filled through a manual
-  // cursor so activate() can be branchless (see its definition).
-  std::vector<NodeId> cur_active_;
-  std::vector<NodeId> next_active_;
-  std::uint32_t cur_active_size_ = 0;
-  std::uint32_t next_active_size_ = 0;
-  std::vector<std::uint64_t> active_stamp_;
-  std::uint64_t active_epoch_ = 0;
+  // Activity-gated simulation: only routers whose bit is set are stepped,
+  // in ascending node id. Routers activated during a cycle land in
+  // next_active_; step() swaps it into cur_active_ and clears each word as
+  // it is consumed, so the pair never needs a clear loop.
+  std::vector<std::uint64_t> cur_active_;
+  std::vector<std::uint64_t> next_active_;
+
+  // Timed wakes: each sink-refused router with the cycle it sleeps until,
+  // and the earliest of those cycles (kNever when none).
+  struct Wake {
+    std::int64_t cycle;
+    NodeId node;
+  };
+  std::vector<Wake> waking_;
+  std::int64_t next_wake_due_ = kNever;
 
   // Packet bookkeeping for latency stats: inject cycle by packet id.
   std::vector<std::int64_t> packet_inject_cycle_;

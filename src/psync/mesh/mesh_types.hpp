@@ -30,12 +30,25 @@ struct MeshParams {
 class ConsumeSink;
 
 /// Consumer of ejected flits at a node.
+///
+/// Contract with the mesh's event scheduling: a refused flit is not offered
+/// again before next_ready(cycle), and the mesh may skip every cycle on
+/// which no router can act, so step() sees gaps in the cycle count. A sink
+/// must therefore decide acceptance from the cycle it is given, not from
+/// how many step() calls it has seen, and a refusing accept() must leave no
+/// trace.
 class Sink {
  public:
   virtual ~Sink() = default;
   /// Offer a flit this cycle; return false to exert backpressure.
   virtual bool accept(const Flit& flit, std::int64_t cycle) = 0;
-  /// Advance internal state one cycle (called once per mesh cycle).
+  /// After accept() refused a flit at `cycle`: the earliest later cycle at
+  /// which it may accept one. The refused router sleeps until then.
+  virtual std::int64_t next_ready(std::int64_t cycle) const {
+    return cycle + 1;
+  }
+  /// Advance internal state to `cycle` (called at the start of every mesh
+  /// cycle that is stepped, in increasing order, possibly with gaps).
   virtual void step(std::int64_t cycle) { (void)cycle; }
   /// Return false when step() is a no-op; the mesh then skips the per-cycle
   /// call entirely (a measurable saving with one sink on every node).

@@ -41,7 +41,6 @@ ReferenceMesh::ReferenceMesh(MeshParams params) : params_(params) {
   default_sinks_.resize(n);
   inject_queues_.resize(static_cast<std::size_t>(n) * v);
   inject_vc_rr_.assign(n, 0);
-  in_next_active_.assign(n, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     Router& r = routers_[i];
     r.in.resize(static_cast<std::size_t>(kPorts) * v);
@@ -66,8 +65,6 @@ ReferenceMesh::ReferenceMesh(MeshParams params) : params_(params) {
   }
   staged_.reserve(n);
   credit_returns_.reserve(n);
-  cur_active_.reserve(n);
-  next_active_.reserve(n);
 }
 
 NodeId ReferenceMesh::node_at(std::uint32_t x, std::uint32_t y) const {
@@ -211,8 +208,7 @@ void ReferenceMesh::update_routing(Router& r, NodeId n) {
   }
 }
 
-bool ReferenceMesh::serve_outputs(NodeId n, Router& r) {
-  bool progress = false;
+void ReferenceMesh::serve_outputs(NodeId n, Router& r) {
   const int total = kPorts * vcs();
   for (int o = 0; o < kPorts; ++o) {
     // Switch allocation: one flit per output per cycle, round-robin over
@@ -239,7 +235,6 @@ bool ReferenceMesh::serve_outputs(NodeId n, Router& r) {
       const Flit& front = fifo_front(ip);
       if (!sinks_[n]->accept(front, cycle_)) continue;
       const Flit f = fifo_pop(ip);
-      progress = true;
       const int next_rr = chosen + 1;
       r.rr_next[o] = static_cast<std::uint8_t>(next_rr >= total ? 0 : next_rr);
       ++activity_.ejected_flits;
@@ -267,7 +262,6 @@ bool ReferenceMesh::serve_outputs(NodeId n, Router& r) {
       PSYNC_CHECK_MSG(next_in >= 0, "flit routed off the mesh edge");
       const int out_vc = ip.out_vc;
       const Flit f = fifo_pop(ip);
-      progress = true;
       const int next_rr = chosen + 1;
       r.rr_next[o] = static_cast<std::uint8_t>(next_rr >= total ? 0 : next_rr);
       --r.credits[static_cast<std::size_t>(ivc(o, out_vc))];
@@ -285,10 +279,9 @@ bool ReferenceMesh::serve_outputs(NodeId n, Router& r) {
       }
     }
   }
-  return progress;
 }
 
-bool ReferenceMesh::serve_injection(NodeId n) {
+void ReferenceMesh::serve_injection(NodeId n) {
   // One flit per cycle total across the node's local VCs, round-robin.
   Router& r = routers_[n];
   for (int k = 0; k < vcs(); ++k) {
@@ -308,15 +301,7 @@ bool ReferenceMesh::serve_injection(NodeId n) {
     ++in_flight_flits_;
     const int next_vc = vc + 1;
     inject_vc_rr_[n] = static_cast<std::uint8_t>(next_vc >= vcs() ? 0 : next_vc);
-    return true;
-  }
-  return false;
-}
-
-void ReferenceMesh::activate(NodeId n) {
-  if (!in_next_active_[n]) {
-    in_next_active_[n] = 1;
-    next_active_.push_back(n);
+    return;
   }
 }
 
@@ -329,7 +314,6 @@ void ReferenceMesh::inject(const PacketDesc& desc) {
   ++in_flight_packets_;
   if (desc.release_cycle <= cycle_) {
     expand_packet(id, desc);
-    activate(desc.src);
   } else {
     releases_.push(desc.release_cycle, Release{desc.release_cycle, id, desc});
   }
@@ -366,59 +350,26 @@ void ReferenceMesh::step() {
   if (!releases_.empty()) {
     release_buf_.clear();
     releases_.pop_due(cycle_, &release_buf_);
-    for (const Release& rel : release_buf_) {
-      expand_packet(rel.id, rel.desc);
-      activate(rel.desc.src);
-    }
+    for (const Release& rel : release_buf_) expand_packet(rel.id, rel.desc);
   }
 
-  // Process the active set.
-  std::swap(cur_active_, next_active_);
-  next_active_.clear();
-  for (NodeId n : cur_active_) in_next_active_[n] = 0;
-
-  for (NodeId n : cur_active_) {
+  // Every router, every cycle, in ascending id: nothing is skipped, so the
+  // production mesh's wake rules are checked against a model with none.
+  for (NodeId n = 0; n < nodes(); ++n) {
     Router& r = routers_[n];
     update_routing(r, n);
-    bool progress = serve_outputs(n, r);
-    progress |= serve_injection(n);
-
-    // Sources with pending injections stay active only while some local
-    // input VC has room; once all are full they sleep until a pop at this
-    // router (progress) frees a slot.
-    bool keep = progress;
-    if (!keep) {
-      for (int vc = 0; vc < vcs() && !keep; ++vc) {
-        if (!inject_queues_[static_cast<std::size_t>(n) * vcs() + vc].empty() &&
-            !fifo_full(r.in[static_cast<std::size_t>(ivc(kPortLocal, vc))])) {
-          keep = true;
-        }
-      }
-    }
-    if (!keep) {
-      const int total = kPorts * vcs();
-      for (int i = 0; i < total && !keep; ++i) {
-        const InputVc& ip = r.in[static_cast<std::size_t>(i)];
-        if (ip.routing) keep = true;  // countdown must tick every cycle
-        // (A head waiting for a busy out-VC needs no polling: the VC frees
-        // when the holder's tail pops at THIS router, which is progress and
-        // keeps the router active for the next cycle's allocation.)
-        // Eject-blocked inputs must retry the sink every cycle.
-        if (ip.count > 0 && ip.route_out == kPortLocal) keep = true;
-      }
-    }
-    if (keep) activate(n);
+    serve_outputs(n, r);
+    serve_injection(n);
   }
 
-  // Commit link traversals; arrivals wake the receiving router.
+  // Commit link traversals.
   for (const Staged& s : staged_) {
     fifo_push(routers_[s.node].in[static_cast<std::size_t>(ivc(s.in_port, s.vc))],
               s.flit);
-    activate(s.node);
   }
   staged_.clear();
 
-  // Credit returns wake the upstream router.
+  // Credit returns.
   for (const CreditReturn& cr : credit_returns_) {
     NodeId up;
     const int up_in = neighbor(cr.node, cr.in_port, &up);
@@ -429,7 +380,6 @@ void ReferenceMesh::step() {
     auto& credit = u.credits[static_cast<std::size_t>(ivc(up_out, cr.vc))];
     ++credit;
     PSYNC_CHECK(credit <= params_.buffer_depth);
-    activate(up);
   }
   credit_returns_.clear();
 
@@ -449,13 +399,12 @@ bool ReferenceMesh::run_until_drained(std::int64_t max_cycles) {
   const std::size_t packets_before = packet_inject_cycle_.size();
   const std::int64_t limit = cycle_ + max_cycles;
   while (!drained() && cycle_ < limit) {
-    // Idle fast-forward: with no flit buffered, nothing queued for
-    // injection, and no router scheduled to wake, the network state cannot
-    // change until the next release fires — every intervening step() would
-    // be a no-op (sinks are quiescent when nothing is in flight). Jump
-    // straight to that cycle.
+    // Idle fast-forward: with no flit buffered and nothing queued for
+    // injection, the network state cannot change until the next release
+    // fires — every intervening step() would be a no-op (sinks are
+    // quiescent when nothing is in flight). Jump straight to that cycle.
     if (idle_skip_ && in_flight_flits_ == 0 && queued_flits_ == 0 &&
-        next_active_.empty() && !releases_.empty()) {
+        !releases_.empty()) {
       const std::int64_t next_release = releases_.next_key(cycle_);
       if (next_release > cycle_) {
         cycle_ = next_release < limit ? next_release : limit;

@@ -7,8 +7,12 @@
 // (test_mesh_soa) asserts the two produce byte-identical event traces,
 // stats, and sink logs, and bench_driver's `*_reference` entries measure
 // this class so speedups stay honest. It has the same public surface as
-// mesh::Mesh, so test helpers can template over either. Keep the stepping
-// semantics here frozen unless the model itself changes.
+// mesh::Mesh (less fast_forward()), so test helpers can template over
+// either. It visits every router on every cycle, in ascending node id, so
+// the production mesh's wake rules and stall fast-forward are checked
+// against a model that skips nothing; its only skip is run_until_drained()
+// jumping over cycles with nothing in flight. Keep the stepping semantics
+// here frozen unless the model itself changes.
 #pragma once
 
 #include <cstdint>
@@ -119,9 +123,8 @@ class ReferenceMesh {
   int neighbor(NodeId node, int out_port, NodeId* out_node) const;
   int compute_route(NodeId at, const Flit& head, const Router& r) const;
   void update_routing(Router& r, NodeId n);
-  bool serve_outputs(NodeId n, Router& r);
-  bool serve_injection(NodeId n);
-  void activate(NodeId n);
+  void serve_outputs(NodeId n, Router& r);
+  void serve_injection(NodeId n);
   void expand_packet(PacketId id, const PacketDesc& desc);
 
   MeshParams params_;
@@ -146,11 +149,6 @@ class ReferenceMesh {
     int vc;
   };
   std::vector<CreditReturn> credit_returns_;
-
-  // Activity-gated simulation: only routers in the active set are stepped.
-  std::vector<NodeId> cur_active_;
-  std::vector<NodeId> next_active_;
-  std::vector<std::uint8_t> in_next_active_;
 
   // Packet bookkeeping for latency stats: inject cycle by packet id.
   std::vector<std::int64_t> packet_inject_cycle_;

@@ -413,6 +413,32 @@ TEST(Distributed, MatchesSerialRunByteForByte) {
   EXPECT_TRUE(dist.campaign.worker_failures.empty());
 }
 
+// A leader rerun on a used journal base splices the journaled points and
+// reports them as resumed, as a serial --resume does: first with one
+// shard's journal holding a prefix of its window, then with every point
+// journaled by a completed run. Stealing is off so that every point lands
+// in its shard's journal, which is all a rerun reads.
+TEST(Distributed, RerunOnAUsedBaseReportsJournaledPointsAsResumed) {
+  const auto spec = make_spec(uniform(6, 0.0));
+  const auto serial = Session().run(spec);
+  const std::string base = fresh_base("rerun");
+  auto opts = fast_opts(base, 2);
+  opts.min_steal_points = 7;
+  write_journal_for(spec, {0, 2}, shard_journal_path(base, 0));
+  const auto partial = run_distributed(spec, opts);
+  EXPECT_EQ(partial.campaign.resumed, 2u);
+  EXPECT_EQ(partial.campaign.worker_steals, 0u);
+  EXPECT_EQ(driver::sweep_json(partial), driver::sweep_json(serial));
+
+  const auto rerun = run_distributed(spec, opts);
+  EXPECT_EQ(rerun.campaign.resumed, 6u);
+  EXPECT_EQ(driver::sweep_json(rerun), driver::sweep_json(serial));
+  EXPECT_EQ(driver::sweep_csv(rerun), driver::sweep_csv(serial));
+  for (std::size_t s = 0; s < 2; ++s) {
+    std::remove(shard_journal_path(base, s).c_str());
+  }
+}
+
 TEST(Distributed, MissingJournalBaseIsAConfigError) {
   const auto spec = make_spec(uniform(4, 0.0));
   SupervisorOptions opts;

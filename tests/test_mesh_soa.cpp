@@ -6,17 +6,24 @@
 // latency log — must match exactly.
 // Patterns cover uniform random, transpose permutation, and hotspot traffic
 // on 8x8 and 16x16 meshes, across seeds, both routing algorithms, and both
-// the packed (V=1) and generic (V=2) VC layouts.
+// the packed (V=1) and generic (V=2) VC layouts. The oracle visits every
+// router on every cycle, so these runs also check the production mesh's
+// wake rules; the memory-interface runs check its sleep on a busy sink and
+// the stall fast-forward the same way.
 #include "psync/mesh/mesh.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "oracle/reference_mesh.hpp"
 #include "psync/common/rng.hpp"
+#include "psync/mesh/memory_interface.hpp"
 
 namespace psync::mesh {
 namespace {
@@ -75,6 +82,19 @@ struct RunResult {
 // Net is mesh::Mesh or oracle::ReferenceMesh; both expose the same
 // public surface.
 template <class Net>
+void capture_net(const Net& net, RunResult* r) {
+  r->final_cycle = net.cycle();
+  r->activity = net.activity();
+  const auto& stats = net.packet_latency();
+  r->lat_count = stats.count();
+  r->lat_mean_bits = std::bit_cast<std::uint64_t>(stats.mean());
+  r->lat_m2_bits = std::bit_cast<std::uint64_t>(stats.variance());
+  r->lat_min_bits = std::bit_cast<std::uint64_t>(stats.min());
+  r->lat_max_bits = std::bit_cast<std::uint64_t>(stats.max());
+  r->latencies = net.latencies();
+}
+
+template <class Net>
 RunResult run_one(Pattern pattern, std::uint32_t dim, std::uint64_t seed,
                   MeshParams mp) {
   mp.width = dim;
@@ -97,15 +117,7 @@ RunResult run_one(Pattern pattern, std::uint32_t dim, std::uint64_t seed,
   EXPECT_EQ(net.in_flight_packets(), 0u);
 
   RunResult r;
-  r.final_cycle = net.cycle();
-  r.activity = net.activity();
-  const auto& stats = net.packet_latency();
-  r.lat_count = stats.count();
-  r.lat_mean_bits = std::bit_cast<std::uint64_t>(stats.mean());
-  r.lat_m2_bits = std::bit_cast<std::uint64_t>(stats.variance());
-  r.lat_min_bits = std::bit_cast<std::uint64_t>(stats.min());
-  r.lat_max_bits = std::bit_cast<std::uint64_t>(stats.max());
-  r.latencies = net.latencies();
+  capture_net(net, &r);
   for (const auto& s : sinks) {
     r.flits.insert(r.flits.end(), s.log().begin(), s.log().end());
     r.flit_cycles.insert(r.flit_cycles.end(), s.log_cycles().begin(),
@@ -228,11 +240,7 @@ RunResult run_sparse(bool idle_skip) {
   }
   EXPECT_TRUE(net.run_until_drained(10'000'000));
   RunResult r;
-  r.final_cycle = net.cycle();
-  r.activity = net.activity();
-  r.lat_count = net.packet_latency().count();
-  r.lat_mean_bits = std::bit_cast<std::uint64_t>(net.packet_latency().mean());
-  r.latencies = net.latencies();
+  capture_net(net, &r);
   for (const auto& s : sinks) {
     r.flits.insert(r.flits.end(), s.log().begin(), s.log().end());
     r.flit_cycles.insert(r.flit_cycles.end(), s.log_cycles().begin(),
@@ -249,6 +257,184 @@ TEST(MeshSoaIdentity, IdleSkipIsObservationallyIdentical) {
   expect_identical(run_sparse<oracle::ReferenceMesh>(false),
                    run_sparse<oracle::ReferenceMesh>(true));
   expect_identical(soa_naive, run_sparse<oracle::ReferenceMesh>(true));
+}
+
+// --- memory-interface sinks ---------------------------------------------
+
+MemoryInterfaceParams mi_params(std::uint32_t t_p, bool overlap) {
+  MemoryInterfaceParams p;
+  p.reorder_cycles_per_element = t_p;
+  p.overlap_stages = overlap;
+  return p;
+}
+
+struct MiRun {
+  RunResult net;  // flits stay empty: the interfaces log their commits
+  std::vector<std::int64_t> completion;
+  std::vector<std::uint64_t> dram_write_cycles;
+  std::vector<std::uint64_t> reorder_stall_cycles;
+  // Every committed element, per interface in commit order: (source,
+  // element index, payload word, mesh cycle).
+  std::vector<std::array<std::uint64_t, 4>> commits;
+};
+
+void expect_identical(const MiRun& a, const MiRun& b) {
+  expect_identical(a.net, b.net);
+  EXPECT_EQ(a.completion, b.completion);
+  EXPECT_EQ(a.dram_write_cycles, b.dram_write_cycles);
+  EXPECT_EQ(a.reorder_stall_cycles, b.reorder_stall_cycles);
+  EXPECT_EQ(a.commits, b.commits);
+}
+
+// The Table III transpose on an 8x8 mesh: every node streams 64 elements
+// in 8-element packets to memory interfaces at one or four corner nodes
+// (column-partitioned across ports, as the multiport machine does), and the
+// loop runs until every interface has written its last row. With
+// `fast_forward` the production mesh jumps over the cycles on which no
+// router can act; the oracle always steps every cycle.
+template <class Net>
+MiRun run_memory_ports(std::uint32_t t_p, bool overlap, std::uint32_t ports,
+                       bool fast_forward, std::uint32_t vcs = 1) {
+  MeshParams mp;
+  mp.width = 8;
+  mp.height = 8;
+  mp.virtual_channels = vcs;
+  Net net(mp);
+  net.record_latencies(true);
+  constexpr std::uint32_t kPerNode = 64;
+  constexpr std::uint32_t kPerPacket = 8;
+  const NodeId corner[4] = {net.node_at(0, 0), net.node_at(7, 7),
+                            net.node_at(7, 0), net.node_at(0, 7)};
+  MiRun r;
+  std::vector<std::unique_ptr<MemoryInterface>> mis;
+  for (std::uint32_t p = 0; p < ports; ++p) {
+    mis.push_back(std::make_unique<MemoryInterface>(
+        mi_params(t_p, overlap),
+        std::uint64_t{net.nodes()} * kPerNode / ports));
+    mis.back()->set_collector(
+        [&r, &net](NodeId src, std::uint64_t idx, std::uint64_t word) {
+          r.commits.push_back({src, idx, word,
+                               static_cast<std::uint64_t>(net.cycle())});
+        });
+    net.set_sink(corner[p], mis.back().get());
+  }
+  const std::uint32_t per_port = kPerNode / ports;
+  for (NodeId n = 0; n < net.nodes(); ++n) {
+    for (std::uint32_t p = 0; p < ports; ++p) {
+      for (std::uint32_t e = 0; e < per_port; e += kPerPacket) {
+        PacketDesc d;
+        d.src = n;
+        d.dst = corner[p];
+        d.payload_flits = kPerPacket;
+        d.payload_base = std::uint64_t{n} * kPerNode + p * per_port + e;
+        net.inject(d);
+      }
+    }
+  }
+  const auto all_done = [&] {
+    for (const auto& mi : mis) {
+      if (!mi->done()) return false;
+    }
+    return true;
+  };
+  while (!all_done() && net.cycle() < 10'000'000) {
+    if constexpr (std::is_same_v<Net, Mesh>) {
+      if (fast_forward) net.fast_forward(10'000'000);
+    }
+    net.step();
+  }
+  EXPECT_TRUE(all_done());
+  capture_net(net, &r.net);
+  for (const auto& mi : mis) {
+    r.completion.push_back(mi->completion_cycle());
+    r.dram_write_cycles.push_back(mi->dram_write_cycles());
+    r.reorder_stall_cycles.push_back(mi->reorder_stall_cycles());
+  }
+  return r;
+}
+
+TEST(MeshSoaIdentity, MemoryInterfacePortsMatchReference) {
+  for (std::uint32_t t_p : {1u, 4u}) {
+    for (bool overlap : {false, true}) {
+      for (std::uint32_t ports : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "t_p " << t_p << " overlap "
+                                        << overlap << " ports " << ports);
+        expect_identical(
+            run_memory_ports<oracle::ReferenceMesh>(t_p, overlap, ports, false),
+            run_memory_ports<Mesh>(t_p, overlap, ports, true));
+      }
+    }
+  }
+  // The generic (V = 2) router path sleeps on a refused ejection too.
+  for (std::uint32_t ports : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "V 2, ports " << ports);
+    expect_identical(
+        run_memory_ports<oracle::ReferenceMesh>(4, false, ports, false, 2),
+        run_memory_ports<Mesh>(4, false, ports, true, 2));
+  }
+}
+
+// The stall fast-forward is invisible: the fast-forwarded transpose ends on
+// the same cycle, with the same activity, latency bits and commits, as the
+// same run stepped one cycle at a time.
+TEST(MeshSoaIdentity, FastForwardedTransposeEqualsSteppedEveryCycle) {
+  for (std::uint32_t t_p : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "t_p " << t_p);
+    const MiRun stepped = run_memory_ports<Mesh>(t_p, false, 1, false);
+    const MiRun skipped = run_memory_ports<Mesh>(t_p, false, 1, true);
+    expect_identical(stepped, skipped);
+    EXPECT_GT(stepped.net.final_cycle, 0);
+  }
+}
+
+// Sparse releases into one memory interface: bursts of packets from random
+// sources arrive while it is still reordering and writing the previous
+// ones, and quiet gaps separate the bursts. run_until_drained() with the
+// idle skip on (stalls and gaps jumped) and off must agree with each other
+// and with the oracle.
+template <class Net>
+MiRun run_sparse_into_interface(bool idle_skip) {
+  MeshParams mp;
+  mp.width = 8;
+  mp.height = 8;
+  Net net(mp);
+  net.set_idle_skip(idle_skip);
+  net.record_latencies(true);
+  constexpr int kPackets = 96;
+  MiRun r;
+  MemoryInterface mi(mi_params(4, false), std::uint64_t{kPackets} * 6);
+  mi.set_collector([&r, &net](NodeId src, std::uint64_t idx,
+                              std::uint64_t word) {
+    r.commits.push_back(
+        {src, idx, word, static_cast<std::uint64_t>(net.cycle())});
+  });
+  net.set_sink(net.node_at(3, 4), &mi);
+  Rng rng(2024);
+  for (int i = 0; i < kPackets; ++i) {
+    PacketDesc d;
+    d.src = static_cast<NodeId>(rng.next_u64() % net.nodes());
+    d.dst = net.node_at(3, 4);
+    d.payload_flits = 6;
+    d.payload_base = static_cast<std::uint64_t>(i) * 6;
+    // Bursts of eight every 1500 cycles, jittered inside the burst.
+    d.release_cycle = static_cast<std::int64_t>(i / 8) * 1500 +
+                      static_cast<std::int64_t>(rng.next_u64() % 40);
+    net.inject(d);
+  }
+  EXPECT_TRUE(net.run_until_drained(10'000'000));
+  capture_net(net, &r.net);
+  r.completion.push_back(mi.completion_cycle());
+  r.dram_write_cycles.push_back(mi.dram_write_cycles());
+  r.reorder_stall_cycles.push_back(mi.reorder_stall_cycles());
+  return r;
+}
+
+TEST(MeshSoaIdentity, SparseReleasesIntoABusyInterfaceAreSkipInvariant) {
+  const MiRun naive = run_sparse_into_interface<Mesh>(false);
+  expect_identical(naive, run_sparse_into_interface<Mesh>(true));
+  expect_identical(naive, run_sparse_into_interface<oracle::ReferenceMesh>(false));
+  expect_identical(naive, run_sparse_into_interface<oracle::ReferenceMesh>(true));
+  EXPECT_EQ(naive.commits.size(), 96u * 6);
 }
 
 }  // namespace
