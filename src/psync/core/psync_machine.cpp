@@ -220,7 +220,7 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   PassResult out;
   out.delivery_end_ns = start_ns;
   for (std::size_t i = 0; i < P; ++i) {
-    PSYNC_CHECK(sc.latch_ps[i].size() == k &&
+    PSYNC_CHECK(sc.latch(i).size() == k &&
                 received.node(i).size() == k * B);
     // Every element lands in exactly one place, so no clearing first.
     const std::span<std::complex<double>> data = local_mem(i);
@@ -237,7 +237,7 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
     for (std::size_t j = 0; j < k; ++j) {
       const double at =
           start_ns +
-          static_cast<double>(sc.latch_ps[i][j] + last_slot_ps) * 1e-3 +
+          static_cast<double>(sc.latch(i)[j] + last_slot_ps) * 1e-3 +
           tail_ns;
       block_done[i][j] = std::max(start_ns, at);
       out.delivery_end_ns = std::max(out.delivery_end_ns, at);

@@ -9,66 +9,58 @@
 namespace psync::core {
 namespace {
 
-// Node i's gather words, whichever container holds them.
-using NodeSpans = std::vector<std::span<const Word>>;
+using NodeClock = ScaWork::NodeClock;
 
-// Per node: perceived_edge_ps(x_i, 0) + skew_error_ps[i]. The clock is
-// integer launch + s*T + flight(x) + detect, so node i perceives slot s at
-// exactly edge0[i] + s*T: the clock math leaves the slot loops.
-std::vector<TimePs> node_edge0_ps(const PscanTopology& topo,
-                                  const photonic::PhotonicClock& clock) {
-  std::vector<TimePs> edge0(topo.nodes());
+// Fills work->clock from the topology. The clock is integer launch + s*T +
+// flight(x) + detect, so node i perceives slot s at exactly edge0 + s*T:
+// the clock math leaves the slot loops.
+void node_clocks(const PscanTopology& topo,
+                 const photonic::PhotonicClock& clock, ScaWork* work) {
+  const TimePs period = clock.period_ps();
+  const TimePs terminus_flight = clock.flight_ps(topo.terminus_um);
+  work->clock.resize(topo.nodes());
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     const TimePs fault = topo.skew_error_ps.empty() ? 0 : topo.skew_error_ps[i];
-    edge0[i] = clock.perceived_edge_ps(topo.node_pos_um[i], 0) + fault;
+    const Slot whole = fault / period - (fault % period < 0 ? 1 : 0);
+    const TimePs edge0 =
+        clock.perceived_edge_ps(topo.node_pos_um[i], 0) + fault;
+    const TimePs to_terminus =
+        terminus_flight - clock.flight_ps(topo.node_pos_um[i]);
+    work->clock[i] = {whole,       fault - whole * period,
+                      edge0,       to_terminus,
+                      edge0 - whole * period + to_terminus, nullptr};
   }
-  return edge0;
 }
 
-// Calls f(slot) for every slot `cp` drives: burst 0 of every stride, then
-// burst 1, and so on. A node's strides usually interleave (a transpose CP
-// is a comb of equal strides), and this order then visits its slots rising,
-// as cache-friendly as the stream they land in.
+// Calls f(first, burst) for every burst `cp` drives.
 template <class F>
-void for_each_drive_slot(const CommProgram& cp, F&& f) {
-  std::vector<const CpStride*> live;
+void for_each_drive_burst(const CommProgram& cp, F&& f) {
   for (const CpStride& st : cp.strides()) {
-    if (st.action == CpAction::kDrive) live.push_back(&st);
-  }
-  // Longest first, so round b only walks the strides that still have one.
-  std::stable_sort(live.begin(), live.end(),
-                   [](const CpStride* a, const CpStride* b) {
-                     return a->count > b->count;
-                   });
-  for (Slot b = 0; !live.empty(); ++b) {
-    while (!live.empty() && live.back()->count <= b) live.pop_back();
-    for (const CpStride* st : live) {
-      const Slot first = st->first + b * st->stride;
-      for (Slot s = first; s < first + st->burst; ++s) f(s);
-    }
+    if (st.action != CpAction::kDrive) continue;
+    for (Slot b = 0; b < st.count; ++b) f(st.first + b * st.stride, st.burst);
   }
 }
 
 // The gather's input checks in the order a node-by-node expansion meets
 // them: node i's overlapping entries, then its word count. Throws the
-// first failure; returns if there is none.
-void check_gather_inputs(const CpSchedule& schedule,
-                         const NodeSpans& node_data,
+// first failure; returns if there is none. data(i) is node i's words.
+template <class Data>
+void check_gather_inputs(const CpSchedule& schedule, const Data& data,
                          bool strict) {
   for (std::size_t i = 0; i < schedule.nodes(); ++i) {
     Slot driven = 0;
     for (const CpEntry& e : schedule.node_cps[i].entries()) {
       if (e.action == CpAction::kDrive) driven += e.length;
     }
-    if (driven > static_cast<Slot>(node_data[i].size())) {
+    const std::size_t have = data(i).size();
+    if (driven > static_cast<Slot>(have)) {
       throw SimulationError("gather: node " + std::to_string(i) +
                             " CP drives more slots than it has data");
     }
-    if (strict && driven != static_cast<Slot>(node_data[i].size())) {
+    if (strict && driven != static_cast<Slot>(have)) {
       throw SimulationError("gather: node " + std::to_string(i) + " has " +
-                            std::to_string(node_data[i].size()) +
-                            " words but CP drives " + std::to_string(driven) +
-                            " slots");
+                            std::to_string(have) + " words but CP drives " +
+                            std::to_string(driven) + " slots");
     }
   }
 }
@@ -77,13 +69,15 @@ void check_gather_inputs(const CpSchedule& schedule,
 // anything but drive-only programs whose word counts match, the
 // entry-by-entry checks. Placement notices a drive-only program
 // overlapping itself (a node twice in one bucket).
-std::size_t checked_gather_words(
-    const PscanTopology& topo, const CpSchedule& schedule,
-    const NodeSpans& node_data, bool strict) {
+template <class Data>
+std::size_t checked_gather_words(const PscanTopology& topo,
+                                 const CpSchedule& schedule,
+                                 std::size_t data_nodes, const Data& data,
+                                 bool strict) {
   if (schedule.nodes() != topo.nodes()) {
     throw SimulationError("gather: schedule/topology node count mismatch");
   }
-  if (node_data.size() != topo.nodes()) {
+  if (data_nodes != topo.nodes()) {
     throw SimulationError("gather: node_data size mismatch");
   }
   std::size_t words = 0;
@@ -91,13 +85,13 @@ std::size_t checked_gather_words(
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     const CommProgram& cp = schedule.node_cps[i];
     const Slot driven = cp.slot_count(CpAction::kDrive);
-    const auto have = static_cast<Slot>(node_data[i].size());
+    const auto have = static_cast<Slot>(data(i).size());
     const bool drive_only = std::all_of(
         cp.strides().begin(), cp.strides().end(),
         [](const CpStride& st) { return st.action == CpAction::kDrive; });
     if (!checked &&
         (!drive_only || driven > have || (strict && driven != have))) {
-      check_gather_inputs(schedule, node_data, strict);
+      check_gather_inputs(schedule, data, strict);
       checked = true;
     }
     words += static_cast<std::size_t>(driven);
@@ -108,9 +102,10 @@ std::size_t checked_gather_words(
 
 // A drive-only program drives one slot twice: report its overlap as the
 // entry-by-entry checks do.
-[[noreturn]] void throw_self_overlap(
-    const CpSchedule& schedule, const NodeSpans& node_data, bool strict) {
-  check_gather_inputs(schedule, node_data, strict);
+template <class Data>
+[[noreturn]] void throw_self_overlap(const CpSchedule& schedule,
+                                     const Data& data, bool strict) {
+  check_gather_inputs(schedule, data, strict);
   throw SimulationError("gather: node drives the same slot twice");
 }
 
@@ -122,52 +117,39 @@ std::size_t checked_gather_words(
       "), overlap " + std::to_string(c.overlap_ps) + " ps");
 }
 
-// The placement core of every gather view. Calls
-// visit(pos, word, node, slot, modulated_ps, arrival_ps) for each driven
-// word in stream order, pos = 0, 1, ..., and returns the collisions and
-// summary. The buckets live in `*work`.
-//
-// Node i's slot s arrives at slot_arrival_ps(0) + (s + whole_i)*T + frac_i,
-// so two consecutive words overlap at the terminus exactly when they share
-// an arrival period (a collision; the same node twice there is a program
-// overlapping itself) or sit in adjacent periods with the later one's
-// remainder smaller.
-template <class Visit>
-GatherSummary gather_core(const PscanTopology& topo,
-                          const photonic::PhotonicClock& clock,
-                          const CpSchedule& schedule,
-                          const NodeSpans& node_data,
-                          bool strict, ScaWork* work, Visit&& visit) {
-  const std::size_t nodes = topo.nodes();
-  const std::size_t words =
-      checked_gather_words(topo, schedule, node_data, strict);
+constexpr std::uint32_t kNoNode = 0xFFFFFFFFU;
 
-  // Node i's fault = whole periods + frac in [0, T): its slot s arrives in
-  // period bucket s + whole, frac into it.
-  struct NodeClock {
-    Slot whole;
-    TimePs frac;
-    TimePs edge0;        // perceives slot s at edge0 + s*T
-    TimePs to_terminus;  // imprinted energy continues downstream
-    TimePs arrival0;     // arrival of its slot -whole (bucket 0)
-    const Word* next;    // its next word in element (= slot) order
-  };
-  const TimePs period = clock.period_ps();
-  const TimePs terminus_flight = clock.flight_ps(topo.terminus_um);
-  const std::vector<TimePs> edge0 = node_edge0_ps(topo, clock);
-  std::vector<NodeClock> nc(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    const TimePs fault = topo.skew_error_ps.empty() ? 0 : topo.skew_error_ps[i];
-    const Slot whole = fault / period - (fault % period < 0 ? 1 : 0);
-    const TimePs to_terminus =
-        terminus_flight - clock.flight_ps(topo.node_pos_um[i]);
-    nc[i] = {whole, fault - whole * period, edge0[i], to_terminus,
-             edge0[i] - whole * period + to_terminus, node_data[i].data()};
+// Owner-map placement: owner[b] = the node whose word arrives in period
+// lo + b, or kNoNode. Returns false when a bucket is written twice: two
+// words in one period always overlap, so only a collision (or a program
+// driving a slot twice) does that, and the sorted placement orders it.
+bool place_owners(const CpSchedule& schedule, const std::vector<NodeClock>& nc,
+                  Slot lo, Slot hi, std::vector<std::uint32_t>* owner) {
+  owner->assign(static_cast<std::size_t>(hi - lo) + 1, kNoNode);
+  std::uint32_t* own = owner->data();
+  bool twice = false;
+  for (std::uint32_t i = 0; i < schedule.nodes(); ++i) {
+    const Slot off = nc[i].whole - lo;
+    for_each_drive_burst(schedule.node_cps[i], [&](Slot first, Slot burst) {
+      std::uint32_t* b = own + (first + off);
+      for (Slot s = 0; s < burst; ++s) {
+        twice |= b[s] != kNoNode;
+        b[s] = i;
+      }
+    });
   }
-  // Inside one bucket: earlier remainder first, then the smaller slot (the
-  // larger whole offset), then the lower node.
-  std::vector<std::uint32_t> by_rank(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
+  return !twice;
+}
+
+// Sorted placement: one (period, rank) key per word. Inside one bucket:
+// earlier remainder first, then the smaller slot (the larger whole
+// offset), then the lower node.
+void place_keys(const CpSchedule& schedule, std::size_t words,
+                ScaWork* work) {
+  const std::vector<NodeClock>& nc = work->clock;
+  std::vector<std::uint32_t>& by_rank = work->order;
+  by_rank.resize(nc.size());
+  for (std::size_t i = 0; i < nc.size(); ++i) {
     by_rank[i] = static_cast<std::uint32_t>(i);
   }
   std::sort(by_rank.begin(), by_rank.end(),
@@ -176,18 +158,57 @@ GatherSummary gather_core(const PscanTopology& topo,
               if (nc[a].whole != nc[b].whole) return nc[a].whole > nc[b].whole;
               return a < b;
             });
+  std::vector<ScaWork::Key>& keys = work->keys;
+  keys.clear();
+  keys.reserve(words);
+  for (std::uint32_t r = 0; r < by_rank.size(); ++r) {
+    const std::uint32_t i = by_rank[r];
+    for_each_drive_burst(schedule.node_cps[i], [&](Slot first, Slot burst) {
+      for (Slot s = first; s < first + burst; ++s) {
+        keys.push_back({s + nc[i].whole, r, i});
+      }
+    });
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const ScaWork::Key& x, const ScaWork::Key& y) {
+              return x.period != y.period ? x.period < y.period
+                                          : x.rank < y.rank;
+            });
+}
 
-  // Stream order as buckets: bucket b holds the arrival period e(b) and
-  // ends at stream position end[b]; node_at[pos] drives position pos.
-  // Buckets are the periods lo..hi, or, when faults spread the stream over
-  // far more periods than it has words, the distinct periods of sorted
-  // (bucket, rank) keys, so memory follows the words, not the skew.
-  // The first modulation is some node's first driven slot.
+// The placement core of every gather view. Calls
+// visit(pos, words, len, node, slot, modulated_ps, arrival_ps) for each run
+// of `len` words that node `node` drives in consecutive arrival periods, in
+// stream order: words[k] goes to stream position pos + k, driven in slot
+// slot + k, modulated and arriving k periods after the run's first word.
+// Returns the collisions and summary. data(i) is node i's words; the
+// placement lives in `*work`.
+//
+// Node i's slot s arrives at slot_arrival_ps(0) + (s + whole_i)*T + frac_i,
+// so two consecutive words overlap at the terminus exactly when they share
+// an arrival period (a collision; the same node twice there is a program
+// overlapping itself) or sit in adjacent periods with the later one's
+// remainder smaller. Inside a run neither can happen.
+template <class Data, class Visit>
+GatherSummary gather_core(const PscanTopology& topo,
+                          const photonic::PhotonicClock& clock,
+                          const CpSchedule& schedule, std::size_t data_nodes,
+                          const Data& data, bool strict, ScaWork* work,
+                          Visit&& visit) {
+  const std::size_t words =
+      checked_gather_words(topo, schedule, data_nodes, data, strict);
+  const TimePs period = clock.period_ps();
+  node_clocks(topo, clock, work);
+  std::vector<NodeClock>& nc = work->clock;
+  for (std::size_t i = 0; i < nc.size(); ++i) nc[i].next = data(i).data();
+
+  // The periods lo..hi the stream spans. The first modulation is some
+  // node's first driven slot.
   bool any = false;
   Slot lo = 0;
   Slot hi = 0;
   TimePs first_mod = 0;
-  for (std::size_t i = 0; i < nodes; ++i) {
+  for (std::size_t i = 0; i < nc.size(); ++i) {
     for (const CpStride& st : schedule.node_cps[i].strides()) {
       if (st.action != CpAction::kDrive) continue;
       const Slot first = st.first + nc[i].whole;
@@ -199,94 +220,71 @@ GatherSummary gather_core(const PscanTopology& topo,
       any = true;
     }
   }
-  std::vector<std::uint32_t>& node_at = work->order;
-  std::vector<std::uint32_t>& end = work->counts;
-  node_at.resize(words);
-  end.clear();
-  std::vector<Slot> period_of;  // sparse buckets only
-  if (static_cast<std::uint64_t>(hi - lo) < 2 * words + 64) {
-    // Counting placement: end[b + 1] = words in bucket b, so after the
-    // prefix sum end[b] is where bucket b starts, and placing nodes in rank
-    // order advances it to where bucket b ends.
-    end.assign(static_cast<std::size_t>(hi - lo) + 2, 0);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      const Slot off = nc[i].whole - lo + 1;
-      for_each_drive_slot(schedule.node_cps[i], [&](Slot s) {
-        ++end[static_cast<std::size_t>(s + off)];
-      });
-    }
-    for (std::size_t b = 1; b < end.size(); ++b) end[b] += end[b - 1];
-    for (const std::uint32_t i : by_rank) {
-      const Slot off = nc[i].whole - lo;
-      for_each_drive_slot(schedule.node_cps[i], [&](Slot s) {
-        node_at[end[static_cast<std::size_t>(s + off)]++] = i;
-      });
-    }
-    end.pop_back();
-  } else {
-    struct Key {
-      Slot e;
-      std::uint32_t rank, node;
-    };
-    std::vector<Key> keys;
-    keys.reserve(words);
-    for (std::uint32_t r = 0; r < nodes; ++r) {
-      const std::uint32_t i = by_rank[r];
-      for_each_drive_slot(schedule.node_cps[i], [&](Slot s) {
-        keys.push_back({s + nc[i].whole, r, i});
-      });
-    }
-    std::sort(keys.begin(), keys.end(), [](const Key& x, const Key& y) {
-      return x.e != y.e ? x.e < y.e : x.rank < y.rank;
-    });
-    for (std::size_t pos = 0; pos < keys.size(); ++pos) {
-      node_at[pos] = keys[pos].node;
-      if (pos + 1 == keys.size() || keys[pos + 1].e != keys[pos].e) {
-        period_of.push_back(keys[pos].e);
-        end.push_back(static_cast<std::uint32_t>(pos + 1));
-      }
-    }
-  }
 
   // The scan state stays in locals the visitor cannot alias. The first
   // word's predecessor is placed one period earlier: no overlap, no gap.
-  const auto period_at = [&](std::size_t b) {
-    return period_of.empty() ? lo + static_cast<Slot>(b) : period_of[b];
-  };
   std::vector<Collision> collisions;
   bool gap_free = words > 0;
   TimePs first_arrival = 0;
   TimePs prev_arrival = 0;
   Slot prev_e = 0;
-  auto prev_node = static_cast<std::uint32_t>(nodes);
-  if (words > 0) {
-    std::size_t b = 0;
-    while (end[b] == 0) ++b;
-    first_arrival = nc[node_at[0]].arrival0 + period_at(b) * period;
-    prev_arrival = first_arrival - period;
-  }
+  auto prev_node = static_cast<std::uint32_t>(nc.size());
   std::size_t pos = 0;
-  for (std::size_t b = 0; b < end.size(); ++b) {
-    const Slot e = period_at(b);
-    for (; pos < end[b]; ++pos) {
-      const std::uint32_t node = node_at[pos];
-      NodeClock& n = nc[node];
-      const TimePs arrival = n.arrival0 + e * period;
-      // Each slot occupies [arrival, arrival + period) at the terminus.
-      const TimePs overlap = (prev_arrival + period) - arrival;
-      if (overlap > 0) {
-        if (node == prev_node) throw_self_overlap(schedule, node_data, strict);
-        collisions.push_back(Collision{
-            static_cast<std::int32_t>(prev_node),
-            static_cast<std::int32_t>(node), prev_e - nc[prev_node].whole,
-            e - n.whole, overlap});
+  const auto run = [&](std::uint32_t node, Slot e, std::size_t len) {
+    NodeClock& n = nc[node];
+    const TimePs arrival = n.arrival0 + e * period;
+    if (pos == 0) {
+      first_arrival = arrival;
+      prev_arrival = arrival - period;
+    }
+    // Each slot occupies [arrival, arrival + period) at the terminus.
+    const TimePs overlap = (prev_arrival + period) - arrival;
+    if (overlap > 0) {
+      if (node == prev_node) throw_self_overlap(schedule, data, strict);
+      collisions.push_back(Collision{
+          static_cast<std::int32_t>(prev_node),
+          static_cast<std::int32_t>(node), prev_e - nc[prev_node].whole,
+          e - n.whole, overlap});
+    }
+    gap_free = gap_free && overlap == 0;
+    visit(pos, n.next, len, node, e - n.whole, arrival - n.to_terminus,
+          arrival);
+    n.next += len;
+    pos += len;
+    const auto more = static_cast<Slot>(len - 1);
+    prev_arrival = arrival + more * period;
+    prev_e = e + more;
+    prev_node = node;
+  };
+
+  // Words of one node in consecutive periods form a run; faults spread
+  // over far more periods than words sort instead, so memory follows the
+  // words, not the skew.
+  std::vector<std::uint32_t>& owner = work->counts;
+  if (static_cast<std::uint64_t>(hi - lo) < 2 * words + 64 &&
+      place_owners(schedule, nc, lo, hi, &owner)) {
+    const std::uint32_t* own = owner.data();
+    const std::size_t buckets = owner.size();
+    for (std::size_t b = 0; b < buckets;) {
+      const std::uint32_t node = own[b];
+      std::size_t end = b + 1;
+      if (node != kNoNode) {
+        while (end < buckets && own[end] == node) ++end;
+        run(node, lo + static_cast<Slot>(b), end - b);
       }
-      gap_free = gap_free && overlap == 0;
-      visit(pos, *n.next++, node, e - n.whole, arrival - n.to_terminus,
-            arrival);
-      prev_arrival = arrival;
-      prev_e = e;
-      prev_node = node;
+      b = end;
+    }
+  } else {
+    place_keys(schedule, words, work);
+    const std::vector<ScaWork::Key>& keys = work->keys;
+    for (std::size_t k = 0; k < keys.size();) {
+      std::size_t end = k + 1;
+      while (end < keys.size() && keys[end].node == keys[k].node &&
+             keys[end].period == keys[end - 1].period + 1) {
+        ++end;
+      }
+      run(keys[k].node, keys[k].period, end - k);
+      k = end;
     }
   }
 
@@ -304,67 +302,101 @@ GatherSummary gather_core(const PscanTopology& topo,
   return out;
 }
 
+// A unicast listen entry of node i claims slot s, which an earlier entry
+// holds: name the first such slot of [begin, stop) and the node whose
+// entry holds it (entries never overlap within a node).
+[[noreturn]] void throw_double_claim(const std::vector<std::uint32_t>& count,
+                                     const ScaWork& work, Slot begin,
+                                     Slot stop, std::size_t i) {
+  Slot s = begin;
+  while (s < stop && count[static_cast<std::size_t>(s)] == 0) ++s;
+  const auto held = std::find_if(
+      work.entries.begin(), work.entries.end(),
+      [&](const CpEntry& x) { return x.begin <= s && s < x.end(); });
+  const auto k = static_cast<std::size_t>(held - work.entries.begin());
+  std::size_t o = 0;
+  while (work.entry_at[o + 1] <= k) ++o;
+  throw SimulationError("scatter: slot " + std::to_string(s) +
+                        " claimed by nodes " + std::to_string(o) + " and " +
+                        std::to_string(i));
+}
+
 // Every node's listen entries (kListen only), checked against the burst
-// (and, for a unicast, against each other) in node, entry, slot order.
-// Leaves the listener count of every burst slot in work->counts, and fills
-// what every scatter view shares: received words, unclaimed slots, span.
-std::vector<std::vector<CpEntry>> scatter_core(
-    const PscanTopology& topo, const photonic::PhotonicClock& clock,
-    const CpSchedule& schedule, const std::vector<Word>& burst, bool strict,
-    bool multicast, NodeWords* received, ScatterSummary* out,
-    ScaWork* work) {
-  const std::string who = multicast ? "scatter_multicast" : "scatter";
+// (and, for a unicast, against each other) in node, entry, slot order,
+// go to work->entries (node i's from work->entry_at[i]). Leaves the
+// listener count of every burst slot in work->counts and the node clocks
+// in work->clock, and fills what every scatter view shares: received
+// words, unclaimed slots, span.
+void scatter_core(const PscanTopology& topo,
+                  const photonic::PhotonicClock& clock,
+                  const CpSchedule& schedule, const std::vector<Word>& burst,
+                  bool strict, bool multicast, NodeWords* received,
+                  ScatterSummary* out, ScaWork* work) {
+  const char* const who = multicast ? "scatter_multicast" : "scatter";
   if (schedule.nodes() != topo.nodes()) {
-    throw SimulationError(who + ": schedule/topology node count mismatch");
+    throw SimulationError(std::string(who) +
+                          ": schedule/topology node count mismatch");
   }
-  std::vector<std::vector<CpEntry>> entries(topo.nodes());
+  std::vector<CpEntry>& entries = work->entries;
+  std::vector<std::size_t>& entry_at = work->entry_at;
+  entries.clear();
+  entry_at.assign(1, 0);
   std::vector<std::uint32_t>& count = work->counts;
   count.assign(burst.size(), 0);
+  const auto size = static_cast<Slot>(burst.size());
+  std::size_t claimed = 0;
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     for (const CpEntry& e : schedule.node_cps[i].entries()) {
       if (e.action != CpAction::kListen) continue;
-      for (Slot s = e.begin; s < e.end(); ++s) {
-        if (s < 0 || static_cast<std::size_t>(s) >= burst.size()) {
-          throw SimulationError(multicast
-                                    ? "scatter_multicast: CP beyond the burst"
-                                    : "scatter: CP listens beyond the burst");
+      // Entries start at slot 0 or later (CommProgram::add). A unicast
+      // entry meets a double claim inside the burst before its end.
+      const Slot stop = std::min(e.end(), size);
+      if (!multicast) {
+        std::uint32_t taken = 0;
+        for (Slot s = e.begin; s < stop; ++s) {
+          taken |= count[static_cast<std::size_t>(s)];
         }
-        auto& c = count[static_cast<std::size_t>(s)];
-        if (!multicast && c != 0) {
-          // The earlier listener: entries never overlap within a node.
-          std::size_t o = 0;
-          while (std::none_of(entries[o].begin(), entries[o].end(),
-                              [&](const CpEntry& x) {
-                                return x.begin <= s && s < x.end();
-                              })) {
-            ++o;
-          }
-          throw SimulationError("scatter: slot " + std::to_string(s) +
-                                " claimed by nodes " + std::to_string(o) +
-                                " and " + std::to_string(i));
-        }
-        ++c;
+        if (taken != 0) throw_double_claim(count, *work, e.begin, stop, i);
       }
-      entries[i].push_back(e);
+      if (e.end() > size) {
+        throw SimulationError(multicast
+                                  ? "scatter_multicast: CP beyond the burst"
+                                  : "scatter: CP listens beyond the burst");
+      }
+      std::uint32_t* c = count.data() + e.begin;
+      if (multicast) {
+        for (Slot s = 0; s < e.length; ++s) ++c[s];
+      } else {
+        std::fill_n(c, e.length, 1U);
+      }
+      claimed += static_cast<std::size_t>(e.length);
+      entries.push_back(e);
     }
+    entry_at.push_back(entries.size());
   }
 
-  for (std::size_t s = 0; s < burst.size(); ++s) {
-    if (count[s] == 0) out->unclaimed_slots.push_back(static_cast<Slot>(s));
+  // A unicast claims each slot at most once, so claiming as many slots as
+  // the burst has leaves none unclaimed.
+  if (multicast || claimed != burst.size()) {
+    for (std::size_t s = 0; s < burst.size(); ++s) {
+      if (count[s] == 0) out->unclaimed_slots.push_back(static_cast<Slot>(s));
+    }
   }
   if (strict && !out->unclaimed_slots.empty()) {
-    throw SimulationError(who + ": " +
+    throw SimulationError(std::string(who) + ": " +
                           std::to_string(out->unclaimed_slots.size()) +
                           " burst slots have no listener");
   }
 
-  // Node i latches slot s as it passes its tap: edge0[i] + s*T.
-  const std::vector<TimePs> edge0 = node_edge0_ps(topo, clock);
+  // Node i latches slot s as it passes its tap: edge0 + s*T.
+  node_clocks(topo, clock, work);
   const TimePs period = clock.period_ps();
   received->offset.resize(topo.nodes() + 1);
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     std::size_t n = 0;
-    for (const CpEntry& e : entries[i]) n += static_cast<std::size_t>(e.length);
+    for (std::size_t k = entry_at[i]; k < entry_at[i + 1]; ++k) {
+      n += static_cast<std::size_t>(entries[k].length);
+    }
     received->offset[i + 1] = received->offset[i] + n;
   }
   received->words.resize(received->offset.back());
@@ -373,17 +405,18 @@ std::vector<std::vector<CpEntry>> scatter_core(
   TimePs hi = 0;
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     Word* got = received->node(i).data();
-    for (const CpEntry& e : entries[i]) {
+    const TimePs edge0 = work->clock[i].edge0;
+    for (std::size_t k = entry_at[i]; k < entry_at[i + 1]; ++k) {
+      const CpEntry& e = entries[k];
       got = std::copy(burst.begin() + e.begin, burst.begin() + e.end(), got);
-      const TimePs first = edge0[i] + e.begin * period;
-      const TimePs last = edge0[i] + (e.end() - 1) * period;
+      const TimePs first = edge0 + e.begin * period;
+      const TimePs last = edge0 + (e.end() - 1) * period;
       lo = any ? std::min(lo, first) : first;
       hi = any ? std::max(hi, last) : last;
       any = true;
     }
   }
   if (any) out->span_ps = (hi - lo) + period;
-  return entries;
 }
 
 // Per-slot delivery records in (slot, node) order: each node's words go to
@@ -396,8 +429,8 @@ ScatterResult scatter_records(const PscanTopology& topo,
   ScatterResult out;
   ScaWork work;
   NodeWords received;
-  const std::vector<std::vector<CpEntry>> entries = scatter_core(
-      topo, clock, schedule, burst, strict, multicast, &received, &out, &work);
+  scatter_core(topo, clock, schedule, burst, strict, multicast, &received,
+               &out, &work);
   for (std::size_t i = 0; i < received.nodes(); ++i) {
     out.received.emplace_back(received.node(i).begin(),
                               received.node(i).end());
@@ -410,16 +443,16 @@ ScatterResult scatter_records(const PscanTopology& topo,
     total += n;
   }
   out.deliveries.resize(total);
-  const std::vector<TimePs> edge0 = node_edge0_ps(topo, clock);
   const TimePs period = clock.period_ps();
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     std::int64_t element = 0;
-    for (const CpEntry& e : entries[i]) {
+    for (std::size_t k = work.entry_at[i]; k < work.entry_at[i + 1]; ++k) {
+      const CpEntry& e = work.entries[k];
       for (Slot s = e.begin; s < e.end(); ++s, ++element) {
         const auto at = static_cast<std::size_t>(s);
         out.deliveries[count[at]++] =
             DeliveryRecord{s, burst[at], static_cast<std::int32_t>(i), element,
-                           edge0[i] + s * period};
+                           work.clock[i].edge0 + s * period};
       }
     }
   }
@@ -502,13 +535,20 @@ GatherResult ScaEngine::gather(
   for (const auto& d : node_data) words += d.size();
   out.stream.reserve(words);
   ScaWork work;
-  const NodeSpans spans(node_data.begin(), node_data.end());
+  const TimePs period = clock_.period_ps();
   static_cast<GatherSummary&>(out) = gather_core(
-      topo_, clock_, schedule, spans, strict, &work,
-      [&](std::size_t, Word word, std::uint32_t node, Slot slot,
-          TimePs modulated, TimePs arrival) {
-        out.stream.push_back(SlotRecord{
-            slot, word, static_cast<std::int32_t>(node), arrival, modulated});
+      topo_, clock_, schedule, node_data.size(),
+      [&](std::size_t i) { return std::span<const Word>(node_data[i]); },
+      strict, &work,
+      [&](std::size_t, const Word* word, std::size_t len, std::uint32_t node,
+          Slot slot, TimePs modulated, TimePs arrival) {
+        for (std::size_t k = 0; k < len; ++k) {
+          const auto at = static_cast<TimePs>(k) * period;
+          out.stream.push_back(SlotRecord{slot + static_cast<Slot>(k),
+                                          word[k],
+                                          static_cast<std::int32_t>(node),
+                                          arrival + at, modulated + at});
+        }
       });
   return out;
 }
@@ -517,15 +557,13 @@ GatherSummary ScaEngine::gather_words(const CpSchedule& schedule,
                                       const NodeWords& node_data,
                                       std::vector<Word>* words, ScaWork* work,
                                       bool strict) const {
-  NodeSpans spans(node_data.nodes());
-  for (std::size_t i = 0; i < spans.size(); ++i) spans[i] = node_data.node(i);
   words->resize(node_data.offset.back());
   Word* dst = words->data();
   GatherSummary out = gather_core(
-      topo_, clock_, schedule, spans, strict, work,
-      [dst](std::size_t pos, Word word, std::uint32_t, Slot, TimePs, TimePs) {
-        dst[pos] = word;
-      });
+      topo_, clock_, schedule, node_data.nodes(),
+      [&](std::size_t i) { return node_data.node(i); }, strict, work,
+      [dst](std::size_t pos, const Word* word, std::size_t len, std::uint32_t,
+            Slot, TimePs, TimePs) { std::copy_n(word, len, dst + pos); });
   // Non-strict inputs may drive fewer slots than they hold words.
   std::size_t driven = 0;
   for (const auto& cp : schedule.node_cps) {
@@ -547,17 +585,17 @@ ScatterWords ScaEngine::scatter_words(const CpSchedule& schedule,
                                       NodeWords* received, ScaWork* work,
                                       bool strict) const {
   ScatterWords out;
-  const std::vector<std::vector<CpEntry>> entries =
-      scatter_core(topo_, clock_, schedule, burst, strict,
-                   /*multicast=*/false, received, &out, work);
-  const std::vector<TimePs> edge0 = node_edge0_ps(topo_, clock_);
-  out.latch_ps.resize(topo_.nodes());
+  scatter_core(topo_, clock_, schedule, burst, strict, /*multicast=*/false,
+               received, &out, work);
+  work->latch_ps.resize(work->entries.size());
   for (std::size_t i = 0; i < topo_.nodes(); ++i) {
-    out.latch_ps[i].reserve(entries[i].size());
-    for (const CpEntry& e : entries[i]) {
-      out.latch_ps[i].push_back(edge0[i] + e.begin * clock_.period_ps());
+    for (std::size_t k = work->entry_at[i]; k < work->entry_at[i + 1]; ++k) {
+      work->latch_ps[k] =
+          work->clock[i].edge0 + work->entries[k].begin * clock_.period_ps();
     }
   }
+  out.latch_ps = work->latch_ps;
+  out.entry_at = work->entry_at;
   return out;
 }
 

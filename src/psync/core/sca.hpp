@@ -23,14 +23,19 @@
 // from that: the bucket s + w_i is its arrival period, and inside one
 // bucket a fixed per-node rank (f_i, then the larger w_i, i.e. the smaller
 // slot, then the lower node) gives the rest of the (arrival, slot, node)
-// order. One counting pass over the buckets orders a whole gather in O(n).
-// When faults spread a stream over far more periods than it has words,
-// (bucket, rank) keys are sorted instead, so memory follows the word
-// count, never the skew. A scatter is placed the same way with one bucket
-// per burst slot. Records that tie on (arrival_ps, slot) can only come
-// from a double-driven slot, which is a collision, and the lower node's
-// comes first. gather_words() and scatter_words() run the same placement
-// without building per-slot records; the PsyncMachine calls those.
+// order. A dense gather makes one owner-map pass: each drive burst writes
+// its node into the buckets it lands in. A bucket written twice can only
+// hold a collision, so such a gather, and one whose faults spread it over
+// far more periods than it has words, sorts (bucket, rank) keys instead;
+// memory follows the word count, never the skew. Words of one node share
+// its remainder, so the stream is scanned in runs of consecutive buckets
+// driven by one node: only a run's first word can overlap its predecessor
+// or open a gap, and the run's words move in one copy. A scatter checks
+// each listen entry's slot range at once against the listeners per burst
+// slot. Records that tie on (arrival_ps, slot) can only come from a
+// double-driven slot, which is a collision, and the lower node's comes
+// first. gather_words() and scatter_words() run the same placement without
+// building per-slot records; the PsyncMachine calls those.
 #pragma once
 
 #include <cstdint>
@@ -149,22 +154,53 @@ struct NodeWords {
   void resize_equal(std::size_t nodes, std::size_t per_node);
 };
 
+/// Storage of the record-free collectives. Handing the same object to
+/// successive calls reuses its capacity; its contents mean nothing between
+/// calls.
+struct ScaWork {
+  /// Node i's clock: its fault is `whole` slot periods plus `frac` in
+  /// [0, T), so its slot s arrives in period bucket s + whole.
+  struct NodeClock {
+    Slot whole;
+    TimePs frac;
+    TimePs edge0;        // perceives slot s at edge0 + s*T
+    TimePs to_terminus;  // imprinted energy continues downstream
+    TimePs arrival0;     // arrival of its slot -whole (bucket 0)
+    const Word* next;    // gather: its next word in element (= slot) order
+  };
+  /// A sorted gather's word: its arrival period, its node's in-bucket
+  /// rank, its node.
+  struct Key {
+    Slot period;
+    std::uint32_t rank, node;
+  };
+
+  std::vector<NodeClock> clock;       // per node
+  std::vector<std::uint32_t> counts;  // gather: node driving each bucket;
+                                      // scatter: listeners per burst slot
+  std::vector<std::uint32_t> order;   // sorted gather: nodes in rank order
+  std::vector<Key> keys;              // sorted gather: one per word
+  std::vector<CpEntry> entries;       // scatter: listen entries, node-major
+  std::vector<std::size_t> entry_at;  // scatter: node i's entries are
+                                      // [entry_at[i], entry_at[i + 1])
+  std::vector<TimePs> latch_ps;       // scatter: one per entry
+};
+
 /// A scatter without per-slot records; the received words go to caller
 /// storage.
 struct ScatterWords : ScatterSummary {
-  /// latch_ps[i][e] = when node i latched the first slot of its e-th listen
-  /// entry (CommProgram::entries() order); the entry's slot k latches k
-  /// slot periods later.
-  std::vector<std::vector<TimePs>> latch_ps;
-};
+  /// When its node latched the first slot of each listen entry, node-major
+  /// in CommProgram::entries() order; the entry's slot k latches k slot
+  /// periods later. Both spans view the ScaWork the scatter ran on and
+  /// last until its next use.
+  std::span<const TimePs> latch_ps;
+  /// Node i's entries are [entry_at[i], entry_at[i + 1]).
+  std::span<const std::size_t> entry_at;
 
-/// Counting-placement storage of the record-free collectives. Handing the
-/// same object to successive calls reuses its capacity; its contents mean
-/// nothing between calls.
-struct ScaWork {
-  std::vector<std::uint32_t> order;   // gather: node driving each position
-  std::vector<std::uint32_t> counts;  // gather: bucket ends;
-                                      // scatter: listeners per burst slot
+  /// Node i's latch times: latch(i)[e] is its e-th listen entry's.
+  std::span<const TimePs> latch(std::size_t i) const {
+    return latch_ps.subspan(entry_at[i], entry_at[i + 1] - entry_at[i]);
+  }
 };
 
 class ScaEngine {
@@ -184,8 +220,7 @@ class ScaEngine {
   /// The same gather without per-slot records, driving
   /// `node_data.node(i)` from node i: identical collisions, summary and
   /// errors; the payload words, in stream order, replace the contents of
-  /// `*words` (its capacity is reused). `*work` holds the placement
-  /// buckets.
+  /// `*words` (its capacity is reused). `*work` holds the placement.
   GatherSummary gather_words(const CpSchedule& schedule,
                              const NodeWords& node_data,
                              std::vector<Word>* words, ScaWork* work,
@@ -198,10 +233,9 @@ class ScaEngine {
                         bool strict = true) const;
 
   /// The same scatter without per-slot records: identical unclaimed slots,
-  /// span and errors, plus one latch time per listen entry. The received
-  /// words replace the contents of `*received` (node i's are
-  /// received->node(i); capacity reused). `*work` holds the listener
-  /// counts.
+  /// span and errors, plus one latch time per listen entry (kept in
+  /// `*work`). The received words replace the contents of `*received`
+  /// (node i's are received->node(i); capacity reused).
   ScatterWords scatter_words(const CpSchedule& schedule,
                              const std::vector<Word>& burst,
                              NodeWords* received, ScaWork* work,

@@ -13,7 +13,9 @@ std::size_t bytes(const std::vector<T>& v) {
 std::size_t Scratch::capacity_bytes() const {
   return bytes(input) + bytes(image) + bytes(proc) + bytes(stream) +
          bytes(node.words) + bytes(node.offset) + bytes(delivered) +
-         bytes(sca.order) + bytes(sca.counts) + bytes(fft);
+         bytes(sca.clock) + bytes(sca.counts) + bytes(sca.order) +
+         bytes(sca.keys) + bytes(sca.entries) + bytes(sca.entry_at) +
+         bytes(sca.latch_ps) + bytes(fft);
 }
 
 }  // namespace psync::core

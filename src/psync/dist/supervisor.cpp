@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -195,6 +196,7 @@ class Supervisor {
       journal_paths_.push_back(asg.journal);
       queue_.push_back(std::move(asg));
     }
+    admit_steal_journals();
     seats_.resize(opts_.workers);
     for (std::size_t s = 0; s < seats_.size(); ++s) {
       seats_[s].restart_backoff.emplace(
@@ -362,11 +364,15 @@ class Supervisor {
     // durably recorded.
     if (!seat.asg.led) attach_leader_journal(seat.asg);
     // A worker has no local journal to resume from, so the leader narrows
-    // its window past the durably-done prefix. Interior gaps (a steal
-    // overlap) re-run and land as agreeing duplicates.
+    // its window past the durably-done points at either end. Interior gaps
+    // (a steal overlap) re-run and land as agreeing duplicates.
     while (cfg.range.begin < cfg.range.end &&
-           seat.asg.led->recorded.count(cfg.range.begin) != 0) {
+           done(seat.asg, cfg.range.begin)) {
       ++cfg.range.begin;
+    }
+    while (cfg.range.begin < cfg.range.end &&
+           done(seat.asg, cfg.range.end - 1)) {
+      --cfg.range.end;
     }
     if (cfg.range.begin >= cfg.range.end) {
       // The previous worker recorded everything before dying — the
@@ -433,6 +439,33 @@ class Supervisor {
       merger_.offer(std::move(entry.rec));
     }
     asg.led->writer.open(asg.journal, /*keep_existing=*/true);
+  }
+
+  /// An earlier run on this base may have split its shards by stealing.
+  /// Admit each shard's `.steal<k>` journals, k = 1, 2, ... up to the first
+  /// missing one, as attach_leader_journal admits a shard journal: their
+  /// points count as resumed, the final merge reads them, and this run's
+  /// steals are numbered after them.
+  void admit_steal_journals() {
+    for (std::size_t s = 0; s < next_shard_id_; ++s) {
+      for (std::size_t k = 1;; ++k) {
+        std::string path = shard_journal_path(opts_.journal_base, s, k);
+        if (!std::ifstream(path)) break;
+        for (auto& entry :
+             driver::read_sweep_journal(path, points_, spec_.workload)) {
+          resumed_.insert(entry.rec.index);
+          merger_.offer(std::move(entry.rec));
+        }
+        journal_paths_.push_back(std::move(path));
+        steal_counter_[s] = k;
+      }
+    }
+  }
+
+  /// Grid index i has a journaled record: in the assignment's own journal
+  /// or in one an earlier run left.
+  bool done(const Assignment& asg, std::size_t i) const {
+    return asg.led->recorded.count(i) != 0 || resumed_.count(i) != 0;
   }
 
   void wait_for_events(Clock::time_point now) {
@@ -919,10 +952,10 @@ class Supervisor {
 
   /// Grid indices in the assignment's window with no journaled record,
   /// ascending.
-  static std::vector<std::size_t> undone_in(const Assignment& asg) {
+  std::vector<std::size_t> undone_in(const Assignment& asg) const {
     std::vector<std::size_t> undone;
     for (std::size_t i = asg.range.begin; i < asg.range.end; ++i) {
-      if (asg.led->recorded.count(i) == 0) undone.push_back(i);
+      if (!done(asg, i)) undone.push_back(i);
     }
     return undone;
   }

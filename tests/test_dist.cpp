@@ -439,6 +439,61 @@ TEST(Distributed, RerunOnAUsedBaseReportsJournaledPointsAsResumed) {
   }
 }
 
+// A rerun on a base where an earlier run's steals split both shards: the
+// tails of shard 0 ([0, 4) of 2 workers) sit in `.steal1` and `.steal2`,
+// the tail of shard 1 ([4, 8)) in `.steal1`. Every point is journaled, so
+// the leader reports all of them as resumed and launches no worker.
+TEST(Distributed, RerunReadsAnEarlierRunsStealJournals) {
+  const auto spec = make_spec(uniform(8, 0.0));
+  const auto serial = Session().run(spec);
+  const std::string base = fresh_base("rerun_steal");
+  const std::vector<std::pair<std::string, ShardRange>> journals = {
+      {shard_journal_path(base, 0), {0, 2}},
+      {shard_journal_path(base, 0, 1), {2, 3}},
+      {shard_journal_path(base, 0, 2), {3, 4}},
+      {shard_journal_path(base, 1), {4, 5}},
+      {shard_journal_path(base, 1, 1), {5, 8}}};
+  for (const auto& [path, range] : journals) {
+    write_journal_for(spec, range, path);
+  }
+  std::size_t launches = 0;
+  const auto rerun = run_distributed(spec, fast_opts(base, 2),
+                                     [&](WorkerConfig&) { ++launches; });
+  EXPECT_EQ(launches, 0u);
+  EXPECT_EQ(rerun.campaign.resumed, 8u);
+  EXPECT_EQ(rerun.campaign.worker_steals, 0u);
+  EXPECT_EQ(driver::sweep_json(rerun), driver::sweep_json(serial));
+  EXPECT_EQ(driver::sweep_csv(rerun), driver::sweep_csv(serial));
+  for (const auto& journal : journals) std::remove(journal.first.c_str());
+}
+
+// The window a worker gets stops short of a tail an earlier run stole:
+// shard 1 ([4, 8) of 2 workers) launches on [4, 6) when `.steal1` holds
+// [6, 8). Stealing is off so that each shard launches exactly once.
+TEST(Distributed, LaunchWindowStopsBeforeAStolenTail) {
+  const auto spec = make_spec(uniform(8, 0.0));
+  const auto serial = Session().run(spec);
+  const std::string base = fresh_base("stolen_tail");
+  write_journal_for(spec, {6, 8}, shard_journal_path(base, 1, 1));
+  auto opts = fast_opts(base, 2);
+  opts.min_steal_points = 9;
+  std::map<std::size_t, ShardRange> window;
+  const auto rerun = run_distributed(
+      spec, opts, [&](WorkerConfig& cfg) { window[cfg.shard] = cfg.range; });
+  ASSERT_EQ(window.size(), 2u);
+  EXPECT_EQ(window[0].begin, 0u);
+  EXPECT_EQ(window[0].end, 4u);
+  EXPECT_EQ(window[1].begin, 4u);
+  EXPECT_EQ(window[1].end, 6u);
+  EXPECT_EQ(rerun.campaign.resumed, 2u);
+  EXPECT_EQ(driver::sweep_json(rerun), driver::sweep_json(serial));
+  EXPECT_EQ(driver::sweep_csv(rerun), driver::sweep_csv(serial));
+  for (std::size_t s = 0; s < 2; ++s) {
+    std::remove(shard_journal_path(base, s).c_str());
+  }
+  std::remove(shard_journal_path(base, 1, 1).c_str());
+}
+
 TEST(Distributed, MissingJournalBaseIsAConfigError) {
   const auto spec = make_spec(uniform(4, 0.0));
   SupervisorOptions opts;

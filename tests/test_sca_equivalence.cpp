@@ -70,7 +70,8 @@ void expect_same(const ScatterResult& got, const ScatterResult& want) {
 struct GatherWords : GatherSummary {
   std::vector<Word> words;
 };
-struct ScatterOut : ScatterWords {
+struct ScatterOut : ScatterSummary {
+  std::vector<std::vector<TimePs>> latch_ps;
   std::vector<std::vector<Word>> received;
 };
 
@@ -101,9 +102,11 @@ ScatterOut scatter_words(const ScaEngine& engine, const CpSchedule& sched,
   static NodeWords received;
   static ScaWork work;
   ScatterOut out;
-  static_cast<ScatterWords&>(out) =
+  const ScatterWords sc =
       engine.scatter_words(sched, burst, &received, &work, strict);
+  static_cast<ScatterSummary&>(out) = sc;
   for (std::size_t i = 0; i < received.nodes(); ++i) {
+    out.latch_ps.emplace_back(sc.latch(i).begin(), sc.latch(i).end());
     out.received.emplace_back(received.node(i).begin(),
                               received.node(i).end());
   }
@@ -176,6 +179,43 @@ void expect_same(const std::variant<R, std::string>& got,
     EXPECT_EQ(std::get<1>(got), std::get<1>(want));
   } else {
     expect_same(std::get<0>(got), std::get<0>(want));
+  }
+}
+
+// Both gather views against the oracle, strict and not.
+void expect_gather_matches_oracle(const ScaEngine& engine,
+                                  const CpSchedule& sched,
+                                  const std::vector<std::vector<Word>>& data) {
+  for (const bool strict : {true, false}) {
+    SCOPED_TRACE(strict ? "strict" : "non-strict");
+    expect_same(outcome([&] { return engine.gather(sched, data, strict); }),
+                outcome([&] {
+                  return sca_reference::gather(engine, sched, data, strict);
+                }));
+    expect_same(
+        outcome([&] { return gather_words(engine, sched, data, strict); }),
+        outcome([&] {
+          return as_words(sca_reference::gather(engine, sched, data, strict));
+        }));
+  }
+}
+
+// Both unicast scatter views against the oracle, strict and not.
+void expect_scatter_matches_oracle(const ScaEngine& engine,
+                                   const CpSchedule& sched,
+                                   const std::vector<Word>& burst) {
+  for (const bool strict : {true, false}) {
+    SCOPED_TRACE(strict ? "strict" : "non-strict");
+    expect_same(outcome([&] { return engine.scatter(sched, burst, strict); }),
+                outcome([&] {
+                  return sca_reference::scatter(engine, sched, burst, strict);
+                }));
+    expect_same(
+        outcome([&] { return scatter_words(engine, sched, burst, strict); }),
+        outcome([&] {
+          return as_words(
+              sched, sca_reference::scatter(engine, sched, burst, strict));
+        }));
   }
 }
 
@@ -328,19 +368,7 @@ TEST(ScaEquivalence, GatherMatchesOracle) {
     const auto nodes = static_cast<std::size_t>(rng.next_range(1, 9));
     const ScaEngine engine(random_topology(rng, nodes));
     const CpSchedule sched = gather_schedule(rng, nodes);
-    const auto data = random_data(rng, sched);
-    for (const bool strict : {true, false}) {
-      expect_same(
-          outcome([&] { return engine.gather(sched, data, strict); }),
-          outcome([&] {
-            return sca_reference::gather(engine, sched, data, strict);
-          }));
-      expect_same(
-          outcome([&] { return gather_words(engine, sched, data, strict); }),
-          outcome([&] {
-            return as_words(sca_reference::gather(engine, sched, data, strict));
-          }));
-    }
+    expect_gather_matches_oracle(engine, sched, random_data(rng, sched));
   }
 }
 
@@ -351,20 +379,7 @@ TEST(ScaEquivalence, ScatterMatchesOracle) {
     const auto nodes = static_cast<std::size_t>(rng.next_range(1, 9));
     const ScaEngine engine(random_topology(rng, nodes));
     const CpSchedule sched = scatter_schedule(rng, nodes);
-    const auto burst = random_burst(rng, sched);
-    for (const bool strict : {true, false}) {
-      expect_same(
-          outcome([&] { return engine.scatter(sched, burst, strict); }),
-          outcome([&] {
-            return sca_reference::scatter(engine, sched, burst, strict);
-          }));
-      expect_same(
-          outcome([&] { return scatter_words(engine, sched, burst, strict); }),
-          outcome([&] {
-            return as_words(
-                sched, sca_reference::scatter(engine, sched, burst, strict));
-          }));
-    }
+    expect_scatter_matches_oracle(engine, sched, random_burst(rng, sched));
   }
 }
 
@@ -405,6 +420,13 @@ TEST(ScaEquivalence, PaperScaleTransposeAndRoundRobinMatchOracle) {
               outcome([&] {
                 return as_words(sca_reference::gather(engine, tr, data));
               }));
+  // One driver per slot and no skew: the owner map places it, no keys.
+  NodeWords nodes;
+  nodes.resize_equal(16, 16 * 256);
+  std::vector<Word> words;
+  ScaWork work;
+  (void)engine.gather_words(tr, nodes, &words, &work);
+  EXPECT_TRUE(work.keys.empty());
   const CpSchedule rr = compile_scatter_round_robin(16, 8, 16 * 32);
   std::vector<Word> burst(static_cast<std::size_t>(rr.total_slots));
   for (auto& w : burst) w = rng.next_u64();
@@ -471,6 +493,122 @@ TEST(ScaEquivalence, EntriesMatchSortThenCheck) {
   for (const auto& cp : tr.node_cps) {
     expect_same(outcome([&] { return cp.entries(); }),
                 outcome([&] { return sca_reference::entries(cp); }));
+  }
+}
+
+// Node n drives slots [n*E, (n+1)*E) of a blocks gather; a node may add one
+// more stride.
+CpSchedule blocks_plus(std::size_t nodes, Slot elements, std::size_t extra_node,
+                       const CpStride& extra) {
+  CpSchedule sched = compile_gather_blocks(nodes, elements);
+  sched.node_cps[extra_node].add(extra);
+  return sched;
+}
+
+std::vector<std::vector<Word>> data_for(const CpSchedule& sched) {
+  std::vector<std::vector<Word>> data(sched.nodes());
+  Word next = 100;
+  for (std::size_t i = 0; i < sched.nodes(); ++i) {
+    data[i].resize(static_cast<std::size_t>(
+        sched.node_cps[i].slot_count(CpAction::kDrive)));
+    for (auto& w : data[i]) w = next++;
+  }
+  return data;
+}
+
+TEST(ScaEquivalence, OneDoubleDrivenBucketFallsBackToSortedKeys) {
+  // Four 8-word blocks, and node 3 also drives slot 23, node 2's last:
+  // one bucket of 32 holds two words. Then node 3 drives its own slot 30
+  // twice, which only entries() can name.
+  const ScaEngine engine(straight_bus_topology(4, 4.0));
+  const std::vector<CpSchedule> cases = {
+      blocks_plus(4, 8, 3, CpStride{23, 1, 1, 1, CpAction::kDrive}),
+      blocks_plus(4, 8, 3, CpStride{30, 1, 1, 1, CpAction::kDrive})};
+  for (const CpSchedule& sched : cases) {
+    const auto data = data_for(sched);
+    expect_gather_matches_oracle(engine, sched, data);
+    NodeWords nodes;
+    for (const auto& d : data) {
+      nodes.words.insert(nodes.words.end(), d.begin(), d.end());
+      nodes.offset.push_back(nodes.words.size());
+    }
+    std::vector<Word> words;
+    ScaWork work;
+    (void)outcome([&] {
+      return engine.gather_words(sched, nodes, &words, &work, false);
+    });
+    EXPECT_EQ(work.keys.size(), 33u);
+  }
+  const GatherResult g = engine.gather(cases[0], data_for(cases[0]), false);
+  ASSERT_EQ(g.collisions.size(), 1u);
+  EXPECT_EQ(g.collisions[0].node_a, 2);
+  EXPECT_EQ(g.collisions[0].node_b, 3);
+}
+
+TEST(ScaEquivalence, RunsBreakAtGapsRemaindersAndWholePeriodOffsets) {
+  // Three nodes whose runs meet an empty bucket (the gapped blocks), a
+  // change of remainder (fractional skews, either order), or a whole-period
+  // offset (skews of +-1 and 2 periods, alone and with a remainder), on
+  // blocks, interleaved and transpose schedules.
+  PscanTopology topo = straight_bus_topology(3, 4.0);
+  const TimePs T = photonic::PhotonicClock(topo.clock).period_ps();
+  CpSchedule gapped;
+  gapped.total_slots = 20;
+  gapped.node_cps.resize(3);
+  gapped.node_cps[0].add(CpStride{0, 4, 4, 1, CpAction::kDrive});
+  gapped.node_cps[1].add(CpStride{6, 3, 5, 2, CpAction::kDrive});
+  gapped.node_cps[2].add(CpStride{9, 2, 2, 1, CpAction::kDrive});
+  const std::vector<CpSchedule> schedules = {
+      gapped, compile_gather_blocks(3, 5), compile_gather_interleaved(3, 4),
+      compile_gather_transpose(3, 2, 4)};
+  const std::vector<std::vector<TimePs>> skews = {
+      {0, 0, 0},          {0, 5, 0},          {5, 0, 5},
+      {0, 2 * T, 0},      {0, -T, 0},         {T + 3, 3, 0},
+      {0, -T + 4, 2 * T}, {-2 * T, 0, T - 1}, {7, 7, 7}};
+  for (std::size_t c = 0; c < schedules.size(); ++c) {
+    for (const auto& skew : skews) {
+      SCOPED_TRACE("schedule " + std::to_string(c) + " skew " +
+                   std::to_string(skew[0]) + "," + std::to_string(skew[1]) +
+                   "," + std::to_string(skew[2]));
+      topo.skew_error_ps = skew;
+      expect_gather_matches_oracle(ScaEngine(topo), schedules[c],
+                                   data_for(schedules[c]));
+    }
+  }
+}
+
+TEST(ScaEquivalence, UnicastClaimsNameTheFirstConflictInEntryOrder) {
+  // Node 0 listens on [0, 8), node 1 on [8, 12) and [14, 18). Node 2's
+  // entry [12, 20) first meets a taken slot at 14, mid-entry, held by
+  // node 1's second entry. Entries running past a 20-slot burst fail on
+  // the first slot beyond it, unless a taken slot comes first.
+  const ScaEngine engine(straight_bus_topology(3, 4.0));
+  const auto schedule = [](const CpStride& last) {
+    CpSchedule sched;
+    sched.total_slots = 20;
+    sched.node_cps.resize(3);
+    sched.node_cps[0].add(CpStride{0, 8, 8, 1, CpAction::kListen});
+    sched.node_cps[1].add(CpStride{8, 4, 6, 2, CpAction::kListen});
+    sched.node_cps[2].add(last);
+    return sched;
+  };
+  std::vector<Word> burst(20);
+  for (std::size_t s = 0; s < burst.size(); ++s) burst[s] = 500 + s;
+  const CpSchedule mid = schedule(CpStride{12, 8, 8, 1, CpAction::kListen});
+  const auto got = outcome([&] { return engine.scatter(mid, burst); });
+  ASSERT_EQ(got.index(), 1u);
+  EXPECT_EQ(std::get<1>(got), "scatter: slot 14 claimed by nodes 1 and 2");
+  expect_scatter_matches_oracle(engine, mid, burst);
+  // Past the end, then a taken slot before the end, then wholly beyond it;
+  // last, entries that leave [12, 14) unclaimed or claim every slot.
+  for (const CpStride& last : {CpStride{18, 4, 4, 1, CpAction::kListen},
+                               CpStride{12, 10, 10, 1, CpAction::kListen},
+                               CpStride{20, 2, 2, 1, CpAction::kListen},
+                               CpStride{18, 2, 2, 1, CpAction::kListen},
+                               CpStride{12, 2, 6, 2, CpAction::kListen}}) {
+    SCOPED_TRACE("node 2 stride at " + std::to_string(last.first) + " to " +
+                 std::to_string(last.end()));
+    expect_scatter_matches_oracle(engine, schedule(last), burst);
   }
 }
 

@@ -139,6 +139,12 @@ TEST(ScratchReuse, RepeatedPointStopsGrowingTheScratch) {
   const driver::RunRecord first = w.run(pt, scratch);
   const std::size_t sized = scratch.capacity_bytes();
   EXPECT_GT(sized, 0u);
+  // The collectives' per-node clocks, listen entries and latch times live
+  // in the Scratch too, so they count towards its size.
+  EXPECT_GT(scratch.sca.clock.capacity(), 0u);
+  EXPECT_GT(scratch.sca.entries.capacity(), 0u);
+  EXPECT_GT(scratch.sca.entry_at.capacity(), 0u);
+  EXPECT_GT(scratch.sca.latch_ps.capacity(), 0u);
   for (int i = 0; i < 3; ++i) {
     const driver::RunRecord again = w.run(pt, scratch);
     EXPECT_EQ(scratch.capacity_bytes(), sized) << "run " << i + 2;
