@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <thread>
 
 #include "psync/common/check.hpp"
-#include "psync/common/config.hpp"
 #include "psync/common/journal.hpp"
+#include "psync/common/json.hpp"
 #include "psync/core/trace.hpp"
 
 namespace psync::driver {
@@ -175,247 +174,85 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-struct Cursor {
-  const char* p;
-  const char* end;  // points at the string's NUL terminator
-};
-
-void skip_ws(Cursor* c) {
-  while (c->p < c->end &&
-         (*c->p == ' ' || *c->p == '\t' || *c->p == '\r' || *c->p == '\n')) {
-    ++c->p;
-  }
-}
-
-bool expect(Cursor* c, char ch) {
-  skip_ws(c);
-  if (c->p < c->end && *c->p == ch) {
-    ++c->p;
-    return true;
-  }
-  return false;
-}
-
-bool parse_string(Cursor* c, std::string* out) {
-  if (!expect(c, '"')) return false;
-  out->clear();
-  while (c->p < c->end) {
-    const char ch = *c->p++;
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      out->push_back(ch);
-      continue;
-    }
-    if (c->p >= c->end) return false;
-    const char esc = *c->p++;
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case '/': out->push_back('/'); break;
-      case 'b': out->push_back('\b'); break;
-      case 'f': out->push_back('\f'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
-      case 't': out->push_back('\t'); break;
-      case 'u': {
-        if (c->end - c->p < 4) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = *c->p++;
-          code <<= 4;
-          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        // Our escaper only emits \u00XX for control bytes; decode the BMP
-        // point as UTF-8 and leave surrogate pairs unsupported.
-        if (code < 0x80) {
-          out->push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        }
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // unterminated
-}
-
-bool parse_double(Cursor* c, double* out) {
-  skip_ws(c);
-  char* endp = nullptr;
-  const double v = std::strtod(c->p, &endp);
-  if (endp == c->p || endp > c->end) return false;
-  c->p = endp;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(Cursor* c, std::uint64_t* out) {
-  skip_ws(c);
-  const auto v = take_decimal(&c->p, c->end);
-  if (v) *out = *v;
-  return v.has_value();
-}
-
-// Capture one JSON value verbatim (balanced braces/brackets, string-aware);
-// used for the raw machine-report fragments and for skipping unknown keys.
-bool capture_value(Cursor* c, std::string* out) {
-  skip_ws(c);
-  if (c->p >= c->end) return false;
-  const char* start = c->p;
-  if (*c->p == '"') {
-    std::string ignored;
-    if (!parse_string(c, &ignored)) return false;
-    out->assign(start, static_cast<std::size_t>(c->p - start));
-    return true;
-  }
-  if (*c->p == '{' || *c->p == '[') {
-    int depth = 0;
-    bool in_string = false;
-    while (c->p < c->end) {
-      const char ch = *c->p++;
-      if (in_string) {
-        if (ch == '\\') {
-          if (c->p < c->end) ++c->p;
-        } else if (ch == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (ch == '"') in_string = true;
-      else if (ch == '{' || ch == '[') ++depth;
-      else if (ch == '}' || ch == ']') {
-        --depth;
-        if (depth == 0) {
-          out->assign(start, static_cast<std::size_t>(c->p - start));
-          return true;
-        }
-      }
-    }
-    return false;  // unbalanced (truncated line)
-  }
-  // Scalar: number / true / false / null.
-  while (c->p < c->end && *c->p != ',' && *c->p != '}' && *c->p != ']' &&
-         *c->p != ' ' && *c->p != '\t') {
-    ++c->p;
-  }
-  if (c->p == start) return false;
-  out->assign(start, static_cast<std::size_t>(c->p - start));
-  return true;
-}
-
 // [["name",value],...] for knobs; [["name",value,decimals],...] for metrics.
-bool parse_pair_array(Cursor* c, bool with_decimals,
+bool parse_pair_array(json::Cursor* c, bool with_decimals,
                       std::vector<std::pair<std::string, double>>* knobs,
                       std::vector<Metric>* metrics) {
-  if (!expect(c, '[')) return false;
-  if (expect(c, ']')) return true;
+  if (!c->expect('[')) return false;
+  if (c->expect(']')) return true;
   while (true) {
-    if (!expect(c, '[')) return false;
+    if (!c->expect('[')) return false;
     std::string name;
     double value = 0.0;
-    if (!parse_string(c, &name)) return false;
-    if (!expect(c, ',')) return false;
-    if (!parse_double(c, &value)) return false;
+    if (!c->read_string(&name)) return false;
+    if (!c->expect(',')) return false;
+    if (!c->read_double(&value)) return false;
     if (with_decimals) {
       double decimals = 0.0;
-      if (!expect(c, ',')) return false;
-      if (!parse_double(c, &decimals)) return false;
+      if (!c->expect(',')) return false;
+      if (!c->read_double(&decimals)) return false;
       metrics->push_back({name, value, static_cast<int>(decimals)});
     } else {
       knobs->push_back({name, value});
     }
-    if (!expect(c, ']')) return false;
-    if (expect(c, ']')) return true;
-    if (!expect(c, ',')) return false;
+    if (!c->expect(']')) return false;
+    if (c->expect(']')) return true;
+    if (!c->expect(',')) return false;
   }
 }
 
-bool parse_failure(Cursor* c, PointFailure* out) {
-  if (!expect(c, '{')) return false;
+bool parse_failure(json::Cursor* c, PointFailure* out) {
+  if (!c->expect('{')) return false;
   bool saw_kind = false;
   while (true) {
     std::string key;
-    if (!parse_string(c, &key)) return false;
-    if (!expect(c, ':')) return false;
+    if (!c->read_string(&key)) return false;
+    if (!c->expect(':')) return false;
     if (key == "kind") {
       std::string kind;
-      if (!parse_string(c, &kind)) return false;
+      if (!c->read_string(&kind)) return false;
       out->kind = failure_kind_from_string(kind);
       saw_kind = true;
     } else if (key == "message") {
-      if (!parse_string(c, &out->message)) return false;
+      if (!c->read_string(&out->message)) return false;
     } else if (key == "attempts") {
       std::uint64_t attempts = 0;
-      if (!parse_u64(c, &attempts)) return false;
+      if (!c->read_u64(&attempts)) return false;
       out->attempts = static_cast<std::size_t>(attempts);
     } else {
-      std::string ignored;
-      if (!capture_value(c, &ignored)) return false;
+      if (!c->capture(nullptr)) return false;
     }
-    if (expect(c, '}')) return saw_kind;
-    if (!expect(c, ',')) return false;
+    if (c->expect('}')) return saw_kind;
+    if (!c->expect(',')) return false;
   }
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char raw : s) {
-    const unsigned char ch = static_cast<unsigned char>(raw);
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (ch < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out.push_back(raw);
-        }
-    }
-  }
-  return out;
-}
 
 std::string journal_line(const RunRecord& rec, std::uint64_t seed,
                          std::uint64_t point_digest) {
   std::ostringstream os;
   os << "{\"v\":1,\"index\":" << rec.index << ",\"seed\":" << seed;
   if (point_digest != 0) os << ",\"pd\":" << point_digest;
-  os << ",\"workload\":\"" << json_escape(rec.workload) << "\",\"status\":\""
+  os << ",\"workload\":\"" << json::escape(rec.workload) << "\",\"status\":\""
      << to_string(rec.status) << "\",\"retries\":" << rec.retries
      << ",\"wall_ms\":" << fmt_double(rec.wall_ns * 1e-6) << ",\"knobs\":[";
   for (std::size_t k = 0; k < rec.knobs.size(); ++k) {
     if (k > 0) os << ',';
-    os << "[\"" << json_escape(rec.knobs[k].first) << "\","
+    os << "[\"" << json::escape(rec.knobs[k].first) << "\","
        << fmt_double(rec.knobs[k].second) << ']';
   }
   os << "],\"metrics\":[";
   for (std::size_t m = 0; m < rec.metrics.size(); ++m) {
     if (m > 0) os << ',';
-    os << "[\"" << json_escape(rec.metrics[m].name) << "\","
+    os << "[\"" << json::escape(rec.metrics[m].name) << "\","
        << fmt_double(rec.metrics[m].value) << ',' << rec.metrics[m].decimals
        << ']';
   }
   os << ']';
   if (rec.failure) {
     os << ",\"failure\":{\"kind\":\"" << to_string(rec.failure->kind)
-       << "\",\"message\":\"" << json_escape(rec.failure->message)
+       << "\",\"message\":\"" << json::escape(rec.failure->message)
        << "\",\"attempts\":" << rec.failure->attempts << '}';
   }
   if (rec.psync) {
@@ -433,47 +270,47 @@ std::string journal_line(const RunRecord& rec, std::uint64_t seed,
 }
 
 bool parse_journal_line(const std::string& line, JournalEntry* out) {
-  Cursor c{line.c_str(), line.c_str() + line.size()};
+  json::Cursor c(line);
   JournalEntry entry;
   bool saw_version = false, saw_index = false, saw_seed = false,
        saw_workload = false, saw_status = false;
   try {
-    if (!expect(&c, '{')) return false;
+    if (!c.expect('{')) return false;
     while (true) {
       std::string key;
-      if (!parse_string(&c, &key)) return false;
-      if (!expect(&c, ':')) return false;
+      if (!c.read_string(&key)) return false;
+      if (!c.expect(':')) return false;
       if (key == "v") {
         std::uint64_t v = 0;
-        if (!parse_u64(&c, &v) || v != 1) return false;
+        if (!c.read_u64(&v) || v != 1) return false;
         saw_version = true;
       } else if (key == "index") {
         std::uint64_t idx = 0;
-        if (!parse_u64(&c, &idx)) return false;
+        if (!c.read_u64(&idx)) return false;
         entry.rec.index = static_cast<std::size_t>(idx);
         saw_index = true;
       } else if (key == "seed") {
-        if (!parse_u64(&c, &entry.seed)) return false;
+        if (!c.read_u64(&entry.seed)) return false;
         saw_seed = true;
       } else if (key == "pd") {
-        if (!parse_u64(&c, &entry.point_digest)) return false;
+        if (!c.read_u64(&entry.point_digest)) return false;
       } else if (key == "workload") {
-        if (!parse_string(&c, &entry.rec.workload)) return false;
+        if (!c.read_string(&entry.rec.workload)) return false;
         saw_workload = true;
       } else if (key == "status") {
         std::string status;
-        if (!parse_string(&c, &status)) return false;
+        if (!c.read_string(&status)) return false;
         entry.rec.status = point_status_from_string(status);
         saw_status = true;
       } else if (key == "retries") {
         std::uint64_t retries = 0;
-        if (!parse_u64(&c, &retries)) return false;
+        if (!c.read_u64(&retries)) return false;
         entry.rec.retries = static_cast<std::size_t>(retries);
       } else if (key == "wall_ms") {
         // Informational only: wall time is never serialized into reports,
         // so a resumed record keeps wall_ns = 0.
         double ignored = 0.0;
-        if (!parse_double(&c, &ignored)) return false;
+        if (!c.read_double(&ignored)) return false;
       } else if (key == "knobs") {
         if (!parse_pair_array(&c, false, &entry.rec.knobs, nullptr)) {
           return false;
@@ -487,21 +324,19 @@ bool parse_journal_line(const std::string& line, JournalEntry* out) {
         if (!parse_failure(&c, &failure)) return false;
         entry.rec.failure = failure;
       } else if (key == "psync") {
-        if (!capture_value(&c, &entry.rec.psync_json)) return false;
+        if (!c.capture(&entry.rec.psync_json)) return false;
       } else if (key == "mesh") {
-        if (!capture_value(&c, &entry.rec.mesh_json)) return false;
+        if (!c.capture(&entry.rec.mesh_json)) return false;
       } else {
-        std::string ignored;
-        if (!capture_value(&c, &ignored)) return false;
+        if (!c.capture(nullptr)) return false;
       }
-      if (expect(&c, '}')) break;
-      if (!expect(&c, ',')) return false;
+      if (c.expect('}')) break;
+      if (!c.expect(',')) return false;
     }
   } catch (const SimulationError&) {
     return false;  // unknown status / failure-kind text
   }
-  skip_ws(&c);
-  if (c.p != c.end) return false;  // trailing garbage
+  if (!c.at_end()) return false;  // trailing garbage
   if (!saw_version || !saw_index || !saw_seed || !saw_workload || !saw_status) {
     return false;
   }
@@ -532,15 +367,22 @@ void admit_journal_entry(const JournalEntry& entry,
       " point(s) (" + differs + " differs); refusing to mix campaigns");
 }
 
+std::vector<JournalEntry> read_journal(const std::string& path) {
+  std::vector<JournalEntry> entries;
+  for (const auto& line : read_journal_lines(path)) {
+    if (!parse_journal_line(line, &entries.emplace_back())) {
+      throw JournalCorruptError(path + ":" + std::to_string(entries.size()) +
+                                ": corrupt journal line");
+    }
+  }
+  return entries;
+}
+
 std::vector<JournalEntry> read_sweep_journal(
     const std::string& path, const std::vector<RunPoint>& points,
     const std::string& workload) {
-  std::vector<JournalEntry> entries;
-  for (const auto& line : read_journal_lines(path)) {
-    JournalEntry& entry = entries.emplace_back();
-    if (!parse_journal_line(line, &entry)) {
-      throw JournalCorruptError("corrupt journal line in '" + path + "'");
-    }
+  std::vector<JournalEntry> entries = read_journal(path);
+  for (const auto& entry : entries) {
     admit_journal_entry(entry, points, workload, path);
   }
   return entries;

@@ -165,15 +165,16 @@ void admit_journal_entry(const JournalEntry& entry,
                          const std::string& workload,
                          const std::string& source);
 
-/// Every record of the journal at `path`, in file order, each admitted by
-/// admit_journal_entry. A torn final line is dropped (read_journal_lines);
-/// any other unparseable line is a JournalCorruptError. A missing file
-/// reads as empty.
+/// Every record of the journal at `path`, in file order. A torn final line
+/// is dropped (read_journal_lines); any other unparseable line is a
+/// JournalCorruptError naming it as `path:line`. A missing file reads as
+/// empty. The one journal-reading rule of resume, the shard merge and the
+/// serve result cache.
+std::vector<JournalEntry> read_journal(const std::string& path);
+
+/// read_journal, with each record admitted by admit_journal_entry.
 std::vector<JournalEntry> read_sweep_journal(
     const std::string& path, const std::vector<RunPoint>& points,
     const std::string& workload);
-
-/// Minimal JSON string escaping (backslash, quote, control chars).
-std::string json_escape(const std::string& s);
 
 }  // namespace psync::driver

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "psync/common/check.hpp"
+#include "psync/common/json.hpp"
 #include "psync/common/table.hpp"
 #include "psync/core/trace.hpp"
 
@@ -106,7 +107,7 @@ std::string point_json(const RunRecord& rec) {
   os << '}';
   if (rec.failure) {
     os << ",\"failure\":{\"kind\":\"" << to_string(rec.failure->kind)
-       << "\",\"message\":\"" << json_escape(rec.failure->message)
+       << "\",\"message\":\"" << json::escape(rec.failure->message)
        << "\",\"attempts\":" << rec.failure->attempts << '}';
   }
   // Reports: live typed reports when the point ran in this process, raw

@@ -28,10 +28,11 @@ constexpr std::array<const char*, 7> kClockAllow = {
     "src/psync/serve/",            // client socket timeouts
 };
 
-constexpr std::array<const char*, 5> kOrderSensitive = {
+constexpr std::array<const char*, 6> kOrderSensitive = {
     "src/psync/driver/canonical",  // canonical JSON: byte-exact digests
     "src/psync/core/trace",        // event traces compared byte-for-byte
     "src/psync/common/journal",    // journal replay order is the contract
+    "src/psync/common/json",       // every journal and protocol byte
     "src/psync/dist/merge",        // crash-identical merge, live and final
     "src/psync/serve/cache",       // content-addressed result index
 };

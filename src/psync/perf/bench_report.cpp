@@ -1,28 +1,12 @@
 #include "psync/perf/bench_report.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 
 #include "psync/common/check.hpp"
+#include "psync/common/json.hpp"
 
 namespace psync::perf {
 namespace {
-
-void append_escaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (c == '\n') {
-      *out += "\\n";
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
 
 std::string fmt_double(double v) {
   char buf[64];
@@ -30,147 +14,83 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-// --- minimal parser for the JSON bench_report_json emits ---------------
+void append_string(std::string* out, const std::string& s) {
+  *out += '"' + json::escape(s) + '"';
+}
 
-class Cursor {
+// Reads the JSON bench_report_json writes through the common cursor; any
+// malformed shape is a SimulationError naming the offset where reading
+// stopped.
+class ReportReader {
  public:
-  explicit Cursor(const std::string& text) : s_(text) {}
+  explicit ReportReader(const std::string& text) : text_(text), c_(text) {}
 
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!eat(c)) fail(std::string("expected '") + c + "'");
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        char e = s_[pos_++];
-        out.push_back(e == 'n' ? '\n' : e);
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= s_.size()) fail("unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  bool parse_bool() {
-    skip_ws();
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected bool");
-    return false;
-  }
-
-  /// Skip any value (used for keys added by future schema versions).
-  void skip_value() {
-    skip_ws();
-    if (peek('"')) {
-      parse_string();
-    } else if (eat('[')) {
-      if (!eat(']')) {
-        do {
-          skip_value();
-        } while (eat(','));
-        expect(']');
-      }
-    } else if (eat('{')) {
-      if (!eat('}')) {
-        do {
-          parse_string();
-          expect(':');
-          skip_value();
-        } while (eat(','));
-        expect('}');
-      }
-    } else if (peek('t') || peek('f')) {
-      parse_bool();
-    } else {
-      parse_number();
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
+  [[noreturn]] void fail(const std::string& what) const {
     throw SimulationError("bench report parse error at offset " +
-                          std::to_string(pos_) + ": " + what);
+                          std::to_string(c_.p - text_.c_str()) + ": " + what);
+  }
+  bool eat(char ch) { return c_.expect(ch); }
+  void expect(char ch) {
+    if (!c_.expect(ch)) fail(std::string("expected '") + ch + "'");
+  }
+  std::string string() {
+    std::string s;
+    if (!c_.read_string(&s)) fail("expected string");
+    return s;
+  }
+  double number() {
+    double v = 0.0;
+    if (!c_.read_double(&v)) fail("expected number");
+    return v;
+  }
+  std::uint64_t count() {
+    std::uint64_t v = 0;
+    if (!c_.read_u64(&v)) fail("expected unsigned integer");
+    return v;
+  }
+  bool boolean() {
+    bool v = false;
+    if (!c_.read_bool(&v)) fail("expected bool");
+    return v;
+  }
+  /// Skip any value (keys added by future schema versions).
+  void skip() {
+    if (!c_.capture(nullptr)) fail("expected value");
   }
 
  private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
+  const std::string& text_;
+  json::Cursor c_;
 };
 
-BenchEntry parse_entry(Cursor& cur) {
+BenchEntry parse_entry(ReportReader& in) {
   BenchEntry e;
-  cur.expect('{');
-  if (!cur.eat('}')) {
+  in.expect('{');
+  if (!in.eat('}')) {
     do {
-      const std::string key = cur.parse_string();
-      cur.expect(':');
+      const std::string key = in.string();
+      in.expect(':');
       if (key == "name") {
-        e.name = cur.parse_string();
+        e.name = in.string();
       } else if (key == "wall_ms") {
-        e.wall_ms = cur.parse_number();
+        e.wall_ms = in.number();
       } else if (key == "min_iter_ms") {
-        e.min_iter_ms = cur.parse_number();
+        e.min_iter_ms = in.number();
       } else if (key == "iters") {
-        e.iters = static_cast<std::uint64_t>(cur.parse_number());
+        e.iters = in.count();
       } else if (key == "events") {
-        e.events = static_cast<std::uint64_t>(cur.parse_number());
+        e.events = in.count();
       } else if (key == "minor_faults") {
-        e.minor_faults = cur.parse_number();
+        e.minor_faults = in.number();
       } else if (key == "note") {
-        e.note = cur.parse_string();
+        e.note = in.string();
       } else {
-        cur.skip_value();  // per_iter_ms / events_per_sec are derived
+        in.skip();  // per_iter_ms / events_per_sec are derived
       }
-    } while (cur.eat(','));
-    cur.expect('}');
+    } while (in.eat(','));
+    in.expect('}');
   }
-  if (e.name.empty()) cur.fail("benchmark entry without a name");
+  if (e.name.empty()) in.fail("benchmark entry without a name");
   return e;
 }
 
@@ -194,7 +114,7 @@ std::string bench_report_json(const BenchReport& report) {
     const BenchEntry& e = report.entries[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": ";
-    append_escaped(&out, e.name);
+    append_string(&out, e.name);
     out += ", \"wall_ms\": " + fmt_double(e.wall_ms);
     out += ", \"iters\": " + std::to_string(e.iters);
     out += ", \"per_iter_ms\": " + fmt_double(e.per_iter_ms());
@@ -208,7 +128,7 @@ std::string bench_report_json(const BenchReport& report) {
     out += ", \"minor_faults\": " + fmt_double(e.minor_faults);
     if (!e.note.empty()) {
       out += ", \"note\": ";
-      append_escaped(&out, e.note);
+      append_string(&out, e.note);
     }
     out += "}";
   }
@@ -218,29 +138,29 @@ std::string bench_report_json(const BenchReport& report) {
 
 BenchReport parse_bench_report(const std::string& json) {
   BenchReport report;
-  Cursor cur(json);
-  cur.expect('{');
-  if (!cur.eat('}')) {
+  ReportReader in(json);
+  in.expect('{');
+  if (!in.eat('}')) {
     do {
-      const std::string key = cur.parse_string();
-      cur.expect(':');
+      const std::string key = in.string();
+      in.expect(':');
       if (key == "schema_version") {
-        report.schema_version = static_cast<int>(cur.parse_number());
+        report.schema_version = static_cast<int>(in.count());
       } else if (key == "quick") {
-        report.quick = cur.parse_bool();
+        report.quick = in.boolean();
       } else if (key == "benchmarks") {
-        cur.expect('[');
-        if (!cur.eat(']')) {
+        in.expect('[');
+        if (!in.eat(']')) {
           do {
-            report.entries.push_back(parse_entry(cur));
-          } while (cur.eat(','));
-          cur.expect(']');
+            report.entries.push_back(parse_entry(in));
+          } while (in.eat(','));
+          in.expect(']');
         }
       } else {
-        cur.skip_value();
+        in.skip();
       }
-    } while (cur.eat(','));
-    cur.expect('}');
+    } while (in.eat(','));
+    in.expect('}');
   }
   return report;
 }

@@ -4,8 +4,9 @@
 // results as BENCH_psync.json. The same schema is what CI archives and what
 // the baseline-compare mode reads back: `bench_driver --baseline old.json`
 // re-runs the suite and fails (non-zero exit) if any benchmark regressed by
-// more than the allowed percentage. The parser below is deliberately small
-// and tolerant — it understands exactly the JSON this module writes.
+// more than the allowed percentage. Names and notes are written with the
+// common JSON escaper and read back with its cursor (common/json.hpp), so
+// any byte round-trips; keys this module does not know are skipped.
 #pragma once
 
 #include <cstdint>

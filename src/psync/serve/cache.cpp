@@ -19,9 +19,7 @@ void ResultCache::open(const std::string& dir) {
   dir_ = dir;
   map_.clear();
   for (const auto& path : list_journal_files(dir)) {
-    for (const auto& line : read_journal_lines(path)) {
-      driver::JournalEntry entry;
-      if (!driver::parse_journal_line(line, &entry)) continue;
+    for (auto& entry : driver::read_journal(path)) {
       if (entry.point_digest == 0) continue;  // pre-digest journal line
       if (entry.rec.status != driver::PointStatus::kOk) continue;
       // Later lines win (a resubmitted campaign re-journals its splice;

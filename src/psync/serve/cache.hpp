@@ -32,10 +32,12 @@ class ResultCache : public driver::PointCache {
   ResultCache() = default;
 
   /// Attach to a cache directory (created if missing) and rebuild the
-  /// index from every journal in it. Journal lines that fail to parse,
-  /// carry no digest, or are not kOk are skipped, not errors — a cache
-  /// scan must tolerate torn tails and pre-digest journals. Throws
-  /// SimulationError only when the directory cannot be created.
+  /// index from every journal in it, read by the rule resume uses
+  /// (driver::read_journal): a torn final line is dropped, and any other
+  /// line that fails to parse is a JournalCorruptError naming file and line,
+  /// since resubmitting that campaign would fail on it anyway. Lines with
+  /// no digest (pre-digest journals) or not kOk are skipped. Throws
+  /// SimulationError when the directory cannot be created.
   void open(const std::string& dir);
 
   [[nodiscard]] bool is_open() const { return !dir_.empty(); }

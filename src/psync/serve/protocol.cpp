@@ -2,8 +2,7 @@
 
 #include <cstdio>
 
-#include "psync/common/config.hpp"
-#include "psync/driver/campaign.hpp"
+#include "psync/common/json.hpp"
 
 namespace psync::serve {
 
@@ -37,113 +36,6 @@ const char* to_string(FrameError err) {
   return "?";
 }
 
-namespace {
-
-// A trimmed-down cousin of the journal-line parser (driver/campaign.cpp):
-// requests are one-level objects with string / unsigned / bool values, so
-// the cursor machinery stays minimal — and every malformed shape maps to
-// a FrameError instead of a bool.
-struct Cursor {
-  const char* p;
-  const char* end;
-};
-
-void skip_ws(Cursor* c) {
-  while (c->p < c->end &&
-         (*c->p == ' ' || *c->p == '\t' || *c->p == '\r' || *c->p == '\n')) {
-    ++c->p;
-  }
-}
-
-bool expect(Cursor* c, char ch) {
-  skip_ws(c);
-  if (c->p < c->end && *c->p == ch) {
-    ++c->p;
-    return true;
-  }
-  return false;
-}
-
-bool parse_string(Cursor* c, std::string* out) {
-  if (!expect(c, '"')) return false;
-  out->clear();
-  while (c->p < c->end) {
-    const char ch = *c->p++;
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      out->push_back(ch);
-      continue;
-    }
-    if (c->p >= c->end) return false;
-    const char esc = *c->p++;
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case '/': out->push_back('/'); break;
-      case 'b': out->push_back('\b'); break;
-      case 'f': out->push_back('\f'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
-      case 't': out->push_back('\t'); break;
-      case 'u': {
-        if (c->end - c->p < 4) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = *c->p++;
-          code <<= 4;
-          if (h >= '0' && h <= '9') {
-            code |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            code |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            code |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return false;
-          }
-        }
-        if (code < 0x80) {
-          out->push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        }
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // unterminated
-}
-
-bool parse_u64(Cursor* c, std::uint64_t* out) {
-  skip_ws(c);
-  const auto v = take_decimal(&c->p, c->end);
-  if (v) *out = *v;
-  return v.has_value();
-}
-
-bool parse_bool(Cursor* c, bool* out) {
-  skip_ws(c);
-  const std::size_t left = static_cast<std::size_t>(c->end - c->p);
-  if (left >= 4 && std::string(c->p, 4) == "true") {
-    c->p += 4;
-    *out = true;
-    return true;
-  }
-  if (left >= 5 && std::string(c->p, 5) == "false") {
-    c->p += 5;
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::string campaign_id(std::uint64_t digest) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -169,7 +61,7 @@ bool parse_campaign_id(const std::string& s, std::uint64_t* out) {
 }
 
 std::string json_string(const std::string& s) {
-  return '"' + driver::json_escape(s) + '"';
+  return '"' + json::escape(s) + '"';
 }
 
 std::string error_frame(const std::string& code, const std::string& message) {
@@ -178,10 +70,9 @@ std::string error_frame(const std::string& code, const std::string& message) {
 }
 
 FrameError parse_request(const std::string& line, Request* out) {
-  Cursor c{line.c_str(), line.c_str() + line.size()};
-  skip_ws(&c);
-  if (c.p == c.end) return FrameError::kEmpty;
-  if (!expect(&c, '{')) return FrameError::kNotJson;
+  json::Cursor c(line);
+  if (c.at_end()) return FrameError::kEmpty;
+  if (!c.expect('{')) return FrameError::kNotJson;
 
   Request req;
   bool saw_op = false;
@@ -189,34 +80,33 @@ FrameError parse_request(const std::string& line, Request* out) {
   std::string campaign_text;
   bool saw_campaign = false;
 
-  if (!expect(&c, '}')) {
+  if (!c.expect('}')) {
     while (true) {
       std::string key;
-      if (!parse_string(&c, &key)) return FrameError::kBadString;
-      if (!expect(&c, ':')) return FrameError::kNotJson;
+      if (!c.read_string(&key)) return FrameError::kBadString;
+      if (!c.expect(':')) return FrameError::kNotJson;
       if (key == "op") {
-        if (!parse_string(&c, &op_name)) return FrameError::kBadType;
+        if (!c.read_string(&op_name)) return FrameError::kBadType;
         saw_op = true;
       } else if (key == "config") {
-        if (!parse_string(&c, &req.config)) return FrameError::kBadType;
+        if (!c.read_string(&req.config)) return FrameError::kBadType;
       } else if (key == "campaign") {
-        if (!parse_string(&c, &campaign_text)) return FrameError::kBadType;
+        if (!c.read_string(&campaign_text)) return FrameError::kBadType;
         saw_campaign = true;
       } else if (key == "format") {
-        if (!parse_string(&c, &req.format)) return FrameError::kBadType;
+        if (!c.read_string(&req.format)) return FrameError::kBadType;
       } else if (key == "wait") {
-        if (!parse_bool(&c, &req.wait)) return FrameError::kBadType;
+        if (!c.read_bool(&req.wait)) return FrameError::kBadType;
       } else if (key == "threads") {
-        if (!parse_u64(&c, &req.threads)) return FrameError::kBadType;
+        if (!c.read_u64(&req.threads)) return FrameError::kBadType;
       } else {
         return FrameError::kUnknownKey;
       }
-      if (expect(&c, '}')) break;
-      if (!expect(&c, ',')) return FrameError::kNotJson;
+      if (c.expect('}')) break;
+      if (!c.expect(',')) return FrameError::kNotJson;
     }
   }
-  skip_ws(&c);
-  if (c.p != c.end) return FrameError::kTrailingGarbage;
+  if (!c.at_end()) return FrameError::kTrailingGarbage;
 
   if (!saw_op) return FrameError::kMissingOp;
   if (op_name == "submit") {
@@ -260,79 +150,39 @@ FrameError parse_request(const std::string& line, Request* out) {
 
 namespace {
 
-// Scan the outermost object of `json` for `key` and leave the cursor at
-// its value. Depth-aware so nested objects/arrays can't shadow a
-// top-level field.
-bool find_field(const std::string& json, const std::string& key,
-                Cursor* out) {
-  Cursor c{json.c_str(), json.c_str() + json.size()};
-  if (!expect(&c, '{')) return false;
-  if (expect(&c, '}')) return false;
+// Scan the outermost object of the cursor's text for `key` and leave the
+// cursor at its value. Depth-aware so nested objects/arrays can't shadow
+// a top-level field.
+bool find_field(const std::string& key, json::Cursor* c) {
+  if (!c->expect('{') || c->expect('}')) return false;
   while (true) {
     std::string name;
-    if (!parse_string(&c, &name)) return false;
-    if (!expect(&c, ':')) return false;
-    if (name == key) {
-      skip_ws(&c);
-      *out = c;
-      return true;
-    }
-    // Skip the value: string-aware, depth-balanced.
-    skip_ws(&c);
-    if (c.p >= c.end) return false;
-    if (*c.p == '"') {
-      std::string ignored;
-      if (!parse_string(&c, &ignored)) return false;
-    } else if (*c.p == '{' || *c.p == '[') {
-      int depth = 0;
-      bool in_string = false;
-      while (c.p < c.end) {
-        const char ch = *c.p++;
-        if (in_string) {
-          if (ch == '\\') {
-            if (c.p < c.end) ++c.p;
-          } else if (ch == '"') {
-            in_string = false;
-          }
-          continue;
-        }
-        if (ch == '"') in_string = true;
-        else if (ch == '{' || ch == '[') ++depth;
-        else if (ch == '}' || ch == ']') {
-          --depth;
-          if (depth == 0) break;
-        }
-      }
-      if (c.p > c.end) return false;
-    } else {
-      while (c.p < c.end && *c.p != ',' && *c.p != '}') ++c.p;
-    }
-    if (expect(&c, '}')) return false;  // key not present
-    if (!expect(&c, ',')) return false;
+    if (!c->read_string(&name) || !c->expect(':')) return false;
+    if (name == key) return true;
+    if (!c->capture(nullptr)) return false;
+    if (c->expect('}')) return false;  // key not present
+    if (!c->expect(',')) return false;
   }
 }
 
 }  // namespace
 
-bool find_string_field(const std::string& json, const std::string& key,
+bool find_string_field(const std::string& text, const std::string& key,
                        std::string* out) {
-  Cursor c{nullptr, nullptr};
-  if (!find_field(json, key, &c)) return false;
-  return parse_string(&c, out);
+  json::Cursor c(text);
+  return find_field(key, &c) && c.read_string(out);
 }
 
-bool find_u64_field(const std::string& json, const std::string& key,
+bool find_u64_field(const std::string& text, const std::string& key,
                     std::uint64_t* out) {
-  Cursor c{nullptr, nullptr};
-  if (!find_field(json, key, &c)) return false;
-  return parse_u64(&c, out);
+  json::Cursor c(text);
+  return find_field(key, &c) && c.read_u64(out);
 }
 
-bool find_bool_field(const std::string& json, const std::string& key,
+bool find_bool_field(const std::string& text, const std::string& key,
                      bool* out) {
-  Cursor c{nullptr, nullptr};
-  if (!find_field(json, key, &c)) return false;
-  return parse_bool(&c, out);
+  json::Cursor c(text);
+  return find_field(key, &c) && c.read_bool(out);
 }
 
 }  // namespace psync::serve

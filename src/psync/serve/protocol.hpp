@@ -20,10 +20,11 @@
 // the daemon and the on-disk store all key by content, never by
 // submission order.
 //
-// The request parser is strict the way the journal-line parser is strict:
-// unknown keys, wrong value types, truncated frames and trailing garbage
-// are each a typed FrameError, never a silent default — a malformed
-// submission must not execute as something else.
+// The request parser reads frames with the journal's JSON codec
+// (common/json.hpp) and is as strict: unknown keys, wrong value types,
+// truncated frames and trailing garbage are each a typed FrameError, never
+// a silent default — a malformed submission must not execute as something
+// else.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +82,7 @@ std::string campaign_id(std::uint64_t digest);
 /// Parse the form campaign_id produces; false on anything else.
 bool parse_campaign_id(const std::string& s, std::uint64_t* out);
 
-/// Escape + quote a string as a JSON literal (driver::json_escape rules).
+/// Escape + quote a string as a JSON literal (json::escape rules).
 std::string json_string(const std::string& s);
 
 /// One-line error response frame: {"ok":false,"error":code,"message":...}.

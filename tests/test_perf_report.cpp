@@ -2,6 +2,9 @@
 // comparison bench_driver's --baseline mode gates CI on.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "psync/common/check.hpp"
 #include "psync/perf/bench_report.hpp"
 #include "psync/perf/stopwatch.hpp"
@@ -59,6 +62,42 @@ TEST(BenchReport, MalformedInputThrows) {
   EXPECT_THROW(parse_bench_report("not json"), SimulationError);
   EXPECT_THROW(parse_bench_report("{\"benchmarks\": [{}]}"), SimulationError);
   EXPECT_THROW(parse_bench_report("{\"quick\": maybe}"), SimulationError);
+}
+
+TEST(BenchReport, ControlCharactersRoundTripAsStandardEscapes) {
+  BenchReport r;
+  r.entries.push_back({"ctl", 1.0, 0.0, 1, 0, "tab\there\rcr\x01soh"});
+  const std::string json = bench_report_json(r);
+  for (const char ch : json) {
+    EXPECT_TRUE(ch == '\n' || static_cast<unsigned char>(ch) >= 0x20)
+        << "raw control byte " << static_cast<int>(ch) << " in " << json;
+  }
+  EXPECT_EQ(parse_bench_report(json).entries.at(0).note, r.entries[0].note);
+
+  const BenchReport escaped = parse_bench_report(
+      R"({"benchmarks": [{"name": "x", "note": "a\tb\u0041"}]})");
+  EXPECT_EQ(escaped.entries.at(0).note, "a\tbA");
+
+  // The committed baseline holds no escape, so it re-renders byte for
+  // byte. per_iter_ms and events_per_sec are not read back but derived
+  // from the rounded wall_ms, so their last digit may move: compare the
+  // rest.
+  std::ifstream in(std::string(PSYNC_SOURCE_ROOT) + "/BENCH_psync.json");
+  std::stringstream committed;
+  committed << in.rdbuf();
+  ASSERT_FALSE(committed.str().empty());
+  const auto stored = [](std::string text) {
+    for (const std::string key :
+         {"\"per_iter_ms\": ", "\"events_per_sec\": "}) {
+      for (auto at = text.find(key); at != std::string::npos;
+           at = text.find(key, at)) {
+        text.erase(at, text.find(", ", at) + 2 - at);
+      }
+    }
+    return text;
+  };
+  EXPECT_EQ(stored(bench_report_json(parse_bench_report(committed.str()))),
+            stored(committed.str()));
 }
 
 TEST(BenchCompare, FlagsOnlyRealRegressions) {

@@ -410,6 +410,54 @@ TEST(Cache, RebuildsTheIndexFromJournalsOnOpen) {
   std::remove(spec.journal_path.c_str());
 }
 
+/// Writes one campaign journal into `cache`'s directory: kOk records with
+/// digests 11 and 22 around `between` (a line of its own), then `tail`
+/// with no newline. Returns the journal's path.
+std::string write_cache_journal(const ResultCache& cache,
+                                const std::string& between,
+                                const std::string& tail) {
+  RunRecord rec;
+  rec.workload = "fft2d";
+  const std::string path = cache.journal_path(7);
+  std::ofstream out(path, std::ios::trunc);
+  out << driver::journal_line(rec, 1, 11) << '\n' << between << '\n'
+      << driver::journal_line(rec, 2, 22) << '\n' << tail;
+  return path;
+}
+
+TEST(Cache, MidFileGarbageIsACorruptJournalNamingTheFile) {
+  const std::string dir = temp_path("garbage_cache");
+  ResultCache cache;
+  cache.open(dir);
+  const std::string path = write_cache_journal(cache, "%% garbage %%", "");
+  try {
+    cache.open(dir);
+    ADD_FAILURE() << "the garbage line was skipped";
+  } catch (const JournalCorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":2:"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Cache, TornTailAndPreDigestLinesAreSkippedOnOpen) {
+  const std::string dir = temp_path("torn_cache");
+  ResultCache cache;
+  cache.open(dir);
+  RunRecord rec;
+  rec.workload = "fft2d";
+  const std::string torn = driver::journal_line(rec, 3, 33);
+  const std::string path = write_cache_journal(
+      cache, driver::journal_line(rec, 4), torn.substr(0, torn.size() / 2));
+  cache.open(dir);
+  EXPECT_EQ(cache.size(), 2u);
+  RunRecord out;
+  EXPECT_TRUE(cache.lookup(11, 1, &out));
+  EXPECT_TRUE(cache.lookup(22, 2, &out));
+  EXPECT_FALSE(cache.lookup(33, 3, &out));
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Protocol codec
 
