@@ -54,18 +54,4 @@ std::vector<FftBlockRow> table1(const FftWorkload& w, std::uint64_t max_k) {
   return rows;
 }
 
-double efficiency_at_bandwidth(const FftWorkload& w, std::uint64_t k,
-                               GigabitsPerSec bandwidth_gbps, Ns lambda_ns) {
-  FftBlockRow row = table1_row(w, k);
-  const double block_bits =
-      static_cast<double>(row.block_size) * static_cast<double>(w.sample_bits);
-  ModelInputs in;
-  in.processors = static_cast<double>(w.processors);
-  in.blocks = static_cast<double>(k);
-  in.t_ck_ns = row.t_ck_ns;
-  in.t_dk_ns = delivery_time_ns(lambda_ns, block_bits, bandwidth_gbps);
-  in.t_cf_ns = row.t_cf_ns;
-  return efficiency(in);
-}
-
 }  // namespace psync::analysis

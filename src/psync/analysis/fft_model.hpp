@@ -42,10 +42,4 @@ FftBlockRow table1_row(const FftWorkload& w, std::uint64_t k);
 /// All Table I rows for k in {1, 2, ..., max_k} (powers of two).
 std::vector<FftBlockRow> table1(const FftWorkload& w, std::uint64_t max_k = 64);
 
-/// Zero-latency efficiency at block count k with *fixed* bandwidth
-/// `bandwidth_gbps` (instead of the balanced W_p); used for sweeps.
-double efficiency_at_bandwidth(const FftWorkload& w, std::uint64_t k,
-                               GigabitsPerSec bandwidth_gbps,
-                               Ns lambda_ns = Ns{0.0});
-
 }  // namespace psync::analysis

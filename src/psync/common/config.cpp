@@ -96,11 +96,6 @@ bool IniConfig::has_section(const std::string& section) const {
   return data_.count(section) > 0;
 }
 
-bool IniConfig::has(const std::string& section, const std::string& key) const {
-  const auto it = data_.find(section);
-  return it != data_.end() && it->second.count(key) > 0;
-}
-
 std::vector<std::string> IniConfig::sections() const { return section_order_; }
 
 std::vector<std::string> IniConfig::keys(const std::string& section) const {
@@ -275,11 +270,6 @@ std::string ConfigDiagnostic::to_string() const {
       return "bad value for '" + section + "." + key + "': " + message;
   }
   return message;
-}
-
-ConfigSchema& ConfigSchema::section(const std::string& name) {
-  schema_[name];
-  return *this;
 }
 
 bool ConfigSchema::admits(Type type, ConfigRange range, double value) {

@@ -24,7 +24,6 @@ class IniConfig {
   static IniConfig load(const std::string& path);
 
   bool has_section(const std::string& section) const;
-  bool has(const std::string& section, const std::string& key) const;
   std::vector<std::string> sections() const;
   std::vector<std::string> keys(const std::string& section) const;
 
@@ -97,8 +96,6 @@ class ConfigSchema {
   /// What such a key accepts, e.g. "integer in [1, 16]" or "number".
   static std::string describe(Type type, ConfigRange range);
 
-  /// Declare a section with no keys yet (also implied by key()).
-  ConfigSchema& section(const std::string& name);
   /// Declare a key, its value type and, for numeric types, its range.
   ConfigSchema& key(const std::string& section, const std::string& name,
                     Type type, ConfigRange range = {});

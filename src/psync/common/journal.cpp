@@ -134,25 +134,6 @@ void fsync_parent_dir(const std::string& path) {
   ::close(fd);  // EINVAL etc. from fsync: fs does not support it; ignore
 }
 
-void durable_rename(const std::string& from, const std::string& to) {
-  int rc = -1;
-  do {
-    rc = ::rename(from.c_str(), to.c_str());
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    throw SimulationError("journal: rename '" + from + "' -> '" + to +
-                          "' failed: " + std::strerror(errno));
-  }
-  fsync_parent_dir(to);
-  // Cross-directory renames also dirty the source's parent (the old entry
-  // disappears); persist it too when it differs.
-  const auto dir_of = [](const std::string& p) {
-    const auto s = p.find_last_of('/');
-    return s == std::string::npos ? std::string(".") : p.substr(0, s);
-  };
-  if (dir_of(from) != dir_of(to)) fsync_parent_dir(from);
-}
-
 std::vector<std::string> list_journal_files(const std::string& dir) {
   std::vector<std::string> paths;
   DIR* d = ::opendir(dir.c_str());

@@ -66,11 +66,4 @@ class JournalWriter {
 /// (some network mounts) are ignored rather than failed.
 void fsync_parent_dir(const std::string& path);
 
-/// rename(2) `from` over `to`, then fsync the destination's parent
-/// directory, so the rename survives a crash (a plain rename can be
-/// reordered behind it by the filesystem journal — the classic
-/// rename-then-crash hole). Throws SimulationError when the rename itself
-/// fails.
-void durable_rename(const std::string& from, const std::string& to);
-
 }  // namespace psync

@@ -1,7 +1,5 @@
 #include "psync/common/rng.hpp"
 
-#include "psync/common/check.hpp"
-
 namespace psync {
 namespace {
 
@@ -36,35 +34,10 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  PSYNC_CHECK(bound > 0);
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-std::int64_t Rng::next_range(std::int64_t lo, std::int64_t hi) {
-  PSYNC_CHECK(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 bool Rng::next_bool(double p) { return next_double() < p; }
-
-Rng Rng::split() { return Rng(next_u64()); }
 
 }  // namespace psync

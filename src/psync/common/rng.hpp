@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace psync {
 
@@ -15,30 +14,11 @@ class Rng {
   /// Uniform 64-bit value.
   std::uint64_t next_u64();
 
-  /// Uniform in [0, bound) without modulo bias (Lemire's method).
-  std::uint64_t next_below(std::uint64_t bound);
-
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t next_range(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli trial with probability p.
   bool next_bool(double p = 0.5);
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(next_below(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
-  /// Spawn an independent stream (for per-node generators).
-  Rng split();
 
  private:
   std::uint64_t s_[4];

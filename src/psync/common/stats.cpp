@@ -4,23 +4,6 @@
 
 namespace psync {
 
-void RunningStats::merge(const RunningStats& o) {
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    *this = o;
-    return;
-  }
-  const double total = static_cast<double>(n_ + o.n_);
-  const double delta = o.mean_ - mean_;
-  m2_ += o.m2_ + delta * delta * static_cast<double>(n_) *
-                     static_cast<double>(o.n_) / total;
-  mean_ += delta * static_cast<double>(o.n_) / total;
-  sum_ += o.sum_;
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-  n_ += o.n_;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo) {
   PSYNC_CHECK(hi > lo);
   PSYNC_CHECK(bins > 0);
@@ -34,19 +17,6 @@ void Histogram::add(double x) {
                                  static_cast<std::int64_t>(counts_.size()) - 1);
   ++counts_[static_cast<std::size_t>(idx)];
   ++total_;
-}
-
-double Histogram::quantile(double q) const {
-  PSYNC_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total_) + 0.5);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) return bin_hi(i);
-  }
-  return bin_hi(counts_.size() - 1);
 }
 
 std::string Histogram::to_string(std::size_t max_width) const {

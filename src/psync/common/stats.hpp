@@ -24,8 +24,6 @@ class RunningStats {
     m2_ += delta * (x - mean_);
   }
 
-  void merge(const RunningStats& o);
-
   std::uint64_t count() const { return n_; }
   double sum() const { return sum_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
@@ -58,9 +56,6 @@ class Histogram {
   double bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
   double bin_hi(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
   std::uint64_t total() const { return total_; }
-
-  /// Smallest bin upper edge covering at least fraction q of samples.
-  double quantile(double q) const;
 
   std::string to_string(std::size_t max_width = 50) const;
 

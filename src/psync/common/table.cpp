@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 #include "psync/common/check.hpp"
@@ -15,28 +14,8 @@ std::string format_double(double v, int precision) {
   return buf;
 }
 
-std::string format_eng(double v, int precision) {
-  const char* suffix = "";
-  double scaled = v;
-  if (std::abs(v) >= 1e9) {
-    scaled = v / 1e9;
-    suffix = "G";
-  } else if (std::abs(v) >= 1e6) {
-    scaled = v / 1e6;
-    suffix = "M";
-  } else if (std::abs(v) >= 1e3) {
-    scaled = v / 1e3;
-    suffix = "k";
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%s", precision, scaled, suffix);
-  return buf;
-}
-
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {
   PSYNC_CHECK(!header_.empty());
-  align_.assign(header_.size(), Align::kRight);
-  align_[0] = Align::kLeft;
 }
 
 Table& Table::row() {
@@ -54,7 +33,6 @@ Table& Table::add(std::string cell) {
 }
 
 Table& Table::add(std::int64_t v) { return add(std::to_string(v)); }
-Table& Table::add(std::uint64_t v) { return add(std::to_string(v)); }
 Table& Table::add(double v, int precision) {
   return add(format_double(v, precision));
 }
@@ -62,8 +40,6 @@ Table& Table::add(double v, int precision) {
 const std::string& Table::at(std::size_t r, std::size_t c) const {
   return cells_.at(r).at(c);
 }
-
-void Table::set_align(std::size_t col, Align a) { align_.at(col) = a; }
 
 std::string Table::to_string() const {
   PSYNC_CHECK_MSG(cells_.empty() || cells_.back().size() == header_.size(),
@@ -79,7 +55,7 @@ std::string Table::to_string() const {
   auto emit_cell = [&](std::ostringstream& os, const std::string& s,
                        std::size_t c) {
     const auto pad = width[c] - s.size();
-    if (align_[c] == Align::kRight) os << std::string(pad, ' ') << s;
+    if (c > 0) os << std::string(pad, ' ') << s;
     else os << s << std::string(pad, ' ');
   };
 
@@ -104,7 +80,5 @@ std::string Table::to_string() const {
   }
   return os.str();
 }
-
-void Table::print(std::ostream& os) const { os << to_string(); }
 
 }  // namespace psync

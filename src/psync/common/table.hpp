@@ -4,13 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace psync {
-
-enum class Align { kLeft, kRight };
 
 /// A simple column-aligned table: add a header, then rows of cells; widths
 /// are computed on render. Numeric helpers format with fixed precision.
@@ -24,7 +21,6 @@ class Table {
   Table& add(std::string cell);
   Table& add(const char* cell) { return add(std::string(cell)); }
   Table& add(std::int64_t v);
-  Table& add(std::uint64_t v);
   Table& add(int v) { return add(static_cast<std::int64_t>(v)); }
   /// Fixed-precision double (default 2 decimals).
   Table& add(double v, int precision = 2);
@@ -33,27 +29,20 @@ class Table {
   std::size_t cols() const { return header_.size(); }
   const std::string& at(std::size_t r, std::size_t c) const;
 
-  /// Render with a header rule; column alignment defaults to right for all
-  /// but the first column.
+  /// Render with a header rule; the first column is left-aligned, the rest
+  /// right-aligned.
   std::string to_string() const;
-  void print(std::ostream& os) const;
 
-  void set_align(std::size_t col, Align a);
   /// Optional caption printed above the table.
   void set_title(std::string title) { title_ = std::move(title); }
 
  private:
   std::string title_;
   std::vector<std::string> header_;
-  std::vector<Align> align_;
   std::vector<std::vector<std::string>> cells_;
 };
 
 /// Format helper: "12.34" etc.
 std::string format_double(double v, int precision);
-
-/// Format a value with an SI-like engineering suffix (k, M, G) for readable
-/// cycle counts and rates.
-std::string format_eng(double v, int precision = 2);
 
 }  // namespace psync

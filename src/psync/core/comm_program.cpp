@@ -23,13 +23,6 @@ void append_entries(const CpStride& s, std::vector<CpEntry>* out) {
 
 }  // namespace
 
-std::vector<CpEntry> CpStride::expand() const {
-  std::vector<CpEntry> out;
-  out.reserve(count > 0 ? static_cast<std::size_t>(count) : 0);
-  append_entries(*this, &out);
-  return out;
-}
-
 void CommProgram::add(const CpStride& s) {
   if (s.burst <= 0 || s.count <= 0 || s.first < 0) {
     throw SimulationError("CommProgram: stride fields must be positive");
@@ -70,12 +63,6 @@ Slot CommProgram::slot_count(CpAction action) const {
     if (s.action == action) total += s.slots();
   }
   return total;
-}
-
-Slot CommProgram::horizon() const {
-  Slot h = 0;
-  for (const auto& s : strides_) h = std::max(h, s.end());
-  return h;
 }
 
 namespace {

@@ -46,8 +46,6 @@ struct CpStride {
   Slot count = 1;
   CpAction action = CpAction::kDrive;
 
-  /// Expand into explicit entries (in schedule order).
-  std::vector<CpEntry> expand() const;
   /// Total slots covered.
   Slot slots() const { return burst * count; }
   /// Last slot + 1.
@@ -74,9 +72,6 @@ class CommProgram {
 
   /// Total slots with the given action.
   Slot slot_count(CpAction action) const;
-
-  /// First slot after every entry (the program's horizon).
-  Slot horizon() const;
 
   /// Compact binary encoding: a 16-bit record count, then per stride a
   /// fixed-width record of 2b action + 24b first + 22b burst + 24b stride +

@@ -4,16 +4,14 @@
 // psync/reliability/fault_model.hpp so the reliability layer — SECDED/CRC
 // framing, retry/replay, lane failover (psync/reliability/channel.hpp) —
 // can sit below core in the link order. This header re-exports those names
-// for core code and keeps the injectors that corrupt completed gather/
-// scatter results in place.
+// for core code.
 //
-// Faults apply to the *words* of completed gather/scatter results, leaving
-// the timing untouched (light arrives either way; only the data is wrong).
-// Combined with the timing faults PscanTopology::skew_error_ps injects,
-// this covers the failure envelope of the transport.
+// Faults apply to the *words* a transaction carries, leaving the timing
+// untouched (light arrives either way; only the data is wrong). Combined
+// with the timing faults PscanTopology::skew_error_ps injects, this covers
+// the failure envelope of the transport.
 #pragma once
 
-#include "psync/core/sca.hpp"
 #include "psync/reliability/fault_model.hpp"
 
 namespace psync::core {
@@ -21,12 +19,5 @@ namespace psync::core {
 using reliability::FaultModel;
 using reliability::FaultReport;
 using reliability::FaultStream;
-using reliability::apply_fault;
-
-/// Corrupt a gather's received stream in place.
-FaultReport inject_faults(const FaultModel& fault, GatherResult* result);
-
-/// Corrupt a scatter's deliveries (and per-node buffers) in place.
-FaultReport inject_faults(const FaultModel& fault, ScatterResult* result);
 
 }  // namespace psync::core

@@ -46,11 +46,4 @@ StreamReport HeadNode::writeback(const std::vector<Word>& words,
   return stream_rows_report(total_bits);
 }
 
-std::vector<Word> HeadNode::read_burst(std::uint64_t first_word,
-                                       std::uint64_t word_count) const {
-  PSYNC_CHECK(first_word + word_count <= image_.size());
-  return {image_.begin() + static_cast<std::ptrdiff_t>(first_word),
-          image_.begin() + static_cast<std::ptrdiff_t>(first_word + word_count)};
-}
-
 }  // namespace psync::core

@@ -54,10 +54,6 @@ class HeadNode {
   StreamReport writeback(const std::vector<Word>& words,
                          std::uint64_t first_row, std::uint64_t word_bits);
 
-  /// Read `word_count` words for an SCA^-1 burst from the backing image.
-  std::vector<Word> read_burst(std::uint64_t first_word,
-                               std::uint64_t word_count) const;
-
   /// Backing image: word-addressable memory contents (for verification).
   std::vector<Word>& image() { return image_; }
   const std::vector<Word>& image() const { return image_; }

@@ -184,11 +184,11 @@ void place_keys(const CpSchedule& schedule, std::size_t words,
 // Returns the collisions and summary. data(i) is node i's words; the
 // placement lives in `*work`.
 //
-// Node i's slot s arrives at slot_arrival_ps(0) + (s + whole_i)*T + frac_i,
-// so two consecutive words overlap at the terminus exactly when they share
-// an arrival period (a collision; the same node twice there is a program
-// overlapping itself) or sit in adjacent periods with the later one's
-// remainder smaller. Inside a run neither can happen.
+// Node i's slot s reaches the terminus (s + whole_i)*T + frac_i after slot
+// 0 does, so two consecutive words overlap at the terminus exactly when
+// they share an arrival period (a collision; the same node twice there is
+// a program overlapping itself) or sit in adjacent periods with the later
+// one's remainder smaller. Inside a run neither can happen.
 template <class Data, class Visit>
 GatherSummary gather_core(const PscanTopology& topo,
                           const photonic::PhotonicClock& clock,
@@ -302,7 +302,7 @@ GatherSummary gather_core(const PscanTopology& topo,
   return out;
 }
 
-// A unicast listen entry of node i claims slot s, which an earlier entry
+// A listen entry of node i claims slot s, which an earlier entry
 // holds: name the first such slot of [begin, stop) and the node whose
 // entry holds it (entries never overlap within a node).
 [[noreturn]] void throw_double_claim(const std::vector<std::uint32_t>& count,
@@ -321,21 +321,24 @@ GatherSummary gather_core(const PscanTopology& topo,
                         std::to_string(i));
 }
 
+// A strict scatter left `n` burst slots without a listener.
+[[noreturn]] void throw_unclaimed(std::size_t n) {
+  throw SimulationError("scatter: " + std::to_string(n) +
+                        " burst slots have no listener");
+}
+
 // Every node's listen entries (kListen only), checked against the burst
-// (and, for a unicast, against each other) in node, entry, slot order,
-// go to work->entries (node i's from work->entry_at[i]). Leaves the
-// listener count of every burst slot in work->counts and the node clocks
-// in work->clock, and fills what every scatter view shares: received
-// words, unclaimed slots, span.
+// and against each other in node, entry, slot order, go to work->entries
+// (node i's from work->entry_at[i]). Leaves the listener count of every
+// burst slot in work->counts and the node clocks in work->clock, and fills
+// what every scatter view shares: received words, unclaimed slots, span.
 void scatter_core(const PscanTopology& topo,
                   const photonic::PhotonicClock& clock,
                   const CpSchedule& schedule, const std::vector<Word>& burst,
-                  bool strict, bool multicast, NodeWords* received,
-                  ScatterSummary* out, ScaWork* work) {
-  const char* const who = multicast ? "scatter_multicast" : "scatter";
+                  bool strict, NodeWords* received, ScatterSummary* out,
+                  ScaWork* work) {
   if (schedule.nodes() != topo.nodes()) {
-    throw SimulationError(std::string(who) +
-                          ": schedule/topology node count mismatch");
+    throw SimulationError("scatter: schedule/topology node count mismatch");
   }
   std::vector<CpEntry>& entries = work->entries;
   std::vector<std::size_t>& entry_at = work->entry_at;
@@ -348,44 +351,33 @@ void scatter_core(const PscanTopology& topo,
   for (std::size_t i = 0; i < topo.nodes(); ++i) {
     for (const CpEntry& e : schedule.node_cps[i].entries()) {
       if (e.action != CpAction::kListen) continue;
-      // Entries start at slot 0 or later (CommProgram::add). A unicast
-      // entry meets a double claim inside the burst before its end.
+      // Entries start at slot 0 or later (CommProgram::add). An entry
+      // meets a double claim inside the burst before its end.
       const Slot stop = std::min(e.end(), size);
-      if (!multicast) {
-        std::uint32_t taken = 0;
-        for (Slot s = e.begin; s < stop; ++s) {
-          taken |= count[static_cast<std::size_t>(s)];
-        }
-        if (taken != 0) throw_double_claim(count, *work, e.begin, stop, i);
+      std::uint32_t taken = 0;
+      for (Slot s = e.begin; s < stop; ++s) {
+        taken |= count[static_cast<std::size_t>(s)];
       }
+      if (taken != 0) throw_double_claim(count, *work, e.begin, stop, i);
       if (e.end() > size) {
-        throw SimulationError(multicast
-                                  ? "scatter_multicast: CP beyond the burst"
-                                  : "scatter: CP listens beyond the burst");
+        throw SimulationError("scatter: CP listens beyond the burst");
       }
-      std::uint32_t* c = count.data() + e.begin;
-      if (multicast) {
-        for (Slot s = 0; s < e.length; ++s) ++c[s];
-      } else {
-        std::fill_n(c, e.length, 1U);
-      }
+      std::fill_n(count.data() + e.begin, e.length, 1U);
       claimed += static_cast<std::size_t>(e.length);
       entries.push_back(e);
     }
     entry_at.push_back(entries.size());
   }
 
-  // A unicast claims each slot at most once, so claiming as many slots as
-  // the burst has leaves none unclaimed.
-  if (multicast || claimed != burst.size()) {
+  // Each slot is claimed at most once, so claiming as many slots as the
+  // burst has leaves none unclaimed.
+  if (claimed != burst.size()) {
     for (std::size_t s = 0; s < burst.size(); ++s) {
       if (count[s] == 0) out->unclaimed_slots.push_back(static_cast<Slot>(s));
     }
   }
   if (strict && !out->unclaimed_slots.empty()) {
-    throw SimulationError(std::string(who) + ": " +
-                          std::to_string(out->unclaimed_slots.size()) +
-                          " burst slots have no listener");
+    throw_unclaimed(out->unclaimed_slots.size());
   }
 
   // Node i latches slot s as it passes its tap: edge0 + s*T.
@@ -419,18 +411,16 @@ void scatter_core(const PscanTopology& topo,
   if (any) out->span_ps = (hi - lo) + period;
 }
 
-// Per-slot delivery records in (slot, node) order: each node's words go to
-// the positions its slots' listener counts reserve, nodes in order.
+// Per-slot delivery records in slot order: each node's words go to the
+// positions its slots' listener counts reserve.
 ScatterResult scatter_records(const PscanTopology& topo,
                               const photonic::PhotonicClock& clock,
                               const CpSchedule& schedule,
-                              const std::vector<Word>& burst, bool strict,
-                              bool multicast) {
+                              const std::vector<Word>& burst, bool strict) {
   ScatterResult out;
   ScaWork work;
   NodeWords received;
-  scatter_core(topo, clock, schedule, burst, strict, multicast, &received,
-               &out, &work);
+  scatter_core(topo, clock, schedule, burst, strict, &received, &out, &work);
   for (std::size_t i = 0; i < received.nodes(); ++i) {
     out.received.emplace_back(received.node(i).begin(),
                               received.node(i).end());
@@ -522,11 +512,6 @@ void ScaEngine::check_budget() const {
   }
 }
 
-TimePs ScaEngine::slot_arrival_ps(Slot s) const {
-  // launch + s*T + flight(terminus) + detect latency.
-  return clock_.perceived_edge_ps(topo_.terminus_um, s);
-}
-
 GatherResult ScaEngine::gather(
     const CpSchedule& schedule, const std::vector<std::vector<Word>>& node_data,
     bool strict) const {
@@ -576,8 +561,7 @@ GatherSummary ScaEngine::gather_words(const CpSchedule& schedule,
 ScatterResult ScaEngine::scatter(const CpSchedule& schedule,
                                  const std::vector<Word>& burst,
                                  bool strict) const {
-  return scatter_records(topo_, clock_, schedule, burst, strict,
-                         /*multicast=*/false);
+  return scatter_records(topo_, clock_, schedule, burst, strict);
 }
 
 ScatterWords ScaEngine::scatter_words(const CpSchedule& schedule,
@@ -585,8 +569,7 @@ ScatterWords ScaEngine::scatter_words(const CpSchedule& schedule,
                                       NodeWords* received, ScaWork* work,
                                       bool strict) const {
   ScatterWords out;
-  scatter_core(topo_, clock_, schedule, burst, strict, /*multicast=*/false,
-               received, &out, work);
+  scatter_core(topo_, clock_, schedule, burst, strict, received, &out, work);
   work->latch_ps.resize(work->entries.size());
   for (std::size_t i = 0; i < topo_.nodes(); ++i) {
     for (std::size_t k = work->entry_at[i]; k < work->entry_at[i + 1]; ++k) {
@@ -597,13 +580,6 @@ ScatterWords ScaEngine::scatter_words(const CpSchedule& schedule,
   out.latch_ps = work->latch_ps;
   out.entry_at = work->entry_at;
   return out;
-}
-
-ScatterResult ScaEngine::scatter_multicast(const CpSchedule& schedule,
-                                           const std::vector<Word>& burst,
-                                           bool strict) const {
-  return scatter_records(topo_, clock_, schedule, burst, strict,
-                         /*multicast=*/true);
 }
 
 PscanTopology straight_bus_topology(std::size_t nodes, double length_cm,

@@ -18,10 +18,10 @@
 //    (Eq. 1-3) before any transaction is admitted.
 //
 // Stream order: node i's timing fault splits into whole slot periods w_i
-// and a remainder f_i in [0, T), so its slot s reaches the terminus at
-// slot_arrival_ps(s + w_i) + f_i. The engine places each word directly
-// from that: the bucket s + w_i is its arrival period, and inside one
-// bucket a fixed per-node rank (f_i, then the larger w_i, i.e. the smaller
+// and a remainder f_i in [0, T), so its slot s reaches the terminus f_i
+// after slot s + w_i would. The engine places each word directly from
+// that: the bucket s + w_i is its arrival period, and inside one bucket a
+// fixed per-node rank (f_i, then the larger w_i, i.e. the smaller
 // slot, then the lower node) gives the rest of the (arrival, slot, node)
 // order. A dense gather makes one owner-map pass: each drive burst writes
 // its node into the buckets it lands in. A bucket written twice can only
@@ -132,7 +132,7 @@ struct ScatterSummary {
 struct ScatterResult : ScatterSummary {
   /// received[i] = words latched by node i, in element order.
   std::vector<std::vector<Word>> received;
-  /// Every delivery, ordered by slot (multicast: by slot, then node).
+  /// Every delivery, ordered by slot.
   std::vector<DeliveryRecord> deliveries;
 };
 
@@ -240,20 +240,6 @@ class ScaEngine {
                              const std::vector<Word>& burst,
                              NodeWords* received, ScaWork* work,
                              bool strict = true) const;
-
-  /// Multicast SCA^-1: listener sets MAY overlap — physically free on a
-  /// photonic bus, since a slot's energy passes every downstream detector
-  /// and any number of them may latch it (only *driving* needs exclusivity).
-  /// Used to broadcast programs/code to the whole array in one burst
-  /// (Section IV's program distribution). `strict` still rejects unclaimed
-  /// slots.
-  ScatterResult scatter_multicast(const CpSchedule& schedule,
-                                  const std::vector<Word>& burst,
-                                  bool strict = true) const;
-
-  /// Terminus arrival time of slot s (the paper's invariant: independent of
-  /// which node drives it).
-  TimePs slot_arrival_ps(Slot s) const;
 
  private:
   void check_budget() const;

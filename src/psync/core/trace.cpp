@@ -101,24 +101,6 @@ std::string to_csv(const WaveTrace& trace) {
   return os.str();
 }
 
-std::string to_json(const WaveTrace& trace) {
-  std::ostringstream os;
-  os << "{\"period_ps\":" << trace.period_ps << ",\"probes\":[";
-  for (std::size_t p = 0; p < trace.at_probe.size(); ++p) {
-    if (p > 0) os << ',';
-    os << "{\"probe_um\":" << trace.probes_um[p] << ",\"samples\":[";
-    for (std::size_t i = 0; i < trace.at_probe[p].size(); ++i) {
-      const auto& s = trace.at_probe[p][i];
-      if (i > 0) os << ',';
-      os << "{\"slot\":" << s.slot << ",\"source\":" << s.source
-         << ",\"time_ps\":" << s.at_ps << '}';
-    }
-    os << "]}";
-  }
-  os << "]}";
-  return os.str();
-}
-
 std::string to_json(const FaultReport& rep) {
   std::ostringstream os;
   os << "{\"words_total\":" << rep.words_total
@@ -227,41 +209,12 @@ std::string run_summary_json(const RunSummary& s) {
   return os.str();
 }
 
-std::string run_summary_csv_header() {
-  return "schema_version,machine,total_ns,reorg_ns,flops,gflops,"
-         "compute_efficiency,max_error_vs_reference,comm_energy_pj,"
-         "compute_energy_pj,sca_gap_free,sca_collisions,words_corrupted,"
-         "blocks_retried,residual_errors,reliability_overhead_ns\n";
-}
-
-std::string run_summary_csv_row(const RunSummary& s) {
-  std::ostringstream os;
-  os.precision(12);
-  os << kRunReportSchemaVersion << ',' << s.machine << ',' << s.total_ns
-     << ',' << s.reorg_ns << ',' << s.flops << ',' << s.gflops << ','
-     << s.compute_efficiency << ',' << s.max_error_vs_reference << ','
-     << s.comm_energy_pj << ',' << s.compute_energy_pj << ','
-     << (s.has_sca ? (s.sca_gap_free ? 1 : 0) : 0) << ','
-     << s.sca_collisions << ',' << s.fault.words_corrupted << ','
-     << s.retry.blocks_retried << ',' << s.retry.residual_errors << ','
-     << s.reliability_overhead_ns << '\n';
-  return os.str();
-}
-
 std::string run_report_json(const PsyncRunReport& rep) {
   return run_summary_json(summarize(rep));
 }
 
 std::string run_report_json(const MeshRunReport& rep) {
   return run_summary_json(summarize(rep));
-}
-
-std::string run_report_csv(const PsyncRunReport& rep) {
-  return run_summary_csv_header() + run_summary_csv_row(summarize(rep));
-}
-
-std::string run_report_csv(const MeshRunReport& rep) {
-  return run_summary_csv_header() + run_summary_csv_row(summarize(rep));
 }
 
 }  // namespace psync::core

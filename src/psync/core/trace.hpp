@@ -1,8 +1,8 @@
 // Space-time tracing of waveguide transactions: what energy passes a given
 // waveguide position, and when. This is the library form of the paper's
 // Fig. 4 timing diagram — used by the sca_timing example, exportable as
-// CSV or JSON, and handy when debugging a schedule that the collision
-// checker rejected.
+// CSV, and handy when debugging a schedule that the collision checker
+// rejected.
 //
 // Also home to the JSON render of a machine run report, so runs under
 // fault injection are observable (phase timings, fault/retry/lane
@@ -47,9 +47,6 @@ std::string render_ascii(const WaveTrace& trace,
 
 /// Dump as CSV text: probe_um,slot,source,time_ps per line.
 std::string to_csv(const WaveTrace& trace);
-
-/// Dump as JSON: {"period_ps":..,"probes":[{"probe_um":..,"samples":[..]}]}.
-std::string to_json(const WaveTrace& trace);
 
 /// JSON objects for the reliability observables.
 std::string to_json(const FaultReport& rep);
@@ -99,19 +96,13 @@ RunSummary summarize(const PsyncRunReport& rep);
 RunSummary summarize(const MeshRunReport& rep);
 
 /// The single serializer behind every run-report dump: JSON object with
-/// "schema_version" first, or one CSV row matching run_summary_csv_header().
+/// "schema_version" first.
 std::string run_summary_json(const RunSummary& s);
-std::string run_summary_csv_header();
-std::string run_summary_csv_row(const RunSummary& s);
 
 /// Full machine-run report as JSON (schema v2): phases, throughput/
 /// efficiency/energy metrics, and — on the P-sync side — the SCA and
 /// fault/retry/lane counters. Both overloads share one serializer.
 std::string run_report_json(const PsyncRunReport& rep);
 std::string run_report_json(const MeshRunReport& rep);
-
-/// Same reports as CSV (header line + one data row).
-std::string run_report_csv(const PsyncRunReport& rep);
-std::string run_report_csv(const MeshRunReport& rep);
 
 }  // namespace psync::core

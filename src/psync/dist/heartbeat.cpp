@@ -91,11 +91,6 @@ void HeartbeatEmitter::stop() {
   if (timer_.joinable()) timer_.join();
 }
 
-std::uint64_t HeartbeatEmitter::points_done() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return done_;
-}
-
 void HeartbeatEmitter::on_point_start(std::size_t index) {
   std::lock_guard<std::mutex> lock(mu_);
   inflight_ = static_cast<std::int64_t>(index);

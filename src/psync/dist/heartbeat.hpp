@@ -77,8 +77,6 @@ class HeartbeatEmitter final : public driver::PointObserver {
   /// test hook can silence a worker the way a real deadlock would.
   void stop();
 
-  std::uint64_t points_done() const;
-
  private:
   void timer_loop();
   /// Write one line; requires mu_ held.

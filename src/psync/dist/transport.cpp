@@ -85,16 +85,6 @@ std::size_t SocketWorkerLink::unacked() const {
   return unacked_.size();
 }
 
-bool SocketWorkerLink::connected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fd_ >= 0;
-}
-
-std::size_t SocketWorkerLink::reconnects() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reconnects_;
-}
-
 bool SocketWorkerLink::flush(double timeout_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -233,8 +223,6 @@ bool SocketWorkerLink::ensure_connected_locked(double now) {
   const int fl = ::fcntl(fd, F_GETFL);
   ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
   fd_ = fd;
-  if (connected_once_) ++reconnects_;
-  connected_once_ = true;
   backoff_.reset();
   next_connect_ms_ = 0.0;
   // Everything unacked goes again right away — the previous connection

@@ -93,9 +93,6 @@ class SocketWorkerLink {
   /// the queue drained.
   bool flush(double timeout_ms);
 
-  [[nodiscard]] bool connected() const;
-  /// Successful handshakes beyond the first (for tests and stderr).
-  [[nodiscard]] std::size_t reconnects() const;
   /// Injection accounting of the decorating ChaosTransport.
   [[nodiscard]] const ChaosTransport& chaos() const { return chaos_; }
 
@@ -121,9 +118,7 @@ class SocketWorkerLink {
   DecorrelatedBackoff backoff_;
   std::chrono::steady_clock::time_point t0_;
   double next_connect_ms_ = 0.0;
-  bool connected_once_ = false;
   bool fenced_ = false;
-  std::size_t reconnects_ = 0;
   struct Pending {
     std::string line;
     double last_sent_ms = -1.0;  // < 0: never transmitted

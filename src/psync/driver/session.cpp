@@ -84,11 +84,6 @@ CampaignProgress CampaignHandle::progress() const {
   return c_->progress;
 }
 
-std::uint64_t CampaignHandle::digest() const {
-  PSYNC_CHECK(c_ != nullptr);
-  return c_->digest;  // immutable after submit
-}
-
 void CampaignHandle::cancel() {
   PSYNC_CHECK(c_ != nullptr);
   c_->token.cancel();
@@ -202,7 +197,6 @@ FrozenSpec Session::freeze(const ExperimentSpec& spec) {
 
 CampaignHandle Session::submit(FrozenSpec frozen) {
   auto c = std::make_shared<Campaign>();
-  c->digest = frozen.digest;
   c->token.set_parent(frozen.spec.cancel);
   {
     // The window clamp is recomputed in execute(); setting total here lets

@@ -116,7 +116,6 @@ struct Campaign {
   std::exception_ptr error;      // set for kFailed / kCancelled
   std::vector<CampaignEvent> events;
   CampaignProgress progress;
-  std::uint64_t digest = 0;      // the FrozenSpec's spec digest
   CancelToken token;             // campaign-local cancel (parented to
                                  // the spec's token when one is set)
   std::thread thread;
@@ -135,8 +134,6 @@ class CampaignHandle {
   [[nodiscard]] CampaignState state() const;
   [[nodiscard]] bool done() const { return state() != CampaignState::kRunning; }
   [[nodiscard]] CampaignProgress progress() const;
-  /// The frozen spec's content digest (the daemon's campaign key).
-  [[nodiscard]] std::uint64_t digest() const;
 
   /// Request cooperative cancellation: no new point starts, in-flight
   /// points abandon at their next cycle-batch boundary, the journal tail

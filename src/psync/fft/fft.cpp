@@ -232,15 +232,6 @@ OpCount FftPlan::forward(std::span<Complex> data) const {
   return run_stages(data, 0, log2n_);
 }
 
-OpCount FftPlan::inverse(std::span<Complex> data) const {
-  PSYNC_CHECK(data.size() == n_);
-  for (auto& v : data) v = std::conj(v);
-  const OpCount ops = forward(data);
-  const double inv_n = 1.0 / static_cast<double>(n_);
-  for (auto& v : data) v = std::conj(v) * inv_n;
-  return ops;
-}
-
 OpCount FftPlan::forward_blocked(std::span<Complex> data, std::size_t k,
                                  std::vector<OpCount>* block_ops) const {
   PSYNC_CHECK(data.size() == n_);
@@ -256,36 +247,6 @@ OpCount FftPlan::forward_blocked(std::span<Complex> data, std::size_t k,
     if (block_ops != nullptr) (*block_ops)[b] = ops;
   }
   return run_stages(data, local_stages, log2n_);
-}
-
-std::vector<Complex> naive_dft(std::span<const Complex> in) {
-  const std::size_t n = in.size();
-  std::vector<Complex> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Complex acc{0.0, 0.0};
-    for (std::size_t j = 0; j < n; ++j) {
-      const double ang = -2.0 * std::numbers::pi * static_cast<double>(i) *
-                         static_cast<double>(j) / static_cast<double>(n);
-      acc += in[j] * Complex(std::cos(ang), std::sin(ang));
-    }
-    out[i] = acc;
-  }
-  return out;
-}
-
-std::vector<Complex> naive_idft(std::span<const Complex> in) {
-  const std::size_t n = in.size();
-  std::vector<Complex> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Complex acc{0.0, 0.0};
-    for (std::size_t j = 0; j < n; ++j) {
-      const double ang = 2.0 * std::numbers::pi * static_cast<double>(i) *
-                         static_cast<double>(j) / static_cast<double>(n);
-      acc += in[j] * Complex(std::cos(ang), std::sin(ang));
-    }
-    out[i] = acc / static_cast<double>(n);
-  }
-  return out;
 }
 
 double max_abs_diff(std::span<const Complex> a, std::span<const Complex> b) {

@@ -63,9 +63,6 @@ class FftPlan {
   /// In-place forward DIT FFT. Returns the operation count.
   OpCount forward(std::span<Complex> data) const;
 
-  /// In-place inverse FFT (scaled by 1/N).
-  OpCount inverse(std::span<Complex> data) const;
-
   /// Blocked forward FFT in k delivery blocks (k a power of two dividing N):
   /// 1. bit-reversal permutation of the whole row (addressing only),
   /// 2. per block b in [0, k): local sub-FFT of the first log2(N/k) stages,
@@ -105,10 +102,6 @@ class FftPlan {
   std::vector<double> stage_tw_re_;
   std::vector<double> stage_tw_im_;
 };
-
-/// O(N^2) reference DFT used to validate the fast paths.
-std::vector<Complex> naive_dft(std::span<const Complex> in);
-std::vector<Complex> naive_idft(std::span<const Complex> in);
 
 /// max over i < n of std::abs(z(i)), folded into std::max from 0 so NaN
 /// moduli drop out. std::abs is hypot, far dearer than a multiply-add, so

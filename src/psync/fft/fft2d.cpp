@@ -50,24 +50,4 @@ Fft2dOps fft2d(std::span<Complex> data, std::size_t rows, std::size_t cols,
   return fft2d(data, rows, cols, restore_layout, &scratch);
 }
 
-std::vector<Complex> naive_dft2d(std::span<const Complex> in,
-                                 std::size_t rows, std::size_t cols) {
-  PSYNC_CHECK(in.size() == rows * cols);
-  // Rows first.
-  std::vector<Complex> tmp(in.size());
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto row = naive_dft(in.subspan(r * cols, cols));
-    std::copy(row.begin(), row.end(), tmp.begin() + static_cast<std::ptrdiff_t>(r * cols));
-  }
-  // Then columns.
-  std::vector<Complex> out(in.size());
-  std::vector<Complex> col(rows);
-  for (std::size_t c = 0; c < cols; ++c) {
-    for (std::size_t r = 0; r < rows; ++r) col[r] = tmp[r * cols + c];
-    const auto f = naive_dft(col);
-    for (std::size_t r = 0; r < rows; ++r) out[r * cols + c] = f[r];
-  }
-  return out;
-}
-
 }  // namespace psync::fft

@@ -35,8 +35,4 @@ Fft2dOps fft2d(std::span<Complex> data, std::size_t rows, std::size_t cols,
 Fft2dOps fft2d(std::span<Complex> data, std::size_t rows, std::size_t cols,
                bool restore_layout = true);
 
-/// Reference 2D DFT (O(n^2) per dimension) for validation on small sizes.
-std::vector<Complex> naive_dft2d(std::span<const Complex> in,
-                                 std::size_t rows, std::size_t cols);
-
 }  // namespace psync::fft

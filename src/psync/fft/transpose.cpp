@@ -36,24 +36,6 @@ void transpose_square_inplace(std::span<Complex> m, std::size_t n) {
   }
 }
 
-void transpose_blocked(std::span<const Complex> in, std::span<Complex> out,
-                       std::size_t rows, std::size_t cols, std::size_t tile) {
-  PSYNC_CHECK(in.size() == rows * cols);
-  PSYNC_CHECK(out.size() == rows * cols);
-  PSYNC_CHECK(tile > 0);
-  for (std::size_t rb = 0; rb < rows; rb += tile) {
-    const std::size_t rend = std::min(rb + tile, rows);
-    for (std::size_t cb = 0; cb < cols; cb += tile) {
-      const std::size_t cend = std::min(cb + tile, cols);
-      for (std::size_t r = rb; r < rend; ++r) {
-        for (std::size_t c = cb; c < cend; ++c) {
-          out[c * rows + r] = in[r * cols + c];
-        }
-      }
-    }
-  }
-}
-
 std::size_t transpose_index(std::size_t i, std::size_t rows,
                             std::size_t cols) {
   PSYNC_CHECK(i < rows * cols);

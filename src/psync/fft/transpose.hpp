@@ -27,11 +27,6 @@ void transpose(std::span<const Complex> in, std::span<Complex> out,
 /// In-place transpose of a square matrix.
 void transpose_square_inplace(std::span<Complex> m, std::size_t n);
 
-/// Cache-blocked out-of-place transpose (tile x tile blocks).
-void transpose_blocked(std::span<const Complex> in, std::span<Complex> out,
-                       std::size_t rows, std::size_t cols,
-                       std::size_t tile = 32);
-
 /// Linear-address map of the transpose: element at flat index i of the
 /// row-major (rows x cols) input lands at flat index transpose_index(...) of
 /// the row-major (cols x rows) output. This is the address stream the

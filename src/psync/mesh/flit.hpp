@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace psync::mesh {
@@ -35,8 +34,6 @@ struct Flit {
     return kind == FlitKind::kTail || kind == FlitKind::kHeadTail;
   }
 };
-
-std::string to_string(const Flit& f);
 
 /// A packet to inject: expands to 1 head flit + `payload_flits` body flits
 /// (the last payload flit is the tail; zero-payload packets are head-tail).

@@ -200,12 +200,6 @@ NodeId Mesh::node_at(std::uint32_t x, std::uint32_t y) const {
   return y * params_.width + x;
 }
 
-std::uint32_t Mesh::manhattan(NodeId a, NodeId b) const {
-  const auto dx = static_cast<std::int64_t>(x_of(a)) - x_of(b);
-  const auto dy = static_cast<std::int64_t>(y_of(a)) - y_of(b);
-  return static_cast<std::uint32_t>(std::abs(dx) + std::abs(dy));
-}
-
 void Mesh::set_sink(NodeId node, Sink* sink) {
   PSYNC_CHECK(node < nodes());
   PSYNC_CHECK(sink != nullptr);
@@ -1083,7 +1077,7 @@ bool Mesh::drained() const {
 }
 
 bool Mesh::fast_forward(std::int64_t limit) {
-  if (!idle_skip_ || limit <= cycle_) return false;
+  if (limit <= cycle_) return false;
   for (const std::uint64_t w : next_active_) {
     if (w != 0) return false;
   }

@@ -69,7 +69,6 @@ class Mesh {
   NodeId node_at(std::uint32_t x, std::uint32_t y) const;
   std::uint32_t x_of(NodeId n) const { return n % params_.width; }
   std::uint32_t y_of(NodeId n) const { return n / params_.width; }
-  std::uint32_t manhattan(NodeId a, NodeId b) const;
 
   /// Attach a sink to a node's ejection port (replaces the default
   /// ConsumeSink). The mesh keeps a non-owning pointer.
@@ -88,17 +87,11 @@ class Mesh {
   /// Event fast-forward: when no router is scheduled for the coming cycle,
   /// move cycle() to the earliest timed wake or release (at most `limit`)
   /// and return true. Returns false, leaving the cycle alone, when a router
-  /// is scheduled, nothing is pending, or idle skip is off. Every skipped
-  /// cycle is one on which step() would change nothing but the cycle count;
-  /// stepped sinks see the gap (see Sink).
+  /// is scheduled or nothing is pending. Every skipped cycle is one on
+  /// which step() would change nothing but the cycle count; stepped sinks
+  /// see the gap (see Sink). A caller that wants every cycle visited calls
+  /// step() alone.
   bool fast_forward(std::int64_t limit);
-
-  /// Idle skip (on by default): lets fast_forward(), and with it
-  /// run_until_drained(), jump over cycles on which no router can act.
-  /// Results are identical either way; the toggle exists so equivalence
-  /// tests can force the naive loop.
-  void set_idle_skip(bool on) { idle_skip_ = on; }
-  bool idle_skip() const { return idle_skip_; }
 
   /// True when no flit is buffered anywhere and no injection is pending.
   bool drained() const;
@@ -324,7 +317,6 @@ class Mesh {
   std::int64_t cycle_ = 0;
   std::uint64_t in_flight_flits_ = 0;
   std::uint64_t in_flight_packets_ = 0;
-  bool idle_skip_ = true;
   MeshActivity activity_;
 };
 

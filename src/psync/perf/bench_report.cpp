@@ -1,6 +1,7 @@
 #include "psync/perf/bench_report.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "psync/common/check.hpp"
 #include "psync/common/json.hpp"
@@ -111,11 +112,15 @@ std::string bench_report_json(const BenchReport& report) {
          ",\n";
   out += "  \"benchmarks\": [";
   for (std::size_t i = 0; i < report.entries.size(); ++i) {
-    const BenchEntry& e = report.entries[i];
+    // The derived per_iter_ms and events_per_sec come from wall_ms as
+    // written, so a report read back and rendered again is byte-identical.
+    BenchEntry e = report.entries[i];
+    const std::string wall = fmt_double(e.wall_ms);
+    e.wall_ms = std::strtod(wall.c_str(), nullptr);
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": ";
     append_string(&out, e.name);
-    out += ", \"wall_ms\": " + fmt_double(e.wall_ms);
+    out += ", \"wall_ms\": " + wall;
     out += ", \"iters\": " + std::to_string(e.iters);
     out += ", \"per_iter_ms\": " + fmt_double(e.per_iter_ms());
     if (e.min_iter_ms > 0.0) {

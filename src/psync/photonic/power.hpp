@@ -11,16 +11,6 @@
 
 namespace psync::photonic {
 
-/// Convert absolute power between milliwatts and dBm. The double forms are
-/// the legacy scalar API; the typed forms live in psync/common/quantity.hpp
-/// (psync::mw_to_dbm / psync::dbm_to_mw) and are preferred in new code.
-double mw_to_dbm(double mw);
-double dbm_to_mw(double dbm);
-
-/// Ratio <-> decibels.
-double ratio_to_db(double ratio);
-double db_to_ratio(double db);
-
 /// Optical power level in dBm with explicit loss/gain application. Wraps
 /// the DbmPower level type; attenuation/gain take typed dB quantities.
 class PowerDbm {

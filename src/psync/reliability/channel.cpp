@@ -8,15 +8,6 @@
 
 namespace psync::reliability {
 
-const char* to_string(ReliabilityPolicy policy) {
-  switch (policy) {
-    case ReliabilityPolicy::kOff: return "off";
-    case ReliabilityPolicy::kDetectOnly: return "detect";
-    case ReliabilityPolicy::kCorrectRetry: return "correct";
-  }
-  return "?";
-}
-
 ReliabilityPolicy policy_from_string(const std::string& s) {
   if (s == "off") return ReliabilityPolicy::kOff;
   if (s == "detect" || s == "detect-only") return ReliabilityPolicy::kDetectOnly;

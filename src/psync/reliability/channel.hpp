@@ -45,7 +45,6 @@ enum class ReliabilityPolicy {
   kCorrectRetry,
 };
 
-const char* to_string(ReliabilityPolicy policy);
 /// Parse "off" | "detect" | "correct" (throws SimulationError otherwise).
 ReliabilityPolicy policy_from_string(const std::string& s);
 

@@ -78,10 +78,6 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data,
   return update_bytewise(crc, p, len);
 }
 
-std::uint32_t crc32(const void* data, std::size_t len) {
-  return crc32_finalize(crc32_update(kCrc32Init, data, len));
-}
-
 std::uint32_t crc32_words(const std::uint64_t* words, std::size_t count) {
   std::uint32_t crc = kCrc32Init;
   if constexpr (std::endian::native == std::endian::little) {

@@ -25,9 +25,6 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data,
 
 inline std::uint32_t crc32_finalize(std::uint32_t crc) { return ~crc; }
 
-/// One-shot CRC of a byte buffer.
-std::uint32_t crc32(const void* data, std::size_t len);
-
 /// CRC of a span of 64-bit words, each folded little-endian (byte order is
 /// fixed so the framing is portable across hosts).
 std::uint32_t crc32_words(const std::uint64_t* words, std::size_t count);

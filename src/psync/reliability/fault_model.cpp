@@ -177,35 +177,4 @@ void FaultStream::corrupt_words(const std::uint64_t* in, std::uint64_t* out,
   }
 }
 
-std::uint64_t apply_fault(const FaultModel& fault, std::uint64_t w, Rng& rng,
-                          FaultReport* report) {
-  const std::uint64_t mask = fault.silenced_mask();
-  const std::uint64_t before = w;
-  const std::uint64_t silenced_bits = w & mask;
-  w &= ~mask;
-
-  // Geometric gap sampling within the word; memorylessness makes starting
-  // fresh at bit 0 for each call distribution-exact.
-  std::uint64_t flipped = 0;
-  if (fault.random_ber > 0.0) {
-    std::uint64_t bit = geometric_gap(fault.random_ber, rng);
-    while (bit < 64) {
-      flipped |= (std::uint64_t{1} << bit);
-      const std::uint64_t skip = geometric_gap(fault.random_ber, rng);
-      if (skip >= std::numeric_limits<std::uint64_t>::max() - 64) break;
-      bit += 1 + skip;
-    }
-    w ^= flipped;
-  }
-
-  if (report != nullptr) {
-    ++report->words_total;
-    if (w != before) ++report->words_corrupted;
-    report->bits_flipped += static_cast<std::uint64_t>(std::popcount(flipped));
-    report->bits_silenced +=
-        static_cast<std::uint64_t>(std::popcount(silenced_bits));
-  }
-  return w;
-}
-
 }  // namespace psync::reliability

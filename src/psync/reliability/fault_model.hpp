@@ -138,9 +138,4 @@ class FaultStream {
   std::uint64_t segment_end_ = 0; // first word of the next profile segment
 };
 
-/// Corrupt one word under the model (deterministic given rng state). Slow
-/// path — rebuilds the mask per call; use FaultStream for streams.
-std::uint64_t apply_fault(const FaultModel& fault, std::uint64_t w, Rng& rng,
-                          FaultReport* report = nullptr);
-
 }  // namespace psync::reliability

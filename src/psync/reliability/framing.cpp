@@ -33,16 +33,6 @@ void unpack_check_bytes(const std::uint64_t* words, std::size_t count,
 
 }  // namespace
 
-std::size_t coded_stream_words(std::size_t payload_words,
-                               std::size_t block_words) {
-  PSYNC_CHECK(block_words > 0);
-  std::size_t total = 0;
-  for (std::size_t off = 0; off < payload_words; off += block_words) {
-    total += coded_block_words(std::min(block_words, payload_words - off));
-  }
-  return total;
-}
-
 void encode_block(const std::uint64_t* payload, std::size_t n,
                   std::vector<std::uint64_t>* wire) {
   PSYNC_CHECK(wire != nullptr && n > 0);
@@ -103,13 +93,6 @@ void decode_block_into(const std::uint64_t* wire, std::size_t n, bool correct,
   out->payload.resize(n);
   out->crc_ok = crc32_words(out->payload.data(), n) ==
                 static_cast<std::uint32_t>(crc_word & 0xFFFFFFFFU);
-}
-
-BlockDecode decode_block(const std::uint64_t* wire, std::size_t n,
-                         bool correct) {
-  BlockDecode out;
-  decode_block_into(wire, n, correct, &out);
-  return out;
 }
 
 }  // namespace psync::reliability

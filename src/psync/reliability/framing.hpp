@@ -32,11 +32,6 @@ inline std::size_t coded_block_words(std::size_t payload_words) {
   return payload_words + 1 + check_words_for(payload_words + 1);
 }
 
-/// Wire words for a `payload_words`-word stream framed in blocks of
-/// `block_words` (the last block may be short).
-std::size_t coded_stream_words(std::size_t payload_words,
-                               std::size_t block_words);
-
 /// Append the wire encoding of one block to `wire`.
 void encode_block(const std::uint64_t* payload, std::size_t n,
                   std::vector<std::uint64_t>* wire);
@@ -54,15 +49,11 @@ struct BlockDecode {
   bool good() const { return crc_ok && double_errors == 0; }
 };
 
-/// Decode one received block (`wire` holds coded_block_words(n) words).
+/// Decode one received block (`wire` holds coded_block_words(n) words) into
+/// a caller-owned result whose payload buffer is reused across calls, so a
+/// channel decoding a long stream (or retrying) allocates nothing per block.
 /// With `correct` set, single-bit errors are repaired before the CRC check;
 /// without it the decoder only counts what it saw (detect-only policy).
-BlockDecode decode_block(const std::uint64_t* wire, std::size_t n,
-                         bool correct);
-
-/// Same decode, writing into a caller-owned result whose payload buffer is
-/// reused across calls — the per-block allocation disappears when a channel
-/// decodes a long stream (or retries) block after block.
 void decode_block_into(const std::uint64_t* wire, std::size_t n, bool correct,
                        BlockDecode* out);
 

@@ -1,6 +1,9 @@
 #include "oracle/codec.hpp"
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
 
 #include "psync/common/check.hpp"
 #include "psync/reliability/crc32.hpp"
@@ -32,6 +35,16 @@ std::uint32_t crc_words(std::uint32_t crc, const std::uint64_t* words,
     crc = crc32_update(crc, bytes, 8);
   }
   return crc;
+}
+
+// Gap to the next flipped bit at flip probability `ber`:
+// floor(log(1-u) / log(1-ber)) with u uniform in [0,1).
+std::uint64_t geometric_gap(double ber, Rng& rng) {
+  if (ber >= 1.0) return 0;
+  const double u = rng.next_double();
+  const double gap = std::floor(std::log1p(-u) / std::log1p(-ber));
+  if (gap >= 1.8e19) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(gap);
 }
 
 }  // namespace
@@ -118,6 +131,34 @@ reliability::BlockDecode decode_block(const std::uint64_t* wire,
   out.crc_ok = reliability::crc32_finalize(crc) ==
                static_cast<std::uint32_t>(crc_word & 0xFFFFFFFFU);
   return out;
+}
+
+std::uint64_t apply_fault(const reliability::FaultModel& fault,
+                          std::uint64_t w, Rng& rng,
+                          reliability::FaultReport* report) {
+  const std::uint64_t mask = fault.silenced_mask();
+  const std::uint64_t before = w;
+  const std::uint64_t silenced_bits = w & mask;
+  w &= ~mask;
+  std::uint64_t flipped = 0;
+  if (fault.random_ber > 0.0) {
+    std::uint64_t bit = geometric_gap(fault.random_ber, rng);
+    while (bit < 64) {
+      flipped |= (std::uint64_t{1} << bit);
+      const std::uint64_t skip = geometric_gap(fault.random_ber, rng);
+      if (skip >= std::numeric_limits<std::uint64_t>::max() - 64) break;
+      bit += 1 + skip;
+    }
+    w ^= flipped;
+  }
+  if (report != nullptr) {
+    ++report->words_total;
+    if (w != before) ++report->words_corrupted;
+    report->bits_flipped += static_cast<std::uint64_t>(std::popcount(flipped));
+    report->bits_silenced +=
+        static_cast<std::uint64_t>(std::popcount(silenced_bits));
+  }
+  return w;
 }
 
 }  // namespace psync::oracle

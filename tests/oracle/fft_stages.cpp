@@ -77,15 +77,6 @@ fft::OpCount StridedFft::forward(std::span<fft::Complex> data) const {
   return run_stages(data, 0, log2n_);
 }
 
-fft::OpCount StridedFft::inverse(std::span<fft::Complex> data) const {
-  PSYNC_CHECK(data.size() == n_);
-  for (auto& v : data) v = std::conj(v);
-  const fft::OpCount ops = forward(data);
-  const double inv_n = 1.0 / static_cast<double>(n_);
-  for (auto& v : data) v = std::conj(v) * inv_n;
-  return ops;
-}
-
 fft::OpCount StridedFft::forward_blocked(std::span<fft::Complex> data,
                                          std::size_t k) const {
   PSYNC_CHECK(k != 0 && (k & (k - 1)) == 0 && k <= n_);

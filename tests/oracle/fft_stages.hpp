@@ -33,7 +33,6 @@ class StridedFft {
                           std::size_t block_size = 0) const;
 
   fft::OpCount forward(std::span<fft::Complex> data) const;
-  fft::OpCount inverse(std::span<fft::Complex> data) const;
   fft::OpCount forward_blocked(std::span<fft::Complex> data,
                                std::size_t k) const;
 

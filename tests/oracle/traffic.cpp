@@ -1,6 +1,7 @@
 #include "oracle/traffic.hpp"
 
 #include "psync/common/check.hpp"
+#include "rng_draws.hpp"
 
 namespace psync::mesh {
 
@@ -63,9 +64,9 @@ std::vector<PacketDesc> uniform_random_traffic(const Mesh& mesh,
   out.reserve(packets);
   for (std::uint32_t i = 0; i < packets; ++i) {
     PacketDesc d;
-    d.src = static_cast<NodeId>(rng.next_below(mesh.nodes()));
+    d.src = static_cast<NodeId>(next_below(rng, mesh.nodes()));
     do {
-      d.dst = static_cast<NodeId>(rng.next_below(mesh.nodes()));
+      d.dst = static_cast<NodeId>(next_below(rng, mesh.nodes()));
     } while (d.dst == d.src);
     d.payload_flits = payload_flits;
     d.payload_base = encode_payload(d.src, i);

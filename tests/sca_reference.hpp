@@ -23,8 +23,9 @@ namespace psync::core::sca_reference {
 inline std::vector<CpEntry> entries(const CommProgram& cp) {
   std::vector<CpEntry> out;
   for (const auto& s : cp.strides()) {
-    const auto e = s.expand();
-    out.insert(out.end(), e.begin(), e.end());
+    for (Slot b = 0; b < s.count; ++b) {
+      out.push_back(CpEntry{s.first + b * s.stride, s.burst, s.action});
+    }
   }
   std::stable_sort(
       out.begin(), out.end(),
@@ -204,57 +205,6 @@ inline ScatterResult scatter(const ScaEngine& engine,
                           std::to_string(out.unclaimed_slots.size()) +
                           " burst slots have no listener");
   }
-  finish_span(engine.clock(), &out);
-  return out;
-}
-
-inline ScatterResult scatter_multicast(const ScaEngine& engine,
-                                       const CpSchedule& schedule,
-                                       const std::vector<Word>& burst,
-                                       bool strict = true) {
-  const PscanTopology& topo = engine.topology();
-  if (schedule.nodes() != topo.nodes()) {
-    throw SimulationError(
-        "scatter_multicast: schedule/topology node count mismatch");
-  }
-  ScatterResult out;
-  out.received.resize(topo.nodes());
-  std::vector<std::uint8_t> claimed(burst.size(), 0);
-  for (std::size_t i = 0; i < topo.nodes(); ++i) {
-    std::int64_t element = 0;
-    for (const CpEntry& e : entries(schedule.node_cps[i])) {
-      if (e.action != CpAction::kListen) continue;
-      for (Slot s = e.begin; s < e.end(); ++s, ++element) {
-        if (s < 0 || static_cast<std::size_t>(s) >= burst.size()) {
-          throw SimulationError("scatter_multicast: CP beyond the burst");
-        }
-        claimed[static_cast<std::size_t>(s)] = 1;
-        DeliveryRecord rec;
-        rec.slot = s;
-        rec.word = burst[static_cast<std::size_t>(s)];
-        rec.node = static_cast<std::int32_t>(i);
-        rec.element = element;
-        rec.arrival_ps =
-            engine.clock().perceived_edge_ps(topo.node_pos_um[i], s) +
-            fault_of(topo, i);
-        out.deliveries.push_back(rec);
-        out.received[i].push_back(rec.word);
-      }
-    }
-  }
-  for (std::size_t s = 0; s < burst.size(); ++s) {
-    if (!claimed[s]) out.unclaimed_slots.push_back(static_cast<Slot>(s));
-  }
-  if (strict && !out.unclaimed_slots.empty()) {
-    throw SimulationError("scatter_multicast: " +
-                          std::to_string(out.unclaimed_slots.size()) +
-                          " burst slots have no listener");
-  }
-  std::stable_sort(out.deliveries.begin(), out.deliveries.end(),
-                   [](const DeliveryRecord& a, const DeliveryRecord& b) {
-                     if (a.slot != b.slot) return a.slot < b.slot;
-                     return a.node < b.node;
-                   });
   finish_span(engine.clock(), &out);
   return out;
 }

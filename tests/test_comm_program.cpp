@@ -10,7 +10,9 @@ namespace {
 TEST(CpStride, ExpandsToEntries) {
   CpStride s{/*first=*/3, /*burst=*/2, /*stride=*/10, /*count=*/3,
              CpAction::kDrive};
-  const auto e = s.expand();
+  CommProgram cp;
+  cp.add(s);
+  const auto e = cp.entries();
   ASSERT_EQ(e.size(), 3u);
   EXPECT_EQ(e[0].begin, 3);
   EXPECT_EQ(e[1].begin, 13);
@@ -51,7 +53,6 @@ TEST(CommProgram, SlotCountsByAction) {
   EXPECT_EQ(cp.slot_count(CpAction::kDrive), 8);
   EXPECT_EQ(cp.slot_count(CpAction::kListen), 4);
   EXPECT_EQ(cp.slot_count(CpAction::kPass), 0);
-  EXPECT_EQ(cp.horizon(), 29);
 }
 
 TEST(CommProgram, EncodeDecodeRoundTrips) {

@@ -23,39 +23,6 @@ TEST(RunningStats, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, MergeMatchesCombinedStream) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37;
-    a.add(x);
-    all.add(x);
-  }
-  for (int i = 50; i < 120; ++i) {
-    const double x = i * 0.37 - 3.0;
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats a_copy = a;
-  a.merge(b);  // empty right side: no change
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  b.merge(a_copy);  // empty left side: adopt
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(Histogram, BinsAndClamping) {
   Histogram h(0.0, 10.0, 10);
   h.add(0.5);
@@ -65,13 +32,6 @@ TEST(Histogram, BinsAndClamping) {
   EXPECT_EQ(h.total(), 4u);
   EXPECT_EQ(h.bin_count(0), 2u);
   EXPECT_EQ(h.bin_count(9), 2u);
-}
-
-TEST(Histogram, Quantile) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.01);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.01);
 }
 
 TEST(Histogram, ToStringRendersBars) {

@@ -22,8 +22,8 @@ hex = 0x20
 TEST(IniConfig, ParsesSectionsAndKeys) {
   const auto cfg = IniConfig::parse(kSample);
   EXPECT_TRUE(cfg.has_section("experiment"));
-  EXPECT_TRUE(cfg.has("machine", "processors"));
-  EXPECT_FALSE(cfg.has("machine", "missing"));
+  EXPECT_TRUE(cfg.get("machine", "processors").has_value());
+  EXPECT_FALSE(cfg.get("machine", "missing").has_value());
   EXPECT_EQ(cfg.sections(), (std::vector<std::string>{"experiment", "machine"}));
   EXPECT_EQ(cfg.keys("machine").size(), 4u);
 }
@@ -108,7 +108,7 @@ ConfigSchema tiny_schema() {
       .key("machine", "waveguide_gbps", ConfigSchema::Type::kDouble)
       .key("machine", "verify", ConfigSchema::Type::kBool)
       .key("sweep", "values", ConfigSchema::Type::kDoubleList)
-      .section("fault");
+      .key("fault", "seed", ConfigSchema::Type::kInt);
   return s;
 }
 

@@ -24,6 +24,7 @@
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
 #include "psync/driver/workload.hpp"
+#include "rng_draws.hpp"
 #include "serve_client.hpp"
 
 namespace psync::driver {
@@ -317,7 +318,7 @@ std::vector<std::string> fuzz_values(const ConfigKey& key, Rng& rng) {
     out.push_back(number_text(lo + 0.25 + 0.5 * rng.next_double()));
   }
   const char* garbage[] = {"abc", "1x", "--", "0x", "nan", "inf", "1e999"};
-  out.push_back(garbage[rng.next_below(std::size(garbage))]);
+  out.push_back(garbage[next_below(rng, std::size(garbage))]);
   return out;
 }
 

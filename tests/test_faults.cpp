@@ -7,10 +7,42 @@
 #include "psync/common/check.hpp"
 #include "psync/core/cp_compile.hpp"
 #include "psync/core/processor.hpp"
+#include "psync/core/sca.hpp"
 #include "psync/fft/fft.hpp"
 
 namespace psync::core {
 namespace {
+
+// Corrupt a gather's received stream in place.
+FaultReport inject_faults(const FaultModel& fault, GatherResult* result) {
+  FaultReport rep;
+  if (fault.trivial()) {
+    fault.validate();
+    rep.words_total = result->stream.size();
+    return rep;
+  }
+  FaultStream stream(fault);
+  for (auto& rec : result->stream) rec.word = stream.corrupt(rec.word, &rep);
+  return rep;
+}
+
+// Corrupt a scatter's deliveries (and per-node buffers) in place.
+FaultReport inject_faults(const FaultModel& fault, ScatterResult* result) {
+  FaultReport rep;
+  if (fault.trivial()) {
+    fault.validate();
+    rep.words_total = result->deliveries.size();
+    return rep;
+  }
+  FaultStream stream(fault);
+  for (auto& d : result->deliveries) {
+    const Word w = stream.corrupt(d.word, &rep);
+    d.word = w;
+    result->received[static_cast<std::size_t>(d.node)]
+                    [static_cast<std::size_t>(d.element)] = w;
+  }
+  return rep;
+}
 
 GatherResult clean_gather(std::size_t nodes, Slot elems,
                           std::uint64_t fill = ~0ULL) {

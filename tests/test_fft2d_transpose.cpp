@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/naive_dft.hpp"
 #include "psync/common/rng.hpp"
 
 namespace psync::fft {
@@ -49,16 +50,6 @@ TEST(Transpose, SquareInPlaceMatchesOutOfPlace) {
   }
 }
 
-TEST(Transpose, BlockedMatchesNaive) {
-  for (std::size_t tile : {1, 3, 8, 64}) {
-    const auto m = random_matrix(24, 40, 3);
-    std::vector<Complex> a(m.size()), b(m.size());
-    transpose(m, a, 24, 40);
-    transpose_blocked(m, b, 24, 40, tile);
-    EXPECT_EQ(max_abs_diff(a, b), 0.0);
-  }
-}
-
 TEST(Transpose, IndexMapMatchesDataMovement) {
   const std::size_t rows = 6, cols = 10;
   const auto m = random_matrix(rows, cols, 4);
@@ -75,7 +66,7 @@ class Fft2dShapes
 TEST_P(Fft2dShapes, MatchesNaive2dDft) {
   const auto [rows, cols] = GetParam();
   auto m = random_matrix(rows, cols, rows * 100 + cols);
-  const auto ref = naive_dft2d(m, rows, cols);
+  const auto ref = oracle::naive_dft2d(m, rows, cols);
   fft2d(m, rows, cols, /*restore_layout=*/true);
   EXPECT_LT(max_abs_diff(m, ref),
             1e-8 * static_cast<double>(rows * cols));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/naive_dft.hpp"
 #include "psync/common/check.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/core/psync_machine.hpp"
@@ -50,7 +51,7 @@ TEST_P(FourStepSizes, MatchesNaiveDftOnSmallSizes) {
   const std::size_t n = GetParam();
   if (n > 512) GTEST_SKIP() << "naive DFT too slow";
   auto sig = random_signal(n, 3 * n);
-  const auto ref = naive_dft(sig);
+  const auto ref = oracle::naive_dft(sig);
   fft1d_four_step(sig);
   EXPECT_LT(max_abs_diff(sig, ref), 1e-8 * static_cast<double>(n));
 }

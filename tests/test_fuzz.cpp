@@ -11,6 +11,7 @@
 #include "psync/mesh/mesh.hpp"
 #include "psync/reliability/channel.hpp"
 #include "psync/reliability/secded.hpp"
+#include "rng_draws.hpp"
 
 namespace psync {
 namespace {
@@ -25,16 +26,16 @@ class ScaFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 // realizing exactly that ownership.
 TEST_P(ScaFuzz, RandomPartitionGathersGapFree) {
   Rng rng(GetParam());
-  const std::size_t nodes = 2 + rng.next_below(7);
-  const core::Slot total = static_cast<core::Slot>(32 + rng.next_below(200));
+  const std::size_t nodes = 2 + next_below(rng, 7);
+  const core::Slot total = static_cast<core::Slot>(32 + next_below(rng, 200));
 
   // Random owner per slot (every node guaranteed at least one slot by
   // round-robin seeding).
   std::vector<std::size_t> owner(static_cast<std::size_t>(total));
   for (std::size_t s = 0; s < owner.size(); ++s) {
-    owner[s] = s < nodes ? s : rng.next_below(nodes);
+    owner[s] = s < nodes ? s : next_below(rng, nodes);
   }
-  rng.shuffle(owner);
+  shuffle(rng, owner);
 
   std::vector<std::vector<core::Slot>> slots_of(nodes);
   for (std::size_t s = 0; s < owner.size(); ++s) {
@@ -86,12 +87,12 @@ TEST_P(ScaFuzz, RandomPartitionGathersGapFree) {
 // Corrupting one slot to a duplicate owner must always be detected.
 TEST_P(ScaFuzz, DuplicatedSlotAlwaysCollides) {
   Rng rng(GetParam() ^ 0xABCDEF);
-  const std::size_t nodes = 2 + rng.next_below(5);
-  const core::Slot elems = static_cast<core::Slot>(4 + rng.next_below(16));
+  const std::size_t nodes = 2 + next_below(rng, 5);
+  const core::Slot elems = static_cast<core::Slot>(4 + next_below(rng, 16));
   auto sched = core::compile_gather_interleaved(nodes, elems);
   // Give node 0 an extra claim over a random slot owned by someone else.
   const core::Slot stolen = static_cast<core::Slot>(
-      1 + rng.next_below(static_cast<std::uint64_t>(sched.total_slots - 1)));
+      1 + next_below(rng, static_cast<std::uint64_t>(sched.total_slots - 1)));
   if (stolen % static_cast<core::Slot>(nodes) == 0) return;  // already node 0's
   sched.node_cps[0].add(core::CpStride{stolen, 1, 1, 1, core::CpAction::kDrive});
 
@@ -114,11 +115,11 @@ class MeshFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MeshFuzz, ConservationAndLatencyBounds) {
   Rng rng(GetParam());
   mesh::MeshParams p;
-  p.width = static_cast<std::uint32_t>(2 + rng.next_below(5));
-  p.height = static_cast<std::uint32_t>(2 + rng.next_below(5));
-  p.buffer_depth = static_cast<std::uint32_t>(1 + rng.next_below(4));
-  p.route_delay = static_cast<std::uint32_t>(rng.next_below(3));
-  p.virtual_channels = static_cast<std::uint32_t>(1 + rng.next_below(4));
+  p.width = static_cast<std::uint32_t>(2 + next_below(rng, 5));
+  p.height = static_cast<std::uint32_t>(2 + next_below(rng, 5));
+  p.buffer_depth = static_cast<std::uint32_t>(1 + next_below(rng, 4));
+  p.route_delay = static_cast<std::uint32_t>(next_below(rng, 3));
+  p.virtual_channels = static_cast<std::uint32_t>(1 + next_below(rng, 4));
   p.algo = rng.next_bool() ? mesh::RouteAlgo::kXY
                            : mesh::RouteAlgo::kWestFirstAdaptive;
   mesh::Mesh m(p);
@@ -129,13 +130,13 @@ TEST_P(MeshFuzz, ConservationAndLatencyBounds) {
     m.set_sink(n, &sinks[n]);
   }
 
-  const auto packets = static_cast<std::uint32_t>(20 + rng.next_below(200));
-  const auto flits = static_cast<std::uint32_t>(rng.next_below(8));
+  const auto packets = static_cast<std::uint32_t>(20 + next_below(rng, 200));
+  const auto flits = static_cast<std::uint32_t>(next_below(rng, 8));
   std::vector<mesh::PacketDesc> traffic =
       mesh::uniform_random_traffic(m, packets, flits, rng);
   // Random staggered release times.
   for (auto& d : traffic) {
-    d.release_cycle = static_cast<std::int64_t>(rng.next_below(100));
+    d.release_cycle = static_cast<std::int64_t>(next_below(rng, 100));
     m.inject(d);
   }
   ASSERT_TRUE(m.run_until_drained(2'000'000))
@@ -159,14 +160,14 @@ TEST_P(MeshFuzz, ConservationAndLatencyBounds) {
 TEST_P(MeshFuzz, HotspotGatherNeverDeadlocks) {
   Rng rng(GetParam() * 7919);
   mesh::MeshParams p;
-  p.width = static_cast<std::uint32_t>(3 + rng.next_below(4));
+  p.width = static_cast<std::uint32_t>(3 + next_below(rng, 4));
   p.height = p.width;
-  p.buffer_depth = static_cast<std::uint32_t>(1 + rng.next_below(3));
-  p.virtual_channels = static_cast<std::uint32_t>(1 + rng.next_below(4));
+  p.buffer_depth = static_cast<std::uint32_t>(1 + next_below(rng, 3));
+  p.virtual_channels = static_cast<std::uint32_t>(1 + next_below(rng, 4));
   p.algo = rng.next_bool() ? mesh::RouteAlgo::kXY
                            : mesh::RouteAlgo::kWestFirstAdaptive;
   mesh::Mesh m(p);
-  const auto hotspot = static_cast<mesh::NodeId>(rng.next_below(m.nodes()));
+  const auto hotspot = static_cast<mesh::NodeId>(next_below(rng, m.nodes()));
   const auto traffic = mesh::transpose_writeback_traffic(m, hotspot, 32, 8);
   for (const auto& d : traffic) m.inject(d);
   ASSERT_TRUE(m.run_until_drained(5'000'000));
@@ -184,7 +185,7 @@ TEST_P(SecdedFuzz, RandomSingleErrorsAlwaysCorrected) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::uint64_t w = rng.next_u64();
     const auto check = reliability::secded_encode(w);
-    const auto pos = rng.next_below(72);
+    const auto pos = next_below(rng, 72);
     std::uint64_t data = w;
     std::uint8_t chk = check;
     if (pos < 64) {
@@ -205,9 +206,9 @@ TEST_P(SecdedFuzz, RandomDoubleErrorsAlwaysDetected) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::uint64_t w = rng.next_u64();
     const auto check = reliability::secded_encode(w);
-    const auto a = rng.next_below(72);
-    auto b = rng.next_below(72);
-    while (b == a) b = rng.next_below(72);
+    const auto a = next_below(rng, 72);
+    auto b = next_below(rng, 72);
+    while (b == a) b = next_below(rng, 72);
     std::uint64_t data = w;
     std::uint8_t chk = check;
     for (const auto pos : {a, b}) {
@@ -228,16 +229,16 @@ TEST_P(SecdedFuzz, RandomDoubleErrorsAlwaysDetected) {
 TEST_P(SecdedFuzz, ChannelRoundTripUnderRandomBer) {
   Rng rng(GetParam());
   reliability::FaultModel fault;
-  fault.random_ber = 1e-5 * static_cast<double>(1 + rng.next_below(20));
+  fault.random_ber = 1e-5 * static_cast<double>(1 + next_below(rng, 20));
   fault.seed = GetParam() * 17 + 1;
-  if (rng.next_below(2) == 1) {
-    fault.dead_wavelengths = {static_cast<std::uint32_t>(rng.next_below(64))};
+  if (next_below(rng, 2) == 1) {
+    fault.dead_wavelengths = {static_cast<std::uint32_t>(next_below(rng, 64))};
   }
   reliability::ReliabilityParams params;
   params.policy = reliability::ReliabilityPolicy::kCorrectRetry;
-  params.block_words = 16 + rng.next_below(100);
+  params.block_words = 16 + next_below(rng, 100);
 
-  std::vector<std::uint64_t> payload(256 + rng.next_below(2048));
+  std::vector<std::uint64_t> payload(256 + next_below(rng, 2048));
   for (auto& w : payload) w = rng.next_u64();
 
   reliability::ProtectedChannel ch(fault, params);

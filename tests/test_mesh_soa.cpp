@@ -215,6 +215,21 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.name;
     });
 
+// Drains `net` within `cap` cycles. With `idle_skip`, through
+// run_until_drained(), which may jump idle cycles; without, Mesh is
+// stepped every cycle and the oracle runs with its own skip turned off.
+template <class Net>
+bool drain(Net& net, bool idle_skip, std::int64_t cap) {
+  if constexpr (std::is_same_v<Net, oracle::ReferenceMesh>) {
+    net.set_idle_skip(idle_skip);
+  } else if (!idle_skip) {
+    const std::int64_t limit = net.cycle() + cap;
+    while (!net.drained() && net.cycle() < limit) net.step();
+    return net.drained();
+  }
+  return net.run_until_drained(cap);
+}
+
 // Sparse traffic with the idle-skip fast-forward forced on or off.
 template <class Net>
 RunResult run_sparse(bool idle_skip) {
@@ -222,7 +237,6 @@ RunResult run_sparse(bool idle_skip) {
   mp.width = 8;
   mp.height = 8;
   Net net(mp);
-  net.set_idle_skip(idle_skip);
   std::vector<ConsumeSink> sinks(net.nodes());
   for (NodeId n = 0; n < net.nodes(); ++n) {
     sinks[n].keep_log(true);
@@ -238,7 +252,7 @@ RunResult run_sparse(bool idle_skip) {
     d.release_cycle = static_cast<std::int64_t>(i) * 4096;
     net.inject(d);
   }
-  EXPECT_TRUE(net.run_until_drained(10'000'000));
+  EXPECT_TRUE(drain(net, idle_skip, 10'000'000));
   RunResult r;
   capture_net(net, &r);
   for (const auto& s : sinks) {
@@ -389,16 +403,15 @@ TEST(MeshSoaIdentity, FastForwardedTransposeEqualsSteppedEveryCycle) {
 
 // Sparse releases into one memory interface: bursts of packets from random
 // sources arrive while it is still reordering and writing the previous
-// ones, and quiet gaps separate the bursts. run_until_drained() with the
-// idle skip on (stalls and gaps jumped) and off must agree with each other
-// and with the oracle.
+// ones, and quiet gaps separate the bursts. run_until_drained() (stalls
+// and gaps jumped) and stepping every cycle must agree with each other and
+// with the oracle.
 template <class Net>
 MiRun run_sparse_into_interface(bool idle_skip) {
   MeshParams mp;
   mp.width = 8;
   mp.height = 8;
   Net net(mp);
-  net.set_idle_skip(idle_skip);
   net.record_latencies(true);
   constexpr int kPackets = 96;
   MiRun r;
@@ -421,7 +434,7 @@ MiRun run_sparse_into_interface(bool idle_skip) {
                       static_cast<std::int64_t>(rng.next_u64() % 40);
     net.inject(d);
   }
-  EXPECT_TRUE(net.run_until_drained(10'000'000));
+  EXPECT_TRUE(drain(net, idle_skip, 10'000'000));
   capture_net(net, &r.net);
   r.completion.push_back(mi.completion_cycle());
   r.dram_write_cycles.push_back(mi.dram_write_cycles());

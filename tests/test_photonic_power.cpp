@@ -2,31 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "psync/common/check.hpp"
-
 namespace psync::photonic {
 namespace {
-
-TEST(Power, DbmMwRoundTrip) {
-  EXPECT_DOUBLE_EQ(mw_to_dbm(1.0), 0.0);
-  EXPECT_NEAR(mw_to_dbm(2.0), 3.0103, 1e-4);
-  EXPECT_NEAR(dbm_to_mw(10.0), 10.0, 1e-12);
-  for (double mw : {0.01, 0.5, 1.0, 3.7, 100.0}) {
-    EXPECT_NEAR(dbm_to_mw(mw_to_dbm(mw)), mw, 1e-12);
-  }
-}
-
-TEST(Power, RatioDb) {
-  EXPECT_DOUBLE_EQ(ratio_to_db(10.0), 10.0);
-  EXPECT_NEAR(ratio_to_db(2.0), 3.0103, 1e-4);
-  EXPECT_NEAR(db_to_ratio(-3.0103), 0.5, 1e-4);
-}
-
-TEST(Power, NonPositiveInputsThrow) {
-  EXPECT_THROW(mw_to_dbm(0.0), SimulationError);
-  EXPECT_THROW(mw_to_dbm(-1.0), SimulationError);
-  EXPECT_THROW(ratio_to_db(0.0), SimulationError);
-}
 
 TEST(PowerDbm, AttenuationChainsLinearlyInDb) {
   PowerDbm p(3.0);

@@ -2,12 +2,14 @@
 // framing, and the ProtectedChannel policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <vector>
 
+#include "oracle/codec.hpp"
 #include "psync/common/check.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/reliability/channel.hpp"
@@ -18,6 +20,29 @@
 
 namespace psync::reliability {
 namespace {
+
+// One-shot CRC of a byte buffer.
+std::uint32_t crc32(const void* data, std::size_t len) {
+  return crc32_finalize(crc32_update(kCrc32Init, data, len));
+}
+
+// Wire words for a `payload_words`-word stream framed in blocks of
+// `block_words` (the last block may be short).
+std::size_t coded_stream_words(std::size_t payload_words,
+                               std::size_t block_words) {
+  std::size_t total = 0;
+  for (std::size_t off = 0; off < payload_words; off += block_words) {
+    total += coded_block_words(std::min(block_words, payload_words - off));
+  }
+  return total;
+}
+
+BlockDecode decode_block(const std::uint64_t* wire, std::size_t n,
+                         bool correct) {
+  BlockDecode out;
+  decode_block_into(wire, n, correct, &out);
+  return out;
+}
 
 TEST(Secded, CleanRoundTrip) {
   for (std::uint64_t w :
@@ -175,7 +200,6 @@ TEST(Policy, StringRoundTrip) {
   EXPECT_EQ(policy_from_string("off"), ReliabilityPolicy::kOff);
   EXPECT_EQ(policy_from_string("detect"), ReliabilityPolicy::kDetectOnly);
   EXPECT_EQ(policy_from_string("correct"), ReliabilityPolicy::kCorrectRetry);
-  EXPECT_STREQ(to_string(ReliabilityPolicy::kCorrectRetry), "correct");
   EXPECT_THROW(policy_from_string("bogus"), SimulationError);
 }
 
@@ -334,7 +358,7 @@ TEST(FaultStreamTest, MatchesLegacyApplyFaultMask) {
   FaultReport a, b;
   for (int i = 0; i < 100; ++i) {
     const auto w = 0xFFFFFFFFFFFFFFFFULL - static_cast<std::uint64_t>(i);
-    EXPECT_EQ(stream.corrupt(w, &a), apply_fault(model, w, rng, &b));
+    EXPECT_EQ(stream.corrupt(w, &a), oracle::apply_fault(model, w, rng, &b));
   }
   EXPECT_EQ(a.bits_silenced, b.bits_silenced);
 }

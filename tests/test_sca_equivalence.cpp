@@ -15,6 +15,7 @@
 #include "psync/common/check.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/core/sca.hpp"
+#include "rng_draws.hpp"
 #include "sca_reference.hpp"
 
 namespace psync::core {
@@ -227,10 +228,10 @@ void expect_scatter_matches_oracle(const ScaEngine& engine,
 PscanTopology random_topology(Rng& rng, std::size_t nodes) {
   PscanTopology t;
   const double freqs[] = {10.0, 12.5, 8.0, 4.0};
-  t.clock.frequency_ghz = GigaHertz(freqs[rng.next_below(4)]);
+  t.clock.frequency_ghz = GigaHertz(freqs[next_below(rng, 4)]);
   t.clock.group_velocity_cm_per_ns = 3.0 + 6.0 * rng.next_double();
-  t.clock.detect_latency_ps = rng.next_range(0, 60);
-  t.clock.launch_time_ps = rng.next_range(0, 5000);
+  t.clock.detect_latency_ps = next_range(rng, 0, 60);
+  t.clock.launch_time_ps = next_range(rng, 0, 5000);
   double at = 2000.0 * rng.next_double();
   t.head_um = at * rng.next_double();
   t.node_pos_um.resize(nodes);
@@ -240,7 +241,7 @@ PscanTopology random_topology(Rng& rng, std::size_t nodes) {
   }
   t.terminus_um = at + 5000.0 * rng.next_double();
   const TimePs period = photonic::PhotonicClock(t.clock).period_ps();
-  switch (rng.next_below(6)) {
+  switch (next_below(rng, 6)) {
     case 0:
       break;  // no fault table
     case 1:
@@ -249,29 +250,29 @@ PscanTopology random_topology(Rng& rng, std::size_t nodes) {
     case 2:
       t.skew_error_ps.resize(nodes);
       for (auto& f : t.skew_error_ps) {
-        f = rng.next_bool(0.4) ? rng.next_range(-period + 1, period - 1) : 0;
+        f = rng.next_bool(0.4) ? next_range(rng, -period + 1, period - 1) : 0;
       }
       break;
     case 3: {
-      const TimePs shared = rng.next_range(-period, period);
+      const TimePs shared = next_range(rng, -period, period);
       t.skew_error_ps.resize(nodes);
       for (auto& f : t.skew_error_ps) f = rng.next_bool() ? shared : 0;
       break;
     }
     case 4: {
-      const TimePs shared = rng.next_range(0, period - 1);
+      const TimePs shared = next_range(rng, 0, period - 1);
       t.skew_error_ps.resize(nodes);
       for (auto& f : t.skew_error_ps) {
-        f = rng.next_range(-4, 4) * period + (rng.next_bool() ? shared : 0);
+        f = next_range(rng, -4, 4) * period + (rng.next_bool() ? shared : 0);
       }
       break;
     }
     default: {
-      const TimePs shared = rng.next_range(-period, period);
+      const TimePs shared = next_range(rng, -period, period);
       t.skew_error_ps.resize(nodes);
       for (auto& f : t.skew_error_ps) {
-        f = rng.next_range(-2, 2) * 1'000'000 * period +
-            rng.next_range(-3, 3) * period + (rng.next_bool() ? shared : 0);
+        f = next_range(rng, -2, 2) * 1'000'000 * period +
+            next_range(rng, -3, 3) * period + (rng.next_bool() ? shared : 0);
       }
       break;
     }
@@ -283,17 +284,17 @@ PscanTopology random_topology(Rng& rng, std::size_t nodes) {
 // entries() throw; overlaps across nodes are collisions or double claims.
 CommProgram random_program(Rng& rng, Slot horizon, CpAction main_action) {
   CommProgram cp;
-  const auto n = rng.next_range(0, 4);
+  const auto n = next_range(rng, 0, 4);
   for (std::int64_t k = 0; k < n; ++k) {
     CpStride s;
-    s.first = rng.next_range(0, horizon);
-    s.burst = rng.next_range(1, 4);
-    s.count = rng.next_range(1, 6);
-    s.stride = s.count > 1 ? s.burst + rng.next_range(0, 10)
-                           : rng.next_range(0, 10);
+    s.first = next_range(rng, 0, horizon);
+    s.burst = next_range(rng, 1, 4);
+    s.count = next_range(rng, 1, 6);
+    s.stride = s.count > 1 ? s.burst + next_range(rng, 0, 10)
+                           : next_range(rng, 0, 10);
     s.action = rng.next_bool(0.8)
                    ? main_action
-                   : static_cast<CpAction>(rng.next_below(3));
+                   : static_cast<CpAction>(next_below(rng, 3));
     cp.add(s);
   }
   return cp;
@@ -301,38 +302,38 @@ CommProgram random_program(Rng& rng, Slot horizon, CpAction main_action) {
 
 CpSchedule random_schedule(Rng& rng, std::size_t nodes, CpAction action) {
   CpSchedule s;
-  s.total_slots = rng.next_range(1, 80);
+  s.total_slots = next_range(rng, 1, 80);
   s.node_cps.resize(nodes);
   for (auto& cp : s.node_cps) cp = random_program(rng, s.total_slots, action);
   return s;
 }
 
 CpSchedule gather_schedule(Rng& rng, std::size_t nodes) {
-  switch (rng.next_below(5)) {
+  switch (next_below(rng, 5)) {
     case 0:
-      return compile_gather_blocks(nodes, rng.next_range(1, 9));
+      return compile_gather_blocks(nodes, next_range(rng, 1, 9));
     case 1:
-      return compile_gather_interleaved(nodes, rng.next_range(1, 9));
+      return compile_gather_interleaved(nodes, next_range(rng, 1, 9));
     case 2:
-      return compile_gather_round_robin(nodes, rng.next_range(1, 5),
-                                        rng.next_range(1, 5));
+      return compile_gather_round_robin(nodes, next_range(rng, 1, 5),
+                                        next_range(rng, 1, 5));
     case 3:
-      return compile_gather_transpose(nodes, rng.next_range(1, 4),
-                                      rng.next_range(1, 9));
+      return compile_gather_transpose(nodes, next_range(rng, 1, 4),
+                                      next_range(rng, 1, 9));
     default:
       return random_schedule(rng, nodes, CpAction::kDrive);
   }
 }
 
 CpSchedule scatter_schedule(Rng& rng, std::size_t nodes) {
-  switch (rng.next_below(4)) {
+  switch (next_below(rng, 4)) {
     case 0:
-      return compile_scatter_blocks(nodes, rng.next_range(1, 9));
+      return compile_scatter_blocks(nodes, next_range(rng, 1, 9));
     case 1:
-      return compile_scatter_interleaved(nodes, rng.next_range(1, 9));
+      return compile_scatter_interleaved(nodes, next_range(rng, 1, 9));
     case 2:
-      return compile_scatter_round_robin(nodes, rng.next_range(1, 5),
-                                         rng.next_range(1, 5));
+      return compile_scatter_round_robin(nodes, next_range(rng, 1, 5),
+                                         next_range(rng, 1, 5));
     default:
       return random_schedule(rng, nodes, CpAction::kListen);
   }
@@ -353,7 +354,7 @@ std::vector<std::vector<Word>> random_data(Rng& rng, const CpSchedule& s) {
 
 std::vector<Word> random_burst(Rng& rng, const CpSchedule& s) {
   Slot n = s.total_slots;
-  if (rng.next_bool(0.2)) n += rng.next_range(-3, 3);
+  if (rng.next_bool(0.2)) n += next_range(rng, -3, 3);
   std::vector<Word> burst(static_cast<std::size_t>(n < 0 ? 0 : n));
   for (auto& w : burst) w = rng.next_u64();
   return burst;
@@ -365,7 +366,7 @@ TEST(ScaEquivalence, GatherMatchesOracle) {
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
-    const auto nodes = static_cast<std::size_t>(rng.next_range(1, 9));
+    const auto nodes = static_cast<std::size_t>(next_range(rng, 1, 9));
     const ScaEngine engine(random_topology(rng, nodes));
     const CpSchedule sched = gather_schedule(rng, nodes);
     expect_gather_matches_oracle(engine, sched, random_data(rng, sched));
@@ -376,34 +377,10 @@ TEST(ScaEquivalence, ScatterMatchesOracle) {
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 7919);
-    const auto nodes = static_cast<std::size_t>(rng.next_range(1, 9));
+    const auto nodes = static_cast<std::size_t>(next_range(rng, 1, 9));
     const ScaEngine engine(random_topology(rng, nodes));
     const CpSchedule sched = scatter_schedule(rng, nodes);
     expect_scatter_matches_oracle(engine, sched, random_burst(rng, sched));
-  }
-}
-
-TEST(ScaEquivalence, MulticastMatchesOracle) {
-  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Rng rng(seed * 104729);
-    const auto nodes = static_cast<std::size_t>(rng.next_range(1, 9));
-    const ScaEngine engine(random_topology(rng, nodes));
-    // Random listener sets overlap freely: the multicast case.
-    const CpSchedule sched = rng.next_bool(0.3)
-                                 ? scatter_schedule(rng, nodes)
-                                 : random_schedule(rng, nodes,
-                                                   CpAction::kListen);
-    const auto burst = random_burst(rng, sched);
-    for (const bool strict : {true, false}) {
-      expect_same(
-          outcome(
-              [&] { return engine.scatter_multicast(sched, burst, strict); }),
-          outcome([&] {
-            return sca_reference::scatter_multicast(engine, sched, burst,
-                                                    strict);
-          }));
-    }
   }
 }
 
@@ -483,8 +460,9 @@ TEST(ScaEquivalence, EntriesMatchSortThenCheck) {
   for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 31337);
-    const CommProgram cp = random_program(
-        rng, rng.next_range(0, 100), static_cast<CpAction>(rng.next_below(3)));
+    const CommProgram cp =
+        random_program(rng, next_range(rng, 0, 100),
+                       static_cast<CpAction>(next_below(rng, 3)));
     expect_same(outcome([&] { return cp.entries(); }),
                 outcome([&] { return sca_reference::entries(cp); }));
   }

@@ -54,7 +54,7 @@ TEST(SimdKernels, FftForwardBitIdenticalAcrossAllThreePaths) {
   }
 }
 
-TEST(SimdKernels, FftInverseAndBlockedBitIdentical) {
+TEST(SimdKernels, FftBlockedBitIdentical) {
   const std::size_t n = 2048;
   psync::fft::FftPlan plan(n);
   const auto input = random_signal(n, 23);
@@ -62,9 +62,7 @@ TEST(SimdKernels, FftInverseAndBlockedBitIdentical) {
   for (std::size_t k : {1u, 4u, 16u, 128u}) {
     auto ref = input, got = input;
     strided.forward_blocked(ref, k);
-    strided.inverse(ref);
     plan.forward_blocked(got, k);
-    plan.inverse(got);
     EXPECT_TRUE(bits_equal(ref, got)) << "k=" << k;
   }
 }

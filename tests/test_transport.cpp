@@ -3,8 +3,8 @@
 // control-frame payload codecs, the seeded ChaosTransport fault injector,
 // decorrelated-jitter backoff, the leader's epoch-fencing ledger, the TCP
 // socket options on both ends of a connection, the leader's live
-// JournalMerger check, and the journal-directory durability helpers
-// (fsync_parent_dir / durable_rename). Everything here is deterministic:
+// JournalMerger check, and the journal-directory durability helper
+// (fsync_parent_dir). Everything here is deterministic:
 // fixed seeds replay identical fault sequences.
 #include <gtest/gtest.h>
 
@@ -28,6 +28,7 @@
 #include "psync/dist/frame.hpp"
 #include "psync/dist/merge.hpp"
 #include "psync/dist/transport.hpp"
+#include "rng_draws.hpp"
 
 namespace psync::dist {
 namespace {
@@ -190,17 +191,17 @@ TEST(FrameCodec, GarbageFuzzNeverCrashesOrInventsFrames) {
   for (int round = 0; round < 200; ++round) {
     FrameDecoder dec;
     std::string bytes;
-    const std::size_t n = 1 + rng.next_below(300);
+    const std::size_t n = 1 + next_below(rng, 300);
     for (std::size_t i = 0; i < n; ++i) {
       // Bias toward the magic byte so length parsing actually engages.
-      bytes.push_back(rng.next_below(4) == 0
+      bytes.push_back(next_below(rng, 4) == 0
                           ? static_cast<char>(kFrameMagic)
-                          : static_cast<char>(rng.next_below(256)));
+                          : static_cast<char>(next_below(rng, 256)));
     }
     std::size_t at = 0;
     while (at < bytes.size()) {
       const std::size_t chunk =
-          std::min(bytes.size() - at, 1 + rng.next_below(16));
+          std::min(bytes.size() - at, 1 + next_below(rng, 16));
       dec.feed(bytes.data() + at, chunk);
       at += chunk;
       Frame out;
@@ -628,54 +629,7 @@ TEST(StreamMerge, DisagreeingDuplicateAndOutOfGridAreTypedErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal directory durability (satellite: rename-then-crash regression)
-
-TEST(DurableRename, RenamedJournalReadsBackEveryAcknowledgedLine) {
-  const std::string staging = temp_path("staging.jsonl");
-  const std::string live = temp_path("live.jsonl");
-  {
-    JournalWriter w;
-    w.open(staging, /*keep_existing=*/false);
-    w.append(R"({"index":0})");
-    w.append(R"({"index":1})");
-    w.close();
-  }
-  // The crash-safety sequence under test: create + append (fsync'd),
-  // rename into place, fsync the parent. After this returns, a kill -9
-  // at *any* point leaves either the old state or the complete new one —
-  // never a present name with absent content.
-  durable_rename(staging, live);
-  EXPECT_EQ(read_journal_lines(live),
-            (std::vector<std::string>{R"({"index":0})", R"({"index":1})"}));
-  EXPECT_TRUE(read_journal_lines(staging).empty()) << "source is gone";
-  std::remove(live.c_str());
-}
-
-TEST(DurableRename, OverwritesTheDestinationAtomically) {
-  const std::string from = temp_path("steal.jsonl");
-  const std::string to = temp_path("target.jsonl");
-  {
-    JournalWriter w;
-    w.open(to, false);
-    w.append("old");
-    w.close();
-  }
-  {
-    JournalWriter w;
-    w.open(from, false);
-    w.append("new");
-    w.close();
-  }
-  durable_rename(from, to);
-  EXPECT_EQ(read_journal_lines(to), (std::vector<std::string>{"new"}));
-  std::remove(to.c_str());
-}
-
-TEST(DurableRename, MissingSourceIsATypedError) {
-  EXPECT_THROW(durable_rename(temp_path("nope.jsonl"),
-                              temp_path("nowhere.jsonl")),
-               SimulationError);
-}
+// Journal directory durability
 
 TEST(DurableRename, FsyncParentDirIsBestEffortOnOddPaths) {
   // Must not throw for any dirname shape — including paths whose parent
