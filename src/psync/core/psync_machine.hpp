@@ -28,15 +28,19 @@
 #include <vector>
 
 #include "psync/common/cancel.hpp"
-#include "psync/core/faults.hpp"
 #include "psync/core/head_node.hpp"
 #include "psync/core/processor.hpp"
 #include "psync/core/sca.hpp"
 #include "psync/core/scratch.hpp"
 #include "psync/photonic/energy.hpp"
 #include "psync/reliability/channel.hpp"
+#include "psync/reliability/fault_model.hpp"
 
 namespace psync::core {
+
+/// The benchmark harness (psync_bench) names the fault model through
+/// core; everything under src/ names reliability::FaultModel.
+using reliability::FaultModel;
 
 struct PsyncMachineParams {
   std::size_t processors = 16;
@@ -56,7 +60,7 @@ struct PsyncMachineParams {
   photonic::PhotonicEnergyParams photonics;
   /// Optical fault injection applied to every word that crosses the
   /// waveguide (dead wavelengths, random BER). Trivial by default.
-  FaultModel fault;
+  reliability::FaultModel fault;
   /// Error-handling layer above the optical PHY: off / detect-only /
   /// correct+retry (SECDED+CRC framing, replay, lane failover). The coding
   /// slots, training burst, replays and backoff all show up in the run's
@@ -88,7 +92,7 @@ struct PsyncRunReport {
   double max_error_vs_reference = 0.0;
 
   /// Fault injection observed on the wire (all collectives of the run).
-  FaultReport fault;
+  reliability::FaultReport fault;
   /// Recovery outcomes: blocks retried, slots replayed, residual errors.
   reliability::RetryReport retry;
   /// Dead-lane scan + failover outcome.
@@ -242,7 +246,7 @@ class PsyncMachine {
   std::uint64_t collisions_ = 0;
   bool gap_free_ = true;
   std::uint64_t waveguide_words_ = 0;  // words moved across the bus
-  FaultReport fault_report_;
+  reliability::FaultReport fault_report_;
   reliability::RetryReport retry_report_;
   std::uint64_t overhead_slots_ = 0;
   std::unique_ptr<reliability::ProtectedChannel> channel_;

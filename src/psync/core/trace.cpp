@@ -101,7 +101,7 @@ std::string to_csv(const WaveTrace& trace) {
   return os.str();
 }
 
-std::string to_json(const FaultReport& rep) {
+std::string to_json(const reliability::FaultReport& rep) {
   std::ostringstream os;
   os << "{\"words_total\":" << rep.words_total
      << ",\"words_corrupted\":" << rep.words_corrupted

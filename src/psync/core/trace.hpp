@@ -49,7 +49,7 @@ std::string render_ascii(const WaveTrace& trace,
 std::string to_csv(const WaveTrace& trace);
 
 /// JSON objects for the reliability observables.
-std::string to_json(const FaultReport& rep);
+std::string to_json(const reliability::FaultReport& rep);
 std::string to_json(const reliability::RetryReport& rep);
 std::string to_json(const reliability::LaneReport& rep);
 
@@ -85,7 +85,7 @@ struct RunSummary {
   std::uint64_t sca_collisions = 0;
 
   bool has_reliability = false;
-  FaultReport fault;
+  reliability::FaultReport fault;
   reliability::RetryReport retry;
   reliability::LaneReport lanes;
   double reliability_overhead_ns = 0.0;

@@ -75,14 +75,12 @@ bool parse_heartbeat_line(const std::string& line, Heartbeat* out) {
 HeartbeatEmitter::HeartbeatEmitter(SocketWorkerLink* link, std::size_t shard,
                                    double interval_ms)
     : link_(link), shard_(shard), interval_ms_(interval_ms) {
-  if (link_ != nullptr && interval_ms_ > 0.0) {
+  if (interval_ms_ > 0.0) {
     timer_ = std::thread([this] { timer_loop(); });
   }
 }
 
-HeartbeatEmitter::~HeartbeatEmitter() { stop(); }
-
-void HeartbeatEmitter::stop() {
+HeartbeatEmitter::~HeartbeatEmitter() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
@@ -116,7 +114,7 @@ void HeartbeatEmitter::timer_loop() {
 }
 
 void HeartbeatEmitter::emit_locked(Heartbeat::Kind kind) {
-  if (link_ == nullptr || link_dead_) return;
+  if (link_dead_) return;
   Heartbeat hb;
   hb.shard = shard_;
   hb.kind = kind;

@@ -60,10 +60,10 @@ bool parse_heartbeat_line(const std::string& line, Heartbeat* out);
 /// epoch, which stops the timer — no point beating into the void. The
 /// timer tick doubles as the link's I/O pump, so acks drain and
 /// reconnects progress even while the sweep thread computes one long
-/// point. With a null link every write is a no-op (tests).
+/// point.
 class HeartbeatEmitter final : public driver::PointObserver {
  public:
-  /// Does not own `link` (which may be nullptr: heartbeats disabled).
+  /// Does not own `link`.
   HeartbeatEmitter(SocketWorkerLink* link, std::size_t shard,
                    double interval_ms);
   ~HeartbeatEmitter() override;
@@ -72,10 +72,6 @@ class HeartbeatEmitter final : public driver::PointObserver {
 
   void on_point_start(std::size_t index) override;
   void on_point_done(std::size_t index, driver::PointStatus status) override;
-
-  /// Stop the timer thread (idempotent). Exposed so the wedge-injection
-  /// test hook can silence a worker the way a real deadlock would.
-  void stop();
 
  private:
   void timer_loop();

@@ -46,11 +46,13 @@ MergedJournal JournalMerger::take() && {
 
 MergedJournal merge_journals(const std::vector<driver::RunPoint>& points,
                              const std::string& workload,
-                             std::vector<std::string> paths) {
+                             std::vector<std::string> paths,
+                             const JournalReader& read) {
   std::sort(paths.begin(), paths.end());
   JournalMerger merger(points.size());
   for (const auto& path : paths) {
-    for (auto& entry : driver::read_sweep_journal(path, points, workload)) {
+    for (auto& entry :
+         driver::admit_sweep_journal(read(path), path, points, workload)) {
       merger.offer(std::move(entry.rec));
     }
   }

@@ -20,9 +20,11 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "psync/common/journal.hpp"
 #include "psync/driver/campaign.hpp"
 #include "psync/driver/experiment.hpp"
 #include "psync/driver/workload.hpp"
@@ -64,6 +66,11 @@ class JournalMerger {
   /// Agreeing duplicates tolerated.
   [[nodiscard]] std::size_t duplicates() const { return merged_.duplicates; }
 
+  /// A record for grid index `index` (inside the grid) was offered.
+  [[nodiscard]] bool has(std::size_t index) const {
+    return merged_.present[index] != 0;
+  }
+
   /// The merged set, with `missing` filled in; the merger is spent.
   MergedJournal take() &&;
 
@@ -71,16 +78,23 @@ class JournalMerger {
   MergedJournal merged_;
 };
 
+/// Reads the complete lines of the journal at a path (a missing journal
+/// reads as empty).
+using JournalReader =
+    std::function<std::vector<std::string>(const std::string& path)>;
+
 /// Merge the journals at `paths` against the expanded grid `points` of a
 /// `workload` sweep: the paths in sorted order (so "first record wins" is
-/// a deterministic rule rather than an accident of supervisor scheduling),
-/// each line read and admitted by driver::read_sweep_journal, replayed
-/// through one JournalMerger. Typed errors: JournalCorruptError for an
-/// unparseable non-tail line, JournalConflictError for a record of
-/// another sweep or a disagreeing duplicate. Missing files read as empty
-/// (a worker may die before its first append).
+/// a deterministic rule rather than an accident of leader scheduling),
+/// each read by `read` and admitted by driver::admit_sweep_journal,
+/// replayed through one JournalMerger. Typed
+/// errors: JournalCorruptError for an unparseable non-tail line,
+/// JournalConflictError for a record of another sweep or a disagreeing
+/// duplicate. Missing files read as empty (a worker may die before its
+/// first append).
 MergedJournal merge_journals(const std::vector<driver::RunPoint>& points,
                              const std::string& workload,
-                             std::vector<std::string> paths);
+                             std::vector<std::string> paths,
+                             const JournalReader& read = read_journal_lines);
 
 }  // namespace psync::dist

@@ -80,11 +80,6 @@ bool SocketWorkerLink::fenced() const {
   return fenced_;
 }
 
-std::size_t SocketWorkerLink::unacked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unacked_.size();
-}
-
 bool SocketWorkerLink::flush(double timeout_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -140,7 +135,7 @@ void SocketWorkerLink::pump_locked(double now) {
   // Release chaos-delayed frames whose hold expired.
   for (const Frame& frame : chaos_.due(now)) {
     if (fd_ < 0) break;
-    raw_send_locked(encode_frame(frame), now);
+    send_locked(frame, now);
   }
 }
 
@@ -154,25 +149,26 @@ bool SocketWorkerLink::ensure_connected_locked(double now) {
     next_connect_ms_ = now + backoff_.next_ms();
     return false;
   }
+  // Nonblocking from here on: the handshake waits in poll, then the pump
+  // drains acks.
+  const int fl = ::fcntl(fd, F_GETFL);
+  ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
+  decoder_.reset();
+  const auto give_up = [&] {
+    ::close(fd);
+    decoder_.reset();
+    next_connect_ms_ = now + backoff_.next_ms();
+    return false;
+  };
   // Handshake, in the clear (chaos applies to post-handshake frames only:
   // a HELLO that never arrives is indistinguishable from the connect
   // failing, which the partition injection already covers).
   const HelloClaim claim{opts_.shard, opts_.epoch};
-  const std::string hello =
-      encode_frame({FrameKind::kHello, hello_payload(claim)});
-  std::size_t off = 0;
-  while (off < hello.size()) {
-    const ssize_t n = ::write(fd, hello.data() + off, hello.size() - off);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      next_connect_ms_ = now + backoff_.next_ms();
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
+  if (!send_frame(fd, {FrameKind::kHello, hello_payload(claim)},
+                  /*keep_waiting=*/true)) {
+    return give_up();
   }
   // Wait (bounded) for the ack.
-  decoder_.reset();
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -180,48 +176,23 @@ bool SocketWorkerLink::ensure_connected_locked(double now) {
               opts_.handshake_timeout_ms));
   Frame ack;
   for (;;) {
-    FrameDecoder::Result r = decoder_.next(&ack);
+    const FrameDecoder::Result r = decoder_.next(&ack);
     if (r == FrameDecoder::Result::kFrame) break;
     if (r == FrameDecoder::Result::kCorrupt ||
         std::chrono::steady_clock::now() >= deadline) {
-      ::close(fd);
-      decoder_.reset();
-      next_connect_ms_ = now + backoff_.next_ms();
-      return false;
+      return give_up();
     }
     pollfd pfd{fd, POLLIN, 0};
-    const int pn = ::poll(&pfd, 1, 50);
-    if (pn < 0 && errno != EINTR) {
-      ::close(fd);
-      next_connect_ms_ = now + backoff_.next_ms();
-      return false;
-    }
-    if (pn <= 0) continue;
-    char buf[1024];
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      next_connect_ms_ = now + backoff_.next_ms();
-      return false;
-    }
-    decoder_.feed(buf, static_cast<std::size_t>(n));
+    if (::poll(&pfd, 1, 50) < 0 && errno != EINTR) return give_up();
+    if (!read_frames(fd, &decoder_)) return give_up();
   }
-  if (ack.kind != FrameKind::kHelloAck) {
-    ::close(fd);
-    decoder_.reset();
-    next_connect_ms_ = now + backoff_.next_ms();
-    return false;
-  }
+  if (ack.kind != FrameKind::kHelloAck) return give_up();
   if (hello_ack_fenced(ack.payload)) {
     ::close(fd);
     decoder_.reset();
     fence_locked();
     return false;
   }
-  // Accepted. Nonblocking from here on; the pump drains acks.
-  const int fl = ::fcntl(fd, F_GETFL);
-  ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
   fd_ = fd;
   backoff_.reset();
   next_connect_ms_ = 0.0;
@@ -238,15 +209,7 @@ bool SocketWorkerLink::ensure_connected_locked(double now) {
 
 void SocketWorkerLink::drain_locked(double now) {
   if (fd_ < 0) return;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd_, buf, sizeof(buf));
-    if (n > 0) {
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+  if (!read_frames(fd_, &decoder_)) {
     disconnect_locked(now);  // EOF or a hard error
     return;
   }
@@ -283,32 +246,17 @@ void SocketWorkerLink::drain_locked(double now) {
 void SocketWorkerLink::transmit_locked(const Frame& frame, double now) {
   for (const Frame& out : chaos_.offer(frame, now)) {
     if (fd_ < 0) break;
-    raw_send_locked(encode_frame(out), now);
+    send_locked(out, now);
   }
   if (chaos_.take_partition(now) && fd_ >= 0) {
     disconnect_locked(now);
   }
 }
 
-void SocketWorkerLink::raw_send_locked(const std::string& wire, double now) {
-  std::size_t off = 0;
-  while (off < wire.size()) {
-    const ssize_t n =
-        ::send(fd_, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // The kernel buffer is full (tiny frames, so this is rare). A short
-      // blocking wait beats dropping the frame on the floor.
-      pollfd pfd{fd_, POLLOUT, 0};
-      (void)::poll(&pfd, 1, 100);
-      continue;
-    }
-    if (n < 0) {
-      disconnect_locked(now);
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
+void SocketWorkerLink::send_locked(const Frame& frame, double now) {
+  // A full kernel buffer (tiny frames, so this is rare) is waited out:
+  // blocking briefly beats dropping the frame on the floor.
+  if (!send_frame(fd_, frame, /*keep_waiting=*/true)) disconnect_locked(now);
 }
 
 void SocketWorkerLink::disconnect_locked(double now) {
@@ -323,26 +271,6 @@ void SocketWorkerLink::disconnect_locked(double now) {
 void SocketWorkerLink::fence_locked() {
   fenced_ = true;
   if (on_fenced_ != nullptr) on_fenced_->cancel();
-}
-
-// --- EpochLedger -------------------------------------------------------
-
-std::uint64_t EpochLedger::issue(std::size_t shard) {
-  const std::uint64_t epoch = next_++;
-  active_[epoch] = shard;
-  return epoch;
-}
-
-void EpochLedger::revoke(std::uint64_t epoch) { active_.erase(epoch); }
-
-bool EpochLedger::valid(std::uint64_t epoch) const {
-  return active_.count(epoch) != 0;
-}
-
-std::size_t EpochLedger::shard_of(std::uint64_t epoch) const {
-  const auto it = active_.find(epoch);
-  PSYNC_CHECK(it != active_.end());
-  return it->second;
 }
 
 // --- TCP plumbing ------------------------------------------------------
@@ -444,6 +372,40 @@ int tcp_accept(int listen_fd) {
   ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
   set_nodelay(fd);
   return fd;
+}
+
+bool read_frames(int fd, FrameDecoder* decoder) {
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      decoder->feed(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+}
+
+bool send_frame(int fd, const Frame& frame, bool keep_waiting) {
+  const std::string wire = encode_frame(frame);
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    const ssize_t n =
+        ::send(fd, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      pollfd pfd{fd, POLLOUT, 0};
+      if (::poll(&pfd, 1, 100) <= 0 && !keep_waiting) return false;
+      continue;
+    }
+    return false;
+  }
+  return true;
 }
 
 bool parse_host_port(const std::string& s, std::string* host,

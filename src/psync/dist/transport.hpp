@@ -27,9 +27,7 @@
 //   * ChaosTransport (chaos.hpp) decorates the outbound frame path for
 //     deterministic fault injection in tests and the dist smoke.
 //
-// Leader-side state (who owns which epoch) is EpochLedger, kept here so
-// the fencing decision is a pure, unit-testable object instead of
-// supervisor plumbing.
+// Leader-side state (who owns which epoch) is EpochLedger (leader.hpp).
 #pragma once
 
 #include <chrono>
@@ -86,8 +84,6 @@ class SocketWorkerLink {
   void send_journal(std::size_t index, const std::string& line);
   /// Permanently dead because the leader refused this worker's epoch.
   [[nodiscard]] bool fenced() const;
-  /// Journal records shipped but not yet acked durable by the leader.
-  [[nodiscard]] std::size_t unacked() const;
   /// Block until every queued journal record is acked or `timeout_ms`
   /// passes, pumping I/O and waking as soon as an ack arrives. True when
   /// the queue drained.
@@ -105,7 +101,7 @@ class SocketWorkerLink {
   bool ensure_connected_locked(double now);
   void drain_locked(double now);
   void transmit_locked(const Frame& frame, double now);
-  void raw_send_locked(const std::string& wire, double now);
+  void send_locked(const Frame& frame, double now);
   void disconnect_locked(double now);
   void fence_locked();
 
@@ -126,27 +122,6 @@ class SocketWorkerLink {
   std::map<std::size_t, Pending> unacked_;
 };
 
-/// Leader-side lease ledger: which (shard, epoch) claims are currently
-/// valid. One epoch is issued per launch and revoked when the launch's
-/// seat moves on (exit handled, shard stolen, connection-loss relaunch);
-/// a HELLO claiming a revoked epoch is fenced.
-class EpochLedger {
- public:
-  /// Mint the epoch for a new launch of `shard`. Epochs are unique across
-  /// the ledger's lifetime and never reused.
-  std::uint64_t issue(std::size_t shard);
-  /// The launch is over; any future claim of this epoch is a zombie.
-  void revoke(std::uint64_t epoch);
-  [[nodiscard]] bool valid(std::uint64_t epoch) const;
-  /// The shard an active epoch was issued for (epoch must be valid()).
-  [[nodiscard]] std::size_t shard_of(std::uint64_t epoch) const;
-  [[nodiscard]] std::size_t active() const { return active_.size(); }
-
- private:
-  std::uint64_t next_ = 1;
-  std::map<std::uint64_t, std::size_t> active_;
-};
-
 // --- TCP plumbing ------------------------------------------------------
 
 /// Bind + listen on host:port (port 0 = ephemeral; the chosen port comes
@@ -163,6 +138,16 @@ int tcp_connect(const std::string& host, std::uint16_t port);
 /// with TCP_NODELAY (the leader's acks are small frames a Nagle delay
 /// would hold back). Returns -1 with errno set when nothing is pending.
 int tcp_accept(int listen_fd);
+
+/// Read everything available on the nonblocking connection `fd` into
+/// `decoder`. Returns false once the peer closed it or a read failed.
+bool read_frames(int fd, FrameDecoder* decoder);
+
+/// Send one whole frame on `fd`. When the socket buffer is full it waits
+/// up to 100 ms for room; if that wait times out, `keep_waiting` waits
+/// again and otherwise the send gives up. Returns false on giving up or a
+/// hard error — the caller treats the connection as dropped.
+bool send_frame(int fd, const Frame& frame, bool keep_waiting);
 
 /// Parse "host:port" or bare "port" (host defaults to 127.0.0.1).
 bool parse_host_port(const std::string& s, std::string* host,

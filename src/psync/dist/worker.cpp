@@ -1,15 +1,12 @@
 #include "psync/dist/worker.hpp"
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <exception>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "psync/common/check.hpp"
@@ -45,40 +42,6 @@ void install_worker_signals() {
   std::signal(SIGPIPE, SIG_IGN);
 }
 
-// Observer layered over the heartbeat emitter that applies the
-// fault-injection hooks. The crash fires *after* the start heartbeat goes
-// out, so the leader's liveness bookkeeping has seen the in-flight index —
-// exactly what a real mid-point crash looks like on the wire.
-class FaultHookObserver final : public driver::PointObserver {
- public:
-  FaultHookObserver(HeartbeatEmitter* emitter, const WorkerConfig& cfg)
-      : emitter_(emitter), cfg_(cfg) {}
-
-  void on_point_start(std::size_t index) override {
-    emitter_->on_point_start(index);
-    const auto idx = static_cast<std::int64_t>(index);
-    if (cfg_.crash_on_index == idx) {
-      // Simulated hard crash: no unwinding, no journal line, no exit
-      // handlers — indistinguishable from SIGKILL for the supervisor.
-      ::_exit(kWorkerExitInjectedCrash);
-    }
-    if (cfg_.stall_on_index == idx) {
-      // Simulated wedge: silence the timer thread, then hang. The leader
-      // must notice the quiet channel and SIGKILL us.
-      emitter_->stop();
-      for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
-    }
-  }
-
-  void on_point_done(std::size_t index, driver::PointStatus status) override {
-    emitter_->on_point_done(index, status);
-  }
-
- private:
-  HeartbeatEmitter* const emitter_;
-  const WorkerConfig& cfg_;
-};
-
 /// Stream every completed point's journal line to the leader as the
 /// campaign produces events. The event log is the bridge —
 /// Session::execute publishes each record in completion order, so the
@@ -107,16 +70,7 @@ void ship_journal_stream(driver::CampaignHandle& handle,
 /// treats an incomplete journal as undone work and re-runs it — this just
 /// avoids that re-run in the common case of a transient disconnect.
 void flush_unacked(SocketWorkerLink* link, double heartbeat_ms) {
-  const double budget_ms =
-      std::max(2000.0, heartbeat_ms > 0.0 ? 100.0 * heartbeat_ms : 0.0);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(budget_ms));
-  while (link->unacked() > 0 && !link->fenced() &&
-         std::chrono::steady_clock::now() < deadline) {
-    (void)link->flush(50.0);
-  }
+  (void)link->flush(std::max(2000.0, 100.0 * heartbeat_ms));
 }
 
 }  // namespace
@@ -147,7 +101,6 @@ int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg) {
     link = std::make_unique<SocketWorkerLink>(lopts, &g_worker_cancel);
 
     HeartbeatEmitter emitter(link.get(), cfg.shard, cfg.heartbeat_ms);
-    FaultHookObserver observer(&emitter, cfg);
 
     spec.shard_begin = cfg.range.begin;
     spec.shard_end = cfg.range.end;
@@ -158,7 +111,7 @@ int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg) {
     spec.resume = false;
     spec.quarantine_indices = cfg.quarantine;
     spec.cancel = &g_worker_cancel;
-    spec.observer = &observer;
+    spec.observer = &emitter;
 
     // Submit through the Session API and join: the serial run's execution
     // path, with the validate/freeze phase up front.

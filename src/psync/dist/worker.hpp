@@ -29,9 +29,6 @@ inline constexpr int kWorkerExitCancelled = 4;  // graceful SIGTERM/SIGINT
 /// away while this worker was partitioned). Not a crash — the
 /// zombie found out it is one and stood down; its seat moved on long ago.
 inline constexpr int kWorkerExitFenced = 5;
-/// _exit code of the crash-injection hook below; outside the documented
-/// 0-5 band so it always lands in the supervisor's crash path.
-inline constexpr int kWorkerExitInjectedCrash = 86;
 
 struct WorkerConfig {
   /// Shard id (stable across restarts; steal chunks get fresh ids).
@@ -58,14 +55,6 @@ struct WorkerConfig {
   /// --chaos-* flags, as the dist smoke runs them, and tests); seed 0 =
   /// clean link.
   ChaosOptions chaos;
-
-  // --- fault-injection hooks (tests only; no flag sets them) -------------
-  /// _exit(kWorkerExitInjectedCrash) when this grid index starts (< 0 off).
-  std::int64_t crash_on_index = -1;
-  /// Silence heartbeats and hang forever when this grid index starts
-  /// (< 0 off) — a synthetic deadlock the leader must detect by liveness
-  /// timeout and answer with SIGKILL.
-  std::int64_t stall_on_index = -1;
 };
 
 /// Run one shard worker to completion in this process. Installs

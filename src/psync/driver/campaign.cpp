@@ -367,23 +367,24 @@ void admit_journal_entry(const JournalEntry& entry,
       " point(s) (" + differs + " differs); refusing to mix campaigns");
 }
 
-std::vector<JournalEntry> read_journal(const std::string& path) {
+std::vector<JournalEntry> parse_journal(const std::vector<std::string>& lines,
+                                        const std::string& source) {
   std::vector<JournalEntry> entries;
-  for (const auto& line : read_journal_lines(path)) {
+  for (const auto& line : lines) {
     if (!parse_journal_line(line, &entries.emplace_back())) {
-      throw JournalCorruptError(path + ":" + std::to_string(entries.size()) +
+      throw JournalCorruptError(source + ":" + std::to_string(entries.size()) +
                                 ": corrupt journal line");
     }
   }
   return entries;
 }
 
-std::vector<JournalEntry> read_sweep_journal(
-    const std::string& path, const std::vector<RunPoint>& points,
-    const std::string& workload) {
-  std::vector<JournalEntry> entries = read_journal(path);
+std::vector<JournalEntry> admit_sweep_journal(
+    const std::vector<std::string>& lines, const std::string& source,
+    const std::vector<RunPoint>& points, const std::string& workload) {
+  std::vector<JournalEntry> entries = parse_journal(lines, source);
   for (const auto& entry : entries) {
-    admit_journal_entry(entry, points, workload, path);
+    admit_journal_entry(entry, points, workload, source);
   }
   return entries;
 }

@@ -165,16 +165,16 @@ void admit_journal_entry(const JournalEntry& entry,
                          const std::string& workload,
                          const std::string& source);
 
-/// Every record of the journal at `path`, in file order. A torn final line
-/// is dropped (read_journal_lines); any other unparseable line is a
-/// JournalCorruptError naming it as `path:line`. A missing file reads as
-/// empty. The one journal-reading rule of resume, the shard merge and the
-/// serve result cache.
-std::vector<JournalEntry> read_journal(const std::string& path);
+/// Every record of `lines`, the complete lines (read_journal_lines) of the
+/// journal `source`, in order; an unparseable line is a
+/// JournalCorruptError naming it as `source:line`. The one journal-reading
+/// rule of resume, the shard merge and the serve result cache.
+std::vector<JournalEntry> parse_journal(const std::vector<std::string>& lines,
+                                        const std::string& source);
 
-/// read_journal, with each record admitted by admit_journal_entry.
-std::vector<JournalEntry> read_sweep_journal(
-    const std::string& path, const std::vector<RunPoint>& points,
-    const std::string& workload);
+/// parse_journal, with each record then admitted by admit_journal_entry.
+std::vector<JournalEntry> admit_sweep_journal(
+    const std::vector<std::string>& lines, const std::string& source,
+    const std::vector<RunPoint>& points, const std::string& workload);
 
 }  // namespace psync::driver

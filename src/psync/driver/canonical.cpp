@@ -90,7 +90,7 @@ std::ostream& operator<<(std::ostream& os,
             << ",\"max_launch_dbm\":" << Num{p.max_launch_dbm.value()} << '}';
 }
 
-std::ostream& operator<<(std::ostream& os, const core::FaultModel& f) {
+std::ostream& operator<<(std::ostream& os, const reliability::FaultModel& f) {
   os << "{\"dead_wavelengths\":[";
   for (std::size_t i = 0; i < f.dead_wavelengths.size(); ++i) {
     if (i > 0) os << ',';

@@ -112,7 +112,7 @@ const std::vector<ConfigKey> kKeys = {
      [](const Target& t, const std::string& v) {
        // Only the base BER moves; lanes, seed and profile stay.
        t.machine->fault.random_ber =
-           core::FaultModel::from_margin_db(parse_double(v).value()).random_ber;
+           reliability::FaultModel::from_margin_db(parse_double(v).value()).random_ber;
      },
      nullptr, true, nullptr, "sets random_ber; the BER saturates outside"},
     {"fault", "random_ber", kDouble, {0, 1}, nullptr,

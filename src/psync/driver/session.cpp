@@ -257,7 +257,8 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   if (spec.resume) {
     PSYNC_CHECK(!spec.journal_path.empty());  // rejected by freeze()
     for (auto& entry :
-         read_sweep_journal(spec.journal_path, points, spec.workload)) {
+         admit_sweep_journal(read_journal_lines(spec.journal_path),
+                             spec.journal_path, points, spec.workload)) {
       const std::size_t idx = entry.rec.index;
       const bool fresh = done[idx] == 0 && idx >= begin && idx < end;
       if (fresh) {

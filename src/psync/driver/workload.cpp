@@ -100,7 +100,7 @@ core::PsyncRunReport clean_baseline(
     const RunPoint& pt, const std::vector<std::complex<double>>& input,
     core::Scratch& scratch) {
   auto clean = pt.machine;
-  clean.fault = core::FaultModel{};
+  clean.fault = reliability::FaultModel{};
   clean.reliability.policy = reliability::ReliabilityPolicy::kOff;
   core::PsyncMachine refm(clean, scratch);
   refm.set_cancel(pt.cancel);

@@ -21,7 +21,7 @@ bool matches_any(const std::string& path,
 constexpr std::array<const char*, 7> kClockAllow = {
     "src/psync/perf/",             // stopwatch/bench timing is the point
     "src/psync/common/cancel.hpp", // watchdog deadline, never serialized
-    "src/psync/dist/supervisor",   // heartbeat deadlines, restart backoff
+    "src/psync/dist/supervisor",   // the leader's real clock
     "src/psync/dist/worker",       // lease/heartbeat pacing
     "src/psync/dist/heartbeat",    // liveness bookkeeping
     "src/psync/dist/transport",    // socket connect/read deadlines
@@ -63,6 +63,10 @@ bool Policy::order_sensitive(const std::string& rel_path) const {
 
 bool Policy::assert_sensitive(const std::string& rel_path) const {
   return matches_any(rel_path, kAssertSensitive);
+}
+
+bool Policy::sans_io(const std::string& rel_path) const {
+  return starts_with(rel_path, "src/psync/dist/leader");
 }
 
 bool Policy::layering_scope(const std::string& rel_path) const {

@@ -24,7 +24,9 @@ struct Policy {
   [[nodiscard]] bool determinism_scope(const std::string& rel_path) const;
 
   /// Wall-clock allowlist: perf/ (that is its job), dist/ supervision
-  /// (heartbeat deadlines, reconnect backoff), serve/ socket timeouts,
+  /// (the leader's POSIX side, worker heartbeats and reconnect backoff;
+  /// the leader's policy in dist/leader* is not on it), serve/ socket
+  /// timeouts,
   /// and the watchdog deadline in common/cancel.hpp. None of these feed
   /// simulation results.
   [[nodiscard]] bool clock_allowed(const std::string& rel_path) const;
@@ -37,6 +39,11 @@ struct Policy {
   /// Durability paths where an assert() side effect would vanish under
   /// NDEBUG: the journal, everything dist/, everything serve/.
   [[nodiscard]] bool assert_sensitive(const std::string& rel_path) const;
+
+  /// Sans-I/O files: the sweep leader's policy (dist/leader*), which
+  /// reaches sockets, processes, files and time only through its seam. No
+  /// POSIX, socket, process, clock or thread header may be included.
+  [[nodiscard]] bool sans_io(const std::string& rel_path) const;
 
   /// Layering rules apply to the library only.
   [[nodiscard]] bool layering_scope(const std::string& rel_path) const;

@@ -36,6 +36,11 @@ const std::vector<RuleInfo> kCatalog = {
     {"layer-relative-include",
      "quoted include in src/psync that does not start with \"psync/\"",
      "use the full \"psync/<module>/<header>\" path so layering is checkable"},
+    {"sans-io-include",
+     "POSIX, socket, process, clock or thread header in a sans-I/O file "
+     "(src/psync/dist/leader*)",
+     "reach the outside world through the LeaderIo seam; the POSIX side "
+     "lives in dist/supervisor.cpp"},
     {"hyg-pragma-once",
      "header without #pragma once",
      "add #pragma once as the first directive"},
@@ -244,27 +249,28 @@ void check_unordered(const FileContext& ctx, const CodeView& code,
 
 // ------------------------------------------------------------- layering
 
-/// The target of a quoted #include directive; "" for any other token,
-/// directive or <system> include.
-std::string quoted_include(const Token& t) {
+/// The target of an #include directive delimited by `open`/`close` ('"'
+/// for a quoted include, '<' '>' for a system one); "" for any other
+/// token, directive or include form.
+std::string include_target(const Token& t, char open, char close) {
   if (t.kind != TokKind::kDirective) return "";
   const std::string& body = t.text;
   const std::size_t p = body.find_first_not_of(" \t");
   if (p == std::string::npos || body.compare(p, 7, "include") != 0) {
     return "";
   }
-  const std::size_t open = body.find('"', p);
-  if (open == std::string::npos) return "";
-  const std::size_t close = body.find('"', open + 1);
-  if (close == std::string::npos) return "";
-  return body.substr(open + 1, close - open - 1);
+  const std::size_t from = body.find_first_not_of(" \t", p + 7);
+  if (from == std::string::npos || body[from] != open) return "";
+  const std::size_t to = body.find(close, from + 1);
+  if (to == std::string::npos) return "";
+  return body.substr(from + 1, to - from - 1);
 }
 
 void check_layering(const FileContext& ctx, const LayerGraph& layers,
                     std::vector<Finding>* out) {
   const std::string from = module_of(ctx.rel_path);
   for (const Token& t : ctx.tokens) {
-    const std::string target = quoted_include(t);
+    const std::string target = include_target(t, '"', '"');
     if (target.empty()) continue;
     if (target.rfind("psync/", 0) != 0) {
       emit(ctx, "layer-relative-include", t.line,
@@ -288,6 +294,26 @@ void check_layering(const FileContext& ctx, const LayerGraph& layers,
            "'" + from + "' must not include '" + to + "' (\"" + target +
                "\")",
            out);
+    }
+  }
+}
+
+// --------------------------------------------------------------- sans-io
+
+bool io_header(const std::string& h) {
+  static const std::set<std::string> kHeaders = {
+      "unistd.h", "poll.h", "signal.h", "csignal", "fcntl.h",
+      "netdb.h",  "chrono", "thread"};
+  return kHeaders.count(h) != 0 || h.rfind("sys/", 0) == 0 ||
+         h.rfind("netinet/", 0) == 0 || h.rfind("arpa/", 0) == 0;
+}
+
+void check_sans_io(const FileContext& ctx, std::vector<Finding>* out) {
+  for (const Token& t : ctx.tokens) {
+    const std::string header = include_target(t, '<', '>');
+    if (io_header(header)) {
+      emit(ctx, "sans-io-include", t.line,
+           "<" + header + "> in a sans-I/O file", out);
     }
   }
 }
@@ -369,7 +395,7 @@ void check_dead_modules(const std::vector<FileContext>& files,
   for (const FileContext& f : files) {
     auto& targets = includes[f.rel_path];
     for (const Token& t : f.tokens) {
-      const std::string target = quoted_include(t);
+      const std::string target = include_target(t, '"', '"');
       if (target.rfind("psync/", 0) == 0) targets.push_back("src/" + target);
     }
   }
@@ -456,6 +482,7 @@ void run_rules(const FileContext& ctx, const Policy& policy,
   if (policy.layering_scope(ctx.rel_path)) {
     check_layering(ctx, layers, out);
   }
+  if (policy.sans_io(ctx.rel_path)) check_sans_io(ctx, out);
   if (ctx.is_header) {
     check_pragma_once(ctx, out);
     check_using_namespace(ctx, code, out);

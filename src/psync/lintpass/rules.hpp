@@ -11,7 +11,9 @@
 //                non-reproducible without any test noticing.
 //   layering     layer-violation, layer-unknown-module,
 //                layer-relative-include — the include graph must stay
-//                inside the frozen DAG in tools/lint_layers.txt.
+//                inside the frozen DAG in tools/lint_layers.txt — and
+//                sans-io-include: the sweep leader's policy includes no
+//                POSIX, socket, process, clock or thread header.
 //   hygiene      hyg-pragma-once, hyg-using-namespace,
 //                hyg-assert-side-effect — include guards, header
 //                namespace leaks, and NDEBUG-vanishing side effects on

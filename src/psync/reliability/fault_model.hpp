@@ -1,6 +1,5 @@
-// Optical fault model for PSCAN words (moved here from core/faults so the
-// reliability layer can sit below core in the link order; core/faults.hpp
-// re-exports these names and keeps the Gather/ScatterResult injectors).
+// Optical fault model for PSCAN words. It lives in the reliability layer,
+// below core in the link order, and core code names it reliability::.
 //
 // Two failure modes the physical layer exhibits:
 //   * a dead wavelength — a ring stuck off-resonance (thermal drift,

@@ -19,7 +19,7 @@ void ResultCache::open(const std::string& dir) {
   dir_ = dir;
   map_.clear();
   for (const auto& path : list_journal_files(dir)) {
-    for (auto& entry : driver::read_journal(path)) {
+    for (auto& entry : driver::parse_journal(read_journal_lines(path), path)) {
       if (entry.point_digest == 0) continue;  // pre-digest journal line
       if (entry.rec.status != driver::PointStatus::kOk) continue;
       // Later lines win (a resubmitted campaign re-journals its splice;

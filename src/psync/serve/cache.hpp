@@ -33,7 +33,7 @@ class ResultCache : public driver::PointCache {
 
   /// Attach to a cache directory (created if missing) and rebuild the
   /// index from every journal in it, read by the rule resume uses
-  /// (driver::read_journal): a torn final line is dropped, and any other
+  /// (driver::parse_journal): a torn final line is dropped, and any other
   /// line that fails to parse is a JournalCorruptError naming file and line,
   /// since resubmitting that campaign would fail on it anyway. Lines with
   /// no digest (pre-digest journals) or not kOk are skipped. Throws

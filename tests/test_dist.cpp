@@ -10,11 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -59,15 +59,36 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// Fault targets for forked workers, -1 when off. A test's LaunchHook sets
+/// them just before each fork and the child inherits them; a worker that
+/// reaches the grid index crashes or wedges there (DistTestWorkload).
+std::int64_t g_crash_at = -1;
+std::int64_t g_wedge_at = -1;
+
+/// Clears the fault targets when a test ends, so the test process's own
+/// serial runs never reach one.
+struct FaultTargets {
+  ~FaultTargets() { g_crash_at = g_wedge_at = -1; }
+};
+
 /// Cheap deterministic workload: the metric depends only on the point's
 /// seed (which depends only on the global grid index), so any correctly
 /// merged execution is byte-identical to a serial one. The t_p knob value
-/// doubles as a per-point host sleep in ms, to give the supervisor's
-/// timing machinery (stealing, liveness) something to observe.
+/// doubles as a per-point host sleep in ms, to give the leader's timing
+/// machinery (stealing, liveness) something to observe.
 class DistTestWorkload final : public driver::Workload {
  public:
   std::string name() const override { return "dist_test"; }
   RunRecord run(const RunPoint& pt, core::Scratch&) const override {
+    const auto index = static_cast<std::int64_t>(pt.index);
+    // Both faults strike after the point's start heartbeat went out, so
+    // the leader has seen the index in flight. A crash is a hard _exit —
+    // no unwinding, no journal line — the SIGKILL shape; its status 86 is
+    // outside the worker's documented exit codes. A wedge stops the whole
+    // process, heartbeat thread included, so only the liveness timeout
+    // can catch it.
+    if (index == g_crash_at) ::_exit(86);
+    if (index == g_wedge_at) ::raise(SIGSTOP);
     double tp = 0.0;
     for (const auto& [knob, value] : pt.knobs) {
       if (knob == "t_p") tp = value;
@@ -533,10 +554,11 @@ TEST(Distributed, CrashedWorkerIsRestartedAndOutputIsIdentical) {
   const std::string base = fresh_base("crash");
   // First launch of shard 1 dies mid-shard with a hard _exit (no unwind,
   // no flush beyond the records already shipped) — the SIGKILL shape.
+  const FaultTargets reset;
   const LaunchHook hook = [](WorkerConfig& cfg) {
-    if (cfg.shard == 1 && cfg.generation == 0) {
-      cfg.crash_on_index = static_cast<std::int64_t>(cfg.range.begin + 1);
-    }
+    g_crash_at = cfg.shard == 1 && cfg.generation == 0
+                     ? static_cast<std::int64_t>(cfg.range.begin + 1)
+                     : -1;
   };
   auto opts = fast_opts(base, 3);
   // No stealing: if the other seats go idle before the crash is reaped
@@ -561,13 +583,14 @@ TEST(Distributed, WedgedWorkerIsKilledByLivenessAndOutputIsIdentical) {
   // No stealing: the idle seat would otherwise SIGTERM the wedged worker
   // for its range before the liveness timeout gets to prove itself.
   opts.steal = false;
-  // First launch of shard 0 goes silent (heartbeats stopped, thread hung)
-  // at its second point while its connection stays open — only the
-  // liveness timeout can catch this.
+  // First launch of shard 0 goes silent (the whole process stopped) at
+  // its second point while its connection stays open — only the liveness
+  // timeout can catch this.
+  const FaultTargets reset;
   const LaunchHook hook = [](WorkerConfig& cfg) {
-    if (cfg.shard == 0 && cfg.generation == 0) {
-      cfg.stall_on_index = static_cast<std::int64_t>(cfg.range.begin + 1);
-    }
+    g_wedge_at = cfg.shard == 0 && cfg.generation == 0
+                     ? static_cast<std::int64_t>(cfg.range.begin + 1)
+                     : -1;
   };
   const auto dist = run_distributed(spec, opts, hook);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
@@ -585,8 +608,9 @@ TEST(Distributed, CrashLoopingPointIsQuarantinedNotFatal) {
   auto opts = fast_opts(base, 3);
   opts.crash_quarantine_after = 2;
   // Point 4 kills its worker on every launch, forever.
+  const FaultTargets reset;
   const LaunchHook hook = [](WorkerConfig& cfg) {
-    if (cfg.range.contains(4)) cfg.crash_on_index = 4;
+    g_crash_at = cfg.range.contains(4) ? 4 : -1;
   };
   const auto dist = run_distributed(spec, opts, hook);
   ASSERT_EQ(dist.records.size(), 9u);
@@ -613,10 +637,12 @@ TEST(Distributed, ShardAbandonedAfterRestartBudgetReportsItsPointsFailed) {
   opts.steal = false;  // a steal would hand shard 0's range to a new chunk
   // Every launch of shard 0 ([0, 3) of 2 workers) dies on its first point.
   std::size_t shard0_launches = 0;
+  const FaultTargets reset;
   const LaunchHook hook = [&](WorkerConfig& cfg) {
+    g_crash_at = -1;
     if (cfg.shard != 0) return;
     ++shard0_launches;
-    cfg.crash_on_index = static_cast<std::int64_t>(cfg.range.begin);
+    g_crash_at = static_cast<std::int64_t>(cfg.range.begin);
   };
   const auto dist = run_distributed(spec, opts, hook);
 
@@ -805,11 +831,12 @@ TEST(DistributedSocket, CrashedWorkerIsRestartedAndOutputIsIdentical) {
   auto opts = advertised_opts(base, 3);
   opts.steal = false;  // the restart path specifically
   std::vector<std::string> dialed;
+  const FaultTargets reset;
   const LaunchHook hook = [&](WorkerConfig& cfg) {
     dialed.push_back(cfg.connect_host);
-    if (cfg.shard == 1 && cfg.generation == 0) {
-      cfg.crash_on_index = static_cast<std::int64_t>(cfg.range.begin + 1);
-    }
+    g_crash_at = cfg.shard == 1 && cfg.generation == 0
+                     ? static_cast<std::int64_t>(cfg.range.begin + 1)
+                     : -1;
   };
   const auto dist = run_distributed(spec, opts, hook);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
@@ -818,18 +845,6 @@ TEST(DistributedSocket, CrashedWorkerIsRestartedAndOutputIsIdentical) {
   // The relaunched worker is pointed at the advertised address too.
   EXPECT_GT(dialed.size(), 3u);
   for (const auto& host : dialed) EXPECT_EQ(host, "127.0.0.1");
-}
-
-/// Blocking write of one frame (test-side leader).
-void send_frame(int fd, const Frame& frame) {
-  const std::string wire = encode_frame(frame);
-  std::size_t off = 0;
-  while (off < wire.size()) {
-    const ssize_t n =
-        ::send(fd, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
-    ASSERT_GT(n, 0);
-    off += static_cast<std::size_t>(n);
-  }
 }
 
 TEST(Distributed, WorkerEntryPointCompletesAShardInProcess) {
@@ -860,13 +875,17 @@ TEST(Distributed, WorkerEntryPointCompletesAShardInProcess) {
       while (decoder.next(&frame) == FrameDecoder::Result::kFrame) {
         if (frame.kind == FrameKind::kHello) {
           EXPECT_TRUE(parse_hello_payload(frame.payload, &claim));
-          send_frame(fd, {FrameKind::kHelloAck, kHelloAckOk});
+          ASSERT_TRUE(send_frame(fd, {FrameKind::kHelloAck, kHelloAckOk},
+                                 /*keep_waiting=*/true));
         } else if (frame.kind == FrameKind::kJournal) {
           std::size_t index = 0;
           std::string line;
           ASSERT_TRUE(parse_journal_payload(frame.payload, &index, &line));
           shipped.emplace(index, line);
-          send_frame(fd, {FrameKind::kJournalAck, journal_ack_payload(index)});
+          ASSERT_TRUE(send_frame(fd,
+                                 {FrameKind::kJournalAck,
+                                  journal_ack_payload(index)},
+                                 /*keep_waiting=*/true));
         }
       }
     }

@@ -1,5 +1,3 @@
-#include "psync/core/faults.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,9 +7,14 @@
 #include "psync/core/processor.hpp"
 #include "psync/core/sca.hpp"
 #include "psync/fft/fft.hpp"
+#include "psync/reliability/fault_model.hpp"
 
 namespace psync::core {
 namespace {
+
+using reliability::FaultModel;
+using reliability::FaultReport;
+using reliability::FaultStream;
 
 // Corrupt a gather's received stream in place.
 FaultReport inject_faults(const FaultModel& fault, GatherResult* result) {

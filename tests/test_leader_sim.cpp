@@ -1,0 +1,909 @@
+// Deterministic simulation of the sweep leader. LeaderCore (dist/leader.hpp)
+// runs against a seeded simulator instead of sockets, fork and files: the
+// simulator implements LeaderIo with in-memory journals, simulated links
+// and small simulated workers (hello, heartbeats, journal frames built from
+// one serial run, exit), all on a simulated millisecond clock whose events
+// sit in a CalendarQueue. A link works like a netsim channel: a frame put
+// at `now` is delivered at `now + delay`, and nothing is delivered before
+// the clock reaches it.
+//
+// Each seed draws one failure schedule — crashes, crash-looping points,
+// wedges, partitions (short ones reconnect, long ones are fenced when the
+// zombie comes back), slow shards that get stolen from, dropped, duplicated
+// and reordered journal frames and acks, cancellation, and a journal base
+// an "earlier run" left behind — and every schedule must:
+//   * end;
+//   * render JSON and CSV byte-identical to the serial run, except that a
+//     point may read failed/worker_crash only when its shard used up the
+//     restart budget, and quarantined only after crash_quarantine_after
+//     crashes of workers that had it in flight (see count_crash);
+//   * when cancelled, throw CancelledError instead;
+//   * ack only records already in one of the shard's journals;
+//   * never append one grid index twice to one journal;
+//   * never append a record of a worker whose lease epoch was revoked;
+//   * report as resumed exactly the grid indices the reused base held.
+//
+// A failure names its seed and prints the tail of its event trace. To
+// replay one schedule alone, set kReplaySeed to it and run
+// --gtest_filter='Seeds/LeaderSim*'.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "psync/common/calendar_queue.hpp"
+#include "psync/common/check.hpp"
+#include "psync/common/rng.hpp"
+#include "psync/dist/frame.hpp"
+#include "psync/dist/heartbeat.hpp"
+#include "psync/dist/leader.hpp"
+#include "psync/dist/shard.hpp"
+#include "psync/driver/campaign.hpp"
+#include "psync/driver/runner.hpp"
+#include "psync/driver/session.hpp"
+#include "psync/driver/workload.hpp"
+
+namespace psync::dist {
+namespace {
+
+using driver::ExperimentSpec;
+using driver::PointStatus;
+using driver::RunRecord;
+
+/// Nonzero: run only this seed (in whichever block holds it).
+constexpr std::uint64_t kReplaySeed = 0;
+constexpr std::uint64_t kSeedsPerBlock = 500;
+constexpr std::uint64_t kBlocks = 8;
+
+constexpr double kHeartbeatMs = 10.0;
+constexpr std::int64_t kResendMs = 250;   // SocketLinkOptions::resend_ms
+constexpr std::int64_t kFlushMs = 2000;   // the worker's post-run flush budget
+constexpr const char* kBase = "sim";
+
+class SimWorkload final : public driver::Workload {
+ public:
+  std::string name() const override { return "leader_sim"; }
+  RunRecord run(const driver::RunPoint& pt, core::Scratch&) const override {
+    RunRecord rec;
+    rec.metrics.push_back(
+        {"val", static_cast<double>(pt.seed % 1000003ULL) / 997.0, -1});
+    return rec;
+  }
+};
+
+/// The serial run of an n-point grid, plus each index's record and journal
+/// line as a clean point and as a quarantined one.
+struct Truth {
+  ExperimentSpec spec;
+  std::vector<driver::RunPoint> points;
+  driver::SweepResult serial;
+  std::vector<std::string> ok_line;
+  std::vector<RunRecord> quarantined;
+  std::vector<std::string> quarantined_line;
+};
+
+const Truth& truth(std::size_t n) {
+  static std::map<std::size_t, std::unique_ptr<Truth>> cache;
+  auto& slot = cache[n];
+  if (slot) return *slot;
+  driver::register_workload(std::make_unique<SimWorkload>());
+  slot = std::make_unique<Truth>();
+  Truth& t = *slot;
+  std::vector<double> values;
+  for (std::size_t i = 0; i < n; ++i) values.push_back(static_cast<double>(i));
+  t.spec.workload = "leader_sim";
+  t.spec.axes.push_back({"t_p", values});
+  t.spec.threads = 1;
+  t.spec.guard.max_retries = 0;
+  t.points = driver::SweepEngine::expand(t.spec);
+  t.serial = driver::Session().run(t.spec);
+  auto all_quarantined = t.spec;
+  for (std::size_t i = 0; i < n; ++i) {
+    all_quarantined.quarantine_indices.push_back(i);
+  }
+  t.quarantined = driver::Session().run(all_quarantined).records;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.ok_line.push_back(driver::journal_line(
+        t.serial.records[i], t.points[i].seed, t.points[i].digest));
+    t.quarantined_line.push_back(driver::journal_line(
+        t.quarantined[i], t.points[i].seed, t.points[i].digest));
+  }
+  return t;
+}
+
+/// What one seed throws at the leader.
+struct Schedule {
+  std::size_t points = 0;
+  SupervisorOptions opts;
+  std::int64_t poison = -1;       // crashes every worker that runs it
+  double crash_p = 0.0;           // per launch: crash at a random point
+  double wedge_p = 0.0;           // per launch: stop at a random point
+  double partition_p = 0.0;       // per launch: link down for a while
+  double drop = 0.0, duplicate = 0.0, reorder = 0.0;  // journal and ack frames
+  std::int64_t slow_shard = -1;   // this shard's points take 30-60 ms
+  std::int64_t cancel_at = -1;
+  bool reuse_base = false;
+};
+
+Schedule draw_schedule(Rng& rng) {
+  auto pick = [&](std::initializer_list<double> options) {
+    const auto k = static_cast<std::size_t>(rng.next_u64() % options.size());
+    return *(options.begin() + k);
+  };
+  Schedule s;
+  s.points = 1 + rng.next_u64() % 16;
+  s.opts.workers = 1 + rng.next_u64() % 4;
+  s.opts.journal_base = kBase;
+  s.opts.heartbeat_ms = kHeartbeatMs;
+  s.opts.liveness_factor = pick({6.0, 10.0, 15.0});
+  s.opts.restart_backoff_ms = pick({1.0, 5.0, 20.0});
+  s.opts.restart_backoff_max_ms = pick({10.0, 50.0, 200.0});
+  s.opts.crash_quarantine_after =
+      static_cast<std::size_t>(pick({1.0, 2.0, 3.0}));
+  s.opts.steal = rng.next_bool(0.7);
+  s.opts.min_steal_points = static_cast<std::size_t>(pick({1.0, 2.0, 4.0}));
+  s.opts.term_grace_ms = pick({30.0, 100.0, 300.0});
+  if (rng.next_bool(0.15)) {
+    s.poison = static_cast<std::int64_t>(rng.next_u64() % s.points);
+  }
+  s.crash_p = pick({0.0, 0.2, 0.5});
+  s.wedge_p = pick({0.0, 0.1, 0.3});
+  s.partition_p = pick({0.0, 0.0, 0.3});
+  s.drop = pick({0.0, 0.1, 0.25});
+  s.duplicate = pick({0.0, 0.1, 0.25});
+  s.reorder = pick({0.0, 0.1, 0.25});
+  if (rng.next_bool(0.4)) {
+    s.slow_shard = static_cast<std::int64_t>(rng.next_u64() % s.opts.workers);
+  }
+  if (rng.next_bool(0.15)) {
+    s.cancel_at = static_cast<std::int64_t>(rng.next_u64() % 300);
+  }
+  s.reuse_base = rng.next_bool(0.4);
+  return s;
+}
+
+enum class Ev {
+  kConnect,    // worker dials
+  kStart,      // worker begins its window
+  kTimer,      // worker heartbeat tick and link pump
+  kPointDone,  // worker finished computing its current point
+  kToLeader,   // frame arrives at the leader
+  kLeaderEof,  // leader sees the connection end
+  kToWorker,   // frame arrives at a worker
+  kWorkerEof,  // worker sees the connection end
+  kExit,       // leader can reap the worker's exit
+};
+
+const char* ev_name(Ev e) {
+  switch (e) {
+    case Ev::kConnect: return "connect";
+    case Ev::kStart: return "start";
+    case Ev::kTimer: return "timer";
+    case Ev::kPointDone: return "point-done";
+    case Ev::kToLeader: return "to-leader";
+    case Ev::kLeaderEof: return "leader-eof";
+    case Ev::kToWorker: return "to-worker";
+    case Ev::kWorkerEof: return "worker-eof";
+    case Ev::kExit: return "exit";
+  }
+  return "?";
+}
+
+struct Event {
+  Ev kind = Ev::kTimer;
+  std::size_t worker = 0;  // index into Sim::workers_
+  ConnId conn = 0;
+  Frame frame;
+  std::uint64_t tag = 0;  // kPointDone: the point attempt it belongs to
+};
+
+struct SimWorker {
+  WorkerConfig cfg;
+  WorkerId id = 0;
+  bool alive = true;
+  bool wedged = false;  // stopped: no events, no signals but SIGKILL
+  bool term = false;    // SIGTERM received
+  bool flushing = false;
+  int exit_code = 0;
+  std::int64_t flush_deadline = 0;
+  ConnId conn = 0;
+  bool acked = false;  // handshake done on conn
+  std::int64_t next_connect = 0;
+  std::vector<std::size_t> todo;
+  std::size_t pos = 0;
+  std::int64_t current = -1;  // point being computed
+  std::int64_t died_at = -1;  // point being computed when it ended
+  std::int64_t seen = -1;     // point the leader last saw it start
+  std::uint64_t attempt = 0;
+  std::uint64_t done = 0;
+  std::map<std::size_t, std::pair<std::string, std::int64_t>> unacked;
+  std::int64_t crash_at = -1;
+  std::int64_t wedge_at = -1;
+  std::int64_t partition_at = -1;
+  std::int64_t partition_ms = 0;
+  std::int64_t heal_at = -1;
+};
+
+struct Coverage {
+  std::size_t fenced = 0, reconnects = 0, steals = 0, restarts = 0;
+  std::size_t quarantined = 0, abandoned = 0, cancelled = 0, resumed = 0;
+};
+
+class Sim final : public LeaderIo {
+ public:
+  Sim(std::uint64_t seed, const Schedule& sched)
+      : rng_(seed * 0x2545F4914F6CDD1DULL + 7),
+        sched_(sched),
+        truth_(truth(sched.points)),
+        crashes_(sched.points, 0),
+        covered_(sched.points, 0) {}
+
+  /// Runs the schedule; returns "" when every check held.
+  std::string run(Coverage* cov) {
+    if (sched_.reuse_base) seed_base();
+    bool cancelled = false;
+    driver::SweepResult result;
+    try {
+      LeaderCore core(truth_.spec, sched_.opts, this);
+      drive(core, &cancelled);
+      if (!failure_.empty()) return failure_;
+      result = core.finish();
+    } catch (const CancelledError&) {
+      if (!cancelled) return "CancelledError without a cancel";
+      ++cov->cancelled;
+      return failure_;
+    } catch (const std::exception& e) {
+      fail(std::string("the leader threw: ") + e.what());
+      return failure_;
+    }
+    if (cancelled) return "cancelled run returned a result";
+    check_result(result, cov);
+    return failure_;
+  }
+
+  /// The POSIX adapter's loop, on the simulated clock: one round per
+  /// instant something happens or a deadline falls due.
+  void drive(LeaderCore& core, bool* cancelled) {
+    std::size_t rounds = 0;
+    while (core.running()) {
+      if (++rounds > 200000 || now_ > 600000 || workers_.size() > 1000) {
+        fail("did not end");
+        return;
+      }
+      if (sched_.cancel_at >= 0 && now_ >= sched_.cancel_at) {
+        core.cancel(static_cast<double>(now_));
+        *cancelled = true;
+      }
+      core.schedule(static_cast<double>(now_));
+      if (!failure_.empty()) return;
+      const double deadline = core.next_deadline_ms();
+      const std::int64_t wait =
+          core.exit_expected(static_cast<double>(now_))
+              ? 2
+              : std::max<std::int64_t>(
+                    5, static_cast<std::int64_t>(std::ceil(std::min(
+                           50.0, deadline - static_cast<double>(now_)))));
+      std::int64_t next = now_ + wait;
+      const std::int64_t due = queue_.next_key(now_);
+      if (due >= 0 && due <= next) {
+        next = due;
+        now_ = next;
+        std::vector<Event> batch;
+        queue_.pop_due(next, &batch);
+        for (auto& ev : batch) handle(core, ev);
+      }
+      now_ = next;
+      core.enforce_deadlines(static_cast<double>(now_));
+      if (!failure_.empty()) return;
+    }
+  }
+
+  std::string trace_tail() const {
+    std::ostringstream os;
+    const std::size_t from = trace_.size() > 80 ? trace_.size() - 80 : 0;
+    for (std::size_t i = from; i < trace_.size(); ++i) os << trace_[i] << "\n";
+    return os.str();
+  }
+
+  // --- LeaderIo ---------------------------------------------------------
+
+  WorkerId launch(WorkerConfig cfg) override {
+    for (const auto& [i, other] : workers_by_id_) {
+      const ShardRange& r = workers_[other].cfg.range;
+      if (r.begin < cfg.range.end && cfg.range.begin < r.end) {
+        revoked_.insert(workers_[other].cfg.epoch);
+      }
+    }
+    SimWorker w;
+    w.cfg = cfg;
+    w.id = next_worker_id_++;
+    const std::set<std::size_t> q(cfg.quarantine.begin(), cfg.quarantine.end());
+    for (std::size_t i = cfg.range.begin; i < cfg.range.end; ++i) {
+      ++covered_[i];
+      if (q.count(i) == 0) w.todo.push_back(i);
+    }
+    if (!w.todo.empty() && rng_.next_bool(sched_.crash_p)) {
+      w.crash_at = static_cast<std::int64_t>(
+          w.todo[rng_.next_u64() % w.todo.size()]);
+    }
+    if (!w.todo.empty() && rng_.next_bool(sched_.wedge_p)) {
+      w.wedge_at = static_cast<std::int64_t>(
+          w.todo[rng_.next_u64() % w.todo.size()]);
+    }
+    if (rng_.next_bool(sched_.partition_p)) {
+      w.partition_at = now_ + 5 + draw(80);
+      w.partition_ms = 20 + draw(400);
+    }
+    const std::size_t idx = workers_.size();
+    workers_.push_back(std::move(w));
+    workers_by_id_[workers_[idx].id] = idx;
+    note("launch w" + std::to_string(idx) + " pid " +
+         std::to_string(workers_[idx].id) + " shard " +
+         std::to_string(cfg.shard) + " [" + std::to_string(cfg.range.begin) +
+         "," + std::to_string(cfg.range.end) + ") epoch " +
+         std::to_string(cfg.epoch));
+    push(now_ + 1, Event{Ev::kConnect, idx, 0, {}, 0});
+    push(now_ + 2, Event{Ev::kStart, idx, 0, {}, 0});
+    push(now_ + static_cast<std::int64_t>(kHeartbeatMs),
+         Event{Ev::kTimer, idx, 0, {}, 0});
+    return workers_[idx].id;
+  }
+
+  void terminate(WorkerId id) override {
+    SimWorker& w = workers_[workers_by_id_.at(id)];
+    note("terminate pid " + std::to_string(id));
+    if (!w.alive || w.wedged || w.term) return;
+    w.term = true;
+    if (w.current >= 0 && rng_.next_bool(0.5)) {
+      ++w.attempt;  // abandon the point in progress
+      w.current = -1;
+      finish_up(w, 4);
+    } else if (w.current < 0 && !w.flushing) {
+      finish_up(w, 4);
+    }
+  }
+
+  void kill(WorkerId id) override {
+    note("kill pid " + std::to_string(id));
+    die(workers_by_id_.at(id), WorkerExit{false, 0, 9});
+  }
+
+  bool send(ConnId conn, const Frame& frame) override {
+    if (leader_open_.count(conn) == 0) return false;
+    const std::size_t w = conn_owner_.at(conn);
+    if (frame.kind == FrameKind::kJournalAck) {
+      std::size_t index = 0;
+      PSYNC_CHECK(parse_journal_ack_payload(frame.payload, &index));
+      if (!journaled_for(workers_[w].cfg.shard, index)) {
+        fail("acked point " + std::to_string(index) +
+             " that no journal of shard " +
+             std::to_string(workers_[w].cfg.shard) + " holds");
+      }
+    }
+    put(conn, now_ + latency(), Event{Ev::kToWorker, w, conn, frame, 0},
+        frame.kind == FrameKind::kJournalAck);
+    return true;
+  }
+
+  void close(ConnId conn) override {
+    if (leader_open_.erase(conn) == 0) return;
+    push(now_ + latency(),
+         Event{Ev::kWorkerEof, conn_owner_.at(conn), conn, {}, 0});
+  }
+
+  JournalId open_journal(const std::string& path) override {
+    if (open_paths_.count(path) != 0) fail("journal opened twice: " + path);
+    open_paths_.insert(path);
+    files_[path];  // created empty if missing
+    const JournalId id = next_journal_++;
+    journal_path_[id] = path;
+    return id;
+  }
+
+  void append(JournalId id, const std::string& line) override {
+    const std::string& path = journal_path_.at(id);
+    driver::JournalEntry entry;
+    PSYNC_CHECK(driver::parse_journal_line(line, &entry));
+    const std::size_t index = entry.rec.index;
+    if (!file_index_[path].insert(index).second) {
+      fail("index " + std::to_string(index) + " appended twice to " + path);
+    }
+    const SimWorker& w = workers_[sender_];
+    if (revoked_.count(w.cfg.epoch) != 0) {
+      fail("record " + std::to_string(index) + " appended from revoked epoch " +
+           std::to_string(w.cfg.epoch));
+    }
+    files_[path].push_back(line);
+  }
+
+  void close_journal(JournalId id) override {
+    open_paths_.erase(journal_path_.at(id));
+  }
+
+  bool journal_exists(const std::string& path) override {
+    return files_.count(path) != 0;
+  }
+
+  std::vector<std::string> read_journal(const std::string& path) override {
+    const auto it = files_.find(path);
+    return it == files_.end() ? std::vector<std::string>{} : it->second;
+  }
+
+ private:
+  void fail(const std::string& why) {
+    if (failure_.empty()) {
+      failure_ = "t=" + std::to_string(now_) + " ms: " + why;
+    }
+  }
+
+  void note(const std::string& what) {
+    trace_.push_back(std::to_string(now_) + " " + what);
+  }
+
+  /// Uniform in [0, n).
+  std::int64_t draw(std::uint64_t n) {
+    return static_cast<std::int64_t>(rng_.next_u64() % n);
+  }
+
+  std::int64_t latency() { return 1 + draw(3); }
+
+  void push(std::int64_t at, Event ev) { queue_.push(at, std::move(ev)); }
+
+  /// Put a frame on `conn` for delivery at `at`. Lossy frames (journal
+  /// records and their acks) may be dropped, duplicated or held back;
+  /// everything else keeps its order on the connection.
+  void put(ConnId conn, std::int64_t at, const Event& ev, bool lossy) {
+    std::int64_t& fifo = fifo_[conn];
+    if (lossy) {
+      if (rng_.next_bool(sched_.drop)) return;
+      if (rng_.next_bool(sched_.reorder)) at += 5 + draw(40);
+      if (rng_.next_bool(sched_.duplicate)) {
+        const std::int64_t again = at + 1 + draw(30);
+        push(again, ev);
+        last_[conn] = std::max(last_[conn], again);
+      }
+    } else {
+      at = std::max(at, fifo);
+      fifo = at;
+    }
+    last_[conn] = std::max(last_[conn], at);
+    push(at, ev);
+  }
+
+  /// Every earlier run's journal the base may hold: a shard journal with
+  /// some of its points, and `.steal<k>` journals with some of the
+  /// chunks the earlier run split off.
+  void seed_base() {
+    const auto plan = plan_shards(sched_.points, sched_.opts.workers);
+    for (std::size_t s = 0; s < plan.size(); ++s) {
+      const ShardRange r = plan[s];
+      std::vector<ShardRange> pieces{r};
+      if (r.size() >= 2 && rng_.next_bool(0.4)) {
+        pieces = split_range(r, 2 + rng_.next_u64() % 2);
+      }
+      for (std::size_t k = 0; k < pieces.size(); ++k) {
+        if (k == 0 && !rng_.next_bool(0.6)) continue;
+        const std::string path = shard_journal_path(kBase, s, k);
+        auto& file = files_[path];
+        const std::size_t n = rng_.next_u64() % (pieces[k].size() + 1);
+        for (std::size_t i = pieces[k].begin; i < pieces[k].begin + n; ++i) {
+          if (static_cast<std::int64_t>(i) == sched_.poison) continue;
+          file.push_back(truth_.ok_line[i]);
+          file_index_[path].insert(i);
+          preloaded_.insert(i);
+        }
+      }
+    }
+  }
+
+  bool journaled_for(std::size_t shard, std::size_t index) const {
+    const std::string stem =
+        std::string(kBase) + ".shard" + std::to_string(shard) + ".";
+    for (const auto& [path, indices] : file_index_) {
+      if (path.rfind(stem, 0) == 0 && indices.count(index) != 0) return true;
+    }
+    return false;
+  }
+
+  void handle(LeaderCore& core, Event& ev) {
+    const double now = static_cast<double>(now_);
+    std::string what = std::string(ev_name(ev.kind)) + " w" +
+                       std::to_string(ev.worker) + " c" +
+                       std::to_string(ev.conn);
+    if (ev.kind == Ev::kToLeader || ev.kind == Ev::kToWorker) {
+      what += " " + std::to_string(static_cast<int>(ev.frame.kind)) + " " +
+              ev.frame.payload.substr(0, 40);
+    }
+    note(what);
+    SimWorker& w = workers_[ev.worker];
+    switch (ev.kind) {
+      case Ev::kConnect:
+        connect(ev.worker);
+        break;
+      case Ev::kStart:
+        if (!w.alive || w.wedged || w.term) break;
+        for (const std::size_t i : w.cfg.quarantine) {
+          if (w.cfg.range.contains(i)) {
+            ship(ev.worker, i, truth_.quarantined_line[i]);
+          }
+        }
+        next_point(ev.worker);
+        break;
+      case Ev::kTimer:
+        tick(ev.worker);
+        break;
+      case Ev::kPointDone:
+        if (!w.alive || w.wedged || ev.tag != w.attempt) break;
+        point_done(ev.worker);
+        break;
+      case Ev::kToLeader:
+        if (leader_open_.count(ev.conn) == 0) break;
+        if (ev.frame.kind == FrameKind::kHeartbeat) {
+          Heartbeat hb;
+          PSYNC_CHECK(parse_heartbeat_line(ev.frame.payload, &hb));
+          if (hb.kind == Heartbeat::Kind::kPointStart) w.seen = hb.inflight;
+          if (hb.kind == Heartbeat::Kind::kPointDone) w.seen = -1;
+        }
+        sender_ = ev.worker;
+        core.on_frame(ev.conn, ev.frame, now);
+        break;
+      case Ev::kLeaderEof:
+        if (leader_open_.erase(ev.conn) == 0) break;
+        core.on_closed(ev.conn, now);
+        break;
+      case Ev::kToWorker:
+        to_worker(ev.worker, ev.conn, ev.frame);
+        break;
+      case Ev::kWorkerEof:
+        if (w.conn != ev.conn) break;
+        w.conn = 0;
+        w.acked = false;
+        w.next_connect = now_ + 20 + draw(40);
+        break;
+      case Ev::kExit:
+        count_crash(w, exits_.at(ev.worker));
+        revoked_.insert(w.cfg.epoch);
+        core.on_exit(w.id, exits_.at(ev.worker), now);
+        break;
+    }
+  }
+
+  /// A worker that ends ungracefully counts as a crash at the point it was
+  /// computing, and also at the point the leader last saw it start when
+  /// that point's record never reached a journal: once its link drops, a
+  /// worker can finish that point and crash on the next one unseen, and
+  /// the leader has no way to tell the two apart.
+  void count_crash(const SimWorker& w, const WorkerExit& how) {
+    const bool graceful =
+        how.exited && (how.code == kWorkerExitOk ||
+                       how.code == kWorkerExitCancelled ||
+                       how.code == kWorkerExitFenced);
+    if (graceful) return;
+    if (w.died_at >= 0) ++crashes_[static_cast<std::size_t>(w.died_at)];
+    if (w.seen >= 0 && w.seen != w.died_at &&
+        !journaled_for(w.cfg.shard, static_cast<std::size_t>(w.seen))) {
+      ++crashes_[static_cast<std::size_t>(w.seen)];
+    }
+  }
+
+  bool partitioned(const SimWorker& w) const { return now_ < w.heal_at; }
+
+  void connect(std::size_t wi) {
+    SimWorker& w = workers_[wi];
+    if (!w.alive || w.wedged || w.conn != 0) return;
+    if (partitioned(w) || now_ < w.next_connect) return;  // the timer retries
+    const ConnId conn = next_conn_++;
+    conn_owner_[conn] = wi;
+    w.conn = conn;
+    w.acked = false;
+    leader_open_.insert(conn);
+    put(conn, now_ + latency(),
+        Event{Ev::kToLeader, wi, conn,
+              Frame{FrameKind::kHello,
+                    hello_payload(HelloClaim{w.cfg.shard, w.cfg.epoch})},
+              0},
+        false);
+  }
+
+  /// The worker side ends the connection: the leader reads everything
+  /// already in flight, then EOF.
+  /// Returns when the leader sees the EOF.
+  std::int64_t hang_up(SimWorker& w) {
+    if (w.conn == 0) return now_;
+    const ConnId conn = w.conn;
+    w.conn = 0;
+    w.acked = false;
+    const std::int64_t at = std::max(now_ + latency(), last_[conn]);
+    push(at, Event{Ev::kLeaderEof, conn_owner_.at(conn), conn, {}, 0});
+    return at;
+  }
+
+  void send_heartbeat(SimWorker& w, Heartbeat::Kind kind) {
+    if (w.conn == 0 || !w.acked) return;  // disconnected: beats are lost
+    Heartbeat hb;
+    hb.shard = w.cfg.shard;
+    hb.kind = kind;
+    hb.points_done = w.done;
+    hb.inflight = w.current;
+    put(w.conn, now_ + latency(),
+        Event{Ev::kToLeader, conn_owner_.at(w.conn), w.conn,
+              Frame{FrameKind::kHeartbeat, heartbeat_line(hb)}, 0},
+        false);
+  }
+
+  void transmit(std::size_t wi, std::size_t index) {
+    SimWorker& w = workers_[wi];
+    auto& pending = w.unacked.at(index);
+    pending.second = now_;
+    if (w.conn == 0 || !w.acked) return;
+    put(w.conn, now_ + latency(),
+        Event{Ev::kToLeader, wi, w.conn,
+              Frame{FrameKind::kJournal, journal_payload(index, pending.first)},
+              0},
+        true);
+  }
+
+  /// At-least-once shipping: queue until acked, send when connected.
+  void ship(std::size_t wi, std::size_t index, const std::string& line) {
+    workers_[wi].unacked[index] = {line, now_};
+    transmit(wi, index);
+  }
+
+  void next_point(std::size_t wi) {
+    SimWorker& w = workers_[wi];
+    if (w.term) {
+      finish_up(w, 4);
+      return;
+    }
+    if (w.pos == w.todo.size()) {
+      finish_up(w, 0);
+      return;
+    }
+    const std::size_t i = w.todo[w.pos];
+    w.current = static_cast<std::int64_t>(i);
+    send_heartbeat(w, Heartbeat::Kind::kPointStart);
+    if (w.current == w.crash_at || w.current == sched_.poison) {
+      die(wi, WorkerExit{true, 86, 0});
+      return;
+    }
+    if (w.current == w.wedge_at) {
+      w.wedged = true;
+      return;
+    }
+    const bool slow =
+        static_cast<std::int64_t>(w.cfg.shard) == sched_.slow_shard;
+    const std::int64_t ms = slow ? 30 + draw(31) : 1 + draw(5);
+    push(now_ + ms, Event{Ev::kPointDone, wi, 0, {}, ++w.attempt});
+  }
+
+  void point_done(std::size_t wi) {
+    SimWorker& w = workers_[wi];
+    const auto i = static_cast<std::size_t>(w.current);
+    ++w.pos;
+    ++w.done;
+    const bool journal_first = rng_.next_bool(0.5);
+    if (journal_first) ship(wi, i, truth_.ok_line[i]);
+    w.current = -1;
+    send_heartbeat(w, Heartbeat::Kind::kPointDone);
+    if (!journal_first) ship(wi, i, truth_.ok_line[i]);
+    next_point(wi);
+  }
+
+  void finish_up(SimWorker& w, int code) {
+    if (w.flushing) return;
+    w.flushing = true;
+    w.exit_code = code;
+    w.flush_deadline = now_ + kFlushMs;
+    if (w.unacked.empty()) {
+      die(workers_by_id_.at(w.id), WorkerExit{true, code, 0});
+    }
+  }
+
+  void tick(std::size_t wi) {
+    SimWorker& w = workers_[wi];
+    if (!w.alive || w.wedged) return;
+    if (w.partition_at >= 0 && now_ >= w.partition_at) {
+      w.partition_at = -1;
+      w.heal_at = now_ + w.partition_ms;
+      note("partition w" + std::to_string(wi) + " until " +
+           std::to_string(w.heal_at));
+      hang_up(w);
+    }
+    if (w.conn == 0) connect(wi);
+    send_heartbeat(w, Heartbeat::Kind::kProgress);
+    for (auto& [index, pending] : w.unacked) {
+      if (now_ - pending.second >= kResendMs) transmit(wi, index);
+    }
+    if (w.flushing && (w.unacked.empty() || now_ >= w.flush_deadline)) {
+      die(wi, WorkerExit{true, w.exit_code, 0});
+      return;
+    }
+    push(now_ + static_cast<std::int64_t>(kHeartbeatMs),
+         Event{Ev::kTimer, wi, 0, {}, 0});
+  }
+
+  void to_worker(std::size_t wi, ConnId conn, const Frame& frame) {
+    SimWorker& w = workers_[wi];
+    if (!w.alive || w.wedged || w.conn != conn) return;
+    if (frame.kind == FrameKind::kHelloAck) {
+      if (hello_ack_fenced(frame.payload)) {
+        die(wi, WorkerExit{true, kWorkerExitFenced, 0});
+        return;
+      }
+      w.acked = true;
+      for (auto& [index, pending] : w.unacked) transmit(wi, index);
+      return;
+    }
+    if (frame.kind == FrameKind::kJournalAck) {
+      std::size_t index = 0;
+      if (parse_journal_ack_payload(frame.payload, &index)) {
+        w.unacked.erase(index);
+      }
+      if (w.flushing && w.unacked.empty()) {
+        die(wi, WorkerExit{true, w.exit_code, 0});
+      }
+    }
+  }
+
+  void die(std::size_t wi, const WorkerExit& how) {
+    SimWorker& w = workers_[wi];
+    if (!w.alive) return;
+    w.alive = false;
+    w.died_at = w.current;
+    note("die w" + std::to_string(wi) + " code " + std::to_string(how.code) +
+         " signal " + std::to_string(how.signal));
+    const std::int64_t at = hang_up(w);
+    exits_[wi] = how;
+    push(at + 1 + draw(3), Event{Ev::kExit, wi, 0, {}, 0});
+  }
+
+  void check_result(const driver::SweepResult& result, Coverage* cov) {
+    const std::size_t n = sched_.points;
+    if (result.records.size() != n) {
+      fail("result has " + std::to_string(result.records.size()) + " points");
+      return;
+    }
+    std::set<std::size_t> abandoned_shards;
+    for (const auto& incident : result.campaign.worker_failures) {
+      const std::string& m = incident.message;
+      const auto at = m.find(" abandoned after ");
+      if (m.rfind("shard ", 0) == 0 && at != std::string::npos) {
+        abandoned_shards.insert(std::stoul(m.substr(6, at - 6)));
+      }
+    }
+    driver::SweepResult expected = truth_.serial;
+    for (std::size_t i = 0; i < n; ++i) {
+      const RunRecord& got = result.records[i];
+      if (got.status == PointStatus::kQuarantined) {
+        ++cov->quarantined;
+        if (crashes_[i] < sched_.opts.crash_quarantine_after) {
+          fail("point " + std::to_string(i) + " quarantined after " +
+               std::to_string(crashes_[i]) + " crash(es)");
+        }
+        expected.records[i] = truth_.quarantined[i];
+      } else if (got.status == PointStatus::kFailed) {
+        std::size_t shard = 0;
+        while (!plan_shards(n, sched_.opts.workers)[shard].contains(i)) ++shard;
+        if (abandoned_shards.count(shard) == 0 ||
+            covered_[i] < kMaxRestarts + 1) {
+          fail("point " + std::to_string(i) + " failed after " +
+               std::to_string(covered_[i]) + " launch(es) without shard " +
+               std::to_string(shard) + " being abandoned");
+        }
+        RunRecord rec;
+        rec.index = i;
+        rec.workload = truth_.spec.workload;
+        rec.knobs = truth_.points[i].knobs;
+        rec.status = PointStatus::kFailed;
+        rec.failure = driver::PointFailure{
+            driver::FailureKind::kWorkerCrash,
+            "shard abandoned after exhausting worker restarts", 0};
+        expected.records[i] = std::move(rec);
+      }
+    }
+    cov->abandoned += abandoned_shards.size();
+    expected.campaign = driver::summarize_campaign(expected.records);
+    if (driver::sweep_json(result) != driver::sweep_json(expected)) {
+      fail("JSON differs from the serial run");
+    }
+    if (driver::sweep_csv(result) != driver::sweep_csv(expected)) {
+      fail("CSV differs from the serial run");
+    }
+    if (result.campaign.resumed != preloaded_.size()) {
+      fail("resumed " + std::to_string(result.campaign.resumed) +
+           ", the base held " + std::to_string(preloaded_.size()));
+    }
+    cov->fenced += result.campaign.worker_fenced;
+    cov->reconnects += result.campaign.worker_reconnects;
+    cov->steals += result.campaign.worker_steals;
+    cov->restarts += result.campaign.worker_restarts;
+    cov->resumed += result.campaign.resumed;
+  }
+
+  Rng rng_;
+  const Schedule sched_;
+  const Truth& truth_;
+  CalendarQueue<Event> queue_;
+  std::int64_t now_ = 0;
+  std::string failure_;
+  std::vector<std::string> trace_;
+
+  std::vector<SimWorker> workers_;
+  std::map<WorkerId, std::size_t> workers_by_id_;
+  std::map<std::size_t, WorkerExit> exits_;
+  WorkerId next_worker_id_ = 1000;
+  std::set<std::uint64_t> revoked_;
+  std::vector<std::size_t> crashes_;  // non-graceful deaths mid-point
+  std::vector<std::size_t> covered_;  // launches whose window held it
+
+  ConnId next_conn_ = 1;
+  std::map<ConnId, std::size_t> conn_owner_;
+  std::set<ConnId> leader_open_;
+  std::map<ConnId, std::int64_t> fifo_;  // in-order delivery floor
+  std::map<ConnId, std::int64_t> last_;  // latest delivery in flight
+  std::size_t sender_ = 0;  // worker whose frame the leader is handling
+
+  std::map<std::string, std::vector<std::string>> files_;
+  std::map<std::string, std::set<std::size_t>> file_index_;
+  std::set<std::string> open_paths_;
+  std::map<JournalId, std::string> journal_path_;
+  JournalId next_journal_ = 1;
+  std::set<std::size_t> preloaded_;
+};
+
+/// Runs one seed's schedule; "" when every check held, else the failure
+/// and the tail of the schedule's trace.
+std::string run_seed(std::uint64_t seed, Coverage* cov) {
+  Rng rng(seed);
+  Sim sim(seed, draw_schedule(rng));
+  const std::string failure = sim.run(cov);
+  if (failure.empty()) return failure;
+  return "seed " + std::to_string(seed) + ": " + failure +
+         "\nlast events:\n" + sim.trace_tail();
+}
+
+class LeaderSim : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LeaderSim, SeededSchedulesMatchTheSerialRun) {
+  Coverage cov;
+  const std::uint64_t first = GetParam() * kSeedsPerBlock + 1;
+  for (std::uint64_t seed = first; seed < first + kSeedsPerBlock; ++seed) {
+    if (kReplaySeed != 0 && seed != kReplaySeed) continue;
+    const std::string failure = run_seed(seed, &cov);
+    if (!failure.empty()) FAIL() << failure;
+  }
+  if (kReplaySeed != 0) return;
+  // The block really exercised the failure paths it claims to.
+  EXPECT_GT(cov.restarts, 0u);
+  EXPECT_GT(cov.steals, 0u);
+  EXPECT_GT(cov.reconnects, 0u);
+  EXPECT_GT(cov.fenced, 0u);
+  EXPECT_GT(cov.quarantined, 0u);
+  EXPECT_GT(cov.abandoned, 0u);
+  EXPECT_GT(cov.cancelled, 0u);
+  EXPECT_GT(cov.resumed, 0u);
+}
+
+// Seed 40591, beyond the blocks above: a steal victim journals point 13
+// (with an earlier record dropped, so 13 sits inside the stolen range),
+// and the chunk's re-runs of 13 crash until it is quarantined. Counting
+// only the chunk's own journal, the leader once shipped the quarantine
+// verdict against 13's journaled result, and the run failed with a
+// JournalConflictError.
+TEST(LeaderSimRegression, StolenChunkNeverQuarantinesAPointItsVictimJournaled) {
+  Coverage cov;
+  EXPECT_EQ(run_seed(40591, &cov), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LeaderSim,
+                         ::testing::Range<std::uint64_t>(0, kBlocks));
+
+}  // namespace
+}  // namespace psync::dist

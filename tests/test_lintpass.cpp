@@ -222,6 +222,28 @@ TEST(LintLayering, RelativeIncludeFires) {
   EXPECT_EQ(count_rule(r, "layer-relative-include"), 1);
 }
 
+TEST(LintLayering, PosixHeadersInTheLeaderCoreAreRejected) {
+  const auto r =
+      lint_fixture("sans_io_fires.cpp", "src/psync/dist/leader.cpp");
+  EXPECT_EQ(count_rule(r, "sans-io-include"), 9) << lp::render_text(r);
+  EXPECT_EQ(r.findings.size(), 9u) << lp::render_text(r);
+  const auto header =
+      lint_fixture("sans_io_fires.cpp", "src/psync/dist/leader.hpp");
+  EXPECT_EQ(count_rule(header, "sans-io-include"), 9);
+  // The leader's clock use is already out: dist/leader* is not on the
+  // wall-clock allowlist.
+  EXPECT_EQ(count_rule(lint_fixture("det_clock_fires.cpp",
+                                    "src/psync/dist/leader.cpp"),
+                       "det-wall-clock"),
+            2);
+}
+
+TEST(LintLayering, ThePosixAdapterMayIncludeThem) {
+  const auto r =
+      lint_fixture("sans_io_fires.cpp", "src/psync/dist/supervisor.cpp");
+  EXPECT_TRUE(r.findings.empty()) << lp::render_text(r);
+}
+
 TEST(LintLayering, MiniDagRejectsUpwardAndUnknownEdges) {
   const auto r = lint_fixture("layer_mini_fires.cpp",
                               "src/psync/lower/fixture.cpp", mini_layers());

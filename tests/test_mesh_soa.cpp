@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <type_traits>
 #include <vector>
 
@@ -173,6 +174,10 @@ struct Config {
   MeshParams mp;
   const char* name;
 };
+
+// gtest prints a parameter into the test's listed name; printing only the
+// name keeps ctest's names free of the pointer's load-address bytes.
+void PrintTo(const Config& cfg, std::ostream* os) { *os << cfg.name; }
 
 class MeshSoaIdentity : public ::testing::TestWithParam<Config> {};
 

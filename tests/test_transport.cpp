@@ -26,6 +26,7 @@
 #include "psync/dist/backoff.hpp"
 #include "psync/dist/chaos.hpp"
 #include "psync/dist/frame.hpp"
+#include "psync/dist/leader.hpp"
 #include "psync/dist/merge.hpp"
 #include "psync/dist/transport.hpp"
 #include "rng_draws.hpp"
