@@ -1,11 +1,9 @@
 #include "psync/dist/heartbeat.hpp"
 
-#include <chrono>
 #include <limits>
 #include <string_view>
 
 #include "psync/common/config.hpp"
-#include "psync/dist/transport.hpp"
 
 namespace psync::dist {
 
@@ -70,59 +68,6 @@ bool parse_heartbeat_line(const std::string& line, Heartbeat* out) {
   hb.points_done = *done;
   *out = hb;
   return true;
-}
-
-HeartbeatEmitter::HeartbeatEmitter(SocketWorkerLink* link, std::size_t shard,
-                                   double interval_ms)
-    : link_(link), shard_(shard), interval_ms_(interval_ms) {
-  if (interval_ms_ > 0.0) {
-    timer_ = std::thread([this] { timer_loop(); });
-  }
-}
-
-HeartbeatEmitter::~HeartbeatEmitter() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-  }
-  cv_.notify_all();
-  if (timer_.joinable()) timer_.join();
-}
-
-void HeartbeatEmitter::on_point_start(std::size_t index) {
-  std::lock_guard<std::mutex> lock(mu_);
-  inflight_ = static_cast<std::int64_t>(index);
-  emit_locked(Heartbeat::Kind::kPointStart);
-}
-
-void HeartbeatEmitter::on_point_done(std::size_t index,
-                                     driver::PointStatus /*status*/) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (inflight_ == static_cast<std::int64_t>(index)) inflight_ = -1;
-  ++done_;
-  emit_locked(Heartbeat::Kind::kPointDone);
-}
-
-void HeartbeatEmitter::timer_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto interval = std::chrono::duration<double, std::milli>(interval_ms_);
-  while (!stopped_) {
-    cv_.wait_for(lock, interval);
-    if (stopped_) return;
-    emit_locked(Heartbeat::Kind::kProgress);
-  }
-}
-
-void HeartbeatEmitter::emit_locked(Heartbeat::Kind kind) {
-  if (link_dead_) return;
-  Heartbeat hb;
-  hb.shard = shard_;
-  hb.kind = kind;
-  hb.points_done = done_;
-  hb.inflight = inflight_;
-  // The link owns delivery and death: it absorbs outages by reconnecting
-  // and only reports false once this epoch is fenced.
-  if (!link_->send_heartbeat(hb)) link_dead_ = true;
 }
 
 }  // namespace psync::dist

@@ -3,7 +3,7 @@
 // or it was started by hand as `psync_sim --worker-shard` on another host.
 //
 // A worker owns one contiguous window of the sweep grid and journals
-// nothing itself: it dials the leader (transport.hpp) and ships each
+// nothing itself: it dials the leader (link.hpp) and ships each
 // completed point's journal record, which the leader appends to the shard
 // journal it owns. A replacement for a SIGKILLed worker is launched with
 // its window narrowed past the durably recorded prefix, so only the
@@ -43,7 +43,7 @@ struct WorkerConfig {
   /// Heartbeat interval (<= 0: no timer beats, only point start/done).
   double heartbeat_ms = 100.0;
 
-  // --- link to the leader (transport.hpp) -------------------------------
+  // --- link to the leader (link.hpp) ------------------------------------
   /// Leader address to dial. The worker streams each completed point's
   /// journal line to the leader (at-least-once, leader dedups).
   std::string connect_host;

@@ -18,14 +18,17 @@ bool matches_any(const std::string& path,
   return false;
 }
 
-constexpr std::array<const char*, 7> kClockAllow = {
+constexpr std::array<const char*, 5> kClockAllow = {
     "src/psync/perf/",             // stopwatch/bench timing is the point
     "src/psync/common/cancel.hpp", // watchdog deadline, never serialized
     "src/psync/dist/supervisor",   // the leader's real clock
-    "src/psync/dist/worker",       // lease/heartbeat pacing
-    "src/psync/dist/heartbeat",    // liveness bookkeeping
-    "src/psync/dist/transport",    // socket connect/read deadlines
+    "src/psync/dist/worker",       // the link's real clock, heartbeat timer
     "src/psync/serve/",            // client socket timeouts
+};
+
+constexpr std::array<const char*, 2> kSansIo = {
+    "src/psync/dist/leader",  // the sweep leader's policy (LeaderIo)
+    "src/psync/dist/link",    // the worker link's policy (LinkIo)
 };
 
 constexpr std::array<const char*, 6> kOrderSensitive = {
@@ -66,7 +69,7 @@ bool Policy::assert_sensitive(const std::string& rel_path) const {
 }
 
 bool Policy::sans_io(const std::string& rel_path) const {
-  return starts_with(rel_path, "src/psync/dist/leader");
+  return matches_any(rel_path, kSansIo);
 }
 
 bool Policy::layering_scope(const std::string& rel_path) const {

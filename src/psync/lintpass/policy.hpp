@@ -23,12 +23,12 @@ struct Policy {
   /// may time and randomize freely.
   [[nodiscard]] bool determinism_scope(const std::string& rel_path) const;
 
-  /// Wall-clock allowlist: perf/ (that is its job), dist/ supervision
-  /// (the leader's POSIX side, worker heartbeats and reconnect backoff;
-  /// the leader's policy in dist/leader* is not on it), serve/ socket
-  /// timeouts,
-  /// and the watchdog deadline in common/cancel.hpp. None of these feed
-  /// simulation results.
+  /// Wall-clock allowlist: perf/ (that is its job), the two real-clock
+  /// dist/ adapters (the leader's dist/supervisor*, the worker's
+  /// dist/worker* with its heartbeat timer; the policies in dist/leader*
+  /// and dist/link* and the codecs are not on it), serve/ socket
+  /// timeouts, and the watchdog deadline in common/cancel.hpp. None of
+  /// these feed simulation results.
   [[nodiscard]] bool clock_allowed(const std::string& rel_path) const;
 
   /// Serialization-order-sensitive modules where unordered containers
@@ -40,9 +40,10 @@ struct Policy {
   /// NDEBUG: the journal, everything dist/, everything serve/.
   [[nodiscard]] bool assert_sensitive(const std::string& rel_path) const;
 
-  /// Sans-I/O files: the sweep leader's policy (dist/leader*), which
-  /// reaches sockets, processes, files and time only through its seam. No
-  /// POSIX, socket, process, clock or thread header may be included.
+  /// Sans-I/O files: the sweep leader's policy (dist/leader*) and the
+  /// worker link's (dist/link*), which reach sockets, processes, files
+  /// and time only through their seams. No POSIX, socket, process, clock
+  /// or thread header may be included.
   [[nodiscard]] bool sans_io(const std::string& rel_path) const;
 
   /// Layering rules apply to the library only.

@@ -38,9 +38,9 @@ const std::vector<RuleInfo> kCatalog = {
      "use the full \"psync/<module>/<header>\" path so layering is checkable"},
     {"sans-io-include",
      "POSIX, socket, process, clock or thread header in a sans-I/O file "
-     "(src/psync/dist/leader*)",
-     "reach the outside world through the LeaderIo seam; the POSIX side "
-     "lives in dist/supervisor.cpp"},
+     "(src/psync/dist/leader*, src/psync/dist/link*)",
+     "reach the outside world through the LeaderIo or LinkIo seam; the "
+     "POSIX sides live in dist/supervisor.cpp and dist/worker.cpp"},
     {"hyg-pragma-once",
      "header without #pragma once",
      "add #pragma once as the first directive"},

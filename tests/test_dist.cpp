@@ -16,9 +16,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,11 +50,14 @@ using driver::RunRecord;
 using driver::Session;
 using driver::SweepEngine;
 
-/// Unique per test-process journal base: a stale journal from an earlier
-/// run would otherwise be resumed (that's the feature) and poison a test.
+/// A journal base in a new directory: a stale journal from an earlier run
+/// would otherwise be resumed (that's the feature) and poison a test. A
+/// pid is not unique enough — an earlier test process with the same pid
+/// leaves its journals behind under that name.
 std::string fresh_base(const std::string& name) {
-  return testing::TempDir() + "psync_dist_" + std::to_string(::getpid()) +
-         "_" + name;
+  std::string dir = testing::TempDir() + "psync_dist_XXXXXX";
+  PSYNC_CHECK(::mkdtemp(dir.data()) != nullptr);
+  return dir + "/" + name;
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -725,70 +731,170 @@ TEST(Distributed, ChaosLossyLinksStillProduceIdenticalOutput) {
   EXPECT_EQ(dist.campaign.failed, 0u);
 }
 
-TEST(Distributed, PartitionedWorkerIsFencedOnReconnect) {
-  // The full zombie story. Shard 0's link partitions mid-shard: the
-  // leader sees the connection die, waits out the liveness window,
-  // declares kConnectionLost, revokes the epoch and relaunches the shard
-  // — WITHOUT killing the old process (it may be unreachable, not dead).
-  // The partition heals, the zombie reconnects claiming its revoked
-  // epoch, and the leader must refuse it before it writes a single
-  // record. Shard 2 is slow on purpose so the sweep is still running
-  // when the zombie comes back.
-  std::vector<double> tp;
-  for (std::size_t i = 0; i < 4; ++i) tp.push_back(40.0);  // shard 0
-  for (std::size_t i = 0; i < 4; ++i) tp.push_back(2.0);   // shard 1
-  for (std::size_t i = 0; i < 4; ++i) tp.push_back(150.0); // shard 2
-  const auto spec = make_spec(std::move(tp));
-  const auto serial = Session().run(spec);
-  const std::string base = fresh_base("fence");
-  auto opts = fast_opts(base, 3);
-  opts.heartbeat_ms = 10.0;
-  opts.liveness_factor = 10.0;  // 100 ms of post-disconnect silence
-  opts.steal = false;  // idle seats must not reclaim the slow shard
-  const LaunchHook hook = [](WorkerConfig& cfg) {
-    if (cfg.shard == 0 && cfg.generation == 0) {
-      cfg.chaos.seed = 77;
-      cfg.chaos.partition_after = 10;  // a few beats in
-      cfg.chaos.partition_ms = 250.0;  // heals while the sweep still runs
+// A leader scripted frame by frame on a real loopback socket, for the
+// worker's side of the protocol over real TCP. It accepts the worker's
+// connections one after another and hands each frame to `answer` with the
+// connection's ordinal (0 = first) and fd; kHangUp closes that connection,
+// kHangUpLast closes it and stops serving. Otherwise it returns once the
+// worker closes a connection itself, which it does when it exits or is
+// fenced. It returns every frame received, per connection.
+enum class Answer { kKeep, kHangUp, kHangUpLast };
+using ScriptedAnswer =
+    std::function<Answer(std::size_t conn, const Frame& frame, int fd)>;
+
+std::vector<std::vector<Frame>> scripted_leader(int listen_fd,
+                                                const ScriptedAnswer& answer) {
+  std::vector<std::vector<Frame>> conns;
+  for (;;) {
+    pollfd lp{listen_fd, POLLIN, 0};
+    if (::poll(&lp, 1, 10000) != 1) {
+      ADD_FAILURE() << "the worker never dialed";
+      return conns;
     }
-  };
-  const auto dist = run_distributed(spec, opts, hook);
-  // Identity is the non-negotiable part: the zombie's late writes were
-  // fenced out, the replacement's journal is the only truth for shard 0.
-  EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
-  EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
-  EXPECT_GE(dist.campaign.worker_restarts, 1u);
-  EXPECT_GE(dist.campaign.worker_fenced, 1u)
-      << "the healed zombie should have been refused";
-  EXPECT_TRUE(has_incident(dist, FailureKind::kConnectionLost))
-      << "connection loss should be its own failure class, not a wedge";
+    const int fd = tcp_accept(listen_fd);
+    if (fd < 0) continue;
+    conns.emplace_back();
+    FrameDecoder decoder;
+    Answer last = Answer::kKeep;
+    for (bool open = true; last == Answer::kKeep;) {
+      pollfd pfd{fd, POLLIN, 0};
+      if (::poll(&pfd, 1, 10000) != 1) {
+        ADD_FAILURE() << "the worker went silent";
+        open = false;
+      } else {
+        open = read_frames(fd, &decoder);
+      }
+      Frame frame;
+      while (last == Answer::kKeep &&
+             decoder.next(&frame) == FrameDecoder::Result::kFrame) {
+        conns.back().push_back(frame);
+        last = answer(conns.size() - 1, frame, fd);
+      }
+      if (!open) last = Answer::kHangUpLast;
+    }
+    ::close(fd);
+    if (last == Answer::kHangUpLast) return conns;
+  }
 }
 
-TEST(Distributed, ReconnectingWorkerResumesWithoutDataLoss) {
-  // A transient partition *shorter* than the liveness window: the leader
-  // keeps the seat, the worker reconnects with the SAME epoch, retransmits
-  // its unacked tail, and nothing is lost or duplicated in the output.
-  const auto spec = make_spec(uniform(10, 15.0));
-  const auto serial = Session().run(spec);
-  const std::string base = fresh_base("reconnect");
-  auto opts = fast_opts(base, 2);
-  opts.heartbeat_ms = 10.0;
-  opts.liveness_factor = 40.0;  // 400 ms — longer than the partition
-  opts.steal = false;
-  const LaunchHook hook = [](WorkerConfig& cfg) {
-    if (cfg.shard == 0 && cfg.generation == 0) {
-      cfg.chaos.seed = 99;
-      cfg.chaos.partition_after = 8;
-      cfg.chaos.partition_ms = 60.0;  // heals well inside liveness
+void ack_journal(const Frame& frame, int fd) {
+  std::size_t index = 0;
+  std::string line;
+  ASSERT_TRUE(parse_journal_payload(frame.payload, &index, &line));
+  ASSERT_TRUE(send_frame(fd, {FrameKind::kJournalAck, journal_ack_payload(index)},
+                         /*keep_waiting=*/true));
+}
+
+std::vector<std::size_t> journal_indices(const std::vector<Frame>& frames) {
+  std::vector<std::size_t> out;
+  for (const Frame& f : frames) {
+    std::size_t index = 0;
+    std::string line;
+    if (f.kind == FrameKind::kJournal &&
+        parse_journal_payload(f.payload, &index, &line)) {
+      out.push_back(index);
     }
-  };
-  const auto dist = run_distributed(spec, opts, hook);
-  EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
-  EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
-  EXPECT_EQ(dist.campaign.worker_fenced, 0u)
-      << "same-epoch reconnect inside the liveness window is welcome";
-  EXPECT_GE(dist.campaign.worker_reconnects, 1u);
-  EXPECT_EQ(dist.campaign.worker_restarts, 0u);
+  }
+  return out;
+}
+
+HelloClaim claim_of(const std::vector<Frame>& conn) {
+  HelloClaim claim;
+  EXPECT_FALSE(conn.empty());
+  if (!conn.empty()) {
+    EXPECT_EQ(conn.front().kind, FrameKind::kHello);
+    EXPECT_TRUE(parse_hello_payload(conn.front().payload, &claim));
+  }
+  return claim;
+}
+
+WorkerConfig scripted_worker(std::uint16_t port, ShardRange range) {
+  WorkerConfig cfg;
+  cfg.shard = 2;
+  cfg.epoch = 7;
+  cfg.range = range;
+  cfg.heartbeat_ms = 10.0;
+  cfg.connect_host = "127.0.0.1";
+  cfg.connect_port = port;
+  return cfg;
+}
+
+// The worker's side of the zombie story, over real TCP: its connection
+// drops (a partition, seen from the worker), it redials with the same
+// lease, and the leader answers "fenced" as one that gave the shard away
+// does. The worker must stand down with exit 5, sending nothing after the
+// fence, while points are still left to run. When a leader revokes a
+// partitioned worker's epoch, its relaunch and the byte-identical output
+// are the leader simulator's to check (test_leader_sim.cpp).
+TEST(Distributed, PartitionedWorkerIsFencedOnReconnect) {
+  const auto spec = make_spec(uniform(10, 30.0));
+  std::uint16_t port = 0;
+  const int listen_fd = tcp_listen("127.0.0.1", 0, &port);
+  std::vector<std::vector<Frame>> conns;
+  std::thread leader([&] {
+    conns = scripted_leader(listen_fd, [](std::size_t conn, const Frame& f,
+                                          int fd) {
+      if (f.kind != FrameKind::kHello) {
+        return conn == 0 ? Answer::kHangUp : Answer::kKeep;
+      }
+      if (conn == 0) {
+        EXPECT_TRUE(send_frame(fd, {FrameKind::kHelloAck, kHelloAckOk},
+                               /*keep_waiting=*/true));
+        return Answer::kKeep;
+      }
+      // As LeaderCore does: the fenced ack, then the close right behind it.
+      EXPECT_TRUE(send_frame(fd, {FrameKind::kHelloAck, "fenced stale epoch 7"},
+                             /*keep_waiting=*/true));
+      return Answer::kHangUpLast;
+    });
+  });
+  EXPECT_EQ(run_worker(spec, scripted_worker(port, {0, 10})),
+            kWorkerExitFenced);
+  leader.join();
+  pollfd lp{listen_fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&lp, 1, 0), 0) << "a fenced worker dials no more";
+  ::close(listen_fd);
+  ASSERT_EQ(conns.size(), 2u);
+  EXPECT_EQ(claim_of(conns[1]).epoch, claim_of(conns[0]).epoch)
+      << "a redial claims the same lease";
+  EXPECT_EQ(conns[1].size(), 1u) << "nothing but the HELLO before the fence";
+}
+
+// A same-lease reconnect over real TCP: the leader reads the worker's
+// first two journal records without acking them and drops the
+// connection. The worker redials with the same (shard, epoch), sends the
+// unacked tail again once the new hello-ack accepts it, and exits 0 once
+// every record of its window is acked. That a leader welcomes such a
+// reconnect inside its liveness window is the leader simulator's to check.
+TEST(Distributed, ReconnectingWorkerResumesWithoutDataLoss) {
+  const auto spec = make_spec(uniform(6, 5.0));
+  std::uint16_t port = 0;
+  const int listen_fd = tcp_listen("127.0.0.1", 0, &port);
+  std::vector<std::vector<Frame>> conns;
+  std::thread leader([&] {
+    std::size_t dropped = 0;
+    conns = scripted_leader(listen_fd, [&](std::size_t conn, const Frame& f,
+                                           int fd) {
+      if (f.kind == FrameKind::kHello) {
+        EXPECT_TRUE(send_frame(fd, {FrameKind::kHelloAck, kHelloAckOk},
+                               /*keep_waiting=*/true));
+      } else if (f.kind == FrameKind::kJournal) {
+        if (conn == 0) return ++dropped == 2 ? Answer::kHangUp : Answer::kKeep;
+        ack_journal(f, fd);
+      }
+      return Answer::kKeep;
+    });
+  });
+  EXPECT_EQ(run_worker(spec, scripted_worker(port, {0, 6})), kWorkerExitOk);
+  leader.join();
+  ::close(listen_fd);
+  ASSERT_EQ(conns.size(), 2u);
+  EXPECT_EQ(claim_of(conns[1]).epoch, claim_of(conns[0]).epoch);
+  EXPECT_EQ(journal_indices(conns[0]).size(), 2u);
+  const std::vector<std::size_t> resent = journal_indices(conns[1]);
+  EXPECT_EQ(std::set<std::size_t>(resent.begin(), resent.end()),
+            (std::set<std::size_t>{0, 1, 2, 3, 4, 5}))
+      << "the unacked records went again and the rest followed";
 }
 
 // ---------------------------------------------------------------------------
@@ -855,54 +961,35 @@ TEST(Distributed, WorkerEntryPointCompletesAShardInProcess) {
   const auto points = SweepEngine::expand(spec);
   std::uint16_t port = 0;
   const int listen_fd = tcp_listen("127.0.0.1", 0, &port);
-  HelloClaim claim;
-  std::map<std::size_t, std::string> shipped;
+  std::vector<std::vector<Frame>> conns;
   std::thread leader([&] {
-    pollfd lp{listen_fd, POLLIN, 0};
-    ASSERT_EQ(::poll(&lp, 1, 10000), 1);
-    const int fd = tcp_accept(listen_fd);
-    ASSERT_GE(fd, 0);
-    FrameDecoder decoder;
-    char buf[4096];
-    for (;;) {
-      pollfd pfd{fd, POLLIN, 0};
-      ASSERT_EQ(::poll(&pfd, 1, 10000), 1) << "worker went silent";
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n == 0) break;  // the worker closed its link on exit
-      if (n < 0) continue;  // EAGAIN: spurious wakeup
-      decoder.feed(buf, static_cast<std::size_t>(n));
-      Frame frame;
-      while (decoder.next(&frame) == FrameDecoder::Result::kFrame) {
-        if (frame.kind == FrameKind::kHello) {
-          EXPECT_TRUE(parse_hello_payload(frame.payload, &claim));
-          ASSERT_TRUE(send_frame(fd, {FrameKind::kHelloAck, kHelloAckOk},
-                                 /*keep_waiting=*/true));
-        } else if (frame.kind == FrameKind::kJournal) {
-          std::size_t index = 0;
-          std::string line;
-          ASSERT_TRUE(parse_journal_payload(frame.payload, &index, &line));
-          shipped.emplace(index, line);
-          ASSERT_TRUE(send_frame(fd,
-                                 {FrameKind::kJournalAck,
-                                  journal_ack_payload(index)},
-                                 /*keep_waiting=*/true));
-        }
+    conns = scripted_leader(listen_fd, [](std::size_t, const Frame& f, int fd) {
+      if (f.kind == FrameKind::kHello) {
+        EXPECT_TRUE(send_frame(fd, {FrameKind::kHelloAck, kHelloAckOk},
+                               /*keep_waiting=*/true));
+      } else if (f.kind == FrameKind::kJournal) {
+        ack_journal(f, fd);
       }
-    }
-    ::close(fd);
+      return Answer::kKeep;
+    });
   });
-  WorkerConfig cfg;
-  cfg.shard = 2;
-  cfg.epoch = 7;
-  cfg.range = {1, 4};
-  cfg.heartbeat_ms = 10.0;
-  cfg.connect_host = "127.0.0.1";
-  cfg.connect_port = port;
+  const WorkerConfig cfg = scripted_worker(port, {1, 4});
   EXPECT_EQ(run_worker(spec, cfg), kWorkerExitOk);
   leader.join();
   ::close(listen_fd);
+  ASSERT_EQ(conns.size(), 1u);
+  const HelloClaim claim = claim_of(conns[0]);
   EXPECT_EQ(claim.shard, 2u);
   EXPECT_EQ(claim.epoch, 7u);
+  std::map<std::size_t, std::string> shipped;
+  for (const Frame& f : conns[0]) {
+    std::size_t index = 0;
+    std::string line;
+    if (f.kind == FrameKind::kJournal &&
+        parse_journal_payload(f.payload, &index, &line)) {
+      shipped.emplace(index, line);
+    }
+  }
   ASSERT_EQ(shipped.size(), 3u);
   for (const auto& [index, line] : shipped) {
     driver::JournalEntry entry;

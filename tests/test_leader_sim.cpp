@@ -1,17 +1,24 @@
-// Deterministic simulation of the sweep leader. LeaderCore (dist/leader.hpp)
-// runs against a seeded simulator instead of sockets, fork and files: the
-// simulator implements LeaderIo with in-memory journals, simulated links
-// and small simulated workers (hello, heartbeats, journal frames built from
-// one serial run, exit), all on a simulated millisecond clock whose events
-// sit in a CalendarQueue. A link works like a netsim channel: a frame put
-// at `now` is delivered at `now + delay`, and nothing is delivered before
-// the clock reaches it.
+// Deterministic simulation of the sweep leader and the worker link.
+// LeaderCore (dist/leader.hpp) runs against a seeded simulator instead of
+// sockets, fork and files: the simulator implements LeaderIo with
+// in-memory journals, simulated links and small simulated workers, all on
+// a simulated millisecond clock whose events sit in a CalendarQueue. A
+// link works like a netsim channel: a frame put at `now` is delivered at
+// `now + delay`, and nothing is delivered before the clock reaches it.
+// Each simulated worker talks to the leader through the production
+// WorkerLinkCore (dist/link.hpp) — HELLO, heartbeats, journal shipping,
+// resends, reconnect backoff, fencing and chaos are the real link's — with
+// the simulator implementing its LinkIo on the simulated connections. The
+// simulator itself models only what a worker computes: points (journal
+// lines from one serial run), crashes, wedges and exit.
 //
 // Each seed draws one failure schedule — crashes, crash-looping points,
 // wedges, partitions (short ones reconnect, long ones are fenced when the
-// zombie comes back), slow shards that get stolen from, dropped, duplicated
-// and reordered journal frames and acks, cancellation, and a journal base
-// an "earlier run" left behind — and every schedule must:
+// zombie comes back; a dial fails while one holds), slow shards that get
+// stolen from, dropped, duplicated and reordered journal frames and acks,
+// on some seeds the link's own ChaosTransport (drop, duplicate, reorder,
+// delay, partition), cancellation, and a journal base an "earlier run"
+// left behind — and every schedule must:
 //   * end;
 //   * render JSON and CSV byte-identical to the serial run, except that a
 //     point may read failed/worker_crash only when its shard used up the
@@ -21,7 +28,19 @@
 //   * ack only records already in one of the shard's journals;
 //   * never append one grid index twice to one journal;
 //   * never append a record of a worker whose lease epoch was revoked;
-//   * report as resumed exactly the grid indices the reused base held.
+//   * report as resumed exactly the grid indices the reused base held;
+//   * fence a live worker only after it went the liveness timeout without
+//     a frame reaching the leader, so a same-epoch reconnect inside that
+//     window is welcomed back;
+// and every worker's link must:
+//   * send no journal or heartbeat frame on a connection before that
+//     connection's hello-ack accepted it;
+//   * send nothing more, on any connection, once a fenced ack reached it;
+//   * report drained to a finishing worker only when the leader acked
+//     every record the worker produced;
+//   * wait inside the backoff band before every redial: at least
+//     kReconnectBaseMs, and at most kReconnectCapMs (or the chaos
+//     partition's heal time, when longer) plus one pump interval.
 //
 // A failure names its seed and prints the tail of its event trace. To
 // replay one schedule alone, set kReplaySeed to it and run
@@ -31,6 +50,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -39,11 +59,13 @@
 #include <vector>
 
 #include "psync/common/calendar_queue.hpp"
+#include "psync/common/cancel.hpp"
 #include "psync/common/check.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/dist/frame.hpp"
 #include "psync/dist/heartbeat.hpp"
 #include "psync/dist/leader.hpp"
+#include "psync/dist/link.hpp"
 #include "psync/dist/shard.hpp"
 #include "psync/driver/campaign.hpp"
 #include "psync/driver/runner.hpp"
@@ -63,7 +85,6 @@ constexpr std::uint64_t kSeedsPerBlock = 500;
 constexpr std::uint64_t kBlocks = 8;
 
 constexpr double kHeartbeatMs = 10.0;
-constexpr std::int64_t kResendMs = 250;   // SocketLinkOptions::resend_ms
 constexpr std::int64_t kFlushMs = 2000;   // the worker's post-run flush budget
 constexpr const char* kBase = "sim";
 
@@ -130,6 +151,7 @@ struct Schedule {
   std::int64_t slow_shard = -1;   // this shard's points take 30-60 ms
   std::int64_t cancel_at = -1;
   bool reuse_base = false;
+  ChaosOptions chaos;  // each launch's link, with its own seed; 0 = off
 };
 
 Schedule draw_schedule(Rng& rng) {
@@ -166,11 +188,24 @@ Schedule draw_schedule(Rng& rng) {
     s.cancel_at = static_cast<std::int64_t>(rng.next_u64() % 300);
   }
   s.reuse_base = rng.next_bool(0.4);
+  if (rng.next_bool(0.3)) {
+    s.chaos.seed = 1;
+    s.chaos.drop = pick({0.0, 0.05, 0.15});
+    s.chaos.duplicate = pick({0.0, 0.1});
+    s.chaos.reorder = pick({0.0, 0.1});
+    s.chaos.delay = pick({0.0, 0.1});
+    s.chaos.delay_ms = pick({5.0, 20.0});
+    if (rng.next_bool(0.4)) {
+      s.chaos.partition_after = 5 + rng.next_u64() % 30;
+      s.chaos.partition_ms = pick({30.0, 150.0, 400.0});
+      s.chaos.partition_repeat = rng.next_bool(0.3);
+    }
+  }
   return s;
 }
 
 enum class Ev {
-  kConnect,    // worker dials
+  kConnect,    // the worker's link makes its first dial
   kStart,      // worker begins its window
   kTimer,      // worker heartbeat tick and link pump
   kPointDone,  // worker finished computing its current point
@@ -204,8 +239,30 @@ struct Event {
   std::uint64_t tag = 0;  // kPointDone: the point attempt it belongs to
 };
 
+class Sim;
+
+/// A worker's end of its simulated connections: the seam its link dials,
+/// sends and closes through.
+class SimLinkIo final : public LinkIo {
+ public:
+  SimLinkIo(Sim* sim, std::size_t worker) : sim_(sim), worker_(worker) {}
+  bool connect() override;
+  bool send(const Frame& frame) override;
+  void close() override;
+
+ private:
+  Sim* const sim_;
+  const std::size_t worker_;
+};
+
 struct SimWorker {
+  SimWorker(Sim* sim, std::size_t index, const WorkerConfig& config)
+      : cfg(config), io(sim, index), link(cfg, &io, &fenced) {}
+
   WorkerConfig cfg;
+  SimLinkIo io;
+  CancelToken fenced;  // the link cancels it when its epoch is fenced
+  WorkerLinkCore link;
   WorkerId id = 0;
   bool alive = true;
   bool wedged = false;  // stopped: no events, no signals but SIGKILL
@@ -214,8 +271,6 @@ struct SimWorker {
   int exit_code = 0;
   std::int64_t flush_deadline = 0;
   ConnId conn = 0;
-  bool acked = false;  // handshake done on conn
-  std::int64_t next_connect = 0;
   std::vector<std::size_t> todo;
   std::size_t pos = 0;
   std::int64_t current = -1;  // point being computed
@@ -223,17 +278,26 @@ struct SimWorker {
   std::int64_t seen = -1;     // point the leader last saw it start
   std::uint64_t attempt = 0;
   std::uint64_t done = 0;
-  std::map<std::size_t, std::pair<std::string, std::int64_t>> unacked;
   std::int64_t crash_at = -1;
   std::int64_t wedge_at = -1;
   std::int64_t partition_at = -1;
   std::int64_t partition_ms = 0;
   std::int64_t heal_at = -1;
+  std::int64_t last_heard = 0;  // last frame the leader got from it
+  bool fence_sent = false;      // the leader fenced it once
+  // What the link invariants are checked against.
+  ConnId accepted = 0;          // connection whose hello-ack said ok
+  bool fence_seen = false;      // a fenced hello-ack reached the link
+  std::int64_t down_since = -1; // when the last connection or dial failed
+  std::set<std::size_t> produced;  // records handed to the link
+  std::set<std::size_t> acked;     // journal acks delivered to it
 };
 
 struct Coverage {
   std::size_t fenced = 0, reconnects = 0, steals = 0, restarts = 0;
   std::size_t quarantined = 0, abandoned = 0, cancelled = 0, resumed = 0;
+  std::size_t redials = 0, refused_dials = 0, chaos_partitions = 0;
+  std::size_t connection_lost = 0, stood_down = 0;
 };
 
 class Sim final : public LeaderIo {
@@ -247,6 +311,17 @@ class Sim final : public LeaderIo {
 
   /// Runs the schedule; returns "" when every check held.
   std::string run(Coverage* cov) {
+    const std::string failure = run_checked(cov);
+    cov->redials += redials_;
+    cov->refused_dials += refused_dials_;
+    cov->stood_down += stood_down_;
+    for (const SimWorker& w : workers_) {
+      cov->chaos_partitions += w.link.chaos().partitions();
+    }
+    return failure;
+  }
+
+  std::string run_checked(Coverage* cov) {
     if (sched_.reuse_base) seed_base();
     bool cancelled = false;
     driver::SweepResult result;
@@ -321,9 +396,14 @@ class Sim final : public LeaderIo {
         revoked_.insert(workers_[other].cfg.epoch);
       }
     }
-    SimWorker w;
-    w.cfg = cfg;
+    if (sched_.chaos.seed != 0) {
+      cfg.chaos = sched_.chaos;
+      cfg.chaos.seed = rng_.next_u64() | 1;
+    }
+    const std::size_t idx = workers_.size();
+    SimWorker& w = workers_.emplace_back(this, idx, cfg);
     w.id = next_worker_id_++;
+    w.last_heard = now_;
     const std::set<std::size_t> q(cfg.quarantine.begin(), cfg.quarantine.end());
     for (std::size_t i = cfg.range.begin; i < cfg.range.end; ++i) {
       ++covered_[i];
@@ -341,19 +421,17 @@ class Sim final : public LeaderIo {
       w.partition_at = now_ + 5 + draw(80);
       w.partition_ms = 20 + draw(400);
     }
-    const std::size_t idx = workers_.size();
-    workers_.push_back(std::move(w));
-    workers_by_id_[workers_[idx].id] = idx;
-    note("launch w" + std::to_string(idx) + " pid " +
-         std::to_string(workers_[idx].id) + " shard " +
-         std::to_string(cfg.shard) + " [" + std::to_string(cfg.range.begin) +
-         "," + std::to_string(cfg.range.end) + ") epoch " +
+    workers_by_id_[w.id] = idx;
+    note("launch w" + std::to_string(idx) + " pid " + std::to_string(w.id) +
+         " shard " + std::to_string(cfg.shard) + " [" +
+         std::to_string(cfg.range.begin) + "," +
+         std::to_string(cfg.range.end) + ") epoch " +
          std::to_string(cfg.epoch));
     push(now_ + 1, Event{Ev::kConnect, idx, 0, {}, 0});
     push(now_ + 2, Event{Ev::kStart, idx, 0, {}, 0});
     push(now_ + static_cast<std::int64_t>(kHeartbeatMs),
          Event{Ev::kTimer, idx, 0, {}, 0});
-    return workers_[idx].id;
+    return w.id;
   }
 
   void terminate(WorkerId id) override {
@@ -387,14 +465,19 @@ class Sim final : public LeaderIo {
              std::to_string(workers_[w].cfg.shard) + " holds");
       }
     }
+    if (frame.kind == FrameKind::kHelloAck && hello_ack_fenced(frame.payload)) {
+      check_fence(w);
+    }
     put(conn, now_ + latency(), Event{Ev::kToWorker, w, conn, frame, 0},
         frame.kind == FrameKind::kJournalAck);
     return true;
   }
 
+  /// The worker reads everything already in flight, then EOF: a fenced
+  /// hello-ack reaches it before the close does.
   void close(ConnId conn) override {
     if (leader_open_.erase(conn) == 0) return;
-    push(now_ + latency(),
+    push(std::max(now_ + latency(), last_[conn]),
          Event{Ev::kWorkerEof, conn_owner_.at(conn), conn, {}, 0});
   }
 
@@ -434,6 +517,55 @@ class Sim final : public LeaderIo {
   std::vector<std::string> read_journal(const std::string& path) override {
     const auto it = files_.find(path);
     return it == files_.end() ? std::vector<std::string>{} : it->second;
+  }
+
+  // --- LinkIo, per worker (SimLinkIo) -------------------------------------
+
+  bool link_connect(std::size_t wi) {
+    SimWorker& w = workers_[wi];
+    if (w.fence_seen) fail("w" + std::to_string(wi) + " dialed after a fence");
+    if (w.conn != 0) fail("w" + std::to_string(wi) + " dialed while connected");
+    if (w.down_since >= 0) check_redial(wi, now_ - w.down_since);
+    if (partitioned(w)) {
+      note("dial w" + std::to_string(wi) + " refused");
+      ++refused_dials_;
+      w.down_since = now_;
+      return false;
+    }
+    const ConnId conn = next_conn_++;
+    note("dial w" + std::to_string(wi) + " c" + std::to_string(conn));
+    conn_owner_[conn] = wi;
+    w.conn = conn;
+    w.down_since = -1;
+    leader_open_.insert(conn);
+    return true;
+  }
+
+  bool link_send(std::size_t wi, const Frame& frame) {
+    SimWorker& w = workers_[wi];
+    if (w.conn == 0) {
+      fail("w" + std::to_string(wi) + " sent with no connection open");
+      return false;
+    }
+    if (w.fence_seen) {
+      fail("w" + std::to_string(wi) + " sent a frame after it was fenced");
+    }
+    if (frame.kind != FrameKind::kHello && w.accepted != w.conn) {
+      fail("w" + std::to_string(wi) + " sent frame kind " +
+           std::to_string(static_cast<int>(frame.kind)) + " on c" +
+           std::to_string(w.conn) + " before its hello-ack");
+    }
+    put(w.conn, now_ + latency(), Event{Ev::kToLeader, wi, w.conn, frame, 0},
+        frame.kind == FrameKind::kJournal);
+    return true;
+  }
+
+  void link_close(std::size_t wi) {
+    SimWorker& w = workers_[wi];
+    if (w.conn == 0) return;
+    note("hang-up w" + std::to_string(wi) + " c" + std::to_string(w.conn));
+    hang_up(w);
+    w.down_since = now_;
   }
 
  private:
@@ -525,13 +657,13 @@ class Sim final : public LeaderIo {
     SimWorker& w = workers_[ev.worker];
     switch (ev.kind) {
       case Ev::kConnect:
-        connect(ev.worker);
+        if (w.alive && !w.wedged) w.link.pump(now);
         break;
       case Ev::kStart:
         if (!w.alive || w.wedged || w.term) break;
         for (const std::size_t i : w.cfg.quarantine) {
           if (w.cfg.range.contains(i)) {
-            ship(ev.worker, i, truth_.quarantined_line[i]);
+            ship(w, i, truth_.quarantined_line[i]);
           }
         }
         next_point(ev.worker);
@@ -553,6 +685,7 @@ class Sim final : public LeaderIo {
         }
         sender_ = ev.worker;
         core.on_frame(ev.conn, ev.frame, now);
+        w.last_heard = now_;
         break;
       case Ev::kLeaderEof:
         if (leader_open_.erase(ev.conn) == 0) break;
@@ -562,10 +695,8 @@ class Sim final : public LeaderIo {
         to_worker(ev.worker, ev.conn, ev.frame);
         break;
       case Ev::kWorkerEof:
-        if (w.conn != ev.conn) break;
-        w.conn = 0;
-        w.acked = false;
-        w.next_connect = now_ + 20 + draw(40);
+        if (!w.alive || w.wedged || w.conn != ev.conn) break;
+        w.link.on_closed(now);
         break;
       case Ev::kExit:
         count_crash(w, exits_.at(ev.worker));
@@ -595,21 +726,33 @@ class Sim final : public LeaderIo {
 
   bool partitioned(const SimWorker& w) const { return now_ < w.heal_at; }
 
-  void connect(std::size_t wi) {
+  /// The leader fences live worker `wi`. Its lease can only have been
+  /// revoked by a connection loss, which takes the liveness timeout of
+  /// silence; once revoked, every later claim is fenced.
+  void check_fence(std::size_t wi) {
     SimWorker& w = workers_[wi];
-    if (!w.alive || w.wedged || w.conn != 0) return;
-    if (partitioned(w) || now_ < w.next_connect) return;  // the timer retries
-    const ConnId conn = next_conn_++;
-    conn_owner_[conn] = wi;
-    w.conn = conn;
-    w.acked = false;
-    leader_open_.insert(conn);
-    put(conn, now_ + latency(),
-        Event{Ev::kToLeader, wi, conn,
-              Frame{FrameKind::kHello,
-                    hello_payload(HelloClaim{w.cfg.shard, w.cfg.epoch})},
-              0},
-        false);
+    const std::int64_t silent = now_ - w.last_heard;
+    if (w.alive && !w.fence_sent &&
+        static_cast<double>(silent) <=
+            sched_.opts.heartbeat_ms * sched_.opts.liveness_factor) {
+      fail("fenced live w" + std::to_string(wi) + " heard from " +
+           std::to_string(silent) + " ms ago, inside the liveness timeout");
+    }
+    w.fence_sent = true;
+  }
+
+  /// A redial `waited` ms after the last failure: the backoff band, plus
+  /// up to one pump interval (the link dials from its timer tick), or the
+  /// heal time of a chaos partition when that is longer.
+  void check_redial(std::size_t wi, std::int64_t waited) {
+    ++redials_;
+    const double longest =
+        std::max(kReconnectCapMs, sched_.chaos.partition_ms) + kHeartbeatMs;
+    if (static_cast<double>(waited) < kReconnectBaseMs ||
+        static_cast<double>(waited) > longest) {
+      fail("w" + std::to_string(wi) + " redialed " + std::to_string(waited) +
+           " ms after its last failure, outside the backoff band");
+    }
   }
 
   /// The worker side ends the connection: the leader reads everything
@@ -619,41 +762,19 @@ class Sim final : public LeaderIo {
     if (w.conn == 0) return now_;
     const ConnId conn = w.conn;
     w.conn = 0;
-    w.acked = false;
     const std::int64_t at = std::max(now_ + latency(), last_[conn]);
     push(at, Event{Ev::kLeaderEof, conn_owner_.at(conn), conn, {}, 0});
     return at;
   }
 
   void send_heartbeat(SimWorker& w, Heartbeat::Kind kind) {
-    if (w.conn == 0 || !w.acked) return;  // disconnected: beats are lost
-    Heartbeat hb;
-    hb.shard = w.cfg.shard;
-    hb.kind = kind;
-    hb.points_done = w.done;
-    hb.inflight = w.current;
-    put(w.conn, now_ + latency(),
-        Event{Ev::kToLeader, conn_owner_.at(w.conn), w.conn,
-              Frame{FrameKind::kHeartbeat, heartbeat_line(hb)}, 0},
-        false);
+    (void)w.link.send_heartbeat(Heartbeat{w.cfg.shard, kind, w.done, w.current},
+                                static_cast<double>(now_));
   }
 
-  void transmit(std::size_t wi, std::size_t index) {
-    SimWorker& w = workers_[wi];
-    auto& pending = w.unacked.at(index);
-    pending.second = now_;
-    if (w.conn == 0 || !w.acked) return;
-    put(w.conn, now_ + latency(),
-        Event{Ev::kToLeader, wi, w.conn,
-              Frame{FrameKind::kJournal, journal_payload(index, pending.first)},
-              0},
-        true);
-  }
-
-  /// At-least-once shipping: queue until acked, send when connected.
-  void ship(std::size_t wi, std::size_t index, const std::string& line) {
-    workers_[wi].unacked[index] = {line, now_};
-    transmit(wi, index);
+  void ship(SimWorker& w, std::size_t index, const std::string& line) {
+    w.produced.insert(index);
+    w.link.send_journal(index, line, static_cast<double>(now_));
   }
 
   void next_point(std::size_t wi) {
@@ -689,10 +810,10 @@ class Sim final : public LeaderIo {
     ++w.pos;
     ++w.done;
     const bool journal_first = rng_.next_bool(0.5);
-    if (journal_first) ship(wi, i, truth_.ok_line[i]);
+    if (journal_first) ship(w, i, truth_.ok_line[i]);
     w.current = -1;
     send_heartbeat(w, Heartbeat::Kind::kPointDone);
-    if (!journal_first) ship(wi, i, truth_.ok_line[i]);
+    if (!journal_first) ship(w, i, truth_.ok_line[i]);
     next_point(wi);
   }
 
@@ -701,28 +822,39 @@ class Sim final : public LeaderIo {
     w.flushing = true;
     w.exit_code = code;
     w.flush_deadline = now_ + kFlushMs;
-    if (w.unacked.empty()) {
-      die(workers_by_id_.at(w.id), WorkerExit{true, code, 0});
+    if (w.link.drained()) exit_after_flush(workers_by_id_.at(w.id));
+  }
+
+  /// The flush ended, drained or out of time. A link that reports drained
+  /// must have seen an ack for every record the worker produced.
+  void exit_after_flush(std::size_t wi) {
+    SimWorker& w = workers_[wi];
+    if (w.link.drained()) {
+      for (const std::size_t i : w.produced) {
+        if (w.acked.count(i) == 0) {
+          fail("w" + std::to_string(wi) + " flushed drained, but record " +
+               std::to_string(i) + " was never acked");
+        }
+      }
     }
+    die(wi, WorkerExit{true, w.exit_code, 0});
   }
 
   void tick(std::size_t wi) {
     SimWorker& w = workers_[wi];
     if (!w.alive || w.wedged) return;
+    const double now = static_cast<double>(now_);
     if (w.partition_at >= 0 && now_ >= w.partition_at) {
       w.partition_at = -1;
       w.heal_at = now_ + w.partition_ms;
       note("partition w" + std::to_string(wi) + " until " +
            std::to_string(w.heal_at));
-      hang_up(w);
+      if (w.conn != 0) w.link.on_closed(now);
     }
-    if (w.conn == 0) connect(wi);
+    w.link.pump(now);
     send_heartbeat(w, Heartbeat::Kind::kProgress);
-    for (auto& [index, pending] : w.unacked) {
-      if (now_ - pending.second >= kResendMs) transmit(wi, index);
-    }
-    if (w.flushing && (w.unacked.empty() || now_ >= w.flush_deadline)) {
-      die(wi, WorkerExit{true, w.exit_code, 0});
+    if (w.flushing && (w.link.drained() || now_ >= w.flush_deadline)) {
+      exit_after_flush(wi);
       return;
     }
     push(now_ + static_cast<std::int64_t>(kHeartbeatMs),
@@ -734,21 +866,23 @@ class Sim final : public LeaderIo {
     if (!w.alive || w.wedged || w.conn != conn) return;
     if (frame.kind == FrameKind::kHelloAck) {
       if (hello_ack_fenced(frame.payload)) {
-        die(wi, WorkerExit{true, kWorkerExitFenced, 0});
-        return;
+        w.fence_seen = true;
+      } else {
+        w.accepted = conn;
       }
-      w.acked = true;
-      for (auto& [index, pending] : w.unacked) transmit(wi, index);
-      return;
     }
-    if (frame.kind == FrameKind::kJournalAck) {
-      std::size_t index = 0;
-      if (parse_journal_ack_payload(frame.payload, &index)) {
-        w.unacked.erase(index);
-      }
-      if (w.flushing && w.unacked.empty()) {
-        die(wi, WorkerExit{true, w.exit_code, 0});
-      }
+    std::size_t index = 0;
+    if (frame.kind == FrameKind::kJournalAck &&
+        parse_journal_ack_payload(frame.payload, &index)) {
+      w.acked.insert(index);
+    }
+    w.link.on_frame(frame, static_cast<double>(now_));
+    // The worker winds down on the link's cancel, as run_worker does.
+    if (w.fenced.cancelled()) {
+      ++stood_down_;
+      die(wi, WorkerExit{true, kWorkerExitFenced, 0});
+    } else if (w.flushing && w.link.drained()) {
+      exit_after_flush(wi);
     }
   }
 
@@ -809,6 +943,11 @@ class Sim final : public LeaderIo {
       }
     }
     cov->abandoned += abandoned_shards.size();
+    for (const auto& incident : result.campaign.worker_failures) {
+      if (incident.kind == driver::FailureKind::kConnectionLost) {
+        ++cov->connection_lost;
+      }
+    }
     expected.campaign = driver::summarize_campaign(expected.records);
     if (driver::sweep_json(result) != driver::sweep_json(expected)) {
       fail("JSON differs from the serial run");
@@ -835,7 +974,7 @@ class Sim final : public LeaderIo {
   std::string failure_;
   std::vector<std::string> trace_;
 
-  std::vector<SimWorker> workers_;
+  std::deque<SimWorker> workers_;  // each worker's link points into it
   std::map<WorkerId, std::size_t> workers_by_id_;
   std::map<std::size_t, WorkerExit> exits_;
   WorkerId next_worker_id_ = 1000;
@@ -856,7 +995,17 @@ class Sim final : public LeaderIo {
   std::map<JournalId, std::string> journal_path_;
   JournalId next_journal_ = 1;
   std::set<std::size_t> preloaded_;
+
+  std::size_t redials_ = 0;
+  std::size_t refused_dials_ = 0;
+  std::size_t stood_down_ = 0;  // workers that exited on the link's fence
 };
+
+bool SimLinkIo::connect() { return sim_->link_connect(worker_); }
+bool SimLinkIo::send(const Frame& frame) {
+  return sim_->link_send(worker_, frame);
+}
+void SimLinkIo::close() { sim_->link_close(worker_); }
 
 /// Runs one seed's schedule; "" when every check held, else the failure
 /// and the tail of the schedule's trace.
@@ -889,17 +1038,23 @@ TEST_P(LeaderSim, SeededSchedulesMatchTheSerialRun) {
   EXPECT_GT(cov.abandoned, 0u);
   EXPECT_GT(cov.cancelled, 0u);
   EXPECT_GT(cov.resumed, 0u);
+  EXPECT_GT(cov.redials, 0u);
+  EXPECT_GT(cov.refused_dials, 0u);
+  EXPECT_GT(cov.chaos_partitions, 0u);
+  EXPECT_GT(cov.connection_lost, 0u);
+  EXPECT_GT(cov.stood_down, 0u);
 }
 
-// Seed 40591, beyond the blocks above: a steal victim journals point 13
-// (with an earlier record dropped, so 13 sits inside the stolen range),
-// and the chunk's re-runs of 13 crash until it is quarantined. Counting
-// only the chunk's own journal, the leader once shipped the quarantine
-// verdict against 13's journaled result, and the run failed with a
-// JournalConflictError.
+// Seed 46635, beyond the blocks above: after a steal reclaim, point 5
+// already holds an ok record in a journal of the run but sits inside the
+// stolen chunk [4, 6), whose worker crashes at 5; the relaunch on [5, 6)
+// is handed 5 as quarantined. Counting only the chunk's own journal as
+// done, the leader once shipped that quarantine verdict against 5's
+// journaled result, and the run failed with a JournalConflictError (this
+// seed fails that way when the own-journal rule is put back).
 TEST(LeaderSimRegression, StolenChunkNeverQuarantinesAPointItsVictimJournaled) {
   Coverage cov;
-  EXPECT_EQ(run_seed(40591, &cov), "");
+  EXPECT_EQ(run_seed(46635, &cov), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LeaderSim,

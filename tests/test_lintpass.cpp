@@ -244,6 +244,40 @@ TEST(LintLayering, ThePosixAdapterMayIncludeThem) {
   EXPECT_TRUE(r.findings.empty()) << lp::render_text(r);
 }
 
+TEST(LintLayering, PosixHeadersInTheWorkerLinkCoreAreRejected) {
+  for (const char* path : {"src/psync/dist/link.cpp",
+                           "src/psync/dist/link.hpp"}) {
+    const auto r = lint_fixture("sans_io_link_fires.cpp", path);
+    EXPECT_EQ(count_rule(r, "sans-io-include"), 5) << path << "\n"
+                                                   << lp::render_text(r);
+  }
+  const auto r =
+      lint_fixture("sans_io_link_fires.cpp", "src/psync/dist/link.cpp");
+  EXPECT_EQ(r.findings.size(), 5u) << lp::render_text(r);
+  // The worker's socket side may include them.
+  const auto adapter =
+      lint_fixture("sans_io_link_fires.cpp", "src/psync/dist/worker.cpp");
+  EXPECT_TRUE(adapter.findings.empty()) << lp::render_text(adapter);
+}
+
+TEST(LintLayering, OnlyTheRealClockAdaptersOfDistMayReadTheClock) {
+  // The transport is frame I/O and the heartbeat file a line codec: both
+  // are off the wall-clock allowlist, and so is the link's policy.
+  for (const char* path :
+       {"src/psync/dist/transport.cpp", "src/psync/dist/heartbeat.cpp",
+        "src/psync/dist/link.cpp"}) {
+    EXPECT_EQ(count_rule(lint_fixture("det_clock_dist_fires.cpp", path),
+                         "det-wall-clock"),
+              2)
+        << path;
+  }
+  for (const char* path :
+       {"src/psync/dist/worker.cpp", "src/psync/dist/supervisor.cpp"}) {
+    const auto r = lint_fixture("det_clock_dist_fires.cpp", path);
+    EXPECT_TRUE(r.findings.empty()) << path << "\n" << lp::render_text(r);
+  }
+}
+
 TEST(LintLayering, MiniDagRejectsUpwardAndUnknownEdges) {
   const auto r = lint_fixture("layer_mini_fires.cpp",
                               "src/psync/lower/fixture.cpp", mini_layers());

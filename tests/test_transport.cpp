@@ -1,7 +1,8 @@
 // The leader<->worker transport's building blocks (src/psync/dist): the
 // length-prefixed frame codec under short reads and garbage, the
 // control-frame payload codecs, the seeded ChaosTransport fault injector,
-// decorrelated-jitter backoff, the leader's epoch-fencing ledger, the TCP
+// decorrelated-jitter backoff, the worker link's policy (WorkerLinkCore)
+// on a scripted clock, the leader's epoch-fencing ledger, the TCP
 // socket options on both ends of a connection, the leader's live
 // JournalMerger check, and the journal-directory durability helper
 // (fsync_parent_dir). Everything here is deterministic:
@@ -20,13 +21,16 @@
 #include <string>
 #include <vector>
 
+#include "psync/common/cancel.hpp"
 #include "psync/common/check.hpp"
 #include "psync/common/journal.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/dist/backoff.hpp"
 #include "psync/dist/chaos.hpp"
 #include "psync/dist/frame.hpp"
+#include "psync/dist/heartbeat.hpp"
 #include "psync/dist/leader.hpp"
+#include "psync/dist/link.hpp"
 #include "psync/dist/merge.hpp"
 #include "psync/dist/transport.hpp"
 #include "rng_draws.hpp"
@@ -530,6 +534,202 @@ TEST(Backoff, DeterministicPerSeed) {
     return v;
   };
   EXPECT_EQ(draw(1234), draw(1234));
+}
+
+// ---------------------------------------------------------------------------
+// WorkerLinkCore on a scripted clock: the test drives time, delivers the
+// leader's frames and reads back what the link sent through its seam.
+
+/// Records every dial and every frame the link sends; refuses dials while
+/// `refuse` is set.
+class ScriptedLinkIo final : public LinkIo {
+ public:
+  bool connect() override {
+    ++dials;
+    if (refuse) return false;
+    open = true;
+    return true;
+  }
+  bool send(const Frame& frame) override {
+    EXPECT_TRUE(open) << "sent with no connection open";
+    sent.push_back(frame);
+    return open;
+  }
+  void close() override { open = false; }
+
+  /// Grid indices of the journal frames sent since the last take.
+  std::vector<std::size_t> take_journal() {
+    std::vector<std::size_t> out;
+    for (; taken < sent.size(); ++taken) {
+      std::size_t index = 0;
+      std::string line;
+      if (sent[taken].kind == FrameKind::kJournal &&
+          parse_journal_payload(sent[taken].payload, &index, &line)) {
+        out.push_back(index);
+      }
+    }
+    return out;
+  }
+
+  bool refuse = false;
+  bool open = false;
+  int dials = 0;
+  std::vector<Frame> sent;
+  std::size_t taken = 0;
+};
+
+WorkerConfig link_config() {
+  WorkerConfig cfg;
+  cfg.shard = 3;
+  cfg.epoch = 7;
+  return cfg;
+}
+
+const Frame kAckOk{FrameKind::kHelloAck, kHelloAckOk};
+const Frame kAckFenced{FrameKind::kHelloAck, "fenced stale epoch 7"};
+
+Frame journal_ack(std::size_t index) {
+  return {FrameKind::kJournalAck, journal_ack_payload(index)};
+}
+
+/// Pump every millisecond from `from` until the link dials; returns the
+/// instant it did, or -1 when it did not by `until`.
+double first_dial(WorkerLinkCore& link, ScriptedLinkIo& io, double from,
+                  double until) {
+  const int before = io.dials;
+  for (double t = from; t <= until; t += 1.0) {
+    link.pump(t);
+    if (io.dials != before) return t;
+  }
+  return -1.0;
+}
+
+TEST(WorkerLink, AcceptRetransmitsTheUnackedTail) {
+  ScriptedLinkIo io;
+  WorkerLinkCore link(link_config(), &io, nullptr);
+  link.pump(0.0);
+  ASSERT_EQ(io.sent.size(), 1u);
+  EXPECT_EQ(io.sent[0].kind, FrameKind::kHello);
+  EXPECT_EQ(io.sent[0].payload, hello_payload(HelloClaim{3, 7}));
+  // Nothing but the HELLO goes out before the hello-ack accepts it.
+  for (std::size_t i = 0; i < 3; ++i) link.send_journal(i, "rec", 1.0);
+  EXPECT_TRUE(link.send_heartbeat(Heartbeat{3}, 1.0));
+  EXPECT_EQ(io.sent.size(), 1u);
+  link.on_frame(kAckOk, 2.0);
+  EXPECT_EQ(io.take_journal(), (std::vector<std::size_t>{0, 1, 2}));
+  link.on_frame(journal_ack(0), 3.0);
+  link.on_frame(journal_ack(1), 3.0);
+  EXPECT_FALSE(link.drained());
+  // The connection drops; the first redial waits exactly the base.
+  link.on_closed(10.0);
+  EXPECT_FALSE(io.open);
+  EXPECT_EQ(first_dial(link, io, 10.0, 100.0), 10.0 + kReconnectBaseMs);
+  link.on_frame(kAckOk, 31.0);
+  EXPECT_EQ(io.take_journal(), (std::vector<std::size_t>{2}));
+  link.on_frame(journal_ack(2), 32.0);
+  EXPECT_TRUE(link.drained());
+}
+
+TEST(WorkerLink, ARecordResendsAtTheResendIntervalAndNotBefore) {
+  ScriptedLinkIo io;
+  WorkerLinkCore link(link_config(), &io, nullptr);
+  link.pump(0.0);
+  link.on_frame(kAckOk, 0.0);
+  link.send_journal(5, "rec", 10.0);
+  EXPECT_EQ(io.take_journal(), (std::vector<std::size_t>{5}))
+      << "a record goes out once when it is queued";
+  link.pump(10.0 + kResendMs - 0.5);
+  EXPECT_TRUE(io.take_journal().empty());
+  link.pump(10.0 + kResendMs);
+  EXPECT_EQ(io.take_journal(), (std::vector<std::size_t>{5}));
+  link.pump(10.0 + 2 * kResendMs - 0.5);
+  EXPECT_TRUE(io.take_journal().empty());
+  link.pump(10.0 + 2 * kResendMs);
+  EXPECT_EQ(io.take_journal(), (std::vector<std::size_t>{5}));
+  link.on_frame(journal_ack(5), 600.0);
+  link.pump(10.0 + 5 * kResendMs);
+  EXPECT_TRUE(io.take_journal().empty());
+  EXPECT_TRUE(link.drained());
+}
+
+TEST(WorkerLink, AHandshakeTimeoutLeadsToBackoff) {
+  ScriptedLinkIo io;
+  WorkerLinkCore link(link_config(), &io, nullptr);
+  link.pump(0.0);
+  EXPECT_TRUE(link.handshaking());
+  link.pump(kHandshakeTimeoutMs - 1.0);
+  EXPECT_TRUE(link.handshaking());
+  EXPECT_TRUE(io.open);
+  link.pump(kHandshakeTimeoutMs);
+  EXPECT_FALSE(link.handshaking());
+  EXPECT_FALSE(io.open) << "the silent connection is given up";
+  EXPECT_EQ(first_dial(link, io, kHandshakeTimeoutMs, 3000.0),
+            kHandshakeTimeoutMs + kReconnectBaseMs);
+  // A second timeout backs off by a decorrelated draw in
+  // [base, 3 * base].
+  const double failed = 2 * kHandshakeTimeoutMs + kReconnectBaseMs;
+  link.pump(failed);
+  ASSERT_FALSE(link.handshaking());
+  const double redial = first_dial(link, io, failed, failed + 1000.0);
+  EXPECT_GE(redial - failed, kReconnectBaseMs);
+  EXPECT_LE(redial - failed, 3 * kReconnectBaseMs + 1.0);
+}
+
+TEST(WorkerLink, AMidStreamFencedAckCancelsTheToken) {
+  ScriptedLinkIo io;
+  CancelToken token;
+  WorkerLinkCore link(link_config(), &io, &token);
+  link.pump(0.0);
+  link.on_frame(kAckOk, 1.0);
+  link.send_journal(0, "rec", 2.0);
+  EXPECT_FALSE(token.cancelled());
+  link.on_frame(kAckFenced, 3.0);
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_TRUE(link.fenced());
+  EXPECT_FALSE(io.open);
+  // A fenced link sends nothing more and never dials again.
+  const std::size_t sent = io.sent.size();
+  EXPECT_FALSE(link.send_heartbeat(Heartbeat{3}, 4.0));
+  link.send_journal(1, "rec", 4.0);
+  link.pump(10000.0);
+  EXPECT_EQ(io.sent.size(), sent);
+  EXPECT_EQ(io.dials, 1);
+
+  // Fenced at the handshake: the same.
+  ScriptedLinkIo io2;
+  CancelToken token2;
+  WorkerLinkCore zombie(link_config(), &io2, &token2);
+  zombie.pump(0.0);
+  zombie.on_frame(kAckFenced, 1.0);
+  EXPECT_TRUE(token2.cancelled());
+  EXPECT_TRUE(zombie.fenced());
+  EXPECT_FALSE(io2.open);
+}
+
+TEST(WorkerLink, AChaosPartitionRefusesConnectsUntilItHeals) {
+  WorkerConfig cfg = link_config();
+  cfg.chaos.seed = 5;
+  cfg.chaos.partition_after = 3;
+  cfg.chaos.partition_ms = 300.0;
+  ScriptedLinkIo io;
+  WorkerLinkCore link(cfg, &io, nullptr);
+  link.pump(0.0);
+  link.on_frame(kAckOk, 0.0);
+  for (int i = 0; i < 3; ++i) link.send_heartbeat(Heartbeat{3}, 10.0);
+  EXPECT_FALSE(io.open) << "the third frame severs the link";
+  EXPECT_EQ(link.chaos().partitions(), 1u);
+  // The backoff expired long before; the partition still holds the dial.
+  EXPECT_EQ(first_dial(link, io, 10.0, 1000.0), 310.0);
+  link.on_frame(kAckOk, 311.0);
+  // A dial the network refuses backs off like any failure.
+  link.on_closed(320.0);
+  io.refuse = true;
+  EXPECT_EQ(first_dial(link, io, 320.0, 1000.0), 320.0 + kReconnectBaseMs);
+  EXPECT_FALSE(io.open);
+  io.refuse = false;
+  const double redial = first_dial(link, io, 341.0, 1000.0);
+  EXPECT_GE(redial - 340.0, kReconnectBaseMs);
+  EXPECT_TRUE(io.open);
 }
 
 // ---------------------------------------------------------------------------
