@@ -365,7 +365,10 @@ int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg) {
     handle.wait();
     (void)handle.result();  // rethrows on failure/cancel
     flush_unacked(link.get(), cfg.heartbeat_ms);
-    return kWorkerExitOk;
+    // A fence can land during the flush (the redial after a dropped
+    // connection finds the epoch revoked): the leader has given this
+    // window away, so this launch did not complete it.
+    return link->fenced() ? kWorkerExitFenced : kWorkerExitOk;
   } catch (const CancelledError&) {
     if (link == nullptr) return kWorkerExitCancelled;
     // A SIGTERMed straggler still owes the leader whatever it finished

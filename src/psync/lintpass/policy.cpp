@@ -18,12 +18,11 @@ bool matches_any(const std::string& path,
   return false;
 }
 
-constexpr std::array<const char*, 5> kClockAllow = {
+constexpr std::array<const char*, 4> kClockAllow = {
     "src/psync/perf/",             // stopwatch/bench timing is the point
     "src/psync/common/cancel.hpp", // watchdog deadline, never serialized
     "src/psync/dist/supervisor",   // the leader's real clock
     "src/psync/dist/worker",       // the link's real clock, heartbeat timer
-    "src/psync/serve/",            // client socket timeouts
 };
 
 constexpr std::array<const char*, 2> kSansIo = {

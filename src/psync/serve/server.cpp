@@ -96,6 +96,14 @@ void Server::stop() {
     ::unlink(opts_.socket_path.c_str());
   }
 
+  // Cancel campaigns still running before joining the connection threads:
+  // a thread parked on a `results` wait returns only once its campaign
+  // leaves running. Their journal tails are durable.
+  {
+    std::lock_guard<std::mutex> lock(reg_mu_);
+    for (auto& [digest, entry] : registry_) entry.handle.cancel();
+  }
+
   // Wake every connection thread: shutdown(2) makes their blocked recv
   // return 0. The fd list only holds live descriptors (serve_connection
   // removes its own before closing), and conn_mu_ excludes that removal,
@@ -110,8 +118,9 @@ void Server::stop() {
     if (t.joinable()) t.join();
   }
 
-  // Cancel campaigns still running and wait them out so the process can
-  // exit without abandoned threads; their journal tails are durable.
+  // Wait the campaigns out so the process can exit without abandoned
+  // threads. Cancel again: a submission may have landed before its
+  // connection was shut down.
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
     for (auto& [digest, entry] : registry_) entry.handle.cancel();
@@ -128,11 +137,6 @@ void Server::stop() {
 void Server::wait_for_shutdown() {
   std::unique_lock<std::mutex> lock(shutdown_mu_);
   shutdown_cv_.wait(lock, [&] { return shutdown_requested_; });
-}
-
-std::size_t Server::campaigns() const {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  return registry_.size();
 }
 
 void Server::accept_loop() {
@@ -163,13 +167,30 @@ void Server::accept_loop() {
       break;  // the listener itself is broken (EBADF, EINVAL): give up
     }
     accept_failures = 0;
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
+    // Reap the threads of connections that have ended, so a long-lived
+    // daemon holds one thread per open connection, not per connection
+    // ever accepted.
+    std::vector<std::thread> ended;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stopping_.load()) {
+        ::close(fd);
+        break;
+      }
+      for (auto it = conn_threads_.begin(); it != conn_threads_.end();) {
+        if (std::find(ended_ids_.begin(), ended_ids_.end(), it->get_id()) ==
+            ended_ids_.end()) {
+          ++it;
+          continue;
+        }
+        ended.push_back(std::move(*it));
+        it = conn_threads_.erase(it);
+      }
+      ended_ids_.clear();
+      conn_fds_.push_back(fd);
+      conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    for (auto& t : ended) t.join();
   }
 }
 
@@ -209,6 +230,7 @@ void Server::serve_connection(int fd) {
     std::lock_guard<std::mutex> lock(conn_mu_);
     conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
                     conn_fds_.end());
+    ended_ids_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -270,18 +292,40 @@ void Server::handle_submit(int fd, const Request& req) {
   const std::uint64_t digest = frozen.digest;
   const std::size_t points = frozen.points.size();
   bool attached = false;
-  {
-    // Dedupe by digest: a concurrent identical submission attaches to the
-    // in-flight campaign instead of colliding on its journal's flock.
-    std::lock_guard<std::mutex> lock(reg_mu_);
-    const auto it = registry_.find(digest);
-    if (it != registry_.end()) {
-      attached = true;
-    } else {
-      Entry entry;
-      entry.handle = session_.submit(std::move(frozen));
-      registry_.emplace(digest, std::move(entry));
+  for (;;) {
+    // Dedupe by digest: an identical submission attaches to a running,
+    // uncancelled campaign or a done one instead of colliding on its
+    // journal's flock. A cancelled or failed campaign runs again: once
+    // the old one has left running, a new one resumes its journal.
+    driver::CampaignHandle old;
+    {
+      std::lock_guard<std::mutex> lock(reg_mu_);
+      if (stopping_.load()) {
+        send_line(fd, error_frame("shutting_down", "the daemon is stopping"));
+        return;
+      }
+      const auto it = registry_.find(digest);
+      if (it == registry_.end()) {
+        Entry entry;
+        entry.handle = session_.submit(std::move(frozen));
+        registry_.emplace(digest, std::move(entry));
+        break;
+      }
+      Entry& entry = it->second;
+      const driver::CampaignState state = entry.handle.state();
+      if (state == driver::CampaignState::kDone ||
+          (state == driver::CampaignState::kRunning && !entry.cancelled)) {
+        attached = true;
+        break;
+      }
+      if (state != driver::CampaignState::kRunning) {
+        entry.handle = session_.submit(std::move(frozen));
+        entry.cancelled = false;
+        break;
+      }
+      old = entry.handle;
     }
+    old.wait();  // the reply waits until the cancelled campaign has ended
   }
 
   std::ostringstream os;
@@ -291,7 +335,8 @@ void Server::handle_submit(int fd, const Request& req) {
   send_line(fd, os.str());
 }
 
-bool Server::find_campaign(int fd, std::uint64_t digest, Entry** out) {
+bool Server::find_campaign(int fd, std::uint64_t digest, Entry** entry,
+                           driver::CampaignHandle* handle, bool cancel) {
   std::lock_guard<std::mutex> lock(reg_mu_);
   const auto it = registry_.find(digest);
   if (it == registry_.end()) {
@@ -301,8 +346,14 @@ bool Server::find_campaign(int fd, std::uint64_t digest, Entry** out) {
     return false;
   }
   // std::map nodes are stable and entries are never erased, so the
-  // pointer stays valid after the lock drops.
-  *out = &it->second;
+  // pointer stays valid after the lock drops. The handle is copied under
+  // the lock: a resubmission may replace a cancelled or failed one.
+  *entry = &it->second;
+  *handle = it->second.handle;
+  if (cancel) {
+    it->second.cancelled = true;
+    handle->cancel();
+  }
   return true;
 }
 
@@ -320,18 +371,20 @@ std::string progress_fields(const driver::CampaignProgress& p) {
 
 void Server::handle_status(int fd, const Request& req) {
   Entry* entry = nullptr;
-  if (!find_campaign(fd, req.campaign, &entry)) return;
+  driver::CampaignHandle handle;
+  if (!find_campaign(fd, req.campaign, &entry, &handle)) return;
   std::ostringstream os;
   os << "{\"ok\":true,\"campaign\":" << json_string(campaign_id(req.campaign))
-     << ",\"state\":" << json_string(to_string(entry->handle.state())) << ','
-     << progress_fields(entry->handle.progress()) << '}';
+     << ",\"state\":" << json_string(to_string(handle.state())) << ','
+     << progress_fields(handle.progress()) << '}';
   send_line(fd, os.str());
 }
 
 void Server::handle_results(int fd, const Request& req) {
   Entry* entry = nullptr;
-  if (!find_campaign(fd, req.campaign, &entry)) return;
-  if (!req.wait && !entry->handle.done()) {
+  driver::CampaignHandle handle;
+  if (!find_campaign(fd, req.campaign, &entry, &handle)) return;
+  if (!req.wait && !handle.done()) {
     send_line(fd, error_frame("not_finished",
                               "campaign " + campaign_id(req.campaign) +
                                   " is still running (pass wait)"));
@@ -340,7 +393,7 @@ void Server::handle_results(int fd, const Request& req) {
 
   std::string body;
   try {
-    const driver::SweepResult& result = entry->handle.result();
+    const driver::SweepResult& result = handle.result();
     const bool want_json = req.format == "json";
     {
       std::lock_guard<std::mutex> lock(reg_mu_);
@@ -367,14 +420,15 @@ void Server::handle_results(int fd, const Request& req) {
   std::ostringstream os;
   os << "{\"ok\":true,\"campaign\":" << json_string(campaign_id(req.campaign))
      << ",\"format\":" << json_string(req.format) << ','
-     << progress_fields(entry->handle.progress())
+     << progress_fields(handle.progress())
      << ",\"body\":" << json_string(body) << '}';
   send_line(fd, os.str());
 }
 
 void Server::handle_subscribe(int fd, const Request& req) {
   Entry* entry = nullptr;
-  if (!find_campaign(fd, req.campaign, &entry)) return;
+  driver::CampaignHandle handle;
+  if (!find_campaign(fd, req.campaign, &entry, &handle)) return;
   const std::string id = campaign_id(req.campaign);
 
   std::size_t cursor = 0;
@@ -385,7 +439,7 @@ void Server::handle_subscribe(int fd, const Request& req) {
     // Replay from the cursor and wait (bounded, so stop() is noticed) for
     // new completions. Cursor 0 replays the full history: a late
     // subscriber misses nothing.
-    cursor = entry->handle.events_since(cursor, 250.0, &events);
+    cursor = handle.events_since(cursor, 250.0, &events);
     for (const auto& ev : events) {
       std::ostringstream os;
       os << "{\"event\":\"point\",\"campaign\":" << json_string(id)
@@ -399,7 +453,7 @@ void Server::handle_subscribe(int fd, const Request& req) {
       }
     }
     if (!alive || stopping_.load()) return;
-    if (entry->handle.done() && cursor == entry->handle.events_since(
+    if (handle.done() && cursor == handle.events_since(
                                               cursor, 0.0, &events)) {
       // Done and drained (the second events_since call re-checks under
       // the campaign lock, so no completion can slip between the two).
@@ -409,15 +463,17 @@ void Server::handle_subscribe(int fd, const Request& req) {
 
   std::ostringstream os;
   os << "{\"event\":\"done\",\"campaign\":" << json_string(id)
-     << ",\"state\":" << json_string(to_string(entry->handle.state())) << ','
-     << progress_fields(entry->handle.progress()) << '}';
+     << ",\"state\":" << json_string(to_string(handle.state())) << ','
+     << progress_fields(handle.progress()) << '}';
   send_line(fd, os.str());
 }
 
 void Server::handle_cancel(int fd, const Request& req) {
   Entry* entry = nullptr;
-  if (!find_campaign(fd, req.campaign, &entry)) return;
-  entry->handle.cancel();
+  driver::CampaignHandle handle;
+  if (!find_campaign(fd, req.campaign, &entry, &handle, /*cancel=*/true)) {
+    return;
+  }
   std::ostringstream os;
   os << "{\"ok\":true,\"campaign\":" << json_string(campaign_id(req.campaign))
      << ",\"cancelled\":true}";

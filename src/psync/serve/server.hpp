@@ -10,12 +10,18 @@
 //     cancel     ->  CampaignHandle::cancel
 //     shutdown   ->  wake wait_for_shutdown()
 //
-// Concurrency model: one accept thread, one thread per connection, one
-// campaign thread per distinct submitted spec (Session::submit). Two
-// clients submitting the same spec — the digest is the identity — share
-// one campaign: the second submit attaches to the running (or finished)
-// campaign instead of colliding on its journal's flock. Overlapping but
-// different grids share per-point results through the ResultCache.
+// Concurrency model: one accept thread, one thread per open connection
+// (the accept thread joins those whose connection ended), one campaign
+// thread per distinct submitted spec (Session::submit). Two clients
+// submitting the same spec — the digest is the identity — share one
+// campaign: the second submit attaches to the running, uncancelled (or
+// the done) campaign instead of colliding on its journal's flock. A
+// cancelled or failed campaign runs again: the submit waits for it to
+// leave running, then starts a new one that resumes the journal.
+// Overlapping but different grids share per-point results through the
+// ResultCache. stop() cancels every campaign before it joins the
+// connection threads, so a client parked on a `results` wait cannot hold
+// it up.
 //
 // Durability: with a cache directory configured, every campaign journals
 // to <cache_dir>/<spec digest>.jsonl with resume always on. A SIGKILLed
@@ -66,16 +72,14 @@ class Server {
   /// the socket cannot be created or bound.
   void start();
 
-  /// Close the listener and every connection, cancel still-running
-  /// campaigns, and join all threads. Idempotent.
+  /// Close the listener, cancel still-running campaigns, close every
+  /// connection and join all threads. Idempotent.
   void stop();
 
   /// Block until a client sends {"op":"shutdown"} or stop() is called.
   void wait_for_shutdown();
 
   [[nodiscard]] const ResultCache& cache() const { return cache_; }
-  /// Campaigns currently registered (running or finished).
-  [[nodiscard]] std::size_t campaigns() const;
 
  private:
   struct Entry {
@@ -85,6 +89,7 @@ class Server {
     std::string csv_body;
     bool has_json = false;
     bool has_csv = false;
+    bool cancelled = false;  // a cancel op reached this handle
   };
 
   void accept_loop();
@@ -97,8 +102,11 @@ class Server {
   void handle_results(int fd, const Request& req);
   void handle_subscribe(int fd, const Request& req);
   void handle_cancel(int fd, const Request& req);
-  /// Registry lookup; sends an error frame and returns false on a miss.
-  bool find_campaign(int fd, std::uint64_t digest, Entry** out);
+  /// Registry lookup: the entry and a copy of its current handle, which
+  /// `cancel` cancels and marks. Sends an error frame and returns false
+  /// on a miss.
+  bool find_campaign(int fd, std::uint64_t digest, Entry** entry,
+                     driver::CampaignHandle* handle, bool cancel = false);
   /// Write one '\n'-terminated frame; false when the peer is gone.
   bool send_line(int fd, const std::string& line);
 
@@ -113,6 +121,8 @@ class Server {
   std::mutex conn_mu_;
   std::vector<std::thread> conn_threads_;
   std::vector<int> conn_fds_;
+  // Connection threads that have returned and wait to be joined.
+  std::vector<std::thread::id> ended_ids_;
 
   mutable std::mutex reg_mu_;
   std::map<std::uint64_t, Entry> registry_;

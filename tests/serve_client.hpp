@@ -18,6 +18,7 @@
 #include "psync/common/check.hpp"
 #include "psync/serve/protocol.hpp"
 #include "psync/serve/server.hpp"
+#include "temp_dir.hpp"
 
 namespace psync::serve {
 
@@ -105,12 +106,14 @@ inline std::string await_results(Client& client, const std::string& id) {
   return results;
 }
 
+/// An in-process daemon on a socket and cache directory of its own, in a
+/// fresh directory that is removed when the test ends.
 struct DaemonFixture {
   explicit DaemonFixture(const std::string& tag, bool with_cache = true) {
+    const std::string dir = make_temp_dir("psync_serve_" + tag + "_");
     ServerOptions opts;
-    opts.socket_path = temp_path(tag + ".sock");
-    if (with_cache) opts.cache_dir = temp_path(tag + ".cache");
-    std::remove(opts.socket_path.c_str());
+    opts.socket_path = dir + "/d.sock";
+    if (with_cache) opts.cache_dir = dir + "/cache";
     server = std::make_unique<Server>(opts);
     server->start();
     socket_path = opts.socket_path;

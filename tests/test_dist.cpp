@@ -38,6 +38,7 @@
 #include "psync/driver/campaign.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
+#include "temp_dir.hpp"
 
 namespace psync::dist {
 namespace {
@@ -50,14 +51,11 @@ using driver::RunRecord;
 using driver::Session;
 using driver::SweepEngine;
 
-/// A journal base in a new directory: a stale journal from an earlier run
-/// would otherwise be resumed (that's the feature) and poison a test. A
-/// pid is not unique enough — an earlier test process with the same pid
-/// leaves its journals behind under that name.
+/// A journal base in a new directory, removed when the test ends: a stale
+/// journal from an earlier run would otherwise be resumed (that's the
+/// feature) and poison a test.
 std::string fresh_base(const std::string& name) {
-  std::string dir = testing::TempDir() + "psync_dist_XXXXXX";
-  PSYNC_CHECK(::mkdtemp(dir.data()) != nullptr);
-  return dir + "/" + name;
+  return make_temp_dir("psync_dist_") + "/" + name;
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -895,6 +893,42 @@ TEST(Distributed, ReconnectingWorkerResumesWithoutDataLoss) {
   EXPECT_EQ(std::set<std::size_t>(resent.begin(), resent.end()),
             (std::set<std::size_t>{0, 1, 2, 3, 4, 5}))
       << "the unacked records went again and the rest followed";
+}
+
+// A fence that lands during the worker's final flush: the leader reads
+// every journal record of the window without acking one, drops the
+// connection after the last, and fences the redial. The window is
+// computed but no record of it was acked, so the worker did not complete
+// it and must exit 5, not 0.
+TEST(Distributed, WorkerFencedDuringItsFinalFlushExitsFenced) {
+  const auto spec = make_spec(uniform(3, 0.0));
+  std::uint16_t port = 0;
+  const int listen_fd = tcp_listen("127.0.0.1", 0, &port);
+  std::vector<std::vector<Frame>> conns;
+  std::thread leader([&] {
+    std::size_t shipped = 0;
+    conns = scripted_leader(listen_fd, [&](std::size_t conn, const Frame& f,
+                                           int fd) {
+      if (f.kind == FrameKind::kHello && conn == 0) {
+        EXPECT_TRUE(send_frame(fd, {FrameKind::kHelloAck, kHelloAckOk},
+                               /*keep_waiting=*/true));
+      } else if (f.kind == FrameKind::kHello) {
+        EXPECT_TRUE(send_frame(fd, {FrameKind::kHelloAck, "fenced stale epoch 7"},
+                               /*keep_waiting=*/true));
+        return Answer::kHangUpLast;
+      } else if (f.kind == FrameKind::kJournal && conn == 0) {
+        return ++shipped == 3 ? Answer::kHangUp : Answer::kKeep;
+      }
+      return Answer::kKeep;
+    });
+  });
+  EXPECT_EQ(run_worker(spec, scripted_worker(port, {0, 3})),
+            kWorkerExitFenced);
+  leader.join();
+  ::close(listen_fd);
+  ASSERT_EQ(conns.size(), 2u);
+  EXPECT_EQ(journal_indices(conns[0]).size(), 3u);
+  EXPECT_EQ(claim_of(conns[1]).epoch, claim_of(conns[0]).epoch);
 }
 
 // ---------------------------------------------------------------------------

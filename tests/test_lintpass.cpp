@@ -278,6 +278,17 @@ TEST(LintLayering, OnlyTheRealClockAdaptersOfDistMayReadTheClock) {
   }
 }
 
+TEST(LintLayering, TheServeDaemonMayNotReadTheClock) {
+  for (const char* path :
+       {"src/psync/serve/server.cpp", "src/psync/serve/cache.cpp",
+        "src/psync/serve/protocol.cpp"}) {
+    EXPECT_EQ(count_rule(lint_fixture("det_clock_serve_fires.cpp", path),
+                         "det-wall-clock"),
+              2)
+        << path;
+  }
+}
+
 TEST(LintLayering, MiniDagRejectsUpwardAndUnknownEdges) {
   const auto r = lint_fixture("layer_mini_fires.cpp",
                               "src/psync/lower/fixture.cpp", mini_layers());

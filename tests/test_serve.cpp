@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "psync/common/config.hpp"
 #include "psync/common/journal.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/dist/frame.hpp"
@@ -265,8 +266,11 @@ TEST(Session, SubmitStreamsEventsAndProgress) {
   EXPECT_EQ(handle.result().records.size(), 4u);
 }
 
-// Spins until cancelled whenever the t_p knob is nonzero (bounded so a
-// broken token fails the test instead of wedging the suite).
+/// Set to let serve_spin points finish instead of spinning.
+std::atomic<bool> g_spin_released{false};
+
+// Spins until cancelled whenever the t_p knob is nonzero, unless released
+// (bounded so a broken token fails the test instead of wedging the suite).
 class ServeSpinWorkload final : public driver::Workload {
  public:
   std::string name() const override { return "serve_spin"; }
@@ -275,7 +279,7 @@ class ServeSpinWorkload final : public driver::Workload {
     for (const auto& [knob, value] : pt.knobs) {
       if (knob == "t_p") spin = value;
     }
-    if (spin != 0.0) {
+    if (spin != 0.0 && !g_spin_released) {
       const auto start = std::chrono::steady_clock::now();
       while (std::chrono::steady_clock::now() - start <
              std::chrono::seconds(10)) {
@@ -913,7 +917,6 @@ TEST(Daemon, DuplicateSubmissionAttachesToTheSameCampaign) {
   bool attached = false;
   ASSERT_TRUE(find_bool_field(second, "attached", &attached));
   EXPECT_TRUE(attached);
-  EXPECT_EQ(daemon.server->campaigns(), 1u);
 
   // Both clients can fetch identical bodies.
   const std::string frame =
@@ -1078,25 +1081,85 @@ TEST(Daemon, CancelOpStopsARunningCampaign) {
       "ok", &ok));
   EXPECT_TRUE(ok);
 
-  // The campaign winds down to the cancelled state; poll status briefly.
-  std::string state;
-  for (int i = 0; i < 100 && state != "cancelled"; ++i) {
-    const std::string status = client.round_trip(
-        "{\"op\":\"status\",\"campaign\":" + json_string(id) + "}");
-    ASSERT_TRUE(find_string_field(status, "state", &state)) << status;
-    if (state != "cancelled") {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-  EXPECT_EQ(state, "cancelled");
-
-  // results on a cancelled campaign is a typed error, not a hang.
+  // A waiting `results` returns once the campaign has wound down, and on
+  // a cancelled campaign it is a typed error, not a hang.
   std::string code;
   ASSERT_TRUE(find_string_field(
       client.round_trip("{\"op\":\"results\",\"campaign\":" +
                         json_string(id) + "}"),
       "error", &code));
   EXPECT_EQ(code, "campaign_failed");
+  std::string state;
+  ASSERT_TRUE(find_string_field(
+      client.round_trip("{\"op\":\"status\",\"campaign\":" +
+                        json_string(id) + "}"),
+      "state", &state));
+  EXPECT_EQ(state, "cancelled");
+}
+
+// A cancelled campaign is not attached to: the resubmission runs the spec
+// again, and its results are the runner's bytes.
+TEST(Daemon, ResubmittingACancelledCampaignRunsItAgain) {
+  driver::register_workload(std::make_unique<ServeSpinWorkload>());
+  g_spin_released = false;
+  DaemonFixture daemon("rerun_cancelled");
+  Client client(daemon.socket_path);
+  ASSERT_TRUE(client.connected());
+  const char* ini =
+      "[experiment]\nkind = serve_spin\nthreads = 1\n"
+      "[guard]\npoint_timeout_ms = 5000\n"
+      "[sweep]\nt_p = 1 1\n";
+  const std::string first = client.round_trip(submit_frame(ini));
+  std::string id;
+  ASSERT_TRUE(find_string_field(first, "campaign", &id)) << first;
+  (void)client.round_trip("{\"op\":\"cancel\",\"campaign\":" +
+                          json_string(id) + "}");
+  std::string code;
+  ASSERT_TRUE(find_string_field(
+      client.round_trip("{\"op\":\"results\",\"campaign\":" +
+                        json_string(id) + "}"),
+      "error", &code));
+  EXPECT_EQ(code, "campaign_failed");
+
+  g_spin_released = true;
+  const std::string second = client.round_trip(submit_frame(ini));
+  bool attached = true;
+  ASSERT_TRUE(find_bool_field(second, "attached", &attached)) << second;
+  EXPECT_FALSE(attached);
+  const std::string results = client.round_trip(
+      "{\"op\":\"results\",\"campaign\":" + json_string(id) + "}");
+  std::string body;
+  ASSERT_TRUE(find_string_field(results, "body", &body)) << results;
+  EXPECT_EQ(body, driver::sweep_json(Session().run(
+                      driver::spec_from_config(IniConfig::parse(ini)))));
+  g_spin_released = false;
+}
+
+// stop() with a client parked on a `results` wait of a campaign that
+// would spin for 10 s: the campaign is cancelled first, so the wait ends
+// and stop() returns promptly.
+TEST(Daemon, StopReturnsPromptlyWhileAResultsWaitIsParked) {
+  driver::register_workload(std::make_unique<ServeSpinWorkload>());
+  DaemonFixture daemon("stop_parked", /*with_cache=*/false);
+  Client client(daemon.socket_path);
+  ASSERT_TRUE(client.connected());
+  const std::string response = client.round_trip(submit_frame(
+      "[experiment]\nkind = serve_spin\nthreads = 1\n"
+      "[guard]\npoint_timeout_ms = 20000\n"
+      "[sweep]\nt_p = 1\n"));
+  std::string id;
+  ASSERT_TRUE(find_string_field(response, "campaign", &id)) << response;
+  ASSERT_TRUE(client.send_line("{\"op\":\"results\",\"campaign\":" +
+                               json_string(id) + "}"));
+  // A round trip on a second connection while the wait is parked.
+  Client other(daemon.socket_path);
+  ASSERT_TRUE(other.connected());
+  (void)other.round_trip("{\"op\":\"status\",\"campaign\":" +
+                         json_string(id) + "}");
+  const auto t0 = std::chrono::steady_clock::now();
+  daemon.server->stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::seconds(1));
 }
 
 TEST(Daemon, ShutdownOpWakesWaiters) {
