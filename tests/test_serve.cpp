@@ -269,6 +269,11 @@ TEST(Session, SubmitStreamsEventsAndProgress) {
 /// Set to let serve_spin points finish instead of spinning.
 std::atomic<bool> g_spin_released{false};
 
+/// Spins again when the test ends, however it ends.
+struct SpinReset {
+  ~SpinReset() { g_spin_released = false; }
+};
+
 // Spins until cancelled whenever the t_p knob is nonzero, unless released
 // (bounded so a broken token fails the test instead of wedging the suite).
 class ServeSpinWorkload final : public driver::Workload {
@@ -1101,7 +1106,7 @@ TEST(Daemon, CancelOpStopsARunningCampaign) {
 // again, and its results are the runner's bytes.
 TEST(Daemon, ResubmittingACancelledCampaignRunsItAgain) {
   driver::register_workload(std::make_unique<ServeSpinWorkload>());
-  g_spin_released = false;
+  const SpinReset reset;
   DaemonFixture daemon("rerun_cancelled");
   Client client(daemon.socket_path);
   ASSERT_TRUE(client.connected());
@@ -1132,7 +1137,6 @@ TEST(Daemon, ResubmittingACancelledCampaignRunsItAgain) {
   ASSERT_TRUE(find_string_field(results, "body", &body)) << results;
   EXPECT_EQ(body, driver::sweep_json(Session().run(
                       driver::spec_from_config(IniConfig::parse(ini)))));
-  g_spin_released = false;
 }
 
 // stop() with a client parked on a `results` wait of a campaign that
