@@ -50,24 +50,34 @@ RunRecord run_point(const std::string& workload, const RunPoint& pt,
   return rec;
 }
 
+// Tell the Session's change callback that `c` recorded an event or left
+// running. Callers have released c->mu (on_change is set before the
+// campaign thread starts and never changes).
+void announce(const Campaign* c) {
+  if (c->on_change) c->on_change();
+}
+
 // Record one landed point: event for subscribers, progress tally, wakeup.
 // Callers must NOT hold c->mu.
 void note_point(Campaign* c, std::size_t index, const RunRecord& rec,
                 CampaignEvent::Source source) {
-  std::lock_guard<std::mutex> lock(c->mu);
-  CampaignEvent ev;
-  ev.index = index;
-  ev.status = rec.status;
-  ev.source = source;
-  ev.record = rec;
-  c->events.push_back(std::move(ev));
-  ++c->progress.completed;
-  switch (source) {
-    case CampaignEvent::Source::kRun: ++c->progress.executed; break;
-    case CampaignEvent::Source::kResume: ++c->progress.resumed; break;
-    case CampaignEvent::Source::kCache: ++c->progress.cache_hits; break;
+  {
+    std::lock_guard<std::mutex> lock(c->mu);
+    CampaignEvent ev;
+    ev.index = index;
+    ev.status = rec.status;
+    ev.source = source;
+    ev.record = rec;
+    c->events.push_back(std::move(ev));
+    ++c->progress.completed;
+    switch (source) {
+      case CampaignEvent::Source::kRun: ++c->progress.executed; break;
+      case CampaignEvent::Source::kResume: ++c->progress.resumed; break;
+      case CampaignEvent::Source::kCache: ++c->progress.cache_hits; break;
+    }
+    c->cv.notify_all();
   }
-  c->cv.notify_all();
+  announce(c);
 }
 
 }  // namespace
@@ -198,6 +208,7 @@ FrozenSpec Session::freeze(const ExperimentSpec& spec) {
 CampaignHandle Session::submit(FrozenSpec frozen) {
   auto c = std::make_shared<Campaign>();
   c->token.set_parent(frozen.spec.cancel);
+  c->on_change = opts_.on_change;
   {
     // The window clamp is recomputed in execute(); setting total here lets
     // progress() answer sensibly before the thread gets scheduled.
@@ -211,11 +222,14 @@ CampaignHandle Session::submit(FrozenSpec frozen) {
     try {
       execute(frozen, cache, raw);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(raw->mu);
-      raw->error = std::current_exception();
-      raw->state = raw->token.cancelled() ? CampaignState::kCancelled
-                                          : CampaignState::kFailed;
-      raw->cv.notify_all();
+      {
+        std::lock_guard<std::mutex> lock(raw->mu);
+        raw->error = std::current_exception();
+        raw->state = raw->token.cancelled() ? CampaignState::kCancelled
+                                            : CampaignState::kFailed;
+        raw->cv.notify_all();
+      }
+      announce(raw);
     }
   });
   return CampaignHandle(std::move(c));
@@ -347,23 +361,26 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
     }
     // c->mu serializes journal appends, record stores, observer calls and
     // event publication, so subscribers see completions in append order.
-    std::lock_guard<std::mutex> lock(c->mu);
-    if (journal.is_open()) {
-      journal.append(journal_line(rec, points[i].seed, points[i].digest));
+    {
+      std::lock_guard<std::mutex> lock(c->mu);
+      if (journal.is_open()) {
+        journal.append(journal_line(rec, points[i].seed, points[i].digest));
+      }
+      const PointStatus status = rec.status;
+      CampaignEvent ev;
+      ev.index = i;
+      ev.status = status;
+      ev.source = CampaignEvent::Source::kRun;
+      ev.record = rec;
+      c->events.push_back(std::move(ev));
+      ++c->progress.completed;
+      ++c->progress.executed;
+      result.records[i] = std::move(rec);
+      done[i] = 1;
+      if (spec.observer != nullptr) spec.observer->on_point_done(i, status);
+      c->cv.notify_all();
     }
-    const PointStatus status = rec.status;
-    CampaignEvent ev;
-    ev.index = i;
-    ev.status = status;
-    ev.source = CampaignEvent::Source::kRun;
-    ev.record = rec;
-    c->events.push_back(std::move(ev));
-    ++c->progress.completed;
-    ++c->progress.executed;
-    result.records[i] = std::move(rec);
-    done[i] = 1;
-    if (spec.observer != nullptr) spec.observer->on_point_done(i, status);
-    c->cv.notify_all();
+    announce(c);
     return 0;
   });
 
@@ -383,10 +400,13 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   result.campaign.resumed = resumed;
   result.campaign.cache_hits = cache_hits;
 
-  std::lock_guard<std::mutex> lock(c->mu);
-  c->result = std::move(result);
-  c->state = CampaignState::kDone;
-  c->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(c->mu);
+    c->result = std::move(result);
+    c->state = CampaignState::kDone;
+    c->cv.notify_all();
+  }
+  announce(c);
 }
 
 }  // namespace psync::driver

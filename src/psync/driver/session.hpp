@@ -32,6 +32,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,6 +119,7 @@ struct Campaign {
   CampaignProgress progress;
   CancelToken token;             // campaign-local cancel (parented to
                                  // the spec's token when one is set)
+  std::function<void()> on_change;  // Session::Options::on_change
   std::thread thread;
   bool joined = false;
 };
@@ -172,6 +174,10 @@ class Session {
     /// Optional per-point result cache (non-owning; must outlive every
     /// campaign submitted through this session).
     PointCache* cache = nullptr;
+    /// Optional: called on a campaign's thread, after it records each
+    /// event and after it leaves kRunning. Must not block (the serve
+    /// daemon writes one byte to its reactor's wake pipe).
+    std::function<void()> on_change;
   };
 
   Session() = default;

@@ -25,9 +25,10 @@ constexpr std::array<const char*, 4> kClockAllow = {
     "src/psync/dist/worker",       // the link's real clock, heartbeat timer
 };
 
-constexpr std::array<const char*, 2> kSansIo = {
+constexpr std::array<const char*, 3> kSansIo = {
     "src/psync/dist/leader",  // the sweep leader's policy (LeaderIo)
     "src/psync/dist/link",    // the worker link's policy (LinkIo)
+    "src/psync/serve/core",   // the campaign daemon's policy (ServeIo)
 };
 
 constexpr std::array<const char*, 6> kOrderSensitive = {

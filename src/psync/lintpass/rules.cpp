@@ -38,9 +38,10 @@ const std::vector<RuleInfo> kCatalog = {
      "use the full \"psync/<module>/<header>\" path so layering is checkable"},
     {"sans-io-include",
      "POSIX, socket, process, clock or thread header in a sans-I/O file "
-     "(src/psync/dist/leader*, src/psync/dist/link*)",
-     "reach the outside world through the LeaderIo or LinkIo seam; the "
-     "POSIX sides live in dist/supervisor.cpp and dist/worker.cpp"},
+     "(src/psync/dist/leader*, src/psync/dist/link*, src/psync/serve/core*)",
+     "reach the outside world through the LeaderIo, LinkIo or ServeIo "
+     "seam; the POSIX sides live in dist/supervisor.cpp, dist/worker.cpp "
+     "and serve/server.cpp"},
     {"hyg-pragma-once",
      "header without #pragma once",
      "add #pragma once as the first directive"},

@@ -29,11 +29,6 @@ void ResultCache::open(const std::string& dir) {
   }
 }
 
-std::string ResultCache::journal_path(std::uint64_t spec_digest) const {
-  PSYNC_CHECK(is_open());
-  return dir_ + "/" + campaign_journal_name(spec_digest);
-}
-
 std::string campaign_journal_name(std::uint64_t spec_digest) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx.jsonl",

@@ -43,9 +43,6 @@ class ResultCache : public driver::PointCache {
   [[nodiscard]] bool is_open() const { return !dir_.empty(); }
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
-  /// The campaign journal path for a spec digest: <dir>/<16-hex>.jsonl.
-  [[nodiscard]] std::string journal_path(std::uint64_t spec_digest) const;
-
   /// Indexed records (kOk with a digest), for accounting/tests.
   [[nodiscard]] std::size_t size() const;
 

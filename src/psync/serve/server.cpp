@@ -1,48 +1,312 @@
 #include "psync/serve/server.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <map>
+#include <string>
+#include <vector>
 
 namespace psync::serve {
+namespace {
+
+// Accept failures that must not take the daemon's front door down: a
+// client that reset before we reached it (ECONNABORTED/EPROTO), fd
+// exhaustion (EMFILE/ENFILE), or kernel memory pressure (ENOBUFS/ENOMEM).
+bool transient_accept_error(int err) {
+  return err == ECONNABORTED || err == EPROTO || err == EMFILE ||
+         err == ENFILE || err == ENOBUFS || err == ENOMEM;
+}
+
+}  // namespace
+
+// The ServeIo seam over sockets, a wake pipe and driver::Session, run on
+// one poll(2) thread. Connection state the core does not need — the fd,
+// the unsent output — lives here; every decision is the core's.
+class Server::Reactor final : public ServeIo {
+ public:
+  Reactor(Server* owner, int listen_fd)
+      : owner_(owner), listen_fd_(listen_fd), core_(owner->opts_, this) {
+    if (::pipe2(wake_, O_NONBLOCK | O_CLOEXEC) != 0) {
+      throw SimulationError(std::string("serve: pipe2 failed: ") +
+                            std::strerror(errno));
+    }
+    driver::Session::Options sopts;
+    sopts.cache = &owner->cache_;
+    sopts.on_change = [fd = wake_[1]] {
+      // A full pipe already holds a pending wake; the byte can be dropped.
+      const char byte = 1;
+      const ssize_t n = ::write(fd, &byte, 1);
+      (void)n;
+    };
+    session_ = driver::Session(sopts);
+  }
+
+  ~Reactor() override {
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    for (auto& [id, link] : links_) ::close(link.fd);
+    ::close(wake_[0]);
+    ::close(wake_[1]);
+  }
+
+  /// Any thread: make run() shut down and return.
+  void request_stop() {
+    stop_.store(true);
+    const char byte = 1;
+    const ssize_t n = ::write(wake_[1], &byte, 1);
+    (void)n;
+  }
+
+  void run();
+
+  // ServeIo
+  void send(ConnId conn, const std::string& line) override {
+    const auto it = links_.find(conn);
+    if (it == links_.end() || it->second.broken) return;
+    it->second.out += line;
+    it->second.out.push_back('\n');
+    flush(it->second);
+  }
+  void close(ConnId conn) override {
+    const auto it = links_.find(conn);
+    if (it == links_.end()) return;
+    it->second.closing = true;
+    flush(it->second);
+  }
+  RunId start(driver::FrozenSpec frozen) override {
+    const RunId id = next_run_++;
+    runs_.emplace(id, session_.submit(std::move(frozen)));
+    return id;
+  }
+  void cancel(RunId run) override { runs_.at(run).cancel(); }
+  driver::CampaignState state(RunId run) override {
+    return runs_.at(run).state();
+  }
+  driver::CampaignProgress progress(RunId run) override {
+    return runs_.at(run).progress();
+  }
+  std::size_t events_since(RunId run, std::size_t cursor,
+                           std::vector<driver::CampaignEvent>* out) override {
+    return runs_.at(run).events_since(cursor, 0.0, out);
+  }
+  const driver::SweepResult& result(RunId run) override {
+    return runs_.at(run).result();
+  }
+  void request_shutdown() override { owner_->request_shutdown(); }
+
+ private:
+  struct Link {
+    int fd = -1;
+    std::string out;      // frames not yet taken by the socket
+    std::size_t off = 0;  // first unsent byte of `out`
+    bool closing = false; // the core closed it, or the peer sent EOF
+    bool broken = false;  // a send or poll failed: drop it
+  };
+
+  /// Send what the socket takes without blocking; a hard error marks the
+  /// link broken.
+  static void flush(Link& link) {
+    while (link.off < link.out.size()) {
+      // MSG_NOSIGNAL: a client that hung up must fail this send with
+      // EPIPE, not kill the daemon with SIGPIPE.
+      const ssize_t n =
+          ::send(link.fd, link.out.data() + link.off, link.out.size() - link.off,
+                 MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) link.broken = true;
+        break;
+      }
+      link.off += static_cast<std::size_t>(n);
+    }
+    if (link.off == link.out.size()) {
+      link.out.clear();
+      link.off = 0;
+    }
+  }
+
+  /// Accept every pending connection. Returns how long to leave the
+  /// listener out of the poll set (0: keep it).
+  int accept_pending();
+  void read_from(ConnId id, Link& link);
+  /// Close and forget links that broke, and closing links that drained.
+  void reap();
+  void shut_down();
+
+  Server* owner_;
+  int listen_fd_;
+  int wake_[2] = {-1, -1};
+  std::atomic<bool> stop_{false};
+  driver::Session session_;
+  std::map<RunId, driver::CampaignHandle> runs_;
+  std::map<ConnId, Link> links_;
+  ConnId next_conn_ = 1;
+  RunId next_run_ = 1;
+  int accept_failures_ = 0;
+  ServeCore core_;
+};
+
+void Server::Reactor::run() {
+  std::vector<pollfd> fds;
+  std::vector<ConnId> ids;
+  int pause_ms = 0;  // accept back-off: the listener sits out one poll
+  for (;;) {
+    fds.clear();
+    ids.clear();
+    fds.push_back({wake_[0], POLLIN, 0});
+    const bool listening = listen_fd_ >= 0 && pause_ms == 0;
+    if (listening) fds.push_back({listen_fd_, POLLIN, 0});
+    for (const auto& [id, link] : links_) {
+      short events = 0;
+      if (!link.closing && core_.reading(id)) events |= POLLIN;
+      if (link.off < link.out.size()) events |= POLLOUT;
+      fds.push_back({link.fd, events, 0});
+      ids.push_back(id);
+    }
+    const int timeout = pause_ms > 0 ? pause_ms : -1;
+    pause_ms = 0;
+    if (::poll(fds.data(), fds.size(), timeout) < 0) {
+      if (errno == EINTR) continue;
+      std::fprintf(stderr, "psync_serve: poll(2) failed (%s)\n",
+                   std::strerror(errno));
+      shut_down();
+      return;
+    }
+
+    if ((fds[0].revents & POLLIN) != 0) {
+      char sink[256];
+      while (::read(wake_[0], sink, sizeof(sink)) > 0) {
+      }
+      if (stop_.load()) {
+        shut_down();
+        return;
+      }
+      core_.on_campaigns_changed();
+    }
+    const std::size_t first_link = listening ? 2 : 1;
+    if (listening && (fds[1].revents & POLLIN) != 0) {
+      pause_ms = accept_pending();
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const auto it = links_.find(ids[i]);
+      if (it == links_.end()) continue;
+      Link& link = it->second;
+      const short revents = fds[first_link + i].revents;
+      if ((revents & POLLOUT) != 0) flush(link);
+      if (link.closing || link.broken) continue;
+      if ((revents & POLLIN) != 0 && core_.reading(ids[i])) {
+        read_from(ids[i], link);
+      } else if ((revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
+        link.broken = true;
+      }
+    }
+    reap();
+  }
+}
+
+int Server::Reactor::accept_pending() {
+  for (;;) {
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      accept_failures_ = 0;
+      const ConnId id = next_conn_++;
+      links_[id].fd = fd;
+      core_.on_open(id);
+      continue;
+    }
+    const int err = errno;
+    if (err == EINTR) continue;
+    if (err == EAGAIN || err == EWOULDBLOCK) return 0;
+    if (transient_accept_error(err)) {
+      // Log and back off so the pressure can clear: an EMFILE tight loop
+      // would burn the CPU without freeing a single descriptor. The pause
+      // is a poll timeout, so the daemon reads no clock.
+      ++accept_failures_;
+      std::fprintf(stderr, "psync_serve: accept(2) failed (%s); retrying\n",
+                   std::strerror(err));
+      return std::min(1000, 10 << std::min(accept_failures_, 7));
+    }
+    // The listener itself is broken (EBADF, EINVAL): stop accepting and
+    // keep serving the connections already open.
+    std::fprintf(stderr, "psync_serve: accept(2) failed (%s); not accepting\n",
+                 std::strerror(err));
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return 0;
+  }
+}
+
+void Server::Reactor::read_from(ConnId id, Link& link) {
+  char chunk[16384];
+  const ssize_t n = ::recv(link.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+  if (n > 0) {
+    core_.on_bytes(id, chunk, static_cast<std::size_t>(n));
+    return;
+  }
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return;
+  }
+  if (n < 0) {
+    link.broken = true;
+    return;
+  }
+  // EOF: the client is done sending. Its replies are all queued (nothing
+  // was parked, or the link would not have been read); flush, then close.
+  core_.on_closed(id);
+  link.closing = true;
+}
+
+void Server::Reactor::reap() {
+  for (auto it = links_.begin(); it != links_.end();) {
+    Link& link = it->second;
+    const bool drained = link.off == link.out.size();
+    if (!link.broken && !(link.closing && drained)) {
+      ++it;
+      continue;
+    }
+    if (!link.closing) core_.on_closed(it->first);
+    ::close(link.fd);
+    it = links_.erase(it);
+  }
+}
+
+void Server::Reactor::shut_down() {
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  ::unlink(owner_->opts_.socket_path.c_str());
+  // Cancel every campaign and wait them all out (their journal tails are
+  // durable); then the core answers the parked requests and closes every
+  // connection, and each gets one non-blocking flush.
+  core_.stop();
+  for (auto& [id, handle] : runs_) handle.wait();
+  core_.on_campaigns_changed();
+  for (auto& [id, link] : links_) {
+    if (!link.broken) flush(link);
+    ::close(link.fd);
+  }
+  links_.clear();
+}
 
 Server::Server(ServerOptions opts) : opts_(std::move(opts)) {}
 
 Server::~Server() { stop(); }
 
-bool Server::send_line(int fd, const std::string& line) {
-  std::string buf = line;
-  buf.push_back('\n');
-  std::size_t off = 0;
-  while (off < buf.size()) {
-    // MSG_NOSIGNAL: a client that hung up must fail this send with EPIPE,
-    // not kill the daemon with SIGPIPE.
-    const ssize_t n =
-        ::send(fd, buf.data() + off, buf.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void Server::start() {
-  PSYNC_CHECK(listen_fd_ < 0);
+  PSYNC_CHECK(reactor_ == nullptr);
   // With no cache directory the ResultCache still serves hits in memory
   // (journals and restart durability just don't happen) — unit-test mode.
   if (!opts_.cache_dir.empty()) cache_.open(opts_.cache_dir);
-  driver::Session::Options sopts;
-  sopts.cache = &cache_;
-  session_ = driver::Session(sopts);
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -54,7 +318,7 @@ void Server::start() {
   std::memcpy(addr.sun_path, opts_.socket_path.c_str(),
               opts_.socket_path.size() + 1);
 
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     throw SimulationError(std::string("serve: socket(2) failed: ") +
                           std::strerror(errno));
@@ -77,56 +341,25 @@ void Server::start() {
     throw SimulationError("serve: listen on '" + opts_.socket_path +
                           "' failed: " + err);
   }
-  listen_fd_ = fd;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  try {
+    reactor_ = std::make_unique<Reactor>(this, fd);
+  } catch (...) {
+    ::close(fd);
+    ::unlink(opts_.socket_path.c_str());
+    throw;
+  }
+  thread_ = std::thread([this] { reactor_->run(); });
 }
 
 void Server::stop() {
-  if (stopping_.exchange(true)) return;
+  if (thread_.joinable()) {
+    reactor_->request_stop();
+    thread_.join();
+  }
+  request_shutdown();
+}
 
-  // Break the accept loop first so no new connections arrive while the
-  // existing ones are being shut down.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::unlink(opts_.socket_path.c_str());
-  }
-
-  // Cancel campaigns still running before joining the connection threads:
-  // a thread parked on a `results` wait returns only once its campaign
-  // leaves running. Their journal tails are durable.
-  {
-    std::lock_guard<std::mutex> lock(reg_mu_);
-    for (auto& [digest, entry] : registry_) entry.handle.cancel();
-  }
-
-  // Wake every connection thread: shutdown(2) makes their blocked recv
-  // return 0. The fd list only holds live descriptors (serve_connection
-  // removes its own before closing), and conn_mu_ excludes that removal,
-  // so no reused fd can be hit here.
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
-
-  // Wait the campaigns out so the process can exit without abandoned
-  // threads. Cancel again: a submission may have landed before its
-  // connection was shut down.
-  {
-    std::lock_guard<std::mutex> lock(reg_mu_);
-    for (auto& [digest, entry] : registry_) entry.handle.cancel();
-    for (auto& [digest, entry] : registry_) entry.handle.wait();
-  }
-
+void Server::request_shutdown() {
   {
     std::lock_guard<std::mutex> lock(shutdown_mu_);
     shutdown_requested_ = true;
@@ -137,347 +370,6 @@ void Server::stop() {
 void Server::wait_for_shutdown() {
   std::unique_lock<std::mutex> lock(shutdown_mu_);
   shutdown_cv_.wait(lock, [&] { return shutdown_requested_; });
-}
-
-void Server::accept_loop() {
-  int accept_failures = 0;
-  while (!stopping_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (stopping_.load()) break;  // stop() shut the listener down
-      const int err = errno;
-      if (err == ECONNABORTED || err == EPROTO || err == EMFILE ||
-          err == ENFILE || err == ENOBUFS || err == ENOMEM ||
-          err == EAGAIN || err == EWOULDBLOCK) {
-        // Transient: a client that reset before we reached it
-        // (ECONNABORTED/EPROTO), fd exhaustion (EMFILE/ENFILE), or
-        // kernel memory pressure (ENOBUFS/ENOMEM). None of these may
-        // take the daemon's front door down — log, back off so the
-        // pressure can clear (an EMFILE tight-loop would burn the CPU
-        // without freeing a single descriptor), and keep accepting.
-        ++accept_failures;
-        std::fprintf(stderr, "psync_serve: accept(2) failed (%s); retrying\n",
-                     std::strerror(err));
-        const int shift = std::min(accept_failures, 7);
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(std::min(1000, 10 << shift)));
-        continue;
-      }
-      break;  // the listener itself is broken (EBADF, EINVAL): give up
-    }
-    accept_failures = 0;
-    // Reap the threads of connections that have ended, so a long-lived
-    // daemon holds one thread per open connection, not per connection
-    // ever accepted.
-    std::vector<std::thread> ended;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      if (stopping_.load()) {
-        ::close(fd);
-        break;
-      }
-      for (auto it = conn_threads_.begin(); it != conn_threads_.end();) {
-        if (std::find(ended_ids_.begin(), ended_ids_.end(), it->get_id()) ==
-            ended_ids_.end()) {
-          ++it;
-          continue;
-        }
-        ended.push_back(std::move(*it));
-        it = conn_threads_.erase(it);
-      }
-      ended_ids_.clear();
-      conn_fds_.push_back(fd);
-      conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
-    }
-    for (auto& t : ended) t.join();
-  }
-}
-
-void Server::serve_connection(int fd) {
-  std::string buf;
-  char chunk[4096];
-  bool open = true;
-  while (open && !stopping_.load()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF or error: client is gone
-    buf.append(chunk, static_cast<std::size_t>(n));
-
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = buf.find('\n', start);
-      if (nl == std::string::npos) break;
-      const std::string line = buf.substr(start, nl - start);
-      start = nl + 1;
-      if (!handle_request(fd, line)) {
-        open = false;
-        break;
-      }
-    }
-    buf.erase(0, start);
-
-    if (buf.size() > opts_.max_line_bytes) {
-      send_line(fd, error_frame("frame_too_long",
-                                "request line exceeds " +
-                                    std::to_string(opts_.max_line_bytes) +
-                                    " bytes"));
-      break;
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                    conn_fds_.end());
-    ended_ids_.push_back(std::this_thread::get_id());
-  }
-  ::close(fd);
-}
-
-bool Server::handle_request(int fd, const std::string& line) {
-  Request req;
-  const FrameError err = parse_request(line, &req);
-  if (err != FrameError::kNone) {
-    send_line(fd, error_frame(to_string(err),
-                              "malformed request frame (" +
-                                  std::string(to_string(err)) + ")"));
-    return true;  // a bad frame poisons nothing; keep the connection
-  }
-  switch (req.op) {
-    case Op::kSubmit: handle_submit(fd, req); return true;
-    case Op::kStatus: handle_status(fd, req); return true;
-    case Op::kResults: handle_results(fd, req); return true;
-    case Op::kSubscribe: handle_subscribe(fd, req); return true;
-    case Op::kCancel: handle_cancel(fd, req); return true;
-    case Op::kShutdown: {
-      send_line(fd, "{\"ok\":true,\"shutdown\":true}");
-      {
-        std::lock_guard<std::mutex> lock(shutdown_mu_);
-        shutdown_requested_ = true;
-      }
-      shutdown_cv_.notify_all();
-      return false;
-    }
-  }
-  return true;
-}
-
-void Server::handle_submit(int fd, const Request& req) {
-  driver::FrozenSpec frozen;
-  try {
-    const IniConfig cfg = IniConfig::parse(req.config);
-    driver::ExperimentSpec spec = driver::spec_from_config(cfg);
-    if (req.threads > 0) {
-      spec.threads = static_cast<std::size_t>(req.threads);
-    } else if (opts_.threads > 0) {
-      spec.threads = opts_.threads;
-    }
-    frozen = driver::Session::freeze(spec);
-  } catch (const SimulationError& e) {
-    send_line(fd, error_frame("invalid_spec", e.what()));
-    return;
-  }
-
-  // Execution policy is the daemon's, not the submission's: journal into
-  // the cache directory under the campaign's content digest, resume
-  // always on (a resubmitted campaign IS a resume of its own journal).
-  // These fields are excluded from the digest, so the mutation does not
-  // detach the frozen spec from its identity.
-  if (cache_.is_open()) {
-    frozen.spec.journal_path = cache_.journal_path(frozen.digest);
-    frozen.spec.resume = true;
-  }
-
-  const std::uint64_t digest = frozen.digest;
-  const std::size_t points = frozen.points.size();
-  bool attached = false;
-  for (;;) {
-    // Dedupe by digest: an identical submission attaches to a running,
-    // uncancelled campaign or a done one instead of colliding on its
-    // journal's flock. A cancelled or failed campaign runs again: once
-    // the old one has left running, a new one resumes its journal.
-    driver::CampaignHandle old;
-    {
-      std::lock_guard<std::mutex> lock(reg_mu_);
-      if (stopping_.load()) {
-        send_line(fd, error_frame("shutting_down", "the daemon is stopping"));
-        return;
-      }
-      const auto it = registry_.find(digest);
-      if (it == registry_.end()) {
-        Entry entry;
-        entry.handle = session_.submit(std::move(frozen));
-        registry_.emplace(digest, std::move(entry));
-        break;
-      }
-      Entry& entry = it->second;
-      const driver::CampaignState state = entry.handle.state();
-      if (state == driver::CampaignState::kDone ||
-          (state == driver::CampaignState::kRunning && !entry.cancelled)) {
-        attached = true;
-        break;
-      }
-      if (state != driver::CampaignState::kRunning) {
-        entry.handle = session_.submit(std::move(frozen));
-        entry.cancelled = false;
-        break;
-      }
-      old = entry.handle;
-    }
-    old.wait();  // the reply waits until the cancelled campaign has ended
-  }
-
-  std::ostringstream os;
-  os << "{\"ok\":true,\"campaign\":" << json_string(campaign_id(digest))
-     << ",\"points\":" << points
-     << ",\"attached\":" << (attached ? "true" : "false") << '}';
-  send_line(fd, os.str());
-}
-
-bool Server::find_campaign(int fd, std::uint64_t digest, Entry** entry,
-                           driver::CampaignHandle* handle, bool cancel) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  const auto it = registry_.find(digest);
-  if (it == registry_.end()) {
-    send_line(fd, error_frame("unknown_campaign",
-                              "no campaign " + campaign_id(digest) +
-                                  " on this daemon"));
-    return false;
-  }
-  // std::map nodes are stable and entries are never erased, so the
-  // pointer stays valid after the lock drops. The handle is copied under
-  // the lock: a resubmission may replace a cancelled or failed one.
-  *entry = &it->second;
-  *handle = it->second.handle;
-  if (cancel) {
-    it->second.cancelled = true;
-    handle->cancel();
-  }
-  return true;
-}
-
-namespace {
-
-std::string progress_fields(const driver::CampaignProgress& p) {
-  std::ostringstream os;
-  os << "\"total\":" << p.total << ",\"completed\":" << p.completed
-     << ",\"executed\":" << p.executed << ",\"cache_hits\":" << p.cache_hits
-     << ",\"resumed\":" << p.resumed;
-  return os.str();
-}
-
-}  // namespace
-
-void Server::handle_status(int fd, const Request& req) {
-  Entry* entry = nullptr;
-  driver::CampaignHandle handle;
-  if (!find_campaign(fd, req.campaign, &entry, &handle)) return;
-  std::ostringstream os;
-  os << "{\"ok\":true,\"campaign\":" << json_string(campaign_id(req.campaign))
-     << ",\"state\":" << json_string(to_string(handle.state())) << ','
-     << progress_fields(handle.progress()) << '}';
-  send_line(fd, os.str());
-}
-
-void Server::handle_results(int fd, const Request& req) {
-  Entry* entry = nullptr;
-  driver::CampaignHandle handle;
-  if (!find_campaign(fd, req.campaign, &entry, &handle)) return;
-  if (!req.wait && !handle.done()) {
-    send_line(fd, error_frame("not_finished",
-                              "campaign " + campaign_id(req.campaign) +
-                                  " is still running (pass wait)"));
-    return;
-  }
-
-  std::string body;
-  try {
-    const driver::SweepResult& result = handle.result();
-    const bool want_json = req.format == "json";
-    {
-      std::lock_guard<std::mutex> lock(reg_mu_);
-      if (want_json && entry->has_json) body = entry->json_body;
-      if (!want_json && entry->has_csv) body = entry->csv_body;
-    }
-    if (body.empty()) {
-      body = want_json ? driver::sweep_json(result)
-                       : driver::sweep_csv(result);
-      std::lock_guard<std::mutex> lock(reg_mu_);
-      if (want_json) {
-        entry->json_body = body;
-        entry->has_json = true;
-      } else {
-        entry->csv_body = body;
-        entry->has_csv = true;
-      }
-    }
-  } catch (const std::exception& e) {
-    send_line(fd, error_frame("campaign_failed", e.what()));
-    return;
-  }
-
-  std::ostringstream os;
-  os << "{\"ok\":true,\"campaign\":" << json_string(campaign_id(req.campaign))
-     << ",\"format\":" << json_string(req.format) << ','
-     << progress_fields(handle.progress())
-     << ",\"body\":" << json_string(body) << '}';
-  send_line(fd, os.str());
-}
-
-void Server::handle_subscribe(int fd, const Request& req) {
-  Entry* entry = nullptr;
-  driver::CampaignHandle handle;
-  if (!find_campaign(fd, req.campaign, &entry, &handle)) return;
-  const std::string id = campaign_id(req.campaign);
-
-  std::size_t cursor = 0;
-  std::vector<driver::CampaignEvent> events;
-  bool alive = true;
-  for (;;) {
-    events.clear();
-    // Replay from the cursor and wait (bounded, so stop() is noticed) for
-    // new completions. Cursor 0 replays the full history: a late
-    // subscriber misses nothing.
-    cursor = handle.events_since(cursor, 250.0, &events);
-    for (const auto& ev : events) {
-      std::ostringstream os;
-      os << "{\"event\":\"point\",\"campaign\":" << json_string(id)
-         << ",\"index\":" << ev.index << ",\"status\":"
-         << json_string(driver::to_string(ev.status))
-         << ",\"source\":" << json_string(driver::to_string(ev.source))
-         << ",\"record\":" << driver::point_json(ev.record) << '}';
-      if (!send_line(fd, os.str())) {
-        alive = false;
-        break;
-      }
-    }
-    if (!alive || stopping_.load()) return;
-    if (handle.done() && cursor == handle.events_since(
-                                              cursor, 0.0, &events)) {
-      // Done and drained (the second events_since call re-checks under
-      // the campaign lock, so no completion can slip between the two).
-      break;
-    }
-  }
-
-  std::ostringstream os;
-  os << "{\"event\":\"done\",\"campaign\":" << json_string(id)
-     << ",\"state\":" << json_string(to_string(handle.state())) << ','
-     << progress_fields(handle.progress()) << '}';
-  send_line(fd, os.str());
-}
-
-void Server::handle_cancel(int fd, const Request& req) {
-  Entry* entry = nullptr;
-  driver::CampaignHandle handle;
-  if (!find_campaign(fd, req.campaign, &entry, &handle, /*cancel=*/true)) {
-    return;
-  }
-  std::ostringstream os;
-  os << "{\"ok\":true,\"campaign\":" << json_string(campaign_id(req.campaign))
-     << ",\"cancelled\":true}";
-  send_line(fd, os.str());
 }
 
 }  // namespace psync::serve

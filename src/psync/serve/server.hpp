@@ -6,22 +6,31 @@
 //                    -> dedupe by spec digest -> Session::submit
 //     status     ->  CampaignHandle::progress
 //     results    ->  sweep_json / sweep_csv of the finished campaign
-//     subscribe  ->  CampaignHandle::events_since streamed as frames
+//     subscribe  ->  the campaign's events streamed as frames
 //     cancel     ->  CampaignHandle::cancel
 //     shutdown   ->  wake wait_for_shutdown()
 //
-// Concurrency model: one accept thread, one thread per open connection
-// (the accept thread joins those whose connection ended), one campaign
-// thread per distinct submitted spec (Session::submit). Two clients
-// submitting the same spec — the digest is the identity — share one
-// campaign: the second submit attaches to the running, uncancelled (or
-// the done) campaign instead of colliding on its journal's flock. A
-// cancelled or failed campaign runs again: the submit waits for it to
-// leave running, then starts a new one that resumes the journal.
-// Overlapping but different grids share per-point results through the
-// ResultCache. stop() cancels every campaign before it joins the
-// connection threads, so a client parked on a `results` wait cannot hold
-// it up.
+// Every decision in that table lives in ServeCore (core.hpp), which has
+// no I/O of its own; Server is its seam's POSIX side.
+//
+// Thread model: one reactor thread runs every connection. It poll(2)s
+// the listener, each connection and a wake pipe, reads request bytes
+// into the core, and drains each connection's output buffer on POLLOUT,
+// so a slow reader never blocks another client. A connection whose
+// request is parked (a `results` wait, a live subscription) is not read
+// from until the wait ends. Each distinct campaign runs on its own thread
+// (Session::submit); a campaign wakes the reactor by writing one byte to
+// the wake pipe (Session::Options::on_change) whenever it records an
+// event or leaves running, and the reactor hands that to the core. An
+// idle daemon with k open connections runs one server thread, not one
+// per connection. stop() wakes the reactor, which closes the listener,
+// cancels every campaign and waits for them all, answers the parked
+// requests and closes each connection with a best-effort non-blocking
+// flush; then stop() joins it.
+//
+// Two clients submitting the same spec — the digest is the identity —
+// share one campaign (core.hpp has the attach rule); overlapping but
+// different grids share per-point results through the ResultCache.
 //
 // Durability: with a cache directory configured, every campaign journals
 // to <cache_dir>/<spec digest>.jsonl with resume always on. A SIGKILLed
@@ -31,35 +40,15 @@
 // run (tools/serve_smoke.sh proves this in CI).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
-#include <map>
+#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
-#include "psync/driver/session.hpp"
 #include "psync/serve/cache.hpp"
-#include "psync/serve/protocol.hpp"
+#include "psync/serve/core.hpp"
 
 namespace psync::serve {
-
-struct ServerOptions {
-  /// Filesystem path the Unix-domain socket is bound to. A stale socket
-  /// file from a killed daemon is unlinked on start.
-  std::string socket_path;
-  /// Journal/cache directory; empty runs the daemon with an in-memory
-  /// cache only (no durability — unit-test mode).
-  std::string cache_dir;
-  /// Default SweepEngine threads per campaign when neither the config nor
-  /// the submit frame says otherwise (0 = leave the spec's value).
-  std::size_t threads = 0;
-  /// Reject request lines longer than this (a defense against a client
-  /// streaming garbage into the daemon's memory).
-  std::size_t max_line_bytes = 1 << 20;
-};
 
 class Server {
  public:
@@ -68,12 +57,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and start the accept loop. Throws SimulationError when
-  /// the socket cannot be created or bound.
+  /// Bind, listen, and start the reactor thread. Throws SimulationError
+  /// when the socket cannot be created or bound.
   void start();
 
-  /// Close the listener, cancel still-running campaigns, close every
-  /// connection and join all threads. Idempotent.
+  /// Close the listener, cancel still-running campaigns and wait for
+  /// them, answer parked requests, close every connection and join the
+  /// reactor. Idempotent.
   void stop();
 
   /// Block until a client sends {"op":"shutdown"} or stop() is called.
@@ -82,50 +72,14 @@ class Server {
   [[nodiscard]] const ResultCache& cache() const { return cache_; }
 
  private:
-  struct Entry {
-    driver::CampaignHandle handle;
-    // Rendered bodies, memoized on first `results` request per format.
-    std::string json_body;
-    std::string csv_body;
-    bool has_json = false;
-    bool has_csv = false;
-    bool cancelled = false;  // a cancel op reached this handle
-  };
+  class Reactor;  // the ServeIo seam's POSIX side (server.cpp)
 
-  void accept_loop();
-  void serve_connection(int fd);
-  /// Dispatch one request line; returns false when the connection should
-  /// close (shutdown).
-  bool handle_request(int fd, const std::string& line);
-  void handle_submit(int fd, const Request& req);
-  void handle_status(int fd, const Request& req);
-  void handle_results(int fd, const Request& req);
-  void handle_subscribe(int fd, const Request& req);
-  void handle_cancel(int fd, const Request& req);
-  /// Registry lookup: the entry and a copy of its current handle, which
-  /// `cancel` cancels and marks. Sends an error frame and returns false
-  /// on a miss.
-  bool find_campaign(int fd, std::uint64_t digest, Entry** entry,
-                     driver::CampaignHandle* handle, bool cancel = false);
-  /// Write one '\n'-terminated frame; false when the peer is gone.
-  bool send_line(int fd, const std::string& line);
+  void request_shutdown();
 
   ServerOptions opts_;
   ResultCache cache_;
-  driver::Session session_;
-
-  std::atomic<bool> stopping_{false};
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
-  // Connection threads that have returned and wait to be joined.
-  std::vector<std::thread::id> ended_ids_;
-
-  mutable std::mutex reg_mu_;
-  std::map<std::uint64_t, Entry> registry_;
+  std::unique_ptr<Reactor> reactor_;
+  std::thread thread_;
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

@@ -260,6 +260,22 @@ TEST(LintLayering, PosixHeadersInTheWorkerLinkCoreAreRejected) {
   EXPECT_TRUE(adapter.findings.empty()) << lp::render_text(adapter);
 }
 
+TEST(LintLayering, PosixHeadersInTheServeCoreAreRejected) {
+  for (const char* path : {"src/psync/serve/core.cpp",
+                           "src/psync/serve/core.hpp"}) {
+    const auto r = lint_fixture("sans_io_serve_fires.cpp", path);
+    EXPECT_EQ(count_rule(r, "sans-io-include"), 6) << path << "\n"
+                                                   << lp::render_text(r);
+  }
+  const auto r =
+      lint_fixture("sans_io_serve_fires.cpp", "src/psync/serve/core.cpp");
+  EXPECT_EQ(r.findings.size(), 6u) << lp::render_text(r);
+  // The reactor, the seam's POSIX side, may include them.
+  const auto adapter =
+      lint_fixture("sans_io_serve_fires.cpp", "src/psync/serve/server.cpp");
+  EXPECT_TRUE(adapter.findings.empty()) << lp::render_text(adapter);
+}
+
 TEST(LintLayering, OnlyTheRealClockAdaptersOfDistMayReadTheClock) {
   // The transport is frame I/O and the heartbeat file a line codec: both
   // are off the wall-clock allowlist, and so is the link's policy.
@@ -280,8 +296,8 @@ TEST(LintLayering, OnlyTheRealClockAdaptersOfDistMayReadTheClock) {
 
 TEST(LintLayering, TheServeDaemonMayNotReadTheClock) {
   for (const char* path :
-       {"src/psync/serve/server.cpp", "src/psync/serve/cache.cpp",
-        "src/psync/serve/protocol.cpp"}) {
+       {"src/psync/serve/server.cpp", "src/psync/serve/core.cpp",
+        "src/psync/serve/cache.cpp", "src/psync/serve/protocol.cpp"}) {
     EXPECT_EQ(count_rule(lint_fixture("det_clock_serve_fires.cpp", path),
                          "det-wall-clock"),
               2)

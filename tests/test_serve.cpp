@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -28,6 +29,7 @@
 #include "psync/serve/cache.hpp"
 #include "psync/serve/protocol.hpp"
 #include "psync/serve/server.hpp"
+#include "frame_mutator.hpp"
 #include "rng_draws.hpp"
 #include "serve_client.hpp"
 
@@ -276,6 +278,8 @@ struct SpinReset {
 
 // Spins until cancelled whenever the t_p knob is nonzero, unless released
 // (bounded so a broken token fails the test instead of wedging the suite).
+// With t_p = 2 a cancelled point lingers until released, so its campaign
+// is cancelled but still running for as long as a test needs.
 class ServeSpinWorkload final : public driver::Workload {
  public:
   std::string name() const override { return "serve_spin"; }
@@ -288,7 +292,9 @@ class ServeSpinWorkload final : public driver::Workload {
       const auto start = std::chrono::steady_clock::now();
       while (std::chrono::steady_clock::now() - start <
              std::chrono::seconds(10)) {
-        if (pt.cancel != nullptr) pt.cancel->poll();
+        if (pt.cancel == nullptr) continue;
+        if (spin == 2.0 && !g_spin_released) continue;
+        pt.cancel->poll();
       }
       throw SimulationError("serve_spin: cancel never fired");
     }
@@ -402,7 +408,8 @@ TEST(Cache, RebuildsTheIndexFromJournalsOnOpen) {
   writer.open(dir);
 
   auto spec = small_spec();
-  spec.journal_path = writer.journal_path(driver::spec_digest(spec));
+  spec.journal_path =
+      dir + "/" + campaign_journal_name(driver::spec_digest(spec));
   std::remove(spec.journal_path.c_str());
   Session session(cache_opts(&writer));
   (void)session.run(spec);
@@ -427,7 +434,7 @@ std::string write_cache_journal(const ResultCache& cache,
                                 const std::string& tail) {
   RunRecord rec;
   rec.workload = "fft2d";
-  const std::string path = cache.journal_path(7);
+  const std::string path = cache.dir() + "/" + campaign_journal_name(7);
   std::ofstream out(path, std::ios::trunc);
   out << driver::journal_line(rec, 1, 11) << '\n' << between << '\n'
       << driver::journal_line(rec, 2, 22) << '\n' << tail;
@@ -653,51 +660,6 @@ void expect_typed_outcome(const std::string& line) {
     case Op::kShutdown:
       break;
   }
-}
-
-// Bytes that change a frame's structure, NUL included.
-constexpr char kStructural[] = {'"', '{', '}', '[', ']', '\\', ':', ',', '\0'};
-// 20-digit numbers: one past UINT64_MAX and the largest 20-digit value.
-constexpr const char* kHugeNumbers[] = {"18446744073709551616",
-                                        "99999999999999999999"};
-
-std::string nested(char open, char close, int depth) {
-  std::string out;
-  for (int i = 0; i < depth; ++i) out += open == '{' ? "{\"a\":" : "[";
-  out += "1";
-  out.append(static_cast<std::size_t>(depth), close);
-  return out;
-}
-
-std::string mutate(Rng& rng, std::string s) {
-  const std::uint64_t edits = 1 + next_below(rng, 3);
-  for (std::uint64_t e = 0; e < edits; ++e) {
-    const auto at = static_cast<std::size_t>(next_below(rng, s.size() + 1));
-    switch (next_below(rng, 6)) {
-      case 0:  // bit flip
-        if (at < s.size()) {
-          s[at] = static_cast<char>(s[at] ^ (1 << next_below(rng, 8)));
-        }
-        break;
-      case 1:  // structural byte
-        s.insert(at, 1, kStructural[next_below(rng, sizeof(kStructural))]);
-        break;
-      case 2:  // dropped byte
-        if (at < s.size()) s.erase(at, 1);
-        break;
-      case 3:  // 64-deep nesting
-        s.insert(at, rng.next_bool() ? nested('{', '}', 64)
-                                     : nested('[', ']', 64));
-        break;
-      case 4:  // 20-digit number
-        s.insert(at, kHugeNumbers[next_below(rng, 2)]);
-        break;
-      default:  // truncation
-        s.resize(at);
-        break;
-    }
-  }
-  return s;
 }
 
 class ProtocolFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -1102,32 +1064,40 @@ TEST(Daemon, CancelOpStopsARunningCampaign) {
   EXPECT_EQ(state, "cancelled");
 }
 
-// A cancelled campaign is not attached to: the resubmission runs the spec
+// A cancelled campaign is not attached to. The resubmission goes out
+// while the cancelled campaign is still running (its point lingers until
+// released), so the submit reply waits for it to end; then the spec runs
 // again, and its results are the runner's bytes.
 TEST(Daemon, ResubmittingACancelledCampaignRunsItAgain) {
   driver::register_workload(std::make_unique<ServeSpinWorkload>());
   const SpinReset reset;
   DaemonFixture daemon("rerun_cancelled");
   Client client(daemon.socket_path);
+  Client other(daemon.socket_path);
   ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(other.connected());
   const char* ini =
       "[experiment]\nkind = serve_spin\nthreads = 1\n"
       "[guard]\npoint_timeout_ms = 5000\n"
-      "[sweep]\nt_p = 1 1\n";
+      "[sweep]\nt_p = 2 2\n";
   const std::string first = client.round_trip(submit_frame(ini));
   std::string id;
   ASSERT_TRUE(find_string_field(first, "campaign", &id)) << first;
+  const std::string status =
+      "{\"op\":\"status\",\"campaign\":" + json_string(id) + "}";
   (void)client.round_trip("{\"op\":\"cancel\",\"campaign\":" +
                           json_string(id) + "}");
-  std::string code;
-  ASSERT_TRUE(find_string_field(
-      client.round_trip("{\"op\":\"results\",\"campaign\":" +
-                        json_string(id) + "}"),
-      "error", &code));
-  EXPECT_EQ(code, "campaign_failed");
+  ASSERT_TRUE(client.send_line(submit_frame(ini)));
+  // The reactor serves connections in the order they were opened, so once
+  // `other` has its answer the resubmit has been read, and it found the
+  // cancelled campaign still running.
+  std::string state;
+  ASSERT_TRUE(find_string_field(other.round_trip(status), "state", &state));
+  EXPECT_EQ(state, "running");
 
   g_spin_released = true;
-  const std::string second = client.round_trip(submit_frame(ini));
+  std::string second;
+  ASSERT_TRUE(client.read_line(&second));
   bool attached = true;
   ASSERT_TRUE(find_bool_field(second, "attached", &attached)) << second;
   EXPECT_FALSE(attached);
@@ -1137,6 +1107,42 @@ TEST(Daemon, ResubmittingACancelledCampaignRunsItAgain) {
   ASSERT_TRUE(find_string_field(results, "body", &body)) << results;
   EXPECT_EQ(body, driver::sweep_json(Session().run(
                       driver::spec_from_config(IniConfig::parse(ini)))));
+}
+
+/// Threads of this process, from /proc/self/task.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// One reactor thread serves every connection: open connections add no
+// thread, and connections that come and go leave none behind.
+TEST(Daemon, ConnectionsAddNoThreads) {
+  DaemonFixture daemon("threads", /*with_cache=*/false);
+  const std::string status =
+      "{\"op\":\"status\",\"campaign\":\"00000000000000ff\"}";
+  const std::size_t idle = thread_count();
+  {
+    std::vector<std::unique_ptr<Client>> open;
+    for (int i = 0; i < 16; ++i) {
+      open.push_back(std::make_unique<Client>(daemon.socket_path));
+      ASSERT_TRUE(open.back()->connected());
+      EXPECT_NE(open.back()->round_trip(status).find("unknown_campaign"),
+                std::string::npos);
+    }
+    EXPECT_EQ(thread_count(), idle);
+  }
+  for (int i = 0; i < 200; ++i) {
+    Client client(daemon.socket_path);
+    ASSERT_TRUE(client.connected());
+    (void)client.round_trip(status);
+  }
+  EXPECT_EQ(thread_count(), idle);
 }
 
 // stop() with a client parked on a `results` wait of a campaign that

@@ -36,6 +36,9 @@ fail=0
 serve_pid=""
 
 start_daemon() {
+  # A SIGKILLed daemon leaves its socket file behind; without this the wait
+  # below could see that stale file and connect before the new daemon binds.
+  rm -f "$SOCK"
   "$SERVE" --socket "$SOCK" --cache "$CACHE" 2>> "$WORK/serve.log" &
   serve_pid=$!
   # Wait for the socket to appear (the daemon binds before serving).
