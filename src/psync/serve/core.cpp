@@ -55,8 +55,7 @@ void ServeCore::on_closed(ConnId conn) {
 
 void ServeCore::close(ConnId id) {
   io_->close(id);
-  conns_.erase(id);
-  parked_.erase(id);
+  on_closed(id);
 }
 
 void ServeCore::drain(ConnId id) {
@@ -238,13 +237,13 @@ void ServeCore::answer_results(ConnId id, const Request& req, RunId run) {
   // The run the request waited on: a resubmission may since have put a
   // new run under the digest, whose bodies are not this run's.
   const auto it = registry_.find(req.campaign);
-  Entry* memo = it != registry_.end() && it->second.run == run
-                    ? &it->second
-                    : nullptr;
   const bool want_json = req.format == "json";
+  std::string* memo = nullptr;
+  if (it != registry_.end() && it->second.run == run) {
+    memo = want_json ? &it->second.json_body : &it->second.csv_body;
+  }
   std::string body;
-  if (memo != nullptr && want_json && memo->has_json) body = memo->json_body;
-  if (memo != nullptr && !want_json && memo->has_csv) body = memo->csv_body;
+  if (memo != nullptr) body = *memo;
   if (body.empty()) {
     try {
       const driver::SweepResult& result = io_->result(run);
@@ -253,13 +252,7 @@ void ServeCore::answer_results(ConnId id, const Request& req, RunId run) {
       io_->send(id, error_frame("campaign_failed", e.what()));
       return;
     }
-    if (memo != nullptr && want_json) {
-      memo->json_body = body;
-      memo->has_json = true;
-    } else if (memo != nullptr) {
-      memo->csv_body = body;
-      memo->has_csv = true;
-    }
+    if (memo != nullptr) *memo = body;
   }
   std::ostringstream os;
   os << "{\"ok\":true,\"campaign\":" << json_string(campaign_id(req.campaign))

@@ -133,11 +133,10 @@ class ServeCore {
   struct Entry {
     RunId run = 0;
     bool cancelled = false;  // a cancel op or stop() reached this run
-    // Rendered bodies of a done run, memoized per format.
+    // Rendered bodies of a done run, memoized per format (empty: not yet
+    // rendered; a rendered body is never empty).
     std::string json_body;
     std::string csv_body;
-    bool has_json = false;
-    bool has_csv = false;
   };
 
   /// Consume complete lines until the connection parks or closes.

@@ -82,23 +82,22 @@ class Server::Reactor final : public ServeIo {
     flush(it->second);
   }
   RunId start(driver::FrozenSpec frozen) override {
-    const RunId id = next_run_++;
-    runs_.emplace(id, session_.submit(std::move(frozen)));
-    return id;
+    runs_.push_back(session_.submit(std::move(frozen)));
+    return runs_.size();
   }
-  void cancel(RunId run) override { runs_.at(run).cancel(); }
+  void cancel(RunId run) override { runs_[run - 1].cancel(); }
   driver::CampaignState state(RunId run) override {
-    return runs_.at(run).state();
+    return runs_[run - 1].state();
   }
   driver::CampaignProgress progress(RunId run) override {
-    return runs_.at(run).progress();
+    return runs_[run - 1].progress();
   }
   std::size_t events_since(RunId run, std::size_t cursor,
                            std::vector<driver::CampaignEvent>* out) override {
-    return runs_.at(run).events_since(cursor, 0.0, out);
+    return runs_[run - 1].events_since(cursor, 0.0, out);
   }
   const driver::SweepResult& result(RunId run) override {
-    return runs_.at(run).result();
+    return runs_[run - 1].result();
   }
   void request_shutdown() override { owner_->request_shutdown(); }
 
@@ -146,34 +145,33 @@ class Server::Reactor final : public ServeIo {
   int wake_[2] = {-1, -1};
   std::atomic<bool> stop_{false};
   driver::Session session_;
-  std::map<RunId, driver::CampaignHandle> runs_;
+  std::vector<driver::CampaignHandle> runs_;  // RunId n is runs_[n - 1]
   std::map<ConnId, Link> links_;
   ConnId next_conn_ = 1;
-  RunId next_run_ = 1;
   int accept_failures_ = 0;
+  std::vector<pollfd> fds_;  // run()'s poll set, rebuilt every turn
+  std::vector<ConnId> ids_;  // the connection behind each fds_ entry
   ServeCore core_;
 };
 
 void Server::Reactor::run() {
-  std::vector<pollfd> fds;
-  std::vector<ConnId> ids;
   int pause_ms = 0;  // accept back-off: the listener sits out one poll
   for (;;) {
-    fds.clear();
-    ids.clear();
-    fds.push_back({wake_[0], POLLIN, 0});
+    fds_.clear();
+    ids_.clear();
+    fds_.push_back({wake_[0], POLLIN, 0});
     const bool listening = listen_fd_ >= 0 && pause_ms == 0;
-    if (listening) fds.push_back({listen_fd_, POLLIN, 0});
+    if (listening) fds_.push_back({listen_fd_, POLLIN, 0});
     for (const auto& [id, link] : links_) {
       short events = 0;
       if (!link.closing && core_.reading(id)) events |= POLLIN;
       if (link.off < link.out.size()) events |= POLLOUT;
-      fds.push_back({link.fd, events, 0});
-      ids.push_back(id);
+      fds_.push_back({link.fd, events, 0});
+      ids_.push_back(id);
     }
     const int timeout = pause_ms > 0 ? pause_ms : -1;
     pause_ms = 0;
-    if (::poll(fds.data(), fds.size(), timeout) < 0) {
+    if (::poll(fds_.data(), fds_.size(), timeout) < 0) {
       if (errno == EINTR) continue;
       std::fprintf(stderr, "psync_serve: poll(2) failed (%s)\n",
                    std::strerror(errno));
@@ -181,7 +179,7 @@ void Server::Reactor::run() {
       return;
     }
 
-    if ((fds[0].revents & POLLIN) != 0) {
+    if ((fds_[0].revents & POLLIN) != 0) {
       char sink[256];
       while (::read(wake_[0], sink, sizeof(sink)) > 0) {
       }
@@ -192,18 +190,18 @@ void Server::Reactor::run() {
       core_.on_campaigns_changed();
     }
     const std::size_t first_link = listening ? 2 : 1;
-    if (listening && (fds[1].revents & POLLIN) != 0) {
+    if (listening && (fds_[1].revents & POLLIN) != 0) {
       pause_ms = accept_pending();
     }
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const auto it = links_.find(ids[i]);
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      const auto it = links_.find(ids_[i]);
       if (it == links_.end()) continue;
       Link& link = it->second;
-      const short revents = fds[first_link + i].revents;
+      const short revents = fds_[first_link + i].revents;
       if ((revents & POLLOUT) != 0) flush(link);
       if (link.closing || link.broken) continue;
-      if ((revents & POLLIN) != 0 && core_.reading(ids[i])) {
-        read_from(ids[i], link);
+      if ((revents & POLLIN) != 0 && core_.reading(ids_[i])) {
+        read_from(ids_[i], link);
       } else if ((revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
         link.broken = true;
       }
@@ -289,7 +287,7 @@ void Server::Reactor::shut_down() {
   // durable); then the core answers the parked requests and closes every
   // connection, and each gets one non-blocking flush.
   core_.stop();
-  for (auto& [id, handle] : runs_) handle.wait();
+  for (driver::CampaignHandle& handle : runs_) handle.wait();
   core_.on_campaigns_changed();
   for (auto& [id, link] : links_) {
     if (!link.broken) flush(link);
